@@ -9,16 +9,21 @@ test:
 	$(PY) -m pytest -x -q
 
 # Fault-tolerance lane: deterministic fault injection (kernel raises,
-# worker kills, timeouts, interrupts) plus the checkpoint-store resume
-# suite.  Spawns real worker processes; also part of the tier-1 run.
+# worker kills, timeouts, interrupts), the kill stress that must never
+# wedge a resident pool, and the checkpoint-store resume suite.  Spawns
+# real worker processes; also part of the tier-1 run.
 test-faults:
-	$(PY) -m pytest tests/test_sweep_faults.py tests/test_sweep_store.py -q
+	$(PY) -m pytest tests/test_sweep_faults.py tests/test_sweep_pool_kills.py \
+		tests/test_sweep_store.py -q
 
-# Resident sweep-service lane: warm-cache resubmits, streaming rows,
-# submission queue/cancel and pool lifecycle (orphans, crash respawn).
-# Spawns real worker processes; also part of the tier-1 run.
+# Sweep-engine lane: the resident pool (warm-cache resubmits, streaming
+# rows, submission queue/cancel, lifecycle: orphans, crash respawn), the
+# run_sweep(workers=N) path and the serial/workers=2/pool differential
+# suite — three backends of one cell runner and one bookkeeper.  Spawns
+# real worker processes; also part of the tier-1 run.
 test-pool:
-	$(PY) -m pytest tests/test_sweep_pool.py -q
+	$(PY) -m pytest tests/test_sweep_pool.py tests/test_sweep_parallel.py \
+		tests/test_sweep_backends.py -q
 
 # Heterogeneous-platform lane: the degenerate-platform bit-identity
 # contract against the Fraction oracles, exact speed scaling, platform
@@ -38,7 +43,7 @@ lint:
 
 # Line coverage of the runtime package (the executor hot paths this repo
 # keeps optimising), the experiment layer (the public scenario API,
-# including experiment.store / experiment.faults / experiment.parallel —
+# including experiment.store / experiment.faults / experiment.pool —
 # the fault-tolerance surface) and the scheduling package (the
 # platform-aware list scheduler / search / optimizer paths) with a hard
 # floor.  Skips gracefully when pytest-cov is not in the environment; CI
@@ -61,8 +66,10 @@ bench:
 # disabled, assertions on) plus the perf-trajectory runner in --fast mode,
 # so the hot tick-domain paths stay continuously exercised and any error
 # fails the lane.  The runner's fms_sweep_2x3_workers2 case spawns real
-# worker processes (run_sweep(workers=2)), so the multiprocess sweep
-# backend is exercised on every push alongside tests/test_sweep_parallel.py.
+# worker processes (run_sweep(workers=2) on a transient experiment.pool
+# SweepPool), so the multiprocess sweep path is exercised on every push
+# alongside tests/test_sweep_parallel.py.  Every sweep case refuses a
+# result with failed rows or with cells neither run nor store-served.
 bench-smoke:
 	$(PY) -m pytest benchmarks -q -m experiment --benchmark-disable
 	$(PY) benchmarks/run_bench.py --fast

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import os
 import platform
@@ -239,6 +240,20 @@ _SWEEP_OVERHEADS = (
 )
 
 
+def _complete(result, cells: int, rows=None):
+    """*result*, refused unless every one of its *cells* ran or was served.
+
+    A sweep that captured failures still returns a table, so a timing
+    case must check: no failed row, and each cell either executed or
+    came from the checkpoint store.  Pooled cases also pass the serial
+    *rows* of the same matrix, which their rows must equal.
+    """
+    assert not result.failed_rows, result.table()
+    assert result.stats.runs + result.stats.store_hits == cells, result.stats
+    assert rows is None or result.rows == rows
+    return result
+
+
 def _case_fms_sweep_3x3(fast: bool):
     from repro.experiment.scenario import _jitter_model
 
@@ -263,7 +278,7 @@ def _case_fms_sweep_3x3(fast: bool):
         # constructing fresh samplers — the comparison then measures the
         # stage-reuse design, not warm global caches.
         _jitter_model.cache_clear()
-        return run_sweep(matrix, metrics=metrics)
+        return _complete(run_sweep(matrix, metrics=metrics), len(matrix))
 
     return sweep, {
         "experiment": "sweep", "frames": frames, "cells": len(matrix),
@@ -287,16 +302,29 @@ _PAR_SWEEP_METRICS = (
 )
 
 
+@functools.lru_cache(maxsize=None)
+def _par_sweep_serial_rows(frames: int):
+    """The serial rows every pooled run of the 2x3 matrix must equal."""
+    matrix = ScenarioMatrix(
+        fms_scenario(n_frames=frames), dict(_PAR_SWEEP_AXES)
+    )
+    return run_sweep(matrix, metrics=_PAR_SWEEP_METRICS).rows
+
+
 def _parallel_sweep_case(workers: int):
     def build(fast: bool):
         frames = 2 if fast else 25
         matrix = ScenarioMatrix(
             fms_scenario(n_frames=frames), dict(_PAR_SWEEP_AXES)
         )
+        rows = _par_sweep_serial_rows(frames) if workers > 1 else None
 
         def sweep():
-            result = run_sweep(
-                matrix, metrics=_PAR_SWEEP_METRICS, workers=workers
+            result = _complete(
+                run_sweep(
+                    matrix, metrics=_PAR_SWEEP_METRICS, workers=workers
+                ),
+                len(matrix), rows,
             )
             assert result.stats.parallel_fallback is None
             assert result.stats.workers == min(
@@ -333,13 +361,20 @@ def _pool_sweep_case(warm: bool):
         matrix = ScenarioMatrix(
             fms_scenario(n_frames=frames), dict(_PAR_SWEEP_AXES)
         )
+        rows = _par_sweep_serial_rows(frames)
 
         if warm:
             pool = SweepPool(workers=2)
-            pool.submit(matrix, _PAR_SWEEP_METRICS).result()  # pre-warm
+            _complete(  # pre-warm
+                pool.submit(matrix, _PAR_SWEEP_METRICS).result(),
+                len(matrix), rows,
+            )
 
             def sweep():
-                result = pool.submit(matrix, _PAR_SWEEP_METRICS).result()
+                result = _complete(
+                    pool.submit(matrix, _PAR_SWEEP_METRICS).result(),
+                    len(matrix), rows,
+                )
                 assert result.stats.pool_reused
                 assert result.stats.derivations_computed == 0
                 assert result.stats.schedules_computed == 0
@@ -351,9 +386,10 @@ def _pool_sweep_case(warm: bool):
 
             def sweep():
                 with SweepPool(workers=2) as pool:
-                    result = pool.submit(
-                        matrix, _PAR_SWEEP_METRICS
-                    ).result()
+                    result = _complete(
+                        pool.submit(matrix, _PAR_SWEEP_METRICS).result(),
+                        len(matrix), rows,
+                    )
                 assert not result.stats.pool_reused
                 assert result.stats.derivations_computed == 2
                 return result
@@ -380,10 +416,16 @@ def _case_fms_sweep_resume(fast: bool):
         {"jitter_seed": list(_SWEEP_SEEDS)},
     )
     store = MemorySweepStore()
-    run_sweep(matrix, metrics=_PAR_SWEEP_METRICS, store=store)
+    _complete(
+        run_sweep(matrix, metrics=_PAR_SWEEP_METRICS, store=store),
+        len(matrix),
+    )
 
     def resume():
-        result = run_sweep(matrix, metrics=_PAR_SWEEP_METRICS, store=store)
+        result = _complete(
+            run_sweep(matrix, metrics=_PAR_SWEEP_METRICS, store=store),
+            len(matrix),
+        )
         assert result.stats.store_hits == len(matrix)
         assert result.stats.runs == 0
         return result
@@ -415,8 +457,9 @@ def _case_fms_hetero_sweep(fast: bool):
     )
 
     def sweep():
-        result = run_sweep(matrix, metrics=_PAR_SWEEP_METRICS)
-        assert not result.failed_rows
+        result = _complete(
+            run_sweep(matrix, metrics=_PAR_SWEEP_METRICS), len(matrix)
+        )
         assert result.stats.derivations_computed == 1
         assert result.stats.schedules_computed == len(platforms)
         return result

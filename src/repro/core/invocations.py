@@ -213,10 +213,15 @@ def random_sporadic_trace(
                 candidates.append(t)
         window_start += T
     candidates.sort()
+    # Both candidates and the kept trace ascend, so the kept arrivals
+    # inside ``(t - T, t]`` are exactly ``trace[lo:]`` for a left index
+    # that only ever moves forward.
     trace: List[Time] = []
+    lo = 0
     for t in candidates:
-        in_window = sum(1 for kept in trace if kept > t - T)
-        if in_window < m:
+        while lo < len(trace) and trace[lo] <= t - T:
+            lo += 1
+        if len(trace) - lo < m:
             trace.append(t)
     return generator.validate_trace(trace)
 

@@ -13,13 +13,14 @@ This package is the scenario-scale entry point to the paper's pipeline:
   sweeps over scenario fields with stage-aware derivation/schedule reuse
   and lean observer-streaming execution; ``run_sweep(workers=N)`` fans
   the cells out across spawned worker processes, one task per
-  schedule-key group (:mod:`repro.experiment.parallel`), with rows
+  schedule-key group (:func:`schedule_key_groups`), with rows
   bit-identical to a serial run;
 * :class:`SweepPool` — the resident sweep service
   (:mod:`repro.experiment.pool`): spawn the workers once, keep their
   per-schedule-key caches warm across many :meth:`~SweepPool.submit`
   calls, stream rows back through ``on_row`` as cells complete.
-  ``run_sweep(workers=N)`` is a thin wrapper opening a transient pool.
+  ``run_sweep(workers=N)`` runs on a transient pool; serial and pooled
+  sweeps share one cell runner and one bookkeeper.
 
 Sweeps are fault-tolerant: failing cells become structured error rows
 (:class:`SweepCellError`) on a partial result, the parallel backend
@@ -45,7 +46,6 @@ from .scenario import (
 )
 from .experiment import Experiment, PipelineCache
 from .faults import FaultPlan, InjectedFault
-from .parallel import schedule_key_groups, serial_fallback_reason
 from .pool import PoolEvent, SweepPool, SweepTicket
 from .store import (
     MemorySweepStore,
@@ -64,6 +64,8 @@ from .sweep import (
     SweepStats,
     TIMING_METRICS,
     run_sweep,
+    schedule_key_groups,
+    serial_fallback_reason,
 )
 
 __all__ = [

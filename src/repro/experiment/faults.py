@@ -1,7 +1,7 @@
 """Deterministic fault injection for sweep robustness testing.
 
 The fault-tolerance layer of :mod:`repro.experiment.sweep` /
-:mod:`repro.experiment.parallel` has three recovery paths — per-cell
+:mod:`repro.experiment.pool` has three recovery paths — per-cell
 error capture, worker-crash respawn and per-group deadline timeouts —
 none of which a healthy sweep ever exercises.  A :class:`FaultPlan`
 makes every path testable *deterministically*: it names sweep cells (by

@@ -1,7 +1,7 @@
 """Persistent sweep service: a resident worker pool with warm caches.
 
-:class:`SweepPool` promotes the one-shot parallel sweep backend
-(:mod:`repro.experiment.parallel`) into a resident service.  The pool
+:class:`SweepPool` is the multiprocess backend of the sweep engine in
+:mod:`repro.experiment.sweep`, run as a resident service.  The pool
 spawns its worker processes once and keeps them alive across many
 :meth:`~SweepPool.submit` calls, so repeated sweep traffic — the
 ROADMAP north-star — stops paying the two dominant fixed costs of
@@ -21,13 +21,14 @@ ROADMAP north-star — stops paying the two dominant fixed costs of
 
 Warmth only helps if a group reliably lands on the worker that cached
 it, which a shared task queue cannot promise.  Each worker therefore
-owns a dedicated inbox queue and the pool routes groups by **schedule-
-key affinity**: the first dispatch of a key picks a worker (idle first,
-growing the pool up to ``workers`` slots on demand) and every later
-dispatch of the same key waits for — and reuses — that worker.  Both
-worker-side caches are bounded LRUs (``max_cached_groups`` /
-``max_cached_payloads``) and :meth:`~SweepPool.evict_caches` clears
-them on demand, so resident memory stays flat under churning traffic.
+owns a dedicated inbox queue (and reply pipe) and the pool routes
+groups by **schedule-key affinity**: the first dispatch of a key picks
+a worker (idle first, growing the pool up to ``workers`` slots on
+demand) and every later dispatch of the same key waits for — and
+reuses — that worker.  Both worker-side caches are bounded LRUs
+(``max_cached_groups`` / ``max_cached_payloads``) and
+:meth:`~SweepPool.evict_caches` clears them on demand, so resident
+memory stays flat under churning traffic.
 
 Submissions go through a queue.  :meth:`~SweepPool.submit` enqueues the
 matrix's schedule-key groups and returns a :class:`SweepTicket`
@@ -36,27 +37,27 @@ immediately; multiple pending matrices interleave at group granularity
 back through the ``on_row`` callback as cells complete, and
 ``ticket.result()`` drives the pool until its submission finishes.
 
-Everything the one-shot backend guarantees carries over, because the
-pool reuses the same wire format and the same per-cell execution path
-(:func:`repro.experiment.sweep._run_cell`):
+Workers run each group through the serial path's cell runner
+(:func:`repro.experiment.sweep._run_cells`) and each submission books
+the replies through the serial path's bookkeeper
+(:class:`repro.experiment.sweep._SweepBook`), so:
 
 * rows are **bit-identical** to a serial ``run_sweep`` of the matrix;
 * checkpoint-store hits are resolved parent-side before dispatch
   (workers stay store-free) and computed rows are persisted as replies
   merge;
-* the supervisor is rehosted onto the resident pool: a worker that dies
-  is respawned *into its slot* (the dedicated queues make crash
-  attribution exact — only the dead worker's group is charged a retry),
-  per-group deadlines terminate and retry wedged groups with
-  exponential backoff up to ``max_retries``, and ``KeyboardInterrupt``
-  drains completed replies, tears the workers down (no orphans) and
-  returns the partial result with ``stats.interrupted`` set;
+* the pool supervises its workers: a worker that dies is respawned
+  *into its slot* (the dedicated channels make crash attribution exact
+  — only the dead worker's group is charged a retry), per-group
+  deadlines terminate and retry wedged groups with exponential backoff
+  up to ``max_retries``, and ``KeyboardInterrupt`` drains completed
+  replies, tears the workers down (no orphans) and returns the partial
+  result with ``stats.interrupted`` set;
 * deterministic :class:`~repro.experiment.faults.FaultPlan` injection
   works per submission, exactly as under ``run_sweep(faults=...)``.
 
-``run_sweep(workers=N)`` itself is now a thin wrapper that opens a
-transient ``SweepPool`` for one submission, so the one-shot path stays
-behaviourally identical while sharing this implementation.
+``run_sweep(workers=N)`` hands its schedule-key groups to a transient
+``SweepPool`` that lives for that one submission.
 
 Spawn's usual rule applies: a *script* using a ``SweepPool`` at import
 time must guard it with ``if __name__ == "__main__":`` (workers use the
@@ -65,12 +66,12 @@ spawn start method unconditionally and re-import the main module).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
-import queue as _queue_mod
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -88,9 +89,10 @@ from ..errors import (
     WorkerCrashError,
 )
 from .experiment import PipelineCache
-from .faults import FaultPlan, apply_cell_faults
-from .store import SweepStore, metrics_key, store_key
+from .faults import FaultPlan
+from .store import SweepStore
 from .sweep import (
+    DATA_METRICS,
     DEFAULT_METRICS,
     ScenarioMatrix,
     SweepCell,
@@ -98,10 +100,12 @@ from .sweep import (
     SweepResult,
     SweepRow,
     SweepStats,
+    _CellOutcome,
+    _SweepBook,
     _cell_error,
-    _check_cell_modes,
     _check_metrics,
-    _run_cell,
+    _dispatch_plan,
+    _run_cells,
 )
 
 __all__ = ["PoolEvent", "SweepPool", "SweepTicket"]
@@ -163,31 +167,24 @@ def _encode_service_group(
     The scenario hash is computed over the stimulus-free body — stimulus
     identity is covered by the pool entry's own hash.
     """
-    from ..io.json_io import scenario_to_dict
+    from ..io.json_io import scenario_to_dict, stimulus_to_dict
 
     pool: List[Dict[str, Any]] = []
     pool_index: Dict[int, int] = {}
     cells = []
     for cell in group:
         stimulus = cell.scenario.stimulus
-        if stimulus is None:
-            data = scenario_to_dict(cell.scenario)
-            data.pop("stimulus", None)
-            stim_ref = None
-        else:
+        data = scenario_to_dict(cell.scenario.replace(stimulus=None))
+        del data["stimulus"]
+        stim_ref = None
+        if stimulus is not None:
             stim_ref = pool_index.get(id(stimulus))
             if stim_ref is None:
-                data = scenario_to_dict(cell.scenario)
                 stim_ref = pool_index[id(stimulus)] = len(pool)
-                stim_data = data.pop("stimulus")
+                stim_data = stimulus_to_dict(stimulus)
                 pool.append(
                     {"hash": _payload_hash(stim_data), "data": stim_data}
                 )
-            else:
-                # Already pooled: encode the scenario without re-encoding
-                # the (potentially large) stimulus a second time.
-                data = scenario_to_dict(cell.scenario.replace(stimulus=None))
-                data.pop("stimulus", None)
         cells.append({
             "index": cell.index,
             "scenario": data,
@@ -209,103 +206,82 @@ def _encode_service_group(
     })
 
 
+class _LRU(OrderedDict):
+    """A bounded map that evicts its least recently used entry."""
+
+    def __init__(self, bound: int) -> None:
+        super().__init__()
+        self.bound = bound
+
+    def fetch(self, key: str, make: Callable[[], Any]) -> Tuple[Any, bool]:
+        """The entry for *key* (made on a miss) and whether it was a hit."""
+        if key in self:
+            self.move_to_end(key)
+            return self[key], True
+        value = self[key] = make()
+        while len(self) > self.bound:
+            self.popitem(last=False)
+        return value, False
+
+
 class _WorkerCaches:
     """The warm state a resident worker keeps between sweeps.
 
     Three bounded LRUs: one :class:`PipelineCache` per schedule key
     (the unit of stage reuse — evicting an entry drops that key's
     network/derivation/schedule in one piece), plus decoded ``Scenario``
-    and ``Stimulus`` payloads keyed by content hash.  ``payload_hits``
-    and the per-group pipeline hit are reported back with each reply so
+    and ``Stimulus`` payloads keyed by content hash.  Payload hits and
+    the per-group pipeline hit are reported back with each reply so
     the parent can surface per-sweep reuse in :class:`SweepStats`.
     """
 
     def __init__(self, max_groups: int, max_payloads: int) -> None:
-        self.max_groups = max_groups
-        self.max_payloads = max_payloads
-        self.pipelines: "OrderedDict[str, PipelineCache]" = OrderedDict()
-        self.scenarios: "OrderedDict[str, Any]" = OrderedDict()
-        self.stimuli: "OrderedDict[str, Any]" = OrderedDict()
-        self.payload_hits = 0
-
-    def begin_group(self) -> None:
-        self.payload_hits = 0
+        self.pipelines = _LRU(max_groups)
+        self.scenarios = _LRU(max_payloads)
+        self.stimuli = _LRU(max_payloads)
 
     def clear(self) -> None:
         self.pipelines.clear()
         self.scenarios.clear()
         self.stimuli.clear()
 
-    def pipeline(self, key: str) -> Tuple[PipelineCache, bool]:
-        cache = self.pipelines.get(key)
-        if cache is not None:
-            self.pipelines.move_to_end(key)
-            return cache, True
-        cache = PipelineCache()
-        self.pipelines[key] = cache
-        while len(self.pipelines) > self.max_groups:
-            self.pipelines.popitem(last=False)
-        return cache, False
-
-    def _memo(
-        self, table: "OrderedDict[str, Any]", key: str,
-        decode: Callable[[], Any],
-    ) -> Any:
-        value = table.get(key)
-        if value is not None:
-            table.move_to_end(key)
-            self.payload_hits += 1
-            return value
-        value = decode()
-        table[key] = value
-        while len(table) > self.max_payloads:
-            table.popitem(last=False)
-        return value
-
-    def scenario(self, key: str, data: Dict[str, Any]) -> Any:
-        from ..io.json_io import scenario_from_dict
-
-        return self._memo(self.scenarios, key,
-                          lambda: scenario_from_dict(data))
-
-    def stimulus(self, key: str, data: Any) -> Any:
-        from ..io.json_io import stimulus_from_dict
-
-        return self._memo(self.stimuli, key,
-                          lambda: stimulus_from_dict(data))
-
 
 def _service_run_group(payload: str, caches: _WorkerCaches) -> str:
     """Run one schedule-key group against the worker's warm caches.
 
-    Identical execution semantics to the one-shot backend — every cell
-    goes through :func:`~repro.experiment.sweep._run_cell`, a raising
-    cell becomes an error record while the rest of the group still runs
-    — but the :class:`PipelineCache` is fetched from (or installed
-    into) the per-schedule-key LRU, and scenario/stimulus decoding is
-    skipped when the content hash hits.  The reply's stats report cache
-    counter *deltas*, so a warm group contributes exactly zero
-    derivations/schedules to the sweep's totals.
+    The cells go through :func:`~repro.experiment.sweep._run_cells`, the
+    engine a serial sweep uses, on the :class:`PipelineCache` fetched
+    from (or installed into) the per-schedule-key LRU; scenario/stimulus
+    decoding is skipped when the content hash hits.  Each outcome
+    carries its cache-counter deltas, so a warm group contributes
+    exactly zero derivations/schedules to the sweep's totals.
     """
-    from ..io.json_io import value_to_jsonable
-    from .sweep import DATA_METRICS
+    from ..io.json_io import (
+        scenario_from_dict,
+        stimulus_from_dict,
+        value_to_jsonable,
+    )
 
     data = json.loads(payload)
     metrics = tuple(data["metrics"])
-    lean = bool(data["lean"])
-    attempt = int(data.get("attempt", 0))
     plan_data = data.get("faults")
-    plan = None if plan_data is None else FaultPlan.from_jsonable(plan_data)
-    want_data = any(name in DATA_METRICS for name in metrics)
+    payload_hits = 0
 
-    caches.begin_group()
+    def decode(table: _LRU, key: str, body: Any, parse: Callable) -> Any:
+        nonlocal payload_hits
+        value, hit = table.fetch(key, lambda: parse(body))
+        payload_hits += hit
+        return value
+
     stimuli = [
-        caches.stimulus(entry["hash"], entry["data"])
+        decode(caches.stimuli, entry["hash"], entry["data"],
+               stimulus_from_dict)
         for entry in data.get("stimulus_pool", ())
     ]
     cells = []
     for item in data["cells"]:
-        scenario = caches.scenario(item["hash"], item["scenario"])
+        scenario = decode(caches.scenarios, item["hash"], item["scenario"],
+                          scenario_from_dict)
         stim_ref = item.get("stimulus")
         if stim_ref is not None:
             scenario = scenario.replace(stimulus=stimuli[stim_ref])
@@ -317,55 +293,35 @@ def _service_run_group(payload: str, caches: _WorkerCaches) -> str:
     # is a stable worker-local identity for it (the cache never leaves
     # this process).
     cache_key = repr(cells[0].scenario.schedule_key()) if cells else ""
-    cache, warm = caches.pipeline(cache_key)
-    nets0 = cache.networks_built
-    derivs0 = cache.derivations_computed
-    scheds0 = cache.schedules_computed
-
-    rows = []
-    errors = []
-    for cell in cells:
-        try:
-            apply_cell_faults(plan, cell.index, in_worker=True)
-            cell_metrics, _ = _run_cell(
-                cell, metrics, want_data,
-                lean=lean, keep_results=False, cache=cache,
-            )
-        except Exception as exc:
-            errors.append({
-                "index": cell.index,
-                "error": {
-                    "type": type(exc).__name__,
-                    "message": str(exc),
-                    "stage": getattr(exc, "_pipeline_stage", "run"),
-                    "retries": attempt,
-                },
-            })
-            continue
-        rows.append({
-            "index": cell.index,
-            "metrics": {
+    cache, warm = caches.pipelines.fetch(cache_key, PipelineCache)
+    outcomes = []
+    for outcome in _run_cells(
+        cells, metrics, any(name in DATA_METRICS for name in metrics),
+        cache=cache,
+        lean=bool(data["lean"]),
+        faults=None if plan_data is None
+        else FaultPlan.from_jsonable(plan_data),
+        in_worker=True,
+        retries=int(data.get("attempt", 0)),
+    ):
+        item = {"index": outcome.cell.index, "stages": outcome.stages}
+        if outcome.error is not None:
+            item["error"] = dataclasses.asdict(outcome.error)
+        else:
+            item["metrics"] = {
                 name: value_to_jsonable(value)
-                for name, value in cell_metrics.items()
-            },
-        })
+                for name, value in outcome.metrics.items()
+            }
+        outcomes.append(item)
     return json.dumps({
-        "rows": rows,
-        "errors": errors,
-        "stats": {
-            "runs": len(rows),
-            "networks_built": cache.networks_built - nets0,
-            "derivations_computed": cache.derivations_computed - derivs0,
-            "schedules_computed": cache.schedules_computed - scheds0,
-            "group_cache_hit": warm,
-            "payload_hits": caches.payload_hits,
-        },
+        "outcomes": outcomes,
+        "group_cache_hit": warm,
+        "payload_hits": payload_hits,
     })
 
 
 def _service_worker(
-    index: int, inbox: Any, outbox: Any,
-    max_cached_groups: int, max_cached_payloads: int,
+    inbox: Any, outbox: Any, max_cached_groups: int, max_cached_payloads: int,
 ) -> None:
     """Resident worker main loop (spawn target).
 
@@ -374,10 +330,14 @@ def _service_worker(
     interpreter spawn), then serves ``run`` / ``evict`` messages until
     ``stop``.  Warm state lives in :class:`_WorkerCaches` and survives
     across messages — that persistence *is* the service.
+
+    *outbox* is this worker's own reply pipe, written synchronously: a
+    worker that dies can lose or truncate only its own messages, never
+    hold a lock the other workers' replies need.
     """
     caches = _WorkerCaches(max_cached_groups, max_cached_payloads)
     try:
-        outbox.put(("ready", index, None))
+        outbox.send(("ready", None))
         while True:
             message = inbox.get()
             kind = message[0]
@@ -387,10 +347,8 @@ def _service_worker(
                 caches.clear()
                 continue
             if kind == "run":
-                _, job_id, payload = message
-                reply = _service_run_group(payload, caches)
-                outbox.put(("reply", index, (job_id, reply)))
-    except (KeyboardInterrupt, EOFError):
+                outbox.send(("reply", _service_run_group(message[1], caches)))
+    except (KeyboardInterrupt, EOFError, BrokenPipeError):
         return
 
 
@@ -399,34 +357,27 @@ def _service_worker(
 # ---------------------------------------------------------------------------
 @dataclass
 class _Submission:
-    """One submitted matrix: its cells, options and accumulating result."""
+    """One submitted matrix: its bookkeeper, options and dispatch state."""
 
-    sid: int
-    axes: Dict[str, Tuple[Any, ...]]
-    cells: List[SweepCell]
-    metrics: Tuple[str, ...]
-    want_data: bool
+    book: _SweepBook
     lean: bool
-    stats: SweepStats
     on_error: str
-    on_row: Optional[Callable[[SweepRow], None]]
     on_progress: Optional[Callable[[PoolEvent], None]]
     group_timeout: Optional[float]
     max_retries: int
     retry_backoff: float
     faults: Optional[FaultPlan] = None
-    store: Optional[SweepStore] = None
     #: Fair-scheduling tag: the pending-group queue round-robins across
     #: distinct client tags, FIFO within a tag (``None`` is a tag too).
     client: Optional[str] = None
-    mkey: str = ""
-    skey_by_index: Dict[int, str] = field(default_factory=dict)
-    metrics_by_index: Dict[int, Dict[str, Any]] = field(default_factory=dict)
-    errors_by_index: Dict[int, SweepCellError] = field(default_factory=dict)
     outstanding: int = 0
     finished: bool = False
     cancelled: bool = False
     result: Optional[SweepResult] = None
+
+    @property
+    def stats(self) -> SweepStats:
+        return self.book.stats
 
 
 @dataclass
@@ -447,17 +398,18 @@ class _PoolGroup:
         return [cell.index for cell in self.cells]
 
 
+@dataclass(eq=False)
 class _WorkerSlot:
     """Parent-side record of one resident worker process."""
 
-    def __init__(self, index: int) -> None:
-        self.index = index
-        self.process: Any = None
-        self.inbox: Any = None
-        self.ready = False
-        self.current: Optional[_PoolGroup] = None
-        self.job_id: Optional[int] = None
-        self.deadline: Optional[float] = None
+    index: int
+    process: Any = None
+    inbox: Any = None
+    #: Read end of the worker's reply pipe.
+    outbox: Any = None
+    ready: bool = False
+    current: Optional[_PoolGroup] = None
+    deadline: Optional[float] = None
 
     @property
     def idle(self) -> bool:
@@ -504,7 +456,7 @@ class SweepTicket:
         if not sub.finished:
             self._pool._pump(sub)
         if sub.result is None:
-            sub.result = self._pool._assemble(sub)
+            sub.result = sub.book.result()
         if sub.on_error == "raise" and sub.result.failed_rows:
             first = sub.result.failed_rows[0]
             raise SweepError(
@@ -566,11 +518,8 @@ class SweepPool:
         #: The client tag served by the most recent dispatch — the
         #: round-robin cursor of the fair scheduler (see `_dispatch_next`).
         self._last_client: Optional[str] = None
-        self._outbox: Any = None
         self._ctx: Any = None
-        self._next_sid = 0
         self._next_gid = 0
-        self._next_job = 0
         self._closed = False
 
     # -- lifecycle ------------------------------------------------------
@@ -599,23 +548,30 @@ class SweepPool:
         if self._closed:
             return
         self._closed = True
+        self._teardown(graceful)
+
+    def _teardown(self, graceful: bool) -> None:
+        """Cut every unfinished submission short and reap every worker."""
         for group in self._pending:
             self._mark_interrupted(group.submission)
+        self._pending.clear()
         for slot in self._slots:
             if slot.current is not None:
                 self._mark_interrupted(slot.current.submission)
-        self._pending.clear()
-        for slot in self._slots:
             process = slot.process
             if process is None:
                 continue
             if graceful and process.is_alive():
                 try:
-                    slot.inbox.put(("stop", None, None))
+                    slot.inbox.put(("stop",))
                 except Exception:
                     process.terminate()
             else:
                 process.terminate()
+            # Replies are discarded: a worker mid-send sees a broken pipe
+            # and exits instead of blocking on a full one.
+            if slot.outbox is not None:
+                slot.outbox.close()
         for slot in self._slots:
             process = slot.process
             if process is None:
@@ -626,7 +582,6 @@ class SweepPool:
                 process.join()
         self._slots = []
         self._affinity.clear()
-        self._outbox = None
 
     def evict_caches(self) -> None:
         """Clear every worker's warm caches (memory back to baseline).
@@ -637,7 +592,7 @@ class SweepPool:
         """
         for slot in self._slots:
             if slot.process is not None and slot.process.is_alive():
-                slot.inbox.put(("evict", None, None))
+                slot.inbox.put(("evict",))
 
     # -- submission -----------------------------------------------------
     def submit(
@@ -683,8 +638,6 @@ class SweepPool:
         :class:`~repro.errors.ModelError`); callers wanting the
         serial-fallback behaviour go through ``run_sweep(workers=N)``.
         """
-        from .parallel import _group_cells
-
         if self._closed:
             raise ModelError("SweepPool is closed")
         metrics, want_data = _check_metrics(metrics)
@@ -692,37 +645,53 @@ class SweepPool:
             raise ModelError(
                 f"on_error must be 'capture' or 'raise', got {on_error!r}"
             )
-        if cells is None:
-            cells = list(matrix.cells())
-        else:
-            cells = list(cells)
-        for cell in cells:
-            _check_cell_modes(cell, metrics, want_data)
-            blocker = cell.scenario.dispatch_blocker()
-            if blocker is not None:
-                raise ModelError(
-                    f"scenario is not dispatchable: {blocker}"
-                )
-
+        cells = list(matrix.cells() if cells is None else cells)
         # Count the cells actually submitted: an explicit ``cells=``
         # subset (a resubmission of failed/missing cells, say) must not
         # report the full matrix size — ``table()``'s "interrupted:
         # N/M cells" line and any hit-rate computed from ``stats.cells``
         # would misreport the subset run.
-        stats = SweepStats(
-            cells=len(cells), workers=1, parallel_fallback=None,
-            pool_reused=self.started,
+        book = _SweepBook(
+            dict(matrix.axes), cells, metrics, want_data,
+            SweepStats(cells=len(cells)),
+            store=store, on_row=on_row,
         )
+        plan = _dispatch_plan(cells, min_groups=0)
+        if isinstance(plan, str):
+            raise ModelError(plan)
+        return self._enqueue(
+            book, plan,
+            lean=lean, faults=faults, on_error=on_error,
+            on_progress=on_progress, group_timeout=group_timeout,
+            max_retries=max_retries, retry_backoff=retry_backoff,
+            client=client,
+        )
+
+    def _enqueue(
+        self,
+        book: _SweepBook,
+        groups: Dict[Any, List[SweepCell]],
+        *,
+        lean: bool,
+        faults: Optional[FaultPlan],
+        on_error: str,
+        on_progress: Optional[Callable[[PoolEvent], None]],
+        group_timeout: Optional[float] = None,
+        max_retries: Optional[int] = None,
+        retry_backoff: Optional[float] = None,
+        client: Optional[str] = None,
+    ) -> SweepTicket:
+        """Queue a planned sweep's schedule-key *groups* behind the rest.
+
+        Store hits are resolved first, parent-side — hit cells never
+        reach a worker, which keeps workers store-free.
+        """
+        stats = book.stats
+        stats.pool_reused = self.started
         submission = _Submission(
-            sid=self._next_sid,
-            axes=dict(matrix.axes),
-            cells=cells,
-            metrics=metrics,
-            want_data=want_data,
+            book=book,
             lean=lean,
-            stats=stats,
             on_error=on_error,
-            on_row=on_row,
             on_progress=on_progress,
             group_timeout=(
                 self.group_timeout if group_timeout is None else group_timeout
@@ -734,46 +703,27 @@ class SweepPool:
                 self.retry_backoff if retry_backoff is None else retry_backoff
             ),
             faults=faults,
-            store=store,
             client=client,
         )
-        self._next_sid += 1
-
-        # The parent owns the store: hits are resolved before dispatch
-        # (hit cells never reach a worker) and computed rows are
-        # persisted as group replies merge — workers stay store-free.
-        submission.mkey = metrics_key(metrics) if store is not None else ""
-        compute_cells: List[SweepCell] = []
-        for cell in cells:
-            if store is not None:
-                skey = store_key(cell.scenario)
-                if skey is not None:
-                    submission.skey_by_index[cell.index] = skey
-                    stored = store.get(skey, submission.mkey)
-                    if stored is not None:
-                        stats.store_hits += 1
-                        submission.metrics_by_index[cell.index] = stored
-                        self._stream_row(submission, cell, stored)
-                        continue
-                    stats.store_misses += 1
-            compute_cells.append(cell)
+        todo = {cell.index for cell in book.resolve_hits()}
         if stats.store_hits:
             self._notify(submission, "store-hits", cells=stats.store_hits)
-
-        groups = _group_cells(compute_cells)
-        stats.workers = min(self.workers, len(groups)) if groups else 1
-        submission.outstanding = len(groups)
-        for group_cells in groups:
+        for key, group_cells in groups.items():
+            group_cells = [c for c in group_cells if c.index in todo]
+            if not group_cells:
+                continue
             self._pending.append(_PoolGroup(
                 gid=self._next_gid,
                 submission=submission,
-                cells=list(group_cells),
-                key=group_cells[0].scenario.schedule_key(),
+                cells=group_cells,
+                key=key,
             ))
             self._next_gid += 1
+            submission.outstanding += 1
+        stats.workers = min(self.workers, submission.outstanding) or 1
         self._notify(
             submission, "enqueued",
-            cells=len(compute_cells), groups=len(groups),
+            cells=len(todo), groups=submission.outstanding,
         )
         if submission.outstanding == 0:
             submission.finished = True
@@ -809,22 +759,23 @@ class SweepPool:
             # Spawn unconditionally: the only start method that is safe
             # and available everywhere (fork inherits arbitrary state).
             self._ctx = multiprocessing.get_context("spawn")
-        if self._outbox is None:
-            self._outbox = self._ctx.Queue()
         slot.inbox = self._ctx.Queue()
+        slot.outbox, child_outbox = self._ctx.Pipe(duplex=False)
         slot.ready = False
         slot.current = None
-        slot.job_id = None
         slot.deadline = None
         slot.process = self._ctx.Process(
             target=_service_worker,
             args=(
-                slot.index, slot.inbox, self._outbox,
+                slot.inbox, child_outbox,
                 self.max_cached_groups, self.max_cached_payloads,
             ),
             daemon=True,
         )
         slot.process.start()
+        # Only the worker may hold the write end: the pipe then reports
+        # EOF once the worker is gone.
+        child_outbox.close()
 
     def _respawn_slot(self, slot: _WorkerSlot) -> None:
         """Replace a dead/wedged worker process in its slot (cold caches)."""
@@ -833,6 +784,8 @@ class SweepPool:
             if process.is_alive():
                 process.terminate()
             process.join()
+        if slot.outbox is not None:
+            slot.outbox.close()
         self._spawn_process(slot)
 
     # -- scheduling -----------------------------------------------------
@@ -908,14 +861,11 @@ class SweepPool:
         self._pending.remove(group)
         submission = group.submission
         payload = _encode_service_group(
-            group.cells, submission.metrics, submission.lean,
+            group.cells, submission.book.metrics, submission.lean,
             faults=submission.faults, attempt=group.attempt,
         )
-        job_id = self._next_job
-        self._next_job += 1
-        slot.inbox.put(("run", job_id, payload))
+        slot.inbox.put(("run", payload))
         slot.current = group
-        slot.job_id = job_id
         self._notify(
             submission, "dispatch",
             gid=group.gid, cells=len(group.cells),
@@ -934,146 +884,123 @@ class SweepPool:
     # -- collection -----------------------------------------------------
     def _collect_ready(self, *, block: bool, fire_interrupts: bool) -> bool:
         """Merge every available reply; True if any group finished."""
-        if self._outbox is None:
-            if block:
-                time.sleep(_POLL_INTERVAL)
-            return False
+        # Imported here, like the spawn context: sweeps that never start
+        # a worker do not pay for the multiprocessing machinery.
+        from multiprocessing.connection import wait as wait_connections
+
         merged_any = False
-        timeout: Optional[float] = _POLL_INTERVAL if block else None
+        timeout = _POLL_INTERVAL if block else 0.0
         while True:
-            try:
-                if timeout is not None:
-                    message = self._outbox.get(timeout=timeout)
-                else:
-                    message = self._outbox.get_nowait()
-            except _queue_mod.Empty:
+            slots = {
+                slot.outbox: slot for slot in self._slots
+                if slot.outbox is not None
+            }
+            if not slots:
+                if timeout:
+                    time.sleep(timeout)
                 return merged_any
-            timeout = None  # drain the rest without blocking
-            kind, index, body = message
-            slot = self._slots[index] if index < len(self._slots) else None
-            if slot is None:
-                continue
-            if kind == "ready":
-                slot.ready = True
-                if slot.current is not None and slot.deadline is None:
-                    group_timeout = slot.current.submission.group_timeout
-                    if group_timeout is not None:
-                        slot.deadline = time.monotonic() + group_timeout
-                continue
-            if kind != "reply":
-                continue
-            job_id, payload = body
-            if slot.job_id != job_id:
-                continue  # stale reply from before a respawn/requeue
-            group = slot.current
-            slot.current = None
-            slot.job_id = None
-            slot.deadline = None
-            merged_any = True
-            # Group finalisation is exception-safe: once the group has
-            # left its slot it is on neither the pending queue nor a
-            # slot, so an escaping error from the merge (a raising user
-            # ``on_row`` callback or ``store.put``) would otherwise
-            # strand it — ``submission.outstanding`` never reaches 0
-            # and ``ticket.result()`` pumps forever.  Finish the
-            # group's bookkeeping first, then let the error surface.
-            try:
-                self._merge_reply(group, payload)
-            except BaseException:
-                self._finish_group(group)
-                raise
-            if (
-                fire_interrupts
-                and group.submission.faults is not None
-                and any(
-                    i in group.submission.faults.interrupt_at
-                    for i in group.indices
-                )
-            ):
-                # Merge-then-interrupt, like a real Ctrl-C landing after
-                # the reply: the firing group's own rows are kept, its
-                # submission is cut short.
-                self._mark_interrupted(group.submission)
-                raise KeyboardInterrupt
-            # group-done precedes the "finished" milestone _finish_group
-            # may emit — the stream stays causally ordered for renderers.
-            self._notify(
-                group.submission, "group-done",
-                gid=group.gid, cells=len(group.cells),
-            )
+            ready = wait_connections(list(slots), timeout)
+            if not ready:
+                return merged_any
+            timeout = 0.0  # drain the rest without blocking
+            for conn in ready:
+                slot = slots[conn]
+                try:
+                    kind, body = conn.recv()
+                except (EOFError, OSError):
+                    # The worker is gone; _supervise respawns it.
+                    conn.close()
+                    slot.outbox = None
+                    continue
+                merged_any |= self._receive(slot, kind, body, fire_interrupts)
+
+    def _receive(
+        self, slot: _WorkerSlot, kind: str, body: Any, fire_interrupts: bool
+    ) -> bool:
+        """Handle one worker message; True if it finished a group."""
+        if kind == "ready":
+            slot.ready = True
+            if slot.current is not None and slot.deadline is None:
+                group_timeout = slot.current.submission.group_timeout
+                if group_timeout is not None:
+                    slot.deadline = time.monotonic() + group_timeout
+            return False
+        # Each pipe belongs to one worker incarnation running at most one
+        # group, so a reply is always for the slot's current group.
+        group = slot.current
+        slot.current = None
+        slot.deadline = None
+        # Group finalisation is exception-safe: once the group has
+        # left its slot it is on neither the pending queue nor a
+        # slot, so an escaping error from the merge (a raising user
+        # ``on_row`` callback or ``store.put``) would otherwise
+        # strand it — ``submission.outstanding`` never reaches 0
+        # and ``ticket.result()`` pumps forever.  Finish the
+        # group's bookkeeping first, then let the error surface.
+        try:
+            self._merge_reply(group, body)
+        except BaseException:
             self._finish_group(group)
+            raise
+        if (
+            fire_interrupts
+            and group.submission.faults is not None
+            and any(
+                i in group.submission.faults.interrupt_at
+                for i in group.indices
+            )
+        ):
+            # Merge-then-interrupt, like a real Ctrl-C landing after
+            # the reply: the firing group's own rows are kept, its
+            # submission is cut short.
+            self._mark_interrupted(group.submission)
+            raise KeyboardInterrupt
+        # group-done precedes the "finished" milestone _finish_group
+        # may emit — the stream stays causally ordered for renderers.
+        self._notify(
+            group.submission, "group-done",
+            gid=group.gid, cells=len(group.cells),
+        )
+        self._finish_group(group)
+        return True
 
     def _merge_reply(self, group: _PoolGroup, payload: str) -> None:
-        """Fold one group reply into its submission's accumulating state.
+        """Book one group reply into its submission.
 
-        User code runs inside this merge (``store.put`` and the
-        ``on_row`` callback), and it may raise.  The merge is structured
-        so bookkeeping always completes first: every row's metrics are
-        recorded in ``metrics_by_index`` regardless, callback/store
-        errors are *deferred*, and the first one re-raises only after
-        the whole reply (rows, errors, stats) has merged — the caller
-        then finishes the group before letting it propagate, so a buggy
-        sink degrades to a visible exception instead of a wedged ticket.
+        User code runs inside the booking (``store.put`` and the
+        ``on_row`` callback), and it may raise.  Errors are *deferred*:
+        every outcome is booked regardless and the first error re-raises
+        only after the whole reply merged — the caller then finishes the
+        group before letting it propagate, so a buggy sink degrades to a
+        visible exception instead of a wedged ticket.
         """
         from ..io.json_io import value_from_jsonable
 
-        submission = group.submission
-        stats = submission.stats
+        book = group.submission.book
         data = json.loads(payload)
         cell_by_index = {cell.index: cell for cell in group.cells}
         callback_error: Optional[BaseException] = None
-        for row in data["rows"]:
-            index = int(row["index"])
-            cell_metrics = {
-                name: value_from_jsonable(value)
-                for name, value in row["metrics"].items()
-            }
-            submission.metrics_by_index[index] = cell_metrics
+        for item in data["outcomes"]:
+            error = item.get("error")
+            outcome = _CellOutcome(
+                cell_by_index[item["index"]],
+                metrics=None if error is not None else {
+                    name: value_from_jsonable(value)
+                    for name, value in item["metrics"].items()
+                },
+                error=None if error is None else SweepCellError(**error),
+                stages=tuple(item["stages"]),
+            )
             try:
-                if (
-                    submission.store is not None
-                    and index in submission.skey_by_index
-                ):
-                    submission.store.put(
-                        submission.skey_by_index[index], submission.mkey,
-                        cell_metrics,
-                    )
-                self._stream_row(
-                    submission, cell_by_index[index], cell_metrics
-                )
+                book.book(outcome)
             except Exception as exc:
                 if callback_error is None:
                     callback_error = exc
-        for item in data.get("errors", ()):
-            error = item["error"]
-            submission.errors_by_index[int(item["index"])] = SweepCellError(
-                error_type=error["type"],
-                message=error["message"],
-                stage=error.get("stage", "run"),
-                retries=int(error.get("retries", 0)),
-            )
-            stats.failed_cells += 1
-        worker_stats = data["stats"]
-        stats.runs += int(worker_stats["runs"])
-        stats.networks_built += int(worker_stats["networks_built"])
-        stats.derivations_computed += int(
-            worker_stats["derivations_computed"]
-        )
-        stats.schedules_computed += int(worker_stats["schedules_computed"])
-        if worker_stats.get("group_cache_hit"):
-            stats.warm_group_hits += 1
-        stats.payload_cache_hits += int(worker_stats.get("payload_hits", 0))
+        if data["group_cache_hit"]:
+            book.stats.warm_group_hits += 1
+        book.stats.payload_cache_hits += data["payload_hits"]
         if callback_error is not None:
             raise callback_error
-
-    def _stream_row(
-        self, submission: _Submission, cell: SweepCell,
-        metrics: Dict[str, Any],
-    ) -> None:
-        if submission.on_row is not None:
-            submission.on_row(
-                SweepRow(cell=dict(cell.coords), metrics=metrics)
-            )
 
     def _finish_group(self, group: _PoolGroup) -> None:
         submission = group.submission
@@ -1092,9 +1019,8 @@ class SweepPool:
         error = _cell_error(
             exc, retries=group.attempt if retries is None else retries
         )
-        for index in group.indices:
-            submission.errors_by_index[index] = error
-            submission.stats.failed_cells += 1
+        for cell in group.cells:
+            submission.book.book(_CellOutcome(cell, error=error))
         self._notify(
             submission, "group-failed",
             gid=group.gid, cells=len(group.cells), detail=error.describe(),
@@ -1134,78 +1060,43 @@ class SweepPool:
             detail=f"{what} (attempt {group.attempt})",
         )
 
-    def _check_crashes(self, now: float) -> bool:
-        """Respawn dead workers in place; requeue their in-flight group.
+    def _supervise(self, now: float) -> None:
+        """Respawn dead or overdue workers in place; requeue their group.
 
-        Dedicated per-worker queues make crash attribution exact: only
-        the dead worker's group is charged a retry, and the other
-        workers keep running untouched (no pool-wide teardown).
+        Dedicated per-worker channels make attribution exact: only the
+        failed worker's group is charged a retry, and the other workers
+        keep running untouched (no pool-wide teardown).  Terminating a
+        worker is the only portable way to stop a wedged group; only its
+        own slot respawns (cold), the rest of the pool keeps its warmth.
         """
-        recovered = False
         for slot in self._slots:
-            if slot.process is None or slot.process.is_alive():
-                continue
             group = slot.current
-            slot.current = None
-            slot.job_id = None
-            slot.deadline = None
-            self._respawn_slot(slot)
-            recovered = True
-            if group is not None:
-                self._requeue(
-                    group, now, WorkerCrashError,
-                    "a sweep worker process died mid-group",
+            if slot.process is None:
+                continue
+            if not slot.process.is_alive():
+                error, what = (
+                    WorkerCrashError, "a sweep worker process died mid-group"
                 )
-        return recovered
-
-    def _check_timeouts(self, now: float) -> bool:
-        """Terminate and retry groups that blew their deadline."""
-        recovered = False
-        for slot in self._slots:
-            if slot.current is None or slot.deadline is None:
+            elif slot.deadline is not None and now > slot.deadline:
+                error, what = SweepTimeoutError, (
+                    f"group exceeded its {group.submission.group_timeout}s "
+                    "deadline"
+                )
+            else:
                 continue
-            if now <= slot.deadline:
-                continue
-            group = slot.current
-            timeout = group.submission.group_timeout
             slot.current = None
-            slot.job_id = None
             slot.deadline = None
-            # Terminating the worker is the only portable way to stop a
-            # wedged task; only its own slot respawns (cold), the rest
-            # of the pool keeps its warmth.
             self._respawn_slot(slot)
-            recovered = True
-            self._requeue(
-                group, now, SweepTimeoutError,
-                f"group exceeded its {timeout}s deadline",
-            )
-        return recovered
+            if group is not None:
+                self._requeue(group, now, error, what)
 
     # -- driving --------------------------------------------------------
     def _pump(self, submission: Optional[_Submission] = None) -> None:
-        """Drive dispatch/collect until *submission* (or everything) done.
-
-        On ``KeyboardInterrupt`` — real or :class:`FaultPlan`-injected —
-        completed replies are drained into their submissions, every
-        worker is terminated and reaped (no orphans), and all active
-        submissions become partial results with ``stats.interrupted``.
-        """
-        try:
-            while True:
-                if submission is not None:
-                    if submission.finished:
-                        return
-                elif not self._pending and all(s.idle for s in self._slots):
-                    return
-                now = time.monotonic()
-                self._dispatch_ready(now)
-                if self._collect_ready(block=True, fire_interrupts=True):
-                    continue
-                self._check_crashes(now)
-                self._check_timeouts(now)
-        except KeyboardInterrupt:
-            self._interrupt()
+        """Drive the pool until *submission* (or everything) is done."""
+        while not (
+            submission.finished if submission is not None else not self.busy
+        ):
+            self.pump_once()
 
     def pump_once(self) -> bool:
         """Run one dispatch/collect/supervise cycle and return.
@@ -1217,21 +1108,27 @@ class SweepPool:
         the pool makes progress on everything outstanding.  Blocks at
         most ~`_POLL_INTERVAL` waiting for worker replies.  Returns
         True when any reply was merged this cycle (results may have
-        completed).  A ``KeyboardInterrupt`` — real or
-        :class:`FaultPlan`-injected — tears the pool down exactly as
-        the blocking path does and resolves all tickets as interrupted
-        partials.
+        completed).  On ``KeyboardInterrupt`` — real or
+        :class:`FaultPlan`-injected — completed replies are drained
+        into their submissions, every worker is terminated and reaped
+        (no orphans), and all active submissions become partial results
+        with ``stats.interrupted``.
         """
         try:
             now = time.monotonic()
             self._dispatch_ready(now)
             if self._collect_ready(block=True, fire_interrupts=True):
                 return True
-            self._check_crashes(now)
-            self._check_timeouts(now)
+            self._supervise(now)
             return False
         except KeyboardInterrupt:
-            self._interrupt()
+            try:
+                self._collect_ready(block=False, fire_interrupts=False)
+            except Exception:
+                pass
+            # The service survives an interrupt: slots are gone (cold),
+            # the next submission respawns lazily.
+            self._teardown(graceful=False)
             return True
 
     @property
@@ -1240,28 +1137,6 @@ class SweepPool:
         return bool(self._pending) or any(
             not s.idle for s in self._slots
         )
-
-    def _interrupt(self) -> None:
-        try:
-            self._collect_ready(block=False, fire_interrupts=False)
-        except Exception:
-            pass
-        for group in self._pending:
-            self._mark_interrupted(group.submission)
-        self._pending.clear()
-        for slot in self._slots:
-            if slot.current is not None:
-                self._mark_interrupted(slot.current.submission)
-            if slot.process is not None:
-                slot.process.terminate()
-        for slot in self._slots:
-            if slot.process is not None:
-                slot.process.join()
-        # The service survives an interrupt: slots are gone (cold), the
-        # next submission respawns lazily.
-        self._slots = []
-        self._affinity.clear()
-        self._outbox = None
 
     def _mark_interrupted(self, submission: _Submission) -> None:
         if not submission.finished:
@@ -1292,29 +1167,3 @@ class SweepPool:
         if submission.outstanding <= 0:
             submission.finished = True
         return True
-
-    # -- result assembly ------------------------------------------------
-    def _assemble(self, submission: _Submission) -> SweepResult:
-        # Rows come back grouped by schedule key; the table is in cell
-        # order.  Interrupted/cancelled submissions only have the merged
-        # groups' rows — cells never merged appear in neither list.
-        rows = [
-            SweepRow(
-                cell=dict(cell.coords),
-                metrics=submission.metrics_by_index[cell.index],
-            )
-            for cell in submission.cells
-            if cell.index in submission.metrics_by_index
-        ]
-        failed_rows = [
-            SweepRow(
-                cell=dict(cell.coords), metrics={},
-                error=submission.errors_by_index[cell.index],
-            )
-            for cell in submission.cells
-            if cell.index in submission.errors_by_index
-        ]
-        return SweepResult(
-            axes=submission.axes, metrics=submission.metrics, rows=rows,
-            stats=submission.stats, failed_rows=failed_rows,
-        )

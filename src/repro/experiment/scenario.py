@@ -329,7 +329,7 @@ class Scenario:
     def dispatch_blocker(self) -> Optional[str]:
         """Why this scenario cannot be shipped to a worker process.
 
-        The multiprocess sweep backend (:mod:`repro.experiment.parallel`)
+        The multiprocess sweep backend (:mod:`repro.experiment.pool`)
         sends scenarios across the process boundary through the JSON wire
         format (:func:`repro.io.json_io.scenario_to_dict`), which carries
         data, not code.  Returns a human-readable reason when this

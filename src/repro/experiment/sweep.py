@@ -30,15 +30,22 @@ what makes sweep tables comparable across machines and commits.  The
 worker task per distinct :meth:`~repro.experiment.scenario.Scenario.
 schedule_key` group, each with its own cache, scenarios and rows crossing
 the process boundary through the exact JSON wire format — and the rows
-stay bit-identical to a serial run of the same matrix
-(:mod:`repro.experiment.parallel`).
+stay bit-identical to a serial run of the same matrix.
+
+Every backend runs one engine: :func:`_run_cells`
+runs cells on a cache and yields one outcome per cell, and
+:class:`_SweepBook` books the outcomes (stats, store, row stream, table
+assembly).  The serial path drives both in process; a
+:class:`~repro.experiment.pool.SweepPool` — resident, or the transient
+one ``run_sweep(workers=N)`` opens — runs the engine in its workers per
+schedule-key group and books their replies parent-side.
 
 Sweeps are **fault-tolerant**: a failing cell does not abort the table.
 By default (``on_error="capture"``) the exception becomes a structured
 :class:`SweepCellError` on a *failed row* (``SweepResult.failed_rows``,
 counted in ``SweepStats.failed_cells``) and every other cell still runs —
-serial and parallel sweeps share these semantics through the same capture
-helper.  ``KeyboardInterrupt`` returns the partial table computed so far
+serial and pooled sweeps share these semantics through the same engine.
+``KeyboardInterrupt`` returns the partial table computed so far
 (``stats.interrupted``).  A checkpoint store
 (:mod:`repro.experiment.store`, ``run_sweep(store=...)``) persists each
 healthy row under the scenario's content hash, so resuming an interrupted
@@ -57,12 +64,14 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Mapping,
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from ..core.platform import Platform
@@ -92,6 +101,8 @@ __all__ = [
     "SweepStats",
     "TIMING_METRICS",
     "run_sweep",
+    "schedule_key_groups",
+    "serial_fallback_reason",
 ]
 
 #: Metrics computable from timing events alone (``on_record`` stream) —
@@ -397,17 +408,6 @@ def _check_metrics(metrics: Sequence[str]) -> Tuple[Tuple[str, ...], bool]:
     return metrics, any(name in DATA_METRICS for name in metrics)
 
 
-def _check_cell_modes(cell: SweepCell, metrics: Tuple[str, ...],
-                      want_data: bool) -> None:
-    if cell.scenario.records_only and want_data:
-        raise RuntimeModelError(
-            f"cell {dict(cell.coords)!r} is records_only but the sweep "
-            f"requests data metrics "
-            f"({', '.join(n for n in metrics if n in DATA_METRICS)}) — "
-            "drop them or clear records_only"
-        )
-
-
 def _run_cell(
     cell: SweepCell,
     metrics: Tuple[str, ...],
@@ -418,15 +418,14 @@ def _run_cell(
     cache: PipelineCache,
     extra_observers: Sequence[ExecutionObserver] = (),
 ) -> Tuple[Dict[str, Any], Optional[RuntimeResult]]:
-    """Execute one cell; the single code path serial and parallel share.
+    """Execute one cell; called only by :func:`_run_cells`.
 
     Returns the row's metric values plus the retained result (``None``
     unless *keep_results*).  Keeping this the only place a cell is
-    configured and executed is what makes parallel rows bit-identical to
+    configured and executed is what makes pooled rows bit-identical to
     serial rows by construction.
     """
     scenario = cell.scenario
-    _check_cell_modes(cell, metrics, want_data)
     # Per-record aggregates the table does not ask for are switched
     # off: on_record fires per job instance, and each aggregate is
     # exact-rational arithmetic.  (Responses are not a sweep metric.)
@@ -468,6 +467,285 @@ def _run_cell(
         {n: _extract_metric(observer, n) for n in metrics},
         result if keep_results else None,
     )
+
+
+@dataclass
+class _CellOutcome:
+    """What running one cell produced: metrics (+ result) or an error.
+
+    ``stages`` is the ``(networks, derivations, schedules)`` the cell's
+    run added to its cache — the cell's share of the stage counters.
+    """
+
+    cell: SweepCell
+    metrics: Optional[Dict[str, Any]] = None
+    result: Optional[RuntimeResult] = None
+    error: Optional[SweepCellError] = None
+    stages: Tuple[int, int, int] = (0, 0, 0)
+
+
+def _stage_counts(cache: PipelineCache) -> Tuple[int, int, int]:
+    return (
+        cache.networks_built,
+        cache.derivations_computed,
+        cache.schedules_computed,
+    )
+
+
+def _run_cells(
+    cells: Sequence[SweepCell],
+    metrics: Tuple[str, ...],
+    want_data: bool,
+    *,
+    cache: PipelineCache,
+    lean: bool,
+    keep_results: bool = False,
+    observer_factory: Optional[
+        Callable[[SweepCell], Sequence[ExecutionObserver]]
+    ] = None,
+    faults: Optional[FaultPlan] = None,
+    in_worker: bool = False,
+    retries: int = 0,
+    raise_errors: bool = False,
+) -> Iterator[_CellOutcome]:
+    """The sweep engine: run *cells* in order on *cache*, one outcome each.
+
+    A serial sweep calls it once over the whole matrix; a pool worker
+    calls it per schedule-key group on its warm cache.  *faults* fire
+    before each cell; a raising cell becomes an error outcome (carrying
+    *retries*) unless *raise_errors*, and the rest still run.
+    ``KeyboardInterrupt`` is never captured.
+    """
+    for cell in cells:
+        before = _stage_counts(cache)
+        try:
+            apply_cell_faults(faults, cell.index, in_worker=in_worker)
+            extra = (
+                observer_factory(cell) if observer_factory is not None else ()
+            )
+            cell_metrics, result = _run_cell(
+                cell, metrics, want_data,
+                lean=lean, keep_results=keep_results, cache=cache,
+                extra_observers=extra,
+            )
+        except Exception as exc:
+            if raise_errors:
+                raise
+            outcome = _CellOutcome(cell, error=_cell_error(exc, retries))
+        else:
+            outcome = _CellOutcome(cell, cell_metrics, result)
+        outcome.stages = tuple(
+            now - then for now, then in zip(_stage_counts(cache), before)
+        )
+        yield outcome
+
+
+class _SweepBook:
+    """Parent-side bookkeeping of one sweep, on every backend.
+
+    A serial sweep and each pool submission own one.  It resolves
+    checkpoint-store hits once, up front (:meth:`resolve_hits`), books
+    each cell outcome as it arrives (:meth:`book`: stats, store
+    persistence, ``on_row`` streaming) and assembles the table in cell
+    order (:meth:`result`).
+    """
+
+    def __init__(
+        self,
+        axes: Dict[str, Tuple[Any, ...]],
+        cells: List[SweepCell],
+        metrics: Tuple[str, ...],
+        want_data: bool,
+        stats: SweepStats,
+        *,
+        store: Optional[SweepStore] = None,
+        read_store: bool = True,
+        on_row: Optional[Callable[[SweepRow], None]] = None,
+    ) -> None:
+        # Misconfiguration (records_only base vs data metrics) raises up
+        # front, before any cell runs — it is not a per-cell failure.
+        for cell in cells if want_data else ():
+            if cell.scenario.records_only:
+                raise RuntimeModelError(
+                    f"cell {dict(cell.coords)!r} is records_only but the "
+                    "sweep requests data metrics ("
+                    f"{', '.join(n for n in metrics if n in DATA_METRICS)}"
+                    ") — drop them or clear records_only"
+                )
+        self.axes = axes
+        self.cells = cells
+        self.metrics = metrics
+        self.stats = stats
+        self.store = store
+        self.read_store = read_store
+        self.on_row = on_row
+        self._mkey = metrics_key(metrics) if store is not None else ""
+        self._skeys: Dict[int, str] = {}
+        self._rows: Dict[int, SweepRow] = {}
+        self._errors: Dict[int, SweepCellError] = {}
+
+    def resolve_hits(self) -> List[SweepCell]:
+        """Serve stored cells now; return the cells left to compute.
+
+        Every cell is looked up exactly once, here, before anything
+        runs — so a cell repeated within one matrix is a miss (and runs)
+        on every backend.
+        """
+        if self.store is None:
+            return self.cells
+        stats = self.stats
+        todo: List[SweepCell] = []
+        for cell in self.cells:
+            skey = store_key(cell.scenario)
+            if skey is not None:
+                self._skeys[cell.index] = skey
+                if self.read_store:
+                    stored = self.store.get(skey, self._mkey)
+                    if stored is not None:
+                        stats.store_hits += 1
+                        self._add_row(cell, stored)
+                        continue
+                    stats.store_misses += 1
+            todo.append(cell)
+        return todo
+
+    def book(self, outcome: _CellOutcome) -> None:
+        """Fold one cell outcome into the sweep.
+
+        Bookkeeping completes before user code (``store.put``, then
+        ``on_row``) runs, so a raising store or sink surfaces to the
+        caller without losing the row.
+        """
+        stats = self.stats
+        networks, derivations, schedules = outcome.stages
+        stats.networks_built += networks
+        stats.derivations_computed += derivations
+        stats.schedules_computed += schedules
+        index = outcome.cell.index
+        if outcome.error is not None:
+            self._errors[index] = outcome.error
+            stats.failed_cells += 1
+            return
+        stats.runs += 1
+        self._add_row(
+            outcome.cell, outcome.metrics, outcome.result,
+            self._skeys.get(index),
+        )
+
+    def _add_row(
+        self, cell: SweepCell, metrics: Dict[str, Any],
+        result: Optional[RuntimeResult] = None, skey: Optional[str] = None,
+    ) -> None:
+        row = SweepRow(cell=dict(cell.coords), metrics=metrics, result=result)
+        self._rows[cell.index] = row
+        if skey is not None:
+            self.store.put(skey, self._mkey, metrics)
+        if self.on_row is not None:
+            self.on_row(row)
+
+    def result(self) -> SweepResult:
+        """The table so far, in cell order (partial if interrupted)."""
+        rows: List[SweepRow] = []
+        failed_rows: List[SweepRow] = []
+        for cell in self.cells:
+            index = cell.index
+            if index in self._rows:
+                rows.append(self._rows[index])
+            elif index in self._errors:
+                failed_rows.append(SweepRow(
+                    cell=dict(cell.coords), metrics={},
+                    error=self._errors[index],
+                ))
+        return SweepResult(
+            axes=self.axes, metrics=self.metrics, rows=rows,
+            stats=self.stats, failed_rows=failed_rows,
+        )
+
+
+def _group_cells(cells: Iterable[SweepCell]) -> Dict[Any, List[SweepCell]]:
+    groups: Dict[Any, List[SweepCell]] = {}
+    for cell in cells:
+        groups.setdefault(cell.scenario.schedule_key(), []).append(cell)
+    return groups
+
+
+def _dispatch_plan(
+    cells: Sequence[SweepCell],
+    *,
+    keep_results: bool = False,
+    observer_factory: Optional[
+        Callable[[SweepCell], Sequence[ExecutionObserver]]
+    ] = None,
+    cache: Optional[PipelineCache] = None,
+    min_groups: int = 2,
+) -> Union[str, Dict[Any, List[SweepCell]]]:
+    """Why *cells* cannot fan out, or their schedule-key groups.
+
+    Returns the serial-fallback reason, or the cells grouped by schedule
+    key in first-seen order.  One group is the unit of dispatch *and* of
+    stage reuse: its cells share one derivation and one schedule.
+    Sweeps attaching live observers or retaining results need in-process
+    objects; a caller-shared cache cannot cross processes; scenarios
+    embedding code a fresh worker could not reconstruct are refused per
+    cell; and fewer than *min_groups* groups have nothing to fan out.
+    """
+    if observer_factory is not None:
+        return (
+            "observer_factory attaches live in-process observers, which "
+            "cannot be shipped to worker processes"
+        )
+    if keep_results:
+        return (
+            "keep_results retains full RuntimeResult objects, which are "
+            "not serialised across the process boundary"
+        )
+    if cache is not None:
+        return (
+            "a caller-shared PipelineCache cannot be shared with worker "
+            "processes — drop it to fan out"
+        )
+    for cell in cells:
+        # The *cells* are what gets dispatched, so they are the authority
+        # — the base scenario may carry code an axis substitutes away.
+        blocker = cell.scenario.dispatch_blocker()
+        if blocker is not None:
+            return f"scenario is not dispatchable: {blocker}"
+    groups = _group_cells(cells)
+    if len(groups) < min_groups:
+        return (
+            "matrix has a single schedule-key group — nothing to fan out "
+            "(parallelism is per distinct schedule key)"
+        )
+    return groups
+
+
+def schedule_key_groups(matrix: ScenarioMatrix) -> List[List[SweepCell]]:
+    """The matrix's cells grouped by schedule key, in first-seen order."""
+    return list(_group_cells(matrix.cells()).values())
+
+
+def serial_fallback_reason(
+    matrix: ScenarioMatrix,
+    *,
+    keep_results: bool = False,
+    observer_factory: Optional[
+        Callable[[SweepCell], Sequence[ExecutionObserver]]
+    ] = None,
+    cache: Optional[PipelineCache] = None,
+) -> Optional[str]:
+    """Why this sweep must run serially, or ``None`` if it can fan out.
+
+    The returned string is stored verbatim in
+    ``SweepStats.parallel_fallback`` so a ``workers > 1`` caller can see
+    which rule demoted the sweep.
+    """
+    plan = _dispatch_plan(
+        list(matrix.cells()),
+        keep_results=keep_results,
+        observer_factory=observer_factory,
+        cache=cache,
+    )
+    return plan if isinstance(plan, str) else None
 
 
 def run_sweep(
@@ -517,8 +795,9 @@ def run_sweep(
     workers:
         Maximum number of worker processes; the default 1 runs serially
         in-process.  ``workers > 1`` partitions the cells into
-        schedule-key groups and dispatches them to spawned workers
-        (:mod:`repro.experiment.parallel`), falling back to the serial
+        schedule-key groups and dispatches them to the spawned workers
+        of a transient :class:`~repro.experiment.pool.SweepPool`
+        (see :func:`serial_fallback_reason`), falling back to the serial
         path — with the reason recorded in
         :attr:`SweepStats.parallel_fallback` — when the sweep cannot be
         dispatched (an ``observer_factory`` or ``keep_results`` sweep,
@@ -528,7 +807,10 @@ def run_sweep(
         Optional checkpoint store (:mod:`repro.experiment.store`).  Cells
         whose ``(scenario_hash, metrics)`` key the store already holds are
         served from it (``stats.store_hits``) instead of executing; every
-        freshly-computed healthy row is persisted.  Store *reads* are
+        freshly-computed healthy row is persisted.  Hits are resolved
+        once, before any cell runs, with the same rule on every backend:
+        a cell repeated within one matrix is a miss on each copy (both
+        run; ``store_misses`` counts both).  Store *reads* are
         bypassed for ``keep_results`` / ``observer_factory`` sweeps, which
         need live runs (writes still happen), and for scenarios without a
         content key (code-bearing workloads/WCETs).
@@ -583,103 +865,54 @@ def run_sweep(
     if retry_backoff < 0:
         raise ModelError("retry_backoff must be >= 0")
 
+    cells = list(matrix.cells())
+    plan = None
     fallback: Optional[str] = None
-    cells: Optional[List[SweepCell]] = None
     if workers > 1:
-        from .parallel import _serial_fallback_reason, run_sweep_parallel
-
-        cells = list(matrix.cells())
-        fallback = _serial_fallback_reason(
+        plan = _dispatch_plan(
             cells,
             keep_results=keep_results,
             observer_factory=observer_factory,
             cache=cache,
         )
-        if fallback is None:
-            return run_sweep_parallel(
-                matrix, metrics, want_data,
-                lean=lean, workers=workers, cells=cells,
-                store=store, faults=faults, on_error=on_error,
-                group_timeout=group_timeout, max_retries=max_retries,
-                retry_backoff=retry_backoff,
-                on_row=on_row, on_progress=on_progress,
-            )
-
-    if cells is None:
-        cells = list(matrix.cells())
-    # Misconfiguration (records_only base vs data metrics) raises up
-    # front, before any cell runs — it is not a per-cell failure to
-    # capture, and the parallel path checks identically before dispatch.
-    for cell in cells:
-        _check_cell_modes(cell, metrics, want_data)
-
-    cache = cache if cache is not None else PipelineCache()
-    rows: List[SweepRow] = []
-    failed_rows: List[SweepRow] = []
-    stats = SweepStats(cells=len(matrix), parallel_fallback=fallback)
+        if isinstance(plan, str):
+            fallback, plan = plan, None
     # Store reads are bypassed when the caller needs live runs (retained
     # results, live observers); freshly-computed rows are still persisted.
-    store_read = (
-        store is not None and not keep_results and observer_factory is None
+    book = _SweepBook(
+        dict(matrix.axes), cells, metrics, want_data,
+        SweepStats(cells=len(cells), parallel_fallback=fallback),
+        store=store,
+        read_store=not keep_results and observer_factory is None,
+        on_row=on_row,
     )
-    mkey = metrics_key(metrics) if store is not None else ""
-    # Stats report what *this* sweep paid: with a shared (pre-warmed)
-    # cache the counters are cumulative, so snapshot them and store deltas.
-    nets0 = cache.networks_built
-    derivs0 = cache.derivations_computed
-    scheds0 = cache.schedules_computed
-    for cell in cells:
-        skey = store_key(cell.scenario) if store is not None else None
-        if store_read and skey is not None:
-            stored = store.get(skey, mkey)
-            if stored is not None:
-                stats.store_hits += 1
-                row = SweepRow(cell=dict(cell.coords), metrics=stored)
-                rows.append(row)
-                if on_row is not None:
-                    on_row(row)
-                continue
-            stats.store_misses += 1
-        try:
-            apply_cell_faults(faults, cell.index, in_worker=False)
-            extra = (
-                observer_factory(cell) if observer_factory is not None else ()
-            )
-            cell_metrics, result = _run_cell(
-                cell, metrics, want_data,
-                lean=lean, keep_results=keep_results, cache=cache,
-                extra_observers=extra,
-            )
-        except KeyboardInterrupt:
-            stats.interrupted = True
-            break
-        except Exception as exc:
-            if on_error == "raise":
-                raise
-            stats.failed_cells += 1
-            failed_rows.append(
-                SweepRow(
-                    cell=dict(cell.coords), metrics={},
-                    error=_cell_error(exc),
-                )
-            )
-            continue
-        stats.runs += 1
-        row = SweepRow(
-            cell=dict(cell.coords), metrics=cell_metrics, result=result
-        )
-        rows.append(row)
-        if store is not None and skey is not None:
-            store.put(skey, mkey, cell_metrics)
-        # Streamed *after* the row is booked (and persisted): a raising
-        # sink surfaces to the caller but never loses the row — the
-        # serial mirror of the pool's deferred-callback-error contract.
-        if on_row is not None:
-            on_row(row)
-    stats.networks_built = cache.networks_built - nets0
-    stats.derivations_computed = cache.derivations_computed - derivs0
-    stats.schedules_computed = cache.schedules_computed - scheds0
-    return SweepResult(
-        axes=dict(matrix.axes), metrics=metrics, rows=rows, stats=stats,
-        failed_rows=failed_rows,
+    if plan is not None:
+        from .pool import SweepPool
+
+        with SweepPool(
+            workers=workers,
+            group_timeout=group_timeout,
+            max_retries=max_retries,
+            retry_backoff=retry_backoff,
+        ) as pool:
+            return pool._enqueue(
+                book, plan,
+                lean=lean, faults=faults, on_error=on_error,
+                on_progress=on_progress,
+            ).result()
+
+    runner = _run_cells(
+        book.resolve_hits(), metrics, want_data,
+        cache=cache if cache is not None else PipelineCache(),
+        lean=lean,
+        keep_results=keep_results,
+        observer_factory=observer_factory,
+        faults=faults,
+        raise_errors=on_error == "raise",
     )
+    try:
+        for outcome in runner:
+            book.book(outcome)
+    except KeyboardInterrupt:
+        book.stats.interrupted = True
+    return book.result()

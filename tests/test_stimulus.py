@@ -107,6 +107,47 @@ class TestRandomTraces:
         with pytest.raises(ValueError):
             random_sporadic_trace(gen, 1000, pyrandom.Random(0), 1.5)
 
+    def test_matches_naive_admission_filter(self):
+        # Oracle: the windowed admission filter must keep exactly what
+        # recounting every kept arrival per candidate keeps.
+        cases = pyrandom.Random(2024)
+        for _ in range(200):
+            period = Fraction(cases.randint(1, 400), cases.choice([1, 2, 3]))
+            burst = cases.randint(1, 5)
+            horizon = period * cases.randint(1, 12) + cases.randint(0, 50)
+            intensity = cases.choice([0.0, 0.3, 0.7, 1.0, cases.random()])
+            time_unit = cases.choice([1, 7, 100, 1000])
+            seed = cases.randrange(10_000)
+            gen = SporadicGenerator(period, 2 * period, burst=burst)
+            got = random_sporadic_trace(
+                gen, horizon, pyrandom.Random(seed), intensity, time_unit
+            )
+            want = _naive_sporadic_trace(
+                period, burst, horizon, pyrandom.Random(seed), intensity,
+                time_unit,
+            )
+            assert got == want
+
+
+def _naive_sporadic_trace(period, burst, horizon, rng, intensity, time_unit):
+    """Reference synthesis with the quadratic recount admission filter."""
+    candidates = []
+    window_start = Fraction(0)
+    while window_start < horizon:
+        count = sum(1 for _ in range(burst) if rng.random() < intensity)
+        offsets = sorted(rng.randrange(0, time_unit) for _ in range(count))
+        for off in offsets:
+            t = window_start + period * off / time_unit
+            if t < horizon:
+                candidates.append(t)
+        window_start += period
+    candidates.sort()
+    trace = []
+    for t in candidates:
+        if sum(1 for kept in trace if kept > t - period) < burst:
+            trace.append(t)
+    return trace
+
 
 class TestRandomStimulus:
     def test_covers_all_sporadics_and_inputs(self, sporadic_network):

@@ -16,7 +16,6 @@ from repro.experiment import (
     schedule_key_groups,
     serial_fallback_reason,
 )
-from repro.experiment.parallel import run_sweep_parallel
 from repro.io import sweep_result_from_dict, sweep_result_to_dict
 from repro.runtime import ExecutionObserver, OverheadModel
 
@@ -279,10 +278,6 @@ class TestSerialFallback:
         matrix = self.multi_group_matrix()
         with pytest.raises(ModelError):
             run_sweep(matrix, metrics=("executed_jobs",), workers=0)
-        with pytest.raises(ModelError):
-            run_sweep_parallel(
-                matrix, ("executed_jobs",), False, lean=True, workers=1
-            )
 
     def test_records_only_conflict_raises_before_dispatch(self):
         matrix = ScenarioMatrix(
