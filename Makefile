@@ -2,7 +2,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test test-faults test-pool test-hetero bench bench-smoke bench-json bench-diff cov lint cli-smoke service-smoke
+.PHONY: test test-faults test-pool test-hetero test-ticks bench bench-smoke bench-json bench-diff cov lint cli-smoke service-smoke
 
 # Tier-1 verification: the full unit/integration suite plus benchmarks-as-tests.
 test:
@@ -31,6 +31,15 @@ test-pool:
 # of the tier-1 run.
 test-hetero:
 	$(PY) -m pytest tests/test_hetero_equivalence.py tests/test_io_json.py -q
+
+# Tick-path lane: the integer-tick runtime against its Fraction oracles —
+# timing records and schedules (test_tick_equivalence), data-phase
+# observables (test_data_phase_equivalence) and the tick-fed metrics and
+# tick-sampled jitter against MetricsObserver.on_record and the Fraction
+# reference sampler (test_tick_path).  Also part of the tier-1 run.
+test-ticks:
+	$(PY) -m pytest tests/test_tick_equivalence.py \
+		tests/test_data_phase_equivalence.py tests/test_tick_path.py -q
 
 # Error-level lint (ruff.toml: syntax errors / undefined names only).
 # Skips gracefully when ruff is not in the environment; CI installs it.

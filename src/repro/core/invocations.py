@@ -56,7 +56,12 @@ class Stimulus:
             for name, times in (sporadic_arrivals or {}).items()
         }
         self._samples_views: Dict[str, SampleMap] = {}
-        self._validated_networks: "weakref.WeakSet[Network]" = weakref.WeakSet()
+        # Networks this stimulus validated against, each with its memo of
+        # derived run state (see :meth:`run_memo`).  Weakly keyed: the
+        # memos die with their network, and all of it with the stimulus.
+        self._run_memos: "weakref.WeakKeyDictionary[Network, Dict[Any, Any]]" = (
+            weakref.WeakKeyDictionary()
+        )
 
     def validate(self, network: Network) -> None:
         """Check the stimulus against a network definition.
@@ -72,7 +77,7 @@ class Stimulus:
         first use (the executors already rely on that via
         :meth:`samples_view`).
         """
-        if network in self._validated_networks:
+        if network in self._run_memos:
             return
         for name in self.input_samples:
             if name not in network.external_inputs:
@@ -88,7 +93,21 @@ class Stimulus:
                     "are defined by the network, not the stimulus"
                 )
             gen.validate_trace(times)
-        self._validated_networks.add(network)
+        self._run_memos[network] = {}
+
+    def run_memo(self, network: Network) -> Dict[Any, Any]:
+        """This stimulus's memo of derived run state on *network*.
+
+        Runtime layers keep values here that are pure functions of the
+        network and this stimulus — the executor stores one sporadic
+        arrival binding per ``(hyperperiod, n_frames)`` — so every run
+        that shares the stimulus (sweep cells across jitter, overhead and
+        processor axes, pool workers sharing one decoded stimulus) shares
+        them.  The memo is weakly keyed by the network and owned by the
+        stimulus, so it never outlives either.  Validates first.
+        """
+        self.validate(network)
+        return self._run_memos[network]
 
     def truncated(self, horizon: TimeLike) -> "Stimulus":
         """A copy whose sporadic arrivals are restricted to ``t < horizon``.

@@ -114,6 +114,10 @@ __all__ = ["PoolEvent", "SweepPool", "SweepTicket"]
 #: before re-checking dispatch, crashes and deadlines.
 _POLL_INTERVAL = 0.02
 
+#: Worker-side inbox wait [s] between checks that the parent is alive: a
+#: worker whose parent was killed exits within about this long.
+_PARENT_CHECK_INTERVAL = 0.5
+
 
 def _payload_hash(data: Any) -> str:
     """Content hash of a JSON-able payload (canonical encoding)."""
@@ -333,13 +337,24 @@ def _service_worker(
 
     *outbox* is this worker's own reply pipe, written synchronously: a
     worker that dies can lose or truncate only its own messages, never
-    hold a lock the other workers' replies need.
+    hold a lock the other workers' replies need.  An idle worker checks
+    that its parent is alive every :data:`_PARENT_CHECK_INTERVAL` and
+    exits once it is not: a killed parent sends no ``stop``.
     """
+    import multiprocessing
+    import queue
+
+    parent = multiprocessing.parent_process()
     caches = _WorkerCaches(max_cached_groups, max_cached_payloads)
     try:
         outbox.send(("ready", None))
         while True:
-            message = inbox.get()
+            try:
+                message = inbox.get(timeout=_PARENT_CHECK_INTERVAL)
+            except queue.Empty:
+                if parent is not None and not parent.is_alive():
+                    return
+                continue
             kind = message[0]
             if kind == "stop":
                 return

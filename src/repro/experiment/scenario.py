@@ -173,11 +173,13 @@ def _normalize_table(
 def _jitter_model(seed: int, low: float):
     """One shared jitter sampler per ``(seed, low_fraction)``.
 
-    :func:`~repro.runtime.executor.jittered_execution` samples depend only
-    on ``(seed, process, k, frame)`` and are memoised inside the sampler,
-    so sharing one sampler across runs is semantically invisible — and it
-    lets sweep cells that vary overheads/frames under the *same* seed hit
-    the per-instance memo instead of re-hashing every sample key.
+    :func:`~repro.runtime.executor.jittered_execution` draws depend only
+    on ``(seed, process, k, frame)`` — not on the WCET — and are memoised
+    inside the sampler as integers, so sharing one sampler across runs is
+    semantically invisible.  It lets sweep cells that vary overheads,
+    processors, platforms or frames under the *same* seed read the
+    per-instance memo instead of reseeding for every sample; the executor
+    scales each draw by the cell's own WCETs in ticks.
     """
     return jittered_execution(seed, low)
 

@@ -18,10 +18,11 @@ Two properties make sweeps cheap at scenario scale:
   :class:`SweepStats` counters surface exactly how many stage computations
   the sweep paid.
 * **Lean execution** — each cell runs with ``collect_records=False`` and
-  ``collect_trace=False`` (metrics stream out of observer events, nothing
-  is retained per instance), and when the requested metrics are timing
-  derived only, the data phase is skipped entirely
-  (``records_only=True`` — no kernels, no channel states).
+  ``collect_trace=False`` (nothing is retained per instance; the cell's
+  :class:`~repro.runtime.observers.MetricsObserver` receives integer-tick
+  aggregates once per run, so no job record is built), and when the
+  requested metrics are timing derived only, the data phase is skipped
+  entirely (``records_only=True`` — no kernels, no channel states).
 
 Rows are deterministic: the same matrix produces bit-identical rows on
 every run (exact rational metrics; jitter models are seed-keyed), which is
@@ -603,7 +604,12 @@ class _SweepBook:
                     stored = self.store.get(skey, self._mkey)
                     if stored is not None:
                         stats.store_hits += 1
-                        self._add_row(cell, stored)
+                        # Stores keep rows in their own key order; a hit
+                        # row lists metrics in the requested order, as a
+                        # computed row does.
+                        self._add_row(
+                            cell, {name: stored[name] for name in self.metrics}
+                        )
                         continue
                     stats.store_misses += 1
             todo.append(cell)

@@ -1,6 +1,7 @@
 """Online static-order policy and multiprocessor runtime simulation."""
 
 from .executor import (
+    JitterSampler,
     JobRecord,
     MultiprocessorExecutor,
     RuntimeResult,
@@ -38,6 +39,7 @@ from .static_order import (
 )
 
 __all__ = [
+    "JitterSampler",
     "JobRecord",
     "MultiprocessorExecutor",
     "RuntimeResult",

@@ -28,6 +28,16 @@ The executor is split into a **timing core** and pluggable **consumers**:
    resulting :class:`JobRecord` timestamps are converted back to exact
    rationals (bit-identical to a pure-Fraction simulation) and **emitted
    as events** to the observers of :mod:`repro.runtime.observers`.
+
+   A sweep cell stays in ticks end to end.  The sporadic arrival binding
+   and its per-frame slot tables are memoised on the stimulus
+   (:meth:`ArrivalBinding.of`), so every run over one stimulus shares
+   them.  A :class:`JitterSampler` is sampled through its integer draws,
+   each duration ``d * wcet / R`` exact in a domain fixed before sampling.
+   Stock :class:`~repro.runtime.observers.MetricsObserver` instances are
+   fed integer aggregates once per run instead of one record per
+   instance, so a timing-only run with no other record consumer builds
+   no :class:`JobRecord` at all.
 2. **Data phase** (:meth:`MultiprocessorExecutor._data_phase`) — the
    kernels of all *true* jobs run in ``(start, frame, <J index)`` order
    against fresh channel states.  Jobs sharing a channel can never overlap
@@ -48,7 +58,9 @@ from __future__ import annotations
 import gc
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import chain
+from math import gcd
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import RuntimeModelError
@@ -63,7 +75,14 @@ from ..core.trusted import check_trusted_constructor
 from ..taskgraph.graph import TaskGraph
 from ..taskgraph.jobs import Job
 from ..scheduling.schedule import StaticSchedule
-from .observers import _DATA_HOOKS, _overrides, ExecutionObserver, RunMeta
+from .observers import (
+    _DATA_HOOKS,
+    _overrides,
+    _tick_fed,
+    ExecutionObserver,
+    RunMeta,
+    TickMetrics,
+)
 from .overheads import OverheadModel
 from .static_order import ArrivalBinding, FramePlan
 
@@ -86,43 +105,70 @@ def wcet_execution(job: Job, frame: int) -> Time:
     return job.wcet
 
 
-def jittered_execution(
-    seed: int, low_fraction: float = 0.5
-) -> Callable[[Job, int], Time]:
+class JitterSampler:
+    """The execution-time model behind :func:`jittered_execution`.
+
+    Each job instance draws an integer ``d`` in ``[low * R, R]`` (``R`` =
+    :attr:`resolution`) and runs for ``d / R`` of its WCET.  The draw is a
+    pure function of ``(seed, process, k, frame)`` — not of the WCET — so
+    it is memoised per instance, and the executor reads it through the
+    tick entry :meth:`draws` and charges ``d * wcet / R`` in integer ticks
+    (its run domain is fixed before sampling, from the WCETs and ``R``).
+    Calling the sampler as a ``(job, frame) -> Time`` model returns the
+    same duration as an exact rational.
+    """
+
+    #: Denominator of every draw: millisecond-ish resolution of a WCET.
+    resolution = 10_000
+
+    __slots__ = ("seed", "low_fraction", "_rng", "_memo")
+
+    def __init__(self, seed: int, low_fraction: float = 0.5) -> None:
+        if not 0 < low_fraction <= 1:
+            raise ValueError("low_fraction must be in (0, 1]")
+        self.seed = seed
+        self.low_fraction = low_fraction
+        # One reseeded generator: reseeding produces exactly the state a
+        # fresh ``random.Random(key)`` would have.
+        self._rng = random.Random()
+        #: frame -> (process, k) -> draw.
+        self._memo: Dict[int, Dict[Tuple[str, int], int]] = {}
+
+    def draws(self, frame: int, keys: Sequence[Tuple[str, int]]) -> List[int]:
+        """The draws of the ``(process, k)`` instances *keys* in *frame*."""
+        memo = self._memo.get(frame)
+        if memo is None:
+            memo = self._memo[frame] = {}
+        get = memo.get
+        out: List[int] = []
+        for key in keys:
+            d = get(key)
+            if d is None:
+                self._rng.seed(f"{self.seed}/{key[0]}/{key[1]}/{frame}")
+                frac = self.low_fraction + (1 - self.low_fraction) * self._rng.random()
+                d = memo[key] = int(frac * self.resolution)
+            out.append(d)
+        return out
+
+    def __call__(self, job: Job, frame: int) -> Time:
+        d = self.draws(frame, ((job.process, job.k),))[0]
+        return fraction_from_ratio(
+            job.wcet.numerator * d, job.wcet.denominator * self.resolution
+        )
+
+
+def jittered_execution(seed: int, low_fraction: float = 0.5) -> JitterSampler:
     """Deterministic pseudo-random execution times in ``[low*C, C]``.
 
     The sample depends only on ``(seed, process, k, frame)``, so repeated
     runs with the same seed are identical — which the determinism tests rely
-    on when comparing *different schedules* under the *same* jitter.
-
-    A single reseeded :class:`random.Random` instance is hoisted out of the
-    per-sample path (reseeding produces exactly the same generator state as
-    constructing ``random.Random(key)``), and samples are memoised per
-    ``(process, k, frame)``, so determinism sweeps that replay the same
-    jitter against many schedules pay the string hash only once per
-    instance.
+    on when comparing *different schedules* under the *same* jitter.  The
+    returned :class:`JitterSampler` is a ``(job, frame) -> Time`` callable;
+    it memoises its integer draws per instance, so determinism sweeps that
+    replay the same jitter against many schedules pay the string-seeded
+    reseed once per instance, and the executor samples it in ticks.
     """
-    if not 0 < low_fraction <= 1:
-        raise ValueError("low_fraction must be in (0, 1]")
-    rng = random.Random()
-    memo: Dict[Tuple[str, int, int], Tuple[Time, Time]] = {}
-
-    def sample(job: Job, frame: int) -> Time:
-        key = (job.process, job.k, frame)
-        hit = memo.get(key)
-        if hit is not None and hit[0] == job.wcet:
-            return hit[1]
-        rng.seed(f"{seed}/{job.process}/{job.k}/{frame}")
-        frac = low_fraction + (1 - low_fraction) * rng.random()
-        # keep it rational with millisecond-ish resolution
-        scaled = int(frac * 10_000)
-        value = fraction_from_ratio(
-            job.wcet.numerator * scaled, job.wcet.denominator * 10_000
-        )
-        memo[key] = (job.wcet, value)
-        return value
-
-    return sample
+    return JitterSampler(seed, low_fraction)
 
 
 @dataclass(frozen=True)
@@ -468,14 +514,18 @@ class MultiprocessorExecutor:
     ) -> _RunSetup:
         """Resolve every run input into the integer tick domain.
 
-        Three steps: (1) invocation identity — which server-job slots are
-        served by a real arrival in each frame; (2) execution durations
-        (exact rationals, identity-resolved so the execution-time model is
-        only sampled for true jobs); (3) the run's tick domain — the
-        graph's domain extended by every other timing input — and the
-        integer views of all of them.
+        Three steps: (1) invocation identity — the stimulus's memoised
+        :class:`ArrivalBinding` says which server-job slots a real arrival
+        serves in each frame; (2) the run's tick domain — the graph's
+        domain extended by the overheads, process deadlines, the binding's
+        domain and what the execution-time model needs; (3) the integer
+        views of all of them, execution durations sampled only for true
+        jobs.  Default WCETs and :class:`JitterSampler` draws never leave
+        ticks: a sampler's domain is fixed from the WCETs and its
+        resolution before any draw.  Tables and other callables yield
+        exact rationals that widen the domain first.
         """
-        binding = ArrivalBinding(self.network, self.hyperperiod, n_frames, stimulus)
+        binding = ArrivalBinding.of(self.network, self.hyperperiod, n_frames, stimulus)
         per_frame_counts = self.plan.per_process_count()
 
         graph = self.graph
@@ -487,45 +537,68 @@ class MultiprocessorExecutor:
         proc_deadline = [
             self.network.processes[j.process].deadline for j in jobs
         ]
-
-        server_jobs = [i for i in range(n) if jobs[i].is_server]
-        bound_rows: List[Dict[int, Any]] = []
-        for frame in range(n_frames):
-            row: Dict[int, Any] = {}
-            for i in server_jobs:
-                b = binding.lookup(
-                    jobs[i].process, frame, jobs[i].subset_index, jobs[i].slot
-                )
-                if b is not None:
-                    row[i] = b
-            bound_rows.append(row)
-
-        dur_const, dur_rows = self._durations(
-            execution_time, bound_rows, n_frames, topo
+        layout = tuple(
+            (i, j.process, j.subset_index, j.slot)
+            for i, j in enumerate(jobs) if j.is_server
         )
+        ov = self.overheads
+        # The graph's tick view, extended by each job's WCET on its slot's
+        # processor class (a class speed can add denominators).
+        class_wcets = self._class_wcets()
+        base = graph.tick_times()
+        if class_wcets is None:
+            wcet_base = base.wcet
+        else:
+            base = base.rescaled_to(class_wcets)
+            wcet_base = base.domain.ticks(class_wcets)
 
-        tt = graph.tick_times().rescaled_to(chain(
-            (self.overheads.first_frame_arrival, self.overheads.steady_frame_arrival),
+        spec = execution_time
+        if spec is None:
+            model_values: Any = ()
+        elif isinstance(spec, JitterSampler):
+            # d * wcet / R must be a whole tick for every draw d: refine the
+            # graph's scale by R / gcd(R, every WCET tick count).
+            res = spec.resolution
+            model_values = (
+                Fraction(1, base.domain.scale * (res // gcd(res, *wcet_base))),
+            )
+        else:
+            const, rows = self._durations(
+                spec, class_wcets,
+                binding.slot_ticks(layout, binding.domain.scale),
+                n_frames, topo,
+            )
+            model_values = (
+                const if rows is None
+                else (d for row in rows for d in row if d is not None)
+            )
+        tt = base.rescaled_to(chain(
+            (ov.first_frame_arrival, ov.steady_frame_arrival, ov.per_job,
+             Fraction(1, binding.domain.scale)),
             proc_deadline,
-            (b.time for row in bound_rows for b in row.values()),
-            (dur_const if dur_rows is None
-             else (d for row in dur_rows for d in row if d is not None)),
+            model_values,
         ))
         dom = tt.domain
         to_ticks = dom.to_ticks
-        if dur_rows is None:
-            dur_t_const: Optional[List[int]] = [to_ticks(d) for d in dur_const]
-            dur_t_rows = None
+        factor = base.domain.rescale_factor(dom)
+        pj_t = to_ticks(ov.per_job)
+        slot_rows = binding.slot_ticks(layout, dom.scale)
+        dur_t_const: Optional[List[int]] = None
+        dur_t_rows: Optional[List[List[int]]] = None
+        if spec is None:
+            dur_t_const = [w * factor + pj_t for w in wcet_base]
+        elif isinstance(spec, JitterSampler):
+            dur_t_rows = self._tick_draws(
+                spec, [w * factor for w in wcet_base], pj_t, slot_rows,
+                n_frames, topo,
+            )
+        elif rows is None:
+            dur_t_const = [to_ticks(d) for d in const]
         else:
-            dur_t_const = None
             dur_t_rows = [
                 [to_ticks(d) if d is not None else 0 for d in row]
-                for row in dur_rows
+                for row in rows
             ]
-        bound_t_rows: List[Dict[int, Tuple[int, int]]] = [
-            {i: (to_ticks(b.time), b.global_k) for i, b in row.items()}
-            for row in bound_rows
-        ]
         return _RunSetup(
             n_frames=n_frames,
             topo=topo,
@@ -535,13 +608,65 @@ class MultiprocessorExecutor:
             dom=dom,
             arr_t=tt.arrival,
             H_t=to_ticks(self.hyperperiod),
-            ov_first_t=to_ticks(self.overheads.first_frame_arrival),
-            ov_steady_t=to_ticks(self.overheads.steady_frame_arrival),
+            ov_first_t=to_ticks(ov.first_frame_arrival),
+            ov_steady_t=to_ticks(ov.steady_frame_arrival),
             pdl_t=[to_ticks(d) for d in proc_deadline],
             dur_t_const=dur_t_const,
             dur_t_rows=dur_t_rows,
-            bound_t_rows=bound_t_rows,
+            bound_t_rows=slot_rows,
         )
+
+    def _class_wcets(self) -> Optional[List[Time]]:
+        """Each job's WCET on its slot's processor class.
+
+        ``None`` on the degenerate platform, where that is the graph's
+        own WCET.
+        """
+        jobs = self.graph.jobs
+        platform = self.plan.platform
+        if platform.is_unit and all(j.wcet_by_class is None for j in jobs):
+            return None
+        return [
+            j.wcet_on(platform.class_of(self.plan.processor_of(i)))
+            for i, j in enumerate(jobs)
+        ]
+
+    def _tick_draws(
+        self,
+        sampler: JitterSampler,
+        wcet_t: List[int],
+        pj_t: int,
+        slot_rows: List[Dict[int, Tuple[int, int]]],
+        n_frames: int,
+        topo: List[int],
+    ) -> List[List[int]]:
+        """Per-frame tick durations ``d * wcet / R + per_job`` of true jobs.
+
+        Draws are taken frame by frame in schedule-topological order, true
+        jobs only, like :meth:`_durations` samples a callable.  The run
+        domain makes every ``wcet / R`` whole (checked here, per job, as
+        ``to_ticks`` would), so each duration is exact integer arithmetic.
+        """
+        res = sampler.resolution
+        if any(w % res for w in wcet_t):
+            raise RuntimeModelError(
+                "a WCET tick count is not a multiple of the sampler "
+                f"resolution {res} — the run's tick domain is too coarse"
+            )
+        unit = [w // res for w in wcet_t]
+        jobs = self.graph.jobs
+        keys = [(j.process, j.k) for j in jobs]
+        is_server = [j.is_server for j in jobs]
+        rows: List[List[int]] = []
+        for frame in range(n_frames):
+            brow = slot_rows[frame]
+            live = [i for i in topo if not is_server[i] or i in brow]
+            row = [0] * len(jobs)
+            draws = sampler.draws(frame, [keys[i] for i in live])
+            for i, d in zip(live, draws):
+                row[i] = unit[i] * d + pj_t
+            rows.append(row)
+        return rows
 
     # ------------------------------------------------------------------
     def _timing_phase(
@@ -600,18 +725,28 @@ class MultiprocessorExecutor:
         record_cls = JobRecord
         memo_get = frac_memo.get
         notify_overhead = [ob.on_overhead for ob in observers]
-        # Only observers that actually override on_record (in a subclass or
-        # as an instance attribute) count as record consumers — the no-op
-        # inherited hook must not force record construction in the
-        # collect_records=False fast path.
+        # Stock MetricsObservers are fed in ticks: the loop keeps their
+        # aggregates as inline integer accumulators and hands them over
+        # once, after the last frame.  Every other observer that actually
+        # overrides on_record (in a subclass or as an instance attribute)
+        # consumes records — the no-op inherited hook must not force
+        # record construction in the collect_records=False fast path.
+        tick_fed = [ob for ob in observers if _tick_fed(ob)]
         notify_record = [
             ob.on_record for ob in observers
-            if _overrides(ob, "on_record", ExecutionObserver.on_record)
+            if not _tick_fed(ob)
+            and _overrides(ob, "on_record", ExecutionObserver.on_record)
         ]
         # Records are *built* whenever someone consumes them (the result
         # list or an observer) but *retained* only when collect_records —
         # so observers can stream a long run without the result growing.
         build_records = collect_records or bool(notify_record)
+        aggregate = bool(tick_fed)
+        track_responses = any(ob._track_responses for ob in tick_fed)
+        n_false = n_missed = worst = makespan = 0
+        busy = [0] * self.plan.processors
+        frame_spans: List[int] = []
+        responses: Dict[str, int] = {}
 
         for frame in range(rs.n_frames):
             base = H_t * frame
@@ -622,6 +757,7 @@ class MultiprocessorExecutor:
                 for emit in notify_overhead:
                     emit(frame, o_start, o_end)
             floor = base + ov
+            frame_end = base
             end_row = [0] * n
             brow = rs.bound_t_rows[frame]
             durs = rs.dur_t_const if rs.dur_t_rows is None else rs.dur_t_rows[frame]
@@ -655,6 +791,26 @@ class MultiprocessorExecutor:
                 end = start if is_false else start + durs[i]
                 chain_end[proc] = end
                 end_row[i] = end
+
+                # MetricsObserver.on_record's rule, in ticks.
+                if aggregate:
+                    if end > makespan:
+                        makespan = end
+                    if is_false:
+                        n_false += 1
+                    else:
+                        busy[proc] += end - start
+                        if end > frame_end:
+                            frame_end = end
+                        lateness = end - release_t - pdl_t[i]
+                        if lateness > 0:
+                            n_missed += 1
+                            if lateness > worst:
+                                worst = lateness
+                        if track_responses:
+                            response = end - release_t
+                            if response > responses.get(process_of[i], 0):
+                                responses[process_of[i]] = response
 
                 if inst_append is not None and not is_false:
                     inst_append((start, frame, i, global_k, release_t, end))
@@ -703,6 +859,21 @@ class MultiprocessorExecutor:
                 if notify_record:
                     for emit in notify_record:
                         emit(rec)
+            frame_spans.append(frame_end - base)
+
+        if tick_fed:
+            totals = TickMetrics(
+                total_jobs=rs.n_frames * n,
+                false_jobs=n_false,
+                missed_jobs=n_missed,
+                worst_lateness=worst,
+                makespan=makespan,
+                busy=busy,
+                frame_spans=frame_spans,
+                responses=responses,
+            )
+            for ob in tick_fed:
+                ob._absorb_ticks(totals, from_ticks)
         return records, instances, overhead_intervals, frac_memo
 
     # ------------------------------------------------------------------
@@ -740,68 +911,39 @@ class MultiprocessorExecutor:
     def _durations(
         self,
         spec: ExecutionTimeSpec,
+        class_wcets: Optional[List[Time]],
         bound_rows: List[Dict[int, Any]],
         n_frames: int,
         topo: List[int],
     ) -> Tuple[Optional[List[Time]], Optional[List[List[Optional[Time]]]]]:
-        """Per-instance execution durations (including per-job overhead).
+        """Exact-rational durations (including per-job overhead) of a
+        per-process table or a callable model other than a
+        :class:`JitterSampler`.
 
         Returns ``(constant_per_job, None)`` when the model is frame
-        independent (default WCETs, per-process tables) and
+        independent (per-process tables) and
         ``(None, per_frame_rows)`` for callable models.  A callable is
         sampled exactly once per *true* job instance, frame by frame in the
         schedule-topological order — the same call sequence the timing loop
         itself makes — so even a stateful callable observes the original
         evaluation order.  False jobs get ``None`` (they never execute).
 
-        On a heterogeneous platform the default model charges each job its
-        class-resolved WCET on the processor its slot is bound to, and
-        sampled models (tables, callables) are scaled by the exact
-        ``effective / base`` WCET ratio of that class — a jitter model
-        expressing "this instance ran at 70% of its WCET" keeps that
-        meaning on every class.
+        On a heterogeneous platform (*class_wcets* set) each value is
+        scaled by the exact ``effective / base`` WCET ratio of the job's
+        class — a model expressing "this instance ran at 70% of its WCET"
+        keeps that meaning on every class.  The degenerate platform keeps
+        the exact pre-platform duration model (no scaling).
         """
         jobs = self.graph.jobs
         per_job_ov = self.overheads.per_job
-        platform = self.plan.platform
-        if platform.is_unit and all(j.wcet_by_class is None for j in jobs):
-            # Degenerate platform: the exact pre-platform duration model.
-            if spec is None:
-                return [j.wcet + per_job_ov for j in jobs], None
-            if not callable(spec):
-                table = {
-                    name: as_positive_time(value, f"execution time of {name!r}")
-                    for name, value in spec.items()
-                }
-                missing = sorted({j.process for j in jobs} - set(table))
-                if missing:
-                    raise RuntimeModelError(f"missing execution time for {missing!r}")
-                return [table[j.process] + per_job_ov for j in jobs], None
+        scale = (
+            None if class_wcets is None
+            else [w / j.wcet for w, j in zip(class_wcets, jobs)]
+        )
 
-            rows: List[List[Optional[Time]]] = []
-            for frame in range(n_frames):
-                brow = bound_rows[frame]
-                row: List[Optional[Time]] = [None] * len(jobs)
-                for i in topo:
-                    job = jobs[i]
-                    if job.is_server and i not in brow:
-                        continue  # false job in this frame
-                    row[i] = as_time(spec(job, frame)) + per_job_ov
-                rows.append(row)
-            return None, rows
+        def charge(i: int, value: Time) -> Time:
+            return (value if scale is None else value * scale[i]) + per_job_ov
 
-        cls_of = [
-            platform.class_of(self.plan.processor_of(i))
-            for i in range(len(jobs))
-        ]
-        if spec is None:
-            return [
-                j.wcet_on(cls_of[i]) + per_job_ov
-                for i, j in enumerate(jobs)
-            ], None
-        scale = [
-            j.wcet_on(cls_of[i]) / j.wcet for i, j in enumerate(jobs)
-        ]
         if not callable(spec):
             table = {
                 name: as_positive_time(value, f"execution time of {name!r}")
@@ -810,22 +952,19 @@ class MultiprocessorExecutor:
             missing = sorted({j.process for j in jobs} - set(table))
             if missing:
                 raise RuntimeModelError(f"missing execution time for {missing!r}")
-            return [
-                table[j.process] * scale[i] + per_job_ov
-                for i, j in enumerate(jobs)
-            ], None
+            return [charge(i, table[j.process]) for i, j in enumerate(jobs)], None
 
-        het_rows: List[List[Optional[Time]]] = []
+        rows: List[List[Optional[Time]]] = []
         for frame in range(n_frames):
             brow = bound_rows[frame]
-            row = [None] * len(jobs)
+            row: List[Optional[Time]] = [None] * len(jobs)
             for i in topo:
                 job = jobs[i]
                 if job.is_server and i not in brow:
                     continue  # false job in this frame
-                row[i] = as_time(spec(job, frame)) * scale[i] + per_job_ov
-            het_rows.append(row)
-        return None, het_rows
+                row[i] = charge(i, as_time(spec(job, frame)))
+            rows.append(row)
+        return None, rows
 
     # ------------------------------------------------------------------
     def _data_phase(

@@ -35,6 +35,12 @@ Event order and domain:
   ``[start, end)`` interval; channel writes carry the writing job's start
   instant (kernels execute atomically at their start, Section IV).
 
+Stock :class:`MetricsObserver` instances (those that do not override
+``on_record``) are not sent ``on_record`` by a live run: the executor
+aggregates the same timing metrics in integer ticks and hands them over
+once, before ``on_run_end`` (:class:`TickMetrics`).  ``on_record`` stays
+their rule and the path :func:`replay` drives.
+
 ``run(records_only=True)`` skips the data phase (no ``JobContext``, no
 kernel dispatch, empty channel observables, no data events) for
 timing-only consumers.  ``run(collect_records=False)`` keeps
@@ -125,6 +131,36 @@ _DATA_HOOKS = (
 def _overrides(observer: ExecutionObserver, name: str, base) -> bool:
     """True when *observer* overrides hook *name* (subclass or instance attr)."""
     return getattr(getattr(observer, name), "__func__", None) is not base
+
+
+@dataclass
+class TickMetrics:
+    """One run's :class:`MetricsObserver` timing aggregates, in integer ticks.
+
+    The executor accumulates these inline in its timing loop for stock
+    metrics observers (:func:`_tick_fed`) and hands them over once per run
+    (:meth:`MetricsObserver._absorb_ticks`), so timing-only sweep cells
+    build no :class:`~repro.runtime.executor.JobRecord` at all.  Each field
+    is what :meth:`MetricsObserver.on_record` would have aggregated from
+    the run's records; ``frame_spans`` are relative to each frame's start
+    and ``responses`` is empty unless some observer tracks responses.
+    """
+
+    total_jobs: int
+    false_jobs: int
+    missed_jobs: int
+    worst_lateness: int
+    makespan: int
+    busy: List[int]
+    frame_spans: List[int]
+    responses: Dict[str, int]
+
+
+def _tick_fed(observer: ExecutionObserver) -> bool:
+    """True for a metrics observer whose ``on_record`` is the stock rule."""
+    return isinstance(observer, MetricsObserver) and not _overrides(
+        observer, "on_record", MetricsObserver.on_record
+    )
 
 
 def replay(result: "RuntimeResult", *observers: ExecutionObserver) -> None:
@@ -226,11 +262,13 @@ class MetricsObserver(ExecutionObserver):
     record list — so long determinism/overload sweeps can aggregate without
     retaining per-instance data.
 
-    Every aggregate costs exact-rational arithmetic *per record*, so the
-    optional ones can be switched off at construction: scenario sweeps
-    request only the metrics their table needs, and ``on_record`` fires
-    hundreds of times per frame.  Disabled aggregates refuse to report
-    (their accessors raise) instead of returning silent zeros.
+    A live run feeds this observer integer-tick totals once per run
+    (:meth:`_absorb_ticks`); :meth:`on_record` is the same rule applied
+    record by record, for :func:`replay` and for subclasses that override
+    it.  The optional aggregates can be switched off at construction:
+    scenario sweeps request only the metrics their table needs.  Disabled
+    aggregates refuse to report (their accessors raise) instead of
+    returning silent zeros.
     """
 
     def __init__(
@@ -315,6 +353,30 @@ class MetricsObserver(ExecutionObserver):
             span = end - self._frame_bases[frame]
             if span > self._frame_spans[frame]:
                 self._frame_spans[frame] = span
+
+    def _absorb_ticks(self, totals: TickMetrics, from_ticks: Any) -> None:
+        """Take a whole run's timing aggregates from the executor.
+
+        The live-run counterpart of one :meth:`on_record` per instance:
+        *totals* hold the same aggregates in integer ticks, converted
+        here once per run.  ``on_record`` stays the rule (and the path of
+        :func:`replay`); the tick-path differential suite holds the two
+        equal.
+        """
+        self.total_jobs = totals.total_jobs
+        self.false_jobs = totals.false_jobs
+        self.executed_jobs = totals.total_jobs - totals.false_jobs
+        self.missed_jobs = totals.missed_jobs
+        self.worst_lateness = from_ticks(totals.worst_lateness)
+        self.makespan = from_ticks(totals.makespan)
+        if self._track_utilization:
+            self._busy = [from_ticks(b) for b in totals.busy]
+        if self._track_responses:
+            self._responses = {
+                name: from_ticks(r) for name, r in totals.responses.items()
+            }
+        if self._track_frame_spans:
+            self._frame_spans = [from_ticks(f) for f in totals.frame_spans]
 
     # -- data-phase events ----------------------------------------------
     def on_job_data_start(

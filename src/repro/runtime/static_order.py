@@ -25,7 +25,7 @@ at ``b`` iff ``p -> u(p)`` (window ``(a, b]``), else to the next window
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from itertools import chain
 
@@ -61,8 +61,31 @@ class ArrivalBinding:
 
     The binding is a pure function of the arrival trace and the server
     specs — independent of scheduling — which is what makes the policy
-    deterministic (Prop. 4.1).
+    deterministic (Prop. 4.1).  :meth:`of` shares one binding per
+    ``(network, hyperperiod, n_frames, stimulus)``; ``domain`` is the tick
+    domain every bound arrival time converts to exactly.
     """
+
+    @classmethod
+    def of(
+        cls,
+        network: Network,
+        hyperperiod: Time,
+        n_frames: int,
+        stimulus: Stimulus,
+    ) -> "ArrivalBinding":
+        """The binding, memoised on the stimulus (:meth:`Stimulus.run_memo`).
+
+        Every run over one stimulus and network — sweep cells across
+        jitter, overhead and processor axes — shares one binding and its
+        slot tables; the memo dies with the stimulus.
+        """
+        memo = stimulus.run_memo(network)
+        key = ("arrival-binding", hyperperiod, n_frames)
+        binding = memo.get(key)
+        if binding is None:
+            binding = memo[key] = cls(network, hyperperiod, n_frames, stimulus)
+        return binding
 
     def __init__(
         self,
@@ -78,6 +101,7 @@ class ArrivalBinding:
         self.n_frames = n_frames
         self._slots: Dict[Tuple[str, int, int, int], BoundArrival] = {}
         self._dropped: List[BoundArrival] = []
+        self._slot_tables: Dict[Tuple[Any, int], List[Dict[int, Tuple[int, int]]]] = {}
         arrivals_by_name = {
             name: sorted(stimulus.arrivals_for(name)) for name in pn.servers
         }
@@ -88,6 +112,7 @@ class ArrivalBinding:
             (spec.period for spec in pn.servers.values()),
             (t for arr in arrivals_by_name.values() for t in arr),
         ))
+        self.domain = dom
         H_t = dom.to_ticks(hyperperiod)
         for name, spec in pn.servers.items():
             self._bind_process(name, spec, arrivals_by_name[name], dom, H_t)
@@ -105,15 +130,16 @@ class ArrivalBinding:
         T_t = dom.to_ticks(spec.period)
         to_ticks = dom.to_ticks
         closed_right = spec.boundary_closed_right
-        per_window: Dict[Tuple[int, int], List[BoundArrival]] = {}
+        per_window: Dict[Tuple[int, int], List[Tuple[Time, int]]] = {}
         for global_k, t in enumerate(arrivals, start=1):
             t_t = to_ticks(t)
             frame, subset = _window_of_ticks(t_t, T_t, H_t, closed_right)
-            bound = BoundArrival(name, t, global_k, frame, subset, slot=0)
             if frame >= self.n_frames or t_t >= horizon_t:
-                self._dropped.append(bound)
+                self._dropped.append(
+                    BoundArrival(name, t, global_k, frame, subset, slot=0)
+                )
                 continue
-            per_window.setdefault((frame, subset), []).append(bound)
+            per_window.setdefault((frame, subset), []).append((t, global_k))
         for (frame, subset), items in per_window.items():
             if len(items) > spec.burst:
                 raise RuntimeModelError(
@@ -121,10 +147,9 @@ class ArrivalBinding:
                     f"window but burst size is {spec.burst} — the arrival "
                     "trace violates the sporadic constraint"
                 )
-            for slot, bound in enumerate(sorted(items, key=lambda b: (b.time, b.global_k)), 1):
-                key = (name, frame, subset, slot)
-                self._slots[key] = BoundArrival(
-                    name, bound.time, bound.global_k, frame, subset, slot
+            for slot, (t, global_k) in enumerate(sorted(items), 1):
+                self._slots[(name, frame, subset, slot)] = BoundArrival(
+                    name, t, global_k, frame, subset, slot
                 )
 
     # ------------------------------------------------------------------
@@ -133,6 +158,34 @@ class ArrivalBinding:
     ) -> Optional[BoundArrival]:
         """The real arrival served by a server-job slot, or ``None`` (false job)."""
         return self._slots.get((process, frame, subset, slot))
+
+    def slot_ticks(
+        self, layout: Tuple[Tuple[int, str, int, int], ...], scale: int
+    ) -> List[Dict[int, Tuple[int, int]]]:
+        """Per-frame ``{job index: (arrival tick, global_k)}`` slot tables.
+
+        *layout* lists a task graph's server jobs as ``(job index,
+        process, subset, slot)``; *scale* is the run's tick scale, a
+        multiple of :attr:`domain`'s.  A job index missing from a frame's
+        table is a false job in that frame.  Memoised per ``(layout,
+        scale)``: callers must not mutate the tables.
+        """
+        key = (layout, scale)
+        table = self._slot_tables.get(key)
+        if table is None:
+            factor = self.domain.rescale_factor(TickDomain(scale))
+            to_ticks = self.domain.to_ticks
+            slots = self._slots
+            table = []
+            for frame in range(self.n_frames):
+                row: Dict[int, Tuple[int, int]] = {}
+                for i, process, subset, slot in layout:
+                    b = slots.get((process, frame, subset, slot))
+                    if b is not None:
+                        row[i] = (to_ticks(b.time) * factor, b.global_k)
+                table.append(row)
+            self._slot_tables[key] = table
+        return table
 
     def dropped(self) -> List[BoundArrival]:
         """Arrivals beyond the simulated horizon (not served by any frame)."""

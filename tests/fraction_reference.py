@@ -299,6 +299,33 @@ def reference_jittered_execution(
     return sample
 
 
+def reference_memo_jittered_execution(
+    seed: int, low_fraction: float = 0.5
+) -> Callable[[Job, int], Time]:
+    """The WCET-checked Fraction memo sampler the tick sampler replaced.
+
+    One reseeded ``random.Random``; each sample is memoised per
+    ``(process, k, frame)`` together with the WCET it scaled, and redrawn
+    when a job with another WCET asks for the same instance.
+    """
+    rng = random.Random()
+    memo: Dict[Tuple[str, int, int], Tuple[Time, Time]] = {}
+
+    def sample(job: Job, frame: int) -> Time:
+        key = (job.process, job.k, frame)
+        hit = memo.get(key)
+        if hit is not None and hit[0] == job.wcet:
+            return hit[1]
+        rng.seed(f"{seed}/{job.process}/{job.k}/{frame}")
+        frac = low_fraction + (1 - low_fraction) * rng.random()
+        scaled = int(frac * 10_000)
+        value = job.wcet * scaled / 10_000
+        memo[key] = (job.wcet, value)
+        return value
+
+    return sample
+
+
 def _resolve_execution_time(graph: TaskGraph, spec) -> Callable[[Job, int], Time]:
     if spec is None:
         return lambda job, frame: job.wcet

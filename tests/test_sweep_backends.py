@@ -3,12 +3,15 @@ and a resident :class:`SweepPool` must agree on everything a sweep reports
 — rows, failed rows, the streamed rows and the bookkeeping counters —
 including checkpoint-store hits, repeated cells and injected faults."""
 
+import json
+
 import pytest
 
 from repro import FaultPlan, MemorySweepStore, ScenarioMatrix, run_sweep
 from repro.apps import fig1_scenario
 from repro.experiment import Scenario, SweepPool
 from repro.experiment.store import metrics_key, store_key
+from repro.io.json_io import sweep_result_to_dict
 
 METRICS = ("executed_jobs", "makespan")
 STATS_FIELDS = ("cells", "runs", "failed_cells", "store_hits", "store_misses")
@@ -144,3 +147,33 @@ def test_dispatch_plan_inspects_each_cell_once(monkeypatch):
     assert result.stats.parallel_fallback is None
     assert result.stats.store_hits == len(matrix)
     assert calls == {"dispatch_blocker": 6, "schedule_key": 6}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_resumed_sweep_document_matches_fresh(backend, pool):
+    # Requested metric order is not sorted order: a row served from the
+    # store must list its metrics as a computed row does, so the resumed
+    # table serialises byte for byte like the fresh one.
+    metrics = ("makespan", "executed_jobs")
+    matrix = ScenarioMatrix(
+        fig1_scenario(n_frames=1), {"processors": [2, 3]}
+    )
+    store = MemorySweepStore()
+
+    def document(result):
+        doc = sweep_result_to_dict(result)
+        del doc["stats"]
+        return json.dumps(doc)
+
+    def sweep():
+        if backend == "serial":
+            return run_sweep(matrix, metrics, store=store)
+        if backend == "workers2":
+            return run_sweep(matrix, metrics, workers=2, store=store)
+        return pool.submit(matrix, metrics, store=store).result()
+
+    fresh = sweep()
+    resumed = sweep()
+    assert (fresh.stats.runs, resumed.stats.store_hits) == (2, 2)
+    assert [list(row.metrics) for row in resumed.rows] == [list(metrics)] * 2
+    assert document(resumed) == document(fresh)

@@ -4,9 +4,15 @@ derivations, streaming rows, submission queueing/cancel, pool lifecycle
 isolation."""
 
 import multiprocessing
+import os
+import select
+import subprocess
+import sys
+import time
 
 import pytest
 
+import repro
 from repro import FaultPlan, MemorySweepStore, ScenarioMatrix, run_sweep
 from repro.apps import fig1_scenario, fms_scenario
 from repro.errors import ModelError
@@ -255,6 +261,63 @@ class TestPoolLifecycle:
         assert result_b.rows == fig1_serial.rows
         assert result_b.stats.failed_cells == 0
         assert result_a.rows == fig1_serial.rows
+
+    def test_workers_exit_when_parent_is_killed(self):
+        # A parent killed outright sends its workers no ``stop``: they
+        # must notice on their own and exit.  The test starts one parent
+        # process, which starts two workers.
+        parent = subprocess.Popen(
+            [sys.executable, "-c", _BOOT_POOL_AND_WAIT],
+            stdout=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": _SRC},
+            text=True,
+        )
+        try:
+            ready, _, _ = select.select([parent.stdout], [], [], 60.0)
+            assert ready, "pool parent never reported its workers"
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(pids) == 2 and all(map(_running, pids))
+        finally:
+            parent.kill()
+            parent.wait(timeout=30)
+        deadline = time.monotonic() + 10.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(map(_running, pids)), "workers outlived their parent"
+
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+#: Boots a 2-worker pool, prints the worker pids, then waits to be killed.
+_BOOT_POOL_AND_WAIT = """
+import time
+from repro import ScenarioMatrix
+from repro.apps import fig1_scenario
+from repro.experiment import SweepPool
+
+pool = SweepPool(workers=2)
+pool.submit(
+    ScenarioMatrix(fig1_scenario(n_frames=1), {"processors": [2, 3]}),
+    ("makespan",),
+).result()
+print(*(slot.process.pid for slot in pool._slots), flush=True)
+time.sleep(120)
+"""
+
+
+def _running(pid):
+    """True while *pid* exists and is not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:  # no procfs: fall back to a signal-0 probe
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,279 @@
+"""Differential suite for the tick-native runtime path.
+
+The executor feeds stock :class:`MetricsObserver` instances integer-tick
+aggregates once per run (:class:`~repro.runtime.observers.TickMetrics`)
+instead of one ``on_record`` per job instance, and samples
+:func:`jittered_execution` through its integer tick entry instead of as a
+``(job, frame) -> Fraction`` callable.  Both must be invisible: the tick
+totals equal what ``on_record`` aggregates (live through an overriding
+subclass, and post hoc through :func:`replay`), and tick-sampled runs equal
+runs driven by the Fraction reference sampler — over seeded random
+workloads x jitter seeds x overheads x homogeneous and big/little
+platforms.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from repro.apps import random_network, random_wcets
+from repro.core.channels import ChannelKind
+from repro.core.invocations import Stimulus, random_stimulus
+from repro.core.network import Network
+from repro.core.platform import Platform
+from repro.errors import RuntimeModelError
+from repro.runtime import (
+    MetricsObserver,
+    jittered_execution,
+    replay,
+    run_static_order,
+    wcet_execution,
+)
+from repro.runtime.observers import _tick_fed
+from repro.runtime.overheads import OverheadModel
+from repro.scheduling import list_schedule
+from repro.taskgraph import derive_task_graph
+
+from fraction_reference import (
+    reference_jittered_execution,
+    reference_memo_jittered_execution,
+)
+
+FRAMES = 3
+SEEDS = (0, 7, 23, 41)
+PLATFORMS = {
+    "m1": Platform.homogeneous(1),
+    "m2": Platform.homogeneous(2),
+    "big_little": Platform.of(("big", 1), ("little", 1, Fraction(1, 2))),
+}
+OVERHEADS = {
+    "none": OverheadModel.none(),
+    "fractional": OverheadModel.create(
+        first_frame_arrival="1/3", steady_frame_arrival="1/7", per_job="1/11"
+    ),
+}
+
+
+def workload(seed, scale=1):
+    net = random_network(seed=seed, n_periodic=4, n_sporadic=2)
+    wcets = {
+        name: w * scale
+        for name, w in random_wcets(
+            net, seed=seed, utilization_target=0.6
+        ).items()
+    }
+    graph = derive_task_graph(net, wcets)
+    stim = random_stimulus(net, graph.hyperperiod * FRAMES, seed=seed)
+    return net, graph, stim
+
+
+class RecordFed(MetricsObserver):
+    """Overrides ``on_record``, which opts it out of the tick feed."""
+
+    def on_record(self, record):
+        super().on_record(record)
+
+
+def exact(value):
+    assert type(value) is Fraction
+    return (value.numerator, value.denominator)
+
+
+def aggregates(m):
+    return {
+        "total": m.total_jobs,
+        "executed": m.executed_jobs,
+        "false": m.false_jobs,
+        "missed": m.missed_jobs,
+        "worst_lateness": exact(m.worst_lateness),
+        "makespan": exact(m.makespan),
+        "responses": {p: exact(r) for p, r in m.response_times().items()},
+        "utilization": [exact(u) for u in m.processor_utilization_exact()],
+        "frame_spans": [exact(f) for f in m.frame_makespans()],
+    }
+
+
+def record_fields(result):
+    return [
+        (r.process, r.frame, r.k_frame, r.global_k, r.processor,
+         exact(r.release), exact(r.start), exact(r.end), exact(r.deadline),
+         r.is_false, r.is_server, r.processor_class)
+        for r in result.records
+    ]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("platform", sorted(PLATFORMS))
+@pytest.mark.parametrize("overheads", sorted(OVERHEADS))
+@pytest.mark.parametrize("jitter", [None, 3])
+def test_tick_metrics_match_on_record(seed, platform, overheads, jitter):
+    net, graph, stim = workload(seed)
+    schedule = list_schedule(graph, PLATFORMS[platform], "alap")
+
+    def run(observers, collect_records):
+        model = None if jitter is None else jittered_execution(jitter)
+        return run_static_order(
+            net, schedule, FRAMES, stim, model, OVERHEADS[overheads],
+            observers=observers, records_only=True,
+            collect_records=collect_records, collect_trace=False,
+        )
+
+    # The sweep's shape: a lone stock observer, nothing retained.
+    ticks = MetricsObserver()
+    assert _tick_fed(ticks)
+    lean = run([ticks], collect_records=False)
+    assert lean.records == []
+    # The oracle, live: the same aggregation rule record by record.
+    live = RecordFed()
+    assert not _tick_fed(live)
+    # A stock observer beside a record consumer is still fed in ticks.
+    beside = MetricsObserver()
+    full = run([live, beside], collect_records=True)
+    # ... and post hoc, through replay().
+    replayed = MetricsObserver()
+    replay(full, replayed)
+
+    expected = aggregates(live)
+    assert expected["total"] == FRAMES * len(graph)
+    assert aggregates(ticks) == expected
+    assert aggregates(beside) == expected
+    assert aggregates(replayed) == expected
+
+
+def edge_network():
+    """One periodic user ``P`` (period 10) fed by a sporadic ``S``."""
+    net = Network("edge")
+    net.add_periodic("P", period=10, kernel=lambda ctx: None)
+    net.add_sporadic(
+        "S", min_period=10, deadline=10, burst=1, kernel=lambda ctx: None
+    )
+    net.connect("S", "P", kind=ChannelKind.BLACKBOARD)
+    net.add_priority("S", "P")
+    return net
+
+
+@pytest.mark.parametrize("execution_time", [
+    {"P": 10, "S": 1},  # P ends exactly at its deadline: not a miss
+    {"P": 4, "S": 1},   # a false S job is the last to resolve in a frame
+    {"P": 11, "S": 2},  # misses
+])
+@pytest.mark.parametrize("arrivals", [(), ("3",)])
+def test_tick_metrics_match_on_record_at_the_edges(execution_time, arrivals):
+    net = edge_network()
+    graph = derive_task_graph(net, {"P": 4, "S": 1})
+    schedule = list_schedule(graph, 1, "alap")
+    stim = Stimulus(sporadic_arrivals={"S": arrivals})
+    ticks, live = MetricsObserver(), RecordFed()
+    run_static_order(
+        net, schedule, FRAMES, stim, execution_time,
+        observers=[ticks, live], records_only=True, collect_records=False,
+    )
+    assert aggregates(ticks) == aggregates(live)
+
+
+@pytest.mark.parametrize("model", ["wcet", "jitter"])
+@pytest.mark.parametrize("speed", [Fraction(3, 7), Fraction(2, 3)])
+def test_fractional_class_speeds_stay_exact(model, speed):
+    # Integer WCETs on a class of fractional speed: the class WCETs carry
+    # denominators the graph's own tick domain lacks.
+    net = edge_network()
+    graph = derive_task_graph(net, {"P": 4, "S": 1})
+    schedule = list_schedule(graph, Platform.of(("slow", 1, speed)), "alap")
+    stim = Stimulus(sporadic_arrivals={"S": ("3", "27/2")})
+    ours, reference = (
+        (None, wcet_execution) if model == "wcet"
+        else (jittered_execution(4), reference_memo_jittered_execution(4))
+    )
+    results = [
+        run_static_order(
+            net, schedule, FRAMES, stim, m, records_only=True
+        )
+        for m in (ours, reference)
+    ]
+    executed = [r for r in results[0].records if not r.is_false]
+    assert any((r.end - r.start).denominator % speed.numerator == 0
+               for r in executed)
+    assert record_fields(results[0]) == record_fields(results[1])
+
+
+def test_tick_fed_observer_honours_tracking_opt_outs():
+    net, graph, stim = workload(7)
+    schedule = list_schedule(graph, 2, "alap")
+    lean = MetricsObserver(
+        track_responses=False, track_utilization=False,
+        track_frame_spans=False,
+    )
+    full = MetricsObserver()
+    run_static_order(
+        net, schedule, FRAMES, stim, jittered_execution(5),
+        observers=[lean, full], records_only=True, collect_records=False,
+    )
+    assert lean.miss_summary() == full.miss_summary()
+    assert lean.makespan == full.makespan
+    for accessor in (lean.response_times, lean.processor_utilization_exact,
+                     lean.frame_makespans):
+        with pytest.raises(RuntimeModelError):
+            accessor()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sampler_calls_match_fraction_references(seed):
+    _, graph, _ = workload(seed)
+    ours = jittered_execution(seed, 0.25)
+    memo_ref = reference_memo_jittered_execution(seed, 0.25)
+    fresh_ref = reference_jittered_execution(seed, 0.25)
+    for frame in range(FRAMES):
+        for job in graph.jobs:
+            got = exact(ours(job, frame))
+            assert got == exact(memo_ref(job, frame))
+            assert got == exact(fresh_ref(job, frame))
+            draw = ours.draws(frame, [(job.process, job.k)])[0]
+            assert Fraction(*got) == job.wcet * draw / ours.resolution
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("platform", sorted(PLATFORMS))
+@pytest.mark.parametrize("overheads", sorted(OVERHEADS))
+def test_tick_sampled_run_matches_fraction_sampled_run(
+    seed, platform, overheads
+):
+    net, graph, stim = workload(seed)
+    schedule = list_schedule(graph, PLATFORMS[platform], "alap")
+    # The reference sampler is a plain callable: the executor samples it
+    # as exact rationals and widens its tick domain over every duration.
+    results = [
+        run_static_order(
+            net, schedule, FRAMES, stim, model, OVERHEADS[overheads],
+            records_only=True,
+        )
+        for model in (
+            jittered_execution(seed + 1),
+            reference_memo_jittered_execution(seed + 1),
+        )
+    ]
+    assert record_fields(results[0]) == record_fields(results[1])
+    assert results[0].overhead_intervals == results[1].overhead_intervals
+
+
+@pytest.mark.parametrize("platform", sorted(PLATFORMS))
+def test_one_sampler_serves_two_wcet_tables(platform):
+    # The draw memo is keyed by instance, not by WCET: a sampler warmed on
+    # one WCET table must scale its memoised draws by the other table's
+    # WCETs, exactly as the WCET-checked Fraction memo redraws them.
+    net, graph_a, stim = workload(23)
+    _, graph_b, _ = workload(23, scale=Fraction(3, 2))
+    shared = jittered_execution(9)
+    reference = reference_memo_jittered_execution(9)
+    for graph in (graph_a, graph_b, graph_a):
+        schedule = list_schedule(graph, PLATFORMS[platform], "alap")
+        ours = run_static_order(
+            net, schedule, FRAMES, stim, shared, records_only=True
+        )
+        ref = run_static_order(
+            net, schedule, FRAMES, stim, reference, records_only=True
+        )
+        assert record_fields(ours) == record_fields(ref)
+    for job_a, job_b in zip(graph_a.jobs, graph_b.jobs):
+        assert exact(shared(job_b, 1)) == exact(reference(job_b, 1))
+        assert exact(shared(job_a, 1)) == exact(reference(job_a, 1))
+        assert shared(job_b, 1) == shared(job_a, 1) * Fraction(3, 2)
