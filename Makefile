@@ -18,12 +18,14 @@ test-faults:
 
 # Sweep-engine lane: the resident pool (warm-cache resubmits, streaming
 # rows, submission queue/cancel, lifecycle: orphans, crash respawn), the
-# run_sweep(workers=N) path and the serial/workers=2/pool differential
-# suite — three backends of one cell runner and one bookkeeper.  Spawns
+# run_sweep(workers=N) path, the serial/workers=2/pool differential
+# suite — three backends of one cell runner and one bookkeeper — and the
+# sweep-row codec at every boundary a row crosses (document, service row
+# stream, worker reply, checkpoint store; byte-stable fixtures).  Spawns
 # real worker processes; also part of the tier-1 run.
 test-pool:
 	$(PY) -m pytest tests/test_sweep_pool.py tests/test_sweep_parallel.py \
-		tests/test_sweep_backends.py -q
+		tests/test_sweep_backends.py tests/test_sweep_wire.py -q
 
 # Heterogeneous-platform lane: the degenerate-platform bit-identity
 # contract against the Fraction oracles, exact speed scaling, platform

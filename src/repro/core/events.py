@@ -152,7 +152,10 @@ class SporadicGenerator(EventGenerator):
         ``[t, t + T)`` starting at an arrival contains at most ``burst``
         arrivals.  Sliding a window so that it *starts* at each arrival is
         sufficient: any window containing ``> m`` arrivals can be shrunk on
-        the left until its first element is an arrival.
+        the left until its first element is an arrival.  On a sorted trace
+        the window at ``i`` overflows exactly when ``trace[i + burst]``
+        still falls inside it, so the check is one compare per arrival;
+        arrivals are counted only to report the first violation.
 
         Returns the normalised (Fraction) sorted list.
         """
@@ -160,13 +163,13 @@ class SporadicGenerator(EventGenerator):
         for a, b in zip(trace, trace[1:]):
             if b < a:
                 raise EventError("sporadic arrival trace must be sorted")
-        n = len(trace)
-        for i in range(n):
+        n, burst = len(trace), self.burst
+        for i in range(n - burst):
             window_end = trace[i] + self.period
-            j = i
-            while j < n and trace[j] < window_end:
-                j += 1
-            if j - i > self.burst:
+            if trace[i + burst] < window_end:
+                j = i + burst + 1
+                while j < n and trace[j] < window_end:
+                    j += 1
                 raise EventError(
                     f"sporadic constraint violated: {j - i} arrivals in "
                     f"[{time_str(trace[i])}, {time_str(window_end)}) but burst "

@@ -11,7 +11,7 @@ This package is the scenario-scale entry point to the paper's pipeline:
   :meth:`~Experiment.report`) with observers attachable at any stage;
 * :class:`ScenarioMatrix` + :func:`run_sweep` — STOMP-style cartesian
   sweeps over scenario fields with stage-aware derivation/schedule reuse
-  and lean observer-streaming execution; ``run_sweep(workers=N)`` fans
+  and observer-streaming execution; ``run_sweep(workers=N)`` fans
   the cells out across spawned worker processes, one task per
   schedule-key group (:func:`schedule_key_groups`), with rows
   bit-identical to a serial run;
@@ -34,8 +34,8 @@ deterministically testable with :class:`FaultPlan`
 
 JSON interchange for scenarios and sweep results lives in
 :mod:`repro.io.json_io` (``scenario_to_dict`` / ``sweep_result_to_dict``
-and inverses); the same tagged encoding is the parallel backend's wire
-format.
+and inverses); its one sweep-row codec also encodes the pool's worker
+replies, the service's row stream and the checkpoint store's payloads.
 """
 
 from .scenario import (

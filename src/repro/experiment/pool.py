@@ -66,8 +66,6 @@ spawn start method unconditionally and re-import the main module).
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
 import time
 from collections import OrderedDict
@@ -96,7 +94,6 @@ from .sweep import (
     DEFAULT_METRICS,
     ScenarioMatrix,
     SweepCell,
-    SweepCellError,
     SweepResult,
     SweepRow,
     SweepStats,
@@ -117,12 +114,6 @@ _POLL_INTERVAL = 0.02
 #: Worker-side inbox wait [s] between checks that the parent is alive: a
 #: worker whose parent was killed exits within about this long.
 _PARENT_CHECK_INTERVAL = 0.5
-
-
-def _payload_hash(data: Any) -> str:
-    """Content hash of a JSON-able payload (canonical encoding)."""
-    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -157,7 +148,6 @@ class PoolEvent:
 def _encode_service_group(
     group: Sequence[SweepCell],
     metrics: Tuple[str, ...],
-    lean: bool,
     faults: Optional[FaultPlan] = None,
     attempt: int = 0,
 ) -> str:
@@ -171,7 +161,7 @@ def _encode_service_group(
     The scenario hash is computed over the stimulus-free body — stimulus
     identity is covered by the pool entry's own hash.
     """
-    from ..io.json_io import scenario_to_dict, stimulus_to_dict
+    from ..io.json_io import content_hash, scenario_to_dict, stimulus_to_dict
 
     pool: List[Dict[str, Any]] = []
     pool_index: Dict[int, int] = {}
@@ -187,12 +177,12 @@ def _encode_service_group(
                 stim_ref = pool_index[id(stimulus)] = len(pool)
                 stim_data = stimulus_to_dict(stimulus)
                 pool.append(
-                    {"hash": _payload_hash(stim_data), "data": stim_data}
+                    {"hash": content_hash(stim_data), "data": stim_data}
                 )
         cells.append({
             "index": cell.index,
             "scenario": data,
-            "hash": _payload_hash(data),
+            "hash": content_hash(data),
             "stimulus": stim_ref,
         })
     plan = (
@@ -201,7 +191,6 @@ def _encode_service_group(
     )
     return json.dumps({
         "metrics": list(metrics),
-        "lean": lean,
         "stimulus_pool": pool,
         "cells": cells,
         "faults": None if plan is None or plan.is_empty
@@ -257,13 +246,15 @@ def _service_run_group(payload: str, caches: _WorkerCaches) -> str:
     engine a serial sweep uses, on the :class:`PipelineCache` fetched
     from (or installed into) the per-schedule-key LRU; scenario/stimulus
     decoding is skipped when the content hash hits.  Each outcome
-    carries its cache-counter deltas, so a warm group contributes
-    exactly zero derivations/schedules to the sweep's totals.
+    travels as a :func:`~repro.io.json_io.sweep_row_to_dict` row without
+    its cell (the parent owns the coordinates), plus its cell index and
+    cache-counter deltas, so a warm group contributes exactly zero
+    derivations/schedules to the sweep's totals.
     """
     from ..io.json_io import (
         scenario_from_dict,
         stimulus_from_dict,
-        value_to_jsonable,
+        sweep_row_to_dict,
     )
 
     data = json.loads(payload)
@@ -302,21 +293,19 @@ def _service_run_group(payload: str, caches: _WorkerCaches) -> str:
     for outcome in _run_cells(
         cells, metrics, any(name in DATA_METRICS for name in metrics),
         cache=cache,
-        lean=bool(data["lean"]),
         faults=None if plan_data is None
         else FaultPlan.from_jsonable(plan_data),
         in_worker=True,
         retries=int(data.get("attempt", 0)),
     ):
-        item = {"index": outcome.cell.index, "stages": outcome.stages}
-        if outcome.error is not None:
-            item["error"] = dataclasses.asdict(outcome.error)
-        else:
-            item["metrics"] = {
-                name: value_to_jsonable(value)
-                for name, value in outcome.metrics.items()
-            }
-        outcomes.append(item)
+        row = SweepRow(
+            cell={}, metrics=outcome.metrics or {}, error=outcome.error
+        )
+        outcomes.append({
+            "index": outcome.cell.index,
+            "stages": outcome.stages,
+            **sweep_row_to_dict(row),
+        })
     return json.dumps({
         "outcomes": outcomes,
         "group_cache_hit": warm,
@@ -375,7 +364,6 @@ class _Submission:
     """One submitted matrix: its bookkeeper, options and dispatch state."""
 
     book: _SweepBook
-    lean: bool
     on_error: str
     on_progress: Optional[Callable[[PoolEvent], None]]
     group_timeout: Optional[float]
@@ -615,7 +603,6 @@ class SweepPool:
         matrix: ScenarioMatrix,
         metrics: Sequence[str] = DEFAULT_METRICS,
         *,
-        lean: bool = True,
         cells: Optional[Sequence[SweepCell]] = None,
         store: Optional[SweepStore] = None,
         faults: Optional[FaultPlan] = None,
@@ -676,7 +663,7 @@ class SweepPool:
             raise ModelError(plan)
         return self._enqueue(
             book, plan,
-            lean=lean, faults=faults, on_error=on_error,
+            faults=faults, on_error=on_error,
             on_progress=on_progress, group_timeout=group_timeout,
             max_retries=max_retries, retry_backoff=retry_backoff,
             client=client,
@@ -687,7 +674,6 @@ class SweepPool:
         book: _SweepBook,
         groups: Dict[Any, List[SweepCell]],
         *,
-        lean: bool,
         faults: Optional[FaultPlan],
         on_error: str,
         on_progress: Optional[Callable[[PoolEvent], None]],
@@ -705,7 +691,6 @@ class SweepPool:
         stats.pool_reused = self.started
         submission = _Submission(
             book=book,
-            lean=lean,
             on_error=on_error,
             on_progress=on_progress,
             group_timeout=(
@@ -876,7 +861,7 @@ class SweepPool:
         self._pending.remove(group)
         submission = group.submission
         payload = _encode_service_group(
-            group.cells, submission.book.metrics, submission.lean,
+            group.cells, submission.book.metrics,
             faults=submission.faults, attempt=group.attempt,
         )
         slot.inbox.put(("run", payload))
@@ -989,21 +974,18 @@ class SweepPool:
         group before letting it propagate, so a buggy sink degrades to a
         visible exception instead of a wedged ticket.
         """
-        from ..io.json_io import value_from_jsonable
+        from ..io.json_io import sweep_row_from_dict
 
         book = group.submission.book
         data = json.loads(payload)
         cell_by_index = {cell.index: cell for cell in group.cells}
         callback_error: Optional[BaseException] = None
         for item in data["outcomes"]:
-            error = item.get("error")
+            row = sweep_row_from_dict(item)
             outcome = _CellOutcome(
                 cell_by_index[item["index"]],
-                metrics=None if error is not None else {
-                    name: value_from_jsonable(value)
-                    for name, value in item["metrics"].items()
-                },
-                error=None if error is None else SweepCellError(**error),
+                metrics=None if row.error is not None else row.metrics,
+                error=row.error,
                 stages=tuple(item["stages"]),
             )
             try:

@@ -37,7 +37,6 @@ them normally without consulting the store.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sqlite3
 from typing import Any, Dict, Iterable, Optional, Tuple
@@ -62,11 +61,9 @@ def scenario_hash(scenario: Scenario) -> str:
     not serialise (code-bearing workloads/WCETs); use :func:`store_key`
     for the forgiving variant.
     """
-    from ..io.json_io import scenario_to_dict
+    from ..io.json_io import content_hash, scenario_to_dict
 
-    data = scenario_to_dict(scenario)
-    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return content_hash(scenario_to_dict(scenario))
 
 
 def store_key(scenario: Scenario) -> Optional[str]:
@@ -87,25 +84,6 @@ def store_key(scenario: Scenario) -> Optional[str]:
 def metrics_key(metrics: Iterable[str]) -> str:
     """Canonical key of a requested metric set (order-insensitive)."""
     return ",".join(sorted(metrics))
-
-
-def _encode_row(metrics: Dict[str, Any]) -> str:
-    from ..io.json_io import value_to_jsonable
-
-    return json.dumps(
-        {name: value_to_jsonable(v) for name, v in metrics.items()},
-        sort_keys=True,
-    )
-
-
-def _decode_row(payload: str) -> Dict[str, Any]:
-    from ..io.json_io import value_from_jsonable
-
-    try:
-        data = json.loads(payload)
-    except ValueError as exc:
-        raise CheckpointError(f"corrupt store row payload: {exc}") from exc
-    return {name: value_from_jsonable(v) for name, v in data.items()}
 
 
 class SweepStore:
@@ -135,14 +113,27 @@ class SweepStore:
         self, scenario_key: str, metric_set: str
     ) -> Optional[Dict[str, Any]]:
         """The stored metric row, decoded to exact values, or ``None``."""
+        from ..io.json_io import value_map_from_jsonable
+
         payload = self._load(scenario_key, metric_set)
-        return None if payload is None else _decode_row(payload)
+        if payload is None:
+            return None
+        try:
+            data = json.loads(payload)
+        except ValueError as exc:
+            raise CheckpointError(f"corrupt store row payload: {exc}") from exc
+        return value_map_from_jsonable(data, "store row payload")
 
     def put(
         self, scenario_key: str, metric_set: str, metrics: Dict[str, Any]
     ) -> None:
         """Persist one healthy row (idempotent: last write wins)."""
-        self._save(scenario_key, metric_set, _encode_row(metrics))
+        from ..io.json_io import value_map_to_jsonable
+
+        self._save(
+            scenario_key, metric_set,
+            json.dumps(value_map_to_jsonable(metrics), sort_keys=True),
+        )
 
     def __contains__(self, key: Tuple[str, str]) -> bool:
         scenario_key, metric_set = key

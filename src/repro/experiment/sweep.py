@@ -17,7 +17,7 @@ Two properties make sweeps cheap at scenario scale:
   ``(workload, wcet, horizon, processors, heuristics)`` key.  The
   :class:`SweepStats` counters surface exactly how many stage computations
   the sweep paid.
-* **Lean execution** — each cell runs with ``collect_records=False`` and
+* **Streaming execution** — each cell runs with ``collect_records=False`` and
   ``collect_trace=False`` (nothing is retained per instance; the cell's
   :class:`~repro.runtime.observers.MetricsObserver` receives integer-tick
   aggregates once per run, so no job record is built), and when the
@@ -264,7 +264,7 @@ class SweepRow:
     cell: Dict[str, Any]
     metrics: Dict[str, Any]
     #: Retained only with ``run_sweep(..., keep_results=True)``; excluded
-    #: from equality so lean and retaining sweeps compare by content.
+    #: from equality so streaming and retaining sweeps compare by content.
     result: Optional[RuntimeResult] = field(default=None, compare=False)
     #: Set only on failed rows (``SweepResult.failed_rows``); healthy rows
     #: carry ``None``, so equality against pre-fault-capture rows holds.
@@ -414,7 +414,6 @@ def _run_cell(
     metrics: Tuple[str, ...],
     want_data: bool,
     *,
-    lean: bool,
     keep_results: bool,
     cache: PipelineCache,
     extra_observers: Sequence[ExecutionObserver] = (),
@@ -447,21 +446,19 @@ def _run_cell(
     if keep_results:
         # Retained rows must be usable post-hoc (replay, observables,
         # record-derived metrics), so record collection is forced on even
-        # when the base scenario itself runs lean — retaining a
+        # when the base scenario itself suppresses records — retaining a
         # record-suppressed result would hand back rows whose result
         # cannot report anything.
         run_scenario = (
             scenario if scenario.collect_records
             else scenario.replace(collect_records=True)
         )
-    elif lean:
+    else:
         run_scenario = scenario.replace(
             records_only=scenario.records_only or not cell_wants_data,
             collect_records=False,
             collect_trace=False,
         )
-    else:
-        run_scenario = scenario
     experiment = Experiment(run_scenario, cache=cache)
     result = experiment.run(observers=observers)
     return (
@@ -499,7 +496,6 @@ def _run_cells(
     want_data: bool,
     *,
     cache: PipelineCache,
-    lean: bool,
     keep_results: bool = False,
     observer_factory: Optional[
         Callable[[SweepCell], Sequence[ExecutionObserver]]
@@ -526,7 +522,7 @@ def _run_cells(
             )
             cell_metrics, result = _run_cell(
                 cell, metrics, want_data,
-                lean=lean, keep_results=keep_results, cache=cache,
+                keep_results=keep_results, cache=cache,
                 extra_observers=extra,
             )
         except Exception as exc:
@@ -758,7 +754,6 @@ def run_sweep(
     matrix: ScenarioMatrix,
     metrics: Sequence[str] = DEFAULT_METRICS,
     *,
-    lean: bool = True,
     keep_results: bool = False,
     observer_factory: Optional[
         Callable[[SweepCell], Sequence[ExecutionObserver]]
@@ -780,18 +775,17 @@ def run_sweep(
     ----------
     metrics:
         Row columns, drawn from :data:`TIMING_METRICS` and
-        :data:`DATA_METRICS`.  When no data metric is requested the cells
-        run ``records_only`` (the data phase — kernels, channel states —
-        is skipped entirely).
-    lean:
-        Run cells with ``collect_records=False`` / ``collect_trace=False``
-        (observer-streaming only; nothing retained per instance).  Set
-        ``False`` to honour each scenario's own executor flags.
+        :data:`DATA_METRICS`.  Cells run with ``collect_records=False`` /
+        ``collect_trace=False`` (observer-streaming only; nothing retained
+        per instance), and when no data metric is requested they run
+        ``records_only`` (the data phase — kernels, channel states — is
+        skipped entirely).
     keep_results:
         Retain every cell's full :class:`RuntimeResult` on its row.
-        Record collection is forced on for the retained runs (a lean base
-        scenario would otherwise retain record-suppressed, unusable
-        results); the other executor flags stay as the scenario says.
+        Record collection is forced on for the retained runs (a base
+        scenario with ``collect_records=False`` would otherwise retain
+        record-suppressed, unusable results); the other executor flags
+        stay as the scenario says.
     observer_factory:
         Optional per-cell extra observers, attached live to that cell's
         run (e.g. exporters or dashboards fed by the same event streams).
@@ -903,14 +897,13 @@ def run_sweep(
         ) as pool:
             return pool._enqueue(
                 book, plan,
-                lean=lean, faults=faults, on_error=on_error,
+                faults=faults, on_error=on_error,
                 on_progress=on_progress,
             ).result()
 
     runner = _run_cells(
         book.resolve_hits(), metrics, want_data,
         cache=cache if cache is not None else PipelineCache(),
-        lean=lean,
         keep_results=keep_results,
         observer_factory=observer_factory,
         faults=faults,

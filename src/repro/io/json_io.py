@@ -19,11 +19,17 @@ stored next to experiment results:
   survive the trip;
 * **sweep results** (:class:`repro.experiment.SweepResult`) serialise
   their axes, rows and stage-reuse statistics, so sweep tables can be
-  diffed across commits and machines.
+  diffed across commits and machines;
+* **sweep rows** have exactly one codec here (:func:`sweep_row_to_dict`,
+  :func:`value_map_to_jsonable`, :func:`sweep_stats_to_dict`,
+  :func:`content_hash`): the sweep document, the service row stream,
+  the pool's worker replies and the checkpoint store all go through it.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Mapping, Optional
@@ -646,6 +652,125 @@ def spans_to_jsonable(spans: Any) -> Dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
+# sweep rows — the one owner of the row format.  A row crosses every
+# process and file boundary through these codecs: the fppn-sweep document,
+# the service's ``sweep.row`` notifications, the pool's worker replies and
+# the checkpoint store's payloads.  That is what keeps sweep rows
+# bit-identical across the serial, pooled and served backends.
+# ---------------------------------------------------------------------------
+def content_hash(data: Any) -> str:
+    """SHA-256 hex digest of a JSON-able value's canonical encoding.
+
+    Canonical means sorted keys and compact separators, so equal values
+    hash equally whatever their key order.  Content keys of scenarios
+    (the checkpoint store) and of pool payloads (the worker caches) are
+    both this hash.
+    """
+    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def value_map_to_jsonable(values: Mapping[str, Any]) -> Dict[str, Any]:
+    """A row's cell or metric map in the tagged value encoding."""
+    return {name: value_to_jsonable(v) for name, v in values.items()}
+
+
+def value_map_from_jsonable(data: Any, what: str) -> Dict[str, Any]:
+    """Inverse of :func:`value_map_to_jsonable`."""
+    if not isinstance(data, Mapping):
+        raise FormatError(f"{what} must be a JSON object, got {data!r}")
+    return {name: value_from_jsonable(v) for name, v in data.items()}
+
+
+def sweep_row_to_dict(row: SweepRow) -> Dict[str, Any]:
+    """Encode one row: its cell plus either its metrics or its error.
+
+    ``result`` (retained runs) never travels — rows carry data, not
+    simulations.
+    """
+    out: Dict[str, Any] = {"cell": value_map_to_jsonable(row.cell)}
+    error = row.error
+    if error is not None:
+        out["error"] = {
+            "type": error.error_type,
+            "message": error.message,
+            "stage": error.stage,
+            "retries": error.retries,
+        }
+    else:
+        out["metrics"] = value_map_to_jsonable(row.metrics)
+    return out
+
+
+def sweep_row_from_dict(data: Mapping[str, Any]) -> SweepRow:
+    """Inverse of :func:`sweep_row_to_dict`.
+
+    Rows come from outside the process (a server reply, a file), so an
+    error record without its ``type`` or ``message`` is refused with a
+    :class:`FormatError` naming the key, as is a non-integer
+    ``retries``; ``stage`` and ``retries`` default as in
+    :class:`SweepCellError`.
+    """
+    cell = value_map_from_jsonable(data.get("cell", {}), "row cell")
+    error = data.get("error")
+    if error is None:
+        return SweepRow(
+            cell=cell,
+            metrics=value_map_from_jsonable(
+                data.get("metrics", {}), "row metrics"
+            ),
+        )
+    if not isinstance(error, Mapping):
+        raise FormatError(f"row error record must be an object: {error!r}")
+    try:
+        return SweepRow(
+            cell=cell,
+            metrics={},
+            error=SweepCellError(
+                error_type=error["type"],
+                message=error["message"],
+                stage=error.get("stage", "run"),
+                retries=int(error.get("retries", 0)),
+            ),
+        )
+    except KeyError as exc:
+        raise FormatError(f"row error record is missing {exc}: {error!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"bad row error record {error!r}") from exc
+
+
+_STATS_FIELDS = dataclasses.fields(SweepStats)
+
+
+def sweep_stats_to_dict(stats: SweepStats) -> Dict[str, Any]:
+    """Every :class:`SweepStats` field, in declaration order."""
+    return {f.name: getattr(stats, f.name) for f in _STATS_FIELDS}
+
+
+def sweep_stats_from_dict(data: Mapping[str, Any]) -> SweepStats:
+    """Inverse of :func:`sweep_stats_to_dict`.
+
+    A missing field takes its dataclass default, so payloads written
+    before a counter existed decode with the neutral value.  Each value
+    is coerced to the type of its default (``parallel_fallback``, whose
+    default is ``None``, passes through).
+    """
+    values = {}
+    for f in _STATS_FIELDS:
+        if f.name in data:
+            value = data[f.name]
+            try:
+                values[f.name] = (
+                    value if f.default is None else type(f.default)(value)
+                )
+            except (TypeError, ValueError) as exc:
+                raise FormatError(
+                    f"bad sweep stats field {f.name!r}: {value!r}"
+                ) from exc
+    return SweepStats(**values)
+
+
+# ---------------------------------------------------------------------------
 # sweep results
 # ---------------------------------------------------------------------------
 def sweep_result_to_dict(result: SweepResult) -> Dict[str, Any]:
@@ -664,60 +789,17 @@ def sweep_result_to_dict(result: SweepResult) -> Dict[str, Any]:
             for name, values in result.axes.items()
         },
         "metrics": list(result.metrics),
-        "rows": [
-            {
-                "cell": {
-                    name: value_to_jsonable(v) for name, v in row.cell.items()
-                },
-                "metrics": {
-                    name: value_to_jsonable(v)
-                    for name, v in row.metrics.items()
-                },
-            }
-            for row in result.rows
-        ],
+        "rows": [sweep_row_to_dict(row) for row in result.rows],
         # Failure capture travels with the table: failed rows have no
         # metrics, their error record instead.  Omitted entirely when the
         # sweep was clean, so clean payloads are byte-stable across
         # library versions.
         **(
-            {
-                "failed_rows": [
-                    {
-                        "cell": {
-                            name: value_to_jsonable(v)
-                            for name, v in row.cell.items()
-                        },
-                        "error": {
-                            "type": row.error.error_type,
-                            "message": row.error.message,
-                            "stage": row.error.stage,
-                            "retries": row.error.retries,
-                        },
-                    }
-                    for row in result.failed_rows
-                ]
-            }
+            {"failed_rows": [sweep_row_to_dict(r) for r in result.failed_rows]}
             if result.failed_rows
             else {}
         ),
-        "stats": {
-            "cells": result.stats.cells,
-            "runs": result.stats.runs,
-            "networks_built": result.stats.networks_built,
-            "derivations_computed": result.stats.derivations_computed,
-            "schedules_computed": result.stats.schedules_computed,
-            "workers": result.stats.workers,
-            "parallel_fallback": result.stats.parallel_fallback,
-            "failed_cells": result.stats.failed_cells,
-            "retries": result.stats.retries,
-            "store_hits": result.stats.store_hits,
-            "store_misses": result.stats.store_misses,
-            "interrupted": result.stats.interrupted,
-            "pool_reused": result.stats.pool_reused,
-            "warm_group_hits": result.stats.warm_group_hits,
-            "payload_cache_hits": result.stats.payload_cache_hits,
-        },
+        "stats": sweep_stats_to_dict(result.stats),
     }
 
 
@@ -729,59 +811,23 @@ def sweep_result_from_dict(data: Mapping[str, Any]) -> SweepResult:
     counters, not interrupted).
     """
     _check_header(data, "fppn-sweep")
-    stats_in = data.get("stats", {})
+    rows = [sweep_row_from_dict(row) for row in data.get("rows", [])]
+    failed_rows = [
+        sweep_row_from_dict(row) for row in data.get("failed_rows", [])
+    ]
+    if any(row.error is not None for row in rows):
+        raise FormatError("a healthy sweep row carries an error record")
+    if any(row.error is None for row in failed_rows):
+        raise FormatError("a failed sweep row has no error record")
     return SweepResult(
         axes={
             name: tuple(value_from_jsonable(v) for v in values)
             for name, values in data.get("axes", {}).items()
         },
         metrics=tuple(data.get("metrics", [])),
-        rows=[
-            SweepRow(
-                cell={
-                    name: value_from_jsonable(v)
-                    for name, v in row.get("cell", {}).items()
-                },
-                metrics={
-                    name: value_from_jsonable(v)
-                    for name, v in row.get("metrics", {}).items()
-                },
-            )
-            for row in data.get("rows", [])
-        ],
-        stats=SweepStats(
-            cells=int(stats_in.get("cells", 0)),
-            runs=int(stats_in.get("runs", 0)),
-            networks_built=int(stats_in.get("networks_built", 0)),
-            derivations_computed=int(stats_in.get("derivations_computed", 0)),
-            schedules_computed=int(stats_in.get("schedules_computed", 0)),
-            workers=int(stats_in.get("workers", 1)),
-            parallel_fallback=stats_in.get("parallel_fallback"),
-            failed_cells=int(stats_in.get("failed_cells", 0)),
-            retries=int(stats_in.get("retries", 0)),
-            store_hits=int(stats_in.get("store_hits", 0)),
-            store_misses=int(stats_in.get("store_misses", 0)),
-            interrupted=bool(stats_in.get("interrupted", False)),
-            pool_reused=bool(stats_in.get("pool_reused", False)),
-            warm_group_hits=int(stats_in.get("warm_group_hits", 0)),
-            payload_cache_hits=int(stats_in.get("payload_cache_hits", 0)),
-        ),
-        failed_rows=[
-            SweepRow(
-                cell={
-                    name: value_from_jsonable(v)
-                    for name, v in row.get("cell", {}).items()
-                },
-                metrics={},
-                error=SweepCellError(
-                    error_type=row["error"]["type"],
-                    message=row["error"]["message"],
-                    stage=row["error"].get("stage", "run"),
-                    retries=int(row["error"].get("retries", 0)),
-                ),
-            )
-            for row in data.get("failed_rows", [])
-        ],
+        rows=rows,
+        stats=sweep_stats_from_dict(data.get("stats", {})),
+        failed_rows=failed_rows,
     )
 
 

@@ -203,7 +203,6 @@ class SweepOrchestrator:
         client: Optional[str] = None,
         faults: Optional[FaultPlan] = None,
         on_error: str = "capture",
-        lean: bool = True,
         group_timeout: Optional[float] = None,
         max_retries: Optional[int] = None,
     ) -> int:
@@ -226,7 +225,6 @@ class SweepOrchestrator:
             "metrics": metrics,
             "faults": faults,
             "on_error": on_error,
-            "lean": lean,
             "group_timeout": group_timeout,
             "max_retries": max_retries,
             "client": client,
@@ -439,7 +437,6 @@ class SweepOrchestrator:
         ticket.pool_ticket = self._pool.submit(
             matrix,
             kwargs["metrics"],
-            lean=kwargs["lean"],
             store=self._store,
             faults=kwargs["faults"],
             on_error=kwargs["on_error"],

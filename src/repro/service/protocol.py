@@ -46,8 +46,7 @@ import json
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..errors import ProtocolError
-from ..experiment.sweep import SweepCellError, SweepRow
-from ..io.json_io import value_from_jsonable, value_to_jsonable
+from ..io.json_io import sweep_row_from_dict, sweep_row_to_dict
 
 __all__ = [
     "JSONRPC_VERSION",
@@ -174,53 +173,9 @@ def check_request(
     return method, params, rid
 
 
-# ---------------------------------------------------------------------------
-# row payloads — the streaming unit (final tables use the fppn-sweep
-# document from json_io; a live row travels alone)
-# ---------------------------------------------------------------------------
-def sweep_row_to_wire(row: SweepRow) -> Dict[str, Any]:
-    """Encode one row — healthy (metrics) or failed (error record)."""
-    out: Dict[str, Any] = {
-        "cell": {
-            name: value_to_jsonable(v) for name, v in row.cell.items()
-        },
-    }
-    if row.error is not None:
-        out["error"] = {
-            "type": row.error.error_type,
-            "message": row.error.message,
-            "stage": row.error.stage,
-            "retries": row.error.retries,
-        }
-    else:
-        out["metrics"] = {
-            name: value_to_jsonable(v) for name, v in row.metrics.items()
-        }
-    return out
-
-
-def sweep_row_from_wire(data: Mapping[str, Any]) -> SweepRow:
-    """Inverse of :func:`sweep_row_to_wire` (``result`` never travels)."""
-    cell = {
-        name: value_from_jsonable(v)
-        for name, v in data.get("cell", {}).items()
-    }
-    error = data.get("error")
-    if error is not None:
-        return SweepRow(
-            cell=cell,
-            metrics={},
-            error=SweepCellError(
-                error_type=error["type"],
-                message=error["message"],
-                stage=error.get("stage", "run"),
-                retries=int(error.get("retries", 0)),
-            ),
-        )
-    return SweepRow(
-        cell=cell,
-        metrics={
-            name: value_from_jsonable(v)
-            for name, v in data.get("metrics", {}).items()
-        },
-    )
+# Row payloads — the streaming unit — are encoded by the one sweep-row
+# codec in json_io (final tables use its fppn-sweep document; a live row
+# travels alone).  Both names stay attributes of this module: callers go
+# through it, so a wrapper installed here sees every streamed row.
+sweep_row_to_wire = sweep_row_to_dict
+sweep_row_from_wire = sweep_row_from_dict

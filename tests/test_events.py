@@ -11,6 +11,7 @@ from repro.core.events import (
     SporadicGenerator,
     merge_invocations,
 )
+from repro.core.timebase import time_str
 from repro.errors import EventError
 
 
@@ -106,26 +107,35 @@ class TestSporadicGenerator:
     def test_empty_trace_ok(self):
         assert SporadicGenerator(100, 100).validate_trace([]) == []
 
-    @given(st.lists(st.integers(min_value=0, max_value=3000), max_size=20))
+    @given(
+        st.lists(st.integers(min_value=0, max_value=3000), max_size=20),
+        st.integers(min_value=1, max_value=4),
+    )
     @settings(max_examples=50)
-    def test_validator_matches_bruteforce(self, raw):
-        """The window validator agrees with a brute-force check."""
+    def test_validator_matches_bruteforce(self, raw, burst):
+        """The window validator agrees with a brute-force check, and
+        reports the first violating window the brute force finds."""
         trace = sorted(Fraction(t) for t in raw)
-        g = SporadicGenerator(250, 250, burst=2)
+        g = SporadicGenerator(250, 250, burst=burst)
 
-        def brute_ok() -> bool:
-            for i, t in enumerate(trace):
+        def brute_first_violation():
+            for t in trace:
                 count = sum(1 for u in trace if t <= u < t + 250)
-                if count > 2:
-                    return False
-            return True
+                if count > burst:
+                    return (
+                        f"sporadic constraint violated: {count} arrivals in "
+                        f"[{time_str(t)}, {time_str(t + 250)}) but burst "
+                        f"size is {burst}"
+                    )
+            return None
 
-        try:
-            g.validate_trace(trace)
-            valid = True
-        except EventError:
-            valid = False
-        assert valid == brute_ok()
+        expected = brute_first_violation()
+        if expected is None:
+            assert g.validate_trace(trace) == trace
+        else:
+            with pytest.raises(EventError) as info:
+                g.validate_trace(trace)
+            assert str(info.value) == expected
 
 
 class TestMergeInvocations:
