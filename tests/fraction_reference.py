@@ -9,6 +9,13 @@ records and determinism observables.
 
 Deliberately unoptimised — do not "improve" these; their value is being a
 direct transliteration of the rational-domain definitions.
+
+The scheduling and runtime oracles take a platform: a job's duration on
+flat processor ``p`` is ``job.wcet_on(platform.class_of(p))``, the
+WCET-consuming heuristics rank on the exact rational ``min`` / ``max`` /
+``mean`` of those durations over the platform's classes, and sampled
+execution times scale by ``wcet_on(cls) / wcet``.  A processor count is
+the homogeneous platform of that many speed-1 processors.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, 
 from repro.core.channels import ChannelState, ExternalOutputState
 from repro.core.invocations import Stimulus
 from repro.core.network import Network
+from repro.core.platform import Platform, PlatformLike, as_platform
 from repro.core.process import JobContext
 from repro.core.timebase import (
     Time,
@@ -28,13 +36,14 @@ from repro.core.timebase import (
     as_positive_time,
     as_time,
     hyperperiod as lcm_periods,
+    time_str,
 )
 from repro.core.trace import JobEnd, JobStart, Trace
 from repro.errors import ModelError
 from repro.runtime.executor import JobRecord, RuntimeResult
 from repro.runtime.overheads import OverheadModel
 from repro.runtime.static_order import ArrivalBinding, FramePlan
-from repro.scheduling.list_scheduler import _resolve_priority
+from repro.scheduling.priorities import available_heuristics, get_heuristic
 from repro.scheduling.schedule import ScheduledJob, StaticSchedule
 from repro.taskgraph.derivation import WcetMap
 from repro.taskgraph.graph import TaskGraph
@@ -221,13 +230,104 @@ def reference_derive_task_graph(
 
 
 # ----------------------------------------------------------------------
+# Reference SP heuristics (Fraction sort keys, platform-aware WCETs).
+# ----------------------------------------------------------------------
+
+def reference_duration(job: Job, platform: Platform, processor: int) -> Time:
+    """A job's execution time on flat processor *processor*."""
+    return job.wcet_on(platform.class_of(processor))
+
+
+def reference_aggregate_wcets(
+    graph: TaskGraph, platform: PlatformLike, aggregate: str = "mean"
+) -> List[Time]:
+    """Per-job ``min`` / ``max`` / exact rational ``mean`` over the classes."""
+    classes = as_platform(platform).classes
+    out: List[Time] = []
+    for job in graph.jobs:
+        values = [job.wcet_on(cls) for cls in classes]
+        if aggregate == "min":
+            out.append(min(values))
+        elif aggregate == "max":
+            out.append(max(values))
+        elif aggregate == "mean":
+            out.append(sum(values, Time(0)) / len(values))
+        else:
+            raise ValueError(f"unknown WCET aggregate {aggregate!r}")
+    return out
+
+
+def _reference_ranks(keys: Sequence) -> List[int]:
+    order = sorted(range(len(keys)), key=lambda i: keys[i])
+    ranks = [0] * len(keys)
+    for pos, i in enumerate(order):
+        ranks[i] = pos
+    return ranks
+
+
+def reference_priority(
+    graph: TaskGraph,
+    heuristic: str,
+    platform: PlatformLike = 1,
+    wcet_aggregate: str = "mean",
+) -> List[int]:
+    """Rank list of a built-in SP heuristic, from exact rational keys.
+
+    ``alap`` and ``blevel`` weigh jobs by their aggregated WCET on
+    *platform*; ``deadline`` and ``arrival`` never read a WCET.  Other
+    registered names fall back to the library heuristic on the graph.
+    """
+    jobs = graph.jobs
+    n = len(jobs)
+    if heuristic == "deadline":
+        return _reference_ranks(
+            [(jobs[i].deadline, jobs[i].arrival, i) for i in range(n)]
+        )
+    if heuristic == "arrival":
+        return _reference_ranks(
+            [(jobs[i].arrival, jobs[i].deadline, i) for i in range(n)]
+        )
+    if heuristic not in ("alap", "blevel"):
+        return list(get_heuristic(heuristic)(graph))
+    wcet = reference_aggregate_wcets(graph, platform, wcet_aggregate)
+    if heuristic == "blevel":
+        blevel: List[Time] = [Time(0)] * n
+        for i in range(n - 1, -1, -1):
+            tail = max((blevel[s] for s in graph.successors(i)), default=0)
+            blevel[i] = wcet[i] + tail
+        return _reference_ranks(
+            [(-blevel[i], jobs[i].deadline, i) for i in range(n)]
+        )
+    asap: List[Time] = [Time(0)] * n
+    for i in range(n):
+        asap[i] = max(
+            [jobs[i].arrival]
+            + [asap[p] + wcet[p] for p in graph.predecessors(i)]
+        )
+    alap: List[Time] = [Time(0)] * n
+    for i in range(n - 1, -1, -1):
+        alap[i] = min(
+            [jobs[i].deadline]
+            + [alap[s] - wcet[s] for s in graph.successors(i)]
+        )
+    return _reference_ranks([(alap[i], asap[i], i) for i in range(n)])
+
+
+# ----------------------------------------------------------------------
 # Reference list scheduler (Fraction event loop, list-based blocked set).
 # ----------------------------------------------------------------------
 
 def reference_list_schedule(
-    graph: TaskGraph, processors: int, priority="alap"
+    graph: TaskGraph,
+    processors: PlatformLike,
+    priority="alap",
+    wcet_aggregate: str = "mean",
 ) -> StaticSchedule:
-    ranks = _resolve_priority(graph, priority)
+    platform = as_platform(processors)
+    if isinstance(priority, str):
+        ranks = reference_priority(graph, priority, platform, wcet_aggregate)
+    else:
+        ranks = list(priority)
     n = len(graph)
     remaining_preds = [len(graph.predecessors(i)) for i in range(n)]
     entries: List[ScheduledJob] = []
@@ -236,7 +336,7 @@ def reference_list_schedule(
     heapq.heapify(arrivals)
     ready: List = []
     running: List = []
-    free = list(range(processors))
+    free = list(range(platform.processors))
     heapq.heapify(free)
     blocked: List[int] = []
 
@@ -253,7 +353,7 @@ def reference_list_schedule(
             rank, i = heapq.heappop(ready)
             proc = heapq.heappop(free)
             entries.append(ScheduledJob(i, proc, now))
-            finish = now + graph.jobs[i].wcet
+            finish = now + reference_duration(graph.jobs[i], platform, proc)
             heapq.heappush(running, (finish, proc, i))
             scheduled += 1
         if scheduled >= n:
@@ -278,7 +378,154 @@ def reference_list_schedule(
                         heapq.heappush(
                             arrivals, (graph.jobs[s].arrival, ranks[s], s)
                         )
-    return StaticSchedule(graph, processors, entries)
+    return StaticSchedule(graph, platform, entries)
+
+
+# ----------------------------------------------------------------------
+# Reference feasibility check and objective (Definition 3.2 in Fractions).
+# ----------------------------------------------------------------------
+
+def _reference_placement(
+    graph: TaskGraph,
+    platform: Platform,
+    entries: Sequence[ScheduledJob],
+) -> Dict[int, Tuple[int, Time, Time]]:
+    """``job -> (processor, start, end)`` of every scheduled job."""
+    return {
+        e.job_index: (
+            e.processor,
+            e.start,
+            e.start + reference_duration(graph.jobs[e.job_index], platform,
+                                         e.processor),
+        )
+        for e in entries
+    }
+
+
+def reference_violations(schedule: StaticSchedule) -> List[Tuple[str, str]]:
+    """``(kind, detail)`` of every violation, in the library's report order."""
+    graph, jobs = schedule.graph, schedule.graph.jobs
+    entries = sorted(
+        schedule.entries, key=lambda e: (e.start, e.processor, e.job_index)
+    )
+    placed = _reference_placement(graph, schedule.platform, entries)
+    out: List[Tuple[str, str]] = []
+    for i, job in enumerate(jobs):
+        if i not in placed:
+            out.append(("missing", f"job {job.name} unscheduled"))
+    for e in entries:
+        job = jobs[e.job_index]
+        _, start, end = placed[e.job_index]
+        if start < job.arrival:
+            out.append(("arrival",
+                        f"{job.name} starts at {time_str(start)} before "
+                        f"arrival {time_str(job.arrival)}"))
+        if end > job.deadline:
+            out.append(("deadline",
+                        f"{job.name} ends at {time_str(end)} "
+                        f"after deadline {time_str(job.deadline)}"))
+    for i, j in graph.edges():
+        if i in placed and j in placed and placed[i][2] > placed[j][1]:
+            out.append(("precedence",
+                        f"{jobs[i].name} -> {jobs[j].name}: predecessor ends "
+                        f"{time_str(placed[i][2])} after successor start "
+                        f"{time_str(placed[j][1])}"))
+    for m in range(schedule.processors):
+        order = [e.job_index for e in entries if e.processor == m]
+        for a, b in zip(order, order[1:]):
+            if placed[a][2] > placed[b][1]:
+                out.append(("mutex",
+                            f"jobs {jobs[a].name} and {jobs[b].name} overlap "
+                            f"on processor {m}"))
+    return out
+
+
+def reference_makespan(schedule: StaticSchedule) -> Time:
+    placed = _reference_placement(
+        schedule.graph, schedule.platform, schedule.entries
+    )
+    return max((end for _, _, end in placed.values()), default=Time(0))
+
+
+def reference_objective(
+    schedule: StaticSchedule,
+) -> Tuple[Tuple[int, Time, Time], List[int]]:
+    """``(misses, total lateness, makespan)`` plus the late jobs in entry
+    order (start, processor, index)."""
+    graph = schedule.graph
+    entries = sorted(
+        schedule.entries, key=lambda e: (e.start, e.processor, e.job_index)
+    )
+    placed = _reference_placement(graph, schedule.platform, entries)
+    misses, lateness, late = 0, Time(0), []
+    for e in entries:
+        end = placed[e.job_index][2]
+        deadline = graph.jobs[e.job_index].deadline
+        if end > deadline:
+            misses += 1
+            lateness += end - deadline
+            late.append(e.job_index)
+    return (misses, lateness, reference_makespan(schedule)), late
+
+
+# ----------------------------------------------------------------------
+# Reference priority search (the hill climber over Fraction schedules).
+# ----------------------------------------------------------------------
+
+def reference_search_priorities(
+    graph: TaskGraph,
+    processors: PlatformLike,
+    seed: int = 0,
+    max_iterations: int = 2000,
+    restarts: int = 4,
+    seeds_from: Optional[Sequence[str]] = None,
+    wcet_aggregate: str = "mean",
+):
+    """``(schedule, ranks, objective, iterations, restarts)`` of the
+    seeded search, every candidate a Fraction list schedule."""
+    platform = as_platform(processors)
+    n = len(graph)
+    rng = random.Random(seed)
+    names = list(seeds_from or available_heuristics())
+
+    def evaluate(ranks):
+        return reference_objective(
+            reference_list_schedule(graph, platform, list(ranks))
+        )
+
+    best = None
+    total_iters = 0
+    for restart in range(max(1, restarts)):
+        if restart < len(names):
+            ranks = reference_priority(
+                graph, names[restart], platform, wcet_aggregate
+            )
+        else:
+            ranks = list(range(n))
+            rng.shuffle(ranks)
+        objective, late = evaluate(ranks)
+        for _ in range(max_iterations // max(1, restarts)):
+            total_iters += 1
+            if objective[0] == 0:
+                break
+            if late and rng.random() < 0.8:
+                i = rng.choice(late)
+            else:
+                i = rng.randrange(n)
+            j = rng.randrange(n)
+            if i == j:
+                continue
+            ranks[i], ranks[j] = ranks[j], ranks[i]
+            cand, cand_late = evaluate(ranks)
+            if cand <= objective:
+                objective, late = cand, cand_late
+            else:
+                ranks[i], ranks[j] = ranks[j], ranks[i]
+        if best is None or objective < best[2]:
+            best = (None, list(ranks), objective, total_iters, restart + 1)
+        if best[2][0] == 0:
+            break
+    return (reference_list_schedule(graph, platform, best[1]),) + best[1:]
 
 
 # ----------------------------------------------------------------------
@@ -409,9 +656,13 @@ def reference_run_static_order(
             start = max(visible, chain_end[proc])
             for p in graph.predecessors(job_idx):
                 start = max(start, ends[(frame, p)])
+            cls = schedule.platform.class_of(proc)
             duration = Time(0)
             if not is_false:
-                duration = exec_of(job, frame) + overheads.per_job
+                duration = (
+                    exec_of(job, frame) * job.wcet_on(cls) / job.wcet
+                    + overheads.per_job
+                )
             end = start + duration
             chain_end[proc] = end
             ends[(frame, job_idx)] = end
@@ -427,6 +678,7 @@ def reference_run_static_order(
                 deadline=deadline,
                 is_false=is_false,
                 is_server=job.is_server,
+                processor_class=cls.name,
             )
             records.append(rec)
             record_at[(frame, job_idx)] = rec
