@@ -27,12 +27,16 @@ test-pool:
 	$(PY) -m pytest tests/test_sweep_pool.py tests/test_sweep_parallel.py \
 		tests/test_sweep_backends.py tests/test_sweep_wire.py -q
 
-# Heterogeneous-platform lane: the degenerate-platform bit-identity
-# contract against the Fraction oracles, exact speed scaling, platform
-# sweep axes, and the pre-platform JSON back-compat fixtures.  Also part
-# of the tier-1 run.
+# Heterogeneous-platform lane: list scheduling, priority search, feasibility
+# checks and runs on six platforms (homogeneous, speed-scaled, big/little,
+# per-class WCET tables) and on seeded random workloads x platforms,
+# against the platform-aware Fraction oracles; exact speed scaling,
+# platform sweep axes, and the pre-platform JSON back-compat fixtures.
+# Also part of the tier-1 run.
 test-hetero:
-	$(PY) -m pytest tests/test_hetero_equivalence.py tests/test_io_json.py -q
+	$(PY) -m pytest tests/test_hetero_equivalence.py \
+		tests/test_hetero_oracles.py tests/test_hetero_differential.py \
+		tests/test_io_json.py -q
 
 # Tick-path lane: the integer-tick runtime against its Fraction oracles —
 # timing records and schedules (test_tick_equivalence), data-phase

@@ -14,10 +14,15 @@ module introduces the platform as data:
   index)`` pair a slot is bound to.
 
 ``Platform.homogeneous(m)`` is the degenerate single-class speed-1
-platform that replaces the old ``processors: int`` spelling.  Every
-layer gates its heterogeneous logic on :meth:`Platform.is_unit` so the
-degenerate platform takes *exactly* the homogeneous code path — the
-bit-identical invariant the differential suite pins.
+platform that replaces the old ``processors: int`` spelling.  No layer
+branches on the platform's shape: each task graph keeps one duration
+table per platform shape (:meth:`TaskGraph.platform_ticks`, one tick row
+per class, keyed by :meth:`Platform.classes_key`), and ranking,
+scheduling, schedules and the executor all charge durations from it.
+The degenerate platform is the same code over a one-row table holding
+the jobs' own WCETs, so ``Platform.homogeneous(m)`` is bit-identical to
+``processors=m`` by construction — the invariant the differential suite
+pins against the Fraction oracles.
 
 Speeds stay exact: effective WCETs divide by the class speed in
 :class:`~fractions.Fraction` arithmetic, never floats, so tick domains
@@ -154,34 +159,32 @@ class Platform:
     def is_unit(self) -> bool:
         """True for the degenerate platform: one class at speed 1.
 
-        Every layer uses this gate to fall back to the exact homogeneous
-        code path, which is what makes ``Platform.homogeneous(m)``
-        bit-identical to ``processors=m``.
+        Only rendering reads it: scenario descriptions and experiment
+        reports leave a unit platform out.  Scheduling and the runtime
+        never branch on it.
         """
         return len(self.entries) == 1 and self.entries[0][0].speed == 1
 
     # -- flat-id addressing ---------------------------------------------
-    def class_of(self, processor: int) -> ProcessorClass:
-        """The class owning flat processor id *processor*."""
+    def _locate(self, processor: int) -> Tuple[ProcessorClass, int]:
+        """``(class, local index)`` of flat processor id *processor*."""
         remaining = processor
         for cls, count in self.entries:
             if remaining < count:
-                return cls
+                return cls, remaining
             remaining -= count
         raise IndexError(
             f"processor {processor} out of range for {self.describe()}"
         )
 
+    def class_of(self, processor: int) -> ProcessorClass:
+        """The class owning flat processor id *processor*."""
+        return self._locate(processor)[0]
+
     def identity(self, processor: int) -> Tuple[str, int]:
         """``(class name, local index)`` of flat processor id *processor*."""
-        remaining = processor
-        for cls, count in self.entries:
-            if remaining < count:
-                return cls.name, remaining
-            remaining -= count
-        raise IndexError(
-            f"processor {processor} out of range for {self.describe()}"
-        )
+        cls, local = self._locate(processor)
+        return cls.name, local
 
     def class_per_processor(self) -> Tuple[ProcessorClass, ...]:
         """Per-flat-id class lookup table, length :attr:`processors`."""

@@ -35,9 +35,10 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, List, Sequence
 
+from .platform import Platform
 from .timebase import Time, TimeLike, as_time
 
-__all__ = ["TickDomain", "JobTicks", "fraction_from_ratio"]
+__all__ = ["TickDomain", "JobTicks", "PlatformTicks", "fraction_from_ratio"]
 
 
 # CPython's Fraction stores its (normalised) state in two slots; building
@@ -196,11 +197,6 @@ class JobTicks:
             values.append(j.arrival)
             values.append(j.deadline)
             values.append(j.wcet)
-            # Per-class WCET tables (heterogeneous platforms) enter the
-            # domain too, so class-resolved durations convert exactly.
-            table = getattr(j, "wcet_by_class", None)
-            if table is not None:
-                values.extend(v for _, v in table)
         if hyperperiod is not None:
             values.append(as_time(hyperperiod))
         self.domain = TickDomain.for_values(values)
@@ -244,3 +240,39 @@ class JobTicks:
             [t * factor for t in self.wcet],
             [t * factor for t in self.deadline],
         )
+
+
+class PlatformTicks:
+    """A job list's duration table on one platform shape, in ticks.
+
+    ``ticks`` is the job list's :class:`JobTicks` view, extended so that
+    every class-resolved WCET (:meth:`~repro.taskgraph.jobs.Job.wcet_on`)
+    converts exactly.  ``rows[c][i]`` is job *i*'s duration on the
+    platform's class *c*, and ``per_proc[p]`` is the row of flat
+    processor *p*'s class (one shared list per class).  Every scheduling
+    and runtime layer charges durations from here, so a homogeneous
+    platform is simply a table with one row.  A speed-1 class over jobs
+    without WCET tables runs each job for its own WCET: its row *is*
+    ``ticks.wcet``, not a copy.
+    """
+
+    __slots__ = ("ticks", "rows", "per_proc")
+
+    def __init__(self, base: JobTicks, jobs: Sequence, platform: Platform) -> None:
+        tabled = any(j.wcet_by_class is not None for j in jobs)
+        values = [
+            None if cls.speed == 1 and not tabled
+            else [j.wcet_on(cls) for j in jobs]
+            for cls in platform.classes
+        ]
+        tt = self.ticks = base.rescaled_to(
+            v for row in values if row is not None for v in row
+        )
+        ticks = tt.domain.ticks
+        self.rows: List[List[int]] = [
+            tt.wcet if row is None else ticks(row) for row in values
+        ]
+        self.per_proc: List[List[int]] = [
+            row for row, (_, count) in zip(self.rows, platform.entries)
+            for _ in range(count)
+        ]

@@ -542,15 +542,11 @@ class MultiprocessorExecutor:
             for i, j in enumerate(jobs) if j.is_server
         )
         ov = self.overheads
-        # The graph's tick view, extended by each job's WCET on its slot's
-        # processor class (a class speed can add denominators).
-        class_wcets = self._class_wcets()
-        base = graph.tick_times()
-        if class_wcets is None:
-            wcet_base = base.wcet
-        else:
-            base = base.rescaled_to(class_wcets)
-            wcet_base = base.domain.ticks(class_wcets)
+        # Each job's WCET on its slot's processor class, read from the
+        # graph's duration table on the platform.
+        table = graph.platform_ticks(self.plan.platform)
+        base = table.ticks
+        wcet_base = [table.per_proc[p][i] for i, p in enumerate(proc_of)]
 
         spec = execution_time
         if spec is None:
@@ -564,7 +560,7 @@ class MultiprocessorExecutor:
             )
         else:
             const, rows = self._durations(
-                spec, class_wcets,
+                spec, [Fraction(w, b) for w, b in zip(wcet_base, base.wcet)],
                 binding.slot_ticks(layout, binding.domain.scale),
                 n_frames, topo,
             )
@@ -615,21 +611,6 @@ class MultiprocessorExecutor:
             dur_t_rows=dur_t_rows,
             bound_t_rows=slot_rows,
         )
-
-    def _class_wcets(self) -> Optional[List[Time]]:
-        """Each job's WCET on its slot's processor class.
-
-        ``None`` on the degenerate platform, where that is the graph's
-        own WCET.
-        """
-        jobs = self.graph.jobs
-        platform = self.plan.platform
-        if platform.is_unit and all(j.wcet_by_class is None for j in jobs):
-            return None
-        return [
-            j.wcet_on(platform.class_of(self.plan.processor_of(i)))
-            for i, j in enumerate(jobs)
-        ]
 
     def _tick_draws(
         self,
@@ -911,7 +892,7 @@ class MultiprocessorExecutor:
     def _durations(
         self,
         spec: ExecutionTimeSpec,
-        class_wcets: Optional[List[Time]],
+        scale: List[Fraction],
         bound_rows: List[Dict[int, Any]],
         n_frames: int,
         topo: List[int],
@@ -928,21 +909,16 @@ class MultiprocessorExecutor:
         itself makes — so even a stateful callable observes the original
         evaluation order.  False jobs get ``None`` (they never execute).
 
-        On a heterogeneous platform (*class_wcets* set) each value is
-        scaled by the exact ``effective / base`` WCET ratio of the job's
-        class — a model expressing "this instance ran at 70% of its WCET"
-        keeps that meaning on every class.  The degenerate platform keeps
-        the exact pre-platform duration model (no scaling).
+        Each value is scaled by *scale*, the exact ``wcet_on(cls) / wcet``
+        ratio of the job's slot class — a model expressing "this instance
+        ran at 70% of its WCET" keeps that meaning on every class (the
+        ratio is 1 on a speed-1 class without WCET tables).
         """
         jobs = self.graph.jobs
         per_job_ov = self.overheads.per_job
-        scale = (
-            None if class_wcets is None
-            else [w / j.wcet for w, j in zip(class_wcets, jobs)]
-        )
 
         def charge(i: int, value: Time) -> Time:
-            return (value if scale is None else value * scale[i]) + per_job_ov
+            return value * scale[i] + per_job_ov
 
         if not callable(spec):
             table = {

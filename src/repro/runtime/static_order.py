@@ -280,10 +280,6 @@ class FramePlan:
     def processor_of(self, job_index: int) -> int:
         return self.schedule.mapping(job_index)
 
-    def identity_of(self, job_index: int) -> Tuple[str, int]:
-        """Concrete ``(class name, local index)`` binding of a job's slot."""
-        return self.schedule.processor_identity(job_index)
-
     def jobs_per_frame(self) -> int:
         return len(self.graph)
 

@@ -1,10 +1,6 @@
 """Compile-time scheduling: list scheduler, SP heuristics, baselines."""
 
-from .list_scheduler import (
-    hetero_tick_tables,
-    list_schedule,
-    platform_is_heterogeneous,
-)
+from .list_scheduler import list_schedule
 from .optimizer import (
     Attempt,
     DEFAULT_PORTFOLIO,
@@ -17,7 +13,6 @@ from .optimizer import (
 )
 from .priorities import (
     WCET_AGGREGATES,
-    aggregate_wcets,
     alap_priority,
     arrival_priority,
     available_heuristics,
@@ -39,11 +34,8 @@ from .uniprocessor import (
 )
 
 __all__ = [
-    "hetero_tick_tables",
     "list_schedule",
-    "platform_is_heterogeneous",
     "WCET_AGGREGATES",
-    "aggregate_wcets",
     "Attempt",
     "DEFAULT_PORTFOLIO",
     "QualityReport",

@@ -1,6 +1,6 @@
 """Compile-time list scheduling (Section III-B).
 
-Non-preemptive scheduling of a task graph on ``M`` identical processors.
+Non-preemptive scheduling of a task graph on ``M`` processors.
 Given a schedule priority ``SP``, list scheduling *"consists of a simple
 simulation of the fixed-priority policy using the updated definition of
 ready jobs"*: a job is ready at time ``t`` iff
@@ -15,12 +15,14 @@ next arrival or completion.  The construction never inserts idle time except
 when forced — the classic work-conserving list schedule.
 
 The simulation itself runs in the **integer tick domain** (see
-:mod:`repro.core.ticks`): arrivals and WCETs are mapped once per graph to
-exact integer tick counts, so the event loop's heap operations compare and
-add machine integers instead of normalising rationals.  Start times are
-converted back to exact :class:`~fractions.Fraction` values only when the
-:class:`~repro.scheduling.schedule.StaticSchedule` is materialised — the
-result is bit-identical to a pure-Fraction implementation.
+:mod:`repro.core.ticks`): arrivals and per-class durations are mapped once
+per graph and platform shape to exact integer tick counts
+(:meth:`TaskGraph.platform_ticks`), so the event loop's heap operations
+compare and add machine integers instead of normalising rationals.  Start
+times are converted back to exact :class:`~fractions.Fraction` values only
+when the :class:`~repro.scheduling.schedule.StaticSchedule` is
+materialised — the result is bit-identical to a pure-Fraction
+implementation.
 
 The produced :class:`~repro.scheduling.schedule.StaticSchedule` may violate
 deadlines; callers check :meth:`is_feasible` (a miss means the SP heuristic
@@ -30,52 +32,14 @@ was suboptimal — try another one via the portfolio optimizer).
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from ..errors import SchedulingError
-from ..core.platform import Platform, PlatformLike, as_platform
-from ..core.ticks import JobTicks
+from ..core.platform import Platform, PlatformLike
+from ..core.ticks import PlatformTicks
 from ..taskgraph.graph import TaskGraph
 from .priorities import get_heuristic
-from .schedule import ScheduledJob, StaticSchedule
-
-
-def platform_is_heterogeneous(graph: TaskGraph, platform: Platform) -> bool:
-    """True when scheduling *graph* on *platform* needs class awareness.
-
-    False for the degenerate single-class speed-1 platform with
-    table-free jobs — the gate every layer uses to take the exact
-    pre-platform code path (the bit-identical invariant).
-    """
-    return (not platform.is_unit) or any(
-        j.wcet_by_class is not None for j in graph.jobs
-    )
-
-
-def hetero_tick_tables(
-    graph: TaskGraph, platform: Platform
-) -> Tuple[JobTicks, List[List[int]]]:
-    """Class-resolved duration tables for the tick-domain event loop.
-
-    Returns the graph's tick view rescaled so every ``(job, class)``
-    duration converts exactly, plus one integer duration array per *flat
-    processor id* (rows of the same class share one list).  The LCM
-    extension keeps everything exact — ``to_ticks`` raises rather than
-    rounds, preserving the library-wide invariant.
-    """
-    classes = platform.classes
-    durations = [
-        [job.wcet_on(cls) for job in graph.jobs] for cls in classes
-    ]
-    tt = graph.tick_times().rescaled_to(
-        v for row in durations for v in row
-    )
-    dur_t = [tt.domain.ticks(row) for row in durations]
-    by_class = {cls.name: row for cls, row in zip(classes, dur_t)}
-    per_proc = [
-        by_class[cls.name] for cls in platform.class_per_processor()
-    ]
-    return tt, per_proc
+from .schedule import ScheduledJob, StaticSchedule, as_scheduling_platform
 
 
 def list_schedule(
@@ -92,16 +56,15 @@ def list_schedule(
         The task graph (jobs in ``<J`` topological order).
     processors:
         Number ``M`` of identical processors, or a
-        :class:`~repro.core.platform.Platform` for heterogeneous
-        scheduling — a job's duration is then its class-resolved WCET on
-        the processor it is dispatched to.
+        :class:`~repro.core.platform.Platform` — a job's duration is its
+        class-resolved WCET on the processor it is dispatched to.
     priority:
         Either the name of a registered SP heuristic or an explicit rank
         list (``rank[i]`` = position of job *i*, 0 = highest priority).
     wcet_aggregate:
         How platform-aware heuristics collapse per-class WCETs into one
-        ranking value (``min`` / ``max`` / ``mean``); ignored on
-        degenerate platforms and by explicit rank lists.
+        ranking value (``min`` / ``max`` / ``mean``; all three agree on a
+        single-class platform); ignored by explicit rank lists.
 
     Returns
     -------
@@ -110,26 +73,12 @@ def list_schedule(
         exclusion by construction.  Deadlines are *not* enforced during
         construction (check feasibility afterwards).
     """
-    try:
-        platform = as_platform(processors)
-    except (TypeError, ValueError) as exc:
-        raise SchedulingError(str(exc)) from None
-    if not platform_is_heterogeneous(graph, platform):
-        ranks = _resolve_priority(graph, priority)
-        tt = graph.tick_times()
-        start_t, proc_of = _schedule_ticks(
-            graph, tt, platform.processors, ranks
-        )
-    else:
-        ranks = _resolve_priority(
-            graph, priority, platform=platform,
-            wcet_aggregate=wcet_aggregate,
-        )
-        tt, dur_of_proc = hetero_tick_tables(graph, platform)
-        start_t, proc_of = _schedule_ticks(
-            graph, tt, platform.processors, ranks, dur_of_proc
-        )
-    from_ticks = tt.domain.from_ticks
+    platform = as_scheduling_platform(processors)
+    table = graph.platform_ticks(platform)
+    start_t, proc_of = _schedule_ticks(graph, table, _resolve_priority(
+        graph, priority, platform, wcet_aggregate
+    ))
+    from_ticks = table.ticks.domain.from_ticks
     # Emit entries pre-sorted in the schedule's canonical order so the
     # StaticSchedule constructor's sort is a linear no-op.
     order = sorted(
@@ -141,12 +90,31 @@ def list_schedule(
     return StaticSchedule(graph, platform, entries)
 
 
+def _tick_objective(
+    table: PlatformTicks, start_t: Sequence[int], proc_of: Sequence[int]
+) -> Tuple[Tuple[int, int, int], List[int]]:
+    """``(misses, total lateness, makespan)`` of a :func:`_schedule_ticks`
+    result, in ticks, and the late jobs in the schedule's canonical entry
+    order (start, processor, index)."""
+    per_proc, deadline = table.per_proc, table.ticks.deadline
+    misses = lateness = makespan = 0
+    late: List[Tuple[int, int, int]] = []
+    for i, start in enumerate(start_t):
+        end = start + per_proc[proc_of[i]][i]
+        if end > makespan:
+            makespan = end
+        if end > deadline[i]:
+            misses += 1
+            lateness += end - deadline[i]
+            late.append((start, proc_of[i], i))
+    late.sort()
+    return (misses, lateness, makespan), [i for _, _, i in late]
+
+
 def _schedule_ticks(
     graph: TaskGraph,
-    tt: JobTicks,
-    processors: int,
+    table: PlatformTicks,
     ranks: Sequence[int],
-    dur_of_proc: Optional[Sequence[Sequence[int]]] = None,
 ) -> Tuple[List[int], List[int]]:
     """The list-scheduling event loop in pure integer ticks.
 
@@ -155,15 +123,13 @@ def _schedule_ticks(
     of rank permutations and must not pay Fraction arithmetic or
     re-materialise a :class:`StaticSchedule` per candidate).
 
-    ``dur_of_proc`` (from :func:`hetero_tick_tables`) switches the loop
-    heterogeneous: ``dur_of_proc[proc][i]`` is job *i*'s duration on flat
-    processor *proc*, so a dispatch charges the class-resolved WCET of
-    the processor it lands on.  Dispatch order itself is unchanged —
+    A dispatch charges ``table.per_proc[proc][i]``, job *i*'s duration on
+    the class of the processor it lands on.  Dispatch order is
     highest-SP ready job onto the lowest free processor id.
     """
     n = len(graph)
-    arrival = tt.arrival
-    wcet = tt.wcet
+    arrival = table.ticks.arrival
+    dur_of_proc = table.per_proc
     succ_table = graph.successor_table()
     pred_table = graph.predecessor_table()
 
@@ -179,7 +145,7 @@ def _schedule_ticks(
     # Running jobs: (end, processor, job)
     running: List[Tuple[int, int, int]] = []
     # Free processors (min-heap of ids for deterministic assignment).
-    free = list(range(processors))
+    free = list(range(len(dur_of_proc)))
     heapq.heapify(free)
     # Arrived but blocked on predecessors (set: O(1) membership/removal).
     blocked: Set[int] = set()
@@ -200,11 +166,7 @@ def _schedule_ticks(
             proc = heapq.heappop(free)
             start_t[i] = now
             proc_of[i] = proc
-            dur = (
-                wcet[i] if dur_of_proc is None
-                else dur_of_proc[proc][i]
-            )
-            heapq.heappush(running, (now + dur, proc, i))
+            heapq.heappush(running, (now + dur_of_proc[proc][i], proc, i))
             scheduled += 1
         if scheduled >= n:
             break
@@ -240,12 +202,12 @@ def _schedule_ticks(
 def _resolve_priority(
     graph: TaskGraph,
     priority: "str | Sequence[int]",
-    platform: Optional[Platform] = None,
+    platform: Platform,
     wcet_aggregate: str = "mean",
 ) -> List[int]:
     if isinstance(priority, str):
         fn = get_heuristic(priority)
-        if platform is not None and getattr(fn, "platform_aware", False):
+        if getattr(fn, "platform_aware", False):
             return fn(
                 graph, platform=platform, wcet_aggregate=wcet_aggregate
             )

@@ -24,9 +24,14 @@ from ..core.platform import Platform, PlatformLike
 from ..core.timebase import Time
 from ..taskgraph.graph import TaskGraph
 from ..taskgraph.load import task_graph_load
-from .list_scheduler import list_schedule
+from .list_scheduler import (
+    _resolve_priority,
+    _schedule_ticks,
+    _tick_objective,
+    list_schedule,
+)
 from .priorities import available_heuristics
-from .schedule import StaticSchedule
+from .schedule import StaticSchedule, as_scheduling_platform
 
 DEFAULT_PORTFOLIO: Tuple[str, ...] = ("alap", "blevel", "deadline", "arrival")
 
@@ -132,24 +137,24 @@ class QualityReport:
 def schedule_quality(
     graph: TaskGraph, processors: PlatformLike, heuristic: str
 ) -> QualityReport:
-    """Evaluate one heuristic: feasibility, makespan, lateness (bench E8)."""
-    schedule = list_schedule(graph, processors, heuristic)
-    dom, start_t, _, wcet_t, deadline_t = schedule.tick_view()
-    lateness_t = 0
-    misses = 0
-    for entry in schedule.entries:
-        i = entry.job_index
-        end = start_t[i] + wcet_t[i]
-        if end > deadline_t[i]:
-            misses += 1
-            lateness_t += end - deadline_t[i]
-    lateness = dom.from_ticks(lateness_t)
+    """Evaluate one heuristic: feasibility, makespan, lateness (bench E8).
+
+    A list schedule respects arrivals, precedences and mutual exclusion
+    by construction, so it is feasible exactly when it misses no deadline.
+    """
+    platform = as_scheduling_platform(processors)
+    table = graph.platform_ticks(platform)
+    ranks = _resolve_priority(graph, heuristic, platform)
+    (misses, lateness, makespan), _ = _tick_objective(
+        table, *_schedule_ticks(graph, table, ranks)
+    )
+    from_ticks = table.ticks.domain.from_ticks
     return QualityReport(
         heuristic=heuristic,
-        feasible=schedule.is_feasible(),
-        makespan=schedule.makespan(),
+        feasible=misses == 0,
+        makespan=from_ticks(makespan),
         deadline_violations=misses,
-        total_lateness=lateness,
+        total_lateness=from_ticks(lateness),
     )
 
 

@@ -26,28 +26,31 @@ Sort keys are built from the graph's integer tick view
 resulting orders — and therefore the rank lists — are identical to sorting
 the exact rational times, at a fraction of the comparison cost.
 
-**Heterogeneous platforms.**  On a platform with several processor
-classes a job has no single WCET before placement, so WCET-consuming
-heuristics (``alap``, ``blevel``) rank against a configurable *aggregate*
-over the classes — ``min`` (optimistic), ``max`` (conservative) or
-``mean`` (STOMP-style expected duration; the default).  Built-in
-heuristics are marked ``platform_aware`` and receive the platform and
-aggregate as keywords; externally registered platform-blind heuristics
-keep ranking on the base WCETs, which remains a valid total order.  A
-degenerate platform never reaches the aggregate path, so homogeneous
-rankings are bit-identical to the pre-platform ones.
+**Platforms.**  A job's duration depends on the processor class it
+lands on, so the WCET-consuming heuristics (``alap``, ``blevel``) rank
+on an *aggregate* of the job's row in the graph's duration table
+(:meth:`TaskGraph.platform_ticks`) — ``min`` (optimistic), ``max``
+(conservative) or ``mean`` (STOMP-style expected duration; the default),
+all in integer ticks.  ``mean`` ranks on the per-job sum over the ``k``
+classes against arrivals and deadlines scaled by ``k``: a uniform
+scale, so orders and ties are those of the exact rational mean.  On a
+homogeneous platform the table has one row — the jobs' own WCETs — and
+every aggregate is that row.  Built-in heuristics are marked
+``platform_aware`` and receive the platform and aggregate as keywords;
+externally registered platform-blind heuristics keep ranking on the
+base WCETs, which remains a valid total order.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from ..errors import SchedulingError
-from ..core.platform import Platform
-from ..core.timebase import Time
+from ..core.platform import PlatformLike
+from ..core.ticks import JobTicks, TickDomain
 from ..taskgraph.asap_alap import compute_bounds_ticks
 from ..taskgraph.graph import TaskGraph
+from .schedule import as_scheduling_platform
 
 Heuristic = Callable[[TaskGraph], List[int]]
 
@@ -62,9 +65,9 @@ def register_heuristic(
 ) -> Callable[[Heuristic], Heuristic]:
     """Decorator registering a named SP heuristic.
 
-    ``platform_aware`` heuristics additionally accept ``platform`` and
-    ``wcet_aggregate`` keywords when scheduling targets a heterogeneous
-    platform; plain heuristics are always called with the graph alone.
+    ``platform_aware`` heuristics are also passed the ``platform`` being
+    scheduled and the ``wcet_aggregate`` as keywords; plain heuristics
+    are always called with the graph alone.
     """
 
     def deco(fn: Heuristic) -> Heuristic:
@@ -77,31 +80,33 @@ def register_heuristic(
     return deco
 
 
-def aggregate_wcets(
-    graph: TaskGraph, platform: Platform, aggregate: str = "mean"
-) -> List[Time]:
-    """Per-job WCETs aggregated over the platform's classes (exact).
+def _ranking_ticks(
+    graph: TaskGraph, platform: PlatformLike, aggregate: str
+) -> JobTicks:
+    """The tick view ``alap`` and ``blevel`` rank on.
 
-    The ranking seam for heterogeneous platforms: ``min``/``max`` pick
-    the best/worst class, ``mean`` the exact rational average — no
-    floats, so tick domains extended with these values stay LCM-exact.
+    Its WCETs aggregate each job's row of the platform's duration table.
+    For ``mean`` over ``k`` classes they are the row sums in a domain
+    ``k`` times finer, arrivals and deadlines scaled to match — exactly
+    the rational mean, without dividing.
     """
     if aggregate not in WCET_AGGREGATES:
         raise SchedulingError(
             f"unknown WCET aggregate {aggregate!r}; "
             f"supported: {list(WCET_AGGREGATES)}"
         )
-    classes = platform.classes
-    out: List[Time] = []
-    for job in graph.jobs:
-        values = [job.wcet_on(cls) for cls in classes]
-        if aggregate == "min":
-            out.append(min(values))
-        elif aggregate == "max":
-            out.append(max(values))
-        else:
-            out.append(sum(values, Fraction(0)) / len(values))
-    return out
+    table = graph.platform_ticks(as_scheduling_platform(platform))
+    tt, rows, k = table.ticks, table.rows, len(table.rows)
+    if k == 1 or aggregate != "mean":
+        pick = min if aggregate == "min" else max
+        wcet = rows[0] if k == 1 else [pick(col) for col in zip(*rows)]
+        return JobTicks._from_arrays(tt.domain, tt.arrival, wcet, tt.deadline)
+    return JobTicks._from_arrays(
+        TickDomain(tt.domain.scale * k),
+        [a * k for a in tt.arrival],
+        [sum(col) for col in zip(*rows)],
+        [d * k for d in tt.deadline],
+    )
 
 
 def available_heuristics() -> List[str]:
@@ -130,16 +135,13 @@ def _ranks_from_keys(keys: Sequence) -> List[int]:
 @register_heuristic("alap", platform_aware=True)
 def alap_priority(
     graph: TaskGraph,
-    platform: Optional[Platform] = None,
+    platform: PlatformLike = 1,
     wcet_aggregate: str = "mean",
 ) -> List[int]:
     """EDF on ALAP completion times (ties: ASAP, then ``<J`` index)."""
-    if platform is None:
-        asap_t, alap_t = compute_bounds_ticks(graph)
-    else:
-        asap_t, alap_t = compute_bounds_ticks(
-            graph, aggregate_wcets(graph, platform, wcet_aggregate)
-        )
+    asap_t, alap_t = compute_bounds_ticks(
+        graph, _ranking_ticks(graph, platform, wcet_aggregate)
+    )
     keys = [(alap_t[i], asap_t[i], i) for i in range(len(graph))]
     return _ranks_from_keys(keys)
 
@@ -157,7 +159,7 @@ def deadline_priority(graph: TaskGraph) -> List[int]:
 @register_heuristic("blevel", platform_aware=True)
 def blevel_priority(
     graph: TaskGraph,
-    platform: Optional[Platform] = None,
+    platform: PlatformLike = 1,
     wcet_aggregate: str = "mean",
 ) -> List[int]:
     """Descending b-level: longest WCET path from the job to any sink.
@@ -166,14 +168,8 @@ def blevel_priority(
     this is the classical list-scheduling heuristic for makespan.
     """
     n = len(graph)
-    tt = graph.tick_times()
-    if platform is None:
-        wcet: Sequence = tt.wcet
-    else:
-        # Rank on platform-aggregated WCETs; exact rationals compare and
-        # add exactly, and the b-level component is only ever compared to
-        # other b-levels, so no shared tick domain is needed.
-        wcet = aggregate_wcets(graph, platform, wcet_aggregate)
+    tt = _ranking_ticks(graph, platform, wcet_aggregate)
+    wcet = tt.wcet
     succ_table = graph.successor_table()
     blevel: List[int] = [0] * n
     for i in range(n - 1, -1, -1):

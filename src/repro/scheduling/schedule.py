@@ -18,13 +18,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from itertools import chain
-
 from ..errors import SchedulingError
 from ..core.platform import Platform, PlatformLike, as_platform
 from ..core.ticks import TickDomain
 from ..core.timebase import Time, time_str
 from ..taskgraph.graph import TaskGraph
+
+
+def as_scheduling_platform(processors: PlatformLike) -> Platform:
+    """:func:`~repro.core.platform.as_platform` for the scheduling layer.
+
+    Every scheduling entry point coerces through here, so a bad platform
+    (``0``, ``True``, a string) raises :class:`SchedulingError` alike.
+    """
+    try:
+        return as_platform(processors)
+    except (TypeError, ValueError) as exc:
+        raise SchedulingError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -56,12 +66,12 @@ class Violation:
 class StaticSchedule:
     """A complete static schedule for a task graph on a platform.
 
-    ``processors`` accepts either the classic core count (the degenerate
-    homogeneous platform) or a :class:`~repro.core.platform.Platform`;
-    ``self.processors`` stays the flat total either way.  On a
-    heterogeneous platform a job's duration is its class-resolved WCET on
-    the processor it is placed on (:meth:`duration`), which every
-    feasibility check and the tick view charge consistently.
+    ``processors`` accepts either the classic core count (the homogeneous
+    platform) or a :class:`~repro.core.platform.Platform`;
+    ``self.processors`` stays the flat total either way.  A job's duration
+    is its class-resolved WCET on the processor it is placed on
+    (:meth:`duration`), which every feasibility check and the tick view
+    charge consistently.
     """
 
     def __init__(
@@ -70,20 +80,11 @@ class StaticSchedule:
         processors: PlatformLike,
         entries: Sequence[ScheduledJob],
     ) -> None:
-        try:
-            platform = as_platform(processors)
-        except (TypeError, ValueError) as exc:
-            raise SchedulingError(str(exc)) from None
+        platform = as_scheduling_platform(processors)
         processors = platform.processors
         self.graph = graph
         self.platform: Platform = platform
         self.processors = processors
-        # Heterogeneous iff the platform is non-degenerate or any job
-        # carries a per-class WCET table; the degenerate case takes the
-        # pre-platform code paths verbatim (the bit-identical invariant).
-        self._hetero = (not platform.is_unit) or any(
-            j.wcet_by_class is not None for j in graph.jobs
-        )
         self.entries: List[ScheduledJob] = sorted(
             entries, key=lambda e: (e.start, e.processor, e.job_index)
         )
@@ -116,14 +117,8 @@ class StaticSchedule:
         return self.entry(job_index).start
 
     def duration(self, job_index: int) -> Time:
-        """The job's execution time on its assigned processor.
-
-        The base WCET on a degenerate platform; the class-resolved WCET
-        (table entry or speed-scaled, still an exact rational) otherwise.
-        """
+        """The job's class-resolved WCET on its assigned processor."""
         job = self.graph.jobs[job_index]
-        if not self._hetero:
-            return job.wcet
         return job.wcet_on(self.platform.class_of(self.entry(job_index).processor))
 
     def end(self, job_index: int) -> Time:
@@ -132,53 +127,31 @@ class StaticSchedule:
     def mapping(self, job_index: int) -> int:
         return self.entry(job_index).processor
 
-    def processor_identity(self, job_index: int) -> Tuple[str, int]:
-        """``(class name, local index)`` of the job's assigned processor."""
-        return self.platform.identity(self.entry(job_index).processor)
-
     def tick_view(
         self,
     ) -> Tuple[TickDomain, Dict[int, int], Sequence[int], Sequence[int], Sequence[int]]:
         """Integer-tick view ``(domain, start_ticks, arrival, wcet, deadline)``.
 
-        The domain is the graph's tick domain, extended if hand-built entries
-        carry start times outside it; all arrays are exact integer images of
-        the rational values.  Built lazily once (schedules are immutable
+        The domain is the one of the graph's duration table on this
+        platform (:meth:`TaskGraph.platform_ticks`), extended if hand-built
+        entries carry start times outside it; all arrays are exact integer
+        images of the rational values.  ``wcet`` holds each scheduled
+        job's duration on its assigned processor (unscheduled jobs keep
+        their base WCET).  Built lazily once (schedules are immutable
         after construction) and shared by the feasibility checks and the
         runtime executor's frame ordering.
-
-        On a heterogeneous platform the ``wcet`` array holds each
-        *scheduled* job's class-resolved duration on its assigned
-        processor (unscheduled jobs keep their base WCET), and the domain
-        is extended so every class-scaled value converts exactly —
-        ``to_ticks`` still raises rather than rounds.
         """
         cached = self._ticks
         if cached is None:
-            if not self._hetero:
-                tt = self.graph.tick_times().rescaled_to(
-                    e.start for e in self.entries
-                )
-                to_ticks = tt.domain.to_ticks
-                start_t = {
-                    e.job_index: to_ticks(e.start) for e in self.entries
-                }
-                cached = self._ticks = (
-                    tt.domain, start_t, tt.arrival, tt.wcet, tt.deadline
-                )
-                return cached
-            durations = {
-                e.job_index: self.duration(e.job_index)
-                for e in self.entries
-            }
-            tt = self.graph.tick_times().rescaled_to(chain(
-                (e.start for e in self.entries), durations.values()
-            ))
+            table = self.graph.platform_ticks(self.platform)
+            tt = table.ticks.rescaled_to(e.start for e in self.entries)
+            factor = table.ticks.domain.rescale_factor(tt.domain)
             to_ticks = tt.domain.to_ticks
             start_t = {e.job_index: to_ticks(e.start) for e in self.entries}
             wcet_t = list(tt.wcet)
-            for i, d in durations.items():
-                wcet_t[i] = to_ticks(d)
+            for e in self.entries:
+                i = e.job_index
+                wcet_t[i] = table.per_proc[e.processor][i] * factor
             cached = self._ticks = (
                 tt.domain, start_t, tt.arrival, wcet_t, tt.deadline
             )

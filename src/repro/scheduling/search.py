@@ -33,67 +33,23 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..core.platform import PlatformLike, as_platform
-from ..core.ticks import JobTicks
+from ..core.platform import PlatformLike
 from ..core.timebase import Time
 from ..errors import InfeasibleError
 from ..taskgraph.graph import TaskGraph
 from .list_scheduler import (
     _resolve_priority,
     _schedule_ticks,
-    hetero_tick_tables,
+    _tick_objective,
     list_schedule,
-    platform_is_heterogeneous,
 )
 from .priorities import available_heuristics
-from .schedule import StaticSchedule
+from .schedule import StaticSchedule, as_scheduling_platform
 
 Objective = Tuple[int, Time, Time]
 
 #: Internal all-integer objective: (#violations, lateness ticks, makespan ticks).
 _TickObjective = Tuple[int, int, int]
-
-
-def _evaluate_ticks(
-    graph: TaskGraph,
-    processors: int,
-    ranks: Sequence[int],
-    tt: Optional[JobTicks] = None,
-    dur_of_proc: Optional[Sequence[Sequence[int]]] = None,
-) -> Tuple[_TickObjective, List[int]]:
-    """One list-scheduling pass; objective and late jobs in pure ticks.
-
-    The late-job list is ordered like the schedule's canonical entry order
-    (start, processor, index) so the swap bias samples jobs exactly as an
-    entry-iterating implementation would.  ``tt`` / ``dur_of_proc`` carry
-    the precomputed heterogeneous duration tables (the search builds them
-    once, not per candidate); without them the loop charges the platform-
-    blind base WCETs exactly as before.
-    """
-    if tt is None:
-        tt = graph.tick_times()
-    start_t, proc_of = _schedule_ticks(
-        graph, tt, processors, ranks, dur_of_proc
-    )
-    wcet, deadline = tt.wcet, tt.deadline
-    violations = 0
-    lateness = 0
-    makespan = 0
-    late: List[Tuple[int, int, int]] = []
-    for i in range(len(start_t)):
-        dur = (
-            wcet[i] if dur_of_proc is None
-            else dur_of_proc[proc_of[i]][i]
-        )
-        end = start_t[i] + dur
-        if end > makespan:
-            makespan = end
-        if end > deadline[i]:
-            violations += 1
-            lateness += end - deadline[i]
-            late.append((start_t[i], proc_of[i], i))
-    late.sort()
-    return (violations, lateness, makespan), [i for _, _, i in late]
 
 
 @dataclass
@@ -124,21 +80,19 @@ def search_priorities(
 
     Stops early as soon as a feasible schedule appears.  The result is the
     lexicographically best ``(violations, lateness, makespan)`` across all
-    restarts.  On a heterogeneous platform every candidate is evaluated
-    with class-resolved durations (tables built once up front) and the
-    seeding heuristics rank with *wcet_aggregate*.
+    restarts.  Every candidate is evaluated with class-resolved durations
+    from the graph's duration table on the platform, and the seeding
+    heuristics rank with *wcet_aggregate*.
     """
+    platform = as_scheduling_platform(processors)
     n = len(graph)
     rng = random.Random(seed)
     heuristic_names = list(seeds_from or available_heuristics())
-    platform = as_platform(processors)
-    if platform_is_heterogeneous(graph, platform):
-        tt, dur_of_proc = hetero_tick_tables(graph, platform)
-        seed_platform = platform
-    else:
-        tt, dur_of_proc = None, None
-        seed_platform = None
-    processors = platform.processors
+    table = graph.platform_ticks(platform)
+
+    def evaluate(ranks: Sequence[int]) -> Tuple[_TickObjective, List[int]]:
+        # One list-scheduling pass; objective and late jobs in pure ticks.
+        return _tick_objective(table, *_schedule_ticks(graph, table, ranks))
 
     best_ranks: Optional[List[int]] = None
     best_objective: Optional[_TickObjective] = None
@@ -149,15 +103,12 @@ def search_priorities(
     for restart in range(max(1, restarts)):
         if restart < len(heuristic_names):
             ranks = list(_resolve_priority(
-                graph, heuristic_names[restart],
-                platform=seed_platform, wcet_aggregate=wcet_aggregate,
+                graph, heuristic_names[restart], platform, wcet_aggregate
             ))
         else:
             ranks = list(range(n))
             rng.shuffle(ranks)
-        objective, late = _evaluate_ticks(
-            graph, processors, ranks, tt, dur_of_proc
-        )
+        objective, late = evaluate(ranks)
         budget = max_iterations // max(1, restarts)
 
         for _ in range(budget):
@@ -173,9 +124,7 @@ def search_priorities(
             if i == j:
                 continue
             ranks[i], ranks[j] = ranks[j], ranks[i]
-            cand_objective, cand_late = _evaluate_ticks(
-                graph, processors, ranks, tt, dur_of_proc
-            )
+            cand_objective, cand_late = evaluate(ranks)
             if cand_objective <= objective:
                 objective, late = cand_objective, cand_late
             else:
@@ -191,13 +140,9 @@ def search_priorities(
 
     assert best_ranks is not None and best_objective is not None
     # Materialise the winning schedule once (the tick core is deterministic,
-    # so this reproduces the evaluated candidate exactly).  The objective
-    # converts in the domain it was evaluated in (the hetero tables live
-    # in an extended domain).
+    # so this reproduces the evaluated candidate exactly).
     schedule = list_schedule(graph, platform, best_ranks)
-    from_ticks = (
-        tt if tt is not None else graph.tick_times()
-    ).domain.from_ticks
+    from_ticks = table.ticks.domain.from_ticks
     return SearchResult(
         schedule=schedule,
         ranks=best_ranks,

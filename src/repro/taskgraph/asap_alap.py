@@ -23,9 +23,10 @@ hot callers like the SP heuristics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from ..core.timebase import Time, TimeLike
+from ..core.ticks import JobTicks
+from ..core.timebase import Time
 from .graph import TaskGraph
 
 
@@ -42,25 +43,17 @@ class TimingBounds:
 
 
 def compute_bounds_ticks(
-    graph: TaskGraph,
-    wcet_override: Optional[Sequence[TimeLike]] = None,
+    graph: TaskGraph, tt: Optional[JobTicks] = None
 ) -> Tuple[List[int], List[int]]:
-    """ASAP/ALAP fixpoints as integer tick arrays of ``graph.tick_times()``.
+    """ASAP/ALAP fixpoints as integer tick arrays of *tt*.
 
-    ``wcet_override`` substitutes per-job execution times (exact
-    rationals) for the nominal WCETs — the heterogeneous ranking path
-    passes platform-aggregated WCETs here.  The tick domain is extended
-    to represent the overrides exactly, so both returned arrays live in
-    that (possibly finer) domain; relative comparisons are unaffected.
+    *tt* defaults to ``graph.tick_times()``; the platform-aware ranking
+    passes a view whose WCETs aggregate the graph's duration table.
     """
     n = len(graph)
-    tt = graph.tick_times()
-    if wcet_override is not None:
-        tt = tt.rescaled_to(wcet_override)
-        arrival, deadline = tt.arrival, tt.deadline
-        wcet = [tt.domain.to_ticks(v) for v in wcet_override]
-    else:
-        arrival, deadline, wcet = tt.arrival, tt.deadline, tt.wcet
+    if tt is None:
+        tt = graph.tick_times()
+    arrival, deadline, wcet = tt.arrival, tt.deadline, tt.wcet
     pred_table = graph.predecessor_table()
     succ_table = graph.successor_table()
 

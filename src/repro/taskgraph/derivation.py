@@ -104,7 +104,8 @@ def derive_task_graph(
         per-processor-class table ``{class name: value}`` for heterogeneous
         platforms.  Table-carrying jobs materialise with ``wcet`` set to the
         conservative maximum over the classes and the resolved table in
-        ``wcet_by_class`` — the tick domain spans every class value, so all
+        ``wcet_by_class``; a graph's duration table on a platform
+        (:meth:`TaskGraph.platform_ticks`) spans every class value, so all
         class-resolved durations stay exactly representable.
     horizon:
         Frame length; defaults to the hyperperiod of ``PN'``.  Must be a

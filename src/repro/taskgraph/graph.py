@@ -19,7 +19,8 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ModelError
-from ..core.ticks import JobTicks
+from ..core.platform import Platform
+from ..core.ticks import JobTicks, PlatformTicks
 from ..core.timebase import Time
 from .jobs import Job
 
@@ -65,6 +66,7 @@ class TaskGraph:
         # Job-derived caches (jobs are frozen at construction, never stale).
         self._jobs_of_view: Optional[Dict[str, Tuple[int, ...]]] = None
         self._tick_times: Optional[JobTicks] = None
+        self._platform_ticks: Dict[tuple, PlatformTicks] = {}
         for i, j in edges:
             self.add_edge(i, j)
 
@@ -199,6 +201,20 @@ class TaskGraph:
         if tt is None:
             tt = self._tick_times = JobTicks(self.jobs, self.hyperperiod)
         return tt
+
+    def platform_ticks(self, platform: Platform) -> PlatformTicks:
+        """The graph's duration table on *platform* (cached per shape).
+
+        Keyed by :meth:`Platform.classes_key`; see
+        :class:`~repro.core.ticks.PlatformTicks`.
+        """
+        key = platform.classes_key()
+        table = self._platform_ticks.get(key)
+        if table is None:
+            table = self._platform_ticks[key] = PlatformTicks(
+                self.tick_times(), self.jobs, platform
+            )
+        return table
 
     def total_wcet(self) -> Time:
         """Sum of all job WCETs (the numerator of utilization over a frame)."""

@@ -141,8 +141,9 @@ class Job:
 
         An explicit table entry is authoritative; otherwise the scalar
         ``wcet`` scales by the class speed (exact rational division).
-        A speed-1 class returns ``wcet`` itself — same object, so the
-        degenerate platform stays bit-identical to the homogeneous path.
+        This is the entry of the job's row in a graph's duration table
+        (:meth:`TaskGraph.platform_ticks`), which every scheduling and
+        runtime layer charges.
         """
         if self.wcet_by_class is not None:
             for name, value in self.wcet_by_class:
@@ -153,8 +154,6 @@ class Job:
                 f"{cls.name!r} (table covers "
                 f"{[n for n, _ in self.wcet_by_class]})"
             )
-        if cls.speed == 1:
-            return self.wcet
         return self.wcet / cls.speed
 
     @property

@@ -1,10 +1,12 @@
-"""Heterogeneous-platform equivalence (the refactor's contract).
+"""Heterogeneous-platform equivalence (the platform model's contract).
 
 The platform model threads (task, processor-class) WCET tables through
-derivation, scheduling and the runtime.  Its load-bearing invariant is
-*degeneracy*: a single-class speed-1 platform must be **bit-identical** —
-exact Fractions, not approximately equal — to the homogeneous
-``processors: int`` path it replaced, end to end:
+derivation, scheduling and the runtime: every layer charges durations
+from the graph's one duration table per platform shape
+(``TaskGraph.platform_ticks``), with no separate homogeneous code path.
+Its load-bearing invariant is *degeneracy*: a single-class speed-1
+platform — a one-row table — must be **bit-identical** (exact Fractions,
+not approximately equal) to the ``processors: int`` spelling, end to end:
 
 * identical ``StaticSchedule`` entries on Fig. 1 / FFT / FMS for every
   heuristic, against the pure-Fraction oracles in
@@ -14,7 +16,9 @@ exact Fractions, not approximately equal — to the homogeneous
 * identical rows after a JSON wire round-trip and from a ``workers=N``
   sweep with a platform axis.
 
-On top of degeneracy, speed scaling is a *property*: a class of speed
+Non-degenerate platforms are pinned to the platform-aware oracles in
+``test_hetero_oracles.py`` and ``test_hetero_differential.py``.  On top
+of degeneracy, speed scaling is a *property*: a class of speed
 ``1/2`` executes every job for exactly twice as long — an exact rational
 relation checked per record, never a float tolerance.
 """

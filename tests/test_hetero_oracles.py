@@ -11,7 +11,7 @@ three classes at speeds 2, 1 and 1/3, one class at speed 3/2, and a
 big/little platform whose jobs carry per-class WCET tables.
 
 * ``list_schedule`` for every heuristic and every WCET aggregate, plus
-  ``violations()`` / ``makespan()`` of the result;
+  ``violations()`` / ``makespan()`` of the result and ``schedule_quality``;
 * ``search_priorities`` with a fixed seed (ranks, objective, counters and
   the materialised schedule);
 * ``run_static_order`` under WCET, jittered and per-process execution
@@ -36,13 +36,19 @@ from repro.apps import (
 )
 from repro.core.platform import Platform
 from repro.runtime import jittered_execution, run_static_order
-from repro.scheduling import available_heuristics, list_schedule, search_priorities
+from repro.scheduling import (
+    available_heuristics,
+    list_schedule,
+    schedule_quality,
+    search_priorities,
+)
 from repro.taskgraph import derive_task_graph
 
 from fraction_reference import (
     reference_jittered_execution,
     reference_list_schedule,
     reference_makespan,
+    reference_objective,
     reference_run_static_order,
     reference_search_priorities,
     reference_violations,
@@ -130,6 +136,12 @@ def test_list_schedule_matches_oracle(app, platform, heuristic, aggregate):
     assert_same_schedule(ours, ref)
     assert ours.platform == plat
     assert_same_feasibility(ours)
+    if aggregate == "mean":  # schedule_quality ranks with the default
+        (misses, lateness, makespan), _ = reference_objective(ref)
+        q = schedule_quality(graph, plat, heuristic)
+        assert (q.feasible, q.deadline_violations) == (misses == 0, misses)
+        for a, b in ((q.total_lateness, lateness), (q.makespan, makespan)):
+            assert (a.numerator, a.denominator) == (b.numerator, b.denominator)
 
 
 #: Search budgets: the Fraction oracle list-schedules every candidate, so

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from repro.apps import build_fig1_network, build_fft_network, fft_wcets
+from repro.core.platform import Platform
 from repro.errors import InfeasibleError, SchedulingError
 from repro.scheduling import (
     DEFAULT_PORTFOLIO,
@@ -46,6 +47,14 @@ class TestHeuristics:
     def test_unknown_heuristic(self):
         with pytest.raises(SchedulingError):
             get_heuristic("bogus")
+
+    @pytest.mark.parametrize("processors", [2, Platform.of(("a", 1), ("b", 1, 2))])
+    @pytest.mark.parametrize("name", ["alap", "blevel"])
+    def test_unknown_wcet_aggregate_rejected_on_every_platform(
+        self, fig1_graph, processors, name
+    ):
+        with pytest.raises(SchedulingError, match="WCET aggregate"):
+            list_schedule(fig1_graph, processors, name, wcet_aggregate="median")
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(SchedulingError):

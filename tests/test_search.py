@@ -5,10 +5,13 @@ from fractions import Fraction
 import pytest
 
 from repro.apps import build_fig1_network, random_network, random_wcets
-from repro.errors import InfeasibleError
+from repro.errors import InfeasibleError, SchedulingError
 from repro.scheduling import (
+    StaticSchedule,
+    find_feasible_schedule,
     find_feasible_schedule_with_search,
     list_schedule,
+    schedule_quality,
     search_priorities,
 )
 from repro.taskgraph import derive_task_graph
@@ -105,3 +108,30 @@ class TestSearch:
              for h in available_heuristics()),
         )
         assert result.objective[0] <= best_heuristic
+
+
+BAD_PLATFORMS = [0, -1, True, False, "2", 2.0, None]
+
+
+class TestBadPlatform:
+    """Every scheduling entry point raises SchedulingError alike."""
+
+    @pytest.mark.parametrize("bad", BAD_PLATFORMS, ids=repr)
+    def test_search_priorities(self, bad):
+        g = derive_task_graph(build_fig1_network(), 25)
+        with pytest.raises(SchedulingError):
+            search_priorities(g, bad)
+
+    @pytest.mark.parametrize("bad", BAD_PLATFORMS, ids=repr)
+    @pytest.mark.parametrize(
+        "entry",
+        [list_schedule, find_feasible_schedule,
+         lambda g, p: schedule_quality(g, p, "alap"),
+         lambda g, p: StaticSchedule(g, p, [])],
+        ids=["list_schedule", "find_feasible_schedule", "schedule_quality",
+             "StaticSchedule"],
+    )
+    def test_other_entry_points(self, entry, bad):
+        g = derive_task_graph(build_fig1_network(), 25)
+        with pytest.raises(SchedulingError):
+            entry(g, bad)
