@@ -35,6 +35,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, List, Sequence
 
+from ..errors import SchedulingError
 from .platform import Platform
 from .timebase import Time, TimeLike, as_time
 
@@ -253,18 +254,22 @@ class PlatformTicks:
     and runtime layer charges durations from here, so a homogeneous
     platform is simply a table with one row.  A speed-1 class over jobs
     without WCET tables runs each job for its own WCET: its row *is*
-    ``ticks.wcet``, not a copy.
+    ``ticks.wcet``, not a copy.  A job whose WCET table lacks one of the
+    platform's classes cannot be placed on it: :class:`SchedulingError`.
     """
 
     __slots__ = ("ticks", "rows", "per_proc")
 
     def __init__(self, base: JobTicks, jobs: Sequence, platform: Platform) -> None:
         tabled = any(j.wcet_by_class is not None for j in jobs)
-        values = [
-            None if cls.speed == 1 and not tabled
-            else [j.wcet_on(cls) for j in jobs]
-            for cls in platform.classes
-        ]
+        try:
+            values = [
+                None if cls.speed == 1 and not tabled
+                else [j.wcet_on(cls) for j in jobs]
+                for cls in platform.classes
+            ]
+        except KeyError as exc:
+            raise SchedulingError(exc.args[0]) from None
         tt = self.ticks = base.rescaled_to(
             v for row in values if row is not None for v in row
         )

@@ -75,7 +75,7 @@ def list_schedule(
     """
     platform = as_scheduling_platform(processors)
     table = graph.platform_ticks(platform)
-    start_t, proc_of = _schedule_ticks(graph, table, _resolve_priority(
+    start_t, _, proc_of = _schedule_ticks(graph, table, _resolve_priority(
         graph, priority, platform, wcet_aggregate
     ))
     from_ticks = table.ticks.domain.from_ticks
@@ -90,35 +90,37 @@ def list_schedule(
     return StaticSchedule(graph, platform, entries)
 
 
-def _tick_objective(
-    table: PlatformTicks, start_t: Sequence[int], proc_of: Sequence[int]
+def _tick_pass(
+    graph: TaskGraph, table: PlatformTicks, ranks: Sequence[int]
 ) -> Tuple[Tuple[int, int, int], List[int]]:
-    """``(misses, total lateness, makespan)`` of a :func:`_schedule_ticks`
-    result, in ticks, and the late jobs in the schedule's canonical entry
-    order (start, processor, index)."""
-    per_proc, deadline = table.per_proc, table.ticks.deadline
-    misses = lateness = makespan = 0
+    """One list-scheduling pass under *ranks*, scored in ticks.
+
+    Returns ``(misses, total lateness, makespan)`` and the late jobs in the
+    schedule's canonical entry order (start, processor, index) — the one
+    objective of the priority search and
+    :func:`~repro.scheduling.optimizer.schedule_quality`.
+    """
+    start_t, end_t, proc_of = _schedule_ticks(graph, table, ranks)
+    deadline = table.ticks.deadline
+    misses = lateness = 0
     late: List[Tuple[int, int, int]] = []
-    for i, start in enumerate(start_t):
-        end = start + per_proc[proc_of[i]][i]
-        if end > makespan:
-            makespan = end
-        if end > deadline[i]:
+    for i, (end, due) in enumerate(zip(end_t, deadline)):
+        if end > due:
             misses += 1
-            lateness += end - deadline[i]
-            late.append((start, proc_of[i], i))
+            lateness += end - due
+            late.append((start_t[i], proc_of[i], i))
     late.sort()
-    return (misses, lateness, makespan), [i for _, _, i in late]
+    return (misses, lateness, max(end_t, default=0)), [i for _, _, i in late]
 
 
 def _schedule_ticks(
     graph: TaskGraph,
     table: PlatformTicks,
     ranks: Sequence[int],
-) -> Tuple[List[int], List[int]]:
+) -> Tuple[List[int], List[int], List[int]]:
     """The list-scheduling event loop in pure integer ticks.
 
-    Returns per-job ``(start_ticks, processor)`` arrays.  Shared by
+    Returns per-job ``(start_ticks, end_ticks, processor)`` arrays.  Shared by
     :func:`list_schedule` and the priority search (which evaluates thousands
     of rank permutations and must not pay Fraction arithmetic or
     re-materialise a :class:`StaticSchedule` per candidate).
@@ -135,6 +137,7 @@ def _schedule_ticks(
 
     remaining_preds = [len(p) for p in pred_table]
     start_t = [0] * n
+    end_t = [0] * n
     proc_of = [0] * n
 
     # Jobs not yet arrived, as a heap keyed by arrival tick.
@@ -164,25 +167,29 @@ def _schedule_ticks(
         while ready and free:
             rank, i = heapq.heappop(ready)
             proc = heapq.heappop(free)
+            end = now + dur_of_proc[proc][i]
             start_t[i] = now
+            end_t[i] = end
             proc_of[i] = proc
-            heapq.heappush(running, (now + dur_of_proc[proc][i], proc, i))
+            heapq.heappush(running, (end, proc, i))
             scheduled += 1
         if scheduled >= n:
             break
         # Advance time to the next event: completion or arrival.
-        candidates: List[int] = []
         if running:
-            candidates.append(running[0][0])
-        if arrivals:
-            candidates.append(arrivals[0][0])
-        if not candidates:
+            nxt = running[0][0]
+            if arrivals and arrivals[0][0] < nxt:
+                nxt = arrivals[0][0]
+        elif arrivals:
+            nxt = arrivals[0][0]
+        else:
             stuck = [graph.jobs[i].name for i in sorted(blocked)][:5]
             raise SchedulingError(
                 f"list scheduler deadlocked with blocked jobs {stuck!r} "
                 "(task graph has an unsatisfiable precedence structure)"
             )
-        now = max(now, min(candidates))
+        if nxt > now:
+            now = nxt
         # Retire completions at 'now' and unblock successors.
         while running and running[0][0] <= now:
             finish, proc, i = heapq.heappop(running)
@@ -196,7 +203,7 @@ def _schedule_ticks(
                     else:
                         heapq.heappush(arrivals, (arrival[s], ranks[s], s))
 
-    return start_t, proc_of
+    return start_t, end_t, proc_of
 
 
 def _resolve_priority(

@@ -24,12 +24,7 @@ from ..core.platform import Platform, PlatformLike
 from ..core.timebase import Time
 from ..taskgraph.graph import TaskGraph
 from ..taskgraph.load import task_graph_load
-from .list_scheduler import (
-    _resolve_priority,
-    _schedule_ticks,
-    _tick_objective,
-    list_schedule,
-)
+from .list_scheduler import _resolve_priority, _tick_pass, list_schedule
 from .priorities import available_heuristics
 from .schedule import StaticSchedule, as_scheduling_platform
 
@@ -144,9 +139,8 @@ def schedule_quality(
     """
     platform = as_scheduling_platform(processors)
     table = graph.platform_ticks(platform)
-    ranks = _resolve_priority(graph, heuristic, platform)
-    (misses, lateness, makespan), _ = _tick_objective(
-        table, *_schedule_ticks(graph, table, ranks)
+    (misses, lateness, makespan), _ = _tick_pass(
+        graph, table, _resolve_priority(graph, heuristic, platform)
     )
     from_ticks = table.ticks.domain.from_ticks
     return QualityReport(

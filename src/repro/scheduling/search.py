@@ -39,8 +39,7 @@ from ..errors import InfeasibleError
 from ..taskgraph.graph import TaskGraph
 from .list_scheduler import (
     _resolve_priority,
-    _schedule_ticks,
-    _tick_objective,
+    _tick_pass,
     list_schedule,
 )
 from .priorities import available_heuristics
@@ -90,10 +89,6 @@ def search_priorities(
     heuristic_names = list(seeds_from or available_heuristics())
     table = graph.platform_ticks(platform)
 
-    def evaluate(ranks: Sequence[int]) -> Tuple[_TickObjective, List[int]]:
-        # One list-scheduling pass; objective and late jobs in pure ticks.
-        return _tick_objective(table, *_schedule_ticks(graph, table, ranks))
-
     best_ranks: Optional[List[int]] = None
     best_objective: Optional[_TickObjective] = None
     best_restarts = 0
@@ -108,7 +103,7 @@ def search_priorities(
         else:
             ranks = list(range(n))
             rng.shuffle(ranks)
-        objective, late = evaluate(ranks)
+        objective, late = _tick_pass(graph, table, ranks)
         budget = max_iterations // max(1, restarts)
 
         for _ in range(budget):
@@ -124,7 +119,7 @@ def search_priorities(
             if i == j:
                 continue
             ranks[i], ranks[j] = ranks[j], ranks[i]
-            cand_objective, cand_late = evaluate(ranks)
+            cand_objective, cand_late = _tick_pass(graph, table, ranks)
             if cand_objective <= objective:
                 objective, late = cand_objective, cand_late
             else:

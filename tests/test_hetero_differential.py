@@ -12,11 +12,9 @@ agree exactly with the Fraction oracles of ``fraction_reference.py`` on:
 * a short seeded priority search;
 * the run under WCET and jittered execution times.
 
-Tier-1 runs a bounded slice of seeds; set ``REPRO_HETERO_DIFF_CASES`` to
-run more.
+Tier-1 runs a bounded slice of ``CASES`` seeds.
 """
 
-import os
 import random
 from fractions import Fraction
 
@@ -38,15 +36,14 @@ from repro.taskgraph import derive_task_graph
 from fraction_reference import (
     reference_jittered_execution,
     reference_list_schedule,
-    reference_makespan,
     reference_run_static_order,
     reference_search_priorities,
-    reference_violations,
 )
+from test_hetero_oracles import assert_same_feasibility
 from test_tick_equivalence import assert_same_result, assert_same_schedule
 
 SPEEDS = (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3, 2), Fraction(1, 3))
-CASES = int(os.environ.get("REPRO_HETERO_DIFF_CASES", "24"))
+CASES = 24
 
 
 def random_case(seed):
@@ -79,14 +76,6 @@ def random_case(seed):
         "stimulus": random_stimulus(net, graph.hyperperiod * 2, seed=seed),
         "rng": rng,
     }
-
-
-def assert_same_feasibility(schedule):
-    assert [(v.kind, v.detail) for v in schedule.violations()] == (
-        reference_violations(schedule)
-    )
-    ours, ref = schedule.makespan(), reference_makespan(schedule)
-    assert (ours.numerator, ours.denominator) == (ref.numerator, ref.denominator)
 
 
 def perturbed(schedule, rng):

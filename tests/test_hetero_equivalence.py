@@ -45,7 +45,15 @@ from repro.core.platform import Platform, ProcessorClass, as_platform
 from repro.errors import ModelError, SchedulingError
 from repro.io import schedule_from_dict, schedule_to_dict
 from repro.runtime import jittered_execution, run_static_order
-from repro.scheduling import available_heuristics, list_schedule
+from repro.scheduling import (
+    alap_priority,
+    available_heuristics,
+    blevel_priority,
+    find_feasible_schedule,
+    list_schedule,
+    schedule_quality,
+    search_priorities,
+)
 from repro.taskgraph import derive_task_graph
 
 from fraction_reference import (
@@ -228,6 +236,36 @@ class TestPlatformModel:
         cls = ProcessorClass("big")
         with pytest.raises(KeyError):
             job.wcet_on(cls)
+
+    @pytest.mark.parametrize("platform", [
+        2, Platform.of(("gpu", 2)), Platform.of(("big", 1), ("mid", 1)),
+    ])
+    def test_table_missing_a_platform_class_is_a_scheduling_error(
+        self, platform
+    ):
+        wcets = dict(fig1_wcets())
+        wcets["FilterA"] = {"big": Fraction(1, 10), "little": Fraction(1, 5)}
+        graph = derive_task_graph(build_fig1_network(), wcets)
+        calls = (
+            lambda: list_schedule(graph, platform),
+            lambda: find_feasible_schedule(graph, platform),
+            lambda: search_priorities(graph, platform, max_iterations=4),
+            lambda: schedule_quality(graph, platform, "alap"),
+            lambda: alap_priority(graph, platform=platform),
+        )
+        for call in calls:
+            with pytest.raises(SchedulingError, match="FilterA.*no WCET"):
+                call()
+
+    def test_default_platform_ranking_of_tabled_graph_is_a_scheduling_error(
+        self,
+    ):
+        wcets = dict(fig1_wcets())
+        wcets["FilterA"] = {"big": Fraction(1, 10), "little": Fraction(1, 5)}
+        graph = derive_task_graph(build_fig1_network(), wcets)
+        for rank in (alap_priority, blevel_priority):
+            with pytest.raises(SchedulingError, match="'cpu'"):
+                rank(graph)
 
 
 # ---------------------------------------------------------------------------
