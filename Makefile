@@ -40,12 +40,15 @@ test-hetero:
 
 # Tick-path lane: the integer-tick runtime against its Fraction oracles —
 # timing records and schedules (test_tick_equivalence), data-phase
-# observables (test_data_phase_equivalence) and the tick-fed metrics and
+# observables (test_data_phase_equivalence), the tick-fed metrics and
 # tick-sampled jitter against MetricsObserver.on_record and the Fraction
-# reference sampler (test_tick_path).  Also part of the tier-1 run.
+# reference sampler (test_tick_path), and tick-native static schedules
+# against hand-built ones and the Fraction list scheduler and feasibility
+# check (test_schedule_ticks).  Also part of the tier-1 run.
 test-ticks:
 	$(PY) -m pytest tests/test_tick_equivalence.py \
-		tests/test_data_phase_equivalence.py tests/test_tick_path.py -q
+		tests/test_data_phase_equivalence.py tests/test_tick_path.py \
+		tests/test_schedule_ticks.py -q
 
 # Error-level lint (ruff.toml: syntax errors / undefined names only).
 # Skips gracefully when ruff is not in the environment; CI installs it.

@@ -91,3 +91,31 @@ def check_trusted_rebind(
             f"({vars(reused)} != {vars(fresh)}) — update the rebind method "
             "before shipping"
         )
+
+
+def check_trusted_fields(
+    cls: type,
+    expected_fields: Tuple[str, ...],
+    trusted: Any,
+    public: Any,
+) -> None:
+    """Fail the import if a plain class's trusted constructor drifts.
+
+    The non-dataclass counterpart of :func:`check_trusted_constructor`
+    (:meth:`repro.scheduling.schedule.StaticSchedule._from_ticks`): the
+    attributes the public constructor sets must equal *expected_fields*,
+    and *trusted* — the same data built through the trusted constructor —
+    must hold the same values, attribute for attribute, as *public*.
+    """
+    actual = tuple(vars(public))
+    if actual != expected_fields:
+        raise AssertionError(
+            f"{cls.__name__}'s fields changed ({actual} != "
+            f"{expected_fields}) — update its trusted constructor and the "
+            "expected field tuple to match"
+        )
+    if vars(trusted) != vars(public):  # pragma: no cover - future drift guard
+        raise AssertionError(
+            f"{cls.__name__}'s trusted constructor no longer reproduces the "
+            f"public one ({vars(trusted)} != {vars(public)})"
+        )

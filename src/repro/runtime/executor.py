@@ -526,27 +526,22 @@ class MultiprocessorExecutor:
         exact rationals that widen the domain first.
         """
         binding = ArrivalBinding.of(self.network, self.hyperperiod, n_frames, stimulus)
-        per_frame_counts = self.plan.per_process_count()
 
         graph = self.graph
         jobs = graph.jobs
-        n = len(jobs)
-        topo = self._frame_topological_order()
-        proc_of = [self.plan.processor_of(i) for i in range(n)]
-        counts = [per_frame_counts[j.process] for j in jobs]
-        proc_deadline = [
-            self.network.processes[j.process].deadline for j in jobs
-        ]
-        layout = tuple(
-            (i, j.process, j.subset_index, j.slot)
-            for i, j in enumerate(jobs) if j.is_server
-        )
+        plan = self.plan
+        topo = plan.frame_order()
+        layout = plan.layout
+        # Process deadlines convert once per process, not per job.
+        processes = self.network.processes
+        proc_deadline = {
+            name: processes[name].deadline for name in plan.process_counts
+        }
         ov = self.overheads
         # Each job's WCET on its slot's processor class, read from the
         # graph's duration table on the platform.
-        table = graph.platform_ticks(self.plan.platform)
-        base = table.ticks
-        wcet_base = [table.per_proc[p][i] for i, p in enumerate(proc_of)]
+        base = graph.platform_ticks(plan.platform).ticks
+        wcet_base = plan.wcet_t
 
         spec = execution_time
         if spec is None:
@@ -571,7 +566,7 @@ class MultiprocessorExecutor:
         tt = base.rescaled_to(chain(
             (ov.first_frame_arrival, ov.steady_frame_arrival, ov.per_job,
              Fraction(1, binding.domain.scale)),
-            proc_deadline,
+            proc_deadline.values(),
             model_values,
         ))
         dom = tt.domain
@@ -595,18 +590,19 @@ class MultiprocessorExecutor:
                 [to_ticks(d) if d is not None else 0 for d in row]
                 for row in rows
             ]
+        pdl_of = {name: to_ticks(d) for name, d in proc_deadline.items()}
         return _RunSetup(
             n_frames=n_frames,
             topo=topo,
             pred_table=graph.predecessor_table(),
-            proc_of=proc_of,
-            counts=counts,
+            proc_of=plan.proc_of,
+            counts=plan.counts,
             dom=dom,
             arr_t=tt.arrival,
             H_t=to_ticks(self.hyperperiod),
             ov_first_t=to_ticks(ov.first_frame_arrival),
             ov_steady_t=to_ticks(ov.steady_frame_arrival),
-            pdl_t=[to_ticks(d) for d in proc_deadline],
+            pdl_t=[pdl_of[j.process] for j in jobs],
             dur_t_const=dur_t_const,
             dur_t_rows=dur_t_rows,
             bound_t_rows=slot_rows,
@@ -858,37 +854,6 @@ class MultiprocessorExecutor:
         return records, instances, overhead_intervals, frac_memo
 
     # ------------------------------------------------------------------
-    def _frame_topological_order(self) -> List[int]:
-        """Job indices ordered by (static start, index).
-
-        For a feasible schedule this order is topological for the union of
-        precedence edges and per-processor chains, so a single pass resolves
-        all timing dependencies within a frame.  A schedule whose start
-        times contradict the precedence edges is rejected loudly here —
-        the timing recurrence would otherwise read uncomputed predecessor
-        end times.
-        """
-        n = len(self.graph)
-        _, start_t, _, _, _ = self.schedule.tick_view()
-        if len(start_t) < n:
-            for i in range(n):
-                self.schedule.entry(i)  # raises SchedulingError for the gap
-        order = sorted(range(n), key=lambda i: (start_t[i], i))
-        pos = [0] * n
-        for idx, i in enumerate(order):
-            pos[i] = idx
-        jobs = self.graph.jobs
-        pred_table = self.graph.predecessor_table()
-        for i in range(n):
-            for p in pred_table[i]:
-                if pos[p] > pos[i]:
-                    raise RuntimeModelError(
-                        f"static schedule starts job {jobs[i].name} before its "
-                        f"predecessor {jobs[p].name} — precedence-violating "
-                        "schedules cannot drive the static-order policy"
-                    )
-        return order
-
     def _durations(
         self,
         spec: ExecutionTimeSpec,

@@ -24,8 +24,8 @@ at ``b`` iff ``p -> u(p)`` (window ``(a, b]``), else to the next window
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from itertools import chain
 
@@ -248,25 +248,37 @@ class PlannedJob:
     static_start: Time      # si — used for ordering only, never for timing
 
 
-@dataclass
 class FramePlan:
-    """Per-processor static orders plus job metadata for the executor."""
+    """A static schedule's run constants for the executor.
 
-    graph: TaskGraph
-    schedule: StaticSchedule
-    orders: List[List[PlannedJob]] = field(default_factory=list)
+    Each is a pure function of the schedule: each job's processor
+    (``proc_of``) and base duration on it in the graph's duration-table
+    ticks (``wcet_t``), jobs per process per frame (``process_counts``,
+    and per job: ``counts``), the server-job ``layout`` the arrival
+    binding's slot tables are keyed by, and the frame order
+    (:meth:`frame_order`).  They are built on first use and kept in the
+    schedule's run memo (:meth:`StaticSchedule.run_memo`), so every run
+    of one schedule shares them; callers must not mutate them.  The memo
+    holds plain data only, never the plan: a reference back to the
+    schedule would make a cycle that outlives the schedule's last user
+    until the next garbage collection.
+    """
+
+    def __init__(self, schedule: StaticSchedule) -> None:
+        self.schedule = schedule
+        self.graph: TaskGraph = schedule.graph
+        self._orders: Optional[List[List[PlannedJob]]] = None
 
     @classmethod
     def from_schedule(cls, schedule: StaticSchedule) -> "FramePlan":
-        graph = schedule.graph
-        orders: List[List[PlannedJob]] = []
-        for m in range(schedule.processors):
-            row = [
-                PlannedJob(i, m, schedule.start(i))
-                for i in schedule.processor_order(m)
-            ]
-            orders.append(row)
-        return cls(graph, schedule, orders)
+        return cls(schedule)
+
+    def _memoised(self, key: str, build: Callable[[], Any]) -> Any:
+        memo = self.schedule.run_memo()
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = build()
+        return value
 
     @property
     def processors(self) -> int:
@@ -277,6 +289,93 @@ class FramePlan:
         """The schedule's platform (degenerate for classic int schedules)."""
         return self.schedule.platform
 
+    @property
+    def orders(self) -> List[List[PlannedJob]]:
+        """Per-processor static orders as :class:`PlannedJob` rows."""
+        orders = self._orders
+        if orders is None:
+            schedule = self.schedule
+            orders = self._orders = [
+                [PlannedJob(i, m, schedule.start(i)) for i in row]
+                for m, row in enumerate(schedule.orders())
+            ]
+        return orders
+
+    def frame_order(self) -> List[int]:
+        """Job indices ordered by (static start, index).
+
+        For a feasible schedule this order is topological for the union of
+        precedence edges and per-processor chains, so a single pass resolves
+        all timing dependencies within a frame.  A schedule that leaves a
+        job unscheduled raises :class:`SchedulingError`; one whose start
+        times contradict the precedence edges is rejected loudly with
+        :class:`RuntimeModelError` — the timing recurrence would otherwise
+        read uncomputed predecessor end times.  Re-checked when the graph's
+        edges change.
+        """
+        pred_table = self.graph.predecessor_table()
+        memo = self.schedule.run_memo()
+        checked = memo.get("frame-order")
+        if checked is not None and checked[0] is pred_table:
+            return checked[1]
+        schedule = self.schedule
+        order = schedule.start_order()
+        n = len(self.graph)
+        if len(order) < n:
+            for i in range(n):
+                schedule.mapping(i)  # raises SchedulingError for the gap
+        pos = [0] * n
+        for idx, i in enumerate(order):
+            pos[i] = idx
+        jobs = self.graph.jobs
+        for i in range(n):
+            for p in pred_table[i]:
+                if pos[p] > pos[i]:
+                    raise RuntimeModelError(
+                        f"static schedule starts job {jobs[i].name} before its "
+                        f"predecessor {jobs[p].name} — precedence-violating "
+                        "schedules cannot drive the static-order policy"
+                    )
+        memo["frame-order"] = (pred_table, order)
+        return order
+
+    @property
+    def proc_of(self) -> List[int]:
+        return self.schedule.mapping_table()
+
+    @property
+    def wcet_t(self) -> List[int]:
+        def build() -> List[int]:
+            per_proc = self.graph.platform_ticks(self.platform).per_proc
+            return [per_proc[p][i] for i, p in enumerate(self.proc_of)]
+        return self._memoised("wcet_t", build)
+
+    @property
+    def process_counts(self) -> Dict[str, int]:
+        """Jobs per process per frame, in order of first job."""
+        def build() -> Dict[str, int]:
+            counts: Dict[str, int] = {}
+            for job in self.graph.jobs:
+                counts[job.process] = counts.get(job.process, 0) + 1
+            return counts
+        return self._memoised("process_counts", build)
+
+    @property
+    def counts(self) -> List[int]:
+        """Per job: its process's jobs per frame."""
+        def build() -> List[int]:
+            per_frame = self.process_counts
+            return [per_frame[j.process] for j in self.graph.jobs]
+        return self._memoised("counts", build)
+
+    @property
+    def layout(self) -> Tuple[Tuple[int, str, int, int], ...]:
+        """Server jobs as ``(job index, process, subset, slot)``."""
+        return self._memoised("layout", lambda: tuple(
+            (i, j.process, j.subset_index, j.slot)
+            for i, j in enumerate(self.graph.jobs) if j.is_server
+        ))
+
     def processor_of(self, job_index: int) -> int:
         return self.schedule.mapping(job_index)
 
@@ -285,7 +384,4 @@ class FramePlan:
 
     def per_process_count(self) -> Dict[str, int]:
         """Jobs per process per frame (to compute global invocation counts)."""
-        counts: Dict[str, int] = {}
-        for job in self.graph.jobs:
-            counts[job.process] = counts.get(job.process, 0) + 1
-        return counts
+        return dict(self.process_counts)

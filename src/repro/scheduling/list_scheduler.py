@@ -18,10 +18,13 @@ The simulation itself runs in the **integer tick domain** (see
 :mod:`repro.core.ticks`): arrivals and per-class durations are mapped once
 per graph and platform shape to exact integer tick counts
 (:meth:`TaskGraph.platform_ticks`), so the event loop's heap operations
-compare and add machine integers instead of normalising rationals.  Start
-times are converted back to exact :class:`~fractions.Fraction` values only
-when the :class:`~repro.scheduling.schedule.StaticSchedule` is
-materialised — the result is bit-identical to a pure-Fraction
+compare and add machine integers instead of normalising rationals.  The
+loop's start-tick and processor arrays are handed over as they are: the
+:class:`~repro.scheduling.schedule.StaticSchedule` keeps them as its only
+representation and checks feasibility on them.  Its
+:class:`~repro.scheduling.schedule.ScheduledJob` entries are lazy, so
+start times become exact :class:`~fractions.Fraction` values only when
+entries are first read — bit-identical to a pure-Fraction
 implementation.
 
 The produced :class:`~repro.scheduling.schedule.StaticSchedule` may violate
@@ -39,7 +42,7 @@ from ..core.platform import Platform, PlatformLike
 from ..core.ticks import PlatformTicks
 from ..taskgraph.graph import TaskGraph
 from .priorities import get_heuristic
-from .schedule import ScheduledJob, StaticSchedule, as_scheduling_platform
+from .schedule import StaticSchedule, as_scheduling_platform
 
 
 def list_schedule(
@@ -78,16 +81,7 @@ def list_schedule(
     start_t, _, proc_of = _schedule_ticks(graph, table, _resolve_priority(
         graph, priority, platform, wcet_aggregate
     ))
-    from_ticks = table.ticks.domain.from_ticks
-    # Emit entries pre-sorted in the schedule's canonical order so the
-    # StaticSchedule constructor's sort is a linear no-op.
-    order = sorted(
-        range(len(graph)), key=lambda i: (start_t[i], proc_of[i], i)
-    )
-    entries = [
-        ScheduledJob(i, proc_of[i], from_ticks(start_t[i])) for i in order
-    ]
-    return StaticSchedule(graph, platform, entries)
+    return StaticSchedule._from_ticks(graph, platform, start_t, proc_of)
 
 
 def _tick_pass(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import InfeasibleError
-from ..core.platform import Platform, PlatformLike
+from ..core.platform import PlatformLike
 from ..core.timebase import Time
 from ..taskgraph.graph import TaskGraph
 from ..taskgraph.load import task_graph_load
@@ -50,10 +50,11 @@ def try_portfolio(
     heuristics: Sequence[str] = DEFAULT_PORTFOLIO,
 ) -> List[Attempt]:
     """Run every heuristic and report all attempts (no early exit)."""
+    platform = as_scheduling_platform(processors)
     attempts = []
     for name in heuristics:
-        schedule = list_schedule(graph, processors, name)
-        attempts.append(Attempt(name, schedule, len(schedule.violations())))
+        schedule = list_schedule(graph, platform, name)
+        attempts.append(Attempt(name, schedule, schedule.violation_count()))
     return attempts
 
 
@@ -68,26 +69,31 @@ def find_feasible_schedule(
     :class:`~repro.core.platform.Platform`; heterogeneous platforms
     schedule with class-resolved durations throughout the portfolio.
 
+    Feasibility is decided on each attempt's tick arrays; diagnostics are
+    rendered only for the attempt an :class:`InfeasibleError` reports.
+
     Raises
     ------
     InfeasibleError
         When no portfolio heuristic produces a feasible schedule; the error
         carries the lowest-violation attempt's diagnostics.
     """
+    platform = as_scheduling_platform(processors)
     best: Optional[Attempt] = None
     for name in heuristics:
-        schedule = list_schedule(graph, processors, name)
-        violations = schedule.violations()
-        if not violations:
+        schedule = list_schedule(graph, platform, name)
+        count = schedule.violation_count()
+        if not count:
             return schedule
-        attempt = Attempt(name, schedule, len(violations))
-        if best is None or attempt.violations < best.violations:
-            best = attempt
+        if best is None or count < best.violations:
+            best = Attempt(name, schedule, count)
     assert best is not None
     sample = "; ".join(str(v) for v in best.schedule.violations()[:3])
+    # Spelling-independent: ``2`` and ``Platform.homogeneous(2)`` are one
+    # platform, so they fail with one message.
     platform_str = (
-        processors.describe() if isinstance(processors, Platform)
-        else f"{processors} processors"
+        f"{platform.processors} processors" if platform.is_unit
+        else platform.describe()
     )
     raise InfeasibleError(
         f"no feasible schedule on {platform_str} "
