@@ -44,11 +44,18 @@ test-hetero:
 # tick-sampled jitter against MetricsObserver.on_record and the Fraction
 # reference sampler (test_tick_path), and tick-native static schedules
 # against hand-built ones and the Fraction list scheduler and feasibility
-# check (test_schedule_ticks).  Also part of the tier-1 run.
+# check (test_schedule_ticks); plus the runtime paths around them: the
+# per-class observer rule and fast modes (test_observers), live-vs-replay
+# data events (test_data_phase_events), the run plan's rejections and the
+# arrival binding (test_static_order_binding), and the entry points the
+# perfbench benchmark calls (test_perfbench_surface).  Also part of the
+# tier-1 run.
 test-ticks:
 	$(PY) -m pytest tests/test_tick_equivalence.py \
 		tests/test_data_phase_equivalence.py tests/test_tick_path.py \
-		tests/test_schedule_ticks.py -q
+		tests/test_schedule_ticks.py tests/test_observers.py \
+		tests/test_data_phase_events.py tests/test_static_order_binding.py \
+		tests/test_perfbench_surface.py -q
 
 # Error-level lint (ruff.toml: syntax errors / undefined names only).
 # Skips gracefully when ruff is not in the environment; CI installs it.

@@ -159,9 +159,11 @@ class Platform:
     def is_unit(self) -> bool:
         """True for the degenerate platform: one class at speed 1.
 
-        Only rendering reads it: scenario descriptions and experiment
-        reports leave a unit platform out.  Scheduling and the runtime
-        never branch on it.
+        Only wording reads it: scenario descriptions and experiment
+        reports leave a unit platform out, and
+        :func:`~repro.scheduling.optimizer.find_feasible_schedule` words its
+        :class:`InfeasibleError` as ``N processors``.  No schedule, ranking
+        or run depends on it.
         """
         return len(self.entries) == 1 and self.entries[0][0].speed == 1
 

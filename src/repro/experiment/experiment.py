@@ -36,8 +36,6 @@ from ..core.semantics import ExecutionResult, run_zero_delay
 from ..errors import RuntimeModelError
 from ..runtime.executor import RuntimeResult, run_static_order
 from ..runtime.observers import (
-    _DATA_HOOKS,
-    _overrides,
     ExecutionObserver,
     MetricsObserver,
     replay,
@@ -193,11 +191,7 @@ class Experiment:
         result = self._result
         if result.trace_collected or not result.data_collected:
             return True
-        return not any(
-            _overrides(ob, name, base)
-            for ob in observers
-            for name, base in _DATA_HOOKS
-        )
+        return not any(ob.consumes_data for ob in observers)
 
     def _execute(self, observers: Sequence[ExecutionObserver]) -> RuntimeResult:
         s = self.scenario

@@ -80,12 +80,7 @@ from ..core.timebase import ZERO
 from ..errors import ModelError, RuntimeModelError
 from ..runtime.executor import RuntimeResult
 from ..runtime.overheads import OverheadModel
-from ..runtime.observers import (
-    _DATA_HOOKS,
-    _overrides,
-    ExecutionObserver,
-    MetricsObserver,
-)
+from ..runtime.observers import ExecutionObserver, MetricsObserver
 from .experiment import Experiment, PipelineCache
 from .faults import FaultPlan, apply_cell_faults
 from .scenario import Scenario
@@ -439,9 +434,7 @@ def _run_cell(
     # phase alive even when the table's metrics alone would allow
     # records_only — they attach live and must see their events.
     cell_wants_data = want_data or any(
-        _overrides(ob, name, base)
-        for ob in observers[1:]
-        for name, base in _DATA_HOOKS
+        ob.consumes_data for ob in extra_observers
     )
     if keep_results:
         # Retained rows must be usable post-hoc (replay, observables,

@@ -33,8 +33,6 @@ from .telemetry import ProgressObserver, Span, SpanObserver
 from .static_order import (
     ArrivalBinding,
     BoundArrival,
-    FramePlan,
-    PlannedJob,
     served_horizon,
 )
 
@@ -70,7 +68,5 @@ __all__ = [
     "SpanObserver",
     "ArrivalBinding",
     "BoundArrival",
-    "FramePlan",
-    "PlannedJob",
     "served_horizon",
 ]

@@ -29,15 +29,17 @@ The executor is split into a **timing core** and pluggable **consumers**:
    rationals (bit-identical to a pure-Fraction simulation) and **emitted
    as events** to the observers of :mod:`repro.runtime.observers`.
 
-   A sweep cell stays in ticks end to end.  The sporadic arrival binding
-   and its per-frame slot tables are memoised on the stimulus
-   (:meth:`ArrivalBinding.of`), so every run over one stimulus shares
-   them.  A :class:`JitterSampler` is sampled through its integer draws,
-   each duration ``d * wcet / R`` exact in a domain fixed before sampling.
-   Stock :class:`~repro.runtime.observers.MetricsObserver` instances are
-   fed integer aggregates once per run instead of one record per
-   instance, so a timing-only run with no other record consumer builds
-   no :class:`JobRecord` at all.
+   A sweep cell stays in ticks end to end.  What the policy reads of the
+   schedule is one :class:`RunPlan`, memoised on the schedule, and the
+   sporadic arrival binding and its per-frame slot tables are memoised
+   on the stimulus (:meth:`ArrivalBinding.of`), so every run of one
+   schedule over one stimulus shares them.  A :class:`JitterSampler` is
+   sampled through its integer draws, each duration ``d * wcet / R``
+   exact in a domain fixed before sampling.  Tick-fed observers (stock
+   :class:`~repro.runtime.observers.MetricsObserver` classes) get integer
+   aggregates once per run instead of one record per instance, so a
+   timing-only run with no other record consumer builds no
+   :class:`JobRecord` at all.
 2. **Data phase** (:meth:`MultiprocessorExecutor._data_phase`) — the
    kernels of all *true* jobs run in ``(start, frame, <J index)`` order
    against fresh channel states.  Jobs sharing a channel can never overlap
@@ -75,16 +77,9 @@ from ..core.trusted import check_trusted_constructor
 from ..taskgraph.graph import TaskGraph
 from ..taskgraph.jobs import Job
 from ..scheduling.schedule import StaticSchedule
-from .observers import (
-    _DATA_HOOKS,
-    _overrides,
-    _tick_fed,
-    ExecutionObserver,
-    RunMeta,
-    TickMetrics,
-)
+from .observers import ExecutionObserver, RunMeta, TickMetrics
 from .overheads import OverheadModel
-from .static_order import ArrivalBinding, FramePlan
+from .static_order import ArrivalBinding, RunPlan
 
 # Hot-loop aliases for the trusted ``__dict__``-installing constructions
 # (records in the timing phase, job markers in the data phase); the literal
@@ -368,10 +363,6 @@ class _RunSetup:
     """Per-run immutable inputs, resolved once before the timing loop."""
 
     n_frames: int
-    topo: List[int]
-    pred_table: List[Tuple[int, ...]]
-    proc_of: List[int]
-    counts: List[int]
     dom: TickDomain
     arr_t: List[int]
     H_t: int
@@ -397,7 +388,6 @@ class MultiprocessorExecutor:
             raise RuntimeModelError("schedule's task graph has no hyperperiod")
         self.network = network
         self.schedule = schedule
-        self.plan = FramePlan.from_schedule(schedule)
         self.overheads = overheads or OverheadModel.none()
         self.graph: TaskGraph = schedule.graph
         self.hyperperiod: Time = schedule.graph.hyperperiod
@@ -446,12 +436,12 @@ class MultiprocessorExecutor:
             raise RuntimeModelError("n_frames must be >= 1")
         stimulus = stimulus or Stimulus()
         stimulus.validate(self.network)
-        setup = self._prepare(n_frames, stimulus, execution_time)
+        plan, setup = self._prepare(n_frames, stimulus, execution_time)
 
         if observers:
             meta = RunMeta(
                 network=self.network.name,
-                processors=self.plan.processors,
+                processors=self.schedule.processors,
                 frames=n_frames,
                 hyperperiod=self.hyperperiod,
             )
@@ -471,7 +461,8 @@ class MultiprocessorExecutor:
             gc.disable()
         try:
             records, instances, overhead_intervals, frac_memo = self._timing_phase(
-                setup, observers, collect_records, collect_instances=not records_only
+                plan, setup, observers, collect_records,
+                collect_instances=not records_only
             )
 
             if records_only:
@@ -480,7 +471,7 @@ class MultiprocessorExecutor:
                 trace = Trace()
             else:
                 channel_logs, external_outputs, trace = self._data_phase(
-                    sorted(instances), stimulus, setup.dom, frac_memo,
+                    sorted(instances), stimulus, plan, setup.dom, frac_memo,
                     observers, collect_trace,
                 )
         finally:
@@ -491,7 +482,7 @@ class MultiprocessorExecutor:
             network_name=self.network.name,
             frames=n_frames,
             hyperperiod=self.hyperperiod,
-            processors=self.plan.processors,
+            processors=self.schedule.processors,
             records=records,
             channel_logs=channel_logs,
             external_outputs=external_outputs,
@@ -511,8 +502,8 @@ class MultiprocessorExecutor:
         n_frames: int,
         stimulus: Stimulus,
         execution_time: ExecutionTimeSpec,
-    ) -> _RunSetup:
-        """Resolve every run input into the integer tick domain.
+    ) -> Tuple[RunPlan, _RunSetup]:
+        """The schedule's run plan and every run input in integer ticks.
 
         Three steps: (1) invocation identity — the stimulus's memoised
         :class:`ArrivalBinding` says which server-job slots a real arrival
@@ -527,20 +518,18 @@ class MultiprocessorExecutor:
         """
         binding = ArrivalBinding.of(self.network, self.hyperperiod, n_frames, stimulus)
 
-        graph = self.graph
-        jobs = graph.jobs
-        plan = self.plan
-        topo = plan.frame_order()
+        plan = RunPlan.of(self.schedule)
+        topo = plan.order
         layout = plan.layout
         # Process deadlines convert once per process, not per job.
         processes = self.network.processes
         proc_deadline = {
-            name: processes[name].deadline for name in plan.process_counts
+            name: processes[name].deadline for name in plan.processes
         }
         ov = self.overheads
         # Each job's WCET on its slot's processor class, read from the
         # graph's duration table on the platform.
-        base = graph.platform_ticks(plan.platform).ticks
+        base = self.graph.platform_ticks(self.schedule.platform).ticks
         wcet_base = plan.wcet_t
 
         spec = execution_time
@@ -580,8 +569,8 @@ class MultiprocessorExecutor:
             dur_t_const = [w * factor + pj_t for w in wcet_base]
         elif isinstance(spec, JitterSampler):
             dur_t_rows = self._tick_draws(
-                spec, [w * factor for w in wcet_base], pj_t, slot_rows,
-                n_frames, topo,
+                spec, plan, [w * factor for w in wcet_base], pj_t, slot_rows,
+                n_frames,
             )
         elif rows is None:
             dur_t_const = [to_ticks(d) for d in const]
@@ -591,18 +580,14 @@ class MultiprocessorExecutor:
                 for row in rows
             ]
         pdl_of = {name: to_ticks(d) for name, d in proc_deadline.items()}
-        return _RunSetup(
+        return plan, _RunSetup(
             n_frames=n_frames,
-            topo=topo,
-            pred_table=graph.predecessor_table(),
-            proc_of=plan.proc_of,
-            counts=plan.counts,
             dom=dom,
             arr_t=tt.arrival,
             H_t=to_ticks(self.hyperperiod),
             ov_first_t=to_ticks(ov.first_frame_arrival),
             ov_steady_t=to_ticks(ov.steady_frame_arrival),
-            pdl_t=[pdl_of[j.process] for j in jobs],
+            pdl_t=[pdl_of[p] for p in plan.process],
             dur_t_const=dur_t_const,
             dur_t_rows=dur_t_rows,
             bound_t_rows=slot_rows,
@@ -611,11 +596,11 @@ class MultiprocessorExecutor:
     def _tick_draws(
         self,
         sampler: JitterSampler,
+        plan: RunPlan,
         wcet_t: List[int],
         pj_t: int,
         slot_rows: List[Dict[int, Tuple[int, int]]],
         n_frames: int,
-        topo: List[int],
     ) -> List[List[int]]:
         """Per-frame tick durations ``d * wcet / R + per_job`` of true jobs.
 
@@ -631,14 +616,12 @@ class MultiprocessorExecutor:
                 f"resolution {res} — the run's tick domain is too coarse"
             )
         unit = [w // res for w in wcet_t]
-        jobs = self.graph.jobs
-        keys = [(j.process, j.k) for j in jobs]
-        is_server = [j.is_server for j in jobs]
+        topo, keys, is_server = plan.order, plan.keys, plan.is_server
         rows: List[List[int]] = []
         for frame in range(n_frames):
             brow = slot_rows[frame]
             live = [i for i in topo if not is_server[i] or i in brow]
-            row = [0] * len(jobs)
+            row = [0] * len(wcet_t)
             draws = sampler.draws(frame, [keys[i] for i in live])
             for i, d in zip(live, draws):
                 row[i] = unit[i] * d + pj_t
@@ -648,6 +631,7 @@ class MultiprocessorExecutor:
     # ------------------------------------------------------------------
     def _timing_phase(
         self,
+        plan: RunPlan,
         rs: _RunSetup,
         observers: Sequence[ExecutionObserver],
         collect_records: bool,
@@ -666,12 +650,15 @@ class MultiprocessorExecutor:
         phase, the overhead intervals and the tick→Fraction memo (shared
         with the data phase so release conversions are not repeated).
         """
-        jobs = self.graph.jobs
-        n = len(jobs)
-        topo = rs.topo
-        pred_table = rs.pred_table
-        proc_of = rs.proc_of
-        counts = rs.counts
+        n = len(plan.order)
+        topo = plan.order
+        pred_table = plan.pred_table
+        proc_of = plan.proc_of
+        counts = plan.counts
+        is_server_of = plan.is_server
+        k_of = plan.k
+        process_of = plan.process
+        class_name_of = plan.class_name
         arr_t = rs.arr_t
         pdl_t = rs.pdl_t
         H_t = rs.H_t
@@ -680,18 +667,12 @@ class MultiprocessorExecutor:
         records: List[JobRecord] = []
         instances: List[_Instance] = []
         overhead_intervals: List[Tuple[int, Time, Time]] = []
-        chain_end: List[int] = [0] * self.plan.processors
+        chain_end: List[int] = [0] * self.schedule.processors
 
         # Tick->Fraction conversions repeat heavily (shared arrivals and
         # deadlines within a frame, end==next-start chains on busy
         # processors), so memoise them for the duration of the run.
         frac_memo: Dict[int, Time] = {}
-        is_server_of = [j.is_server for j in jobs]
-        k_of = [j.k for j in jobs]
-        process_of = [j.process for j in jobs]
-        class_name_of = [
-            cls.name for cls in self.plan.platform.class_per_processor()
-        ]
         rec_append = records.append if collect_records else None
         # The instance hand-off only feeds the data phase; skip it when the
         # caller will not run one (records_only), keeping long timing-only
@@ -702,17 +683,15 @@ class MultiprocessorExecutor:
         record_cls = JobRecord
         memo_get = frac_memo.get
         notify_overhead = [ob.on_overhead for ob in observers]
-        # Stock MetricsObservers are fed in ticks: the loop keeps their
-        # aggregates as inline integer accumulators and hands them over
-        # once, after the last frame.  Every other observer that actually
-        # overrides on_record (in a subclass or as an instance attribute)
-        # consumes records — the no-op inherited hook must not force
+        # Tick-fed observers (stock MetricsObservers) get their aggregates
+        # from inline integer accumulators, handed over once after the
+        # last frame.  Every other observer whose class overrides
+        # on_record consumes records — the inherited no-op must not force
         # record construction in the collect_records=False fast path.
-        tick_fed = [ob for ob in observers if _tick_fed(ob)]
+        tick_fed = [ob for ob in observers if ob.tick_fed]
         notify_record = [
             ob.on_record for ob in observers
-            if not _tick_fed(ob)
-            and _overrides(ob, "on_record", ExecutionObserver.on_record)
+            if ob.consumes_records and not ob.tick_fed
         ]
         # Records are *built* whenever someone consumes them (the result
         # list or an observer) but *retained* only when collect_records —
@@ -721,7 +700,7 @@ class MultiprocessorExecutor:
         aggregate = bool(tick_fed)
         track_responses = any(ob._track_responses for ob in tick_fed)
         n_false = n_missed = worst = makespan = 0
-        busy = [0] * self.plan.processors
+        busy = [0] * self.schedule.processors
         frame_spans: List[int] = []
         responses: Dict[str, int] = {}
 
@@ -912,6 +891,7 @@ class MultiprocessorExecutor:
         self,
         order: List[_Instance],
         stimulus: Stimulus,
+        plan: RunPlan,
         dom: TickDomain,
         frac_memo: Dict[int, Time],
         observers: Sequence[ExecutionObserver] = (),
@@ -934,9 +914,9 @@ class MultiprocessorExecutor:
           log inside :class:`JobContext`) is built only when
           *collect_trace*;
         * data-phase observer events (kernel spans, channel writes) are
-          emitted only for observers that override the hooks — with none
-          attached the loop does no Fraction conversions beyond the
-          releases.
+          emitted only to observers whose class consumes them
+          (:attr:`ExecutionObserver.consumes_data`) — with none attached
+          the loop does no Fraction conversions beyond the releases.
         """
         network = self.network
         channel_states: Dict[str, ChannelState] = {
@@ -958,21 +938,13 @@ class MultiprocessorExecutor:
         trace_append = trace.raw.append if trace is not None else None
         from_ticks = dom.from_ticks
         memo_get = frac_memo.get
-        process_of = [j.process for j in self.graph.jobs]
+        process_of = plan.process
 
-        notify_start = [
-            ob.on_job_data_start for ob in observers
-            if _overrides(ob, "on_job_data_start", _DATA_HOOKS[0][1])
-        ]
-        notify_end = [
-            ob.on_job_data_end for ob in observers
-            if _overrides(ob, "on_job_data_end", _DATA_HOOKS[1][1])
-        ]
-        notify_write = [
-            ob.on_channel_write for ob in observers
-            if _overrides(ob, "on_channel_write", _DATA_HOOKS[2][1])
-        ]
-        emit_spans = bool(notify_start or notify_end or notify_write)
+        consumers = [ob for ob in observers if ob.consumes_data]
+        notify_start = [ob.on_job_data_start for ob in consumers]
+        notify_end = [ob.on_job_data_end for ob in consumers]
+        notify_write = [ob.on_channel_write for ob in consumers]
+        emit_spans = bool(consumers)
         # Channel writes are observed through the JobContext write hook; the
         # executing job's identity and start instant are threaded through a
         # mutable cell shared by all contexts, so the hot path installs no

@@ -35,11 +35,13 @@ Event order and domain:
   ``[start, end)`` interval; channel writes carry the writing job's start
   instant (kernels execute atomically at their start, Section IV).
 
-Stock :class:`MetricsObserver` instances (those that do not override
-``on_record``) are not sent ``on_record`` by a live run: the executor
-aggregates the same timing metrics in integer ticks and hands them over
-once, before ``on_run_end`` (:class:`TickMetrics`).  ``on_record`` stays
-their rule and the path :func:`replay` drives.
+An observer class consumes the streams whose hooks it overrides,
+decided once when the class is created (:class:`ExecutionObserver`).
+Stock :class:`MetricsObserver` classes (those that keep its
+``on_record``) are *tick-fed*: a live run does not send them
+``on_record`` but aggregates the same timing metrics in integer ticks
+and hands them over once, before ``on_run_end`` (:class:`TickMetrics`).
+``on_record`` stays their rule and the path :func:`replay` drives.
 
 ``run(records_only=True)`` skips the data phase (no ``JobContext``, no
 kernel dispatch, empty channel observables, no data events) for
@@ -88,7 +90,34 @@ class RunMeta:
 
 
 class ExecutionObserver:
-    """Base observer: every hook is a no-op — override what you consume."""
+    """Base observer: every hook is a no-op — override what you consume.
+
+    :meth:`__init_subclass__` compares a class's hooks with this base
+    class's once, at class creation: the class :attr:`consumes_records`
+    when its ``on_record`` differs and :attr:`consumes_data` when a
+    data-phase hook does (inherited overrides count; restoring a base
+    no-op opts out).  It is :attr:`tick_fed` when its ``on_record`` is the
+    stock :class:`MetricsObserver` rule (``_tick_rule``), which a live run
+    replaces by one :class:`TickMetrics` hand-over.  The executor,
+    :func:`replay` and the experiment layer read these class attributes,
+    so an instance attribute that shadows a hook subscribes nothing.
+    """
+
+    consumes_records = False
+    consumes_data = False
+    tick_fed = False
+    _tick_rule: Any = None
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        base = ExecutionObserver
+        cls.consumes_records = cls.on_record is not base.on_record
+        cls.consumes_data = (
+            cls.on_job_data_start is not base.on_job_data_start
+            or cls.on_job_data_end is not base.on_job_data_end
+            or cls.on_channel_write is not base.on_channel_write
+        )
+        cls.tick_fed = cls.on_record is cls._tick_rule
 
     def on_run_start(self, meta: RunMeta) -> None:
         """The run's static shape, before any timing is resolved."""
@@ -118,32 +147,18 @@ class ExecutionObserver:
         """The assembled result, after timing (and data, unless skipped)."""
 
 
-#: The inherited no-op data-phase hooks, used (like ``on_record`` in the
-#: executor) to detect which observers actually consume data events — the
-#: base-class no-ops must not force event construction on the fast path.
-_DATA_HOOKS = (
-    ("on_job_data_start", ExecutionObserver.on_job_data_start),
-    ("on_job_data_end", ExecutionObserver.on_job_data_end),
-    ("on_channel_write", ExecutionObserver.on_channel_write),
-)
-
-
-def _overrides(observer: ExecutionObserver, name: str, base) -> bool:
-    """True when *observer* overrides hook *name* (subclass or instance attr)."""
-    return getattr(getattr(observer, name), "__func__", None) is not base
-
-
 @dataclass
 class TickMetrics:
     """One run's :class:`MetricsObserver` timing aggregates, in integer ticks.
 
-    The executor accumulates these inline in its timing loop for stock
-    metrics observers (:func:`_tick_fed`) and hands them over once per run
-    (:meth:`MetricsObserver._absorb_ticks`), so timing-only sweep cells
-    build no :class:`~repro.runtime.executor.JobRecord` at all.  Each field
-    is what :meth:`MetricsObserver.on_record` would have aggregated from
-    the run's records; ``frame_spans`` are relative to each frame's start
-    and ``responses`` is empty unless some observer tracks responses.
+    The executor accumulates these inline in its timing loop for tick-fed
+    observers (:attr:`ExecutionObserver.tick_fed`) and hands them over
+    once per run (:meth:`MetricsObserver._absorb_ticks`), so timing-only
+    sweep cells build no :class:`~repro.runtime.executor.JobRecord` at
+    all.  Each field is what :meth:`MetricsObserver.on_record` would have
+    aggregated from the run's records; ``frame_spans`` are relative to
+    each frame's start and ``responses`` is empty unless some observer
+    tracks responses.
     """
 
     total_jobs: int
@@ -154,13 +169,6 @@ class TickMetrics:
     busy: List[int]
     frame_spans: List[int]
     responses: Dict[str, int]
-
-
-def _tick_fed(observer: ExecutionObserver) -> bool:
-    """True for a metrics observer whose ``on_record`` is the stock rule."""
-    return isinstance(observer, MetricsObserver) and not _overrides(
-        observer, "on_record", MetricsObserver.on_record
-    )
 
 
 def replay(result: "RuntimeResult", *observers: ExecutionObserver) -> None:
@@ -190,10 +198,7 @@ def replay(result: "RuntimeResult", *observers: ExecutionObserver) -> None:
             "cannot replay a result produced with collect_records=False — "
             "job records were not retained; attach observers to run() instead"
         )
-    data_observers = [
-        ob for ob in observers
-        if any(_overrides(ob, name, base) for name, base in _DATA_HOOKS)
-    ] if result.trace_collected else []
+    data_observers = [ob for ob in observers if ob.consumes_data]
     meta = RunMeta(
         network=result.network_name,
         processors=result.processors,
@@ -208,7 +213,7 @@ def replay(result: "RuntimeResult", *observers: ExecutionObserver) -> None:
     for rec in result.records:
         for ob in observers:
             ob.on_record(rec)
-    if data_observers and result.data_collected:
+    if data_observers and result.data_collected and result.trace_collected:
         record_of = {
             (r.process, r.global_k): r for r in result.records if not r.is_false
         }
@@ -265,10 +270,10 @@ class MetricsObserver(ExecutionObserver):
     A live run feeds this observer integer-tick totals once per run
     (:meth:`_absorb_ticks`); :meth:`on_record` is the same rule applied
     record by record, for :func:`replay` and for subclasses that override
-    it.  The optional aggregates can be switched off at construction:
-    scenario sweeps request only the metrics their table needs.  Disabled
-    aggregates refuse to report (their accessors raise) instead of
-    returning silent zeros.
+    it (which are fed records, not ticks).  The optional aggregates can
+    be switched off at construction: scenario sweeps request only the
+    metrics their table needs.  Disabled aggregates refuse to report
+    (their accessors raise) instead of returning silent zeros.
     """
 
     def __init__(
@@ -353,6 +358,8 @@ class MetricsObserver(ExecutionObserver):
             span = end - self._frame_bases[frame]
             if span > self._frame_spans[frame]:
                 self._frame_spans[frame] = span
+
+    _tick_rule = on_record
 
     def _absorb_ticks(self, totals: TickMetrics, from_ticks: Any) -> None:
         """Take a whole run's timing aggregates from the executor.

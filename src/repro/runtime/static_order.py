@@ -1,4 +1,4 @@
-"""The online static-order policy: frame plan and sporadic-arrival binding.
+"""The online static-order policy: run plan and sporadic-arrival binding.
 
 Section IV: the online policy repeats the static schedule's frame with
 period ``H``.  Jobs are bound to processors by the static mapping ``μi``;
@@ -14,27 +14,27 @@ round on a processor:
    to other processors;
 3. **Execute** — unless marked false.
 
-This module computes the *frame plan* (per-processor static orders plus
-per-job metadata the executor needs) and implements the binding of real
-sporadic arrivals to server-job slots, including the boundary rule: a real
-job arriving exactly at a window boundary ``b`` belongs to the window ending
-at ``b`` iff ``p -> u(p)`` (window ``(a, b]``), else to the next window
-(window ``[a, b)``).
+This module computes the *run plan* (the frame order plus the per-job
+constants the executor reads of a schedule) and implements the binding of
+real sporadic arrivals to server-job slots, including the boundary rule: a
+real job arriving exactly at a window boundary ``b`` belongs to the window
+ending at ``b`` iff ``p -> u(p)`` (window ``(a, b]``), else to the next
+window (window ``[a, b)``).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
-
 from itertools import chain
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import RuntimeModelError
 from ..core.invocations import Stimulus
 from ..core.network import Network
 from ..core.ticks import TickDomain
-from ..core.timebase import Time, TimeLike, as_positive_time
-from ..taskgraph.graph import TaskGraph
+from ..core.timebase import Time
+from ..taskgraph.jobs import Job
 from ..taskgraph.servers import ServerSpec, transform
 from ..scheduling.schedule import StaticSchedule
 
@@ -239,149 +239,107 @@ def served_horizon(network: Network, hyperperiod: Time, n_frames: int) -> Time:
     return horizon - margin
 
 
-@dataclass(frozen=True)
-class PlannedJob:
-    """Executor-facing record of one static-schedule entry."""
+class RunPlan:
+    """What the executor reads of a static schedule, as plain data.
 
-    job_index: int          # index into the task graph's job list
-    processor: int
-    static_start: Time      # si — used for ordering only, never for timing
+    Section IV's policy consumes only the schedule's mapping and order, so
+    every field is a pure function of the schedule: the frame ``order``
+    (checked against ``pred_table``); per job, indexed like the graph's
+    jobs, ``proc_of``, the base duration on that processor in the graph's
+    duration-table ticks (``wcet_t``), its process's jobs per frame
+    (``counts``), ``is_server``, ``k``, ``process`` and ``keys``
+    (``(process, k)``); the ``processes`` in order of first job; the
+    server jobs as ``(job index, process, subset, slot)`` (``layout``,
+    the arrival binding's slot-table key); per processor ``class_name``.
 
-
-class FramePlan:
-    """A static schedule's run constants for the executor.
-
-    Each is a pure function of the schedule: each job's processor
-    (``proc_of``) and base duration on it in the graph's duration-table
-    ticks (``wcet_t``), jobs per process per frame (``process_counts``,
-    and per job: ``counts``), the server-job ``layout`` the arrival
-    binding's slot tables are keyed by, and the frame order
-    (:meth:`frame_order`).  They are built on first use and kept in the
-    schedule's run memo (:meth:`StaticSchedule.run_memo`), so every run
-    of one schedule shares them; callers must not mutate them.  The memo
-    holds plain data only, never the plan: a reference back to the
-    schedule would make a cycle that outlives the schedule's last user
-    until the next garbage collection.
+    :meth:`of` builds it on a schedule's first run and keeps it in the
+    schedule's run memo (:meth:`StaticSchedule.run_memo`) for every later
+    run; the job columns that depend on the graph alone (``process``
+    through ``layout``) are shared by every schedule of the graph
+    (:meth:`TaskGraph.run_memo`).  Callers must not mutate it.  It holds
+    no reference back to the schedule: the cycle would outlive the
+    schedule's last user until the next garbage collection.
     """
 
-    def __init__(self, schedule: StaticSchedule) -> None:
-        self.schedule = schedule
-        self.graph: TaskGraph = schedule.graph
-        self._orders: Optional[List[List[PlannedJob]]] = None
+    __slots__ = (
+        "pred_table", "order", "proc_of", "wcet_t", "counts", "is_server",
+        "k", "process", "keys", "processes", "layout", "class_name",
+    )
 
     @classmethod
-    def from_schedule(cls, schedule: StaticSchedule) -> "FramePlan":
-        return cls(schedule)
+    def of(cls, schedule: StaticSchedule) -> "RunPlan":
+        """The schedule's plan, rebuilt when the graph's edges change."""
+        pred_table = schedule.graph.predecessor_table()
+        memo = schedule.run_memo()
+        plan = memo.get("run-plan")
+        if plan is None or plan.pred_table is not pred_table:
+            plan = memo["run-plan"] = cls(schedule, pred_table)
+        return plan
 
-    def _memoised(self, key: str, build: Callable[[], Any]) -> Any:
-        memo = self.schedule.run_memo()
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = build()
-        return value
+    def __init__(
+        self, schedule: StaticSchedule, pred_table: List[Tuple[int, ...]]
+    ) -> None:
+        graph = schedule.graph
+        self.pred_table = pred_table
+        self.order = _frame_order(schedule, pred_table)
+        self.proc_of = proc_of = schedule.mapping_table()
+        per_proc = graph.platform_ticks(schedule.platform).per_proc
+        self.wcet_t = [per_proc[p][i] for i, p in enumerate(proc_of)]
+        self.class_name = [
+            c.name for c in schedule.platform.class_per_processor()
+        ]
+        memo = graph.run_memo()
+        columns = memo.get("job-columns")
+        if columns is None:
+            columns = memo["job-columns"] = _job_columns(graph.jobs)
+        (self.process, self.k, self.keys, self.is_server, self.counts,
+         self.processes, self.layout) = columns
 
-    @property
-    def processors(self) -> int:
-        return self.schedule.processors
 
-    @property
-    def platform(self):
-        """The schedule's platform (degenerate for classic int schedules)."""
-        return self.schedule.platform
-
-    @property
-    def orders(self) -> List[List[PlannedJob]]:
-        """Per-processor static orders as :class:`PlannedJob` rows."""
-        orders = self._orders
-        if orders is None:
-            schedule = self.schedule
-            orders = self._orders = [
-                [PlannedJob(i, m, schedule.start(i)) for i in row]
-                for m, row in enumerate(schedule.orders())
-            ]
-        return orders
-
-    def frame_order(self) -> List[int]:
-        """Job indices ordered by (static start, index).
-
-        For a feasible schedule this order is topological for the union of
-        precedence edges and per-processor chains, so a single pass resolves
-        all timing dependencies within a frame.  A schedule that leaves a
-        job unscheduled raises :class:`SchedulingError`; one whose start
-        times contradict the precedence edges is rejected loudly with
-        :class:`RuntimeModelError` — the timing recurrence would otherwise
-        read uncomputed predecessor end times.  Re-checked when the graph's
-        edges change.
-        """
-        pred_table = self.graph.predecessor_table()
-        memo = self.schedule.run_memo()
-        checked = memo.get("frame-order")
-        if checked is not None and checked[0] is pred_table:
-            return checked[1]
-        schedule = self.schedule
-        order = schedule.start_order()
-        n = len(self.graph)
-        if len(order) < n:
-            for i in range(n):
-                schedule.mapping(i)  # raises SchedulingError for the gap
-        pos = [0] * n
-        for idx, i in enumerate(order):
-            pos[i] = idx
-        jobs = self.graph.jobs
-        for i in range(n):
-            for p in pred_table[i]:
-                if pos[p] > pos[i]:
-                    raise RuntimeModelError(
-                        f"static schedule starts job {jobs[i].name} before its "
-                        f"predecessor {jobs[p].name} — precedence-violating "
-                        "schedules cannot drive the static-order policy"
-                    )
-        memo["frame-order"] = (pred_table, order)
-        return order
-
-    @property
-    def proc_of(self) -> List[int]:
-        return self.schedule.mapping_table()
-
-    @property
-    def wcet_t(self) -> List[int]:
-        def build() -> List[int]:
-            per_proc = self.graph.platform_ticks(self.platform).per_proc
-            return [per_proc[p][i] for i, p in enumerate(self.proc_of)]
-        return self._memoised("wcet_t", build)
-
-    @property
-    def process_counts(self) -> Dict[str, int]:
-        """Jobs per process per frame, in order of first job."""
-        def build() -> Dict[str, int]:
-            counts: Dict[str, int] = {}
-            for job in self.graph.jobs:
-                counts[job.process] = counts.get(job.process, 0) + 1
-            return counts
-        return self._memoised("process_counts", build)
-
-    @property
-    def counts(self) -> List[int]:
-        """Per job: its process's jobs per frame."""
-        def build() -> List[int]:
-            per_frame = self.process_counts
-            return [per_frame[j.process] for j in self.graph.jobs]
-        return self._memoised("counts", build)
-
-    @property
-    def layout(self) -> Tuple[Tuple[int, str, int, int], ...]:
-        """Server jobs as ``(job index, process, subset, slot)``."""
-        return self._memoised("layout", lambda: tuple(
+def _job_columns(jobs: Sequence[Job]) -> Tuple[Any, ...]:
+    """The run plan's per-job columns that depend on the jobs alone."""
+    process = [j.process for j in jobs]
+    k = [j.k for j in jobs]
+    per_frame = Counter(process)
+    return (
+        process,
+        k,
+        list(zip(process, k)),
+        [j.is_server for j in jobs],
+        [per_frame[p] for p in process],
+        tuple(per_frame),
+        tuple(
             (i, j.process, j.subset_index, j.slot)
-            for i, j in enumerate(self.graph.jobs) if j.is_server
-        ))
+            for i, j in enumerate(jobs) if j.is_server
+        ),
+    )
 
-    def processor_of(self, job_index: int) -> int:
-        return self.schedule.mapping(job_index)
 
-    def jobs_per_frame(self) -> int:
-        return len(self.graph)
+def _frame_order(
+    schedule: StaticSchedule, pred_table: List[Tuple[int, ...]]
+) -> List[int]:
+    """Job indices ordered by (static start, index).
 
-    def per_process_count(self) -> Dict[str, int]:
-        """Jobs per process per frame (to compute global invocation counts)."""
-        return dict(self.process_counts)
+    For a feasible schedule this order is topological for the union of
+    precedence edges and per-processor chains, so a single pass resolves
+    all timing dependencies within a frame.  A schedule that leaves a job
+    unscheduled raises :class:`SchedulingError`; one whose start times
+    contradict the precedence edges is rejected loudly with
+    :class:`RuntimeModelError` — the timing recurrence would otherwise
+    read uncomputed predecessor end times.
+    """
+    start = schedule.tick_view()[1]
+    if None in start:
+        schedule.mapping(start.index(None))  # raises SchedulingError
+    jobs = schedule.graph.jobs
+    # A predecessor has the smaller index, so it precedes its successor in
+    # the order exactly when it does not start later.
+    for i, preds in enumerate(pred_table):
+        for p in preds:
+            if start[p] > start[i]:
+                raise RuntimeModelError(
+                    f"static schedule starts job {jobs[i].name} before its "
+                    f"predecessor {jobs[p].name} — precedence-violating "
+                    "schedules cannot drive the static-order policy"
+                )
+    return schedule.start_order()

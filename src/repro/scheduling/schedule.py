@@ -224,9 +224,9 @@ class StaticSchedule:
         """This schedule's memo of derived run state.
 
         Runtime layers keep values here that are pure functions of the
-        schedule — the executor's frame-plan constants — so every run of
-        one schedule (sweep cells across jitter, overhead and frame
-        axes) shares them.  The memo dies with the schedule; values must
+        schedule — the executor's run plan — so every run of one
+        schedule (sweep cells across jitter, overhead and frame axes)
+        shares them.  The memo dies with the schedule; values must
         not refer back to it.
         """
         memo = self._memo

@@ -16,7 +16,7 @@ the integer-tick time view both rely on that).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ModelError
 from ..core.platform import Platform
@@ -67,6 +67,7 @@ class TaskGraph:
         self._jobs_of_view: Optional[Dict[str, Tuple[int, ...]]] = None
         self._tick_times: Optional[JobTicks] = None
         self._platform_ticks: Dict[tuple, PlatformTicks] = {}
+        self._run_memo: Dict[Any, Any] = {}
         for i, j in edges:
             self.add_edge(i, j)
 
@@ -215,6 +216,15 @@ class TaskGraph:
                 self.tick_times(), self.jobs, platform
             )
         return table
+
+    def run_memo(self) -> Dict[Any, Any]:
+        """This graph's memo of job-derived run state.
+
+        The runtime keeps per-job views of the frozen job list here, so
+        every schedule of one graph shares them.  Values must not refer
+        back to the graph.
+        """
+        return self._run_memo
 
     def total_wcet(self) -> Time:
         """Sum of all job WCETs (the numerator of utilization over a frame)."""

@@ -42,7 +42,7 @@ from repro.core.trace import JobEnd, JobStart, Trace
 from repro.errors import ModelError
 from repro.runtime.executor import JobRecord, RuntimeResult
 from repro.runtime.overheads import OverheadModel
-from repro.runtime.static_order import ArrivalBinding, FramePlan
+from repro.runtime.static_order import ArrivalBinding
 from repro.scheduling.priorities import available_heuristics, get_heuristic
 from repro.scheduling.schedule import ScheduledJob, StaticSchedule
 from repro.taskgraph.derivation import WcetMap
@@ -600,17 +600,18 @@ def reference_run_static_order(
     network.validate_taskgraph_subclass()
     graph = schedule.graph
     hyperperiod = graph.hyperperiod
-    plan = FramePlan.from_schedule(schedule)
     overheads = overheads or OverheadModel.none()
     stimulus = stimulus or Stimulus()
     stimulus.validate(network)
     exec_of = _resolve_execution_time(graph, execution_time)
     binding = ArrivalBinding(network, hyperperiod, n_frames, stimulus)
-    per_frame_counts = plan.per_process_count()
+    per_frame_counts: Dict[str, int] = {}
+    for job in graph.jobs:
+        per_frame_counts[job.process] = per_frame_counts.get(job.process, 0) + 1
 
     records: List[JobRecord] = []
     instance_order: List[Tuple[Time, int, int]] = []
-    chain_end: List[Time] = [Time(0)] * plan.processors
+    chain_end: List[Time] = [Time(0)] * schedule.processors
     ends: Dict[Tuple[int, int], Time] = {}
     record_at: Dict[Tuple[int, int], JobRecord] = {}
     overhead_intervals: List[Tuple[int, Time, Time]] = []
@@ -625,7 +626,7 @@ def reference_run_static_order(
         floor = base + ov
         for job_idx in topo:
             job = graph.jobs[job_idx]
-            proc = plan.processor_of(job_idx)
+            proc = schedule.mapping(job_idx)
             process = network.processes[job.process]
             if job.is_server:
                 bound = binding.lookup(
@@ -692,7 +693,7 @@ def reference_run_static_order(
         network_name=network.name,
         frames=n_frames,
         hyperperiod=hyperperiod,
-        processors=plan.processors,
+        processors=schedule.processors,
         records=records,
         channel_logs=channel_logs,
         external_outputs=external_outputs,

@@ -333,6 +333,85 @@ class TestFastModes:
         assert lean.observable() == full.observable()
 
 
+class TestObserverRule:
+    """What an observer consumes is read from its class's hooks, once."""
+
+    def test_grandchild_inherits_its_parents_consumption(self):
+        class Writes(ExecutionObserver):
+            def __init__(self):
+                self.writes = 0
+
+            def on_channel_write(self, process, channel, value, time):
+                self.writes += 1
+
+        class Grandchild(Writes):
+            pass
+
+        class Quiet(Grandchild):
+            on_channel_write = ExecutionObserver.on_channel_write
+
+        class MetricsGrandchild(type("MetricsChild", (MetricsObserver,), {})):
+            pass
+
+        assert Grandchild.consumes_data and not Grandchild.consumes_records
+        assert not Quiet.consumes_data
+        assert MetricsGrandchild.tick_fed and MetricsGrandchild.consumes_data
+        live = Grandchild()
+        result = fig1_run([live], collect_trace=False)
+        assert live.writes == sum(len(v) for v in result.channel_logs.values())
+        assert live.writes > 0
+        metrics = MetricsGrandchild()
+        fig1_run([metrics], records_only=True, collect_records=False)
+        assert metrics.miss_summary() == miss_summary(fig1_run())
+
+    def test_metrics_subclass_overriding_on_record_is_fed_records(self):
+        class Counting(MetricsObserver):
+            def __init__(self):
+                super().__init__()
+                self.seen = 0
+
+            def on_record(self, record):
+                self.seen += 1
+                super().on_record(record)
+
+            def _absorb_ticks(self, totals, from_ticks):
+                raise AssertionError("a record consumer was fed ticks")
+
+        assert Counting.consumes_records and not Counting.tick_fed
+        counting, stock = Counting(), MetricsObserver()
+        lean = fig1_run([counting, stock], records_only=True,
+                        collect_records=False)
+        assert lean.records == []
+        full = fig1_run()
+        assert counting.seen == len(full.records)
+        assert counting.miss_summary() == stock.miss_summary()
+        assert counting.miss_summary() == miss_summary(full)
+
+    def test_timing_metrics_observer_lets_replay_skip_the_trace_walk(self):
+        from repro.runtime.metrics import _TimingMetricsObserver
+
+        class Unwalkable(list):
+            def __iter__(self):
+                raise AssertionError("replay walked the trace")
+
+        assert _TimingMetricsObserver.tick_fed
+        assert not _TimingMetricsObserver.consumes_data
+        result = fig1_run()
+        result.trace = Unwalkable()
+        timing = _TimingMetricsObserver()
+        replay(result, timing)
+        assert timing.total_jobs == len(result.records)
+        with pytest.raises(AssertionError, match="walked the trace"):
+            replay(result, MetricsObserver())
+
+    def test_instance_attribute_hooks_do_not_subscribe(self):
+        seen = []
+        observer = ExecutionObserver()
+        observer.on_record = seen.append
+        result = fig1_run([observer], collect_records=False)
+        assert result.records == [] and seen == []
+
+
 class TestObserverReuse:
     def test_run_start_resets_state(self):
         """One observer instance reused across runs holds only the last

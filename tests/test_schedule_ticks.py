@@ -34,7 +34,7 @@ from repro.errors import InfeasibleError, SchedulingError
 from repro.experiment import Scenario, ScenarioMatrix, run_sweep
 from repro.io import schedule_to_dict
 from repro.runtime import run_static_order
-from repro.runtime.static_order import FramePlan
+from repro.runtime.static_order import RunPlan
 from repro.scheduling import (
     DEFAULT_PORTFOLIO,
     find_feasible_schedule,
@@ -207,20 +207,43 @@ def test_schedule_and_records_only_run_build_no_entries(monkeypatch):
     assert len(built) == len(graph)
 
 
-def test_warm_runs_share_the_schedules_run_constants():
+def test_warm_runs_share_the_schedules_run_constants(monkeypatch):
     net = build_fig1_network()
     graph = derive_task_graph(net, fig1_wcets())
     schedule = find_feasible_schedule(graph, 2)
     first = run_static_order(net, schedule, 2, fig1_stimulus(2))
     constants = dict(schedule.run_memo())
     assert constants
+    plan = RunPlan.of(schedule)
+    fields = {name: getattr(plan, name) for name in RunPlan.__slots__}
+    built = []
+    build = RunPlan.__init__
+
+    def spy(self, *args):
+        built.append(args)
+        build(self, *args)
+
+    monkeypatch.setattr(RunPlan, "__init__", spy)
     second = run_static_order(net, schedule, 2, fig1_stimulus(2))
     assert first.records == second.records
+    # The second run builds none of the plan's lists: it reads the memo.
+    assert built == []
     assert all(schedule.run_memo()[k] is v for k, v in constants.items())
-    plan = FramePlan.from_schedule(schedule)
-    assert [p.job_index for row in plan.orders for p in row] == [
-        i for row in schedule.orders() for i in row
-    ]
+    assert all(getattr(RunPlan.of(schedule), n) is v for n, v in fields.items())
+    # The frame order visits each processor's jobs in its static order.
+    assert [
+        [i for i in plan.order if plan.proc_of[i] == m]
+        for m in range(schedule.processors)
+    ] == schedule.orders()
+
+
+def test_schedules_of_one_graph_share_the_job_columns():
+    graph = derive_task_graph(build_fig1_network(), fig1_wcets())
+    one, two = (RunPlan.of(list_schedule(graph, m)) for m in (1, 2))
+    for name in ("process", "k", "keys", "is_server", "counts", "processes",
+                 "layout"):
+        assert getattr(one, name) is getattr(two, name)
+    assert one.proc_of != two.proc_of
 
 
 def test_a_run_schedule_is_freed_without_the_cycle_collector():

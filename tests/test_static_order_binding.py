@@ -8,10 +8,12 @@ from fractions import Fraction
 
 import pytest
 
+from repro.apps import build_fig1_network, fig1_stimulus, fig1_wcets
 from repro.core import Stimulus
-from repro.errors import RuntimeModelError
-from repro.runtime.static_order import ArrivalBinding, FramePlan, served_horizon
-from repro.scheduling import list_schedule
+from repro.errors import RuntimeModelError, SchedulingError
+from repro.runtime import run_static_order
+from repro.runtime.static_order import ArrivalBinding, served_horizon
+from repro.scheduling import ScheduledJob, StaticSchedule, list_schedule
 from repro.taskgraph import derive_task_graph
 
 
@@ -125,21 +127,71 @@ class TestServedHorizon:
         assert served_horizon(pair_network, Fraction(100), 3) == 300
 
 
-class TestFramePlan:
+class TestScheduleOrders:
     def test_orders_follow_schedule(self, sporadic_network):
         g = derive_task_graph(
             sporadic_network, {"sensor": 10, "sink": 10, "config": 10}
         )
         s = list_schedule(g, 2)
-        plan = FramePlan.from_schedule(s)
-        assert plan.processors == 2
-        flat = [p.job_index for row in plan.orders for p in row]
+        orders = s.orders()
+        assert len(orders) == 2
+        flat = [i for row in orders for i in row]
         assert sorted(flat) == list(range(len(g)))
+        for m, row in enumerate(orders):
+            assert all(s.mapping(i) == m for i in row)
+            assert [s.start(i) for i in row] == sorted(s.start(i) for i in row)
 
     def test_per_process_count(self, sporadic_network):
         g = derive_task_graph(
             sporadic_network, {"sensor": 10, "sink": 10, "config": 10}
         )
-        plan = FramePlan.from_schedule(list_schedule(g, 1))
-        counts = plan.per_process_count()
+        (order,) = list_schedule(g, 1).orders()
+        counts = {}
+        for i in order:
+            counts[g.jobs[i].process] = counts.get(g.jobs[i].process, 0) + 1
         assert counts == {"sensor": 2, "sink": 1, "config": 4}
+
+
+class TestRunPlanRejections:
+    """A schedule the static-order policy cannot follow fails loudly at run()."""
+
+    @staticmethod
+    def fig1():
+        net = build_fig1_network()
+        graph = derive_task_graph(net, fig1_wcets())
+        return net, graph, list_schedule(graph, 2)
+
+    def test_schedule_missing_a_job(self):
+        net, graph, schedule = self.fig1()
+        gap = schedule.start_order()[-1]
+        partial = StaticSchedule(
+            graph, 2, [e for e in schedule.entries if e.job_index != gap]
+        )
+        with pytest.raises(SchedulingError, match="is not scheduled"):
+            run_static_order(net, partial, 2, fig1_stimulus(2))
+
+    def test_successor_started_before_its_predecessor(self):
+        net, graph, schedule = self.fig1()
+        p, i = graph.edges()[0]
+        late = max(schedule.start(j) for j in range(len(graph))) + 1
+        entries = [
+            ScheduledJob(e.job_index, e.processor,
+                         late if e.job_index == p else e.start)
+            for e in schedule.entries
+        ]
+        with pytest.raises(RuntimeModelError, match="before its predecessor"):
+            run_static_order(net, StaticSchedule(graph, 2, entries), 2,
+                             fig1_stimulus(2))
+
+    def test_edge_added_after_a_run_is_checked_again(self):
+        net, graph, schedule = self.fig1()
+        run_static_order(net, schedule, 2, fig1_stimulus(2), records_only=True)
+        pos = {i: idx for idx, i in enumerate(schedule.start_order())}
+        i, j = next(
+            (i, j) for i in range(len(graph)) for j in range(i + 1, len(graph))
+            if pos[j] < pos[i]
+        )
+        graph.add_edge(i, j)
+        with pytest.raises(RuntimeModelError, match="before its predecessor"):
+            run_static_order(net, schedule, 2, fig1_stimulus(2),
+                             records_only=True)

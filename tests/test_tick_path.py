@@ -29,7 +29,6 @@ from repro.runtime import (
     run_static_order,
     wcet_execution,
 )
-from repro.runtime.observers import _tick_fed
 from repro.runtime.overheads import OverheadModel
 from repro.scheduling import list_schedule
 from repro.taskgraph import derive_task_graph
@@ -120,12 +119,12 @@ def test_tick_metrics_match_on_record(seed, platform, overheads, jitter):
 
     # The sweep's shape: a lone stock observer, nothing retained.
     ticks = MetricsObserver()
-    assert _tick_fed(ticks)
+    assert ticks.tick_fed
     lean = run([ticks], collect_records=False)
     assert lean.records == []
     # The oracle, live: the same aggregation rule record by record.
     live = RecordFed()
-    assert not _tick_fed(live)
+    assert not live.tick_fed and live.consumes_records
     # A stock observer beside a record consumer is still fed in ticks.
     beside = MetricsObserver()
     full = run([live, beside], collect_records=True)
