@@ -2,7 +2,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test test-faults test-pool test-hetero test-ticks bench bench-smoke bench-json bench-diff cov lint cli-smoke service-smoke
+.PHONY: test test-faults test-pool test-hetero test-ticks bench bench-smoke bench-json bench-diff bench-ab cov lint cli-smoke service-smoke
 
 # Tier-1 verification: the full unit/integration suite plus benchmarks-as-tests.
 test:
@@ -29,14 +29,16 @@ test-pool:
 
 # Heterogeneous-platform lane: list scheduling, priority search, feasibility
 # checks and runs on six platforms (homogeneous, speed-scaled, big/little,
-# per-class WCET tables) and on seeded random workloads x platforms,
-# against the platform-aware Fraction oracles; exact speed scaling,
-# platform sweep axes, and the pre-platform JSON back-compat fixtures.
-# Also part of the tier-1 run.
+# per-class WCET tables), on seeded random workloads x platforms, and on
+# seeded hand-built DAGs whose arrivals are out of index order (the list
+# scheduler's arrival walk) x homogeneous and big/little platforms x every
+# heuristic, against the platform-aware Fraction oracles; exact speed
+# scaling, platform sweep axes, and the pre-platform JSON back-compat
+# fixtures.  Also part of the tier-1 run.
 test-hetero:
 	$(PY) -m pytest tests/test_hetero_equivalence.py \
 		tests/test_hetero_oracles.py tests/test_hetero_differential.py \
-		tests/test_io_json.py -q
+		tests/test_unsorted_arrivals.py tests/test_io_json.py -q
 
 # Tick-path lane: the integer-tick runtime against its Fraction oracles —
 # timing records and schedules (test_tick_equivalence), data-phase
@@ -110,6 +112,18 @@ bench-json:
 bench-diff:
 	$(PY) benchmarks/run_bench.py --diff $(A) $(B) \
 		$(if $(TOLERANCE),--tolerance $(TOLERANCE))
+
+# A/B micro-benchmark of this checkout against another one:
+#   make bench-ab PARENT=../parent [CASES="e9_schedule_40s ..."] [ROUNDS=15]
+# PARENT is a checkout root holding src/ (e.g. `git archive` of the parent
+# commit).  One resident process per tree runs the cases alternately for
+# ROUNDS rounds; the report gives per-case medians, IQRs, the speedup of
+# the medians and the change's win count.
+bench-ab:
+	@test -n "$(PARENT)" || { echo "usage: make bench-ab PARENT=<checkout>"; exit 2; }
+	$(PY) benchmarks/run_bench.py --ab $(PARENT) \
+		$(or $(CASES),e9_schedule_40s e9_schedule_loop_40s e4_fms_schedule e8_heuristics e8_search) \
+		--rounds $(or $(ROUNDS),15)
 
 # Operational-surface smoke: drive the shipped demo configs through the
 # `python -m repro` CLI (run + spans, parallel sweep + sqlite resume),

@@ -14,6 +14,16 @@ Usage::
     PYTHONPATH=src python benchmarks/run_bench.py --fast         # smoke lane
     PYTHONPATH=src python benchmarks/run_bench.py --label seed \
         --output benchmarks/BENCH_2026-07-28_seed.json
+    PYTHONPATH=src python benchmarks/run_bench.py --ab ../parent \
+        e9_schedule_40s --rounds 15                           # A/B
+
+``--ab PARENT_TREE CASE...`` compares this checkout with another one
+(``PARENT_TREE`` holds its ``src/``): one resident process per tree runs
+this file's case definitions against that tree's ``repro``, the two
+alternate call by call for ``--rounds`` rounds (which side goes first
+flips every round), and the report gives each side's median and
+interquartile range per case, the speedup of the medians and how many
+rounds the change won.
 
 The two headline cases for the tick-domain optimisation are
 ``e9_schedule_40s`` (list scheduling of the ~2.8k-job 40 s-hyperperiod FMS
@@ -24,11 +34,14 @@ reduced FMS network).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import functools
 import json
 import os
 import platform
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -155,6 +168,23 @@ def _case_e9_derive_40s(fast: bool):
 def _case_e9_schedule_40s(fast: bool):
     graph = derive_task_graph(build_fms_network(reduced_hyperperiod=False), fms_wcets())
     return lambda: find_feasible_schedule(graph, 1), {
+        "experiment": "E9",
+        "jobs": len(graph),
+    }
+
+
+def _case_e9_schedule_loop_40s(fast: bool):
+    """The list-scheduling event loop alone on the same graph: the duration
+    table and the ``alap`` ranks are built untimed, so every call measures
+    what one priority-search candidate pays."""
+    from repro.core.platform import Platform
+    from repro.scheduling.list_scheduler import _schedule_ticks
+    from repro.scheduling.priorities import alap_priority
+
+    graph = derive_task_graph(build_fms_network(reduced_hyperperiod=False), fms_wcets())
+    table = graph.platform_ticks(Platform.homogeneous(1))
+    ranks = alap_priority(graph)
+    return lambda: _schedule_ticks(graph, table, ranks), {
         "experiment": "E9",
         "jobs": len(graph),
     }
@@ -508,6 +538,7 @@ CASES: List[Case] = [
     ("e8_search", _case_e8_search),
     ("e9_derive_40s", _case_e9_derive_40s),
     ("e9_schedule_40s", _case_e9_schedule_40s),
+    ("e9_schedule_loop_40s", _case_e9_schedule_loop_40s),
     ("e10_derive_fig1_40s", _case_e10_derive_fig1_40s),
     ("fms_sim_100", _case_fms_sim_100),
     ("fms_sim_jitter", _case_fms_sim_jitter),
@@ -573,6 +604,98 @@ def diff_snapshots(
     return comparison.exit_code
 
 
+class _AbSide:
+    """A resident process running the cases against one tree's ``src/``."""
+
+    def __init__(self, tree: Path, fast: bool) -> None:
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+        self.proc = subprocess.Popen(
+            [sys.executable, __file__, "--ab-serve"]
+            + (["--fast"] if fast else []),
+            env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        )
+
+    def call(self, case: str) -> float:
+        """Seconds one call of *case* took in this tree."""
+        self.proc.stdin.write(case + "\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"A/B worker died running {case!r}")
+        return json.loads(line)
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def _ab_serve(fast: bool) -> int:
+    """Worker side of ``--ab``: time one call per case name read from stdin."""
+    builders, timed = dict(CASES), {}
+    out = sys.stdout
+    with contextlib.redirect_stdout(sys.stderr):
+        for line in sys.stdin:
+            name = line.strip()
+            if name not in timed:
+                timed[name] = builders[name](fast)[0]
+            t0 = time.perf_counter()
+            timed[name]()
+            out.write(json.dumps(time.perf_counter() - t0) + "\n")
+            out.flush()
+        for fn in timed.values():
+            getattr(fn, "cleanup", lambda: None)()
+    return 0
+
+
+def _quartiles(walls: List[float]) -> Tuple[float, float, float]:
+    if len(walls) < 2:
+        return walls[0], walls[0], walls[0]
+    q1, med, q3 = statistics.quantiles(walls, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def ab_compare(parent: str, cases: List[str], rounds: int, fast: bool) -> int:
+    """Alternate *parent* and this checkout on *cases*; print the report."""
+    known = dict(CASES)
+    unknown = [c for c in cases if c not in known]
+    if unknown:
+        print(f"unknown cases {unknown}; known: {list(known)}", file=sys.stderr)
+        return 2
+    parent_tree = Path(parent).resolve()
+    if not (parent_tree / "src" / "repro").is_dir():
+        print(f"{parent_tree} has no src/repro", file=sys.stderr)
+        return 2
+    change_tree = Path(__file__).resolve().parents[1]
+    sides = {
+        "parent": _AbSide(parent_tree, fast),
+        "change": _AbSide(change_tree, fast),
+    }
+    walls: Dict[str, Dict[str, List[float]]] = {
+        case: {"parent": [], "change": []} for case in cases
+    }
+    try:
+        for r in range(rounds):
+            order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
+            for case in cases:
+                for side in order:
+                    walls[case][side].append(sides[side].call(case))
+    finally:
+        for side in sides.values():
+            side.close()
+    print(f"A/B over {rounds} rounds: parent {parent_tree} vs change "
+          f"{change_tree} (cpus {os.cpu_count()})")
+    print(f"{'case':24s} {'parent ms [IQR]':>24s} {'change ms [IQR]':>24s}"
+          f" {'speedup':>8s} {'wins':>6s}")
+    for case in cases:
+        a, b = walls[case]["parent"], walls[case]["change"]
+        (a1, am, a3), (b1, bm, b3) = _quartiles(a), _quartiles(b)
+        wins = sum(y < x for x, y in zip(a, b))
+        print(f"{case:24s} {am*1e3:9.2f} [{a1*1e3:.2f}-{a3*1e3:.2f}]"
+              f" {bm*1e3:9.2f} [{b1*1e3:.2f}-{b3*1e3:.2f}]"
+              f" {am/bm:7.2f}x {wins:>3d}/{rounds}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--fast", action="store_true",
@@ -589,6 +712,14 @@ def main(argv=None) -> int:
                         help="compare two snapshots instead of running; "
                              "refuses snapshots from hosts with different "
                              "cpu counts")
+    parser.add_argument("--ab", nargs="+", metavar=("PARENT_TREE", "CASE"),
+                        default=None,
+                        help="A/B-compare this checkout with PARENT_TREE on "
+                             "the named cases instead of running the suite")
+    parser.add_argument("--rounds", type=int, default=15,
+                        help="with --ab: alternating rounds (default 15)")
+    parser.add_argument("--ab-serve", action="store_true",
+                        help=argparse.SUPPRESS)
     parser.add_argument("--tolerance", type=float, default=None,
                         metavar="FRACTION",
                         help="with --diff: relative slowdown allowed before "
@@ -597,6 +728,14 @@ def main(argv=None) -> int:
 
     if args.diff is not None:
         return diff_snapshots(*args.diff, tolerance=args.tolerance)
+    if args.ab_serve:
+        return _ab_serve(args.fast)
+    if args.ab is not None:
+        if len(args.ab) < 2:
+            parser.error("--ab takes PARENT_TREE and at least one CASE")
+        if args.rounds < 1:
+            parser.error("--rounds must be >= 1")
+        return ab_compare(args.ab[0], args.ab[1:], args.rounds, args.fast)
     if args.tolerance is not None:
         parser.error("--tolerance only makes sense with --diff")
     if args.repeats is not None and args.repeats < 1:

@@ -217,7 +217,8 @@ class Scenario:
     heuristics:
         SP-heuristic portfolio for
         :func:`~repro.scheduling.optimizer.find_feasible_schedule`;
-        ``None`` selects the default portfolio.
+        ``None`` selects the default portfolio, and an empty one is
+        rejected.
     execution_time:
         Optional per-process actual-execution-time table (exact rationals).
         Mutually exclusive with *jitter_seed*.
@@ -288,6 +289,8 @@ class Scenario:
              _normalize_table(self.execution_time, "execution_time"))
         if self.heuristics is not None:
             set_(self, "heuristics", tuple(self.heuristics))
+            if not self.heuristics:
+                raise ModelError("heuristics must not be empty (None: default)")
         if self.horizon is not None:
             set_(self, "horizon", as_positive_time(self.horizon, "horizon"))
         set_(self, "jitter_low", float(self.jitter_low))

@@ -5,7 +5,6 @@ from .optimizer import (
     Attempt,
     DEFAULT_PORTFOLIO,
     QualityReport,
-    all_heuristic_names,
     find_feasible_schedule,
     minimum_processors,
     schedule_quality,
@@ -39,7 +38,6 @@ __all__ = [
     "Attempt",
     "DEFAULT_PORTFOLIO",
     "QualityReport",
-    "all_heuristic_names",
     "find_feasible_schedule",
     "minimum_processors",
     "schedule_quality",

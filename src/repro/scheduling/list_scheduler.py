@@ -18,8 +18,15 @@ The simulation itself runs in the **integer tick domain** (see
 :mod:`repro.core.ticks`): arrivals and per-class durations are mapped once
 per graph and platform shape to exact integer tick counts
 (:meth:`TaskGraph.platform_ticks`), so the event loop's heap operations
-compare and add machine integers instead of normalising rationals.  The
-loop's start-tick and processor arrays are handed over as they are: the
+compare and add machine integers instead of normalising rationals.
+Arrivals are fixed per graph, so the loop walks one arrival-sorted job
+order (:meth:`TaskGraph.arrival_order`) instead of popping a heap.  A named
+heuristic ranks once per graph and ranking input (:meth:`TaskGraph.rank_memo`:
+name, plus class names, speeds and WCET aggregate if platform-aware —
+never class counts), so it must be deterministic in those; its ranks are
+checked to be a permutation where they enter the memo.
+
+The loop's start-tick and processor arrays are handed over as they are: the
 :class:`~repro.scheduling.schedule.StaticSchedule` keeps them as its only
 representation and checks feasibility on them.  Its
 :class:`~repro.scheduling.schedule.ScheduledJob` entries are lazy, so
@@ -34,8 +41,9 @@ was suboptimal — try another one via the portfolio optimizer).
 
 from __future__ import annotations
 
-import heapq
-from typing import List, Sequence, Set, Tuple
+from heapq import heappop, heappush
+from math import inf
+from typing import List, Sequence, Tuple
 
 from ..errors import SchedulingError
 from ..core.platform import Platform, PlatformLike
@@ -96,15 +104,14 @@ def _tick_pass(
     """
     start_t, end_t, proc_of = _schedule_ticks(graph, table, ranks)
     deadline = table.ticks.deadline
-    misses = lateness = 0
+    lateness = 0
     late: List[Tuple[int, int, int]] = []
     for i, (end, due) in enumerate(zip(end_t, deadline)):
         if end > due:
-            misses += 1
             lateness += end - due
             late.append((start_t[i], proc_of[i], i))
     late.sort()
-    return (misses, lateness, max(end_t, default=0)), [i for _, _, i in late]
+    return (len(late), lateness, max(end_t, default=0)), [i for _, _, i in late]
 
 
 def _schedule_ticks(
@@ -125,77 +132,74 @@ def _schedule_ticks(
     """
     n = len(graph)
     arrival = table.ticks.arrival
+    order = graph.arrival_order()
     dur_of_proc = table.per_proc
     succ_table = graph.successor_table()
-    pred_table = graph.predecessor_table()
-
-    remaining_preds = [len(p) for p in pred_table]
+    remaining_preds = [len(p) for p in graph.predecessor_table()]
     start_t = [0] * n
     end_t = [0] * n
     proc_of = [0] * n
 
-    # Jobs not yet arrived, as a heap keyed by arrival tick.
-    arrivals = [(arrival[i], ranks[i], i) for i in range(n)]
-    heapq.heapify(arrivals)
+    # Arrival walk: order[walk] arrives next, at nxt_arr (inf once all have).
+    walk = 0
+    nxt_arr = arrival[order[0]] if n else inf
     # Ready set: arrived and precedence-free, keyed by SP rank.
     ready: List[Tuple[int, int]] = []
     # Running jobs: (end, processor, job)
     running: List[Tuple[int, int, int]] = []
-    # Free processors (min-heap of ids for deterministic assignment).
+    # Free processors (a sorted list is a min-heap: lowest id first).
     free = list(range(len(dur_of_proc)))
-    heapq.heapify(free)
-    # Arrived but blocked on predecessors (set: O(1) membership/removal).
-    blocked: Set[int] = set()
+    # Arrived but waiting on predecessors.
+    waiting = [False] * n
 
     now = 0
     scheduled = 0
     while scheduled < n:
         # Admit arrivals at 'now'.
-        while arrivals and arrivals[0][0] <= now:
-            _, rank, i = heapq.heappop(arrivals)
-            if remaining_preds[i] == 0:
-                heapq.heappush(ready, (rank, i))
+        while nxt_arr <= now:
+            i = order[walk]
+            walk += 1
+            nxt_arr = arrival[order[walk]] if walk < n else inf
+            if remaining_preds[i]:
+                waiting[i] = True
             else:
-                blocked.add(i)
+                heappush(ready, (ranks[i], i))
         # Dispatch while possible.
         while ready and free:
-            rank, i = heapq.heappop(ready)
-            proc = heapq.heappop(free)
+            rank, i = heappop(ready)
+            proc = heappop(free)
             end = now + dur_of_proc[proc][i]
             start_t[i] = now
             end_t[i] = end
             proc_of[i] = proc
-            heapq.heappush(running, (end, proc, i))
+            heappush(running, (end, proc, i))
             scheduled += 1
         if scheduled >= n:
             break
         # Advance time to the next event: completion or arrival.
         if running:
             nxt = running[0][0]
-            if arrivals and arrivals[0][0] < nxt:
-                nxt = arrivals[0][0]
-        elif arrivals:
-            nxt = arrivals[0][0]
+            if nxt_arr < nxt:
+                nxt = nxt_arr
+        elif walk < n:
+            nxt = nxt_arr
         else:
-            stuck = [graph.jobs[i].name for i in sorted(blocked)][:5]
+            stuck = [graph.jobs[i].name for i in range(n) if waiting[i]][:5]
             raise SchedulingError(
                 f"list scheduler deadlocked with blocked jobs {stuck!r} "
                 "(task graph has an unsatisfiable precedence structure)"
             )
         if nxt > now:
             now = nxt
-        # Retire completions at 'now' and unblock successors.
+        # Retire completions at 'now'; waiting successors become ready.
         while running and running[0][0] <= now:
-            finish, proc, i = heapq.heappop(running)
-            heapq.heappush(free, proc)
+            finish, proc, i = heappop(running)
+            heappush(free, proc)
             for s in succ_table[i]:
                 remaining_preds[s] -= 1
-                if remaining_preds[s] == 0 and s in blocked:
-                    blocked.discard(s)
-                    if arrival[s] <= now:
-                        heapq.heappush(ready, (ranks[s], s))
-                    else:
-                        heapq.heappush(arrivals, (arrival[s], ranks[s], s))
+                if remaining_preds[s] == 0 and waiting[s]:
+                    waiting[s] = False
+                    heappush(ready, (ranks[s], s))
 
     return start_t, end_t, proc_of
 
@@ -206,19 +210,23 @@ def _resolve_priority(
     platform: Platform,
     wcet_aggregate: str = "mean",
 ) -> List[int]:
-    if isinstance(priority, str):
-        fn = get_heuristic(priority)
-        if getattr(fn, "platform_aware", False):
-            return fn(
-                graph, platform=platform, wcet_aggregate=wcet_aggregate
-            )
-        return fn(graph)
-    ranks = list(priority)
-    if len(ranks) != len(graph):
-        raise SchedulingError(
-            f"priority rank list has {len(ranks)} entries for "
-            f"{len(graph)} jobs"
-        )
-    if sorted(ranks) != list(range(len(graph))):
-        raise SchedulingError("priority ranks must be a permutation of 0..n-1")
+    """*priority*'s rank list; a named one is memoised, so do not mutate it."""
+    if not isinstance(priority, str):
+        return _permutation(list(priority), len(graph), "priority rank list")
+    fn = get_heuristic(priority)
+    aware = getattr(fn, "platform_aware", False)
+    shape = tuple((cls.name, cls.speed) for cls, _ in platform.entries)
+    key = (priority, shape, wcet_aggregate) if aware else priority
+    memo = graph.rank_memo()
+    if key not in memo:
+        ranks = fn(graph, platform=platform, wcet_aggregate=wcet_aggregate) if aware else fn(graph)
+        memo[key] = _permutation(ranks, len(graph), f"heuristic {priority!r}")
+    return memo[key]
+
+
+def _permutation(ranks: List[int], n: int, what: str) -> List[int]:
+    if len(ranks) != n:
+        raise SchedulingError(f"{what} has {len(ranks)} entries for {n} jobs")
+    if sorted(ranks) != list(range(n)):
+        raise SchedulingError(f"{what} must be a permutation of 0..n-1")
     return ranks

@@ -19,13 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..errors import InfeasibleError
+from ..errors import InfeasibleError, SchedulingError
 from ..core.platform import PlatformLike
 from ..core.timebase import Time
 from ..taskgraph.graph import TaskGraph
 from ..taskgraph.load import task_graph_load
 from .list_scheduler import _resolve_priority, _tick_pass, list_schedule
-from .priorities import available_heuristics
 from .schedule import StaticSchedule, as_scheduling_platform
 
 DEFAULT_PORTFOLIO: Tuple[str, ...] = ("alap", "blevel", "deadline", "arrival")
@@ -77,7 +76,11 @@ def find_feasible_schedule(
     InfeasibleError
         When no portfolio heuristic produces a feasible schedule; the error
         carries the lowest-violation attempt's diagnostics.
+    SchedulingError
+        When *heuristics* is empty.
     """
+    if not heuristics:
+        raise SchedulingError("the heuristic portfolio is empty")
     platform = as_scheduling_platform(processors)
     best: Optional[Attempt] = None
     for name in heuristics:
@@ -87,7 +90,6 @@ def find_feasible_schedule(
             return schedule
         if best is None or count < best.violations:
             best = Attempt(name, schedule, count)
-    assert best is not None
     sample = "; ".join(str(v) for v in best.schedule.violations()[:3])
     # Spelling-independent: ``2`` and ``Platform.homogeneous(2)`` are one
     # platform, so they fail with one message.
@@ -112,6 +114,8 @@ def minimum_processors(
     The search starts at the Proposition 3.1 bound ``ceil(Load(TG))`` —
     values below it cannot be feasible, so they are never tried.
     """
+    if not heuristics:
+        raise SchedulingError("the heuristic portfolio is empty")
     lower = task_graph_load(graph).min_processors
     for m in range(lower, max_processors + 1):
         try:
@@ -156,8 +160,3 @@ def schedule_quality(
         deadline_violations=misses,
         total_lateness=from_ticks(lateness),
     )
-
-
-def all_heuristic_names() -> List[str]:
-    """Every registered heuristic (re-exported for benchmark sweeps)."""
-    return available_heuristics()

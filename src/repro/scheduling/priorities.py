@@ -68,6 +68,10 @@ def register_heuristic(
     ``platform_aware`` heuristics are also passed the ``platform`` being
     scheduled and the ``wcet_aggregate`` as keywords; plain heuristics
     are always called with the graph alone.
+
+    Rank lists are memoised per graph, by name and (platform-aware) class
+    names, speeds and aggregate: a heuristic must be a deterministic
+    function of those and return a permutation of ``0..n-1``.
     """
 
     def deco(fn: Heuristic) -> Heuristic:

@@ -6,12 +6,12 @@ every edge ``(i, j)`` satisfies ``i < j``.  The class enforces this, which
 makes downstream algorithms (ASAP/ALAP, list scheduling, transitive
 reduction) single forward/backward passes.
 
-Adjacency queries (``successors``/``predecessors``/``sources``/``sinks``/
-``edges``/``jobs_of``) return **cached immutable tuples**: the sorted views
-are built lazily on first use and invalidated by ``add_edge``/
-``remove_edge``, so the hot scheduling and simulation loops pay no per-call
-sorting.  The job list itself is frozen at construction (the name index and
-the integer-tick time view both rely on that).
+The adjacency is one **sorted tuple** of successors and one of
+predecessors per job, kept sorted by ``add_edge``/``remove_edge``, so the
+hot scheduling and simulation loops pay no per-call sorting.  The tables
+of them and the rank memo are cached and dropped by every edge mutation.
+The job list itself is frozen at construction (the name index, the
+arrival order and the integer-tick time view rely on that).
 """
 
 from __future__ import annotations
@@ -49,8 +49,6 @@ class TaskGraph:
         edges: Iterable[Edge] = (),
         hyperperiod: Optional[Time] = None,
     ) -> None:
-        # A tuple: the job list is frozen at construction (the name index,
-        # the jobs_of grouping and the tick-time view all cache over it).
         self.jobs: Tuple[Job, ...] = tuple(jobs)
         self.hyperperiod = hyperperiod
         names = [j.name for j in self.jobs]
@@ -58,22 +56,18 @@ class TaskGraph:
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ModelError(f"duplicate job names in task graph: {dupes!r}")
         self._index: Dict[str, int] = {name: i for i, name in enumerate(names)}
-        self._succs: List[Set[int]] = [set() for _ in self.jobs]
-        self._preds: List[Set[int]] = [set() for _ in self.jobs]
-        # Lazily built immutable adjacency views, all keyed in one dict so
-        # edge mutations invalidate with a single (usually no-op) clear.
-        self._adj_cache: Dict[str, object] = {}
+        self._succ: List[Tuple[int, ...]] = [()] * len(self.jobs)
+        self._pred: List[Tuple[int, ...]] = [()] * len(self.jobs)
+        # Edge-derived caches, all in one dict that edge mutations clear.
+        self._adj_cache: Dict[str, Any] = {}
         # Job-derived caches (jobs are frozen at construction, never stale).
         self._jobs_of_view: Optional[Dict[str, Tuple[int, ...]]] = None
         self._tick_times: Optional[JobTicks] = None
+        self._arrival_order: Optional[Tuple[int, ...]] = None
         self._platform_ticks: Dict[tuple, PlatformTicks] = {}
         self._run_memo: Dict[Any, Any] = {}
         for i, j in edges:
             self.add_edge(i, j)
-
-    def _invalidate_adjacency(self) -> None:
-        if self._adj_cache:
-            self._adj_cache = {}
 
     # ------------------------------------------------------------------
     def add_edge(self, i: int, j: int) -> None:
@@ -88,14 +82,16 @@ class TaskGraph:
                 f"edge ({i}, {j}) violates the <J total order "
                 f"({self.jobs[i].name} comes after {self.jobs[j].name})"
             )
-        self._succs[i].add(j)
-        self._preds[j].add(i)
-        self._invalidate_adjacency()
+        if j not in self._succ[i]:
+            self._succ[i] = _inserted(self._succ[i], j)
+            self._pred[j] = _inserted(self._pred[j], i)
+            self._adj_cache.clear()
 
     def remove_edge(self, i: int, j: int) -> None:
-        self._succs[i].discard(j)
-        self._preds[j].discard(i)
-        self._invalidate_adjacency()
+        if j in self._succ[i]:
+            self._succ[i] = tuple(s for s in self._succ[i] if s != j)
+            self._pred[j] = tuple(p for p in self._pred[j] if p != i)
+            self._adj_cache.clear()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -115,67 +111,49 @@ class TaskGraph:
         return self.jobs[self.index_of(name)]
 
     def has_edge(self, i: int, j: int) -> bool:
-        return j in self._succs[i]
+        return j in self._succ[i]
 
     def has_edge_named(self, a: str, b: str) -> bool:
         return self.has_edge(self.index_of(a), self.index_of(b))
 
     def successors(self, i: int) -> Tuple[int, ...]:
-        """Direct successors of job *i* as a cached sorted tuple."""
-        return self.successor_table()[i]
+        """Direct successors of job *i* as a sorted tuple."""
+        return self._succ[i]
 
     def predecessors(self, i: int) -> Tuple[int, ...]:
-        """Direct predecessors of job *i* as a cached sorted tuple."""
-        return self.predecessor_table()[i]
+        """Direct predecessors of job *i* as a sorted tuple."""
+        return self._pred[i]
 
     def successor_table(self) -> List[Tuple[int, ...]]:
-        """The whole successor adjacency, indexed like ``jobs`` (cached)."""
+        """The successor tuples, indexed like ``jobs``: a cached snapshot
+        (an edge mutation hands out a new list; identity marks a version)."""
         view = self._adj_cache.get("succ")
         if view is None:
-            view = self._adj_cache["succ"] = [
-                tuple(sorted(s)) for s in self._succs
-            ]
+            view = self._adj_cache["succ"] = list(self._succ)
         return view
 
     def predecessor_table(self) -> List[Tuple[int, ...]]:
-        """The whole predecessor adjacency, indexed like ``jobs`` (cached)."""
+        """The predecessor tuples (a snapshot, like :meth:`successor_table`)."""
         view = self._adj_cache.get("pred")
         if view is None:
-            view = self._adj_cache["pred"] = [
-                tuple(sorted(s)) for s in self._preds
-            ]
+            view = self._adj_cache["pred"] = list(self._pred)
         return view
 
     def edges(self) -> List[Edge]:
         """All edges as sorted ``(i, j)`` pairs."""
-        view = self._adj_cache.get("edges")
-        if view is None:
-            view = self._adj_cache["edges"] = tuple(
-                sorted((i, j) for i, succs in enumerate(self._succs) for j in succs)
-            )
-        return list(view)
+        return [(i, j) for i, succs in enumerate(self._succ) for j in succs]
 
     @property
     def edge_count(self) -> int:
-        return sum(len(s) for s in self._succs)
+        return sum(len(s) for s in self._succ)
 
     def sources(self) -> Tuple[int, ...]:
-        """Jobs with no predecessors (cached tuple)."""
-        view = self._adj_cache.get("sources")
-        if view is None:
-            view = self._adj_cache["sources"] = tuple(
-                i for i in range(len(self.jobs)) if not self._preds[i]
-            )
-        return view
+        """Jobs with no predecessors."""
+        return tuple(i for i, preds in enumerate(self._pred) if not preds)
 
     def sinks(self) -> Tuple[int, ...]:
-        """Jobs with no successors (cached tuple)."""
-        view = self._adj_cache.get("sinks")
-        if view is None:
-            view = self._adj_cache["sinks"] = tuple(
-                i for i in range(len(self.jobs)) if not self._succs[i]
-            )
-        return view
+        """Jobs with no successors."""
+        return tuple(i for i, succs in enumerate(self._succ) if not succs)
 
     # ------------------------------------------------------------------
     def jobs_of(self, process: str) -> Tuple[int, ...]:
@@ -202,6 +180,27 @@ class TaskGraph:
         if tt is None:
             tt = self._tick_times = JobTicks(self.jobs, self.hyperperiod)
         return tt
+
+    def arrival_order(self) -> Tuple[int, ...]:
+        """Job indices by arrival, ties in ``<J`` order (cached; every duration
+        table rescales arrivals uniformly, so this one order serves all)."""
+        order = self._arrival_order
+        if order is None:
+            order = self._arrival_order = tuple(sorted(
+                range(len(self.jobs)), key=self.tick_times().arrival.__getitem__
+            ))
+        return order
+
+    def rank_memo(self) -> Dict[Any, List[int]]:
+        """This graph's memo of SP heuristic rank lists.
+
+        Emptied by every edge mutation (rankings read the edges).  Callers
+        must not mutate a list they read from it.
+        """
+        memo = self._adj_cache.get("ranks")
+        if memo is None:
+            memo = self._adj_cache["ranks"] = {}
+        return memo
 
     def platform_ticks(self, platform: Platform) -> PlatformTicks:
         """The graph's duration table on *platform* (cached per shape).
@@ -235,24 +234,17 @@ class TaskGraph:
 
     def reachable_from(self, i: int) -> Set[int]:
         """All jobs reachable from *i* by a non-empty path."""
-        seen: Set[int] = set()
-        stack = list(self._succs[i])
-        while stack:
-            v = stack.pop()
+        seen: Set[int] = set(self._succ[i])
+        for v in range(i + 1, len(self.jobs)):  # <J is topological
             if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(self._succs[v] - seen)
+                seen.update(self._succ[v])
         return seen
 
     def is_transitively_reduced(self) -> bool:
         """True when no edge is implied by a longer path."""
-        for i in range(len(self.jobs)):
-            for mid in self._succs[i]:
-                implied = self.reachable_from(mid)
-                if implied & self._succs[i]:
-                    return False
-        return True
+        from .transitive import reduce_edge_list
+
+        return len(reduce_edge_list(len(self), self.edges())) == self.edge_count
 
     def copy(self) -> "TaskGraph":
         return TaskGraph(self.jobs, self.edges(), self.hyperperiod)
@@ -262,3 +254,10 @@ class TaskGraph:
             f"TaskGraph(jobs={len(self.jobs)}, edges={self.edge_count}, "
             f"H={self.hyperperiod})"
         )
+
+
+def _inserted(items: Tuple[int, ...], x: int) -> Tuple[int, ...]:
+    """Sorted *items* with *x* added (appended when it is the largest)."""
+    if not items or items[-1] < x:
+        return items + (x,)
+    return tuple(sorted((*items, x)))

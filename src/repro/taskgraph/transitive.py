@@ -17,7 +17,7 @@ serves as an independent oracle in the test suite.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Set, Tuple
+from typing import Iterable, List, Sequence, Set, Tuple
 
 from .graph import TaskGraph
 
@@ -34,19 +34,12 @@ def reduce_edge_list(n: int, edges: Iterable[Tuple[int, int]]) -> List[Tuple[int
 
     This is the derivation's step-5 entry point: reducing the integer edge
     list *before* the :class:`TaskGraph` is materialised means only one
-    graph (name index, adjacency sets) is ever built per derivation.
+    graph (name index, adjacency) is ever built per derivation.
     """
     succ: List[List[int]] = [[] for _ in range(n)]
     for u, v in edges:
         succ[u].append(v)
-    # reach[v] = bitset of nodes reachable from v by a path of length >= 1
-    reach: List[int] = [0] * n
-    for v in range(n - 1, -1, -1):
-        acc = 0
-        for w in succ[v]:
-            acc |= (1 << w) | reach[w]
-        reach[v] = acc
-
+    reach = _reach_bits(succ)
     kept: List[Tuple[int, int]] = []
     for u in range(n):
         succs = succ[u]
@@ -58,6 +51,17 @@ def reduce_edge_list(n: int, edges: Iterable[Tuple[int, int]]) -> List[Tuple[int
             if not (indirect >> v) & 1:
                 kept.append((u, v))
     return kept
+
+
+def _reach_bits(succ: Sequence[Sequence[int]]) -> List[int]:
+    """Per node, the bitset of nodes it reaches by a path of length >= 1."""
+    reach: List[int] = [0] * len(succ)
+    for v in range(len(succ) - 1, -1, -1):
+        acc = 0
+        for w in succ[v]:
+            acc |= (1 << w) | reach[w]
+        reach[v] = acc
+    return reach
 
 
 def transitive_reduction(graph: TaskGraph) -> TaskGraph:
@@ -80,22 +84,7 @@ def transitive_closure_sets(graph: TaskGraph) -> List[Set[int]]:
     are order-equivalent iff they agree on the closure, not on the raw edge
     set.
     """
-    n = len(graph)
-    reach_bits: List[int] = [0] * n
-    for v in range(n - 1, -1, -1):
-        acc = 0
-        for w in graph.successors(v):
-            acc |= (1 << w) | reach_bits[w]
-        reach_bits[v] = acc
-    out: List[Set[int]] = []
-    for v in range(n):
-        bits = reach_bits[v]
-        members: Set[int] = set()
-        idx = 0
-        while bits:
-            if bits & 1:
-                members.add(idx)
-            bits >>= 1
-            idx += 1
-        out.append(members)
-    return out
+    return [
+        {w for w in range(bits.bit_length()) if bits >> w & 1}
+        for bits in _reach_bits(graph.successor_table())
+    ]

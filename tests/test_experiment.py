@@ -70,6 +70,20 @@ class TestScenario:
         assert s.wcet == Fraction(25)
         assert s.wcet_spec() == Fraction(25)
 
+    def test_empty_heuristic_portfolio_is_refused(self):
+        from repro.io.json_io import scenario_from_dict, scenario_to_dict
+
+        with pytest.raises(ModelError, match="heuristics must not be empty"):
+            Scenario(workload="fig1", wcet=25, heuristics=())
+        data = scenario_to_dict(
+            Scenario(workload="fig1", wcet=25, heuristics=("alap",))
+        )
+        assert data["format"] == "fppn-scenario"
+        data["heuristics"] = []
+        with pytest.raises(ModelError, match="heuristics must not be empty"):
+            scenario_from_dict(data)
+        assert Scenario(workload="fig1", wcet=25).heuristics is None
+
     def test_validation_errors(self):
         with pytest.raises(ModelError):
             Scenario(workload="fig1", wcet=25, processors=0)

@@ -99,6 +99,31 @@ class TestTaskGraph:
         assert g.successors(0) == (1,)
         assert g.sinks() == (2,)
 
+    def test_edge_mutations_hand_out_new_tables(self):
+        g = TaskGraph([J(f"p{i}") for i in range(4)], [(0, 3), (1, 3)])
+        succ, pred = g.successor_table(), g.predecessor_table()
+        assert g.successor_table() is succ and g.predecessor_table() is pred
+        g.add_edge(0, 1)
+        assert g.successor_table() is not succ
+        assert g.predecessor_table() is not pred
+        assert succ[0] == (3,) and pred[1] == ()  # old snapshots untouched
+        assert g.successor_table()[0] == (1, 3)
+        assert g.predecessor_table()[3] == (0, 1)
+        succ = g.successor_table()
+        g.remove_edge(0, 3)
+        assert g.successor_table() is not succ
+        assert g.successors(0) == (1,) and g.predecessors(3) == (1,)
+
+    def test_repeated_and_missing_edges_are_no_ops(self):
+        g = TaskGraph([J(f"p{i}") for i in range(3)], [(1, 2), (0, 2), (1, 2)])
+        assert g.edge_count == 2
+        assert g.predecessors(2) == (0, 1)
+        table = g.predecessor_table()
+        g.add_edge(0, 2)
+        g.remove_edge(0, 1)
+        assert g.predecessor_table() is table
+        assert g.edges() == [(0, 2), (1, 2)]
+
     def test_sources_sinks(self):
         g = chain_graph(3)
         assert g.sources() == (0,)

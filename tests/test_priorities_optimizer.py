@@ -101,6 +101,16 @@ class TestPortfolio:
             find_feasible_schedule(fig1_graph, 1)
         assert exc.value.diagnostics  # carries the best attempt's violations
 
+    def test_empty_portfolio_is_refused(self, fig1_graph):
+        with pytest.raises(SchedulingError, match="portfolio is empty") as exc:
+            find_feasible_schedule(fig1_graph, 2, heuristics=())
+        assert not isinstance(exc.value, InfeasibleError)
+        # Also when the load bound (2) leaves no processor count to try.
+        for top in (64, 1):
+            with pytest.raises(SchedulingError, match="portfolio is empty") as exc:
+                minimum_processors(fig1_graph, heuristics=[], max_processors=top)
+            assert not isinstance(exc.value, InfeasibleError)
+
     def test_minimum_processors_fig1(self, fig1_graph):
         m, s = minimum_processors(fig1_graph)
         assert m == 2
