@@ -44,7 +44,9 @@ test-hetero:
 # timing records and schedules (test_tick_equivalence), data-phase
 # observables (test_data_phase_equivalence), the tick-fed metrics and
 # tick-sampled jitter against MetricsObserver.on_record and the Fraction
-# reference sampler (test_tick_path), and tick-native static schedules
+# reference sampler (test_tick_path), the jitter draw rule itself — golden
+# draws, bounds, uniformity, hash-seed independence and accepted seed
+# types (test_jitter_draws) — and tick-native static schedules
 # against hand-built ones and the Fraction list scheduler and feasibility
 # check (test_schedule_ticks); plus the runtime paths around them: the
 # per-class observer rule and fast modes (test_observers), live-vs-replay
@@ -55,9 +57,9 @@ test-hetero:
 test-ticks:
 	$(PY) -m pytest tests/test_tick_equivalence.py \
 		tests/test_data_phase_equivalence.py tests/test_tick_path.py \
-		tests/test_schedule_ticks.py tests/test_observers.py \
-		tests/test_data_phase_events.py tests/test_static_order_binding.py \
-		tests/test_perfbench_surface.py -q
+		tests/test_jitter_draws.py tests/test_schedule_ticks.py \
+		tests/test_observers.py tests/test_data_phase_events.py \
+		tests/test_static_order_binding.py tests/test_perfbench_surface.py -q
 
 # Error-level lint (ruff.toml: syntax errors / undefined names only).
 # Skips gracefully when ruff is not in the environment; CI installs it.

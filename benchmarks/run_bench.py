@@ -225,6 +225,22 @@ def _case_fms_sim_jitter(fast: bool):
     )
 
 
+def _case_jitter_draws_cold(fast: bool):
+    """The jitter draws of ``fms_sim_jitter`` alone: every instance of a
+    25-frame FMS run drawn by a fresh sampler, no simulation around it."""
+    graph = derive_task_graph(build_fms_network(), fms_wcets())
+    frames = 5 if fast else 25
+    keys = [(job.process, job.k) for job in graph.jobs]
+
+    def draw():
+        sampler = jittered_execution(7)
+        for frame in range(frames):
+            sampler.draws(frame, keys)
+
+    return draw, {"experiment": "E6", "frames": frames,
+                  "draws": frames * len(keys)}
+
+
 def _case_fms_sim_timing_100(fast: bool):
     """The records-only fast mode: identical JobRecord timing, no kernels."""
     net = build_fms_network()
@@ -542,6 +558,7 @@ CASES: List[Case] = [
     ("e10_derive_fig1_40s", _case_e10_derive_fig1_40s),
     ("fms_sim_100", _case_fms_sim_100),
     ("fms_sim_jitter", _case_fms_sim_jitter),
+    ("jitter_draws_cold", _case_jitter_draws_cold),
     ("fms_sim_timing_100", _case_fms_sim_timing_100),
     ("fms_data_phase_100", _case_fms_data_phase_100),
     ("fms_sweep_3x3", _case_fms_sweep_3x3),

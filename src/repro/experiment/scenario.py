@@ -178,8 +178,10 @@ def _jitter_model(seed: int, low: float):
     inside the sampler as integers, so sharing one sampler across runs is
     semantically invisible.  It lets sweep cells that vary overheads,
     processors, platforms or frames under the *same* seed read the
-    per-instance memo instead of reseeding for every sample; the executor
-    scales each draw by the cell's own WCETs in ticks.
+    per-instance memo instead of mixing every draw again; the executor
+    scales each draw by the cell's own WCETs in ticks.  *seed* is always
+    an ``int`` here (:class:`Scenario` refuses floats and bools), so two
+    seeds that share a cache entry draw alike.
     """
     return jittered_execution(seed, low)
 
@@ -225,7 +227,10 @@ class Scenario:
     jitter_seed / jitter_low:
         When *jitter_seed* is set, execution times are drawn from
         :func:`~repro.runtime.executor.jittered_execution` in
-        ``[jitter_low * C, C]``.
+        ``[jitter_low * C, C]``: one integer mix of ``(jitter_seed,
+        process, k, frame)`` per job instance, the same in every process.
+        *jitter_seed* must be an ``int`` (not a ``bool`` or a float,
+        which compare equal to an int but draw differently).
     overheads:
         The Section V-A frame-arrival/per-job overhead model.
     stimulus:
@@ -278,6 +283,13 @@ class Scenario:
                 "execution_time and jitter_seed are mutually exclusive — "
                 "a scenario has exactly one execution-time model"
             )
+        if self.jitter_seed is not None:
+            if (not isinstance(self.jitter_seed, int)
+                    or isinstance(self.jitter_seed, bool)):
+                raise ModelError(
+                    f"jitter_seed must be an int, got {self.jitter_seed!r}"
+                )
+            set_(self, "jitter_seed", int(self.jitter_seed))
         if not 0 < self.jitter_low <= 1:
             raise ModelError("jitter_low must be in (0, 1]")
         if not isinstance(self.overheads, OverheadModel):

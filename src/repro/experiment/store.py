@@ -189,6 +189,15 @@ class SqliteSweepStore(SweepStore):
     #: lock holder finishes in milliseconds.
     BUSY_TIMEOUT = 10.0
 
+    #: ``PRAGMA user_version`` stamped on the files this class writes.
+    #: The scenario hash keys a row's description, not the simulator that
+    #: computed it, so a row must not outlive a change of what a
+    #: description computes.  Version 1: jittered rows drawn by the
+    #: counter-based :class:`~repro.runtime.executor.JitterSampler`.
+    #: Files without a stamp (version 0) predate it and may hold rows of
+    #: the string-seeded draws; one that holds any row is refused.
+    SCHEMA_VERSION = 1
+
     def __init__(self, path: str) -> None:
         self.path = str(path)
         try:
@@ -199,17 +208,51 @@ class SqliteSweepStore(SweepStore):
                 f"PRAGMA busy_timeout = {int(self.BUSY_TIMEOUT * 1000)}"
             )
             self._conn.execute("PRAGMA journal_mode = WAL")
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS sweep_rows ("
-                " scenario_hash TEXT NOT NULL,"
-                " metrics_key TEXT NOT NULL,"
-                " payload TEXT NOT NULL,"
-                " PRIMARY KEY (scenario_hash, metrics_key))"
-            )
+            # One write transaction (committed, or rolled back on error):
+            # a second connection opening the same fresh file cannot
+            # interleave between the version check and the stamp.
+            self._conn.execute("BEGIN IMMEDIATE")
+            with self._conn:
+                self._check_version()
+                self._conn.execute(
+                    "CREATE TABLE IF NOT EXISTS sweep_rows ("
+                    " scenario_hash TEXT NOT NULL,"
+                    " metrics_key TEXT NOT NULL,"
+                    " payload TEXT NOT NULL,"
+                    " PRIMARY KEY (scenario_hash, metrics_key))"
+                )
+                self._conn.execute(
+                    f"PRAGMA user_version = {self.SCHEMA_VERSION}"
+                )
         except sqlite3.Error as exc:
             raise CheckpointError(
                 f"cannot open sweep store at {self.path!r}: {exc}"
             ) from exc
+        except CheckpointError:
+            self._conn.close()
+            raise
+
+    def _check_version(self) -> None:
+        """Refuse a file of another schema version that holds rows."""
+        version = self._conn.execute("PRAGMA user_version").fetchone()[0]
+        if version == self.SCHEMA_VERSION:
+            return
+        has_table = self._conn.execute(
+            "SELECT 1 FROM sqlite_master"
+            " WHERE type = 'table' AND name = 'sweep_rows'"
+        ).fetchone()
+        if version < self.SCHEMA_VERSION and not (
+            has_table and self._conn.execute(
+                "SELECT 1 FROM sweep_rows LIMIT 1"
+            ).fetchone()
+        ):
+            return  # nothing stored yet: stamp it as this version
+        raise CheckpointError(
+            f"sweep store {self.path!r} is schema version {version}, this "
+            f"library reads version {self.SCHEMA_VERSION}: its rows may "
+            "hold jittered values of another draw rule and would be served "
+            "stale — delete the file or use a new path"
+        )
 
     def _load(self, scenario_key: str, metric_set: str) -> Optional[str]:
         row = self._conn.execute(

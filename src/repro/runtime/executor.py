@@ -34,8 +34,9 @@ The executor is split into a **timing core** and pluggable **consumers**:
    sporadic arrival binding and its per-frame slot tables are memoised
    on the stimulus (:meth:`ArrivalBinding.of`), so every run of one
    schedule over one stimulus shares them.  A :class:`JitterSampler` is
-   sampled through its integer draws, each duration ``d * wcet / R``
-   exact in a domain fixed before sampling.  Tick-fed observers (stock
+   sampled through its integer draws — one integer mix per instance,
+   memoised — each duration ``d * wcet / R`` exact in a domain fixed
+   before sampling.  Tick-fed observers (stock
    :class:`~repro.runtime.observers.MetricsObserver` classes) get integer
    aggregates once per run instead of one record per instance, so a
    timing-only run with no other record consumer builds no
@@ -58,9 +59,9 @@ determinism matrix runs (it only compares data-phase observables).
 from __future__ import annotations
 
 import gc
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from hashlib import blake2b
 from itertools import chain
 from math import gcd
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -88,6 +89,12 @@ from .static_order import ArrivalBinding, RunPlan
 _obj_new = object.__new__
 _obj_setattr = object.__setattr__
 
+# The jitter draw's mix: odd 64-bit steps spreading ``k`` and ``frame``
+# over the splitmix64 input, modulo 2**64.
+_M64 = (1 << 64) - 1
+_K_STEP = 0x9E3779B97F4A7C15
+_FRAME_STEP = 0xD1B54A32D192ED03
+
 ExecutionTimeSpec = Union[
     None,
     Mapping[str, TimeLike],
@@ -103,29 +110,40 @@ def wcet_execution(job: Job, frame: int) -> Time:
 class JitterSampler:
     """The execution-time model behind :func:`jittered_execution`.
 
-    Each job instance draws an integer ``d`` in ``[low * R, R]`` (``R`` =
-    :attr:`resolution`) and runs for ``d / R`` of its WCET.  The draw is a
-    pure function of ``(seed, process, k, frame)`` — not of the WCET — so
-    it is memoised per instance, and the executor reads it through the
-    tick entry :meth:`draws` and charges ``d * wcet / R`` in integer ticks
-    (its run domain is fixed before sampling, from the WCETs and ``R``).
-    Calling the sampler as a ``(job, frame) -> Time`` model returns the
-    same duration as an exact rational.
+    Each job instance draws an integer ``d`` in ``[lo, R]`` (``R`` =
+    :attr:`resolution`, ``lo = max(1, round(low_fraction * R))``, both
+    ends reachable) and runs for ``d / R`` of its WCET.  The draw is a
+    stateless integer mix of ``(seed, process, k, frame)`` — not of the
+    WCET: a 64-bit base per ``(seed, process)``, the first 8 bytes of the
+    BLAKE2b digest of ``f"{seed}/{process}"`` read little-endian, is
+    computed once per sampler; an instance then costs one splitmix64
+    finaliser ``x`` over ``base + k * _K_STEP + frame * _FRAME_STEP``
+    (mod 2**64), mapped onto the span by ``lo + (x * (R - lo + 1)) >> 64``.
+    Nothing depends on ``PYTHONHASHSEED`` or on the process, and no float
+    enters a draw.  Draws are memoised per instance, and the executor
+    reads them through the tick entry :meth:`draws` and charges
+    ``d * wcet / R`` in integer ticks (its run domain is fixed before
+    sampling, from the WCETs and ``R``).  Calling the sampler as a
+    ``(job, frame) -> Time`` model returns the same duration as an exact
+    rational.
     """
 
     #: Denominator of every draw: millisecond-ish resolution of a WCET.
     resolution = 10_000
 
-    __slots__ = ("seed", "low_fraction", "_rng", "_memo")
+    __slots__ = ("seed", "low_fraction", "_lo", "_span", "_bases", "_memo")
 
     def __init__(self, seed: int, low_fraction: float = 0.5) -> None:
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise TypeError(f"jitter seed must be an int, got {seed!r}")
         if not 0 < low_fraction <= 1:
             raise ValueError("low_fraction must be in (0, 1]")
         self.seed = seed
         self.low_fraction = low_fraction
-        # One reseeded generator: reseeding produces exactly the state a
-        # fresh ``random.Random(key)`` would have.
-        self._rng = random.Random()
+        self._lo = max(1, round(low_fraction * self.resolution))
+        self._span = self.resolution - self._lo + 1
+        #: process -> 64-bit base of its draws.
+        self._bases: Dict[str, int] = {}
         #: frame -> (process, k) -> draw.
         self._memo: Dict[int, Dict[Tuple[str, int], int]] = {}
 
@@ -135,13 +153,23 @@ class JitterSampler:
         if memo is None:
             memo = self._memo[frame] = {}
         get = memo.get
+        bases = self._bases
+        lo, span = self._lo, self._span
+        step = frame * _FRAME_STEP
         out: List[int] = []
         for key in keys:
             d = get(key)
             if d is None:
-                self._rng.seed(f"{self.seed}/{key[0]}/{key[1]}/{frame}")
-                frac = self.low_fraction + (1 - self.low_fraction) * self._rng.random()
-                d = memo[key] = int(frac * self.resolution)
+                process, k = key
+                base = bases.get(process)
+                if base is None:
+                    base = bases[process] = int.from_bytes(blake2b(
+                        f"{self.seed}/{process}".encode(), digest_size=8
+                    ).digest(), "little")
+                x = (base + k * _K_STEP + step) & _M64
+                x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+                x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
+                d = memo[key] = lo + (((x ^ (x >> 31)) * span) >> 64)
             out.append(d)
         return out
 
@@ -156,12 +184,15 @@ def jittered_execution(seed: int, low_fraction: float = 0.5) -> JitterSampler:
     """Deterministic pseudo-random execution times in ``[low*C, C]``.
 
     The sample depends only on ``(seed, process, k, frame)``, so repeated
-    runs with the same seed are identical — which the determinism tests rely
-    on when comparing *different schedules* under the *same* jitter.  The
-    returned :class:`JitterSampler` is a ``(job, frame) -> Time`` callable;
-    it memoises its integer draws per instance, so determinism sweeps that
-    replay the same jitter against many schedules pay the string-seeded
-    reseed once per instance, and the executor samples it in ticks.
+    runs with the same seed are identical — in any process, whatever its
+    ``PYTHONHASHSEED`` — which the determinism tests rely on when
+    comparing *different schedules* under the *same* jitter.  *seed* must
+    be an ``int`` (``TypeError`` otherwise, ``bool`` included).  The
+    returned :class:`JitterSampler` is a ``(job, frame) -> Time``
+    callable; it draws each instance with one integer mix and memoises
+    the draw, so determinism sweeps that replay the same jitter against
+    many schedules draw each instance once, and the executor samples it
+    in ticks.
     """
     return JitterSampler(seed, low_fraction)
 

@@ -16,12 +16,19 @@ WCET-consuming heuristics rank on the exact rational ``min`` / ``max`` /
 ``mean`` of those durations over the platform's classes, and sampled
 execution times scale by ``wcet_on(cls) / wcet``.  A processor count is
 the homogeneous platform of that many speed-1 processors.
+
+The jitter samplers are the one oracle that is not a seed copy: the draw
+rule itself changed (string-seeded ``random.Random`` draws gave way to a
+per-instance integer mix), so they transliterate the current rule with
+their own digest and mix code, step by step, without caching.
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import random
+import struct
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -532,16 +539,39 @@ def reference_search_priorities(
 # Reference execution-time models.
 # ----------------------------------------------------------------------
 
+def _reference_jitter_draw(
+    seed: int, low_fraction: float, process: str, k: int, frame: int
+) -> int:
+    """The jitter draw rule, spelled out step by step.
+
+    ``base`` = the first 8 bytes, little-endian, of the BLAKE2b digest of
+    ``"<seed>/<process>"``; ``z`` = the splitmix64 finaliser of ``base +
+    k * 0x9E3779B97F4A7C15 + frame * 0xD1B54A32D192ED03`` modulo 2**64;
+    the draw is ``lo + floor(z * (10000 - lo + 1) / 2**64)`` with
+    ``lo = max(1, round(low_fraction * 10000))``.
+    """
+    modulus = 2 ** 64
+    text = "%d/%s" % (seed, process)
+    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
+    (base,) = struct.unpack("<Q", digest)
+    z = (base + k * 0x9E3779B97F4A7C15 + frame * 0xD1B54A32D192ED03) % modulus
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % modulus
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % modulus
+    z = z ^ (z >> 31)
+    lo = max(1, round(low_fraction * 10_000))
+    return lo + (z * (10_000 - lo + 1)) // modulus
+
+
 def reference_jittered_execution(
     seed: int, low_fraction: float = 0.5
 ) -> Callable[[Job, int], Time]:
-    """Seed sampler: a fresh ``random.Random(key)`` per sample."""
+    """Fresh sampler: every sample digests and mixes its key anew."""
 
     def sample(job: Job, frame: int) -> Time:
-        rng = random.Random(f"{seed}/{job.process}/{job.k}/{frame}")
-        frac = low_fraction + (1 - low_fraction) * rng.random()
-        scaled = int(frac * 10_000)
-        return job.wcet * scaled / 10_000
+        draw = _reference_jitter_draw(
+            seed, low_fraction, job.process, job.k, frame
+        )
+        return job.wcet * draw / 10_000
 
     return sample
 
@@ -549,13 +579,12 @@ def reference_jittered_execution(
 def reference_memo_jittered_execution(
     seed: int, low_fraction: float = 0.5
 ) -> Callable[[Job, int], Time]:
-    """The WCET-checked Fraction memo sampler the tick sampler replaced.
+    """A WCET-checked Fraction memo sampler.
 
-    One reseeded ``random.Random``; each sample is memoised per
-    ``(process, k, frame)`` together with the WCET it scaled, and redrawn
-    when a job with another WCET asks for the same instance.
+    Each sample is memoised per ``(process, k, frame)`` together with the
+    WCET it scaled, and drawn again when a job with another WCET asks for
+    the same instance.
     """
-    rng = random.Random()
     memo: Dict[Tuple[str, int, int], Tuple[Time, Time]] = {}
 
     def sample(job: Job, frame: int) -> Time:
@@ -563,10 +592,10 @@ def reference_memo_jittered_execution(
         hit = memo.get(key)
         if hit is not None and hit[0] == job.wcet:
             return hit[1]
-        rng.seed(f"{seed}/{job.process}/{job.k}/{frame}")
-        frac = low_fraction + (1 - low_fraction) * rng.random()
-        scaled = int(frac * 10_000)
-        value = job.wcet * scaled / 10_000
+        draw = _reference_jitter_draw(
+            seed, low_fraction, job.process, job.k, frame
+        )
+        value = job.wcet * draw / 10_000
         memo[key] = (job.wcet, value)
         return value
 

@@ -84,6 +84,42 @@ class TestScenario:
             scenario_from_dict(data)
         assert Scenario(workload="fig1", wcet=25).heuristics is None
 
+    @pytest.mark.parametrize("seed", [1.0, True, False, "1"])
+    def test_non_int_jitter_seed_is_refused(self, seed):
+        # 1.0 and True compare and hash equal to 1 but drew differently,
+        # so they shared a cached sampler with whichever came first.
+        from repro.io.json_io import scenario_from_dict, scenario_to_dict
+
+        with pytest.raises(ModelError, match="jitter_seed must be an int"):
+            Scenario(workload="fig1", wcet=25, jitter_seed=seed)
+        data = scenario_to_dict(
+            Scenario(workload="fig1", wcet=25, jitter_seed=1)
+        )
+        data["jitter_seed"] = seed
+        with pytest.raises(ModelError, match="jitter_seed must be an int"):
+            scenario_from_dict(data)
+
+    def test_jitter_seed_document_with_a_float_or_bool_fails_to_decode(self):
+        from repro.io.json_io import scenario_from_dict, scenario_to_dict
+
+        text = json.dumps(scenario_to_dict(
+            Scenario(workload="fig1", wcet=25, jitter_seed=1)
+        ))
+        assert '"jitter_seed": 1' in text
+        for literal in ("1.0", "true"):
+            data = json.loads(text.replace(
+                '"jitter_seed": 1', f'"jitter_seed": {literal}'
+            ))
+            with pytest.raises(ModelError, match="jitter_seed must be an int"):
+                scenario_from_dict(data)
+        assert scenario_from_dict(json.loads(text)).jitter_seed == 1
+
+    def test_int_jitter_seeds_of_any_size_are_kept(self):
+        for seed in (0, -3, 2 ** 64, 2 ** 64 + 1):
+            s = Scenario(workload="fig1", wcet=25, jitter_seed=seed)
+            assert s.jitter_seed == seed and type(s.jitter_seed) is int
+            assert s.execution_model().seed == seed
+
     def test_validation_errors(self):
         with pytest.raises(ModelError):
             Scenario(workload="fig1", wcet=25, processors=0)

@@ -3,6 +3,7 @@ row round-trips through both backends, and store-backed sweep resume that
 recomputes only the missing/failed cells."""
 
 import json
+import sqlite3
 from fractions import Fraction
 
 import pytest
@@ -125,6 +126,78 @@ class TestBackends:
         with SqliteSweepStore(":memory:") as store:
             store.put("a", "m", {"v": 1})
             assert store.get("a", "m") == {"v": 1}
+
+    @staticmethod
+    def _user_version(path):
+        conn = sqlite3.connect(path)
+        try:
+            return conn.execute("PRAGMA user_version").fetchone()[0]
+        finally:
+            conn.close()
+
+    def test_sqlite_stamps_a_fresh_file(self, tmp_path):
+        path = str(tmp_path / "sweep.db")
+        with SqliteSweepStore(path):
+            pass
+        assert self._user_version(path) == SqliteSweepStore.SCHEMA_VERSION
+        with SqliteSweepStore(":memory:") as store:
+            assert store._conn.execute(
+                "PRAGMA user_version"
+            ).fetchone()[0] == SqliteSweepStore.SCHEMA_VERSION
+
+    def test_sqlite_reopens_a_current_file_with_rows(self, tmp_path):
+        path = str(tmp_path / "sweep.db")
+        with SqliteSweepStore(path) as store:
+            store.put("a", "m", {"v": Fraction(1, 3)})
+        with SqliteSweepStore(path) as store:
+            assert store.get("a", "m") == {"v": Fraction(1, 3)}
+        assert self._user_version(path) == SqliteSweepStore.SCHEMA_VERSION
+
+    def _version0_file(self, path, rows):
+        # The table layout of a store written before the version stamp.
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "CREATE TABLE sweep_rows ("
+            " scenario_hash TEXT NOT NULL,"
+            " metrics_key TEXT NOT NULL,"
+            " payload TEXT NOT NULL,"
+            " PRIMARY KEY (scenario_hash, metrics_key))"
+        )
+        conn.executemany("INSERT INTO sweep_rows VALUES (?, ?, ?)", rows)
+        conn.commit()
+        conn.close()
+
+    def test_sqlite_refuses_an_unversioned_file_with_rows(self, tmp_path):
+        path = str(tmp_path / "old.db")
+        self._version0_file(path, [("a", "m", json.dumps({"v": 1}))])
+        with pytest.raises(CheckpointError) as info:
+            SqliteSweepStore(path)
+        message = str(info.value)
+        assert path in message
+        assert "version 0" in message
+        assert f"version {SqliteSweepStore.SCHEMA_VERSION}" in message
+        # The refused file is left as it was: unstamped, its row intact.
+        assert self._user_version(path) == 0
+        conn = sqlite3.connect(path)
+        assert conn.execute("SELECT COUNT(*) FROM sweep_rows").fetchone() == (1,)
+        conn.close()
+
+    def test_sqlite_stamps_an_unversioned_empty_file(self, tmp_path):
+        path = str(tmp_path / "old.db")
+        self._version0_file(path, [])
+        with SqliteSweepStore(path) as store:
+            assert len(store) == 0
+        assert self._user_version(path) == SqliteSweepStore.SCHEMA_VERSION
+
+    def test_sqlite_refuses_a_newer_file(self, tmp_path):
+        path = str(tmp_path / "new.db")
+        conn = sqlite3.connect(path)
+        conn.execute(
+            f"PRAGMA user_version = {SqliteSweepStore.SCHEMA_VERSION + 1}"
+        )
+        conn.close()
+        with pytest.raises(CheckpointError, match="schema version"):
+            SqliteSweepStore(path)
 
     def test_sqlite_two_connections_read_write_concurrently(self, tmp_path):
         # A resident sweep service and an interactive session sharing one

@@ -254,7 +254,7 @@ def test_overhead_simulation_identical():
 
 
 def test_jitter_sampler_matches_seed_construction():
-    """The reseeded+memoised sampler equals a fresh Random(key) per sample."""
+    """The memoised sampler equals a fresh digest and mix per sample."""
     _, graph, _, _ = fms()
     ours = jittered_execution(7)
     ref = reference_jittered_execution(7)
