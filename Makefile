@@ -51,15 +51,19 @@ test-hetero:
 # check (test_schedule_ticks); plus the runtime paths around them: the
 # per-class observer rule and fast modes (test_observers), live-vs-replay
 # data events (test_data_phase_events), the run plan's rejections and the
-# arrival binding (test_static_order_binding), and the entry points the
-# perfbench benchmark calls (test_perfbench_surface).  Also part of the
-# tier-1 run.
+# arrival binding (test_static_order_binding), the stimulus's run memo —
+# validation and bindings shared across sweeps by network structure,
+# misses on a changed sporadic constraint or server spec, no network
+# kept alive, samplers dropped with their sweep (test_stimulus_memo) —
+# and the entry points the perfbench benchmark calls
+# (test_perfbench_surface).  Also part of the tier-1 run.
 test-ticks:
 	$(PY) -m pytest tests/test_tick_equivalence.py \
 		tests/test_data_phase_equivalence.py tests/test_tick_path.py \
 		tests/test_jitter_draws.py tests/test_schedule_ticks.py \
 		tests/test_observers.py tests/test_data_phase_events.py \
-		tests/test_static_order_binding.py tests/test_perfbench_surface.py -q
+		tests/test_static_order_binding.py tests/test_stimulus_memo.py \
+		tests/test_perfbench_surface.py -q
 
 # Error-level lint (ruff.toml: syntax errors / undefined names only).
 # Skips gracefully when ruff is not in the environment; CI installs it.

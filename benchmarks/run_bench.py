@@ -37,6 +37,7 @@ import argparse
 import contextlib
 import datetime
 import functools
+import itertools
 import json
 import os
 import platform
@@ -60,7 +61,7 @@ from repro.apps import (
     fms_stimulus,
     fms_wcets,
 )
-from repro.experiment import ScenarioMatrix, run_sweep
+from repro.experiment import TIMING_METRICS, ScenarioMatrix, run_sweep
 from repro.runtime import OverheadModel, jittered_execution, run_static_order
 from repro.scheduling import (
     find_feasible_schedule,
@@ -301,8 +302,6 @@ def _complete(result, cells: int, rows=None):
 
 
 def _case_fms_sweep_3x3(fast: bool):
-    from repro.experiment.scenario import _jitter_model
-
     frames = 2 if fast else 10
     base = fms_scenario(n_frames=frames)
     matrix = ScenarioMatrix(
@@ -319,15 +318,42 @@ def _case_fms_sweep_3x3(fast: bool):
     )
 
     def sweep():
-        # Best-of-N timing: drop the process-global jitter-sampler cache
-        # so every repeat pays cold sampling, exactly like the naive twin
+        # Each sweep draws with jitter samplers of its own, so every
+        # repeat pays cold sampling, exactly like the naive twin
         # constructing fresh samplers — the comparison then measures the
-        # stage-reuse design, not warm global caches.
-        _jitter_model.cache_clear()
+        # stage-reuse design, not warm samplers.
         return _complete(run_sweep(matrix, metrics=metrics), len(matrix))
 
     return sweep, {
         "experiment": "sweep", "frames": frames, "cells": len(matrix),
+    }
+
+
+def _case_fms_resweep(fast: bool):
+    """A later sweep over a stimulus an earlier sweep already ran: each
+    call is a fresh 8-cell ``run_sweep`` (its own network, two jitter
+    seeds no earlier call drew) x {no overheads, MPPA-like} x processors
+    {1, 2} over one 25-frame FMS scenario, as on perfbench's
+    ``fms_sweep``.  Beyond its cells it pays whatever the stimulus does
+    not share across sweeps: trace validation and the arrival binding."""
+    frames = 2 if fast else 25
+    base = fms_scenario(n_frames=frames)
+    seeds = itertools.count(1)
+
+    def matrix():
+        return ScenarioMatrix(base, {
+            "jitter_seed": [next(seeds), next(seeds)],
+            "overheads": [OverheadModel.none(), OverheadModel.mppa_like()],
+            "processors": [1, 2],
+        })
+
+    def resweep():
+        return _complete(run_sweep(matrix(), metrics=TIMING_METRICS), 8)
+
+    resweep()  # the first sweep over the stimulus, untimed
+    return resweep, {
+        "experiment": "sweep", "frames": frames, "cells": 8,
+        "mode": "repeat sweep, fresh network and seeds",
     }
 
 
@@ -563,6 +589,7 @@ CASES: List[Case] = [
     ("fms_data_phase_100", _case_fms_data_phase_100),
     ("fms_sweep_3x3", _case_fms_sweep_3x3),
     ("fms_sweep_3x3_naive", _case_fms_sweep_3x3_naive),
+    ("fms_resweep", _case_fms_resweep),
     ("fms_sweep_resume", _case_fms_sweep_resume),
     ("fms_hetero_sweep", _case_fms_hetero_sweep),
     ("fms_sweep_2x3_serial", _parallel_sweep_case(workers=1)),

@@ -19,8 +19,7 @@ sporadic traces (used by the FMS case study and the property-based tests).
 from __future__ import annotations
 
 import random
-import weakref
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Union
 
 from ..errors import EventError
 from .events import SporadicGenerator
@@ -56,12 +55,8 @@ class Stimulus:
             for name, times in (sporadic_arrivals or {}).items()
         }
         self._samples_views: Dict[str, SampleMap] = {}
-        # Networks this stimulus validated against, each with its memo of
-        # derived run state (see :meth:`run_memo`).  Weakly keyed: the
-        # memos die with their network, and all of it with the stimulus.
-        self._run_memos: "weakref.WeakKeyDictionary[Network, Dict[Any, Any]]" = (
-            weakref.WeakKeyDictionary()
-        )
+        # Derived run state per validated network structure (run_memo).
+        self._run_memos: Dict[Hashable, Dict[Any, Any]] = {}
 
     def validate(self, network: Network) -> None:
         """Check the stimulus against a network definition.
@@ -71,14 +66,33 @@ class Stimulus:
         * every sporadic process of the network has a trace (possibly empty —
           missing entries are treated as empty, so this only normalises).
 
-        A successful validation is memoised per network (weakly), so sweeps
-        re-running one stimulus against one network many times pay the
-        arrival-constraint scan once; stimuli are treated as immutable after
-        first use (the executors already rely on that via
-        :meth:`samples_view`).
+        A successful validation is memoised under the network's structure
+        key (:meth:`run_memo`), so equal networks — in this sweep or a
+        later one — skip the arrival-constraint scan; stimuli are treated
+        as immutable after first use (as :meth:`samples_view` assumes).
         """
-        if network in self._run_memos:
-            return
+        self.run_memo(network)
+
+    def run_memo(self, network: Network) -> Dict[Any, Any]:
+        """This stimulus's memo of derived run state on *network*.
+
+        Keyed by what validation reads of the network: its external-input
+        names and each process's name and generator type, plus ``(period,
+        burst)`` if sporadic.  Runtime layers keep pure functions of the
+        stimulus and the network here (the executor's arrival bindings),
+        so every run over equal networks shares them: sweep cells, later
+        sweeps that build their network afresh, pool workers sharing one
+        decoded stimulus.  Values must not refer to a network; the memo
+        lives as long as the stimulus.  Validates on a miss.
+        """
+        key = _structure_key(network)
+        memo = self._run_memos.get(key)
+        if memo is None:
+            self._check(network)
+            memo = self._run_memos[key] = {}
+        return memo
+
+    def _check(self, network: Network) -> None:
         for name in self.input_samples:
             if name not in network.external_inputs:
                 raise EventError(f"stimulus references unknown external input {name!r}")
@@ -93,21 +107,6 @@ class Stimulus:
                     "are defined by the network, not the stimulus"
                 )
             gen.validate_trace(times)
-        self._run_memos[network] = {}
-
-    def run_memo(self, network: Network) -> Dict[Any, Any]:
-        """This stimulus's memo of derived run state on *network*.
-
-        Runtime layers keep values here that are pure functions of the
-        network and this stimulus — the executor stores one sporadic
-        arrival binding per ``(hyperperiod, n_frames)`` — so every run
-        that shares the stimulus (sweep cells across jitter, overhead and
-        processor axes, pool workers sharing one decoded stimulus) shares
-        them.  The memo is weakly keyed by the network and owned by the
-        stimulus, so it never outlives either.  Validates first.
-        """
-        self.validate(network)
-        return self._run_memos[network]
 
     def truncated(self, horizon: TimeLike) -> "Stimulus":
         """A copy whose sporadic arrivals are restricted to ``t < horizon``.
@@ -172,6 +171,16 @@ class Stimulus:
             f"Stimulus(inputs={sorted(self.input_samples)}, "
             f"sporadics={sorted(self.sporadic_arrivals)})"
         )
+
+
+def _structure_key(network: Network) -> Hashable:
+    """What :meth:`Stimulus.validate` reads of *network*, as a hashable."""
+    gens = [(name, proc.generator) for name, proc in network.processes.items()]
+    return tuple(network.external_inputs), tuple(
+        (name, type(g), g.period, g.burst) if isinstance(g, SporadicGenerator)
+        else (name, type(g))
+        for name, g in gens
+    )
 
 
 def _normalize_samples(

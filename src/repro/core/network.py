@@ -97,6 +97,7 @@ class Network:
         self.priorities: Set[Tuple[str, str]] = set()
         self.external_inputs: Dict[str, ExternalInputSpec] = {}
         self.external_outputs: Dict[str, ExternalOutputSpec] = {}
+        self._run_memo: Dict[Any, Any] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -106,6 +107,7 @@ class Network:
         if process.name in self.processes:
             raise ModelError(f"duplicate process name {process.name!r}")
         self.processes[process.name] = process
+        self._run_memo.clear()
         return process
 
     def add_periodic(
@@ -165,6 +167,7 @@ class Network:
             raise ChannelError(f"duplicate channel name {name!r}")
         spec = ChannelSpec(name, kind, writer, reader, alphabet, initial)
         self.channels[name] = spec
+        self._run_memo.clear()
         self.processes[writer].outputs.append(name)
         self.processes[reader].inputs.append(name)
         return spec
@@ -181,6 +184,7 @@ class Network:
         if higher == lower:
             raise ModelError(f"process {higher!r} cannot have priority over itself")
         self.priorities.add((higher, lower))
+        self._run_memo.clear()
 
     def add_priority_chain(self, *names: str) -> None:
         """Convenience: ``add_priority`` along a chain ``a → b → c → ...``."""
@@ -267,6 +271,16 @@ class Network:
                 f"T_u <= T_p (got T_u={user.period} > T_p={p.period})"
             )
         return user
+
+    def run_memo(self) -> Dict[Any, Any]:
+        """This network's memo of derived run state.
+
+        The runtime keeps pure functions of the definition here (the
+        server specs its arrival bindings are keyed by); adding a
+        process, channel or priority clears it.  Values must not refer
+        back to the network.
+        """
+        return self._run_memo
 
     # ------------------------------------------------------------------
     # validation

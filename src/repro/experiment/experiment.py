@@ -27,14 +27,14 @@ its stage computations — that count is the contract the sweep tests pin.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 from ..analysis.determinism import DeterminismReport, check_determinism
 from ..analysis.report import ExperimentReport
 from ..core.network import Network
 from ..core.semantics import ExecutionResult, run_zero_delay
 from ..errors import RuntimeModelError
-from ..runtime.executor import RuntimeResult, run_static_order
+from ..runtime.executor import ExecutionTimeSpec, RuntimeResult, run_static_order
 from ..runtime.observers import (
     ExecutionObserver,
     MetricsObserver,
@@ -78,13 +78,15 @@ class PipelineCache:
     :meth:`Scenario.schedule_key` respectively.  The ``*_computed``
     counters record how many times each stage actually ran — the sweep
     tests assert exactly one derivation and one scheduling pass per
-    distinct key, which is the whole point of sharing the cache.
+    distinct key, which is the whole point of sharing the cache.  Jitter
+    samplers die with the cache, or sooner (:meth:`retain_samplers`).
     """
 
     def __init__(self) -> None:
         self._networks: Dict[Any, Network] = {}
         self._graphs: Dict[Any, TaskGraph] = {}
         self._schedules: Dict[Any, StaticSchedule] = {}
+        self._samplers: Dict[Tuple[int, float], ExecutionTimeSpec] = {}
         self.networks_built = 0
         self.derivations_computed = 0
         self.schedules_computed = 0
@@ -125,6 +127,29 @@ class PipelineCache:
             self._schedules[key] = schedule
             self.schedules_computed += 1
         return schedule
+
+    def execution_model(self, scenario: Scenario) -> ExecutionTimeSpec:
+        """:meth:`Scenario.execution_model`, one jitter sampler per seed.
+
+        Draws depend only on ``(seed, process, k, frame)``, so sharing a
+        sampler is invisible in the rows: cells varying overheads,
+        processors, platforms or frames under one seed read its memo.
+        """
+        if scenario.jitter_seed is None:
+            return scenario.execution_model()
+        key = (scenario.jitter_seed, scenario.jitter_low)
+        sampler = self._samplers.get(key)
+        if sampler is None:
+            sampler = self._samplers[key] = scenario.execution_model()
+        return sampler
+
+    def retain_samplers(self, scenarios: Iterable[Scenario]) -> None:
+        """Forget the jitter samplers no scenario of *scenarios* draws from."""
+        keep = {(s.jitter_seed, s.jitter_low) for s in scenarios}
+        self._samplers = {
+            key: sampler for key, sampler in self._samplers.items()
+            if key in keep
+        }
 
 
 class Experiment:
@@ -204,7 +229,7 @@ class Experiment:
             self.schedule(),
             s.n_frames,
             s.stimulus,
-            s.execution_model(),
+            self.cache.execution_model(s),
             s.overheads,
             observers=observers,
             records_only=s.records_only,

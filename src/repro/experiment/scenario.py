@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
 from ..core.invocations import Stimulus
@@ -167,23 +166,6 @@ def _normalize_table(
     if not isinstance(table, Mapping):
         raise ModelError(f"{what} must be a mapping of process name -> time")
     return tuple(sorted((name, as_time(v)) for name, v in table.items()))
-
-
-@lru_cache(maxsize=64)
-def _jitter_model(seed: int, low: float):
-    """One shared jitter sampler per ``(seed, low_fraction)``.
-
-    :func:`~repro.runtime.executor.jittered_execution` draws depend only
-    on ``(seed, process, k, frame)`` — not on the WCET — and are memoised
-    inside the sampler as integers, so sharing one sampler across runs is
-    semantically invisible.  It lets sweep cells that vary overheads,
-    processors, platforms or frames under the *same* seed read the
-    per-instance memo instead of mixing every draw again; the executor
-    scales each draw by the cell's own WCETs in ticks.  *seed* is always
-    an ``int`` here (:class:`Scenario` refuses floats and bools), so two
-    seeds that share a cache entry draw alike.
-    """
-    return jittered_execution(seed, low)
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +318,15 @@ class Scenario:
         return self.wcet
 
     def execution_model(self) -> ExecutionTimeSpec:
-        """The executor's ``execution_time`` argument for this scenario."""
+        """The executor's ``execution_time`` argument for this scenario.
+
+        A jittered scenario gets a fresh sampler per call; runs sharing a
+        :class:`~repro.experiment.experiment.PipelineCache` share one
+        sampler per ``(jitter_seed, jitter_low)`` through
+        :meth:`~repro.experiment.experiment.PipelineCache.execution_model`.
+        """
         if self.jitter_seed is not None:
-            return _jitter_model(self.jitter_seed, self.jitter_low)
+            return jittered_execution(self.jitter_seed, self.jitter_low)
         if self.execution_time is not None:
             return dict(self.execution_time)
         return None

@@ -506,6 +506,9 @@ def _run_cells(
     *retries*) unless *raise_errors*, and the rest still run.
     ``KeyboardInterrupt`` is never captured.
     """
+    # A warm cache outlives its runs: keep only the jitter samplers these
+    # cells draw from, or a stream of fresh seeds grows it without bound.
+    cache.retain_samplers(cell.scenario for cell in cells)
     for cell in cells:
         before = _stage_counts(cache)
         try:

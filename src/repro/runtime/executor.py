@@ -466,7 +466,6 @@ class MultiprocessorExecutor:
         if n_frames < 1:
             raise RuntimeModelError("n_frames must be >= 1")
         stimulus = stimulus or Stimulus()
-        stimulus.validate(self.network)
         plan, setup = self._prepare(n_frames, stimulus, execution_time)
 
         if observers:
@@ -538,9 +537,10 @@ class MultiprocessorExecutor:
 
         Three steps: (1) invocation identity — the stimulus's memoised
         :class:`ArrivalBinding` says which server-job slots a real arrival
-        serves in each frame; (2) the run's tick domain — the graph's
-        domain extended by the overheads, process deadlines, the binding's
-        domain and what the execution-time model needs; (3) the integer
+        serves in each frame (the lookup validates the stimulus); (2) the
+        run's tick domain — the graph's domain extended by the overheads,
+        process deadlines, the binding's domain and what the
+        execution-time model needs; (3) the integer
         views of all of them, execution durations sampled only for true
         jobs.  Default WCETs and :class:`JitterSampler` draws never leave
         ticks: a sampler's domain is fixed from the WCETs and its

@@ -24,10 +24,11 @@ window (window ``[a, b)``).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import RuntimeModelError
 from ..core.invocations import Stimulus
@@ -62,8 +63,14 @@ class ArrivalBinding:
     The binding is a pure function of the arrival trace and the server
     specs — independent of scheduling — which is what makes the policy
     deterministic (Prop. 4.1).  :meth:`of` shares one binding per
-    ``(network, hyperperiod, n_frames, stimulus)``; ``domain`` is the tick
-    domain every bound arrival time converts to exactly.
+    stimulus, server specs, hyperperiod and frame count; ``domain`` is
+    the tick domain every bound arrival time converts to exactly.
+
+    Per sporadic process it keeps the sorted arrival times and one flat
+    slot index per served arrival; served arrivals are a prefix of the
+    trace (a window's frame grows with its arrival time), so position
+    ``i`` is ``global_k = i + 1``.  :class:`BoundArrival` values are
+    built only when asked for.
     """
 
     @classmethod
@@ -76,12 +83,16 @@ class ArrivalBinding:
     ) -> "ArrivalBinding":
         """The binding, memoised on the stimulus (:meth:`Stimulus.run_memo`).
 
-        Every run over one stimulus and network — sweep cells across
-        jitter, overhead and processor axes — shares one binding and its
-        slot tables; the memo dies with the stimulus.
+        Keyed by what the binding reads of the network, its server specs
+        (:meth:`Network.run_memo` keeps them), and by the hyperperiod and
+        frame count.  Every run over one stimulus and equal networks —
+        sweep cells, and later sweeps that build their network afresh —
+        shares one binding and its slot tables; a changed sporadic period
+        or burst, user period or boundary rule misses.  The memo lives as
+        long as the stimulus.
         """
         memo = stimulus.run_memo(network)
-        key = ("arrival-binding", hyperperiod, n_frames)
+        key = ("arrival-binding", _server_specs(network), hyperperiod, n_frames)
         binding = memo.get(key)
         if binding is None:
             binding = memo[key] = cls(network, hyperperiod, n_frames, stimulus)
@@ -96,68 +107,79 @@ class ArrivalBinding:
     ) -> None:
         if n_frames < 1:
             raise RuntimeModelError("need at least one frame")
-        pn = transform(network)
+        servers = _server_specs(network)
         self.hyperperiod = hyperperiod
         self.n_frames = n_frames
-        self._slots: Dict[Tuple[str, int, int, int], BoundArrival] = {}
         self._dropped: List[BoundArrival] = []
         self._slot_tables: Dict[Tuple[Any, int], List[Dict[int, Tuple[int, int]]]] = {}
         arrivals_by_name = {
-            name: sorted(stimulus.arrivals_for(name)) for name in pn.servers
+            spec.process: sorted(stimulus.arrivals_for(spec.process))
+            for spec in servers
         }
         # One tick domain over every period and arrival: the per-arrival
         # window arithmetic below is pure integer floor division.
         dom = TickDomain.for_values(chain(
             (hyperperiod,),
-            (spec.period for spec in pn.servers.values()),
+            (spec.period for spec in servers),
             (t for arr in arrivals_by_name.values() for t in arr),
         ))
         self.domain = dom
+        #: process -> (sorted arrival times, the flat slot index of each
+        #: served one, subsets per frame, burst)
+        self._procs: Dict[str, Tuple[List[Time], List[int], int, int]] = {}
         H_t = dom.to_ticks(hyperperiod)
-        for name, spec in pn.servers.items():
-            self._bind_process(name, spec, arrivals_by_name[name], dom, H_t)
+        for spec in servers:
+            name, burst = spec.process, spec.burst
+            times = arrivals_by_name[name]
+            T_t = dom.to_ticks(spec.period)
+            n_sub = -(-H_t // T_t)
+            flat: List[int] = []
+            for global_k, t in enumerate(times, start=1):
+                t_t = dom.to_ticks(t)
+                frame, subset = _window_of_ticks(
+                    t_t, T_t, H_t, spec.boundary_closed_right
+                )
+                if frame >= n_frames or t_t >= H_t * n_frames:
+                    self._dropped.append(
+                        BoundArrival(name, t, global_k, frame, subset, slot=0)
+                    )
+                    continue
+                # Window w's slots are flat indices w * burst + slot - 1,
+                # taken in arrival order.
+                first = (frame * n_sub + subset - 1) * burst
+                f = flat[-1] + 1 if flat and flat[-1] >= first else first
+                if f - first >= burst:
+                    raise RuntimeModelError(
+                        f"more than {burst} arrivals of {name!r} bound to one "
+                        "server window — the arrival trace violates the "
+                        "sporadic constraint"
+                    )
+                flat.append(f)
+            self._procs[name] = (times, flat, n_sub, burst)
 
-    # ------------------------------------------------------------------
-    def _bind_process(
-        self,
-        name: str,
-        spec: ServerSpec,
-        arrivals: Sequence[Time],
-        dom: TickDomain,
-        H_t: int,
-    ) -> None:
-        horizon_t = H_t * self.n_frames
-        T_t = dom.to_ticks(spec.period)
-        to_ticks = dom.to_ticks
-        closed_right = spec.boundary_closed_right
-        per_window: Dict[Tuple[int, int], List[Tuple[Time, int]]] = {}
-        for global_k, t in enumerate(arrivals, start=1):
-            t_t = to_ticks(t)
-            frame, subset = _window_of_ticks(t_t, T_t, H_t, closed_right)
-            if frame >= self.n_frames or t_t >= horizon_t:
-                self._dropped.append(
-                    BoundArrival(name, t, global_k, frame, subset, slot=0)
-                )
-                continue
-            per_window.setdefault((frame, subset), []).append((t, global_k))
-        for (frame, subset), items in per_window.items():
-            if len(items) > spec.burst:
-                raise RuntimeModelError(
-                    f"{len(items)} arrivals of {name!r} bound to one server "
-                    f"window but burst size is {spec.burst} — the arrival "
-                    "trace violates the sporadic constraint"
-                )
-            for slot, (t, global_k) in enumerate(sorted(items), 1):
-                self._slots[(name, frame, subset, slot)] = BoundArrival(
-                    name, t, global_k, frame, subset, slot
-                )
+    def _served_of(
+        self, process: str
+    ) -> Iterator[Tuple[Time, int, int, int, int]]:
+        """``(time, global_k, frame, subset, slot)`` of each served arrival."""
+        times, flat, n_sub, burst = self._procs[process]
+        for i, f in enumerate(flat):
+            window, slot = divmod(f, burst)
+            frame, subset = divmod(window, n_sub)
+            yield times[i], i + 1, frame, subset + 1, slot + 1
 
     # ------------------------------------------------------------------
     def lookup(
         self, process: str, frame: int, subset: int, slot: int
     ) -> Optional[BoundArrival]:
         """The real arrival served by a server-job slot, or ``None`` (false job)."""
-        return self._slots.get((process, frame, subset, slot))
+        times, flat, n_sub, burst = self._procs.get(process, ((), (), 0, 0))
+        if not (1 <= subset <= n_sub and 1 <= slot <= burst):
+            return None
+        f = (frame * n_sub + subset - 1) * burst + slot - 1
+        i = bisect_left(flat, f)
+        if i == len(flat) or flat[i] != f:
+            return None
+        return BoundArrival(process, times[i], i + 1, frame, subset, slot)
 
     def slot_ticks(
         self, layout: Tuple[Tuple[int, str, int, int], ...], scale: int
@@ -175,15 +197,13 @@ class ArrivalBinding:
         if table is None:
             factor = self.domain.rescale_factor(TickDomain(scale))
             to_ticks = self.domain.to_ticks
-            slots = self._slots
-            table = []
-            for frame in range(self.n_frames):
-                row: Dict[int, Tuple[int, int]] = {}
-                for i, process, subset, slot in layout:
-                    b = slots.get((process, frame, subset, slot))
-                    if b is not None:
-                        row[i] = (to_ticks(b.time) * factor, b.global_k)
-                table.append(row)
+            job_of = {(p, subset, slot): i for i, p, subset, slot in layout}
+            table = [{} for _ in range(self.n_frames)]
+            for process in self._procs:
+                for t, global_k, frame, subset, slot in self._served_of(process):
+                    i = job_of.get((process, subset, slot))
+                    if i is not None:
+                        table[frame][i] = (to_ticks(t) * factor, global_k)
             self._slot_tables[key] = table
         return table
 
@@ -193,7 +213,19 @@ class ArrivalBinding:
 
     def served(self) -> List[BoundArrival]:
         """All bound arrivals, ordered by ``global_k`` per process."""
-        return sorted(self._slots.values(), key=lambda b: (b.process, b.global_k))
+        return [
+            BoundArrival(p, *served)
+            for p in sorted(self._procs) for served in self._served_of(p)
+        ]
+
+
+def _server_specs(network: Network) -> Tuple[ServerSpec, ...]:
+    """``transform(network).servers``, memoised on the network."""
+    memo = network.run_memo()
+    specs = memo.get("server-specs")
+    if specs is None:
+        specs = memo["server-specs"] = tuple(transform(network).servers.values())
+    return specs
 
 
 def _window_of_ticks(
@@ -231,12 +263,11 @@ def served_horizon(network: Network, hyperperiod: Time, n_frames: int) -> Time:
     """
     if n_frames < 1:
         raise RuntimeModelError("need at least one frame")
-    pn = transform(network)
+    servers = _server_specs(network)
     horizon = hyperperiod * n_frames
-    if not pn.servers:
+    if not servers:
         return horizon
-    margin = max(spec.period for spec in pn.servers.values())
-    return horizon - margin
+    return horizon - max(spec.period for spec in servers)
 
 
 class RunPlan:
