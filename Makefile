@@ -21,11 +21,15 @@ test-faults:
 # run_sweep(workers=N) path, the serial/workers=2/pool differential
 # suite — three backends of one cell runner and one bookkeeper — and the
 # sweep-row codec at every boundary a row crosses (document, service row
-# stream, worker reply, checkpoint store; byte-stable fixtures).  Spawns
-# real worker processes; also part of the tier-1 run.
+# stream, worker reply, checkpoint store; byte-stable fixtures) and the
+# served path's parent side (store keys from one stimulus encoding per
+# submission, finished tickets releasing their inputs, a busy key's group
+# on an idle slot, wake on commands).  Spawns real worker processes; also
+# part of the tier-1 run.
 test-pool:
 	$(PY) -m pytest tests/test_sweep_pool.py tests/test_sweep_parallel.py \
-		tests/test_sweep_backends.py tests/test_sweep_wire.py -q
+		tests/test_sweep_backends.py tests/test_sweep_wire.py \
+		tests/test_service_path.py -q
 
 # Heterogeneous-platform lane: list scheduling, priority search, feasibility
 # checks and runs on six platforms (homogeneous, speed-scaled, big/little,

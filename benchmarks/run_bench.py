@@ -508,6 +508,41 @@ def _case_fms_sweep_resume(fast: bool):
     }
 
 
+def _case_store_keys_fms3(fast: bool):
+    """A served replay's store lookup: ``resolve_hits`` of an 8-cell
+    3-frame FMS matrix (4 jitter seeds x processors {1, 2}, the
+    ``fms3`` ticket of perfbench's ``served_mix``) against a
+    ``MemorySweepStore`` that holds every row, on a fresh bookkeeper per
+    call, as each submission gets one.  It pays every cell's content key
+    (the scenario's canonical JSON, stimulus included) and row decode."""
+    from repro.experiment import MemorySweepStore
+    from repro.experiment.sweep import SweepStats, _SweepBook
+
+    frames = 1 if fast else 3
+    matrix = ScenarioMatrix(
+        fms_scenario(n_frames=frames),
+        {"jitter_seed": [1, 2, 3, 4], "processors": [1, 2]},
+    )
+    cells = list(matrix.cells())
+    store = MemorySweepStore()
+    _complete(
+        run_sweep(matrix, metrics=TIMING_METRICS, store=store), len(cells)
+    )
+
+    def resolve():
+        book = _SweepBook(
+            dict(matrix.axes), cells, TIMING_METRICS, False,
+            SweepStats(cells=len(cells)), store=store,
+        )
+        assert not book.resolve_hits()
+        assert book.stats.store_hits == len(cells)
+
+    return resolve, {
+        "experiment": "store", "frames": frames, "cells": len(cells),
+        "mode": "all-hit resolve_hits, fresh bookkeeper",
+    }
+
+
 def _case_fms_hetero_sweep(fast: bool):
     """Heterogeneous-platform sweep (ISSUE 10): a 2-class platform axis
     over the FMS case study.  WCET tables key on processor-class *names*,
@@ -591,6 +626,7 @@ CASES: List[Case] = [
     ("fms_sweep_3x3_naive", _case_fms_sweep_3x3_naive),
     ("fms_resweep", _case_fms_resweep),
     ("fms_sweep_resume", _case_fms_sweep_resume),
+    ("store_keys_fms3", _case_store_keys_fms3),
     ("fms_hetero_sweep", _case_fms_hetero_sweep),
     ("fms_sweep_2x3_serial", _parallel_sweep_case(workers=1)),
     ("fms_sweep_2x3_workers2", _parallel_sweep_case(workers=2)),

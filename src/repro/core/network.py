@@ -276,7 +276,8 @@ class Network:
         """This network's memo of derived run state.
 
         The runtime keeps pure functions of the definition here (the
-        server specs its arrival bindings are keyed by); adding a
+        server specs its arrival bindings are keyed by, the executor's
+        validation verdict); adding a
         process, channel or priority clears it.  Values must not refer
         back to the network.
         """

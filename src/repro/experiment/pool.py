@@ -22,20 +22,23 @@ ROADMAP north-star — stops paying the two dominant fixed costs of
 Warmth only helps if a group reliably lands on the worker that cached
 it, which a shared task queue cannot promise.  Each worker therefore
 owns a dedicated inbox queue (and reply pipe) and the pool routes
-groups by **schedule-key affinity**: the first dispatch of a key picks
-a worker (idle first, growing the pool up to ``workers`` slots on
-demand) and every later dispatch of the same key waits for — and
-reuses — that worker.  Both worker-side caches are bounded LRUs
-(``max_cached_groups`` / ``max_cached_payloads``) and
-:meth:`~SweepPool.evict_caches` clears them on demand, so resident
-memory stays flat under churning traffic.
+groups by **schedule-key affinity**, as a preference and never a wait:
+a group runs on an idle worker warm for its key, otherwise on an idle
+worker no pending group is warm on, a newly spawned one (the pool grows
+up to ``workers`` slots on demand) or any idle one.  So a key spreads to
+a second worker only while its warm one is busy.  Both worker-side
+caches are bounded LRUs (``max_cached_groups`` /
+``max_cached_payloads``) and :meth:`~SweepPool.evict_caches` clears
+them on demand, so resident memory stays flat under churning traffic.
 
 Submissions go through a queue.  :meth:`~SweepPool.submit` enqueues the
 matrix's schedule-key groups and returns a :class:`SweepTicket`
 immediately; multiple pending matrices interleave at group granularity
 (the pending queue is FIFO over *groups*, not submissions), rows stream
 back through the ``on_row`` callback as cells complete, and
-``ticket.result()`` drives the pool until its submission finishes.
+``ticket.result()`` drives the pool until its submission finishes.  A
+driver on another thread calls :meth:`~SweepPool.wake` to end a pump's
+wait for replies early.
 
 Workers run each group through the serial path's cell runner
 (:func:`repro.experiment.sweep._run_cells`) and each submission books
@@ -88,7 +91,7 @@ from ..errors import (
 )
 from .experiment import PipelineCache
 from .faults import FaultPlan
-from .store import SweepStore
+from .store import ScenarioKeys, SweepStore
 from .sweep import (
     DATA_METRICS,
     DEFAULT_METRICS,
@@ -150,6 +153,7 @@ def _encode_service_group(
     metrics: Tuple[str, ...],
     faults: Optional[FaultPlan] = None,
     attempt: int = 0,
+    keys: Optional[ScenarioKeys] = None,
 ) -> str:
     """One group as wire JSON, with content hashes for the warm caches.
 
@@ -159,10 +163,12 @@ def _encode_service_group(
     content hash, so a worker that already decoded the same bytes in an
     earlier sweep reuses the decoded object instead of re-parsing it.
     The scenario hash is computed over the stimulus-free body — stimulus
-    identity is covered by the pool entry's own hash.
+    identity is covered by the pool entry's own hash, over *keys*'s
+    encoding (the submission's: one per stimulus).
     """
-    from ..io.json_io import content_hash, scenario_to_dict, stimulus_to_dict
+    from ..io.json_io import canonical_hash, content_hash, scenario_to_dict
 
+    keys = ScenarioKeys() if keys is None else keys
     pool: List[Dict[str, Any]] = []
     pool_index: Dict[int, int] = {}
     cells = []
@@ -175,10 +181,9 @@ def _encode_service_group(
             stim_ref = pool_index.get(id(stimulus))
             if stim_ref is None:
                 stim_ref = pool_index[id(stimulus)] = len(pool)
-                stim_data = stimulus_to_dict(stimulus)
-                pool.append(
-                    {"hash": content_hash(stim_data), "data": stim_data}
-                )
+                stim_data, stim_bytes = keys.stimulus(stimulus)
+                stim_hash = canonical_hash(stim_bytes)
+                pool.append({"hash": stim_hash, "data": stim_data})
         cells.append({
             "index": cell.index,
             "scenario": data,
@@ -413,6 +418,8 @@ class _WorkerSlot:
     ready: bool = False
     current: Optional[_PoolGroup] = None
     deadline: Optional[float] = None
+    #: Schedule keys this worker ran, mirroring its pipeline LRU.
+    warm: Optional[_LRU] = None
 
     @property
     def idle(self) -> bool:
@@ -514,9 +521,6 @@ class SweepPool:
         self.max_cached_groups = max_cached_groups
         self.max_cached_payloads = max_cached_payloads
         self._slots: List[_WorkerSlot] = []
-        #: schedule_key -> slot index; the routing table that guarantees
-        #: a resubmitted group reaches the worker holding its warm cache.
-        self._affinity: Dict[Any, int] = {}
         self._pending: List[_PoolGroup] = []
         #: The client tag served by the most recent dispatch — the
         #: round-robin cursor of the fair scheduler (see `_dispatch_next`).
@@ -524,6 +528,11 @@ class SweepPool:
         self._ctx: Any = None
         self._next_gid = 0
         self._closed = False
+        import socket  # here: serial sweeps never pay for it
+
+        # `wake` writes here to end a blocked collect from another thread.
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_w.setblocking(False)
 
     # -- lifecycle ------------------------------------------------------
     @property
@@ -552,6 +561,15 @@ class SweepPool:
             return
         self._closed = True
         self._teardown(graceful)
+        self._wake_r.close()
+        self._wake_w.close()
+
+    def wake(self) -> None:
+        """End a blocked :meth:`pump_once` wait early (thread-safe)."""
+        try:
+            self._wake_w.send(b"w")
+        except OSError:  # a wake is already pending, or the pool is closed
+            pass
 
     def _teardown(self, graceful: bool) -> None:
         """Cut every unfinished submission short and reap every worker."""
@@ -584,7 +602,6 @@ class SweepPool:
                 process.terminate()
                 process.join()
         self._slots = []
-        self._affinity.clear()
 
     def evict_caches(self) -> None:
         """Clear every worker's warm caches (memory back to baseline).
@@ -596,6 +613,7 @@ class SweepPool:
         for slot in self._slots:
             if slot.process is not None and slot.process.is_alive():
                 slot.inbox.put(("evict",))
+                slot.warm.clear()
 
     # -- submission -----------------------------------------------------
     def submit(
@@ -764,6 +782,7 @@ class SweepPool:
         slot.ready = False
         slot.current = None
         slot.deadline = None
+        slot.warm = _LRU(self.max_cached_groups)
         slot.process = self._ctx.Process(
             target=_service_worker,
             args=(
@@ -790,26 +809,25 @@ class SweepPool:
 
     # -- scheduling -----------------------------------------------------
     def _worker_for(self, group: _PoolGroup) -> Optional[_WorkerSlot]:
-        """The slot this group must run on, or ``None`` to keep waiting.
+        """The slot this group runs on now, or ``None`` if none is free.
 
-        Affinity first: a schedule key always returns to the slot that
-        computed it (waiting for that slot if busy — warmth beats a
-        cold start elsewhere).  New keys take an idle slot, growing the
-        pool lazily up to its ``workers`` bound.
+        Affinity is a preference, not a wait: an idle slot warm for the
+        group's key, else an idle slot no other pending group is warm
+        on, else a new slot (up to ``workers``), else any idle slot.  A
+        key spreads to a second slot only while its warm one is busy, so
+        uncontended traffic does not churn a worker's LRU.
         """
-        index = self._affinity.get(group.key)
-        if index is not None:
-            slot = self._slots[index]
-            return slot if slot.idle else None
-        for slot in self._slots:
-            if slot.idle:
-                self._affinity[group.key] = slot.index
+        idle = [slot for slot in self._slots if slot.idle]
+        for slot in idle:
+            if group.key in slot.warm:
+                return slot
+        claimed = {other.key for other in self._pending if other is not group}
+        for slot in idle:
+            if claimed.isdisjoint(slot.warm):
                 return slot
         if len(self._slots) < self.workers:
-            slot = self._spawn_slot()
-            self._affinity[group.key] = slot.index
-            return slot
-        return None
+            return self._spawn_slot()
+        return idle[0] if idle else None
 
     def _dispatch_ready(self, now: float) -> None:
         while self._dispatch_next(now):
@@ -821,9 +839,8 @@ class SweepPool:
         Clients take turns: the scheduler cycles through the distinct
         client tags present in the pending queue, starting after the tag
         served by the previous dispatch, and hands out the first
-        dispatchable group (backoff elapsed, a worker available —
-        affinity still wins over fairness: a group whose warm slot is
-        busy keeps waiting for it) of the first tag that has one.  FIFO
+        dispatchable group (backoff elapsed, a worker available; see
+        `_worker_for`) of the first tag that has one.  FIFO
         within a tag preserves each client's own submission order, and a
         single tag — every pre-service caller — reduces to the original
         FIFO-over-groups behaviour.  Returns True when a group was
@@ -863,9 +880,11 @@ class SweepPool:
         payload = _encode_service_group(
             group.cells, submission.book.metrics,
             faults=submission.faults, attempt=group.attempt,
+            keys=submission.book.keys,
         )
         slot.inbox.put(("run", payload))
         slot.current = group
+        slot.warm.fetch(group.key, lambda: None)
         self._notify(
             submission, "dispatch",
             gid=group.gid, cells=len(group.cells),
@@ -895,15 +914,14 @@ class SweepPool:
                 slot.outbox: slot for slot in self._slots
                 if slot.outbox is not None
             }
-            if not slots:
-                if timeout:
-                    time.sleep(timeout)
-                return merged_any
-            ready = wait_connections(list(slots), timeout)
+            ready = wait_connections([self._wake_r, *slots], timeout)
             if not ready:
                 return merged_any
             timeout = 0.0  # drain the rest without blocking
             for conn in ready:
+                if conn is self._wake_r:
+                    conn.recv(4096)
+                    continue
                 slot = slots[conn]
                 try:
                     kind, body = conn.recv()
@@ -1103,7 +1121,8 @@ class SweepPool:
         service's orchestrator thread) interleaves ``pump_once`` with
         its own work — accepting new submissions between cycles — while
         the pool makes progress on everything outstanding.  Blocks at
-        most ~`_POLL_INTERVAL` waiting for worker replies.  Returns
+        most ~`_POLL_INTERVAL` waiting for worker replies, less when
+        :meth:`wake` is called.  Returns
         True when any reply was merged this cycle (results may have
         completed).  On ``KeyboardInterrupt`` — real or
         :class:`FaultPlan`-injected — completed replies are drained

@@ -41,6 +41,7 @@ import json
 import sqlite3
 from typing import Any, Dict, Iterable, Optional, Tuple
 
+from ..core.invocations import Stimulus
 from ..errors import CheckpointError
 from .scenario import Scenario
 
@@ -61,9 +62,7 @@ def scenario_hash(scenario: Scenario) -> str:
     not serialise (code-bearing workloads/WCETs); use :func:`store_key`
     for the forgiving variant.
     """
-    from ..io.json_io import content_hash, scenario_to_dict
-
-    return content_hash(scenario_to_dict(scenario))
+    return ScenarioKeys().scenario_hash(scenario)
 
 
 def store_key(scenario: Scenario) -> Optional[str]:
@@ -73,12 +72,60 @@ def store_key(scenario: Scenario) -> Optional[str]:
     per-job WCET callable) that the JSON encoding refuses; such cells are
     computed fresh on every sweep and never persisted.
     """
-    from ..io.json_io import FormatError
+    return ScenarioKeys().store_key(scenario)
 
-    try:
-        return scenario_hash(scenario)
-    except FormatError:
-        return None
+
+class ScenarioKeys:
+    """Content keys of one submission's scenarios, each stimulus encoded once.
+
+    A matrix's cells usually share one stimulus object, and the stimulus
+    is most of a scenario's canonical JSON.  So each stimulus is encoded
+    once, kept here by object identity for as long as this object lives
+    (one submission), and a cell's key hashes the canonical text of the
+    whole scenario incrementally
+    (:func:`~repro.io.json_io.scenario_content_hash`).  Keys equal
+    ``content_hash(scenario_to_dict(scenario))``.  Nothing is cached on
+    the stimulus itself.
+    """
+
+    def __init__(self) -> None:
+        self._stimuli: Dict[int, Tuple[Stimulus, Dict[str, Any], bytes]] = {}
+
+    def stimulus(self, stimulus: Stimulus) -> Tuple[Dict[str, Any], bytes]:
+        """The stimulus's dict form and its canonical JSON bytes."""
+        from ..io.json_io import canonical_json, stimulus_to_dict
+
+        entry = self._stimuli.get(id(stimulus))
+        if entry is None:
+            data = stimulus_to_dict(stimulus)
+            # The stimulus rides along so its id cannot be reused.
+            entry = self._stimuli[id(stimulus)] = (
+                stimulus, data, canonical_json(data).encode("utf-8"),
+            )
+        return entry[1], entry[2]
+
+    def scenario_hash(self, scenario: Scenario) -> str:
+        """:func:`scenario_hash` of *scenario*, its stimulus encoded once."""
+        from ..io.json_io import (
+            content_hash,
+            scenario_content_hash,
+            scenario_to_dict,
+        )
+
+        if scenario.stimulus is None:
+            return content_hash(scenario_to_dict(scenario))
+        return scenario_content_hash(
+            scenario, self.stimulus(scenario.stimulus)[1]
+        )
+
+    def store_key(self, scenario: Scenario) -> Optional[str]:
+        """:func:`store_key` of *scenario*, its stimulus encoded once."""
+        from ..io.json_io import FormatError
+
+        try:
+            return self.scenario_hash(scenario)
+        except FormatError:
+            return None
 
 
 def metrics_key(metrics: Iterable[str]) -> str:

@@ -84,7 +84,7 @@ from ..runtime.observers import ExecutionObserver, MetricsObserver
 from .experiment import Experiment, PipelineCache
 from .faults import FaultPlan, apply_cell_faults
 from .scenario import Scenario
-from .store import SweepStore, metrics_key, store_key
+from .store import ScenarioKeys, SweepStore, metrics_key
 
 __all__ = [
     "DATA_METRICS",
@@ -573,6 +573,9 @@ class _SweepBook:
         self.read_store = read_store
         self.on_row = on_row
         self._mkey = metrics_key(metrics) if store is not None else ""
+        #: Content keys of this sweep's scenarios (each stimulus encoded
+        #: once); a pool submission also hashes its payloads with them.
+        self.keys = ScenarioKeys()
         self._skeys: Dict[int, str] = {}
         self._rows: Dict[int, SweepRow] = {}
         self._errors: Dict[int, SweepCellError] = {}
@@ -589,7 +592,7 @@ class _SweepBook:
         stats = self.stats
         todo: List[SweepCell] = []
         for cell in self.cells:
-            skey = store_key(cell.scenario)
+            skey = self.keys.store_key(cell.scenario)
             if skey is not None:
                 self._skeys[cell.index] = skey
                 if self.read_store:

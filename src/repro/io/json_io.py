@@ -658,6 +658,11 @@ def spans_to_jsonable(spans: Any) -> Dict[str, Any]:
 # the checkpoint store's payloads.  That is what keeps sweep rows
 # bit-identical across the serial, pooled and served backends.
 # ---------------------------------------------------------------------------
+def canonical_json(data: Any) -> str:
+    """A JSON-able value's canonical text: sorted keys, compact separators."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
 def content_hash(data: Any) -> str:
     """SHA-256 hex digest of a JSON-able value's canonical encoding.
 
@@ -666,8 +671,36 @@ def content_hash(data: Any) -> str:
     (the checkpoint store) and of pool payloads (the worker caches) are
     both this hash.
     """
-    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return canonical_hash(canonical_json(data).encode("utf-8"))
+
+
+def canonical_hash(*chunks: bytes) -> str:
+    """SHA-256 hex digest of canonical JSON text fed in byte chunks."""
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    return digest.hexdigest()
+
+
+def scenario_content_hash(scenario: Scenario, stimulus_json: bytes) -> str:
+    """``content_hash(scenario_to_dict(scenario))``, stimulus pre-encoded.
+
+    *stimulus_json* is the canonical JSON of the scenario's stimulus.
+    The stimulus is most of a scenario's canonical text, so a caller
+    keying many scenarios over one stimulus encodes it once and this
+    hashes the same text incrementally: the stimulus-free fields before
+    the ``"stimulus"`` key, the stimulus bytes, the fields after it.
+    """
+    body = scenario_to_dict(scenario.replace(stimulus=None))
+    names = sorted(body)
+    at = names.index("stimulus")
+    head = canonical_json({name: body[name] for name in names[:at]})
+    tail = canonical_json({name: body[name] for name in names[at + 1:]})
+    return canonical_hash(
+        (head[:-1] + ("," if at else "") + '"stimulus":').encode("utf-8"),
+        stimulus_json,
+        (("," if at + 1 < len(names) else "") + tail[1:]).encode("utf-8"),
+    )
 
 
 def value_map_to_jsonable(values: Mapping[str, Any]) -> Dict[str, Any]:

@@ -414,7 +414,12 @@ class MultiprocessorExecutor:
         schedule: StaticSchedule,
         overheads: Optional[OverheadModel] = None,
     ) -> None:
-        network.validate_taskgraph_subclass()
+        # The verdict is a pure function of the definition: keep it in
+        # the network's run memo, which construction methods clear.
+        memo = network.run_memo()
+        if "validated" not in memo:
+            network.validate_taskgraph_subclass()
+            memo["validated"] = True
         if schedule.graph.hyperperiod is None:
             raise RuntimeModelError("schedule's task graph has no hyperperiod")
         self.network = network

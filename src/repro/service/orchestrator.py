@@ -4,9 +4,11 @@ The pool and the SQLite store are single-threaded by design (store hits
 resolve inside ``submit``, rows persist as replies merge, and sqlite3
 connections refuse cross-thread use), so the orchestrator funnels
 **every** pool/store interaction through one dedicated *driver thread*:
-coroutines post commands to a queue and await their outcome; the driver
-alternates between handling commands and :meth:`SweepPool.pump_once`
-cycles that make progress on everything outstanding.  Rows and
+coroutines post commands to a queue, wake the pool
+(:meth:`SweepPool.wake`) and await their outcome; the driver alternates
+between handling commands and :meth:`SweepPool.pump_once` cycles that
+make progress on everything outstanding, and a wake ends a cycle's wait
+for worker replies so a command is read at once.  Rows and
 :class:`~repro.experiment.PoolEvent` milestones stream back through
 per-ticket item queues; a waiting coroutine is woken with
 ``call_soon_threadsafe`` on whatever loop it awaited from, so the
@@ -230,7 +232,7 @@ class SweepOrchestrator:
             "client": client,
         }
         outcome: Future = Future()
-        self._commands.put(("submit", ticket, matrix, kwargs, outcome))
+        self._post(("submit", ticket, matrix, kwargs, outcome))
         try:
             await asyncio.wrap_future(outcome)
         except BaseException:
@@ -293,7 +295,7 @@ class SweepOrchestrator:
         """
         record = self._ticket(ticket)
         outcome: Future = Future()
-        self._commands.put(("cancel", record, outcome))
+        self._post(("cancel", record, outcome))
         return await asyncio.wrap_future(outcome)
 
     async def close(self) -> None:
@@ -313,7 +315,7 @@ class SweepOrchestrator:
             return
         self._closed = True
         outcome: Future = Future()
-        self._commands.put(("close", outcome))
+        self._post(("close", outcome))
         outcome.result(timeout=60.0)
         self._driver.join(timeout=60.0)
 
@@ -322,6 +324,10 @@ class SweepOrchestrator:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close_sync()
+
+    def _post(self, command: Tuple[Any, ...]) -> None:
+        self._commands.put(command)
+        self._pool.wake()
 
     def _ticket(self, ticket: int) -> _Ticket:
         with self._tickets_lock:
@@ -337,10 +343,13 @@ class SweepOrchestrator:
         """Book a terminal ticket into the bounded finished history.
 
         Driver-thread side, called at every terminal transition.  The
-        oldest finished records beyond ``max_finished_tickets`` are
+        record keeps only its result, state and error: dropping the pool
+        ticket releases the submission's decoded scenarios and stimuli.
+        The oldest finished records beyond ``max_finished_tickets`` are
         dropped; live tickets are untouched (they are not in the
         finished deque until they terminate).
         """
+        ticket.pool_ticket = None
         with self._tickets_lock:
             self._finished.append(ticket.tid)
             while len(self._finished) > self._max_finished:
@@ -360,19 +369,12 @@ class SweepOrchestrator:
             return
         self._startup.set()
         try:
-            while True:
-                if self._handle_commands():
-                    break
+            # Idle, the driver waits on the command queue; busy, in the
+            # pump, which a posted command's wake ends early.
+            while not self._handle_commands(None if self._active else 0.05):
                 if self._active:
                     self._pool.pump_once()
                     self._reap()
-                else:
-                    try:
-                        command = self._commands.get(timeout=0.05)
-                    except queue.Empty:
-                        continue
-                    if self._handle(command):
-                        break
         finally:
             if self._owns_store and self._store is not None:
                 try:
@@ -380,12 +382,18 @@ class SweepOrchestrator:
                 except Exception:
                     pass
 
-    def _handle_commands(self) -> bool:
+    def _handle_commands(self, timeout: Optional[float] = None) -> bool:
+        """Handle every posted command, waiting up to *timeout* for one.
+
+        True once a ``close`` was handled.  No command outlives its
+        handling here: a submit's matrix is released with its ticket.
+        """
         while True:
             try:
-                command = self._commands.get_nowait()
+                command = self._commands.get(timeout is not None, timeout)
             except queue.Empty:
                 return False
+            timeout = None
             if self._handle(command):
                 return True
 

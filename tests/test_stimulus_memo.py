@@ -20,10 +20,11 @@ import pytest
 from repro.apps import example_fig1
 from repro.core import ChannelKind, Network, Stimulus
 from repro.core.events import SporadicGenerator
-from repro.errors import EventError
+from repro.errors import EventError, ModelError
 from repro.experiment import PipelineCache, ScenarioMatrix, run_sweep
 from repro.experiment import scenario as scenario_module
 from repro.runtime import JitterSampler, run_static_order
+from repro.runtime.executor import MultiprocessorExecutor
 from repro.runtime.static_order import ArrivalBinding
 from repro.scheduling import list_schedule
 from repro.taskgraph import derive_task_graph
@@ -152,6 +153,36 @@ class TestStructuralMisses:
         assert net.run_memo()
         net.add_periodic("extra", period=200, kernel=lambda ctx: None)
         assert not net.run_memo()
+
+
+class TestNetworkVerdict:
+    def test_executors_over_one_network_validate_once(self, monkeypatch):
+        net = _network()
+        schedule = list_schedule(derive_task_graph(net, 10), 2)
+        validations = _count_calls(
+            monkeypatch, Network, "validate_taskgraph_subclass"
+        )
+        first = MultiprocessorExecutor(net, schedule)
+        second = MultiprocessorExecutor(net, schedule)
+        assert len(validations) == 1
+        assert first.run(4, _stimulus()).records == second.run(
+            4, _stimulus()
+        ).records
+
+    def test_a_mutated_network_validates_again(self, monkeypatch):
+        net = _network()
+        schedule = list_schedule(derive_task_graph(net, 10), 2)
+        MultiprocessorExecutor(net, schedule).run(4, _stimulus())
+        validations = _count_calls(
+            monkeypatch, Network, "validate_taskgraph_subclass"
+        )
+        net.add_priority("sink", "sensor")  # closes a priority cycle
+        with pytest.raises(ModelError, match="cycle"):
+            MultiprocessorExecutor(net, schedule)
+        with pytest.raises(ModelError, match="cycle"):
+            MultiprocessorExecutor(net, schedule)
+        # A failed verdict is not kept: every executor re-checks.
+        assert len(validations) == 2
 
 
 class TestLifetimes:

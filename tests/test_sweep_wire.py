@@ -237,10 +237,13 @@ class TestPoolReply:
             book=book, on_error="capture", on_progress=None,
             group_timeout=None, max_retries=2, retry_backoff=0.0,
         )
-        SweepPool(workers=1)._merge_reply(
-            _PoolGroup(gid=0, submission=submission, cells=cells, key=None),
-            reply,
-        )
+        with SweepPool(workers=1) as pool:
+            pool._merge_reply(
+                _PoolGroup(
+                    gid=0, submission=submission, cells=cells, key=None
+                ),
+                reply,
+            )
         pooled = book.result()
 
         local = _book(cells, self.METRICS)
