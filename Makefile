@@ -16,20 +16,26 @@ test-faults:
 	$(PY) -m pytest tests/test_sweep_faults.py tests/test_sweep_pool_kills.py \
 		tests/test_sweep_store.py -q
 
-# Sweep-engine lane: the resident pool (warm-cache resubmits, streaming
-# rows, submission queue/cancel, lifecycle: orphans, crash respawn), the
+# Sweep-engine lane: the pool's policy core in simulated time (affinity,
+# tag fairness, backoff, retry budget, deadlines, boot failures, cancel,
+# interrupt drain, a seeded fuzz of event sequences; starts no process),
+# the resident pool (warm-cache resubmits, streaming rows, submission
+# queue/cancel, lifecycle: orphans, crash respawn), the
 # run_sweep(workers=N) path, the serial/workers=2/pool differential
 # suite — three backends of one cell runner and one bookkeeper — and the
 # sweep-row codec at every boundary a row crosses (document, service row
-# stream, worker reply, checkpoint store; byte-stable fixtures) and the
+# stream, worker reply, checkpoint store; byte-stable fixtures), the
 # served path's parent side (store keys from one stimulus encoding per
 # submission, finished tickets releasing their inputs, a busy key's group
-# on an idle slot, wake on commands).  Spawns real worker processes; also
-# part of the tier-1 run.
+# on an idle slot, wake on commands) and liveness (a worker that cannot
+# boot fails fast, re-streamed tickets, no command waits on a closed or
+# dead driver).  Spawns real worker processes; also part of the tier-1
+# run.
 test-pool:
-	$(PY) -m pytest tests/test_sweep_pool.py tests/test_sweep_parallel.py \
-		tests/test_sweep_backends.py tests/test_sweep_wire.py \
-		tests/test_service_path.py -q
+	$(PY) -m pytest tests/test_pool_core.py tests/test_sweep_pool.py \
+		tests/test_sweep_parallel.py tests/test_sweep_backends.py \
+		tests/test_sweep_wire.py tests/test_service_path.py \
+		tests/test_pool_liveness.py -q
 
 # Heterogeneous-platform lane: list scheduling, priority search, feasibility
 # checks and runs on six platforms (homogeneous, speed-scaled, big/little,

@@ -79,6 +79,11 @@ class WorkerCrashError(SweepError):
     """
 
 
+class WorkerBootError(SweepError):
+    """A sweep worker process died before it reported ready (not retried:
+    a worker that cannot boot fails the same way on every respawn)."""
+
+
 class SweepTimeoutError(SweepError):
     """A sweep group exceeded its per-group deadline and was terminated."""
 

@@ -1,96 +1,53 @@
 """Persistent sweep service: a resident worker pool with warm caches.
 
 :class:`SweepPool` is the multiprocess backend of the sweep engine in
-:mod:`repro.experiment.sweep`, run as a resident service.  The pool
-spawns its worker processes once and keeps them alive across many
-:meth:`~SweepPool.submit` calls, so repeated sweep traffic — the
-ROADMAP north-star — stops paying the two dominant fixed costs of
-``run_sweep(workers=N)``:
+:mod:`repro.experiment.sweep`; ``run_sweep(workers=N)`` runs one
+submission on a transient pool.  A resident pool pays worker spawn once
+per slot, not once per sweep (``SweepStats.pool_reused``), and its
+workers keep warm state between sweeps in bounded LRUs — a
+:class:`~repro.experiment.experiment.PipelineCache` per schedule key and
+decoded scenarios/stimuli by content hash (``max_cached_groups`` /
+``max_cached_payloads``, cleared by :meth:`~SweepPool.evict_caches`) — so
+a resubmitted matrix pays **zero** new derivations or schedules
+(``SweepStats.warm_group_hits`` / ``payload_cache_hits``).
 
-* **process spawn**: each spawned interpreter takes ~a second to boot
-  and re-import :mod:`repro`; a resident pool pays it once per worker
-  slot, not once per sweep (``SweepStats.pool_reused`` tells a
-  submission it ran on an already-warm pool);
-* **stage recomputation**: workers retain warm state between sweeps — a
-  :class:`~repro.experiment.experiment.PipelineCache` per
-  ``schedule_key`` plus decoded :class:`Scenario` / :class:`Stimulus`
-  payloads keyed by content hash — so a resubmitted or overlapping
-  matrix pays **zero** new derivations/scheduling passes
-  (``SweepStats.warm_group_hits`` / ``payload_cache_hits`` count the
-  reuse; the test suite pins the zero).
+Every decision is made by the sans-I/O core,
+:class:`~repro.experiment.pool_core.PoolCore`: the fair queue over client
+tags, schedule-key affinity with warm mirrors of each worker's LRU, the
+retry budget with backoff and fault-plan consumption, group deadlines,
+boot failures, cancel, interrupt and settlement.  This module is its
+adapter: it owns the processes (one inbox queue and one reply pipe per
+worker, so a crash is charged to exactly one group), the wake socket,
+the wire encoding of groups and the merge of replies, the user callbacks
+and the ``KeyboardInterrupt`` drain, and carries out the core's actions.
 
-Warmth only helps if a group reliably lands on the worker that cached
-it, which a shared task queue cannot promise.  Each worker therefore
-owns a dedicated inbox queue (and reply pipe) and the pool routes
-groups by **schedule-key affinity**, as a preference and never a wait:
-a group runs on an idle worker warm for its key, otherwise on an idle
-worker no pending group is warm on, a newly spawned one (the pool grows
-up to ``workers`` slots on demand) or any idle one.  So a key spreads to
-a second worker only while its warm one is busy.  Both worker-side
-caches are bounded LRUs (``max_cached_groups`` /
-``max_cached_payloads``) and :meth:`~SweepPool.evict_caches` clears
-them on demand, so resident memory stays flat under churning traffic.
-
-Submissions go through a queue.  :meth:`~SweepPool.submit` enqueues the
-matrix's schedule-key groups and returns a :class:`SweepTicket`
-immediately; multiple pending matrices interleave at group granularity
-(the pending queue is FIFO over *groups*, not submissions), rows stream
-back through the ``on_row`` callback as cells complete, and
-``ticket.result()`` drives the pool until its submission finishes.  A
-driver on another thread calls :meth:`~SweepPool.wake` to end a pump's
-wait for replies early.
-
-Workers run each group through the serial path's cell runner
-(:func:`repro.experiment.sweep._run_cells`) and each submission books
-the replies through the serial path's bookkeeper
-(:class:`repro.experiment.sweep._SweepBook`), so:
-
-* rows are **bit-identical** to a serial ``run_sweep`` of the matrix;
-* checkpoint-store hits are resolved parent-side before dispatch
-  (workers stay store-free) and computed rows are persisted as replies
-  merge;
-* the pool supervises its workers: a worker that dies is respawned
-  *into its slot* (the dedicated channels make crash attribution exact
-  — only the dead worker's group is charged a retry), per-group
-  deadlines terminate and retry wedged groups with exponential backoff
-  up to ``max_retries``, and ``KeyboardInterrupt`` drains completed
-  replies, tears the workers down (no orphans) and returns the partial
-  result with ``stats.interrupted`` set;
-* deterministic :class:`~repro.experiment.faults.FaultPlan` injection
-  works per submission, exactly as under ``run_sweep(faults=...)``.
-
-``run_sweep(workers=N)`` hands its schedule-key groups to a transient
-``SweepPool`` that lives for that one submission.
+:meth:`~SweepPool.submit` resolves checkpoint-store hits parent-side,
+enqueues the remaining schedule-key groups and returns a
+:class:`SweepTicket` at once; rows stream through ``on_row`` as replies
+merge, and ``ticket.result()`` drives the pool until the submission
+settles.  Workers run groups through the serial path's cell runner
+(:func:`~repro.experiment.sweep._run_cells`) and replies are booked by
+its bookkeeper (:class:`~repro.experiment.sweep._SweepBook`), so rows
+are **bit-identical** to a serial ``run_sweep`` and
+:class:`~repro.experiment.faults.FaultPlan` injection behaves the same.
 
 Spawn's usual rule applies: a *script* using a ``SweepPool`` at import
-time must guard it with ``if __name__ == "__main__":`` (workers use the
-spawn start method unconditionally and re-import the main module).
+time must guard it with ``if __name__ == "__main__":`` (workers re-import
+the main module).  A worker that dies before it reports ready fails its
+group with :class:`~repro.errors.WorkerBootError`.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import (
-    ModelError,
-    SweepError,
-    SweepTimeoutError,
-    WorkerCrashError,
-)
+from ..errors import ModelError, SweepError
 from .experiment import PipelineCache
 from .faults import FaultPlan
+from .pool_core import LRU, PoolCore, PoolEvent, Submission
 from .store import ScenarioKeys, SweepStore
 from .sweep import (
     DATA_METRICS,
@@ -117,32 +74,6 @@ _POLL_INTERVAL = 0.02
 #: Worker-side inbox wait [s] between checks that the parent is alive: a
 #: worker whose parent was killed exits within about this long.
 _PARENT_CHECK_INTERVAL = 0.5
-
-
-@dataclass(frozen=True)
-class PoolEvent:
-    """One milestone in a submission's lifecycle (telemetry stream).
-
-    Emitted to the ``on_progress`` callback of :meth:`SweepPool.submit`
-    at group granularity — the complement of the per-cell ``on_row``
-    stream.  Delivery is **best-effort**: a raising progress sink is
-    swallowed and never perturbs the sweep (unlike ``on_row``, whose
-    errors are surfaced after bookkeeping — rows are data, progress is
-    telemetry).
-
-    ``kind`` is one of ``"store-hits"`` (cells resolved from the
-    checkpoint store at submit), ``"enqueued"`` (groups queued behind
-    the pending queue), ``"dispatch"`` (group handed to a worker slot),
-    ``"group-done"`` (reply merged), ``"group-failed"`` (retry budget
-    exhausted — detail carries the error), ``"retry"`` (group requeued
-    after a crash/timeout) and ``"finished"`` (submission complete).
-    """
-
-    kind: str
-    gid: Optional[int] = None
-    cells: int = 0
-    groups: int = 0
-    detail: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -204,24 +135,6 @@ def _encode_service_group(
     })
 
 
-class _LRU(OrderedDict):
-    """A bounded map that evicts its least recently used entry."""
-
-    def __init__(self, bound: int) -> None:
-        super().__init__()
-        self.bound = bound
-
-    def fetch(self, key: str, make: Callable[[], Any]) -> Tuple[Any, bool]:
-        """The entry for *key* (made on a miss) and whether it was a hit."""
-        if key in self:
-            self.move_to_end(key)
-            return self[key], True
-        value = self[key] = make()
-        while len(self) > self.bound:
-            self.popitem(last=False)
-        return value, False
-
-
 class _WorkerCaches:
     """The warm state a resident worker keeps between sweeps.
 
@@ -234,14 +147,13 @@ class _WorkerCaches:
     """
 
     def __init__(self, max_groups: int, max_payloads: int) -> None:
-        self.pipelines = _LRU(max_groups)
-        self.scenarios = _LRU(max_payloads)
-        self.stimuli = _LRU(max_payloads)
+        self.pipelines = LRU(max_groups)
+        self.scenarios = LRU(max_payloads)
+        self.stimuli = LRU(max_payloads)
 
     def clear(self) -> None:
-        self.pipelines.clear()
-        self.scenarios.clear()
-        self.stimuli.clear()
+        for table in (self.pipelines, self.scenarios, self.stimuli):
+            table.clear()
 
 
 def _service_run_group(payload: str, caches: _WorkerCaches) -> str:
@@ -267,7 +179,7 @@ def _service_run_group(payload: str, caches: _WorkerCaches) -> str:
     plan_data = data.get("faults")
     payload_hits = 0
 
-    def decode(table: _LRU, key: str, body: Any, parse: Callable) -> Any:
+    def decode(table: LRU, key: str, body: Any, parse: Callable) -> Any:
         nonlocal payload_hits
         value, hit = table.fetch(key, lambda: parse(body))
         payload_hits += hit
@@ -362,68 +274,78 @@ def _service_worker(
 
 
 # ---------------------------------------------------------------------------
-# parent-side bookkeeping
+# parent side: the adapter that carries out the core's actions
 # ---------------------------------------------------------------------------
-@dataclass
-class _Submission:
-    """One submitted matrix: its bookkeeper, options and dispatch state."""
+def _merge_reply(
+    book: _SweepBook, cells: Sequence[SweepCell], payload: str
+) -> None:
+    """Book one group reply into its submission's bookkeeper.
 
-    book: _SweepBook
-    on_error: str
-    on_progress: Optional[Callable[[PoolEvent], None]]
-    group_timeout: Optional[float]
-    max_retries: int
-    retry_backoff: float
-    faults: Optional[FaultPlan] = None
-    #: Fair-scheduling tag: the pending-group queue round-robins across
-    #: distinct client tags, FIFO within a tag (``None`` is a tag too).
-    client: Optional[str] = None
-    outstanding: int = 0
-    finished: bool = False
-    cancelled: bool = False
-    result: Optional[SweepResult] = None
+    User code runs inside the booking (``store.put`` and the ``on_row``
+    callback), and it may raise.  Errors are *deferred*: every outcome
+    is booked regardless and the first error re-raises only after the
+    whole reply merged, so a buggy sink degrades to a visible exception
+    instead of a wedged ticket.
+    """
+    from ..io.json_io import sweep_row_from_dict
 
-    @property
-    def stats(self) -> SweepStats:
-        return self.book.stats
-
-
-@dataclass
-class _PoolGroup:
-    """One schedule-key group's dispatch bookkeeping."""
-
-    gid: int
-    submission: _Submission
-    cells: List[SweepCell]
-    key: Any
-    #: Budget-charged redispatches so far (crash / timeout recovery).
-    attempt: int = 0
-    #: Monotonic time before which the group must not be redispatched.
-    not_before: float = 0.0
-
-    @property
-    def indices(self) -> List[int]:
-        return [cell.index for cell in self.cells]
+    data = json.loads(payload)
+    cell_by_index = {cell.index: cell for cell in cells}
+    callback_error: Optional[BaseException] = None
+    for item in data["outcomes"]:
+        row = sweep_row_from_dict(item)
+        outcome = _CellOutcome(
+            cell_by_index[item["index"]],
+            metrics=None if row.error is not None else row.metrics,
+            error=row.error,
+            stages=tuple(item["stages"]),
+        )
+        try:
+            book.book(outcome)
+        except Exception as exc:
+            if callback_error is None:
+                callback_error = exc
+    if data["group_cache_hit"]:
+        book.stats.warm_group_hits += 1
+    book.stats.payload_cache_hits += data["payload_hits"]
+    if callback_error is not None:
+        raise callback_error
 
 
 @dataclass(eq=False)
-class _WorkerSlot:
-    """Parent-side record of one resident worker process."""
+class _Worker:
+    """One resident worker process and its two channels."""
 
-    index: int
-    process: Any = None
-    inbox: Any = None
-    #: Read end of the worker's reply pipe.
-    outbox: Any = None
-    ready: bool = False
-    current: Optional[_PoolGroup] = None
-    deadline: Optional[float] = None
-    #: Schedule keys this worker ran, mirroring its pipeline LRU.
-    warm: Optional[_LRU] = None
+    process: Any
+    inbox: Any
+    #: Read end of the worker's reply pipe (``None`` once it reported EOF).
+    outbox: Any
 
-    @property
-    def idle(self) -> bool:
-        return self.current is None
+
+@dataclass(eq=False)
+class _Delivery:
+    """Where one submission's outcomes go: the core's opaque
+    ``Submission.owner``.  It holds no reference back to the ticket, so
+    a dropped ticket frees its cells at once, not at the next GC pass."""
+
+    book: _SweepBook
+    on_progress: Optional[Callable[[PoolEvent], None]]
+    #: Called once, when the submission settles.
+    on_settle: List[Callable[[], None]] = field(default_factory=list)
+
+    def notify(self, event: PoolEvent) -> None:
+        """Deliver one :class:`PoolEvent`, best-effort.
+
+        Progress is telemetry, not data: a raising sink must never wedge
+        or fail a sweep, so exceptions are swallowed here (the ``on_row``
+        stream, which *is* data, surfaces its errors after group
+        bookkeeping instead).
+        """
+        if self.on_progress is not None:
+            try:
+                self.on_progress(event)
+            except Exception:
+                pass
 
 
 class SweepTicket:
@@ -436,44 +358,55 @@ class SweepTicket:
     merge, in completion order — the final result is in cell order.
     """
 
-    def __init__(self, pool: "SweepPool", submission: _Submission) -> None:
+    def __init__(self, pool: "SweepPool", sub: Submission, on_error: str):
         self._pool = pool
-        self._submission = submission
+        self._sub = sub
+        self._on_error = on_error
+        self._result: Optional[SweepResult] = None
 
     @property
     def done(self) -> bool:
         """True once every group finished (or was cancelled/failed)."""
-        return self._submission.finished
+        return self._sub.finished
 
     @property
     def cancelled(self) -> bool:
-        return self._submission.cancelled
+        return self._sub.cancelled
 
     def cancel(self) -> bool:
         """Withdraw the submission's not-yet-dispatched groups.
 
-        Groups already running complete normally and their rows are
-        kept; everything still queued is dropped.  The result becomes a
-        partial table with ``stats.interrupted`` set (the same shape an
-        interrupted sweep returns).  Returns ``True`` if anything was
-        actually withdrawn.
+        Running groups complete and their rows are kept; the result is a
+        partial table with ``stats.interrupted`` set.  True if anything
+        was actually withdrawn.
         """
-        return self._pool._cancel(self._submission)
+        withdrawn = self._pool._core.cancel(self._sub)
+        self._pool._run()
+        return withdrawn
 
     def result(self) -> SweepResult:
         """Drive the pool until this submission completes; its table."""
-        sub = self._submission
-        if not sub.finished:
-            self._pool._pump(sub)
-        if sub.result is None:
-            sub.result = sub.book.result()
-        if sub.on_error == "raise" and sub.result.failed_rows:
-            first = sub.result.failed_rows[0]
+        while not self.done:
+            self._pool.pump_once()
+        if self._result is None:
+            book = self._sub.owner.book
+            book.stats.retries = self._sub.retries
+            book.stats.interrupted = self._sub.interrupted
+            self._result = book.result()
+        if self._on_error == "raise" and self._result.failed_rows:
+            first = self._result.failed_rows[0]
             raise SweepError(
                 f"sweep cell {first.cell!r} failed — "
                 f"{first.error.describe()}"
             )
-        return sub.result
+        return self._result
+
+    def _when_settled(self, callback: Callable[[], None]) -> None:
+        """Call *callback* once the submission settles (now if it has)."""
+        if self.done:
+            callback()
+        else:
+            self._sub.owner.on_settle.append(callback)
 
 
 class SweepPool:
@@ -520,13 +453,9 @@ class SweepPool:
         self.retry_backoff = retry_backoff
         self.max_cached_groups = max_cached_groups
         self.max_cached_payloads = max_cached_payloads
-        self._slots: List[_WorkerSlot] = []
-        self._pending: List[_PoolGroup] = []
-        #: The client tag served by the most recent dispatch — the
-        #: round-robin cursor of the fair scheduler (see `_dispatch_next`).
-        self._last_client: Optional[str] = None
-        self._ctx: Any = None
-        self._next_gid = 0
+        self._core = PoolCore(workers, max_cached_groups)
+        #: Worker processes, indexed like the core's slots.
+        self._slots: List[_Worker] = []
         self._closed = False
         import socket  # here: serial sweeps never pay for it
 
@@ -538,10 +467,12 @@ class SweepPool:
     @property
     def started(self) -> bool:
         """True while at least one resident worker process is alive."""
-        return any(
-            slot.process is not None and slot.process.is_alive()
-            for slot in self._slots
-        )
+        return any(worker.process.is_alive() for worker in self._slots)
+
+    @property
+    def busy(self) -> bool:
+        """True while any group is pending or dispatched."""
+        return self._core.busy
 
     def __enter__(self) -> "SweepPool":
         return self
@@ -573,35 +504,26 @@ class SweepPool:
 
     def _teardown(self, graceful: bool) -> None:
         """Cut every unfinished submission short and reap every worker."""
-        for group in self._pending:
-            self._mark_interrupted(group.submission)
-        self._pending.clear()
-        for slot in self._slots:
-            if slot.current is not None:
-                self._mark_interrupted(slot.current.submission)
-            process = slot.process
-            if process is None:
-                continue
-            if graceful and process.is_alive():
+        self._core.stop()
+        workers, self._slots = self._slots, []
+        for worker in workers:
+            if graceful and worker.process.is_alive():
                 try:
-                    slot.inbox.put(("stop",))
+                    worker.inbox.put(("stop",))
                 except Exception:
-                    process.terminate()
+                    worker.process.terminate()
             else:
-                process.terminate()
+                worker.process.terminate()
             # Replies are discarded: a worker mid-send sees a broken pipe
             # and exits instead of blocking on a full one.
-            if slot.outbox is not None:
-                slot.outbox.close()
-        for slot in self._slots:
-            process = slot.process
-            if process is None:
-                continue
-            process.join(timeout=10.0)
-            if process.is_alive():
-                process.terminate()
-                process.join()
-        self._slots = []
+            if worker.outbox is not None:
+                worker.outbox.close()
+        for worker in workers:
+            worker.process.join(timeout=10.0)
+            if worker.process.is_alive():
+                worker.process.terminate()
+                worker.process.join()
+        self._run()
 
     def evict_caches(self) -> None:
         """Clear every worker's warm caches (memory back to baseline).
@@ -610,10 +532,10 @@ class SweepPool:
         and decoded payloads are dropped, so the next submission pays
         stage computation again but no respawn.
         """
-        for slot in self._slots:
-            if slot.process is not None and slot.process.is_alive():
-                slot.inbox.put(("evict",))
-                slot.warm.clear()
+        for worker in self._slots:
+            if worker.process.is_alive():
+                worker.inbox.put(("evict",))
+        self._core.evicted()
 
     # -- submission -----------------------------------------------------
     def submit(
@@ -634,29 +556,23 @@ class SweepPool:
     ) -> SweepTicket:
         """Enqueue a matrix; returns a :class:`SweepTicket` immediately.
 
-        Store hits are resolved here, parent-side, before anything is
-        dispatched (hit rows stream through ``on_row`` right away and
-        never reach a worker).  The remaining cells are enqueued as
-        schedule-key groups behind whatever other submissions are
-        pending — interleaving is at group granularity.  Nothing
-        executes until the pool is driven (``ticket.result()``).
+        Store hits are resolved here, parent-side (hit rows stream
+        through ``on_row`` at once and never reach a worker); the other
+        cells are enqueued as schedule-key groups behind the pending
+        ones.  Nothing executes until the pool is driven
+        (``ticket.result()`` or :meth:`pump_once`).
 
         ``client`` tags the submission for the fair scheduler: the
-        pending queue round-robins across distinct client tags (FIFO
-        within a tag), so one client's huge matrix cannot starve
-        another client's small one.  Untagged submissions all share the
-        ``None`` tag, which degenerates to plain FIFO — the pre-service
-        behaviour.
+        pending queue round-robins across client tags, FIFO within a
+        tag, so one client's huge matrix cannot starve another's small
+        one (untagged submissions share the ``None`` tag: plain FIFO).
+        ``on_progress`` receives the best-effort :class:`PoolEvent`
+        stream, the telemetry complement of the ``on_row`` row stream.
 
-        ``on_progress`` receives a best-effort :class:`PoolEvent` stream
-        at group granularity (store hits, enqueue, dispatch, done,
-        retry, failure, finish) — the live-telemetry complement of the
-        per-cell ``on_row`` row stream.
-
-        Every cell must be dispatchable (scenarios that embed code the
+        Every cell must be dispatchable (scenarios embedding code the
         workers cannot reconstruct are refused with
-        :class:`~repro.errors.ModelError`); callers wanting the
-        serial-fallback behaviour go through ``run_sweep(workers=N)``.
+        :class:`~repro.errors.ModelError`); ``run_sweep(workers=N)``
+        falls back to the serial path instead.
         """
         if self._closed:
             raise ModelError("SweepPool is closed")
@@ -680,466 +596,141 @@ class SweepPool:
         if isinstance(plan, str):
             raise ModelError(plan)
         return self._enqueue(
-            book, plan,
-            faults=faults, on_error=on_error,
-            on_progress=on_progress, group_timeout=group_timeout,
-            max_retries=max_retries, retry_backoff=retry_backoff,
-            client=client,
+            book, plan, on_error, on_progress, client=client, faults=faults,
+            group_timeout=group_timeout, max_retries=max_retries,
+            retry_backoff=retry_backoff,
         )
 
     def _enqueue(
-        self,
-        book: _SweepBook,
-        groups: Dict[Any, List[SweepCell]],
-        *,
-        faults: Optional[FaultPlan],
-        on_error: str,
-        on_progress: Optional[Callable[[PoolEvent], None]],
-        group_timeout: Optional[float] = None,
-        max_retries: Optional[int] = None,
-        retry_backoff: Optional[float] = None,
-        client: Optional[str] = None,
+        self, book: _SweepBook, plan: Dict[Any, List[SweepCell]],
+        on_error: str, on_progress: Optional[Callable[[PoolEvent], None]],
+        **options: Any,
     ) -> SweepTicket:
-        """Queue a planned sweep's schedule-key *groups* behind the rest.
+        """Queue a planned sweep's schedule-key groups behind the rest.
 
-        Store hits are resolved first, parent-side — hit cells never
+        *options* are :class:`~repro.experiment.pool_core.Submission`
+        fields; a supervision option left ``None`` takes the pool's
+        default.  Store hits resolve first, parent-side: hit cells never
         reach a worker, which keeps workers store-free.
         """
-        stats = book.stats
-        stats.pool_reused = self.started
-        submission = _Submission(
-            book=book,
-            on_error=on_error,
-            on_progress=on_progress,
-            group_timeout=(
-                self.group_timeout if group_timeout is None else group_timeout
-            ),
-            max_retries=(
-                self.max_retries if max_retries is None else max_retries
-            ),
-            retry_backoff=(
-                self.retry_backoff if retry_backoff is None else retry_backoff
-            ),
-            faults=faults,
-            client=client,
-        )
+        for name in ("group_timeout", "max_retries", "retry_backoff"):
+            if options.get(name) is None:
+                options[name] = getattr(self, name)
+        book.stats.pool_reused = self.started
+        sub = Submission(owner=_Delivery(book, on_progress), **options)
         todo = {cell.index for cell in book.resolve_hits()}
-        if stats.store_hits:
-            self._notify(submission, "store-hits", cells=stats.store_hits)
-        for key, group_cells in groups.items():
-            group_cells = [c for c in group_cells if c.index in todo]
-            if not group_cells:
-                continue
-            self._pending.append(_PoolGroup(
-                gid=self._next_gid,
-                submission=submission,
-                cells=group_cells,
-                key=key,
-            ))
-            self._next_gid += 1
-            submission.outstanding += 1
-        stats.workers = min(self.workers, submission.outstanding) or 1
-        self._notify(
-            submission, "enqueued",
-            cells=len(todo), groups=submission.outstanding,
+        planned = [
+            (key, [cell for cell in group if cell.index in todo])
+            for key, group in plan.items()
+        ]
+        self._core.submit(
+            sub, [(key, group) for key, group in planned if group],
+            store_hits=book.stats.store_hits,
         )
-        if submission.outstanding == 0:
-            submission.finished = True
-            self._notify(submission, "finished")
-        return SweepTicket(self, submission)
+        book.stats.workers = min(self.workers, sub.outstanding) or 1
+        self._run()
+        return SweepTicket(self, sub, on_error)
 
-    def _notify(self, submission: _Submission, kind: str, **fields: Any) -> None:
-        """Deliver one :class:`PoolEvent`, best-effort.
+    # -- carrying out the core's actions --------------------------------
+    def _run(self) -> None:
+        """Carry out every queued core action, in order.
 
-        Progress is telemetry, not data: a raising sink must never
-        wedge or fail a sweep, so exceptions are swallowed here (the
-        ``on_row`` stream, which *is* data, surfaces its errors after
-        group bookkeeping instead).
+        A raising action (a user callback, the injected interrupt) stops
+        none queued after it, so no settlement is lost: the first error
+        re-raises once the queue is empty.
         """
-        if submission.on_progress is None:
-            return
-        try:
-            submission.on_progress(PoolEvent(kind=kind, **fields))
-        except Exception:
-            pass
+        error: Optional[BaseException] = None
+        actions = self._core.take()
+        while actions:
+            for action in actions:
+                try:
+                    self._carry_out(action)
+                except BaseException as exc:
+                    error = error or exc
+            actions = self._core.take()
+        if error is not None:
+            raise error
 
-    # -- worker slots ---------------------------------------------------
-    def _spawn_slot(self) -> _WorkerSlot:
-        slot = _WorkerSlot(len(self._slots))
-        self._slots.append(slot)
-        self._spawn_process(slot)
-        return slot
+    def _carry_out(self, action: Tuple[Any, ...]) -> None:
+        kind = action[0]
+        if kind == "emit":
+            action[1].owner.notify(action[2])
+        elif kind == "send":
+            _, slot, group = action
+            book = group.sub.owner.book
+            self._slots[slot.index].inbox.put(("run", _encode_service_group(
+                group.cells, book.metrics, faults=group.sub.faults,
+                attempt=group.attempt, keys=book.keys,
+            )))
+        elif kind == "spawn":
+            self._spawn(action[1].index)
+        elif kind == "fail":
+            _, group, exc, retries = action
+            delivery = group.sub.owner
+            error = _cell_error(exc, retries=retries)
+            for cell in group.cells:
+                delivery.book.book(_CellOutcome(cell, error=error))
+            delivery.notify(PoolEvent(
+                "group-failed", gid=group.gid, cells=len(group.cells),
+                detail=error.describe(),
+            ))
+        elif kind == "settle":
+            for callback in action[1].owner.on_settle:
+                callback()
+        elif kind == "interrupt":
+            raise KeyboardInterrupt
 
-    def _spawn_process(self, slot: _WorkerSlot) -> None:
+    def _spawn(self, index: int) -> None:
+        """Start a worker in slot *index*, replacing any process there."""
         import multiprocessing
 
-        if self._ctx is None:
-            # Spawn unconditionally: the only start method that is safe
-            # and available everywhere (fork inherits arbitrary state).
-            self._ctx = multiprocessing.get_context("spawn")
-        slot.inbox = self._ctx.Queue()
-        slot.outbox, child_outbox = self._ctx.Pipe(duplex=False)
-        slot.ready = False
-        slot.current = None
-        slot.deadline = None
-        slot.warm = _LRU(self.max_cached_groups)
-        slot.process = self._ctx.Process(
+        # Spawn unconditionally: the only start method that is safe and
+        # available everywhere (fork inherits arbitrary state).
+        ctx = multiprocessing.get_context("spawn")
+        if index < len(self._slots):  # a respawn: dead or overdue
+            old = self._slots[index]
+            old.process.terminate()
+            old.process.join()
+            if old.outbox is not None:
+                old.outbox.close()
+        inbox = ctx.Queue()
+        outbox, child_outbox = ctx.Pipe(duplex=False)
+        process = ctx.Process(
             target=_service_worker,
             args=(
-                slot.inbox, child_outbox,
+                inbox, child_outbox,
                 self.max_cached_groups, self.max_cached_payloads,
             ),
             daemon=True,
         )
-        slot.process.start()
+        process.start()
         # Only the worker may hold the write end: the pipe then reports
         # EOF once the worker is gone.
         child_outbox.close()
-
-    def _respawn_slot(self, slot: _WorkerSlot) -> None:
-        """Replace a dead/wedged worker process in its slot (cold caches)."""
-        process = slot.process
-        if process is not None:
-            if process.is_alive():
-                process.terminate()
-            process.join()
-        if slot.outbox is not None:
-            slot.outbox.close()
-        self._spawn_process(slot)
-
-    # -- scheduling -----------------------------------------------------
-    def _worker_for(self, group: _PoolGroup) -> Optional[_WorkerSlot]:
-        """The slot this group runs on now, or ``None`` if none is free.
-
-        Affinity is a preference, not a wait: an idle slot warm for the
-        group's key, else an idle slot no other pending group is warm
-        on, else a new slot (up to ``workers``), else any idle slot.  A
-        key spreads to a second slot only while its warm one is busy, so
-        uncontended traffic does not churn a worker's LRU.
-        """
-        idle = [slot for slot in self._slots if slot.idle]
-        for slot in idle:
-            if group.key in slot.warm:
-                return slot
-        claimed = {other.key for other in self._pending if other is not group}
-        for slot in idle:
-            if claimed.isdisjoint(slot.warm):
-                return slot
-        if len(self._slots) < self.workers:
-            return self._spawn_slot()
-        return idle[0] if idle else None
-
-    def _dispatch_ready(self, now: float) -> None:
-        while self._dispatch_next(now):
-            pass
-
-    def _dispatch_next(self, now: float) -> bool:
-        """Dispatch one pending group, fair across client tags.
-
-        Clients take turns: the scheduler cycles through the distinct
-        client tags present in the pending queue, starting after the tag
-        served by the previous dispatch, and hands out the first
-        dispatchable group (backoff elapsed, a worker available; see
-        `_worker_for`) of the first tag that has one.  FIFO
-        within a tag preserves each client's own submission order, and a
-        single tag — every pre-service caller — reduces to the original
-        FIFO-over-groups behaviour.  Returns True when a group was
-        dispatched.
-        """
-        order: List[Optional[str]] = []
-        seen = set()
-        for group in self._pending:
-            tag = group.submission.client
-            if tag not in seen:
-                seen.add(tag)
-                order.append(tag)
-        if not order:
-            return False
-        if self._last_client in seen:
-            pivot = order.index(self._last_client) + 1
-            order = order[pivot:] + order[:pivot]
-        for tag in order:
-            for group in self._pending:
-                if group.submission.client != tag:
-                    continue
-                if group.not_before > now:
-                    continue
-                slot = self._worker_for(group)
-                if slot is None:
-                    continue
-                self._dispatch_group(group, slot, now)
-                self._last_client = tag
-                return True
-        return False
-
-    def _dispatch_group(
-        self, group: _PoolGroup, slot: _WorkerSlot, now: float
-    ) -> None:
-        self._pending.remove(group)
-        submission = group.submission
-        payload = _encode_service_group(
-            group.cells, submission.book.metrics,
-            faults=submission.faults, attempt=group.attempt,
-            keys=submission.book.keys,
-        )
-        slot.inbox.put(("run", payload))
-        slot.current = group
-        slot.warm.fetch(group.key, lambda: None)
-        self._notify(
-            submission, "dispatch",
-            gid=group.gid, cells=len(group.cells),
-            detail=f"slot {slot.index}" + (
-                f", attempt {group.attempt}" if group.attempt else ""
-            ),
-        )
-        # Deadlines measure group runtime: the clock starts at
-        # dispatch only for booted workers, otherwise when the
-        # worker's ready message arrives.
-        timeout = submission.group_timeout
-        slot.deadline = (
-            now + timeout if timeout is not None and slot.ready else None
-        )
-
-    # -- collection -----------------------------------------------------
-    def _collect_ready(self, *, block: bool, fire_interrupts: bool) -> bool:
-        """Merge every available reply; True if any group finished."""
-        # Imported here, like the spawn context: sweeps that never start
-        # a worker do not pay for the multiprocessing machinery.
-        from multiprocessing.connection import wait as wait_connections
-
-        merged_any = False
-        timeout = _POLL_INTERVAL if block else 0.0
-        while True:
-            slots = {
-                slot.outbox: slot for slot in self._slots
-                if slot.outbox is not None
-            }
-            ready = wait_connections([self._wake_r, *slots], timeout)
-            if not ready:
-                return merged_any
-            timeout = 0.0  # drain the rest without blocking
-            for conn in ready:
-                if conn is self._wake_r:
-                    conn.recv(4096)
-                    continue
-                slot = slots[conn]
-                try:
-                    kind, body = conn.recv()
-                except (EOFError, OSError):
-                    # The worker is gone; _supervise respawns it.
-                    conn.close()
-                    slot.outbox = None
-                    continue
-                merged_any |= self._receive(slot, kind, body, fire_interrupts)
-
-    def _receive(
-        self, slot: _WorkerSlot, kind: str, body: Any, fire_interrupts: bool
-    ) -> bool:
-        """Handle one worker message; True if it finished a group."""
-        if kind == "ready":
-            slot.ready = True
-            if slot.current is not None and slot.deadline is None:
-                group_timeout = slot.current.submission.group_timeout
-                if group_timeout is not None:
-                    slot.deadline = time.monotonic() + group_timeout
-            return False
-        # Each pipe belongs to one worker incarnation running at most one
-        # group, so a reply is always for the slot's current group.
-        group = slot.current
-        slot.current = None
-        slot.deadline = None
-        # Group finalisation is exception-safe: once the group has
-        # left its slot it is on neither the pending queue nor a
-        # slot, so an escaping error from the merge (a raising user
-        # ``on_row`` callback or ``store.put``) would otherwise
-        # strand it — ``submission.outstanding`` never reaches 0
-        # and ``ticket.result()`` pumps forever.  Finish the
-        # group's bookkeeping first, then let the error surface.
-        try:
-            self._merge_reply(group, body)
-        except BaseException:
-            self._finish_group(group)
-            raise
-        if (
-            fire_interrupts
-            and group.submission.faults is not None
-            and any(
-                i in group.submission.faults.interrupt_at
-                for i in group.indices
-            )
-        ):
-            # Merge-then-interrupt, like a real Ctrl-C landing after
-            # the reply: the firing group's own rows are kept, its
-            # submission is cut short.
-            self._mark_interrupted(group.submission)
-            raise KeyboardInterrupt
-        # group-done precedes the "finished" milestone _finish_group
-        # may emit — the stream stays causally ordered for renderers.
-        self._notify(
-            group.submission, "group-done",
-            gid=group.gid, cells=len(group.cells),
-        )
-        self._finish_group(group)
-        return True
-
-    def _merge_reply(self, group: _PoolGroup, payload: str) -> None:
-        """Book one group reply into its submission.
-
-        User code runs inside the booking (``store.put`` and the
-        ``on_row`` callback), and it may raise.  Errors are *deferred*:
-        every outcome is booked regardless and the first error re-raises
-        only after the whole reply merged — the caller then finishes the
-        group before letting it propagate, so a buggy sink degrades to a
-        visible exception instead of a wedged ticket.
-        """
-        from ..io.json_io import sweep_row_from_dict
-
-        book = group.submission.book
-        data = json.loads(payload)
-        cell_by_index = {cell.index: cell for cell in group.cells}
-        callback_error: Optional[BaseException] = None
-        for item in data["outcomes"]:
-            row = sweep_row_from_dict(item)
-            outcome = _CellOutcome(
-                cell_by_index[item["index"]],
-                metrics=None if row.error is not None else row.metrics,
-                error=row.error,
-                stages=tuple(item["stages"]),
-            )
-            try:
-                book.book(outcome)
-            except Exception as exc:
-                if callback_error is None:
-                    callback_error = exc
-        if data["group_cache_hit"]:
-            book.stats.warm_group_hits += 1
-        book.stats.payload_cache_hits += data["payload_hits"]
-        if callback_error is not None:
-            raise callback_error
-
-    def _finish_group(self, group: _PoolGroup) -> None:
-        submission = group.submission
-        submission.outstanding -= 1
-        if submission.outstanding <= 0:
-            submission.finished = True
-            self._notify(submission, "finished")
-
-    # -- supervision ----------------------------------------------------
-    def _fail_group(
-        self, group: _PoolGroup, exc: BaseException,
-        retries: Optional[int] = None,
-    ) -> None:
-        """Degrade every cell of *group* to an error row for *exc*."""
-        submission = group.submission
-        error = _cell_error(
-            exc, retries=group.attempt if retries is None else retries
-        )
-        for cell in group.cells:
-            submission.book.book(_CellOutcome(cell, error=error))
-        self._notify(
-            submission, "group-failed",
-            gid=group.gid, cells=len(group.cells), detail=error.describe(),
-        )
-        self._finish_group(group)
-
-    def _requeue(
-        self, group: _PoolGroup, now: float, exc_type: type, what: str
-    ) -> None:
-        """Charge one retry to *group*; requeue it or exhaust its budget."""
-        submission = group.submission
-        group.attempt += 1
-        if group.attempt > submission.max_retries:
-            # ``retries`` records redispatches actually performed — the
-            # exhausting event happened on the last permitted attempt.
-            self._fail_group(
-                group,
-                exc_type(
-                    f"{what}; retry budget exhausted after "
-                    f"{submission.max_retries} redispatches"
-                ),
-                retries=submission.max_retries,
-            )
-            return
-        submission.stats.retries += 1
-        if submission.faults is not None:
-            # The fault that (presumably) fired consumed one firing: a
-            # transient (times=1) kill/delay lets the retry succeed.
-            submission.faults = submission.faults.decrement(group.indices)
-        group.not_before = (
-            now + submission.retry_backoff * 2 ** (group.attempt - 1)
-        )
-        self._pending.append(group)
-        self._notify(
-            submission, "retry",
-            gid=group.gid, cells=len(group.cells),
-            detail=f"{what} (attempt {group.attempt})",
-        )
-
-    def _supervise(self, now: float) -> None:
-        """Respawn dead or overdue workers in place; requeue their group.
-
-        Dedicated per-worker channels make attribution exact: only the
-        failed worker's group is charged a retry, and the other workers
-        keep running untouched (no pool-wide teardown).  Terminating a
-        worker is the only portable way to stop a wedged group; only its
-        own slot respawns (cold), the rest of the pool keeps its warmth.
-        """
-        for slot in self._slots:
-            group = slot.current
-            if slot.process is None:
-                continue
-            if not slot.process.is_alive():
-                error, what = (
-                    WorkerCrashError, "a sweep worker process died mid-group"
-                )
-            elif slot.deadline is not None and now > slot.deadline:
-                error, what = SweepTimeoutError, (
-                    f"group exceeded its {group.submission.group_timeout}s "
-                    "deadline"
-                )
-            else:
-                continue
-            slot.current = None
-            slot.deadline = None
-            self._respawn_slot(slot)
-            if group is not None:
-                self._requeue(group, now, error, what)
+        # Replaces the slot's worker, or appends a new slot.
+        self._slots[index:index + 1] = [_Worker(process, inbox, outbox)]
 
     # -- driving --------------------------------------------------------
-    def _pump(self, submission: Optional[_Submission] = None) -> None:
-        """Drive the pool until *submission* (or everything) is done."""
-        while not (
-            submission.finished if submission is not None else not self.busy
-        ):
-            self.pump_once()
-
     def pump_once(self) -> bool:
-        """Run one dispatch/collect/supervise cycle and return.
+        """Run one dispatch/collect cycle; True if any reply merged.
 
         The cooperative alternative to blocking on
-        :meth:`SweepTicket.result`: an external driver (the sweep
-        service's orchestrator thread) interleaves ``pump_once`` with
-        its own work — accepting new submissions between cycles — while
-        the pool makes progress on everything outstanding.  Blocks at
-        most ~`_POLL_INTERVAL` waiting for worker replies, less when
-        :meth:`wake` is called.  Returns
-        True when any reply was merged this cycle (results may have
-        completed).  On ``KeyboardInterrupt`` — real or
-        :class:`FaultPlan`-injected — completed replies are drained
-        into their submissions, every worker is terminated and reaped
-        (no orphans), and all active submissions become partial results
-        with ``stats.interrupted``.
+        :meth:`SweepTicket.result`, for an external driver (the
+        service's orchestrator thread).  Blocks at most ~`_POLL_INTERVAL`
+        waiting for worker replies, less when :meth:`wake` is called.
+        On ``KeyboardInterrupt`` — real or :class:`FaultPlan`-injected —
+        completed replies are drained into their submissions, every
+        worker is reaped (no orphans), and all active submissions become
+        partial results with ``stats.interrupted``.
         """
         try:
-            now = time.monotonic()
-            self._dispatch_ready(now)
-            if self._collect_ready(block=True, fire_interrupts=True):
-                return True
-            self._supervise(now)
-            return False
+            self._core.tick(time.monotonic())
+            self._run()
+            return self._collect(_POLL_INTERVAL)
         except KeyboardInterrupt:
+            self._core.interrupt()
             try:
-                self._collect_ready(block=False, fire_interrupts=False)
+                self._collect(0.0)
             except Exception:
                 pass
             # The service survives an interrupt: slots are gone (cold),
@@ -1147,39 +738,51 @@ class SweepPool:
             self._teardown(graceful=False)
             return True
 
-    @property
-    def busy(self) -> bool:
-        """True while any group is pending or dispatched."""
-        return bool(self._pending) or any(
-            not s.idle for s in self._slots
-        )
+    def _collect(self, timeout: float) -> bool:
+        """Feed every available worker message to the core; True if any
+        reply merged."""
+        # Imported here, like the spawn context: sweeps that never start
+        # a worker do not pay for the multiprocessing machinery.
+        from multiprocessing.connection import wait as wait_connections
 
-    def _mark_interrupted(self, submission: _Submission) -> None:
-        if not submission.finished:
-            submission.stats.interrupted = True
-            submission.finished = True
-        elif not submission.stats.interrupted and submission.outstanding > 0:
-            submission.stats.interrupted = True
-
-    def _cancel(self, submission: _Submission) -> bool:
-        if submission.finished:
-            return False
-        withdrawn = [
-            group for group in self._pending
-            if group.submission is submission
-        ]
-        if not withdrawn:
-            # Nothing to withdraw — every group is already dispatched
-            # (or merged).  The submission will complete normally, so
-            # its state must not be touched: marking it cancelled/
-            # interrupted here would make a sweep whose every row
-            # completed report itself interrupted.
-            return False
-        for group in withdrawn:
-            self._pending.remove(group)
-            submission.outstanding -= 1
-        submission.cancelled = True
-        submission.stats.interrupted = True
-        if submission.outstanding <= 0:
-            submission.finished = True
-        return True
+        merged = False
+        while True:
+            slots = {
+                worker.outbox: index
+                for index, worker in enumerate(self._slots)
+                if worker.outbox is not None
+            }
+            ready = wait_connections([self._wake_r, *slots], timeout)
+            if not ready:
+                return merged
+            timeout = 0.0  # drain the rest without blocking
+            for conn in ready:
+                if conn is self._wake_r:
+                    conn.recv(4096)
+                    continue
+                slot = self._core.slots[slots[conn]]
+                try:
+                    kind, body = conn.recv()
+                except (EOFError, OSError):
+                    # Only the worker held the write end: it is gone, and
+                    # everything it sent has been read.
+                    conn.close()
+                    self._slots[slot.index].outbox = None
+                    kind = "died"
+                now = time.monotonic()
+                if kind == "ready":
+                    self._core.ready(slot, now)
+                elif kind == "died":
+                    self._core.died(slot, now)
+                    self._run()
+                else:
+                    # Each pipe belongs to one worker incarnation running
+                    # at most one group: a reply is for the slot's group.
+                    # Its bookkeeping ends before a merge error surfaces.
+                    merged = True
+                    group = slot.group
+                    try:
+                        _merge_reply(group.sub.owner.book, group.cells, body)
+                    finally:
+                        self._core.reply(slot, now)
+                        self._run()

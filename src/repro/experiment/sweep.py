@@ -895,9 +895,7 @@ def run_sweep(
             retry_backoff=retry_backoff,
         ) as pool:
             return pool._enqueue(
-                book, plan,
-                faults=faults, on_error=on_error,
-                on_progress=on_progress,
+                book, plan, on_error, on_progress, faults=faults
             ).result()
 
     runner = _run_cells(

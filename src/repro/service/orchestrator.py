@@ -17,7 +17,10 @@ a test's ``asyncio.run``, ...) concurrently.
 
 Fairness is the pool's own: each submission carries its client tag into
 :meth:`SweepPool.submit`, whose pending queue round-robins across tags
-— one client's huge matrix cannot starve another's small one.
+— one client's huge matrix cannot starve another's small one.  A ticket
+ends in one place, when its pool submission settles, with one terminal
+item that every later stream sees again; once closed, or once the driver
+thread died, every command raises :class:`ServiceError` at once.
 """
 
 from __future__ import annotations
@@ -29,15 +32,7 @@ from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import (
-    Any,
-    AsyncIterator,
-    Deque,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
+    Any, AsyncIterator, Deque, Dict, Optional, Sequence, Tuple, Union,
 )
 
 from ..errors import ServiceError, UnknownTicketError
@@ -51,8 +46,9 @@ __all__ = ["SweepOrchestrator", "TicketStatus", "TICKET_STATES"]
 #: Ticket lifecycle: ``queued`` (accepted, not yet handed to the pool
 #: driver), ``running`` (groups pending/dispatched), then exactly one of
 #: ``done`` (result ready — possibly a partial after ``cancel``),
-#: ``failed`` (``on_error="raise"`` sweep raised) or ``cancelled``
-#: (cancel withdrew groups; the partial result is still available).
+#: ``failed`` (``on_error="raise"`` sweep raised, or the driver thread
+#: died) or ``cancelled`` (cancel withdrew groups, or the orchestrator
+#: closed; the partial result is still available).
 TICKET_STATES = frozenset(
     {"queued", "running", "done", "failed", "cancelled"}
 )
@@ -77,9 +73,10 @@ class _Ticket:
 
     ``items`` is the stream seen by :meth:`SweepOrchestrator.stream`:
     ``("row", SweepRow)`` / ``("event", PoolEvent)`` entries pushed from
-    the driver thread, closed by a single terminal ``("done",
-    SweepResult)`` or ``("error", Exception)``.  At most one coroutine
-    may wait on it at a time (one stream consumer per ticket).
+    the driver thread.  Once the ticket is terminal, an empty queue
+    yields its one terminal item, ``("done", SweepResult)`` or
+    ``("error", Exception)`` — to every later consumer too.  At most one
+    coroutine may wait on it at a time (one stream consumer per ticket).
     """
 
     def __init__(self, tid: int, client: Optional[str], cells: int) -> None:
@@ -97,15 +94,16 @@ class _Ticket:
             Tuple[asyncio.AbstractEventLoop, asyncio.Future]
         ] = None
 
-    def push(self, kind: str, payload: Any) -> None:
-        """Append one stream item and wake the waiting consumer, if any.
+    def push(self, item: Optional[Tuple[str, Any]] = None) -> None:
+        """Append one stream item (if any) and wake the waiting consumer.
 
         Driver-thread side.  The waiter's loop may already be closed (a
         client that went away mid-stream) — that wake-up is dropped; the
         item stays queued for a later consumer.
         """
         with self.lock:
-            self.items.append((kind, payload))
+            if item is not None:
+                self.items.append(item)
             waiter, self.waiter = self.waiter, None
         if waiter is not None:
             loop, future = waiter
@@ -113,6 +111,14 @@ class _Ticket:
                 loop.call_soon_threadsafe(_wake, future)
             except RuntimeError:
                 pass
+
+    def finish(
+        self, state: str, result: Any = None, error: Any = None
+    ) -> None:
+        """Make the ticket terminal and wake its consumer."""
+        with self.lock:
+            self.result, self.error, self.state = result, error, state
+        self.push()
 
     def status(self) -> TicketStatus:
         return TicketStatus(
@@ -180,9 +186,13 @@ class SweepOrchestrator:
         self._owns_store = isinstance(store, str)
         self._commands: "queue.Queue[Tuple[Any, ...]]" = queue.Queue()
         self._tickets: Dict[int, _Ticket] = {}
-        self._active: List[_Ticket] = []
         self._next_tid = 1
+        #: Set once no command is accepted (by ``close_sync`` or the
+        #: exiting driver); guarded by ``_tickets_lock`` like every post.
         self._closed = False
+        #: The exception the driver thread died of, if it did.
+        self._crash: Optional[BaseException] = None
+        self._shutting_down = False
         self._tickets_lock = threading.Lock()
         self._startup = threading.Event()
         self._startup_error: Optional[BaseException] = None
@@ -216,25 +226,20 @@ class SweepOrchestrator:
         as the driver accepted the submission — consume rows with
         :meth:`stream`, poll with :meth:`status`.
         """
-        if self._closed:
-            raise ServiceError("orchestrator is closed")
         with self._tickets_lock:
             tid = self._next_tid
             self._next_tid += 1
             ticket = _Ticket(tid, client, len(matrix))
             self._tickets[tid] = ticket
-        kwargs = {
-            "metrics": metrics,
-            "faults": faults,
-            "on_error": on_error,
-            "group_timeout": group_timeout,
-            "max_retries": max_retries,
-            "client": client,
-        }
-        outcome: Future = Future()
-        self._post(("submit", ticket, matrix, kwargs, outcome))
+        kwargs = dict(
+            metrics=metrics, faults=faults, on_error=on_error,
+            group_timeout=group_timeout, max_retries=max_retries,
+            client=client,
+        )
         try:
-            await asyncio.wrap_future(outcome)
+            await asyncio.wrap_future(
+                self._post("submit", ticket, matrix, kwargs)
+            )
         except BaseException:
             with self._tickets_lock:
                 self._tickets.pop(tid, None)
@@ -251,7 +256,8 @@ class SweepOrchestrator:
         failed ``on_error="raise"`` sweep raises its error instead.
         One consumer at a time; rows pushed before the consumer
         attached (store hits, an earlier disconnected consumer) are
-        replayed from the queue, nothing is lost.
+        replayed from the queue, nothing is lost.  Streaming a finished
+        ticket again yields (or raises) its terminal item again.
         """
         record = self._ticket(ticket)
         while True:
@@ -267,6 +273,10 @@ class SweepOrchestrator:
             with record.lock:
                 if record.items:
                     return record.items.popleft()
+                if record.state in _TERMINAL_STATES:  # again, for a re-stream
+                    if record.error is not None:
+                        return "error", record.error
+                    return "done", record.result
                 if record.waiter is not None:
                     raise ServiceError(
                         f"ticket {record.tid} already has a stream "
@@ -294,9 +304,7 @@ class SweepOrchestrator:
         was withdrawn.  Cancelling a finished ticket is a no-op.
         """
         record = self._ticket(ticket)
-        outcome: Future = Future()
-        self._post(("cancel", record, outcome))
-        return await asyncio.wrap_future(outcome)
+        return await asyncio.wrap_future(self._post("cancel", record))
 
     async def close(self) -> None:
         """Async wrapper over :meth:`close_sync` (runs it off-loop)."""
@@ -309,14 +317,13 @@ class SweepOrchestrator:
         """Stop the driver; unfinished tickets become interrupted partials.
 
         Owned resources (pool created here, store opened from a path)
-        are closed on the driver thread on its way out.  Idempotent.
+        are closed on the driver thread on its way out.  Idempotent, and
+        a no-op once the driver thread has died.
         """
-        if self._closed:
-            return
-        self._closed = True
-        outcome: Future = Future()
-        self._post(("close", outcome))
-        outcome.result(timeout=60.0)
+        try:
+            self._post("close", closing=True).result(timeout=60.0)
+        except ServiceError:
+            pass  # closed already, or the driver died
         self._driver.join(timeout=60.0)
 
     def __enter__(self) -> "SweepOrchestrator":
@@ -325,9 +332,28 @@ class SweepOrchestrator:
     def __exit__(self, *exc_info: Any) -> None:
         self.close_sync()
 
-    def _post(self, command: Tuple[Any, ...]) -> None:
-        self._commands.put(command)
+    def _post(self, *command: Any, closing: bool = False) -> Future:
+        """Queue one driver command; the future of its outcome.
+
+        Raises :class:`ServiceError` at once when the orchestrator is
+        closed or its driver thread died: nobody would read the command.
+        """
+        outcome: Future = Future()
+        with self._tickets_lock:
+            if self._closed:
+                raise self._closed_error()
+            self._closed = closing  # a close is the last command read
+            self._commands.put((*command, outcome))
         self._pool.wake()
+        return outcome
+
+    def _closed_error(self) -> ServiceError:
+        crash = self._crash
+        if crash is None:
+            return ServiceError("orchestrator is closed")
+        error = ServiceError(f"orchestrator driver thread died: {crash!r}")
+        error.__cause__ = crash
+        return error
 
     def _ticket(self, ticket: int) -> _Ticket:
         with self._tickets_lock:
@@ -338,23 +364,6 @@ class SweepOrchestrator:
                 "evicted from the bounded ticket history)"
             )
         return record
-
-    def _retire(self, ticket: _Ticket) -> None:
-        """Book a terminal ticket into the bounded finished history.
-
-        Driver-thread side, called at every terminal transition.  The
-        record keeps only its result, state and error: dropping the pool
-        ticket releases the submission's decoded scenarios and stimuli.
-        The oldest finished records beyond ``max_finished_tickets`` are
-        dropped; live tickets are untouched (they are not in the
-        finished deque until they terminate).
-        """
-        ticket.pool_ticket = None
-        with self._tickets_lock:
-            self._finished.append(ticket.tid)
-            while len(self._finished) > self._max_finished:
-                evicted = self._finished.popleft()
-                self._tickets.pop(evicted, None)
 
     # -- driver thread ---------------------------------------------------
     def _drive(self) -> None:
@@ -371,14 +380,43 @@ class SweepOrchestrator:
         try:
             # Idle, the driver waits on the command queue; busy, in the
             # pump, which a posted command's wake ends early.
-            while not self._handle_commands(None if self._active else 0.05):
-                if self._active:
+            while not self._handle_commands(
+                None if self._pool.busy else 0.05
+            ):
+                if self._pool.busy:
                     self._pool.pump_once()
-                    self._reap()
+        except BaseException as exc:
+            self._crash = exc
+            raise
         finally:
-            if self._owns_store and self._store is not None:
+            self._exit()
+
+    def _exit(self) -> None:
+        """Refuse every later command and fail every unread one.
+
+        After a crash, live tickets end with the same error, and an
+        owned pool is torn down; after ``close`` they already ended.
+        """
+        with self._tickets_lock:
+            self._closed = True
+            live = [
+                t for t in self._tickets.values()
+                if t.state not in _TERMINAL_STATES
+            ]
+        while True:
+            try:
+                command = self._commands.get_nowait()
+            except queue.Empty:
+                break
+            command[-1].set_exception(self._closed_error())
+        for ticket in live:
+            ticket.finish("failed", error=self._closed_error())
+        for resource, owned in (
+            (self._pool, self._owns_pool), (self._store, self._owns_store)
+        ):
+            if owned and resource is not None:
                 try:
-                    self._store.close()
+                    resource.close()
                 except Exception:
                     pass
 
@@ -394,125 +432,77 @@ class SweepOrchestrator:
             except queue.Empty:
                 return False
             timeout = None
-            if self._handle(command):
+            kind, *args, outcome = command
+            try:
+                result = getattr(self, f"_do_{kind}")(*args)
+            except BaseException as exc:
+                outcome.set_exception(exc)
+            else:
+                outcome.set_result(result)
+            if kind == "close":
                 return True
-
-    def _handle(self, command: Tuple[Any, ...]) -> bool:
-        kind = command[0]
-        if kind == "submit":
-            _, ticket, matrix, kwargs, outcome = command
-            try:
-                self._do_submit(ticket, matrix, kwargs)
-            except BaseException as exc:
-                outcome.set_exception(exc)
-            else:
-                outcome.set_result(ticket.tid)
-            return False
-        if kind == "cancel":
-            _, ticket, outcome = command
-            try:
-                withdrawn = (
-                    ticket.pool_ticket is not None
-                    and ticket.pool_ticket.cancel()
-                )
-                self._reap()
-            except BaseException as exc:
-                outcome.set_exception(exc)
-            else:
-                outcome.set_result(withdrawn)
-            return False
-        if kind == "close":
-            _, outcome = command
-            try:
-                self._shutdown()
-            except BaseException as exc:
-                outcome.set_exception(exc)
-            else:
-                outcome.set_result(None)
-            return True
-        raise AssertionError(f"unknown driver command {kind!r}")
 
     def _do_submit(
         self, ticket: _Ticket, matrix: ScenarioMatrix, kwargs: Dict[str, Any]
-    ) -> None:
+    ) -> int:
         def on_row(row: Any) -> None:
             ticket.rows_streamed += 1
-            ticket.push("row", row)
+            ticket.push(("row", row))
 
         def on_progress(event: Any) -> None:
-            ticket.push("event", event)
+            ticket.push(("event", event))
 
-        ticket.pool_ticket = self._pool.submit(
-            matrix,
-            kwargs["metrics"],
-            store=self._store,
-            faults=kwargs["faults"],
-            on_error=kwargs["on_error"],
-            on_row=on_row,
-            on_progress=on_progress,
-            group_timeout=kwargs["group_timeout"],
-            max_retries=kwargs["max_retries"],
-            client=kwargs["client"],
-        )
         ticket.state = "running"
-        self._active.append(ticket)
-        # A submission fully served by the store is already finished.
-        self._reap()
+        ticket.pool_ticket = self._pool.submit(
+            matrix, store=self._store, on_row=on_row,
+            on_progress=on_progress, **kwargs,
+        )
+        ticket.pool_ticket._when_settled(lambda: self._settle(ticket))
+        return ticket.tid
 
-    def _reap(self) -> None:
-        """Resolve finished pool tickets into terminal stream items."""
-        for ticket in list(self._active):
-            pool_ticket = ticket.pool_ticket
-            if pool_ticket is None or not pool_ticket.done:
-                continue
-            self._active.remove(ticket)
-            try:
-                result = pool_ticket.result()
-            except Exception as exc:
-                ticket.error = exc
-                ticket.state = "failed"
-                self._retire(ticket)
-                ticket.push("error", exc)
-                continue
-            ticket.result = result
-            ticket.state = (
-                "cancelled" if pool_ticket.cancelled else "done"
-            )
-            self._retire(ticket)
-            ticket.push("done", result)
+    def _do_cancel(self, ticket: _Ticket) -> bool:
+        return ticket.pool_ticket is not None and ticket.pool_ticket.cancel()
 
-    def _shutdown(self) -> None:
-        """Drain-or-cancel everything outstanding, then release the pool.
+    def _do_close(self) -> None:
+        """Withdraw every pending group, then release the pool.
 
-        Pending groups are withdrawn; dispatched groups are abandoned by
-        ``close(graceful=True)`` (their submissions become interrupted
-        partials), so shutdown is prompt even mid-sweep.  Each active
-        ticket still resolves to a terminal item — late stream consumers
-        see a partial result, never a hang.
+        Dispatched groups are abandoned by an owned pool's close (their
+        submissions become interrupted partials) and run out on a shared
+        one.  Every live ticket settles: late consumers see a partial.
         """
-        for ticket in self._active:
-            if ticket.pool_ticket is not None:
-                ticket.pool_ticket.cancel()
+        self._shutting_down = True
+        with self._tickets_lock:
+            live = [
+                t.pool_ticket for t in self._tickets.values()
+                if t.pool_ticket is not None
+            ]
+        for pool_ticket in live:
+            pool_ticket.cancel()
         if self._owns_pool:
             self._pool.close(graceful=True)
-        self._reap()
-        # Tickets whose groups were mid-dispatch at close never finish
-        # through the pool; resolve them as interrupted partials.
-        for ticket in list(self._active):
-            self._active.remove(ticket)
-            pool_ticket = ticket.pool_ticket
-            try:
-                result = (
-                    pool_ticket.result() if pool_ticket is not None
-                    else None
-                )
-            except Exception as exc:
-                ticket.error = exc
-                ticket.state = "failed"
-                self._retire(ticket)
-                ticket.push("error", exc)
-                continue
-            ticket.result = result
-            ticket.state = "cancelled"
-            self._retire(ticket)
-            ticket.push("done", result)
+        while not all(pool_ticket.done for pool_ticket in live):
+            self._pool.pump_once()
+
+    def _settle(self, ticket: _Ticket) -> None:
+        """Resolve a settled submission: the one place a ticket ends.
+
+        The record keeps only its result, state and error (dropping the
+        pool ticket releases the decoded scenarios and stimuli), and the
+        oldest finished records beyond ``max_finished_tickets`` go.
+        """
+        pool_ticket, ticket.pool_ticket = ticket.pool_ticket, None
+        if ticket.state in _TERMINAL_STATES:
+            return  # failed by a dying driver before its pool closed
+        result = error = None
+        try:
+            result = pool_ticket.result()
+        except Exception as exc:
+            state, error = "failed", exc
+        else:
+            cut = pool_ticket.cancelled or self._shutting_down
+            state = "cancelled" if cut else "done"
+        with self._tickets_lock:
+            self._finished.append(ticket.tid)
+            while len(self._finished) > self._max_finished:
+                self._tickets.pop(self._finished.popleft(), None)
+        ticket.finish(state, result, error)  # wakes the consumer last

@@ -18,7 +18,6 @@ from repro.apps import fft_scenario, fig1_scenario, fms_scenario
 from repro.core.platform import Platform
 from repro.experiment import SweepPool
 from repro.experiment import pool as pool_mod
-from repro.experiment.pool import _LRU, _PoolGroup, _WorkerSlot
 from repro.experiment.pool import _encode_service_group
 from repro.experiment.store import ScenarioKeys, store_key
 from repro.experiment.sweep import SweepStats, _SweepBook
@@ -165,19 +164,9 @@ class TestFinishedTicketRelease:
 
 
 # ---------------------------------------------------------------------------
-# affinity is a preference, not a wait
+# affinity is a preference, not a wait (the routing rule itself is pinned
+# in simulated time by tests/test_pool_core.py)
 # ---------------------------------------------------------------------------
-def _slot(index, *keys):
-    slot = _WorkerSlot(index, warm=_LRU(8))
-    for key in keys:
-        slot.warm.fetch(key, lambda: None)
-    return slot
-
-
-def _group(gid, key):
-    return _PoolGroup(gid=gid, submission=None, cells=[], key=key)
-
-
 class TestRouting:
     def test_busy_key_runs_on_an_idle_slot(self):
         base = fig1_scenario(n_frames=1)
@@ -204,34 +193,6 @@ class TestRouting:
         assert got_a.rows == run_sweep(first, METRICS).rows
         assert got_b.rows == run_sweep(second, METRICS).rows
         assert got_a.stats.warm_group_hits == 1
-
-    def test_warm_idle_slot_first(self):
-        pool = SweepPool(workers=2)
-        try:
-            pool._slots = [_slot(0, "a"), _slot(1, "b")]
-            assert pool._worker_for(_group(0, "b")) is pool._slots[1]
-            pool._slots[1].current = _group(9, "c")
-            # Its warm slot busy, the group takes the idle one.
-            assert pool._worker_for(_group(0, "b")) is pool._slots[0]
-            pool._slots[0].current = _group(8, "d")
-            assert pool._worker_for(_group(0, "b")) is None
-        finally:
-            pool._slots = []
-            pool.close()
-
-    def test_new_key_avoids_a_slot_a_pending_group_is_warm_on(self):
-        pool = SweepPool(workers=2)
-        try:
-            pool._slots = [_slot(0, "b"), _slot(1, "a")]
-            new, waiting = _group(0, "c"), _group(1, "b")
-            pool._pending = [new, waiting]
-            assert pool._worker_for(new) is pool._slots[1]
-            # With every idle slot claimed, any idle slot will do.
-            pool._slots[1].current = _group(9, "x")
-            assert pool._worker_for(new) is pool._slots[0]
-        finally:
-            pool._slots, pool._pending = [], []
-            pool.close()
 
 
 # ---------------------------------------------------------------------------

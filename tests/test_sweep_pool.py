@@ -370,15 +370,10 @@ class TestCallbackAndCancelRegressions:
         # Regression: cancelling a fully-dispatched submission withdrew
         # nothing and returned False, yet still set cancelled/interrupted
         # — a sweep whose every row completed reported itself interrupted.
-        import time
-
         with SweepPool(workers=2) as pool:
             ticket = pool.submit(fig1_matrix(), METRICS)
-            pool._dispatch_ready(time.monotonic())  # both groups on slots
-            assert all(
-                group.submission is not ticket._submission
-                for group in pool._pending
-            )
+            pool.pump_once()  # both groups on slots
+            assert not pool._core.pending
             assert not ticket.cancel()  # nothing left to withdraw
             assert not ticket.cancelled
             result = ticket.result()

@@ -21,11 +21,9 @@ from repro.experiment import pool as pool_mod
 from repro.experiment import store as store_mod
 from repro.experiment.experiment import PipelineCache
 from repro.experiment.pool import (
-    SweepPool,
-    _PoolGroup,
-    _Submission,
     _WorkerCaches,
     _encode_service_group,
+    _merge_reply,
     _service_run_group,
 )
 from repro.experiment.store import MemorySweepStore, SqliteSweepStore
@@ -233,17 +231,7 @@ class TestPoolReply:
         reply = _service_run_group(payload, _WorkerCaches(4, 8))
 
         book = _book(cells, self.METRICS)
-        submission = _Submission(
-            book=book, on_error="capture", on_progress=None,
-            group_timeout=None, max_retries=2, retry_backoff=0.0,
-        )
-        with SweepPool(workers=1) as pool:
-            pool._merge_reply(
-                _PoolGroup(
-                    gid=0, submission=submission, cells=cells, key=None
-                ),
-                reply,
-            )
+        _merge_reply(book, cells, reply)
         pooled = book.result()
 
         local = _book(cells, self.METRICS)
