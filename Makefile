@@ -17,20 +17,22 @@ test-faults:
 		tests/test_sweep_store.py -q
 
 # Sweep-engine lane: the pool's policy core in simulated time (affinity,
-# tag fairness, backoff, retry budget, deadlines, boot failures, cancel,
-# interrupt drain, a seeded fuzz of event sequences; starts no process),
-# the resident pool (warm-cache resubmits, streaming rows, submission
-# queue/cancel, lifecycle: orphans, crash respawn), the
-# run_sweep(workers=N) path, the serial/workers=2/pool differential
-# suite — three backends of one cell runner and one bookkeeper — and the
-# sweep-row codec at every boundary a row crosses (document, service row
-# stream, worker reply, checkpoint store; byte-stable fixtures), the
-# served path's parent side (store keys from one stimulus encoding per
+# tag fairness, backoff, retry budget and deadlines set once per pool,
+# boot failures — workers that cannot boot cost a submission one spawn
+# per slot, not one per group — cancel, interrupt drain, a seeded fuzz of
+# event sequences; starts no process), the resident pool (warm-cache
+# resubmits, streaming rows, submission queue/cancel, lifecycle: orphans,
+# crash respawn), the run_sweep(workers=N) path, the serial/workers=2/pool
+# differential suite — three backends of one cell runner and one
+# bookkeeper — and the sweep-row codec at every boundary a row crosses
+# (document, service row stream, worker reply, checkpoint store;
+# byte-stable fixtures, the group payload's fault plan), the served
+# path's parent side (store keys from one stimulus encoding per
 # submission, finished tickets releasing their inputs, a busy key's group
 # on an idle slot, wake on commands) and liveness (a worker that cannot
-# boot fails fast, re-streamed tickets, no command waits on a closed or
-# dead driver).  Spawns real worker processes; also part of the tier-1
-# run.
+# boot fails fast with one child traceback, re-streamed tickets, no
+# command waits on a closed or dead driver).  Spawns real worker
+# processes; also part of the tier-1 run.
 test-pool:
 	$(PY) -m pytest tests/test_pool_core.py tests/test_sweep_pool.py \
 		tests/test_sweep_parallel.py tests/test_sweep_backends.py \
@@ -58,7 +60,9 @@ test-hetero:
 # draws, bounds, uniformity, hash-seed independence and accepted seed
 # types (test_jitter_draws) — and tick-native static schedules
 # against hand-built ones and the Fraction list scheduler and feasibility
-# check (test_schedule_ticks); plus the runtime paths around them: the
+# check, corrupted schedules against that check, and the memoised
+# Definition 3.2 check run once per schedule and edge set and reused by
+# the run plan (test_schedule_ticks); plus the runtime paths around them: the
 # per-class observer rule and fast modes (test_observers), live-vs-replay
 # data events (test_data_phase_events), the run plan's rejections and the
 # arrival binding (test_static_order_binding), the stimulus's run memo —

@@ -191,6 +191,27 @@ def _case_e9_schedule_loop_40s(fast: bool):
     }
 
 
+def _case_e9_check_40s(fast: bool):
+    """The Definition 3.2 check and the run plan's check on the same
+    graph: each call wraps the ``alap`` schedule's arrays (computed once,
+    untimed) in a fresh schedule through the trusted constructor, an
+    O(1) build, then reads ``violation_count()`` and builds the run plan,
+    as a sweep cell with a new schedule key does."""
+    from repro.runtime.static_order import RunPlan
+    from repro.scheduling.schedule import StaticSchedule
+
+    graph = derive_task_graph(build_fms_network(reduced_hyperperiod=False), fms_wcets())
+    schedule = list_schedule(graph, 1, "alap")
+    start_t, proc_of = schedule.tick_view()[1], schedule.mapping_table()
+
+    def check():
+        fresh = StaticSchedule._from_ticks(graph, schedule.platform, start_t, proc_of)
+        fresh.violation_count()
+        return RunPlan.of(fresh)
+
+    return check, {"experiment": "E9", "jobs": len(graph)}
+
+
 def _case_e10_derive_fig1_40s(fast: bool):
     net = build_fig1_network()
     wcets = fig1_wcets()
@@ -616,6 +637,7 @@ CASES: List[Case] = [
     ("e9_derive_40s", _case_e9_derive_40s),
     ("e9_schedule_40s", _case_e9_schedule_40s),
     ("e9_schedule_loop_40s", _case_e9_schedule_loop_40s),
+    ("e9_check_40s", _case_e9_check_40s),
     ("e10_derive_fig1_40s", _case_e10_derive_fig1_40s),
     ("fms_sim_100", _case_fms_sim_100),
     ("fms_sim_jitter", _case_fms_sim_jitter),

@@ -44,7 +44,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Iterable, Mapping, Optional, Tuple
 
 from ..errors import FPPNError, ModelError
 
@@ -187,29 +187,6 @@ class FaultPlan:
             kill_at=tuple(e for e in kills if e[1] > 0),
             delay_at=tuple(e for e in delays if e[2] > 0),
             interrupt_at=self.interrupt_at,
-        )
-
-    # -- wire format ----------------------------------------------------
-    def to_jsonable(self) -> Dict[str, Any]:
-        """Plain-JSON form, embedded in the parallel group payloads."""
-        return {
-            "raise_at": list(self.raise_at),
-            "kill_at": [list(e) for e in self.kill_at],
-            "delay_at": [list(e) for e in self.delay_at],
-            "interrupt_at": list(self.interrupt_at),
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: Mapping[str, Any]) -> "FaultPlan":
-        """Inverse of :meth:`to_jsonable`."""
-        return cls(
-            raise_at=tuple(data.get("raise_at", ())),
-            kill_at=tuple((int(i), int(t)) for i, t in data.get("kill_at", ())),
-            delay_at=tuple(
-                (int(i), float(s), int(t))
-                for i, s, t in data.get("delay_at", ())
-            ),
-            interrupt_at=tuple(data.get("interrupt_at", ())),
         )
 
 

@@ -98,6 +98,7 @@ def _encode_service_group(
     encoding (the submission's: one per stimulus).
     """
     from ..io.json_io import canonical_hash, content_hash, scenario_to_dict
+    from ..io.json_io import fault_plan_to_dict
 
     keys = ScenarioKeys() if keys is None else keys
     pool: List[Dict[str, Any]] = []
@@ -130,7 +131,7 @@ def _encode_service_group(
         "stimulus_pool": pool,
         "cells": cells,
         "faults": None if plan is None or plan.is_empty
-        else plan.to_jsonable(),
+        else fault_plan_to_dict(plan),
         "attempt": attempt,
     })
 
@@ -169,6 +170,7 @@ def _service_run_group(payload: str, caches: _WorkerCaches) -> str:
     derivations/schedules to the sweep's totals.
     """
     from ..io.json_io import (
+        fault_plan_from_dict,
         scenario_from_dict,
         stimulus_from_dict,
         sweep_row_to_dict,
@@ -211,7 +213,7 @@ def _service_run_group(payload: str, caches: _WorkerCaches) -> str:
         cells, metrics, any(name in DATA_METRICS for name in metrics),
         cache=cache,
         faults=None if plan_data is None
-        else FaultPlan.from_jsonable(plan_data),
+        else fault_plan_from_dict(plan_data),
         in_worker=True,
         retries=int(data.get("attempt", 0)),
     ):
@@ -419,8 +421,8 @@ class SweepPool:
         groups demand them (a submission fully served by its checkpoint
         store spawns nothing) and then stay alive until :meth:`close`.
     group_timeout, max_retries, retry_backoff:
-        Pool-wide supervision defaults, overridable per ``submit``;
-        semantics identical to :func:`~repro.experiment.sweep.run_sweep`.
+        The supervision policy of every submission; semantics identical
+        to :func:`~repro.experiment.sweep.run_sweep`.
     max_cached_groups, max_cached_payloads:
         Bounds of each worker's warm LRUs (pipeline caches per schedule
         key / decoded payloads by content hash).
@@ -448,12 +450,11 @@ class SweepPool:
         if max_cached_groups < 1 or max_cached_payloads < 1:
             raise ModelError("worker cache bounds must be >= 1")
         self.workers = workers
-        self.group_timeout = group_timeout
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
         self.max_cached_groups = max_cached_groups
         self.max_cached_payloads = max_cached_payloads
-        self._core = PoolCore(workers, max_cached_groups)
+        self._core = PoolCore(
+            workers, max_cached_groups, group_timeout, max_retries, retry_backoff
+        )
         #: Worker processes, indexed like the core's slots.
         self._slots: List[_Worker] = []
         self._closed = False
@@ -549,9 +550,6 @@ class SweepPool:
         on_error: str = "capture",
         on_row: Optional[Callable[[SweepRow], None]] = None,
         on_progress: Optional[Callable[[PoolEvent], None]] = None,
-        group_timeout: Optional[float] = None,
-        max_retries: Optional[int] = None,
-        retry_backoff: Optional[float] = None,
         client: Optional[str] = None,
     ) -> SweepTicket:
         """Enqueue a matrix; returns a :class:`SweepTicket` immediately.
@@ -596,9 +594,7 @@ class SweepPool:
         if isinstance(plan, str):
             raise ModelError(plan)
         return self._enqueue(
-            book, plan, on_error, on_progress, client=client, faults=faults,
-            group_timeout=group_timeout, max_retries=max_retries,
-            retry_backoff=retry_backoff,
+            book, plan, on_error, on_progress, client=client, faults=faults
         )
 
     def _enqueue(
@@ -609,13 +605,9 @@ class SweepPool:
         """Queue a planned sweep's schedule-key groups behind the rest.
 
         *options* are :class:`~repro.experiment.pool_core.Submission`
-        fields; a supervision option left ``None`` takes the pool's
-        default.  Store hits resolve first, parent-side: hit cells never
+        fields.  Store hits resolve first, parent-side: hit cells never
         reach a worker, which keeps workers store-free.
         """
-        for name in ("group_timeout", "max_retries", "retry_backoff"):
-            if options.get(name) is None:
-                options[name] = getattr(self, name)
         book.stats.pool_reused = self.started
         sub = Submission(owner=_Delivery(book, on_progress), **options)
         todo = {cell.index for cell in book.resolve_hits()}

@@ -22,9 +22,12 @@ that starts at dispatch or at ready (whichever is later), is respawned
 and its group requeued with exponential backoff until ``max_retries``
 redispatches are spent.  One that dies *before* ready fails its group
 with :class:`~repro.errors.WorkerBootError` at once: it would fail the
-same way on every respawn.  STOMP's queue-based discrete-event core, in
-which policies change without touching the simulator, is the model;
-``tests/test_pool_core.py`` drives this one in simulated time.
+same way on every respawn.  While no other slot is ready, every pending
+group of its submission fails with it, so workers that cannot boot cost
+one spawn per slot, not one per group.  STOMP's queue-based
+discrete-event core, in which policies change without touching the
+simulator, is the model; ``tests/test_pool_core.py`` drives this one in
+simulated time.
 """
 
 from __future__ import annotations
@@ -88,9 +91,6 @@ class Submission:
 
     #: Fair-scheduling tag (``None`` is a tag too).
     client: Optional[str] = None
-    group_timeout: Optional[float] = None
-    max_retries: int = 2
-    retry_backoff: float = 0.25
     #: The submission's :class:`FaultPlan`, consumed one firing per requeue.
     faults: Any = None
     #: The adapter's handle on the submission (opaque to the core).
@@ -134,11 +134,18 @@ class Slot:
 
 class PoolCore:
     """Every pool decision: events in, actions out.  *workers* caps the
-    slots; *warm_bound* sizes the warm sets (each worker's pipeline LRU)."""
+    slots; *warm_bound* sizes the warm sets (each worker's pipeline LRU);
+    the rest is every submission's supervision policy (``run_sweep``'s)."""
 
-    def __init__(self, workers: int, warm_bound: int) -> None:
+    def __init__(
+        self, workers: int, warm_bound: int, group_timeout: Optional[float] = None,
+        max_retries: int = 2, retry_backoff: float = 0.25,
+    ) -> None:
         self.workers = workers
         self.warm_bound = warm_bound
+        self.group_timeout = group_timeout
+        self.max_retries = max_retries
+        self.retry_backoff = retry_backoff
         self.slots: List[Slot] = []
         self.pending: List[Group] = []
         #: Set by an interrupt: no dispatch and no injected interrupt
@@ -234,12 +241,18 @@ class PoolCore:
                 "a sweep worker process died mid-group",
             )
         elif slot.group is not None:
-            # It would fail the same way on every respawn: no retry.
+            # It would fail the same way on every respawn: no retry.  With
+            # no slot ready, neither would its submission's pending groups.
             group, slot.group = slot.group, None
-            self._fail(group, WorkerBootError(
-                "a sweep worker process died before it was ready "
-                "(see its stderr)"
-            ), group.attempt)
+            doomed = [group]
+            if not any(s.up and s.ready for s in self.slots):
+                doomed += [g for g in self.pending if g.sub is group.sub]
+                self.pending = [g for g in self.pending if g not in doomed]
+            for group in doomed:
+                self._fail(group, WorkerBootError(
+                    "a sweep worker process died before it was ready "
+                    "(see its stderr)"
+                ), group.attempt)
 
     def tick(self, now: float) -> None:
         """Time passed: expire deadlines, then dispatch what can run."""
@@ -247,8 +260,7 @@ class PoolCore:
             if slot.deadline is not None and now > slot.deadline:
                 self._recover(
                     slot, now, SweepTimeoutError,
-                    f"group exceeded its {slot.group.sub.group_timeout}s "
-                    "deadline",
+                    f"group exceeded its {self.group_timeout}s deadline",
                 )
         while not self.draining and self._dispatch_next(now):
             pass
@@ -337,9 +349,8 @@ class PoolCore:
 
     def _arm(self, slot: Slot, now: float) -> None:
         """Start the group deadline once sent *and* booted (not at spawn)."""
-        timeout = None if slot.group is None else slot.group.sub.group_timeout
-        if slot.ready and timeout is not None:
-            slot.deadline = now + timeout
+        if slot.ready and slot.group and self.group_timeout is not None:
+            slot.deadline = now + self.group_timeout
 
     def _spawn(self, slot: Slot) -> None:
         slot.up, slot.ready = True, False
@@ -354,19 +365,19 @@ class PoolCore:
             return
         sub = group.sub
         group.attempt += 1
-        if group.attempt > sub.max_retries:
+        if group.attempt > self.max_retries:
             # ``retries`` records the redispatches actually performed.
             self._fail(group, error(
                 f"{what}; retry budget exhausted after "
-                f"{sub.max_retries} redispatches"
-            ), sub.max_retries)
+                f"{self.max_retries} redispatches"
+            ), self.max_retries)
             return
         sub.retries += 1
         if sub.faults is not None:
             # The fault that (presumably) fired consumed one firing: a
             # transient (times=1) kill/delay lets the retry succeed.
             sub.faults = sub.faults.decrement(c.index for c in group.cells)
-        group.not_before = now + sub.retry_backoff * 2 ** (group.attempt - 1)
+        group.not_before = now + self.retry_backoff * 2 ** (group.attempt - 1)
         self.pending.append(group)
         self._emit(
             sub, "retry", gid=group.gid, cells=len(group.cells),

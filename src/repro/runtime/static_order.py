@@ -275,8 +275,9 @@ class RunPlan:
 
     Section IV's policy consumes only the schedule's mapping and order, so
     every field is a pure function of the schedule: the frame ``order``
-    (checked against ``pred_table``); per job, indexed like the graph's
-    jobs, ``proc_of``, the base duration on that processor in the graph's
+    (the start order, accepted by the schedule's Definition 3.2 check of
+    the edges in ``pred_table``); per job, indexed like the graph's jobs,
+    ``proc_of``, the base duration on that processor in the graph's
     duration-table ticks (``wcet_t``), its process's jobs per frame
     (``counts``), ``is_server``, ``k``, ``process`` and ``keys``
     (``(process, k)``); the ``processes`` in order of first job; the
@@ -312,7 +313,8 @@ class RunPlan:
     ) -> None:
         graph = schedule.graph
         self.pred_table = pred_table
-        self.order = _frame_order(schedule, pred_table)
+        _refuse(schedule, schedule._problems())
+        self.order = schedule.start_order()
         self.proc_of = proc_of = schedule.mapping_table()
         per_proc = graph.platform_ticks(schedule.platform).per_proc
         self.wcet_t = [per_proc[p][i] for i, p in enumerate(proc_of)]
@@ -346,31 +348,31 @@ def _job_columns(jobs: Sequence[Job]) -> Tuple[Any, ...]:
     )
 
 
-def _frame_order(
-    schedule: StaticSchedule, pred_table: List[Tuple[int, ...]]
-) -> List[int]:
-    """Job indices ordered by (static start, index).
+def _refuse(
+    schedule: StaticSchedule, problems: List[Tuple[str, int, int]]
+) -> None:
+    """Raise if the frame order, the schedule's start order, is not
+    topological for the precedence edges.
 
-    For a feasible schedule this order is topological for the union of
-    precedence edges and per-processor chains, so a single pass resolves
-    all timing dependencies within a frame.  A schedule that leaves a job
-    unscheduled raises :class:`SchedulingError`; one whose start times
-    contradict the precedence edges is rejected loudly with
-    :class:`RuntimeModelError` — the timing recurrence would otherwise
-    read uncomputed predecessor end times.
+    *problems* is the schedule's memoised Definition 3.2 check.  An
+    unscheduled job raises :class:`SchedulingError`; a successor that
+    starts before its predecessor (a precedence problem, as no job ends
+    before it starts) raises :class:`RuntimeModelError` for the lowest
+    successor, then predecessor: the timing recurrence would read
+    uncomputed end times.  Overlaps and misses run.
     """
-    start = schedule.tick_view()[1]
-    if None in start:
-        schedule.mapping(start.index(None))  # raises SchedulingError
-    jobs = schedule.graph.jobs
-    # A predecessor has the smaller index, so it precedes its successor in
-    # the order exactly when it does not start later.
-    for i, preds in enumerate(pred_table):
-        for p in preds:
-            if start[p] > start[i]:
-                raise RuntimeModelError(
-                    f"static schedule starts job {jobs[i].name} before its "
-                    f"predecessor {jobs[p].name} — precedence-violating "
-                    "schedules cannot drive the static-order policy"
-                )
-    return schedule.start_order()
+    if problems and problems[0][0] == "missing":
+        schedule.mapping(problems[0][1])  # raises SchedulingError
+    start = schedule.start
+    reversed_edges = [
+        (j, i) for kind, i, j in problems
+        if kind == "precedence" and start(i) > start(j)
+    ]
+    if reversed_edges:
+        j, i = min(reversed_edges)
+        jobs = schedule.graph.jobs
+        raise RuntimeModelError(
+            f"static schedule starts job {jobs[j].name} before its "
+            f"predecessor {jobs[i].name} — precedence-violating "
+            "schedules cannot drive the static-order policy"
+        )

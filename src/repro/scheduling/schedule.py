@@ -164,9 +164,10 @@ class StaticSchedule:
                   Sequence[int], Sequence[int]]
         ] = None
         self._start_order: Optional[List[int]] = None
-        self._orders: Optional[List[List[int]]] = None
         self._entries: Optional[List[ScheduledJob]] = None
         self._memo: Optional[Dict[Any, Any]] = None
+        #: ``(successor table, problems)`` of the last Definition 3.2 check
+        self._checked: Optional[Tuple[Any, List[Tuple[str, int, int]]]] = None
 
     # ------------------------------------------------------------------
     def _placed(self, job_index: int) -> int:
@@ -245,8 +246,9 @@ class StaticSchedule:
         extended if hand-built entries carry start times outside it.
         ``start[i]`` is ``None`` for an unscheduled job.  ``wcet`` holds
         each scheduled job's duration on its assigned processor
-        (unscheduled jobs keep their base WCET).  Built lazily once and
-        shared by the feasibility checks and :meth:`makespan`.
+        (unscheduled jobs keep their base WCET).  Built lazily once, for
+        :meth:`makespan` and callers; the feasibility check reads the
+        duration table directly.
         """
         cached = self._ticks
         if cached is None:
@@ -295,62 +297,79 @@ class StaticSchedule:
             )
         return order
 
-    def _processor_orders(self) -> List[List[int]]:
-        orders = self._orders
-        if orders is None:
-            orders = self._orders = [[] for _ in range(self.processors)]
-            proc_of = self._proc_of
-            for i in self.start_order():
-                orders[proc_of[i]].append(i)
-        return orders
-
     def processor_order(self, processor: int) -> List[int]:
         """Job indices mapped to *processor*, in start-time order.
 
         This is exactly the per-processor static order consumed by the
         online policy (Section IV).
         """
-        return list(self._processor_orders()[processor])
+        proc_of = self._proc_of
+        return [i for i in self.start_order() if proc_of[i] == processor]
 
     def orders(self) -> List[List[int]]:
         """Per-processor static orders for all processors."""
-        return [list(order) for order in self._processor_orders()]
+        return [self.processor_order(m) for m in range(self.processors)]
 
     # ------------------------------------------------------------------
     def _problems(self) -> List[Tuple[str, int, int]]:
         """Definition 3.2 violations as ``(kind, a, b)``, in report order.
 
-        Decided wholly on the tick arrays: ``a`` is the job (the
-        predecessor or the earlier job for ``precedence`` / ``mutex``),
-        ``b`` the successor or later job (``-1`` otherwise).
+        ``a`` is the job (the predecessor or the earlier job for
+        ``precedence`` / ``mutex``), ``b`` the successor or later job
+        (``-1`` otherwise).  Memoised per edge set, keyed by the identity
+        of ``graph.successor_table()`` (every edge mutation replaces it);
+        the run plan reads the same list.
         """
-        _, start_t, arrival_t, wcet_t, deadline_t = self.tick_view()
-        end_t = [None if s is None else s + w for s, w in zip(start_t, wcet_t)]
+        succ_table = self.graph.successor_table()
+        checked = self._checked
+        if checked is None or checked[0] is not succ_table:
+            checked = self._checked = (succ_table, self._check(succ_table))
+        return checked[1]
+
+    def _check(self, succ_table: List[Tuple[int, ...]]) -> List[Tuple[str, int, int]]:
+        """The Definition 3.2 pass on the schedule's own start ticks and
+        processors: one walk of the start order (arrival, deadline, and
+        overlap with the previous job on the processor), one of the edges."""
+        start_t, proc_of = self._start_t, self._proc_of
+        table = self.graph.platform_ticks(self.platform)
+        tt, per_proc = table.ticks, table.per_proc
+        arrival_t, deadline_t = tt.arrival, tt.deadline
+        factor = tt.domain.rescale_factor(self._domain)
+        if factor != 1:  # hand-built entries with finer start times
+            arrival_t = [t * factor for t in arrival_t]
+            deadline_t = [t * factor for t in deadline_t]
+            per_proc = [[t * factor for t in row] for row in per_proc]
+        end_t = [-1] * len(start_t)  # -1: unscheduled, never after a start
+        last = [-1] * self.processors
+        bad: List[int] = []
+        mutex: List[Tuple[str, int, int]] = []
+        for i in self.start_order():
+            s, p = start_t[i], proc_of[i]
+            end = end_t[i] = s + per_proc[p][i]
+            if s < arrival_t[i] or end > deadline_t[i]:
+                bad.append(i)
+            a = last[p]
+            if a >= 0 and end_t[a] > s:
+                mutex.append(("mutex", a, i))
+            last[p] = i
         out = [("missing", i, -1) for i, s in enumerate(start_t) if s is None]
-        bad = [
-            i for i in self.start_order()
-            if start_t[i] < arrival_t[i] or end_t[i] > deadline_t[i]
-        ]
+        if out:  # no predecessor ends after an unscheduled job's start
+            start_t = [float("inf") if s is None else s for s in start_t]
         if bad:
-            proc_of = self._proc_of
             bad.sort(key=lambda i: (start_t[i], proc_of[i]))
             for i in bad:
                 if start_t[i] < arrival_t[i]:
                     out.append(("arrival", i, -1))
                 if end_t[i] > deadline_t[i]:
                     out.append(("deadline", i, -1))
-        for i, succs in enumerate(self.graph.successor_table()):
+        for i, succs in enumerate(succ_table):
             end = end_t[i]
-            if end is None:
-                continue
             for j in succs:
-                start = start_t[j]
-                if start is not None and end > start:
+                if end > start_t[j]:
                     out.append(("precedence", i, j))
-        for order in self._processor_orders():
-            for a, b in zip(order, order[1:]):
-                if end_t[a] > start_t[b]:
-                    out.append(("mutex", a, b))
+        if mutex:
+            mutex.sort(key=lambda m: proc_of[m[1]])
+            out += mutex
         return out
 
     def violation_count(self) -> int:
@@ -417,7 +436,7 @@ class StaticSchedule:
 
 _SCHEDULE_FIELDS = (
     "graph", "platform", "processors", "_domain", "_start_t", "_proc_of",
-    "_ticks", "_start_order", "_orders", "_entries", "_memo",
+    "_ticks", "_start_order", "_entries", "_memo", "_checked",
 )
 
 

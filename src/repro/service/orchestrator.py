@@ -215,8 +215,6 @@ class SweepOrchestrator:
         client: Optional[str] = None,
         faults: Optional[FaultPlan] = None,
         on_error: str = "capture",
-        group_timeout: Optional[float] = None,
-        max_retries: Optional[int] = None,
     ) -> int:
         """Enqueue a matrix on the shared pool; returns the ticket id.
 
@@ -231,11 +229,7 @@ class SweepOrchestrator:
             self._next_tid += 1
             ticket = _Ticket(tid, client, len(matrix))
             self._tickets[tid] = ticket
-        kwargs = dict(
-            metrics=metrics, faults=faults, on_error=on_error,
-            group_timeout=group_timeout, max_retries=max_retries,
-            client=client,
-        )
+        kwargs = dict(metrics=metrics, faults=faults, on_error=on_error, client=client)
         try:
             await asyncio.wrap_future(
                 self._post("submit", ticket, matrix, kwargs)

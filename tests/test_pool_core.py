@@ -1,6 +1,6 @@
 """The pool's policy core driven in simulated time: affinity order, tag
 fairness, backoff doubling, the retry budget, deadlines armed at ready,
-boot failures, cancel, the interrupt drain, and a seeded random fuzz of
+boot failures (one spawn per slot, not per group), cancel, the interrupt drain, and a seeded random fuzz of
 event sequences against the core's invariants.  Nothing here starts a
 process or reads a clock."""
 
@@ -20,9 +20,10 @@ from repro.experiment.pool_core import LRU, PoolCore, Slot, Submission
 Cell = namedtuple("Cell", "index")
 
 
-def _core(workers, *warm):
-    """A core whose slots are booted, idle and warm on the given keys."""
-    core = PoolCore(workers, warm_bound=8)
+def _core(workers, *warm, **policy):
+    """A core whose slots are booted, idle and warm on the given keys;
+    *policy* is its supervision policy."""
+    core = PoolCore(workers, warm_bound=8, **policy)
     for index, keys in enumerate(warm):
         slot = Slot(index, LRU(8), up=True, ready=True)
         for key in keys:
@@ -132,8 +133,8 @@ class TestFairness:
 # ---------------------------------------------------------------------------
 class TestSupervision:
     def test_backoff_doubles_and_gates_the_redispatch(self):
-        core = _core(1, [])
-        sub = _submit(core, "k", max_retries=3, retry_backoff=1.0)
+        core = _core(1, [], max_retries=3, retry_backoff=1.0)
+        sub = _submit(core, "k")
         _dispatch(core, 0.0)
         slot = core.slots[0]
         now, waits = 0.0, []
@@ -154,8 +155,8 @@ class TestSupervision:
         assert sub.retries == 3
 
     def test_budget_exhaustion_records_the_redispatches_performed(self):
-        core = _core(1, [])
-        sub = _submit(core, "k", max_retries=1, retry_backoff=0.0)
+        core = _core(1, [], max_retries=1, retry_backoff=0.0)
+        sub = _submit(core, "k")
         slot = core.slots[0]
         _dispatch(core)
         core.died(slot, 1.0)
@@ -174,8 +175,8 @@ class TestSupervision:
         assert sub.finished and not sub.interrupted
 
     def test_deadline_clock_starts_at_ready(self):
-        core = PoolCore(1, warm_bound=8)
-        sub = _submit(core, "k", group_timeout=5.0)
+        core = PoolCore(1, warm_bound=8, group_timeout=5.0)
+        sub = _submit(core, "k")
         actions = _dispatch(core, 0.0)
         assert [a[0] for a in actions][:2] == ["spawn", "send"]
         slot = core.slots[0]
@@ -192,8 +193,8 @@ class TestSupervision:
         assert sub.retries == 1 and slot.group is None
 
     def test_deadline_clock_starts_at_dispatch_on_a_booted_slot(self):
-        core = _core(1, [])
-        _submit(core, "k", group_timeout=2.0, max_retries=0)
+        core = _core(1, [], group_timeout=2.0, max_retries=0)
+        _submit(core, "k")
         _dispatch(core, 3.0)
         assert core.slots[0].deadline == 5.0
         actions = _dispatch(core, 6.0)
@@ -201,8 +202,8 @@ class TestSupervision:
         assert isinstance(fail[2], SweepTimeoutError)
 
     def test_death_before_ready_fails_fast(self):
-        core = PoolCore(1, warm_bound=8)
-        sub = _submit(core, "k", max_retries=5)
+        core = PoolCore(1, warm_bound=8, max_retries=5)
+        sub = _submit(core, "k")
         _dispatch(core)
         slot = core.slots[0]
         core.died(slot, 1.0)
@@ -215,6 +216,37 @@ class TestSupervision:
         _submit(core, "k", first_cell=1)
         assert [a[0] for a in _dispatch(core, 2.0)][:2] == ["spawn", "send"]
         assert slot.up and len(core.slots) == 1
+
+    def test_boot_deaths_cost_one_spawn_per_slot(self):
+        core = PoolCore(2, warm_bound=8)
+        sub = _submit(core, "a", "b", "c", "d", "e")
+        actions = _dispatch(core)
+        slots = core.slots
+        # Neither slot is ready: the first death fails its group and every
+        # pending group of the submission, the second death the last one.
+        for now, slot in enumerate(slots, start=1):
+            core.died(slot, float(now))
+            actions += core.take()
+        actions += _dispatch(core, 3.0)
+        kinds = Counter(a[0] for a in actions)
+        assert (kinds["spawn"], kinds["fail"]) == (2, 5)
+        fails = [a for a in actions if a[0] == "fail"]
+        assert all(isinstance(a[2], WorkerBootError) for a in fails)
+        assert sorted(a[1].key for a in fails) == ["a", "b", "c", "d", "e"]
+        assert actions[-1] == ("settle", sub) and not core.pending
+        # A later submission spawns afresh.
+        _submit(core, "f", first_cell=5)
+        assert [a[0] for a in _dispatch(core, 4.0)][:2] == ["spawn", "send"]
+
+    def test_boot_death_beside_a_ready_slot_fails_only_its_group(self):
+        core = _core(2, [])
+        sub = _submit(core, "a", "b", "c")
+        assert _sends(_dispatch(core)) == [(0, "a"), (1, "b")]
+        core.died(core.slots[1], 1.0)
+        actions = core.take()
+        assert [(a[0], a[1].key) for a in actions] == [("fail", "b")]
+        assert [g.key for g in core.pending] == ["c"]
+        assert not sub.finished
 
     def test_death_after_ready_is_a_crash_and_retried(self):
         core = PoolCore(1, warm_bound=8)
@@ -229,9 +261,9 @@ class TestSupervision:
         assert sub.retries == 1 and not sub.finished
 
     def test_requeue_consumes_a_fault_firing(self):
-        core = _core(1, [])
+        core = _core(1, [], retry_backoff=0.0)
         plan = FaultPlan(kill_at={0: 2, 7: 1})
-        sub = _submit(core, "k", faults=plan, retry_backoff=0.0)
+        sub = _submit(core, "k", faults=plan)
         _dispatch(core)
         core.died(core.slots[0], 1.0)
         assert sub.faults == plan.decrement([0])
@@ -302,7 +334,12 @@ class _Harness:
 
     def __init__(self, rng):
         self.rng = rng
-        self.core = PoolCore(rng.randint(1, 3), warm_bound=2)
+        self.core = PoolCore(
+            rng.randint(1, 3), warm_bound=2,
+            group_timeout=rng.choice([None, 1.0, 3.0]),
+            max_retries=rng.randint(0, 2),
+            retry_backoff=rng.choice([0.0, 0.5, 1.0]),
+        )
         self.now = 0.0
         self.next_cell = 0
         self.subs = []
@@ -336,7 +373,7 @@ class _Harness:
                 if event.kind == "retry":
                     group = self.groups[event.gid]
                     self.due[group.gid] = self.now + (
-                        sub.retry_backoff * 2 ** (group.attempt - 1)
+                        self.core.retry_backoff * 2 ** (group.attempt - 1)
                     )
             elif kind == "interrupt":
                 self.core.interrupt()
@@ -383,11 +420,7 @@ class _Harness:
             if keys and rng.random() < 0.15:
                 faults = FaultPlan(interrupt_at=(self.next_cell,))
             sub = Submission(
-                client=rng.choice([None, "x", "y"]),
-                group_timeout=rng.choice([None, 1.0, 3.0]),
-                max_retries=rng.randint(0, 2),
-                retry_backoff=rng.choice([0.0, 0.5, 1.0]),
-                faults=faults,
+                client=rng.choice([None, "x", "y"]), faults=faults,
             )
             groups = []
             for key in keys:

@@ -62,8 +62,10 @@ def test_a_worker_that_cannot_boot_fails_fast(tmp_path):
     )
     elapsed = time.monotonic() - t0
     assert done.returncode == 0, done.stderr[-2000:]
-    # Both groups fail with the boot error, none is retried.
+    # Both groups fail with the boot error, none is retried, and the
+    # first death fails the pending group too: one doomed child boots.
     assert done.stdout.split("\n")[0] == "['WorkerBootError'] 2 0"
+    assert done.stderr.count("Traceback (most recent call last)") == 1
     assert elapsed < 20.0
 
 

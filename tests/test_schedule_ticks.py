@@ -14,6 +14,7 @@ the default portfolio — feasible and infeasible schedules alike.
 
 import gc
 import json
+import random
 import weakref
 from fractions import Fraction
 from functools import lru_cache
@@ -177,6 +178,108 @@ def test_corrupted_start_reported_identically(kind):
     found = [(v.kind, v.detail) for v in trusted.violations()]
     assert kind in [k for k, _ in found]
     assert found == reference_violations(public)
+
+
+# ---------------------------------------------------------------------------
+# the Definition 3.2 check: a seeded differential, its memo and its reuse
+# ---------------------------------------------------------------------------
+KINDS = {"missing", "arrival", "deadline", "precedence", "mutex"}
+
+
+def _corrupted(app, platform, seed):
+    """The ``alap`` list schedule corrupted at many jobs at once: swapped
+    processors, moved starts (some off the tick grid), one dropped entry
+    and an overlap on every processor, each moving a job no other
+    corruption moves, so that none undoes another."""
+    _net, graph, plat = case(app, platform)
+    schedule = list_schedule(graph, plat, "alap")
+    rng = random.Random(seed)
+    n, jobs = len(graph), graph.jobs
+    start = [schedule.start(i) for i in range(n)]
+    proc = list(schedule.mapping_table())
+    for _ in range(2 if schedule.processors > 1 else 0):
+        a, b = rng.sample(range(n), 2)
+        proc[a], proc[b] = proc[b], proc[a]
+    late = [i for i in range(n) if jobs[i].arrival > 0]
+    moved = set(rng.sample(late, min(2, len(late))))
+    for i in moved:  # before arrival
+        start[i] = jobs[i].arrival * Fraction(rng.randint(0, 6), 7)
+    each = 1 if n < 20 else 2
+    edges = rng.sample([e for e in graph.edges() if moved.isdisjoint(e)], each)
+    for i, j in edges:  # a successor starts with its predecessor
+        start[j] = start[i]
+    moved.update(*edges)
+    free = [i for i in range(n) if i not in moved]
+    missed = rng.sample(free, each)
+    for i in missed:  # past the deadline, at one start: a tie to order
+        start[i] = max(jobs[m].deadline for m in missed)
+        free.remove(i)
+    drop = rng.choice(free)
+    free.remove(drop)
+    for p in range(schedule.processors):  # an overlap on every processor
+        mine = [i for i in range(n) if proc[i] == p and i != drop]
+        movable = [i for i in mine if i in free]
+        if movable and len(mine) > 1:
+            b = rng.choice(movable)
+            start[b] = start[rng.choice([i for i in mine if i != b])]
+    return StaticSchedule(graph, plat, [
+        ScheduledJob(i, proc[i], start[i]) for i in range(n) if i != drop
+    ])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("platform", ["m1", "m2", "m3", "big_little"])
+@pytest.mark.parametrize("app", ["fig1", "fft", "fms"])
+def test_corrupted_schedules_match_the_oracle(app, platform, seed):
+    schedule = _corrupted(app, platform, seed)
+    found = [(v.kind, v.detail) for v in schedule.violations()]
+    assert found == reference_violations(schedule)
+    assert schedule.violation_count() == len(found)
+    # FFT jobs all arrive at 0: no start precedes an arrival there.
+    has_late = any(job.arrival > 0 for job in schedule.graph.jobs)
+    assert {kind for kind, _ in found} == KINDS - (
+        set() if has_late else {"arrival"}
+    )
+    overlapping = {d.rsplit(" ", 1)[1] for k, d in found if k == "mutex"}
+    assert len(overlapping) >= min(schedule.processors, 2)
+
+
+def test_violation_count_sees_an_edge_added_later():
+    graph = derive_task_graph(build_fig1_network(), fig1_wcets())
+    schedule = list_schedule(graph, 2)
+    assert schedule.violation_count() == 0
+    i, j = next(
+        (i, j) for i in range(len(graph)) for j in range(i + 1, len(graph))
+        if schedule.end(i) > schedule.start(j)
+        and schedule.mapping(i) != schedule.mapping(j)
+    )
+    graph.add_edge(i, j)
+    assert schedule.violation_count() == 1
+    assert [v.kind for v in schedule.violations()] == ["precedence"]
+    assert not schedule.is_feasible()
+    graph.remove_edge(i, j)
+    assert schedule.violation_count() == 0
+
+
+def test_one_check_per_schedule_and_edge_set(monkeypatch):
+    calls = []
+    check = StaticSchedule._check
+
+    def spy(self, *args):
+        calls.append(self)
+        return check(self, *args)
+
+    monkeypatch.setattr(StaticSchedule, "_check", spy)
+    net = build_fig1_network()
+    graph = derive_task_graph(net, fig1_wcets())
+    schedule = list_schedule(graph, 2)
+    assert schedule.violation_count() == 0
+    assert schedule.violations() == []
+    assert schedule.require_feasible() is schedule
+    assert schedule.is_feasible()
+    RunPlan.of(schedule)
+    run_static_order(net, schedule, 2, fig1_stimulus(2), records_only=True)
+    assert calls == [schedule]
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,26 @@ class TestRunPlanRejections:
             run_static_order(net, StaticSchedule(graph, 2, entries), 2,
                              fig1_stimulus(2))
 
+    def test_two_reversed_edges_name_the_lowest_successor(self):
+        net, graph, schedule = self.fig1()
+        # CoefB[2] moves after its successor FilterB[1], and InputA[1]
+        # after its successors FilterA[1] and FilterB[1]: the lowest
+        # successor is named, not the lowest predecessor.
+        late = {"CoefB[2]": Fraction(200), "InputA[1]": Fraction(300)}
+        entries = [
+            ScheduledJob(e.job_index, e.processor,
+                         late.get(graph.jobs[e.job_index].name, e.start))
+            for e in schedule.entries
+        ]
+        assert graph.index_of("FilterA[1]") < graph.index_of("FilterB[1]")
+        assert graph.index_of("CoefB[2]") < graph.index_of("InputA[1]")
+        with pytest.raises(
+            RuntimeModelError,
+            match=r"starts job FilterA\[1\] before its predecessor InputA\[1\]",
+        ):
+            run_static_order(net, StaticSchedule(graph, 2, entries), 2,
+                             fig1_stimulus(2))
+
     def test_edge_added_after_a_run_is_checked_again(self):
         net, graph, schedule = self.fig1()
         run_static_order(net, schedule, 2, fig1_stimulus(2), records_only=True)

@@ -13,6 +13,7 @@ from repro.apps import fig1_scenario
 from repro.errors import ModelError, SweepError
 from repro.experiment.faults import InjectedFault, apply_cell_faults
 from repro.io import sweep_result_from_dict, sweep_result_to_dict
+from repro.io.json_io import fault_plan_from_dict, fault_plan_to_dict
 
 #: The standard fault matrix: two schedule-key groups (processors 2 / 3),
 #: two runtime cells each.  Cell indices: 0,1 -> p=2; 2,3 -> p=3.
@@ -74,8 +75,8 @@ class TestFaultPlan:
             raise_at=(1,), kill_at={2: 3}, delay_at={0: (0.5, 2)},
             interrupt_at=(3,),
         )
-        assert FaultPlan.from_jsonable(
-            json.loads(json.dumps(plan.to_jsonable()))
+        assert fault_plan_from_dict(
+            json.loads(json.dumps(fault_plan_to_dict(plan)))
         ) == plan
 
     def test_apply_raise_and_interrupt(self):

@@ -38,6 +38,7 @@ from repro.experiment.sweep import (
 )
 from repro.io.json_io import (
     FormatError,
+    fault_plan_from_dict,
     sweep_result_from_dict,
     sweep_result_to_dict,
 )
@@ -249,6 +250,22 @@ class TestPoolReply:
         assert [r.error.stage for r in pooled.failed_rows] == list(STAGES)
         assert {r.error.retries for r in pooled.failed_rows} == {2}
         assert isinstance(pooled.rows[0].metrics["makespan"], Fraction)
+
+    def test_group_fault_plan_bytes_are_pinned(self):
+        """A group's share of a plan using all four fault kinds, byte for
+        byte, through the one fault-plan codec in ``json_io``."""
+        plan = FaultPlan(
+            raise_at=(1, 7), kill_at={2: 3, 9: 1}, delay_at={0: (0.5, 2)},
+            interrupt_at=(3,),
+        )
+        payload = _encode_service_group(_pool_cells(), self.METRICS, faults=plan)
+        assert (
+            '"faults": {"raise_at": [1], "kill_at": [[2, 3]], '
+            '"delay_at": [[0, 0.5, 2]], "interrupt_at": [3]}'
+        ) in payload
+        assert fault_plan_from_dict(json.loads(payload)["faults"]) == (
+            plan.restrict(range(6))
+        )
 
 
 # ---------------------------------------------------------------------------
