@@ -61,8 +61,10 @@ test-hetero:
 # types (test_jitter_draws) — and tick-native static schedules
 # against hand-built ones and the Fraction list scheduler and feasibility
 # check, corrupted schedules against that check, and the memoised
-# Definition 3.2 check run once per schedule and edge set and reused by
-# the run plan (test_schedule_ticks); plus the runtime paths around them: the
+# Definition 3.2 check run once per schedule and reused by the run plan
+# (test_schedule_ticks), over frozen task graphs — edges checked and
+# sorted at construction (test_jobs_graph), heuristic ranks memoised once
+# per graph (test_rank_memo); plus the runtime paths around them: the
 # per-class observer rule and fast modes (test_observers), live-vs-replay
 # data events (test_data_phase_events), the run plan's rejections and the
 # arrival binding (test_static_order_binding), the stimulus's run memo —
@@ -77,7 +79,8 @@ test-ticks:
 		tests/test_jitter_draws.py tests/test_schedule_ticks.py \
 		tests/test_observers.py tests/test_data_phase_events.py \
 		tests/test_static_order_binding.py tests/test_stimulus_memo.py \
-		tests/test_perfbench_surface.py -q
+		tests/test_perfbench_surface.py tests/test_jobs_graph.py \
+		tests/test_rank_memo.py -q
 
 # Error-level lint (ruff.toml: syntax errors / undefined names only).
 # Skips gracefully when ruff is not in the environment; CI installs it.

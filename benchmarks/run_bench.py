@@ -166,6 +166,21 @@ def _case_e9_derive_40s(fast: bool):
     return lambda: derive_task_graph(net, wcets), {"experiment": "E9"}
 
 
+def _case_e9_graph_build_40s(fast: bool):
+    """``TaskGraph(jobs, edges, H)`` alone on the fms-40s graph: the
+    constructor's edge checks and sorted adjacency tuples, with the
+    derivation that produced the jobs and edges untimed."""
+    from repro.taskgraph.graph import TaskGraph
+
+    graph = derive_task_graph(build_fms_network(reduced_hyperperiod=False), fms_wcets())
+    jobs, edges, hyperperiod = graph.jobs, graph.edges(), graph.hyperperiod
+    return lambda: TaskGraph(jobs, edges, hyperperiod), {
+        "experiment": "E9",
+        "jobs": len(jobs),
+        "edges": len(edges),
+    }
+
+
 def _case_e9_schedule_40s(fast: bool):
     graph = derive_task_graph(build_fms_network(reduced_hyperperiod=False), fms_wcets())
     return lambda: find_feasible_schedule(graph, 1), {
@@ -635,6 +650,7 @@ CASES: List[Case] = [
     ("e8_heuristics", _case_e8_heuristics),
     ("e8_search", _case_e8_search),
     ("e9_derive_40s", _case_e9_derive_40s),
+    ("e9_graph_build_40s", _case_e9_graph_build_40s),
     ("e9_schedule_40s", _case_e9_schedule_40s),
     ("e9_schedule_loop_40s", _case_e9_schedule_loop_40s),
     ("e9_check_40s", _case_e9_check_40s),

@@ -50,7 +50,6 @@ from .faults import FaultPlan
 from .pool_core import LRU, PoolCore, PoolEvent, Submission
 from .store import ScenarioKeys, SweepStore
 from .sweep import (
-    DATA_METRICS,
     DEFAULT_METRICS,
     ScenarioMatrix,
     SweepCell,
@@ -60,7 +59,7 @@ from .sweep import (
     _CellOutcome,
     _SweepBook,
     _cell_error,
-    _check_metrics,
+    _check_request,
     _dispatch_plan,
     _run_cells,
 )
@@ -177,7 +176,7 @@ def _service_run_group(payload: str, caches: _WorkerCaches) -> str:
     )
 
     data = json.loads(payload)
-    metrics = tuple(data["metrics"])
+    metrics, want_data = _check_request(data["metrics"])
     plan_data = data.get("faults")
     payload_hits = 0
 
@@ -210,7 +209,7 @@ def _service_run_group(payload: str, caches: _WorkerCaches) -> str:
     cache, warm = caches.pipelines.fetch(cache_key, PipelineCache)
     outcomes = []
     for outcome in _run_cells(
-        cells, metrics, any(name in DATA_METRICS for name in metrics),
+        cells, metrics, want_data,
         cache=cache,
         faults=None if plan_data is None
         else fault_plan_from_dict(plan_data),
@@ -574,11 +573,7 @@ class SweepPool:
         """
         if self._closed:
             raise ModelError("SweepPool is closed")
-        metrics, want_data = _check_metrics(metrics)
-        if on_error not in ("capture", "raise"):
-            raise ModelError(
-                f"on_error must be 'capture' or 'raise', got {on_error!r}"
-            )
+        metrics, want_data = _check_request(metrics, on_error)
         cells = list(matrix.cells() if cells is None else cells)
         # Count the cells actually submitted: an explicit ``cells=``
         # subset (a resubmission of failed/missing cells, say) must not

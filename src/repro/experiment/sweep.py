@@ -122,36 +122,26 @@ DEFAULT_METRICS: Tuple[str, ...] = TIMING_METRICS + DATA_METRICS
 _SCENARIO_FIELDS = frozenset(f.name for f in dataclasses.fields(Scenario))
 
 
-def _extract_metric(m: MetricsObserver, name: str) -> Any:
-    if name == "total_jobs":
-        return m.total_jobs
-    if name == "executed_jobs":
-        return m.executed_jobs
-    if name == "false_jobs":
-        return m.false_jobs
-    if name == "missed_jobs":
-        return m.missed_jobs
-    if name == "worst_lateness":
-        return m.worst_lateness
-    if name == "makespan":
-        return m.makespan
-    if name == "frame_makespan_max":
-        return max(m.frame_makespans(), default=ZERO)
-    if name == "peak_utilization":
-        # Exact rational, not float: sweep rows promise bit-identical,
-        # JSON-round-trippable metrics (the "$frac" tagged encoding), and
-        # busy/horizon are both exact.
-        return max(m.processor_utilization_exact(), default=ZERO)
-    if name == "kernel_busy":
-        return sum(
-            (s.total_busy for s in m.kernel_span_stats().values()), ZERO
-        )
-    if name == "channel_writes":
-        return sum(m.channel_write_counts().values())
-    raise ModelError(
-        f"unknown sweep metric {name!r} — known: "
-        f"{', '.join(DEFAULT_METRICS)}"
-    )
+#: How a row reads each metric off its cell's observer.
+_EXTRACTORS: Dict[str, Callable[[MetricsObserver], Any]] = {
+    "total_jobs": lambda m: m.total_jobs,
+    "executed_jobs": lambda m: m.executed_jobs,
+    "false_jobs": lambda m: m.false_jobs,
+    "missed_jobs": lambda m: m.missed_jobs,
+    "worst_lateness": lambda m: m.worst_lateness,
+    "makespan": lambda m: m.makespan,
+    "frame_makespan_max": lambda m: max(m.frame_makespans(), default=ZERO),
+    # Exact rational, not float: sweep rows promise bit-identical,
+    # JSON-round-trippable metrics (the "$frac" tagged encoding), and
+    # busy/horizon are both exact.
+    "peak_utilization": lambda m: max(
+        m.processor_utilization_exact(), default=ZERO
+    ),
+    "kernel_busy": lambda m: sum(
+        (s.total_busy for s in m.kernel_span_stats().values()), ZERO
+    ),
+    "channel_writes": lambda m: sum(m.channel_write_counts().values()),
+}
 
 
 @dataclass(frozen=True)
@@ -390,17 +380,28 @@ def _cell_str(value: Any) -> str:
     return str(value)
 
 
-def _check_metrics(metrics: Sequence[str]) -> Tuple[Tuple[str, ...], bool]:
-    """Validated metric tuple plus whether any metric needs the data phase."""
+def _check_request(
+    metrics: Sequence[str], on_error: str = "capture"
+) -> Tuple[Tuple[str, ...], bool]:
+    """Validated metric tuple plus whether any metric needs the data phase.
+
+    The one check of a sweep request's metrics and ``on_error`` mode,
+    shared by :func:`run_sweep`, :meth:`SweepPool.submit` and the pool
+    worker.
+    """
     metrics = tuple(metrics)
     if not metrics:
         raise ModelError("run_sweep needs at least one metric")
     for name in metrics:
-        if name not in DEFAULT_METRICS:
+        if name not in _EXTRACTORS:
             raise ModelError(
                 f"unknown sweep metric {name!r} — known: "
                 f"{', '.join(DEFAULT_METRICS)}"
             )
+    if on_error not in ("capture", "raise"):
+        raise ModelError(
+            f"on_error must be 'capture' or 'raise', got {on_error!r}"
+        )
     return metrics, any(name in DATA_METRICS for name in metrics)
 
 
@@ -455,7 +456,7 @@ def _run_cell(
     experiment = Experiment(run_scenario, cache=cache)
     result = experiment.run(observers=observers)
     return (
-        {n: _extract_metric(observer, n) for n in metrics},
+        {n: _EXTRACTORS[n](observer) for n in metrics},
         result if keep_results else None,
     )
 
@@ -852,13 +853,9 @@ def run_sweep(
         — exceptions are swallowed — and the serial path emits nothing
         (there are no groups or dispatches to report).
     """
-    metrics, want_data = _check_metrics(metrics)
+    metrics, want_data = _check_request(metrics, on_error)
     if workers < 1:
         raise ModelError("workers must be >= 1")
-    if on_error not in ("capture", "raise"):
-        raise ModelError(
-            f"on_error must be 'capture' or 'raise', got {on_error!r}"
-        )
     if max_retries < 0:
         raise ModelError("max_retries must be >= 0")
     if retry_backoff < 0:

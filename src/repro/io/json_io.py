@@ -181,7 +181,17 @@ def task_graph_from_dict(data: Mapping[str, Any]) -> TaskGraph:
         except KeyError as exc:
             raise FormatError(f"job {i} missing field {exc}") from exc
     hyper = data.get("hyperperiod")
-    edges = [tuple(e) for e in data.get("edges", [])]
+    edges = data.get("edges", [])
+    if not isinstance(edges, list):
+        raise FormatError(f"task graph edges must be a list, got {edges!r}")
+    for pos, edge in enumerate(edges):
+        # bool is an int subclass, but true/false is no job index
+        if not (isinstance(edge, list) and len(edge) == 2
+                and all(type(x) is int for x in edge)):
+            raise FormatError(
+                f"edge {pos} must be a [from, to] pair of job indices, "
+                f"got {edge!r}"
+            )
     return TaskGraph(
         jobs, edges,
         None if hyper is None else _time_in(hyper, "hyperperiod"),

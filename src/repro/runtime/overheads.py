@@ -80,7 +80,8 @@ class OverheadModel:
     def as_overhead_job(
         self, graph: TaskGraph, overhead: TimeLike = None
     ) -> TaskGraph:
-        """A copy of *graph* with the paper's extra overhead job prepended.
+        """*graph* with the paper's extra overhead job prepended (*graph*
+        itself when the overhead is zero).
 
         The synthetic job ``__overhead__[1]`` arrives at 0, consumes the
         (worst-case) frame-arrival overhead, and precedes every source job of
@@ -92,7 +93,7 @@ class OverheadModel:
             "overhead",
         )
         if value == 0:
-            return graph.copy()
+            return graph
         deadline = graph.hyperperiod if graph.hyperperiod is not None else max(
             j.deadline for j in graph.jobs
         )

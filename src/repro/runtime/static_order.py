@@ -275,8 +275,8 @@ class RunPlan:
 
     Section IV's policy consumes only the schedule's mapping and order, so
     every field is a pure function of the schedule: the frame ``order``
-    (the start order, accepted by the schedule's Definition 3.2 check of
-    the edges in ``pred_table``); per job, indexed like the graph's jobs,
+    (the start order, accepted by the schedule's Definition 3.2 check);
+    the graph's ``pred_table``; per job, indexed like the graph's jobs,
     ``proc_of``, the base duration on that processor in the graph's
     duration-table ticks (``wcet_t``), its process's jobs per frame
     (``counts``), ``is_server``, ``k``, ``process`` and ``keys``
@@ -300,19 +300,16 @@ class RunPlan:
 
     @classmethod
     def of(cls, schedule: StaticSchedule) -> "RunPlan":
-        """The schedule's plan, rebuilt when the graph's edges change."""
-        pred_table = schedule.graph.predecessor_table()
+        """The schedule's plan, built on first use."""
         memo = schedule.run_memo()
         plan = memo.get("run-plan")
-        if plan is None or plan.pred_table is not pred_table:
-            plan = memo["run-plan"] = cls(schedule, pred_table)
+        if plan is None:
+            plan = memo["run-plan"] = cls(schedule)
         return plan
 
-    def __init__(
-        self, schedule: StaticSchedule, pred_table: List[Tuple[int, ...]]
-    ) -> None:
+    def __init__(self, schedule: StaticSchedule) -> None:
         graph = schedule.graph
-        self.pred_table = pred_table
+        self.pred_table = graph.predecessor_table()
         _refuse(schedule, schedule._problems())
         self.order = schedule.start_order()
         self.proc_of = proc_of = schedule.mapping_table()

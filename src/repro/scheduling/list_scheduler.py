@@ -23,8 +23,9 @@ Arrivals are fixed per graph, so the loop walks one arrival-sorted job
 order (:meth:`TaskGraph.arrival_order`) instead of popping a heap.  A named
 heuristic ranks once per graph and ranking input (:meth:`TaskGraph.rank_memo`:
 name, plus class names, speeds and WCET aggregate if platform-aware —
-never class counts), so it must be deterministic in those; its ranks are
-checked to be a permutation where they enter the memo.
+never class counts), so it must be deterministic in those; a graph's edges
+are fixed at construction, so a memoised ranking never goes stale.  Its
+ranks are checked to be a permutation where they enter the memo.
 
 The loop's start-tick and processor arrays are handed over as they are: the
 :class:`~repro.scheduling.schedule.StaticSchedule` keeps them as its only

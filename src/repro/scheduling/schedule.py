@@ -166,8 +166,8 @@ class StaticSchedule:
         self._start_order: Optional[List[int]] = None
         self._entries: Optional[List[ScheduledJob]] = None
         self._memo: Optional[Dict[Any, Any]] = None
-        #: ``(successor table, problems)`` of the last Definition 3.2 check
-        self._checked: Optional[Tuple[Any, List[Tuple[str, int, int]]]] = None
+        #: the Definition 3.2 problems, once checked (see :meth:`_problems`)
+        self._checked: Optional[List[Tuple[str, int, int]]] = None
 
     # ------------------------------------------------------------------
     def _placed(self, job_index: int) -> int:
@@ -316,17 +316,15 @@ class StaticSchedule:
 
         ``a`` is the job (the predecessor or the earlier job for
         ``precedence`` / ``mutex``), ``b`` the successor or later job
-        (``-1`` otherwise).  Memoised per edge set, keyed by the identity
-        of ``graph.successor_table()`` (every edge mutation replaces it);
-        the run plan reads the same list.
+        (``-1`` otherwise).  Memoised on the schedule (its graph and
+        arrays never change); the run plan reads the same list.
         """
-        succ_table = self.graph.successor_table()
         checked = self._checked
-        if checked is None or checked[0] is not succ_table:
-            checked = self._checked = (succ_table, self._check(succ_table))
-        return checked[1]
+        if checked is None:
+            checked = self._checked = self._check()
+        return checked
 
-    def _check(self, succ_table: List[Tuple[int, ...]]) -> List[Tuple[str, int, int]]:
+    def _check(self) -> List[Tuple[str, int, int]]:
         """The Definition 3.2 pass on the schedule's own start ticks and
         processors: one walk of the start order (arrival, deadline, and
         overlap with the previous job on the processor), one of the edges."""
@@ -362,7 +360,7 @@ class StaticSchedule:
                     out.append(("arrival", i, -1))
                 if end_t[i] > deadline_t[i]:
                     out.append(("deadline", i, -1))
-        for i, succs in enumerate(succ_table):
+        for i, succs in enumerate(self.graph.successor_table()):
             end = end_t[i]
             for j in succs:
                 if end > start_t[j]:

@@ -6,12 +6,12 @@ every edge ``(i, j)`` satisfies ``i < j``.  The class enforces this, which
 makes downstream algorithms (ASAP/ALAP, list scheduling, transitive
 reduction) single forward/backward passes.
 
-The adjacency is one **sorted tuple** of successors and one of
-predecessors per job, kept sorted by ``add_edge``/``remove_edge``, so the
-hot scheduling and simulation loops pay no per-call sorting.  The tables
-of them and the rank memo are cached and dropped by every edge mutation.
-The job list itself is frozen at construction (the name index, the
-arrival order and the integer-tick time view rely on that).
+The graph is immutable: the constructor checks every edge and builds one
+**sorted tuple** of successors and one of predecessors per job, so the hot
+scheduling and simulation loops pay no per-call sorting, and the tables
+of them and every memo (ranks, time views, run columns) live as long as
+the graph without a staleness check.  Section III-A derives the graph
+once; list scheduling and the online policy only read it.
 """
 
 from __future__ import annotations
@@ -56,42 +56,34 @@ class TaskGraph:
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ModelError(f"duplicate job names in task graph: {dupes!r}")
         self._index: Dict[str, int] = {name: i for i, name in enumerate(names)}
-        self._succ: List[Tuple[int, ...]] = [()] * len(self.jobs)
-        self._pred: List[Tuple[int, ...]] = [()] * len(self.jobs)
-        # Edge-derived caches, all in one dict that edge mutations clear.
-        self._adj_cache: Dict[str, Any] = {}
-        # Job-derived caches (jobs are frozen at construction, never stale).
+        n = len(self.jobs)
+        succ: List[Tuple[int, ...]] = [()] * n
+        pred: List[Tuple[int, ...]] = [()] * n
+        for i, j in edges:
+            if not (0 <= i < n and 0 <= j < n):
+                raise ModelError(f"edge ({i}, {j}) out of range for {n} jobs")
+            if i >= j:
+                if i == j:
+                    raise ModelError(f"self-loop on job {self.jobs[i].name}")
+                raise ModelError(
+                    f"edge ({i}, {j}) violates the <J total order "
+                    f"({self.jobs[i].name} comes after {self.jobs[j].name})"
+                )
+            s = succ[i]
+            if j in s:  # a repeated edge is a no-op
+                continue
+            # Sorted inserts; derivation order makes appends the common case.
+            succ[i] = s + (j,) if not s or s[-1] < j else tuple(sorted((*s, j)))
+            p = pred[j]
+            pred[j] = p + (i,) if not p or p[-1] < i else tuple(sorted((*p, i)))
+        self._succ = succ
+        self._pred = pred
+        self._ranks: Dict[Any, List[int]] = {}
         self._jobs_of_view: Optional[Dict[str, Tuple[int, ...]]] = None
         self._tick_times: Optional[JobTicks] = None
         self._arrival_order: Optional[Tuple[int, ...]] = None
         self._platform_ticks: Dict[tuple, PlatformTicks] = {}
         self._run_memo: Dict[Any, Any] = {}
-        for i, j in edges:
-            self.add_edge(i, j)
-
-    # ------------------------------------------------------------------
-    def add_edge(self, i: int, j: int) -> None:
-        """Add precedence edge ``jobs[i] -> jobs[j]`` (requires ``i < j``)."""
-        n = len(self.jobs)
-        if not (0 <= i < n and 0 <= j < n):
-            raise ModelError(f"edge ({i}, {j}) out of range for {n} jobs")
-        if i == j:
-            raise ModelError(f"self-loop on job {self.jobs[i].name}")
-        if i > j:
-            raise ModelError(
-                f"edge ({i}, {j}) violates the <J total order "
-                f"({self.jobs[i].name} comes after {self.jobs[j].name})"
-            )
-        if j not in self._succ[i]:
-            self._succ[i] = _inserted(self._succ[i], j)
-            self._pred[j] = _inserted(self._pred[j], i)
-            self._adj_cache.clear()
-
-    def remove_edge(self, i: int, j: int) -> None:
-        if j in self._succ[i]:
-            self._succ[i] = tuple(s for s in self._succ[i] if s != j)
-            self._pred[j] = tuple(p for p in self._pred[j] if p != i)
-            self._adj_cache.clear()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -125,19 +117,13 @@ class TaskGraph:
         return self._pred[i]
 
     def successor_table(self) -> List[Tuple[int, ...]]:
-        """The successor tuples, indexed like ``jobs``: a cached snapshot
-        (an edge mutation hands out a new list; identity marks a version)."""
-        view = self._adj_cache.get("succ")
-        if view is None:
-            view = self._adj_cache["succ"] = list(self._succ)
-        return view
+        """The successor tuples, indexed like ``jobs`` (the stored list:
+        callers must not mutate it)."""
+        return self._succ
 
     def predecessor_table(self) -> List[Tuple[int, ...]]:
-        """The predecessor tuples (a snapshot, like :meth:`successor_table`)."""
-        view = self._adj_cache.get("pred")
-        if view is None:
-            view = self._adj_cache["pred"] = list(self._pred)
-        return view
+        """The predecessor tuples (the stored list, like :meth:`successor_table`)."""
+        return self._pred
 
     def edges(self) -> List[Edge]:
         """All edges as sorted ``(i, j)`` pairs."""
@@ -194,13 +180,9 @@ class TaskGraph:
     def rank_memo(self) -> Dict[Any, List[int]]:
         """This graph's memo of SP heuristic rank lists.
 
-        Emptied by every edge mutation (rankings read the edges).  Callers
-        must not mutate a list they read from it.
+        Callers must not mutate a list they read from it.
         """
-        memo = self._adj_cache.get("ranks")
-        if memo is None:
-            memo = self._adj_cache["ranks"] = {}
-        return memo
+        return self._ranks
 
     def platform_ticks(self, platform: Platform) -> PlatformTicks:
         """The graph's duration table on *platform* (cached per shape).
@@ -246,18 +228,9 @@ class TaskGraph:
 
         return len(reduce_edge_list(len(self), self.edges())) == self.edge_count
 
-    def copy(self) -> "TaskGraph":
-        return TaskGraph(self.jobs, self.edges(), self.hyperperiod)
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
             f"TaskGraph(jobs={len(self.jobs)}, edges={self.edge_count}, "
             f"H={self.hyperperiod})"
         )
 
-
-def _inserted(items: Tuple[int, ...], x: int) -> Tuple[int, ...]:
-    """Sorted *items* with *x* added (appended when it is the largest)."""
-    if not items or items[-1] < x:
-        return items + (x,)
-    return tuple(sorted((*items, x)))

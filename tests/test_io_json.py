@@ -7,6 +7,7 @@ import pytest
 
 from repro.apps import build_fig1_network, build_fms_network, fig1_wcets, fms_wcets
 from repro.core import ChannelKind
+from repro.errors import ModelError
 from repro.io import (
     FormatError,
     load_json,
@@ -83,6 +84,31 @@ class TestTaskGraphRoundTrip:
                 {"format": "fppn-taskgraph", "version": 1, "hyperperiod": "x!",
                  "jobs": [], "edges": []}
             )
+
+    @pytest.mark.parametrize("edges, error, match", [
+        ([[0, 1], [0]], FormatError, r"edge 1 must be"),
+        ([[0, 1], [0, 1, 2]], FormatError, r"edge 1 must be"),
+        ([[0, 1], ["0", "1"]], FormatError, r"edge 1 must be"),
+        ([[0, 1], [0.0, 1.0]], FormatError, r"edge 1 must be"),
+        ([[0, 1], [True, 2]], FormatError, r"edge 1 must be"),
+        ([[0, 1], 7], FormatError, r"edge 1 must be"),
+        ({"0": 1}, FormatError, r"edges must be a list"),
+        ("0,1", FormatError, r"edges must be a list"),
+        ([[0, 1], [0, 999]], ModelError, r"out of range"),
+        ([[0, 1], [2, 1]], ModelError, r"total order"),
+    ], ids=[
+        "one-index", "three-indices", "strings", "floats", "bool", "scalar",
+        "object", "string", "out-of-range", "order",
+    ])
+    def test_malformed_edges_reported(self, fig1_graph, edges, error, match):
+        graph_doc = task_graph_to_dict(fig1_graph)
+        graph_doc["edges"] = edges
+        with pytest.raises(error, match=match):
+            task_graph_from_dict(graph_doc)
+        schedule_doc = schedule_to_dict(find_feasible_schedule(fig1_graph, 2))
+        schedule_doc["graph"]["edges"] = edges
+        with pytest.raises(error, match=match):
+            schedule_from_dict(schedule_doc)
 
 
 class TestScheduleRoundTrip:

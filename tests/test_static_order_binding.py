@@ -202,16 +202,3 @@ class TestRunPlanRejections:
         ):
             run_static_order(net, StaticSchedule(graph, 2, entries), 2,
                              fig1_stimulus(2))
-
-    def test_edge_added_after_a_run_is_checked_again(self):
-        net, graph, schedule = self.fig1()
-        run_static_order(net, schedule, 2, fig1_stimulus(2), records_only=True)
-        pos = {i: idx for idx, i in enumerate(schedule.start_order())}
-        i, j = next(
-            (i, j) for i in range(len(graph)) for j in range(i + 1, len(graph))
-            if pos[j] < pos[i]
-        )
-        graph.add_edge(i, j)
-        with pytest.raises(RuntimeModelError, match="before its predecessor"):
-            run_static_order(net, schedule, 2, fig1_stimulus(2),
-                             records_only=True)

@@ -259,11 +259,21 @@ class TestLeanExecution:
         assert float(value) == max(m.processor_utilization())
 
     def test_metric_validation(self):
+        from repro.experiment.sweep import _EXTRACTORS
+
+        assert tuple(_EXTRACTORS) == DEFAULT_METRICS
         matrix = fig1_matrix({"jitter_seed": [0]})
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match="needs at least one metric"):
             run_sweep(matrix, metrics=())
-        with pytest.raises(ModelError):
+        with pytest.raises(
+            ModelError, match="unknown sweep metric 'no_such_metric' — known: "
+            + ", ".join(DEFAULT_METRICS)
+        ):
             run_sweep(matrix, metrics=("no_such_metric",))
+        with pytest.raises(
+            ModelError, match="on_error must be 'capture' or 'raise', got 'skip'"
+        ):
+            run_sweep(matrix, on_error="skip")
 
 
 # ---------------------------------------------------------------------------
