@@ -54,11 +54,13 @@ test-hetero:
 
 # Tick-path lane: the integer-tick runtime against its Fraction oracles —
 # timing records and schedules (test_tick_equivalence), data-phase
-# observables (test_data_phase_equivalence), the tick-fed metrics and
-# tick-sampled jitter against MetricsObserver.on_record and the Fraction
-# reference sampler (test_tick_path), the jitter draw rule itself — golden
-# draws, bounds, uniformity, hash-seed independence and accepted seed
-# types (test_jitter_draws) — and tick-native static schedules
+# observables (test_data_phase_equivalence), the tick-fed metrics —
+# timing aggregates and data-phase kernel spans and channel-write counts —
+# and tick-sampled jitter against MetricsObserver.on_record, its data
+# hooks, replay() and the Fraction reference sampler (test_tick_path),
+# the jitter draw rule itself — golden draws, bounds, uniformity,
+# hash-seed independence and accepted seed types (test_jitter_draws) —
+# and tick-native static schedules
 # against hand-built ones and the Fraction list scheduler and feasibility
 # check, corrupted schedules against that check, and the memoised
 # Definition 3.2 check run once per schedule and reused by the run plan

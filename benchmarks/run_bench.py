@@ -55,13 +55,20 @@ from repro.apps import (
     build_fms_network,
     fig1_stimulus,
     fig1_wcets,
+    fft,
     fft_stimulus,
     fft_wcets,
     fms_scenario,
     fms_stimulus,
     fms_wcets,
 )
-from repro.experiment import TIMING_METRICS, ScenarioMatrix, run_sweep
+from repro.experiment import (
+    DEFAULT_METRICS,
+    TIMING_METRICS,
+    PipelineCache,
+    ScenarioMatrix,
+    run_sweep,
+)
 from repro.runtime import OverheadModel, jittered_execution, run_static_order
 from repro.scheduling import (
     find_feasible_schedule,
@@ -393,6 +400,34 @@ def _case_fms_resweep(fast: bool):
     }
 
 
+def _case_fft_sweep_data(fast: bool):
+    """The data phase inside a sweep: each call is a fresh 8-cell
+    ``DEFAULT_METRICS`` ``run_sweep`` (four jitter seeds no earlier call
+    drew x {no overheads, MPPA-like}) over one 50-frame FFT scenario on a
+    warm pipeline cache — an ``fft`` ticket of perfbench's ``served_mix``
+    as a warm worker runs it.  ``kernel_busy`` and ``channel_writes``
+    keep the data phase in every cell."""
+    frames = 5 if fast else 50
+    base = fft.scenario(n_frames=frames)
+    cache = PipelineCache()
+    seeds = itertools.count(1)
+
+    def sweep():
+        matrix = ScenarioMatrix(base, {
+            "jitter_seed": [next(seeds) for _ in range(4)],
+            "overheads": [OverheadModel.none(), OverheadModel.mppa_like()],
+        })
+        return _complete(
+            run_sweep(matrix, metrics=DEFAULT_METRICS, cache=cache), 8
+        )
+
+    sweep()  # derivation and schedule, untimed
+    return sweep, {
+        "experiment": "sweep", "frames": frames, "cells": 8,
+        "mode": "DEFAULT_METRICS, fresh seeds, warm cache",
+    }
+
+
 #: The multi-schedule-key FMS sweep for the parallel backend: processor
 #: counts x jitter seeds.  Two processor counts mean two schedule-key
 #: groups, the parallel dispatch unit — ``workers=2`` hands one group to
@@ -663,6 +698,7 @@ CASES: List[Case] = [
     ("fms_sweep_3x3", _case_fms_sweep_3x3),
     ("fms_sweep_3x3_naive", _case_fms_sweep_3x3_naive),
     ("fms_resweep", _case_fms_resweep),
+    ("fft_sweep_data", _case_fft_sweep_data),
     ("fms_sweep_resume", _case_fms_sweep_resume),
     ("store_keys_fms3", _case_store_keys_fms3),
     ("fms_hetero_sweep", _case_fms_hetero_sweep),

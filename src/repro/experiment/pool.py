@@ -176,7 +176,7 @@ def _service_run_group(payload: str, caches: _WorkerCaches) -> str:
     )
 
     data = json.loads(payload)
-    metrics, want_data = _check_request(data["metrics"])
+    metrics, want_data = _check_request("a sweep group", data["metrics"])
     plan_data = data.get("faults")
     payload_hits = 0
 
@@ -573,7 +573,9 @@ class SweepPool:
         """
         if self._closed:
             raise ModelError("SweepPool is closed")
-        metrics, want_data = _check_request(metrics, on_error)
+        metrics, want_data = _check_request(
+            "SweepPool.submit", metrics, on_error
+        )
         cells = list(matrix.cells() if cells is None else cells)
         # Count the cells actually submitted: an explicit ``cells=``
         # subset (a resubmission of failed/missing cells, say) must not

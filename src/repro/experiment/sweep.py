@@ -20,9 +20,12 @@ Two properties make sweeps cheap at scenario scale:
 * **Streaming execution** — each cell runs with ``collect_records=False`` and
   ``collect_trace=False`` (nothing is retained per instance; the cell's
   :class:`~repro.runtime.observers.MetricsObserver` receives integer-tick
-  aggregates once per run, so no job record is built), and when the
-  requested metrics are timing derived only, the data phase is skipped
-  entirely (``records_only=True`` — no kernels, no channel states).
+  aggregates once per run — timing totals, and kernel spans and
+  channel-write counts from the data phase — so no job record is built
+  and no data event is sent; its hooks stay the rule and the path of
+  ``replay``), and when the requested metrics are timing derived only,
+  the data phase is skipped entirely (``records_only=True`` — no
+  kernels, no channel states).
 
 Rows are deterministic: the same matrix produces bit-identical rows on
 every run (exact rational metrics; jitter models are seed-keyed), which is
@@ -381,17 +384,17 @@ def _cell_str(value: Any) -> str:
 
 
 def _check_request(
-    metrics: Sequence[str], on_error: str = "capture"
+    entry: str, metrics: Sequence[str], on_error: str = "capture"
 ) -> Tuple[Tuple[str, ...], bool]:
     """Validated metric tuple plus whether any metric needs the data phase.
 
     The one check of a sweep request's metrics and ``on_error`` mode,
     shared by :func:`run_sweep`, :meth:`SweepPool.submit` and the pool
-    worker.
+    worker; *entry* names the caller's entry point in the errors.
     """
     metrics = tuple(metrics)
     if not metrics:
-        raise ModelError("run_sweep needs at least one metric")
+        raise ModelError(f"{entry} needs at least one metric")
     for name in metrics:
         if name not in _EXTRACTORS:
             raise ModelError(
@@ -853,7 +856,7 @@ def run_sweep(
         — exceptions are swallowed — and the serial path emits nothing
         (there are no groups or dispatches to report).
     """
-    metrics, want_data = _check_request(metrics, on_error)
+    metrics, want_data = _check_request("run_sweep", metrics, on_error)
     if workers < 1:
         raise ModelError("workers must be >= 1")
     if max_retries < 0:

@@ -40,7 +40,8 @@ The executor is split into a **timing core** and pluggable **consumers**:
    :class:`~repro.runtime.observers.MetricsObserver` classes) get integer
    aggregates once per run instead of one record per instance, so a
    timing-only run with no other record consumer builds no
-   :class:`JobRecord` at all.
+   :class:`JobRecord` at all.  The data phase feeds them its kernel-span
+   and channel-write aggregates the same way, in ticks, once per run.
 2. **Data phase** (:meth:`MultiprocessorExecutor._data_phase`) — the
    kernels of all *true* jobs run in ``(start, frame, <J index)`` order
    against fresh channel states.  Jobs sharing a channel can never overlap
@@ -448,7 +449,8 @@ class MultiprocessorExecutor:
             :class:`~repro.runtime.observers.ExecutionObserver` instances
             receiving run/overhead/record events as they are resolved, and —
             when the data phase runs — the per-kernel span and channel
-            write events.
+            write events.  Stock ``MetricsObserver`` classes get the same
+            aggregates in integer ticks, once per run, instead.
         records_only:
             Skip the data phase (no kernels, no channel states): the result
             carries identical :class:`JobRecord` timing but empty
@@ -950,9 +952,17 @@ class MultiprocessorExecutor:
           log inside :class:`JobContext`) is built only when
           *collect_trace*;
         * data-phase observer events (kernel spans, channel writes) are
-          emitted only to observers whose class consumes them
-          (:attr:`ExecutionObserver.consumes_data`) — with none attached
-          the loop does no Fraction conversions beyond the releases.
+          emitted only to observers whose class consumes them as events
+          (:attr:`ExecutionObserver.consumes_data`, not
+          :attr:`ExecutionObserver.data_tick_fed`) — with none attached
+          the loop converts no start or end tick to a Fraction and
+          installs no write hook;
+        * tick-fed observers (stock
+          :class:`~repro.runtime.observers.MetricsObserver` classes) get
+          the same aggregates once, before ``on_run_end``: per-process
+          kernel-span count, total and maximum accumulated as ints where
+          the loop switches process, and per-channel write counts read
+          off the run's channel write logs, so nothing runs per write.
         """
         network = self.network
         channel_states: Dict[str, ChannelState] = {
@@ -976,11 +986,19 @@ class MultiprocessorExecutor:
         memo_get = frac_memo.get
         process_of = plan.process
 
-        consumers = [ob for ob in observers if ob.consumes_data]
+        tick_fed = [ob for ob in observers if ob.data_tick_fed]
+        consumers = [
+            ob for ob in observers if ob.consumes_data and not ob.data_tick_fed
+        ]
         notify_start = [ob.on_job_data_start for ob in consumers]
         notify_end = [ob.on_job_data_end for ob in consumers]
         notify_write = [ob.on_channel_write for ob in consumers]
         emit_spans = bool(consumers)
+        # Per-process kernel spans in ticks, (count, total, max): the
+        # running process's triple lives in locals and is swapped in and
+        # out where the loop switches process.
+        spans: Dict[str, Tuple[int, int, int]] = {}
+        count = total = top = 0
         # Channel writes are observed through the JobContext write hook; the
         # executing job's identity and start instant are threaded through a
         # mutable cell shared by all contexts, so the hot path installs no
@@ -1027,9 +1045,19 @@ class MultiprocessorExecutor:
         for start_t, frame, job_idx, global_k, release_t, end_t in order:
             name = process_of[job_idx]
             if name != prev_name:
+                if tick_fed:
+                    if prev_name is not None:
+                        spans[prev_name] = (count, total, top)
+                    count, total, top = spans.get(name, (0, 0, 0))
                 ctx, dispatch = bindings[name]
                 rebind = ctx._rebind
                 prev_name = name
+            if tick_fed:
+                span = end_t - start_t
+                count += 1
+                total += span
+                if span > top:
+                    top = span
             release = memo_get(release_t)
             if release is None:
                 release = frac_memo[release_t] = from_ticks(release_t)
@@ -1053,6 +1081,15 @@ class MultiprocessorExecutor:
                     end_f = frac_memo[end_t] = from_ticks(end_t)
                 for emit in notify_end:
                     emit(name, global_k, frame, end_f)
+        if tick_fed:
+            if prev_name is not None:
+                spans[prev_name] = (count, total, top)
+            writes = {
+                n: len(s.write_log) for n, s in channel_states.items()
+                if s.write_log
+            }
+            for ob in tick_fed:
+                ob._absorb_data_ticks(spans, writes, from_ticks)
         return (
             {n: list(s.write_log) for n, s in channel_states.items()},
             {n: s.as_sequence() for n, s in ext_out.items()},

@@ -37,11 +37,13 @@ Event order and domain:
 
 An observer class consumes the streams whose hooks it overrides,
 decided once when the class is created (:class:`ExecutionObserver`).
-Stock :class:`MetricsObserver` classes (those that keep its
-``on_record``) are *tick-fed*: a live run does not send them
-``on_record`` but aggregates the same timing metrics in integer ticks
-and hands them over once, before ``on_run_end`` (:class:`TickMetrics`).
-``on_record`` stays their rule and the path :func:`replay` drives.
+Stock :class:`MetricsObserver` classes are *tick-fed*: a live run sends
+them neither ``on_record`` (while they keep its ``on_record``) nor data
+events (while they keep its three data hooks), but aggregates the same
+metrics in integer ticks and hands them over once per run, before
+``on_run_end`` — the timing aggregates as :class:`TickMetrics`, the
+kernel spans and channel-write counts from the data phase.  The hooks
+stay their rule and the path :func:`replay` drives.
 
 ``run(records_only=True)`` skips the data phase (no ``JobContext``, no
 kernel dispatch, empty channel observables, no data events) for
@@ -98,7 +100,11 @@ class ExecutionObserver:
     data-phase hook does (inherited overrides count; restoring a base
     no-op opts out).  It is :attr:`tick_fed` when its ``on_record`` is the
     stock :class:`MetricsObserver` rule (``_tick_rule``), which a live run
-    replaces by one :class:`TickMetrics` hand-over.  The executor,
+    replaces by one :class:`TickMetrics` hand-over, and
+    :attr:`data_tick_fed` when its three data hooks are the stock ones
+    (``_data_rule``), which a live run replaces by one hand-over of
+    kernel-span and channel-write totals.  A class that overrides any data
+    hook gets the full data event stream instead.  The executor,
     :func:`replay` and the experiment layer read these class attributes,
     so an instance attribute that shadows a hook subscribes nothing.
     """
@@ -106,18 +112,22 @@ class ExecutionObserver:
     consumes_records = False
     consumes_data = False
     tick_fed = False
+    data_tick_fed = False
     _tick_rule: Any = None
+    _data_rule: Any = None
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         base = ExecutionObserver
+        data_hooks = (
+            cls.on_job_data_start, cls.on_job_data_end, cls.on_channel_write
+        )
         cls.consumes_records = cls.on_record is not base.on_record
-        cls.consumes_data = (
-            cls.on_job_data_start is not base.on_job_data_start
-            or cls.on_job_data_end is not base.on_job_data_end
-            or cls.on_channel_write is not base.on_channel_write
+        cls.consumes_data = data_hooks != (
+            base.on_job_data_start, base.on_job_data_end, base.on_channel_write
         )
         cls.tick_fed = cls.on_record is cls._tick_rule
+        cls.data_tick_fed = data_hooks == cls._data_rule
 
     def on_run_start(self, meta: RunMeta) -> None:
         """The run's static shape, before any timing is resolved."""
@@ -268,11 +278,12 @@ class MetricsObserver(ExecutionObserver):
     retaining per-instance data.
 
     A live run feeds this observer integer-tick totals once per run
-    (:meth:`_absorb_ticks`); :meth:`on_record` is the same rule applied
-    record by record, for :func:`replay` and for subclasses that override
-    it (which are fed records, not ticks).  The optional aggregates can
-    be switched off at construction: scenario sweeps request only the
-    metrics their table needs.  Disabled aggregates refuse to report
+    (:meth:`_absorb_ticks`, and :meth:`_absorb_data_ticks` when the data
+    phase runs); :meth:`on_record` and the data hooks are the same rules
+    applied event by event, for :func:`replay` and for subclasses that
+    override them (which are fed events, not ticks).  The optional
+    aggregates can be switched off at construction: scenario sweeps
+    request only the metrics their table needs.  Disabled aggregates refuse to report
     (their accessors raise) instead of returning silent zeros.
     """
 
@@ -392,17 +403,44 @@ class MetricsObserver(ExecutionObserver):
         self._span_open[(process, k)] = start
 
     def on_job_data_end(self, process: str, k: int, frame: int, end: Time) -> None:
-        start = self._span_open.pop((process, k))
-        span = end - start
-        self._span_count[process] = self._span_count.get(process, 0) + 1
+        span = end - self._span_open.pop((process, k))
+        count = self._span_count.get(process, 0)
+        self._span_count[process] = count + 1
         self._span_total[process] = self._span_total.get(process, ZERO) + span
-        if span > self._span_max.get(process, ZERO):
+        # The first span sets the maximum even when it is zero long.
+        if not count or span > self._span_max[process]:
             self._span_max[process] = span
 
     def on_channel_write(
         self, process: str, channel: str, value: Any, time: Time
     ) -> None:
         self._channel_writes[channel] = self._channel_writes.get(channel, 0) + 1
+
+    _data_rule = (on_job_data_start, on_job_data_end, on_channel_write)
+
+    def _absorb_data_ticks(
+        self,
+        spans: Dict[str, Tuple[int, int, int]],
+        writes: Dict[str, int],
+        from_ticks: Any,
+    ) -> None:
+        """Take a whole run's data-phase aggregates from the executor.
+
+        The live-run counterpart of the data hooks: *spans* maps each
+        process with a true instance to its kernel-span ``(count, total,
+        max)`` in integer ticks, *writes* each written channel to its
+        write count.  The hooks stay the rule (and the path of
+        :func:`replay`); the tick-path differential suite holds the two
+        equal.
+        """
+        self._span_count = {name: n for name, (n, _, _) in spans.items()}
+        self._span_total = {
+            name: from_ticks(total) for name, (_, total, _) in spans.items()
+        }
+        self._span_max = {
+            name: from_ticks(top) for name, (_, _, top) in spans.items()
+        }
+        self._channel_writes = dict(writes)
 
     def on_run_end(self, result: "RuntimeResult") -> None:
         # A replay of a trace-suppressed result emits no data events even
@@ -510,10 +548,11 @@ class MetricsObserver(ExecutionObserver):
         }
 
     def channel_write_counts(self) -> Dict[str, int]:
-        """Number of internal channel writes observed, per channel."""
+        """Number of internal channel writes observed, per written
+        channel, sorted by channel name."""
         self._require_run()
         self._require_data_events()
-        return dict(self._channel_writes)
+        return dict(sorted(self._channel_writes.items()))
 
 
 class TraceObserver(ExecutionObserver):

@@ -36,7 +36,7 @@ class TaskGraph:
         Jobs in ``<J`` order (arrival-time–major total order from the
         derivation).
     edges:
-        Iterable of ``(i, j)`` index pairs, each with ``i < j``.
+        Iterable of ``(i, j)`` int index pairs, each with ``i < j``.
     hyperperiod:
         The frame length ``H`` the graph was derived for (kept for the
         online policy and feasibility checks); optional for hand-built
@@ -60,6 +60,11 @@ class TaskGraph:
         succ: List[Tuple[int, ...]] = [()] * n
         pred: List[Tuple[int, ...]] = [()] * n
         for i, j in edges:
+            # bool is an int subclass, but True/False is no job index
+            if type(i) is not int or type(j) is not int:
+                raise ModelError(
+                    f"edge ({i!r}, {j!r}) must join two int job indices"
+                )
             if not (0 <= i < n and 0 <= j < n):
                 raise ModelError(f"edge ({i}, {j}) out of range for {n} jobs")
             if i >= j:

@@ -138,6 +138,29 @@ class TestReplayRoundTrip:
         assert post_t.channel_write_times == live_t.channel_write_times
         assert kernel_span_stats(result) == live_m.kernel_span_stats()
 
+    def test_channel_write_counts_sorted_on_every_path(self):
+        class EventFed(MetricsObserver):
+            def on_channel_write(self, process, channel, value, time):
+                super().on_channel_write(process, channel, value, time)
+
+        log, ticks, events = DataEventLog(), MetricsObserver(), EventFed()
+        result = run_with([log, ticks, events])
+        replayed = MetricsObserver()
+        replay(result, replayed)
+        first_written = list(dict.fromkeys(
+            ev[2] for ev in log.events if ev[0] == "write"
+        ))
+        # First-write, network and name order all differ on this network,
+        # so the pinned order is not an accident of either build order.
+        assert len({tuple(first_written), tuple(result.channel_logs),
+                    tuple(sorted(first_written))}) == 3
+        for m in (ticks, events, replayed):
+            counts = m.channel_write_counts()
+            assert list(counts) == sorted(first_written)
+            assert counts == {
+                c: len(v) for c, v in result.channel_logs.items() if v
+            }
+
     def test_vcd_channel_wires_round_trip(self):
         live_t = TraceObserver()
         result = run_with([live_t])

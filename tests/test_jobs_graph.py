@@ -80,7 +80,12 @@ class TestTaskGraph:
         ([(1, 3), (0, 3), (1, 3)], None, [(0, 3), (1, 3)]),
         ([(2, 3), (0, 3), (0, 1), (0, 2)], None,
          [(0, 1), (0, 2), (0, 3), (2, 3)]),
-    ], ids=["out-of-range", "self-loop", "order", "duplicate", "unsorted"])
+        ([(0, 1.0)], r"^edge \(0, 1\.0\) must join two int job indices$",
+         None),
+        ([(0, 1), (False, True)],
+         r"^edge \(False, True\) must join two int job indices$", None),
+    ], ids=["out-of-range", "self-loop", "order", "duplicate", "unsorted",
+            "float-endpoint", "bool-endpoints"])
     def test_constructor_edge_rules(self, edges, match, stored):
         jobs = [J(f"p{i}") for i in range(4)]
         if match is not None:

@@ -387,6 +387,36 @@ class TestObserverRule:
         assert counting.miss_summary() == stock.miss_summary()
         assert counting.miss_summary() == miss_summary(full)
 
+    def test_metrics_subclass_overriding_a_data_hook_is_fed_data_events(self):
+        class Writes(MetricsObserver):
+            def __init__(self):
+                super().__init__()
+                self.writes = 0
+                self.timing_hand_overs = 0
+
+            def on_channel_write(self, process, channel, value, time):
+                self.writes += 1
+                super().on_channel_write(process, channel, value, time)
+
+            def _absorb_ticks(self, totals, from_ticks):
+                self.timing_hand_overs += 1
+                super()._absorb_ticks(totals, from_ticks)
+
+            def _absorb_data_ticks(self, spans, writes, from_ticks):
+                raise AssertionError("a data-event consumer was fed ticks")
+
+        assert MetricsObserver.tick_fed and MetricsObserver.data_tick_fed
+        assert Writes.tick_fed
+        assert Writes.consumes_data and not Writes.data_tick_fed
+        writes, stock = Writes(), MetricsObserver()
+        result = fig1_run([writes, stock], collect_records=False)
+        assert writes.timing_hand_overs == 1
+        assert writes.writes == sum(len(v) for v in result.channel_logs.values())
+        assert writes.writes > 0
+        assert writes.kernel_span_stats() == stock.kernel_span_stats()
+        assert writes.channel_write_counts() == stock.channel_write_counts()
+        assert writes.miss_summary() == stock.miss_summary()
+
     def test_timing_metrics_observer_lets_replay_skip_the_trace_walk(self):
         from repro.runtime.metrics import _TimingMetricsObserver
 
@@ -396,6 +426,7 @@ class TestObserverRule:
 
         assert _TimingMetricsObserver.tick_fed
         assert not _TimingMetricsObserver.consumes_data
+        assert not _TimingMetricsObserver.data_tick_fed
         result = fig1_run()
         result.trace = Unwalkable()
         timing = _TimingMetricsObserver()

@@ -263,8 +263,20 @@ class TestLeanExecution:
 
         assert tuple(_EXTRACTORS) == DEFAULT_METRICS
         matrix = fig1_matrix({"jitter_seed": [0]})
-        with pytest.raises(ModelError, match="needs at least one metric"):
+        with pytest.raises(
+            ModelError, match="^run_sweep needs at least one metric$"
+        ):
             run_sweep(matrix, metrics=())
+        # The shared check names the entry point that was called; the
+        # pool spawns its workers lazily, so this starts no process.
+        from repro.experiment.pool import SweepPool
+
+        with SweepPool(workers=1) as pool:
+            with pytest.raises(
+                ModelError, match="^SweepPool.submit needs at least one metric$"
+            ):
+                pool.submit(matrix, metrics=())
+            assert not pool.started
         with pytest.raises(
             ModelError, match="unknown sweep metric 'no_such_metric' — known: "
             + ", ".join(DEFAULT_METRICS)

@@ -2,14 +2,16 @@
 
 The executor feeds stock :class:`MetricsObserver` instances integer-tick
 aggregates once per run (:class:`~repro.runtime.observers.TickMetrics`)
-instead of one ``on_record`` per job instance, and samples
+instead of one ``on_record`` per job instance, hands them the data phase's
+kernel-span and channel-write totals once per run instead of one data
+event per kernel span and channel write, and samples
 :func:`jittered_execution` through its integer tick entry instead of as a
-``(job, frame) -> Fraction`` callable.  Both must be invisible: the tick
-totals equal what ``on_record`` aggregates (live through an overriding
-subclass, and post hoc through :func:`replay`), and tick-sampled runs equal
-runs driven by the Fraction reference sampler — over seeded random
-workloads x jitter seeds x overheads x homogeneous and big/little
-platforms.
+``(job, frame) -> Fraction`` callable.  All three must be invisible: the
+tick totals equal what ``on_record`` and the data hooks aggregate (live
+through an overriding subclass, and post hoc through :func:`replay`), and
+tick-sampled runs equal runs driven by the Fraction reference sampler —
+over seeded random workloads x jitter seeds x overheads x homogeneous and
+big/little platforms.
 """
 
 from fractions import Fraction
@@ -24,6 +26,7 @@ from repro.core.platform import Platform
 from repro.errors import RuntimeModelError
 from repro.runtime import (
     MetricsObserver,
+    TraceObserver,
     jittered_execution,
     replay,
     run_static_order,
@@ -37,6 +40,7 @@ from fraction_reference import (
     reference_jittered_execution,
     reference_memo_jittered_execution,
 )
+from test_data_phase_events import DataEventLog
 
 FRAMES = 3
 SEEDS = (0, 7, 23, 41)
@@ -168,6 +172,130 @@ def test_tick_metrics_match_on_record_at_the_edges(execution_time, arrivals):
         observers=[ticks, live], records_only=True, collect_records=False,
     )
     assert aggregates(ticks) == aggregates(live)
+
+
+class SpanEventFed(MetricsObserver):
+    """Overrides ``on_job_data_end``, which opts it out of the data tick
+    feed (it is still tick-fed for timing)."""
+
+    def on_job_data_end(self, process, k, frame, end):
+        super().on_job_data_end(process, k, frame, end)
+
+
+def data_aggregates(m):
+    # Lists of items, so the accessors' key order is compared too.
+    return {
+        "spans": [
+            (p, s.jobs, exact(s.total_busy), exact(s.max_span),
+             exact(s.mean_span))
+            for p, s in m.kernel_span_stats().items()
+        ],
+        "writes": list(m.channel_write_counts().items()),
+    }
+
+
+def data_paths(net, schedule, stim, model_of, overheads=None):
+    """Data aggregates of the three paths: tick-fed live, event-fed live
+    and replay of a trace-collected result."""
+    ticks = MetricsObserver()
+    # The sweep's shape: a lone stock observer, nothing retained.
+    run_static_order(
+        net, schedule, FRAMES, stim, model_of(), overheads,
+        observers=[ticks], collect_records=False, collect_trace=False,
+    )
+    events = SpanEventFed()
+    full = run_static_order(
+        net, schedule, FRAMES, stim, model_of(), overheads, observers=[events]
+    )
+    replayed = MetricsObserver()
+    replay(full, replayed)
+    return [data_aggregates(m) for m in (ticks, events, replayed)], full
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("platform", sorted(PLATFORMS))
+@pytest.mark.parametrize("overheads", sorted(OVERHEADS))
+@pytest.mark.parametrize("jitter", [None, 3])
+def test_data_ticks_match_data_events(seed, platform, overheads, jitter):
+    net, graph, stim = workload(seed)
+    schedule = list_schedule(graph, PLATFORMS[platform], "alap")
+    assert MetricsObserver.data_tick_fed and not SpanEventFed.data_tick_fed
+    (ticks, events, replayed), full = data_paths(
+        net, schedule, stim,
+        lambda: None if jitter is None else jittered_execution(jitter),
+        OVERHEADS[overheads],
+    )
+    executed = [r for r in full.records if not r.is_false]
+    assert sum(jobs for _, jobs, *_ in events["spans"]) == len(executed)
+    assert events["writes"] == sorted(
+        (c, len(v)) for c, v in full.channel_logs.items() if v
+    )
+    assert ticks == events
+    assert replayed == events
+
+
+@pytest.mark.parametrize("arrivals", [(), ("3",)])
+def test_data_ticks_match_data_events_at_the_edges(arrivals):
+    # The S -> P channel is never written (no kernel writes), and with no
+    # arrival S has no true instance in the run.
+    net = edge_network()
+    graph = derive_task_graph(net, {"P": 4, "S": 1})
+    schedule = list_schedule(graph, 1, "alap")
+    stim = Stimulus(sporadic_arrivals={"S": arrivals})
+    (ticks, events, replayed), _ = data_paths(
+        net, schedule, stim, lambda: None
+    )
+    assert events["writes"] == []
+    assert [p for p, *_ in events["spans"]] == (["P", "S"] if arrivals else ["P"])
+    assert ticks == events == replayed
+
+
+def test_zero_length_kernel_spans():
+    # A model that runs every kernel in no time: each process's maximum
+    # span is zero, on every path.
+    net, graph, stim = workload(7)
+    schedule = list_schedule(graph, 2, "alap")
+    (ticks, events, replayed), _ = data_paths(
+        net, schedule, stim, lambda: (lambda job, frame: 0)
+    )
+    assert events["spans"]
+    assert all(top == (0, 1) for _, _, _, top, _ in events["spans"])
+    assert ticks == events == replayed
+
+
+def test_reused_observer_holds_one_run():
+    net, graph, stim = workload(23)
+    schedule = list_schedule(graph, 2, "alap")
+    edge = edge_network()
+    edge_schedule = list_schedule(derive_task_graph(edge, {"P": 4, "S": 1}),
+                                  1, "alap")
+    reused, fresh = MetricsObserver(), MetricsObserver()
+    run_static_order(net, schedule, FRAMES, stim, observers=[reused])
+    run_static_order(edge, edge_schedule, FRAMES, Stimulus(),
+                     observers=[reused, fresh])
+    assert data_aggregates(reused) == data_aggregates(fresh)
+    assert [p for p, *_ in data_aggregates(fresh)["spans"]] == ["P"]
+
+
+def test_event_consumers_beside_a_tick_fed_observer_see_the_full_stream():
+    net, graph, stim = workload(41)
+    schedule = list_schedule(graph, PLATFORMS["big_little"], "alap")
+
+    def run(metrics):
+        trace, log = TraceObserver(), DataEventLog()
+        run_static_order(
+            net, schedule, FRAMES, stim, jittered_execution(3),
+            OVERHEADS["fractional"], observers=[metrics, trace, log],
+        )
+        return trace, log
+
+    ticks, events = MetricsObserver(), SpanEventFed()
+    trace_a, log_a = run(ticks)
+    trace_b, log_b = run(events)
+    assert log_a.events and log_a.events == log_b.events
+    assert trace_a.channel_write_times == trace_b.channel_write_times
+    assert trace_a.process_intervals == trace_b.process_intervals
+    assert data_aggregates(ticks) == data_aggregates(events)
 
 
 @pytest.mark.parametrize("model", ["wcet", "jitter"])
