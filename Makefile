@@ -19,7 +19,8 @@ test-faults:
 # Sweep-engine lane: the pool's policy core in simulated time (affinity,
 # tag fairness, backoff, retry budget and deadlines set once per pool,
 # boot failures — workers that cannot boot cost a submission one spawn
-# per slot, not one per group — cancel, interrupt drain, a seeded fuzz of
+# per slot, not one per group — the boot deadline, the payload mirror's
+# resets, cancel, interrupt drain, a seeded fuzz of
 # event sequences; starts no process), the resident pool (warm-cache
 # resubmits, streaming rows, submission queue/cancel, lifecycle: orphans,
 # crash respawn), the run_sweep(workers=N) path, the serial/workers=2/pool
@@ -28,11 +29,14 @@ test-faults:
 # (document, service row stream, worker reply, checkpoint store;
 # byte-stable fixtures, the group payload's fault plan), the served
 # path's parent side (store keys from one stimulus encoding per
-# submission, finished tickets releasing their inputs, a busy key's group
-# on an idle slot, wake on commands) and liveness (a worker that cannot
-# boot fails fast with one child traceback, re-streamed tickets, no
-# command waits on a closed or dead driver).  Spawns real worker
-# processes; also part of the tier-1 run.
+# submission, stimuli sent by content hash — client to server, decoded
+# once per server, to warm workers through each slot's payload mirror —
+# finished tickets releasing their inputs, a busy key's group on an idle
+# slot, wake on commands) and liveness (a worker that cannot boot fails
+# fast with one child traceback, a boot that hangs times out, re-streamed
+# tickets, no command waits on a closed or dead driver, no worker
+# outlives a SIGTERMed `repro serve` or a parent killed mid-group).
+# Spawns real worker processes; also part of the tier-1 run.
 test-pool:
 	$(PY) -m pytest tests/test_pool_core.py tests/test_sweep_pool.py \
 		tests/test_sweep_parallel.py tests/test_sweep_backends.py \

@@ -614,6 +614,70 @@ def _case_store_keys_fms3(fast: bool):
     }
 
 
+def _served_fms3_case(hits: bool):
+    """A served ``fms3`` ticket: the 8-cell 3-frame FMS matrix (4 jitter
+    seeds x processors {1, 2}) of perfbench's ``served_mix``, submitted
+    and streamed over one ``ServiceClient`` connection to an in-process
+    ``SweepServer``, the connection and server kept open across calls.
+
+    ``hits`` resubmits one matrix over a store that holds every row:
+    every cell is a store hit and no worker runs, so the call times the
+    request, the server's decode and store keys, and the row stream.
+    Otherwise each call submits fresh jitter seeds to a warm 2-worker
+    server: both schedule-key groups run, one per worker, on workers
+    that hold the stimulus from the warm-up ticket.
+    """
+
+    def build(fast: bool):
+        from repro.experiment import MemorySweepStore
+        from repro.service import ServiceClient, SweepServer
+
+        base = fms_scenario(n_frames=1 if fast else 3)
+        seeds = itertools.count(1)
+
+        def fresh_matrix():
+            return ScenarioMatrix(base, {
+                "jitter_seed": [next(seeds) for _ in range(4)],
+                "processors": [1, 2],
+            })
+
+        first = fresh_matrix()
+        if hits:
+            store = MemorySweepStore()
+            _complete(
+                run_sweep(first, metrics=TIMING_METRICS, store=store),
+                len(first),
+            )
+            server = SweepServer(workers=1, store=store)
+        else:
+            server = SweepServer(workers=2)
+        server.start()
+        client = ServiceClient(*server.address)
+        _complete(client.run_sweep(first, TIMING_METRICS), len(first))
+
+        def ticket():
+            matrix = first if hits else fresh_matrix()
+            result = _complete(
+                client.run_sweep(matrix, TIMING_METRICS), len(matrix)
+            )
+            assert result.stats.store_hits == (len(matrix) if hits else 0)
+            return result
+
+        def cleanup():
+            client.close()
+            server.close()
+
+        ticket.cleanup = cleanup
+        return ticket, {
+            "experiment": "service", "frames": base.n_frames,
+            "cells": len(first), "workers": 1 if hits else 2,
+            "mode": "all-hit resubmit" if hits
+            else "fresh jitter seeds, warm workers",
+        }
+
+    return build
+
+
 def _case_fms_hetero_sweep(fast: bool):
     """Heterogeneous-platform sweep (ISSUE 10): a 2-class platform axis
     over the FMS case study.  WCET tables key on processor-class *names*,
@@ -701,6 +765,8 @@ CASES: List[Case] = [
     ("fft_sweep_data", _case_fft_sweep_data),
     ("fms_sweep_resume", _case_fms_sweep_resume),
     ("store_keys_fms3", _case_store_keys_fms3),
+    ("served_fms3_hits", _served_fms3_case(hits=True)),
+    ("served_fms3_fresh", _served_fms3_case(hits=False)),
     ("fms_hetero_sweep", _case_fms_hetero_sweep),
     ("fms_sweep_2x3_serial", _parallel_sweep_case(workers=1)),
     ("fms_sweep_2x3_workers2", _parallel_sweep_case(workers=2)),

@@ -106,6 +106,16 @@ class ProtocolError(ServiceError):
     """A JSON-RPC wire message is malformed or violates the protocol."""
 
 
+class UnknownStimulusError(ServiceError):
+    """A submit named its stimulus by a content hash the server does not hold.
+
+    The server keeps a bounded table of the stimuli it decoded; a
+    reference to one it never received, or has evicted, is refused with
+    this error, and :class:`~repro.service.ServiceClient` then resends
+    the full stimulus document.
+    """
+
+
 class UnknownTicketError(ServiceError):
     """A service ticket id does not resolve to a live record.
 

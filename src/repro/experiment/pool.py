@@ -70,10 +70,6 @@ __all__ = ["PoolEvent", "SweepPool", "SweepTicket"]
 #: before re-checking dispatch, crashes and deadlines.
 _POLL_INTERVAL = 0.02
 
-#: Worker-side inbox wait [s] between checks that the parent is alive: a
-#: worker whose parent was killed exits within about this long.
-_PARENT_CHECK_INTERVAL = 0.5
-
 
 # ---------------------------------------------------------------------------
 # wire format (parent <-> worker), all JSON text
@@ -84,6 +80,7 @@ def _encode_service_group(
     faults: Optional[FaultPlan] = None,
     attempt: int = 0,
     keys: Optional[ScenarioKeys] = None,
+    held: Optional[LRU] = None,
 ) -> str:
     """One group as wire JSON, with content hashes for the warm caches.
 
@@ -95,8 +92,13 @@ def _encode_service_group(
     The scenario hash is computed over the stimulus-free body — stimulus
     identity is covered by the pool entry's own hash, over *keys*'s
     encoding (the submission's: one per stimulus).
+
+    *held* is the receiving slot's mirror of its worker's stimulus LRU
+    (:attr:`~repro.experiment.pool_core.Slot.payloads`), touched here in
+    pool order as the worker will touch its own: an entry whose hash it
+    holds is sent as ``{"hash"}`` alone, without its data.
     """
-    from ..io.json_io import canonical_hash, content_hash, scenario_to_dict
+    from ..io.json_io import content_hash, scenario_to_dict
     from ..io.json_io import fault_plan_to_dict
 
     keys = ScenarioKeys() if keys is None else keys
@@ -112,9 +114,13 @@ def _encode_service_group(
             stim_ref = pool_index.get(id(stimulus))
             if stim_ref is None:
                 stim_ref = pool_index[id(stimulus)] = len(pool)
-                stim_data, stim_bytes = keys.stimulus(stimulus)
-                stim_hash = canonical_hash(stim_bytes)
-                pool.append({"hash": stim_hash, "data": stim_data})
+                entry = keys.stimulus(stimulus)
+                if held is not None and held.fetch(
+                    entry.hash, lambda: None
+                )[1]:
+                    pool.append({"hash": entry.hash})
+                else:
+                    pool.append({"hash": entry.hash, "data": entry.data})
         cells.append({
             "index": cell.index,
             "scenario": data,
@@ -186,11 +192,17 @@ def _service_run_group(payload: str, caches: _WorkerCaches) -> str:
         payload_hits += hit
         return value
 
-    stimuli = [
-        decode(caches.stimuli, entry["hash"], entry["data"],
-               stimulus_from_dict)
-        for entry in data.get("stimulus_pool", ())
-    ]
+    stimuli = []
+    for entry in data.get("stimulus_pool", ()):
+        if "data" not in entry and entry["hash"] not in caches.stimuli:
+            raise SweepError(
+                f"worker holds no stimulus {entry['hash']} and the payload "
+                "carries none: the parent's mirror of its cache is wrong"
+            )
+        stimuli.append(decode(
+            caches.stimuli, entry["hash"], entry.get("data"),
+            stimulus_from_dict,
+        ))
     cells = []
     for item in data["cells"]:
         scenario = decode(caches.scenarios, item["hash"], item["scenario"],
@@ -244,24 +256,24 @@ def _service_worker(
 
     *outbox* is this worker's own reply pipe, written synchronously: a
     worker that dies can lose or truncate only its own messages, never
-    hold a lock the other workers' replies need.  An idle worker checks
-    that its parent is alive every :data:`_PARENT_CHECK_INTERVAL` and
-    exits once it is not: a killed parent sends no ``stop``.
+    hold a lock the other workers' replies need.  A watchdog thread ends
+    the worker as soon as its parent is gone, idle or mid-group: a killed
+    parent sends no ``stop``.
     """
     import multiprocessing
-    import queue
+    import threading
 
     parent = multiprocessing.parent_process()
+    if parent is not None:
+        threading.Thread(
+            target=_exit_with, args=(parent,), name="parent-watchdog",
+            daemon=True,
+        ).start()
     caches = _WorkerCaches(max_cached_groups, max_cached_payloads)
     try:
         outbox.send(("ready", None))
         while True:
-            try:
-                message = inbox.get(timeout=_PARENT_CHECK_INTERVAL)
-            except queue.Empty:
-                if parent is not None and not parent.is_alive():
-                    return
-                continue
+            message = inbox.get()
             kind = message[0]
             if kind == "stop":
                 return
@@ -272,6 +284,14 @@ def _service_worker(
                 outbox.send(("reply", _service_run_group(message[1], caches)))
     except (KeyboardInterrupt, EOFError, BrokenPipeError):
         return
+
+
+def _exit_with(parent: Any) -> None:
+    """Wait for the worker's *parent* process to end, then end the worker."""
+    import os
+
+    parent.join()
+    os._exit(0)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +472,8 @@ class SweepPool:
         self.max_cached_groups = max_cached_groups
         self.max_cached_payloads = max_cached_payloads
         self._core = PoolCore(
-            workers, max_cached_groups, group_timeout, max_retries, retry_backoff
+            workers, max_cached_groups, group_timeout, max_retries,
+            retry_backoff, payload_bound=max_cached_payloads,
         )
         #: Worker processes, indexed like the core's slots.
         self._slots: List[_Worker] = []
@@ -550,6 +571,7 @@ class SweepPool:
         on_row: Optional[Callable[[SweepRow], None]] = None,
         on_progress: Optional[Callable[[PoolEvent], None]] = None,
         client: Optional[str] = None,
+        keys: Optional[ScenarioKeys] = None,
     ) -> SweepTicket:
         """Enqueue a matrix; returns a :class:`SweepTicket` immediately.
 
@@ -565,6 +587,9 @@ class SweepPool:
         one (untagged submissions share the ``None`` tag: plain FIFO).
         ``on_progress`` receives the best-effort :class:`PoolEvent`
         stream, the telemetry complement of the ``on_row`` row stream.
+        ``keys`` hands over the submission's content keys when the caller
+        has encoded its stimuli already (the sweep server does); it
+        changes no row, only skips encoding them again.
 
         Every cell must be dispatchable (scenarios embedding code the
         workers cannot reconstruct are refused with
@@ -585,7 +610,7 @@ class SweepPool:
         book = _SweepBook(
             dict(matrix.axes), cells, metrics, want_data,
             SweepStats(cells=len(cells)),
-            store=store, on_row=on_row,
+            store=store, on_row=on_row, keys=keys,
         )
         plan = _dispatch_plan(cells, min_groups=0)
         if isinstance(plan, str):
@@ -649,10 +674,12 @@ class SweepPool:
             book = group.sub.owner.book
             self._slots[slot.index].inbox.put(("run", _encode_service_group(
                 group.cells, book.metrics, faults=group.sub.faults,
-                attempt=group.attempt, keys=book.keys,
+                attempt=group.attempt, keys=book.keys, held=slot.payloads,
             )))
         elif kind == "spawn":
             self._spawn(action[1].index)
+        elif kind == "kill":
+            self._reap(self._slots[action[1].index])
         elif kind == "fail":
             _, group, exc, retries = action
             delivery = group.sub.owner
@@ -677,11 +704,7 @@ class SweepPool:
         # available everywhere (fork inherits arbitrary state).
         ctx = multiprocessing.get_context("spawn")
         if index < len(self._slots):  # a respawn: dead or overdue
-            old = self._slots[index]
-            old.process.terminate()
-            old.process.join()
-            if old.outbox is not None:
-                old.outbox.close()
+            self._reap(self._slots[index])
         inbox = ctx.Queue()
         outbox, child_outbox = ctx.Pipe(duplex=False)
         process = ctx.Process(
@@ -698,6 +721,15 @@ class SweepPool:
         child_outbox.close()
         # Replaces the slot's worker, or appends a new slot.
         self._slots[index:index + 1] = [_Worker(process, inbox, outbox)]
+
+    @staticmethod
+    def _reap(worker: _Worker) -> None:
+        """Stop *worker*'s process; its pipe reports nothing more."""
+        worker.process.terminate()
+        worker.process.join()
+        if worker.outbox is not None:
+            worker.outbox.close()
+            worker.outbox = None
 
     # -- driving --------------------------------------------------------
     def pump_once(self) -> bool:

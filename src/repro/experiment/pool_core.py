@@ -8,6 +8,7 @@ monotonic clock) — and carries out, in order, the *actions* the core
 queues in response (drained by :meth:`PoolCore.take`):
 
 * ``("spawn", slot)`` — start a worker in *slot*, replacing any there;
+* ``("kill", slot)`` — stop *slot*'s worker, which never booted;
 * ``("send", slot, group)`` — hand *group* to *slot*'s worker;
 * ``("fail", group, error, retries)`` — book every cell of *group* as an
   error row and emit its ``group-failed`` milestone;
@@ -20,11 +21,12 @@ queues in response (drained by :meth:`PoolCore.take`):
 A worker that dies after reporting ready, or overruns the group deadline
 that starts at dispatch or at ready (whichever is later), is respawned
 and its group requeued with exponential backoff until ``max_retries``
-redispatches are spent.  One that dies *before* ready fails its group
-with :class:`~repro.errors.WorkerBootError` at once: it would fail the
-same way on every respawn.  While no other slot is ready, every pending
-group of its submission fails with it, so workers that cannot boot cost
-one spawn per slot, not one per group.  STOMP's queue-based
+redispatches are spent.  One that dies *before* ready, or does not
+report ready within :data:`_BOOT_TIMEOUT` of its spawn (and is killed),
+fails its group with :class:`~repro.errors.WorkerBootError` at once: it
+would fail the same way on every respawn.  While no other slot is ready,
+every pending group of its submission fails with it, so workers that
+cannot boot cost one spawn per slot, not one per group.  STOMP's queue-based
 discrete-event core, in which policies change without touching the
 simulator, is the model; ``tests/test_pool_core.py`` drives this one in
 simulated time.
@@ -33,12 +35,17 @@ simulated time.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import SweepTimeoutError, WorkerBootError, WorkerCrashError
 
 __all__ = ["Group", "LRU", "PoolCore", "PoolEvent", "Slot", "Submission"]
+
+#: Seconds a spawned worker has to report ready, on the core's clock.
+#: A boot takes well under a second, seconds on a loaded host: this
+#: bounds a hang, it is no performance budget.
+_BOOT_TIMEOUT = 120.0
 
 
 @dataclass(frozen=True)
@@ -125,24 +132,33 @@ class Slot:
     index: int
     #: Schedule keys the slot's worker ran, mirroring its pipeline LRU.
     warm: LRU
+    #: Stimulus hashes the slot's worker decoded, mirroring its payload
+    #: LRU: the adapter touches it in payload order as it encodes each
+    #: group for the slot (bound 0: no mirror, every stimulus is sent).
+    payloads: LRU = field(default_factory=lambda: LRU(0))
     #: A worker process runs in the slot (spawned, not seen to die).
     up: bool = False
     ready: bool = False
     group: Optional[Group] = None
     deadline: Optional[float] = None
+    #: When a spawned worker that has not reported ready is given up.
+    boot_deadline: Optional[float] = None
 
 
 class PoolCore:
     """Every pool decision: events in, actions out.  *workers* caps the
-    slots; *warm_bound* sizes the warm sets (each worker's pipeline LRU);
-    the rest is every submission's supervision policy (``run_sweep``'s)."""
+    slots; *warm_bound* and *payload_bound* size the two mirrors of each
+    worker's LRUs (pipelines, decoded stimuli); the rest is every
+    submission's supervision policy (``run_sweep``'s)."""
 
     def __init__(
         self, workers: int, warm_bound: int, group_timeout: Optional[float] = None,
         max_retries: int = 2, retry_backoff: float = 0.25,
+        payload_bound: int = 0,
     ) -> None:
         self.workers = workers
         self.warm_bound = warm_bound
+        self.payload_bound = payload_bound
         self.group_timeout = group_timeout
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
@@ -209,7 +225,7 @@ class PoolCore:
 
     def ready(self, slot: Slot, now: float) -> None:
         """*slot*'s worker finished booting."""
-        slot.ready = True
+        slot.ready, slot.boot_deadline = True, None
         self._arm(slot, now)
 
     def reply(self, slot: Slot, now: float) -> None:
@@ -232,7 +248,7 @@ class PoolCore:
 
     def died(self, slot: Slot, now: float) -> None:
         """*slot*'s worker is gone, every message it sent already read."""
-        slot.up = False
+        slot.up, slot.boot_deadline = False, None
         if self.draining:
             return  # stop() cuts its group short
         if slot.ready:
@@ -240,24 +256,23 @@ class PoolCore:
                 slot, now, WorkerCrashError,
                 "a sweep worker process died mid-group",
             )
-        elif slot.group is not None:
-            # It would fail the same way on every respawn: no retry.  With
-            # no slot ready, neither would its submission's pending groups.
-            group, slot.group = slot.group, None
-            doomed = [group]
-            if not any(s.up and s.ready for s in self.slots):
-                doomed += [g for g in self.pending if g.sub is group.sub]
-                self.pending = [g for g in self.pending if g not in doomed]
-            for group in doomed:
-                self._fail(group, WorkerBootError(
-                    "a sweep worker process died before it was ready "
-                    "(see its stderr)"
-                ), group.attempt)
+        else:
+            self._boot_failed(
+                slot, "a sweep worker process died before it was ready "
+                "(see its stderr)",
+            )
 
     def tick(self, now: float) -> None:
         """Time passed: expire deadlines, then dispatch what can run."""
         for slot in self.slots:
-            if slot.deadline is not None and now > slot.deadline:
+            if slot.boot_deadline is not None and now > slot.boot_deadline:
+                slot.up, slot.boot_deadline = False, None
+                self._actions.append(("kill", slot))
+                self._boot_failed(
+                    slot, "a sweep worker process did not report ready "
+                    f"within {_BOOT_TIMEOUT}s",
+                )
+            elif slot.deadline is not None and now > slot.deadline:
                 self._recover(
                     slot, now, SweepTimeoutError,
                     f"group exceeded its {self.group_timeout}s deadline",
@@ -283,6 +298,7 @@ class PoolCore:
         """Every worker dropped its warm caches."""
         for slot in self.slots:
             slot.warm.clear()
+            slot.payloads.clear()
 
     # -- policy ----------------------------------------------------------
     def _dispatch_next(self, now: float) -> bool:
@@ -301,7 +317,7 @@ class PoolCore:
             for group in self.pending:
                 if group.sub.client != tag or group.not_before > now:
                     continue
-                slot = self._slot_for(group)
+                slot = self._slot_for(group, now)
                 if slot is not None:
                     self._send(group, slot, now)
                     if tag in self._served:
@@ -310,7 +326,7 @@ class PoolCore:
                     return True
         return False
 
-    def _slot_for(self, group: Group) -> Optional[Slot]:
+    def _slot_for(self, group: Group, now: float) -> Optional[Slot]:
         """The slot *group* runs on now, or ``None`` if none is free.
 
         Affinity is a preference, not a wait: a key spreads to a second
@@ -327,10 +343,12 @@ class PoolCore:
                 return slot
         fresh = next((s for s in self.slots if not s.up), None)
         if fresh is None and len(self.slots) < self.workers:
-            fresh = Slot(len(self.slots), LRU(self.warm_bound))
+            fresh = Slot(
+                len(self.slots), LRU(self.warm_bound), LRU(self.payload_bound)
+            )
             self.slots.append(fresh)
         if fresh is not None:
-            self._spawn(fresh)
+            self._spawn(fresh, now)
             return fresh
         return idle[0] if idle else None
 
@@ -352,15 +370,33 @@ class PoolCore:
         if slot.ready and slot.group and self.group_timeout is not None:
             slot.deadline = now + self.group_timeout
 
-    def _spawn(self, slot: Slot) -> None:
+    def _spawn(self, slot: Slot, now: float) -> None:
         slot.up, slot.ready = True, False
+        slot.boot_deadline = now + _BOOT_TIMEOUT
         slot.warm.clear()
+        slot.payloads.clear()
         self._actions.append(("spawn", slot))
+
+    def _boot_failed(self, slot: Slot, what: str) -> None:
+        """*slot*'s worker never booted: fail its group, no retry.
+
+        It would fail the same way on every respawn.  With no slot ready,
+        neither would its submission's pending groups.
+        """
+        group, slot.group = slot.group, None
+        if group is None:
+            return
+        doomed = [group]
+        if not any(s.up and s.ready for s in self.slots):
+            doomed += [g for g in self.pending if g.sub is group.sub]
+            self.pending = [g for g in self.pending if g not in doomed]
+        for group in doomed:
+            self._fail(group, WorkerBootError(what), group.attempt)
 
     def _recover(self, slot: Slot, now: float, error: type, what: str) -> None:
         """Respawn *slot* and charge its group one redispatch (or fail it)."""
         group, slot.group, slot.deadline = slot.group, None, None
-        self._spawn(slot)
+        self._spawn(slot, now)
         if group is None:
             return
         sub = group.sub

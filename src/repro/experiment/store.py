@@ -46,6 +46,7 @@ from ..errors import CheckpointError
 from .scenario import Scenario
 
 __all__ = [
+    "EncodedStimulus",
     "MemorySweepStore",
     "SqliteSweepStore",
     "SweepStore",
@@ -75,34 +76,64 @@ def store_key(scenario: Scenario) -> Optional[str]:
     return ScenarioKeys().store_key(scenario)
 
 
+class EncodedStimulus:
+    """A stimulus with its canonical encoding, computed once.
+
+    ``data`` is its :func:`~repro.io.json_io.stimulus_to_dict` form,
+    ``canonical`` that form's canonical JSON bytes and ``hash`` their
+    SHA-256: the stimulus's content hash, which store keys include and
+    pool payloads and service references name it by.  Immutable once
+    built, so one entry may serve many submissions.
+    """
+
+    __slots__ = ("stimulus", "data", "canonical", "hash")
+
+    def __init__(self, stimulus: Stimulus) -> None:
+        from ..io.json_io import (
+            canonical_hash,
+            canonical_json,
+            stimulus_to_dict,
+        )
+
+        self.stimulus = stimulus
+        self.data = stimulus_to_dict(stimulus)
+        self.canonical = canonical_json(self.data).encode("utf-8")
+        self.hash = canonical_hash(self.canonical)
+
+    @classmethod
+    def decode(cls, data: Any) -> "EncodedStimulus":
+        """Decode a stimulus document, then encode the decoded object."""
+        from ..io.json_io import stimulus_from_dict
+
+        return cls(stimulus_from_dict(data))
+
+
 class ScenarioKeys:
     """Content keys of one submission's scenarios, each stimulus encoded once.
 
     A matrix's cells usually share one stimulus object, and the stimulus
     is most of a scenario's canonical JSON.  So each stimulus is encoded
-    once, kept here by object identity for as long as this object lives
-    (one submission), and a cell's key hashes the canonical text of the
-    whole scenario incrementally
+    once (an :class:`EncodedStimulus`), kept here by object identity for
+    as long as this object lives (one submission), and a cell's key
+    hashes the canonical text of the whole scenario incrementally
     (:func:`~repro.io.json_io.scenario_content_hash`).  Keys equal
-    ``content_hash(scenario_to_dict(scenario))``.  Nothing is cached on
-    the stimulus itself.
+    ``content_hash(scenario_to_dict(scenario))``.  A caller that holds
+    encodings already (the sweep server) passes them to the constructor.
+    Nothing is cached on the stimulus itself.
     """
 
-    def __init__(self) -> None:
-        self._stimuli: Dict[int, Tuple[Stimulus, Dict[str, Any], bytes]] = {}
+    def __init__(self, *seeds: EncodedStimulus) -> None:
+        # Each entry holds its stimulus, so the id cannot be reused.
+        self._stimuli: Dict[int, EncodedStimulus] = {
+            id(entry.stimulus): entry for entry in seeds
+        }
 
-    def stimulus(self, stimulus: Stimulus) -> Tuple[Dict[str, Any], bytes]:
-        """The stimulus's dict form and its canonical JSON bytes."""
-        from ..io.json_io import canonical_json, stimulus_to_dict
-
+    def stimulus(self, stimulus: Stimulus) -> EncodedStimulus:
+        """The stimulus's encoding (made on first use)."""
         entry = self._stimuli.get(id(stimulus))
         if entry is None:
-            data = stimulus_to_dict(stimulus)
-            # The stimulus rides along so its id cannot be reused.
-            entry = self._stimuli[id(stimulus)] = (
-                stimulus, data, canonical_json(data).encode("utf-8"),
-            )
-        return entry[1], entry[2]
+            entry = self._stimuli[id(stimulus)] = EncodedStimulus(stimulus)
+        return entry
 
     def scenario_hash(self, scenario: Scenario) -> str:
         """:func:`scenario_hash` of *scenario*, its stimulus encoded once."""
@@ -115,7 +146,7 @@ class ScenarioKeys:
         if scenario.stimulus is None:
             return content_hash(scenario_to_dict(scenario))
         return scenario_content_hash(
-            scenario, self.stimulus(scenario.stimulus)[1]
+            scenario, self.stimulus(scenario.stimulus).canonical
         )
 
     def store_key(self, scenario: Scenario) -> Optional[str]:

@@ -558,6 +558,7 @@ class _SweepBook:
         store: Optional[SweepStore] = None,
         read_store: bool = True,
         on_row: Optional[Callable[[SweepRow], None]] = None,
+        keys: Optional[ScenarioKeys] = None,
     ) -> None:
         # Misconfiguration (records_only base vs data metrics) raises up
         # front, before any cell runs — it is not a per-cell failure.
@@ -579,7 +580,7 @@ class _SweepBook:
         self._mkey = metrics_key(metrics) if store is not None else ""
         #: Content keys of this sweep's scenarios (each stimulus encoded
         #: once); a pool submission also hashes its payloads with them.
-        self.keys = ScenarioKeys()
+        self.keys = ScenarioKeys() if keys is None else keys
         self._skeys: Dict[int, str] = {}
         self._rows: Dict[int, SweepRow] = {}
         self._errors: Dict[int, SweepCellError] = {}

@@ -394,25 +394,30 @@ def value_from_jsonable(data: Any) -> Any:
     if isinstance(data, dict):
         if len(data) == 1:
             (tag, payload), = data.items()
-            if tag == "$frac":
-                return _time_in(payload, "tagged rational")
-            if tag == "$complex":
-                return complex(payload[0], payload[1])
-            if tag == "$tuple":
-                return tuple(value_from_jsonable(v) for v in payload)
-            if tag == "$platform":
-                return platform_from_jsonable(payload, "tagged platform")
-            if tag == "$overheads":
-                return OverheadModel(
-                    _time_in(payload[0], "overheads.first_frame_arrival"),
-                    _time_in(payload[1], "overheads.steady_frame_arrival"),
-                    _time_in(payload[2], "overheads.per_job"),
-                )
-            if tag == "$map":
-                return {
-                    value_from_jsonable(k): value_from_jsonable(v)
-                    for k, v in payload
-                }
+            try:
+                if tag == "$frac":
+                    return _time_in(payload, "tagged rational")
+                if tag == "$complex":
+                    return complex(payload[0], payload[1])
+                if tag == "$tuple":
+                    return tuple(value_from_jsonable(v) for v in payload)
+                if tag == "$platform":
+                    return platform_from_jsonable(payload, "tagged platform")
+                if tag == "$overheads":
+                    return OverheadModel(
+                        _time_in(payload[0], "overheads.first_frame_arrival"),
+                        _time_in(payload[1], "overheads.steady_frame_arrival"),
+                        _time_in(payload[2], "overheads.per_job"),
+                    )
+                if tag == "$map":
+                    return {
+                        value_from_jsonable(k): value_from_jsonable(v)
+                        for k, v in payload
+                    }
+            except (TypeError, ValueError, IndexError) as exc:
+                raise FormatError(
+                    f"malformed tagged value {tag!r}: {exc}"
+                ) from exc
         raise FormatError(f"unrecognised tagged value {data!r}")
     return data
 
@@ -436,16 +441,27 @@ def stimulus_to_dict(stimulus: Stimulus) -> Dict[str, Any]:
 
 def stimulus_from_dict(data: Mapping[str, Any]) -> Stimulus:
     """Inverse of :func:`stimulus_to_dict`."""
-    return Stimulus(
-        input_samples={
-            name: value_from_jsonable(samples)
-            for name, samples in data.get("input_samples", {}).items()
-        },
-        sporadic_arrivals={
-            name: [_time_in(t, f"arrival of {name!r}") for t in times]
-            for name, times in data.get("sporadic_arrivals", {}).items()
-        },
+    data = _object(data, "stimulus")
+    samples = _object(data.get("input_samples", {}), "stimulus input_samples")
+    arrivals = _object(
+        data.get("sporadic_arrivals", {}), "stimulus sporadic_arrivals"
     )
+    try:
+        return Stimulus(
+            input_samples={
+                name: value_from_jsonable(values)
+                for name, values in samples.items()
+            },
+            sporadic_arrivals={
+                name: [
+                    _time_in(t, f"arrival of {name!r}")
+                    for t in _list(times, f"sporadic arrivals of {name!r}")
+                ]
+                for name, times in arrivals.items()
+            },
+        )
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"bad stimulus: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -520,52 +536,79 @@ def scenario_to_dict(scenario: Scenario) -> Dict[str, Any]:
 def scenario_from_dict(data: Mapping[str, Any]) -> Scenario:
     """Inverse of :func:`scenario_to_dict`."""
     _check_header(data, "fppn-scenario")
-    wcet = data["wcet"]
-    if isinstance(wcet, Mapping):
-        wcet = {
-            name: (
-                tuple(
-                    (n, _time_in(t, f"wcet of {name!r} on {n!r}"))
-                    for n, t in v
+    try:
+        wcet = _field(data, "wcet", "fppn-scenario")
+        if isinstance(wcet, Mapping):
+            wcet = {
+                name: (
+                    tuple(
+                        (n, _time_in(t, f"wcet of {name!r} on {n!r}"))
+                        for n, t in v
+                    )
+                    if isinstance(v, list)
+                    else _time_in(v, f"wcet of {name!r}")
                 )
-                if isinstance(v, list)
-                else _time_in(v, f"wcet of {name!r}")
-            )
-            for name, v in wcet.items()
-        }
-    else:
-        wcet = _time_in(wcet, "wcet")
-    execution_time = data.get("execution_time")
-    if execution_time is not None:
-        execution_time = {
-            name: _time_in(v, f"execution time of {name!r}")
-            for name, v in execution_time.items()
-        }
-    horizon = data.get("horizon")
-    stimulus = data.get("stimulus")
-    heuristics = data.get("heuristics")
-    platform = data.get("platform")
-    return Scenario(
-        workload=data["workload"],
-        wcet=wcet,
-        processors=int(data["processors"]),
-        n_frames=int(data["n_frames"]),
-        horizon=None if horizon is None else _time_in(horizon, "horizon"),
-        heuristics=None if heuristics is None else tuple(heuristics),
-        execution_time=execution_time,
-        jitter_seed=data.get("jitter_seed"),
-        jitter_low=float(data.get("jitter_low", 0.5)),
-        overheads=value_from_jsonable(data["overheads"]),
-        stimulus=None if stimulus is None else stimulus_from_dict(stimulus),
-        records_only=bool(data.get("records_only", False)),
-        collect_records=bool(data.get("collect_records", True)),
-        collect_trace=bool(data.get("collect_trace", True)),
-        label=data.get("label"),
-        platform=(
-            None if platform is None
-            else platform_from_jsonable(platform, "scenario platform")
-        ),
+                for name, v in wcet.items()
+            }
+        else:
+            wcet = _time_in(wcet, "wcet")
+        execution_time = data.get("execution_time")
+        if execution_time is not None:
+            execution_time = {
+                name: _time_in(v, f"execution time of {name!r}")
+                for name, v in _object(
+                    execution_time, "fppn-scenario execution_time"
+                ).items()
+            }
+        horizon = data.get("horizon")
+        stimulus = data.get("stimulus")
+        heuristics = data.get("heuristics")
+        platform = data.get("platform")
+        return Scenario(
+            workload=_field(data, "workload", "fppn-scenario"),
+            wcet=wcet,
+            processors=_number(data, "processors", int),
+            n_frames=_number(data, "n_frames", int),
+            horizon=None if horizon is None else _time_in(horizon, "horizon"),
+            heuristics=None if heuristics is None else tuple(
+                _list(heuristics, "fppn-scenario heuristics")
+            ),
+            execution_time=execution_time,
+            jitter_seed=data.get("jitter_seed"),
+            jitter_low=_number(data, "jitter_low", float, 0.5),
+            overheads=value_from_jsonable(
+                _field(data, "overheads", "fppn-scenario")
+            ),
+            stimulus=(
+                None if stimulus is None else stimulus_from_dict(stimulus)
+            ),
+            records_only=bool(data.get("records_only", False)),
+            collect_records=bool(data.get("collect_records", True)),
+            collect_trace=bool(data.get("collect_trace", True)),
+            label=data.get("label"),
+            platform=(
+                None if platform is None
+                else platform_from_jsonable(platform, "scenario platform")
+            ),
+        )
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"bad fppn-scenario field: {exc}") from exc
+
+
+def _number(
+    data: Mapping[str, Any], name: str, kind: type, default: Any = None
+) -> Any:
+    """Field *name* of a scenario document as an int or float."""
+    value = (
+        _field(data, name, "fppn-scenario") if default is None
+        else data.get(name, default)
     )
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise FormatError(
+            f"fppn-scenario field {name!r} must be a number, got {value!r}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -593,11 +636,15 @@ def matrix_to_dict(matrix: "ScenarioMatrix") -> Dict[str, Any]:
 def matrix_from_dict(data: Mapping[str, Any]) -> "ScenarioMatrix":
     """Inverse of :func:`matrix_to_dict`."""
     _check_header(data, "fppn-matrix")
+    axes = _object(data.get("axes", {}), "fppn-matrix axes")
     return ScenarioMatrix(
-        scenario_from_dict(data["base"]),
+        scenario_from_dict(_field(data, "base", "fppn-matrix")),
         {
-            name: [value_from_jsonable(v) for v in values]
-            for name, values in data.get("axes", {}).items()
+            name: [
+                value_from_jsonable(v)
+                for v in _list(values, f"fppn-matrix axis {name!r}")
+            ]
+            for name, values in axes.items()
         },
     )
 
@@ -967,8 +1014,34 @@ def load_json(path: str) -> Dict[str, Any]:
         return json.load(fh)
 
 
+def _object(value: Any, what: str) -> Mapping[str, Any]:
+    """*value*, refused unless it is a JSON object."""
+    if not isinstance(value, Mapping):
+        raise FormatError(
+            f"{what} must be a JSON object, got {type(value).__name__}"
+        )
+    return value
+
+
+def _list(value: Any, what: str) -> List[Any]:
+    """*value*, refused unless it is a JSON list (or a tuple)."""
+    if not isinstance(value, (list, tuple)):
+        raise FormatError(
+            f"{what} must be a JSON list, got {type(value).__name__}"
+        )
+    return value
+
+
+def _field(data: Mapping[str, Any], name: str, what: str) -> Any:
+    """Required field *name* of a *what* document."""
+    try:
+        return data[name]
+    except KeyError:
+        raise FormatError(f"{what} is missing field {name!r}") from None
+
+
 def _check_header(data: Mapping[str, Any], expected: str) -> None:
-    fmt = data.get("format")
+    fmt = _object(data, f"{expected} document").get("format")
     if fmt != expected:
         raise FormatError(f"expected format {expected!r}, got {fmt!r}")
     version = data.get("version")

@@ -18,8 +18,14 @@ from __future__ import annotations
 import socket
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
-from ..errors import ProtocolError, ServiceError, SweepError
+from ..errors import (
+    ProtocolError,
+    ServiceError,
+    SweepError,
+    UnknownStimulusError,
+)
 from ..experiment.faults import FaultPlan
+from ..experiment.pool_core import LRU
 from ..experiment.sweep import (
     DEFAULT_METRICS,
     ScenarioMatrix,
@@ -37,6 +43,10 @@ from . import protocol
 
 __all__ = ["ServiceClient"]
 
+#: Stimulus objects a client remembers having sent (least recently used
+#: forgotten first).
+_SENT_STIMULI = 8
+
 
 class ServiceClient:
     """One TCP connection to a :class:`~repro.service.SweepServer`.
@@ -46,6 +56,16 @@ class ServiceClient:
     themselves, distinct tags round-robin on the server's pool.  The
     client is a context manager; the connection closes on exit and the
     server then cancels any tickets still pending from it.
+
+    A matrix whose base stimulus is one of the last :data:`_SENT_STIMULI`
+    objects this client sent is submitted with a reference to it (its
+    content hash, see :mod:`.protocol`) in place of the document, so a
+    stimulus crosses the wire and is decoded once, not once per ticket.
+    The client keeps each such object alive, so its identity stays
+    unique, and relies on stimuli not changing after first use, as the
+    rest of the library does.  The table is only a hint: a server that
+    does not hold the stimulus (restarted, or it evicted it) refuses the
+    reference and :meth:`submit` resends the document in the same call.
     """
 
     def __init__(
@@ -65,6 +85,8 @@ class ServiceClient:
         self._file = self._sock.makefile("rb")
         self._next_id = 1
         self._closed = False
+        #: ``id(stimulus) -> (stimulus, the hash the server holds it by)``.
+        self._sent = LRU(_SENT_STIMULI)
         self.client = (
             client if client is not None
             else f"client-{self._sock.getsockname()[1]}"
@@ -123,16 +145,38 @@ class ServiceClient:
         faults: Optional[FaultPlan] = None,
         on_error: str = "capture",
     ) -> Dict[str, Any]:
-        """Enqueue a matrix; returns ``{"ticket": id, "status": ...}``."""
+        """Enqueue a matrix; returns ``{"ticket": id, "status": ...}``.
+
+        A base stimulus sent before travels as a reference; one the
+        server no longer holds is resent in full, once, in this call.
+        """
         params: Dict[str, Any] = {
-            "matrix": matrix_to_dict(matrix),
+            "matrix": None,
             "metrics": list(metrics),
             "on_error": on_error,
             "client": self.client,
         }
         if faults is not None:
             params["faults"] = fault_plan_to_dict(faults)
-        return self._call("submit", params)
+        stimulus = matrix.base.stimulus
+        sent = self._sent.get(id(stimulus))
+        if sent is not None:
+            self._sent.move_to_end(id(stimulus))
+            document = matrix_to_dict(ScenarioMatrix(
+                matrix.base.replace(stimulus=None), matrix.axes
+            ))
+            document["base"]["stimulus"] = {"hash": sent[1]}
+            params["matrix"] = document
+            try:
+                return self._call("submit", params)
+            except UnknownStimulusError:
+                pass
+        params["matrix"] = matrix_to_dict(matrix)
+        result = self._call("submit", params)
+        digest = result.get("stimulus")
+        if isinstance(digest, str):  # a server that holds stimuli
+            self._sent.fetch(id(stimulus), lambda: (stimulus, digest))
+        return result
 
     def status(self, ticket: int) -> Any:
         """The ticket's :class:`~repro.service.TicketStatus` snapshot."""
@@ -257,4 +301,6 @@ class ServiceClient:
         message = str(error.get("message", "unknown server error"))
         if code == protocol.SWEEP_FAILED:
             return SweepError(message)
+        if code == protocol.STIMULUS_UNKNOWN:
+            return UnknownStimulusError(message)
         return ServiceError(f"server error {code}: {message}")

@@ -38,7 +38,7 @@ from typing import (
 from ..errors import ServiceError, UnknownTicketError
 from ..experiment.faults import FaultPlan
 from ..experiment.pool import SweepPool, SweepTicket
-from ..experiment.store import SqliteSweepStore, SweepStore
+from ..experiment.store import ScenarioKeys, SqliteSweepStore, SweepStore
 from ..experiment.sweep import DEFAULT_METRICS, ScenarioMatrix, SweepResult
 
 __all__ = ["SweepOrchestrator", "TicketStatus", "TICKET_STATES"]
@@ -215,21 +215,27 @@ class SweepOrchestrator:
         client: Optional[str] = None,
         faults: Optional[FaultPlan] = None,
         on_error: str = "capture",
+        keys: Optional[ScenarioKeys] = None,
     ) -> int:
         """Enqueue a matrix on the shared pool; returns the ticket id.
 
         The submission is tagged with ``client`` for the pool's fair
         scheduler and fronted by the shared store (hit rows appear on
-        the ticket stream without touching a worker).  Returns as soon
-        as the driver accepted the submission — consume rows with
-        :meth:`stream`, poll with :meth:`status`.
+        the ticket stream without touching a worker).  ``keys`` carries
+        stimulus encodings the caller holds already to the pool (see
+        :meth:`SweepPool.submit`).  Returns as soon as the driver
+        accepted the submission — consume rows with :meth:`stream`, poll
+        with :meth:`status`.
         """
         with self._tickets_lock:
             tid = self._next_tid
             self._next_tid += 1
             ticket = _Ticket(tid, client, len(matrix))
             self._tickets[tid] = ticket
-        kwargs = dict(metrics=metrics, faults=faults, on_error=on_error, client=client)
+        kwargs = dict(
+            metrics=metrics, faults=faults, on_error=on_error, client=client,
+            keys=keys,
+        )
         try:
             await asyncio.wrap_future(
                 self._post("submit", ticket, matrix, kwargs)

@@ -16,7 +16,18 @@ Methods (client to server):
     Params: ``matrix`` (``fppn-matrix`` document), ``metrics`` (list of
     names), optional ``faults`` (fault-plan dict), ``on_error``
     (``"capture"``/``"raise"``), ``client`` (fair-scheduling tag).
-    Responds with the new ticket id and its status snapshot.
+    Responds with the new ticket id and its status snapshot, plus, when
+    the base scenario has a stimulus, the hash ``stimulus`` the server
+    holds it by: the :func:`~repro.io.json_io.content_hash` of the
+    document received.  The server keeps the stimuli it decoded in a
+    bounded table keyed by that hash, and a later submit (on any
+    connection) may name one by a *stimulus reference*, ``{"hash": H}``
+    and nothing else, as its base scenario's ``stimulus``.  A reference
+    the server does not hold (evicted, or never received) is refused
+    with ``STIMULUS_UNKNOWN``, and the client resends the document.
+    Clients send references only for hashes a server named, so never to
+    a server that does not hold stimuli.  Axis values always carry full
+    documents.
 ``status``
     Params: ``ticket``.  Responds with a ticket-status dict.
 ``stream``
@@ -43,6 +54,7 @@ Notifications (server to client):
 from __future__ import annotations
 
 import json
+import re
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..errors import ProtocolError
@@ -57,6 +69,7 @@ __all__ = [
     "INVALID_PARAMS",
     "INTERNAL_ERROR",
     "SWEEP_FAILED",
+    "STIMULUS_UNKNOWN",
     "encode",
     "decode_line",
     "request",
@@ -64,6 +77,7 @@ __all__ = [
     "response",
     "error_response",
     "check_request",
+    "stimulus_reference",
     "sweep_row_to_wire",
     "sweep_row_from_wire",
 ]
@@ -76,7 +90,7 @@ JSONRPC_VERSION = "2.0"
 #: malformed peer.
 MAX_LINE_BYTES = 64 * 1024 * 1024
 
-# JSON-RPC 2.0 standard error codes, plus one application code.
+# JSON-RPC 2.0 standard error codes, plus two application codes.
 PARSE_ERROR = -32700
 INVALID_REQUEST = -32600
 METHOD_NOT_FOUND = -32601
@@ -86,6 +100,10 @@ INTERNAL_ERROR = -32603
 #: Clients surface this as :class:`~repro.errors.SweepError`, exactly
 #: like the in-process path.
 SWEEP_FAILED = -32000
+#: A submit's stimulus reference names a stimulus the server does not
+#: hold.  Clients surface this as
+#: :class:`~repro.errors.UnknownStimulusError` and resend the document.
+STIMULUS_UNKNOWN = -32001
 
 
 def encode(message: Mapping[str, Any]) -> bytes:
@@ -171,6 +189,26 @@ def check_request(
     if not isinstance(params, dict):
         raise ProtocolError("'params' must be an object when present")
     return method, params, rid
+
+
+def stimulus_reference(document: Any) -> Optional[str]:
+    """The content hash a stimulus reference names; ``None`` for a document.
+
+    A reference is exactly ``{"hash": H}`` with ``H`` a SHA-256 hex
+    digest; a stimulus document never has a ``"hash"`` key.  Anything
+    else holding one is refused with :class:`~repro.errors.ProtocolError`.
+    """
+    if not isinstance(document, dict) or "hash" not in document:
+        return None
+    digest = document["hash"]
+    if len(document) != 1 or not (
+        isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)
+    ):
+        raise ProtocolError(
+            "a stimulus reference is {\"hash\": <sha256 hex digest>} and "
+            f"nothing else, got {json.dumps(document)[:120]}"
+        )
+    return digest
 
 
 # Row payloads — the streaming unit — are encoded by the one sweep-row

@@ -14,17 +14,37 @@ notification and response lines never interleave.  When a client
 disconnects, every ticket it submitted is cancelled: pending groups are
 withdrawn, dispatched groups finish on the pool and land in the shared
 store for the next client — a vanished client never wedges the pool.
+A request that fails answers with an error line; the connection and
+its other tickets live on.
+
+A base stimulus is decoded once per server: the loop thread keeps the
+last :data:`_HELD_STIMULI` decoded stimuli with their encodings
+(:class:`~repro.experiment.store.EncodedStimulus`), keyed by the content
+hash of their documents, so a resent document or a stimulus reference
+(see :mod:`.protocol`) costs no decode; the encoding goes with the
+submission to the pool, which keys rows and payloads with it.
 """
 
 from __future__ import annotations
 
 import asyncio
+import logging
 import threading
 from typing import Any, Dict, Optional, Set, Tuple
 
-from ..errors import FPPNError, ProtocolError, ServiceError, SweepError
+from ..errors import (
+    FPPNError,
+    ProtocolError,
+    ServiceError,
+    SweepError,
+    UnknownStimulusError,
+)
+from ..experiment.pool_core import LRU
+from ..experiment.store import EncodedStimulus, ScenarioKeys
+from ..experiment.sweep import ScenarioMatrix
 from ..io.json_io import (
     FormatError,
+    content_hash,
     fault_plan_from_dict,
     matrix_from_dict,
     pool_event_to_dict,
@@ -35,6 +55,12 @@ from . import protocol
 from .orchestrator import SweepOrchestrator
 
 __all__ = ["SweepServer"]
+
+_log = logging.getLogger(__name__)
+
+#: Decoded stimuli a server holds for later submissions (least recently
+#: used evicted first).
+_HELD_STIMULI = 8
 
 
 class SweepServer:
@@ -71,6 +97,9 @@ class SweepServer:
         self._started = threading.Event()
         self._startup_error: Optional[BaseException] = None
         self._closed = False
+        #: Content hash of a stimulus document -> its decoding; touched
+        #: on the loop thread only.
+        self._stimuli = LRU(_HELD_STIMULI)
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> Tuple[str, int]:
@@ -244,14 +273,17 @@ class SweepServer:
             if method == "ping":
                 await send(protocol.response(rid, {"pong": True}))
             elif method == "submit":
-                ticket = await self._handle_submit(params)
+                ticket, digest = await self._handle_submit(params)
                 owned_tickets.add(ticket)
-                await send(protocol.response(rid, {
+                result = {
                     "ticket": ticket,
                     "status": ticket_status_to_dict(
                         self._orchestrator.status(ticket)
                     ),
-                }))
+                }
+                if digest is not None:
+                    result["stimulus"] = digest
+                await send(protocol.response(rid, result))
             elif method == "status":
                 status = self._orchestrator.status(
                     self._ticket_param(params)
@@ -278,22 +310,39 @@ class SweepServer:
                     rid, protocol.METHOD_NOT_FOUND,
                     f"unknown method {method!r}",
                 ))
+        except UnknownStimulusError as exc:
+            await send(protocol.error_response(
+                rid, protocol.STIMULUS_UNKNOWN, str(exc)
+            ))
         except (ProtocolError, FormatError) as exc:
             await send(protocol.error_response(
                 rid, protocol.INVALID_PARAMS, str(exc)
             ))
-        except FPPNError as exc:
+        except Exception as exc:
+            # A failing request must not end the connection: its other
+            # tickets would be cancelled.  Only a library error is
+            # expected here; anything else is a defect, logged in full.
+            if not isinstance(exc, FPPNError):
+                _log.exception("%s request failed", method)
             await send(protocol.error_response(
                 rid, protocol.INTERNAL_ERROR,
                 f"{type(exc).__name__}: {exc}",
             ))
         return False
 
-    async def _handle_submit(self, params: Dict[str, Any]) -> int:
+    async def _handle_submit(
+        self, params: Dict[str, Any]
+    ) -> Tuple[int, Optional[str]]:
+        """Submit; the ticket and the hash its base stimulus is held by."""
         matrix_doc = params.get("matrix")
         if not isinstance(matrix_doc, dict):
             raise ProtocolError("submit needs a 'matrix' document")
+        matrix_doc, digest, held = self._held_stimulus(matrix_doc)
         matrix = matrix_from_dict(matrix_doc)
+        if held is not None:
+            matrix = ScenarioMatrix(
+                matrix.base.replace(stimulus=held.stimulus), matrix.axes
+            )
         metrics = params.get("metrics")
         if metrics is not None and (
             not isinstance(metrics, list)
@@ -315,10 +364,42 @@ class SweepServer:
             raise ProtocolError("'client' must be a string when present")
         kwargs: Dict[str, Any] = {
             "client": client, "faults": faults, "on_error": on_error,
+            "keys": None if held is None else ScenarioKeys(held),
         }
         if metrics is not None:
             kwargs["metrics"] = tuple(metrics)
-        return await self._orchestrator.submit(matrix, **kwargs)
+        return await self._orchestrator.submit(matrix, **kwargs), digest
+
+    def _held_stimulus(
+        self, matrix_doc: Dict[str, Any]
+    ) -> Tuple[Dict[str, Any], Optional[str], Optional[EncodedStimulus]]:
+        """Take the base stimulus out of *matrix_doc*, decoded once.
+
+        Returns the document without it, the hash it is held by and its
+        held decoding (both ``None`` when the base has no stimulus
+        document; a malformed base is left to
+        :func:`~repro.io.json_io.matrix_from_dict` to refuse).  A full
+        document is decoded only when no held one has its content hash;
+        a reference to a hash not held raises
+        :class:`~repro.errors.UnknownStimulusError`.
+        """
+        base = matrix_doc.get("base")
+        document = base.get("stimulus") if isinstance(base, dict) else None
+        if not isinstance(document, dict):
+            return matrix_doc, None, None
+        digest = protocol.stimulus_reference(document)
+        if digest is None:
+            digest = content_hash(document)
+            held, _ = self._stimuli.fetch(
+                digest, lambda: EncodedStimulus.decode(document)
+            )
+        elif digest in self._stimuli:
+            held, _ = self._stimuli.fetch(digest, lambda: None)
+        else:
+            raise UnknownStimulusError(
+                f"this server holds no stimulus {digest}: send the document"
+            )
+        return {**matrix_doc, "base": {**base, "stimulus": None}}, digest, held
 
     async def _handle_stream(
         self, send: Any, params: Dict[str, Any], rid: Any

@@ -1,8 +1,9 @@
 """The pool's policy core driven in simulated time: affinity order, tag
 fairness, backoff doubling, the retry budget, deadlines armed at ready,
-boot failures (one spawn per slot, not per group), cancel, the interrupt drain, and a seeded random fuzz of
-event sequences against the core's invariants.  Nothing here starts a
-process or reads a clock."""
+boot failures (one spawn per slot, not per group) and hung boots, the
+payload mirror's resets, cancel, the interrupt drain, and a seeded
+random fuzz of event sequences against the core's invariants.  Nothing
+here starts a process or reads a clock."""
 
 import random
 from collections import Counter, namedtuple
@@ -15,7 +16,13 @@ from repro.errors import (
     WorkerBootError,
     WorkerCrashError,
 )
-from repro.experiment.pool_core import LRU, PoolCore, Slot, Submission
+from repro.experiment.pool_core import (
+    _BOOT_TIMEOUT,
+    LRU,
+    PoolCore,
+    Slot,
+    Submission,
+)
 
 Cell = namedtuple("Cell", "index")
 
@@ -267,6 +274,58 @@ class TestSupervision:
         _dispatch(core)
         core.died(core.slots[0], 1.0)
         assert sub.faults == plan.decrement([0])
+
+    def test_a_boot_that_hangs_fails_like_a_boot_death(self):
+        core = PoolCore(1, warm_bound=8, payload_bound=4, max_retries=5)
+        sub = _submit(core, "a", "b")
+        assert _sends(_dispatch(core, 0.0)) == [(0, "a")]
+        slot = core.slots[0]
+        assert slot.boot_deadline == _BOOT_TIMEOUT and slot.deadline is None
+        slot.payloads.fetch("stimulus-hash", lambda: None)  # sent with "a"
+        assert _dispatch(core, _BOOT_TIMEOUT) == []  # at the bound: waits
+        actions = _dispatch(core, _BOOT_TIMEOUT + 0.5)
+        # The hung worker is killed and, no slot being ready, both groups
+        # fail with the boot error, unretried.
+        assert [a[0] for a in actions] == [
+            "kill", "fail", "fail", "emit", "settle",
+        ]
+        assert actions[0] == ("kill", slot)
+        for _, group, error, retries in actions[1:3]:
+            assert isinstance(error, WorkerBootError)
+            assert "did not report ready" in str(error) and retries == 0
+        assert sub.finished and sub.retries == 0
+        assert not slot.up and slot.boot_deadline is None
+        # The next group respawns the slot with empty mirrors.
+        _submit(core, "c", first_cell=2)
+        actions = _dispatch(core, 200.0)
+        assert [a[0] for a in actions][:2] == ["spawn", "send"]
+        assert list(slot.payloads) == [] and list(slot.warm) == ["c"]
+        assert slot.boot_deadline == 200.0 + _BOOT_TIMEOUT
+
+    def test_ready_ends_the_boot_clock(self):
+        core = PoolCore(1, warm_bound=8)
+        _submit(core, "k")
+        _dispatch(core, 0.0)
+        slot = core.slots[0]
+        core.ready(slot, _BOOT_TIMEOUT - 1.0)
+        assert slot.boot_deadline is None
+        assert _dispatch(core, 10 * _BOOT_TIMEOUT) == []
+        assert slot.up and slot.group is not None
+
+    def test_payload_mirror_resets_with_the_warm_mirror(self):
+        core = _core(1, ["k"])
+        slot = core.slots[0]
+        slot.payloads = LRU(4)
+        slot.payloads.fetch("h", lambda: None)
+        core.evicted()
+        assert list(slot.payloads) == [] and list(slot.warm) == []
+        # A respawn after a crash resets both as well.
+        _submit(core, "k")
+        _dispatch(core, 0.0)
+        slot.payloads.fetch("h", lambda: None)
+        core.died(slot, 1.0)
+        assert core.take()[0] == ("spawn", slot)
+        assert list(slot.payloads) == [] and list(slot.warm) == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Sweep service (ISSUE 9): JSON-RPC protocol round-trips, the asyncio
 orchestrator over the shared pool, server/client end-to-end identity
 with the in-process sweep, concurrent clients sharing one WAL sqlite
-store, and disconnect/cancel never wedging the pool."""
+store, disconnect/cancel never wedging the pool, and a malformed matrix
+refused with INVALID_PARAMS on a connection that keeps serving."""
 
 import asyncio
 import json
@@ -21,7 +22,7 @@ from repro.errors import (
 )
 from repro.experiment import SweepPool
 from repro.experiment.sweep import SweepCellError, SweepRow
-from repro.io.json_io import sweep_result_to_dict
+from repro.io.json_io import matrix_to_dict, sweep_result_to_dict
 from repro.service import ServiceClient, SweepOrchestrator, SweepServer
 from repro.service import protocol
 
@@ -265,6 +266,58 @@ class TestServedSweeps:
                     client._call("frobnicate", {})
                 with pytest.raises(ServiceError, match="-32602"):
                     client._call("status", {"ticket": "one"})
+
+    @pytest.mark.parametrize("spoil, field", [
+        (lambda d: d["base"].update(stimulus=5), "stimulus"),
+        (lambda d: d["base"].update(stimulus=[1, 2]), "stimulus"),
+        (lambda d: d["base"].update(stimulus={"input_samples": 7}),
+         "input_samples"),
+        (lambda d: d["base"].update(
+            stimulus={"sporadic_arrivals": {"x": 3}}), "arrivals of 'x'"),
+        (lambda d: d.update(axes=[1, 2]), "axes"),
+        (lambda d: d["axes"].update(jitter_seed=3), "axis 'jitter_seed'"),
+        (lambda d: d["base"].pop("wcet"), "'wcet'"),
+        (lambda d: d.update(base=[1, 2]), "fppn-scenario"),
+        (lambda d: d["base"].update(n_frames="x"), "'n_frames'"),
+        (lambda d: d["base"].update(stimulus={"hash": 5}),
+         "stimulus reference"),
+        (lambda d: d["base"].update(stimulus={"hash": "0" * 64, "data": {}}),
+         "stimulus reference"),
+    ], ids=[
+        "stimulus-int", "stimulus-list", "input-samples-int",
+        "arrivals-int", "axes-list", "axis-scalar", "no-wcet", "base-list",
+        "n-frames-text", "reference-hash-int", "reference-with-data",
+    ])
+    def test_a_malformed_matrix_is_refused_and_the_connection_lives(
+        self, spoil, field, small_serial
+    ):
+        document = matrix_to_dict(small_matrix())
+        spoil(document)
+        with SweepServer(workers=1) as server:
+            with ServiceClient(*server.address) as client:
+                pending = client.submit(small_matrix(), METRICS)["ticket"]
+                with pytest.raises(ServiceError, match="-32602") as info:
+                    client._call("submit", {
+                        "matrix": document, "metrics": list(METRICS),
+                    })
+                assert field in str(info.value)
+                # The ticket submitted before completes, and so does one
+                # submitted after, on the same connection.
+                assert client.stream(pending).rows == small_serial.rows
+                after = client.run_sweep(small_matrix(), METRICS)
+        assert after.rows == small_serial.rows
+
+    def test_an_axis_value_no_scenario_takes_keeps_the_connection(
+        self, small_serial
+    ):
+        document = matrix_to_dict(small_matrix())
+        document["axes"]["processors"] = ["two"]
+        with SweepServer(workers=1) as server:
+            with ServiceClient(*server.address) as client:
+                with pytest.raises(ServiceError, match="-32603"):
+                    client._call("submit", {"matrix": document})
+                after = client.run_sweep(small_matrix(), METRICS)
+        assert after.rows == small_serial.rows
 
     def test_shutdown_stops_the_server(self):
         server = SweepServer(workers=1)

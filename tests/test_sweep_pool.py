@@ -1,11 +1,14 @@
 """Resident sweep service (ISSUE 7): warm-cache resubmits with zero new
 derivations, streaming rows, submission queueing/cancel, pool lifecycle
-(no orphans, crash respawn into the resident pool) and cross-sweep fault
-isolation."""
+(no orphans, also after a SIGTERMed ``repro serve`` or a parent killed
+while its worker computes; crash respawn into the resident pool) and
+cross-sweep fault isolation."""
 
+import json
 import multiprocessing
 import os
 import select
+import signal
 import subprocess
 import sys
 import time
@@ -17,6 +20,7 @@ from repro import FaultPlan, MemorySweepStore, ScenarioMatrix, run_sweep
 from repro.apps import fig1_scenario, fms_scenario
 from repro.errors import ModelError
 from repro.experiment import SweepPool
+from repro.service import ServiceClient
 
 #: The headline acceptance matrix: the FMS 2x3 (processors x jitter) —
 #: two schedule-key groups of three runtime cells each.
@@ -46,6 +50,11 @@ def worker_pids(pool):
         for slot in pool._slots
         if slot.process is not None and slot.process.is_alive()
     }
+
+
+needs_procfs = pytest.mark.skipif(
+    not os.path.isdir("/proc/self"), reason="reads worker pids from procfs"
+)
 
 
 @pytest.fixture(scope="module")
@@ -285,6 +294,56 @@ class TestPoolLifecycle:
             time.sleep(0.1)
         assert not any(map(_running, pids)), "workers outlived their parent"
 
+    @needs_procfs
+    def test_workers_exit_when_serve_is_sigtermed(self, tmp_path):
+        config = tmp_path / "server.json"
+        config.write_text(json.dumps({
+            "format": "fppn-server", "version": 1, "port": 0, "workers": 2,
+        }))
+        ready = tmp_path / "addr"
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", str(config),
+             "--ready-file", str(ready)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            env={**os.environ, "PYTHONPATH": _SRC},
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            while not ready.exists() or not ready.read_text().endswith("\n"):
+                assert server.poll() is None, "repro serve exited early"
+                assert time.monotonic() < deadline, "repro serve never ready"
+                time.sleep(0.05)
+            address = ready.read_text().strip()
+            with ServiceClient.from_address(address) as client:
+                # Two schedule keys: both workers boot and serve a group.
+                client.run_sweep(fig1_matrix(), METRICS)
+            pids = _child_worker_pids(server.pid)
+            assert len(pids) == 2 and all(map(_running, pids))
+            server.send_signal(signal.SIGTERM)
+            server.wait(timeout=30)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait(timeout=30)
+        _assert_gone_within(pids, 10.0)
+
+    @needs_procfs
+    def test_a_busy_worker_exits_when_its_parent_is_killed(self):
+        parent = subprocess.Popen(
+            [sys.executable, "-c", _BUSY_WORKER_PARENT],
+            stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": _SRC},
+        )
+        try:
+            ready, _, _ = select.select([parent.stdout], [], [], 60.0)
+            assert ready, "pool parent never reported its worker"
+            [pid] = [int(pid) for pid in parent.stdout.readline().split()]
+            assert _running(pid) and _child_worker_pids(parent.pid) == [pid]
+        finally:
+            parent.kill()
+            parent.wait(timeout=30)
+        _assert_gone_within([pid], 10.0)
+
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -318,6 +377,52 @@ def _running(pid):
         except ProcessLookupError:
             return False
         return True
+
+
+def _child_worker_pids(parent_pid):
+    """Pids of the pool workers *parent_pid* spawned (from procfs)."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                ppid = int(stat.read().rsplit(")", 1)[1].split()[1])
+            with open(f"/proc/{entry}/cmdline", "rb") as cmdline:
+                command = cmdline.read()
+        except (OSError, ValueError):
+            continue
+        if ppid == parent_pid and b"spawn_main" in command:
+            pids.append(int(entry))
+    return pids
+
+
+def _assert_gone_within(pids, seconds):
+    deadline = time.monotonic() + seconds
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    assert not any(map(_running, pids)), "workers outlived their parent"
+
+
+#: Boots a 1-worker pool on a group that sleeps for two minutes, prints
+#: the worker's pid once it is inside that group, then waits to be killed.
+_BUSY_WORKER_PARENT = """
+import time
+from repro import FaultPlan, ScenarioMatrix
+from repro.apps import fig1_scenario
+from repro.experiment import SweepPool
+
+pool = SweepPool(workers=1)
+pool.submit(
+    ScenarioMatrix(fig1_scenario(n_frames=1), {"jitter_seed": [0]}),
+    ("makespan",), faults=FaultPlan(delay_at={0: (120.0, 1)}),
+)
+while not (pool._core.slots and pool._core.slots[0].ready):
+    pool.pump_once()
+time.sleep(1.0)  # the worker decodes its group and sleeps in the delay
+print(pool._slots[0].process.pid, flush=True)
+time.sleep(120)
+"""
 
 
 # ---------------------------------------------------------------------------
