@@ -337,17 +337,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     host = args.host if args.host is not None else config.get(
         "host", "127.0.0.1"
     )
-    port = args.port if args.port is not None else int(config.get("port", 0))
+
+    def integer(name: str, default: int) -> int:
+        value = config.get(name, default)
+        if not isinstance(value, int) or isinstance(value, bool):
+            _fail(
+                f"{args.config}: fppn-server field {name!r} must be an "
+                f"integer, got {value!r}"
+            )
+        return value
+
+    port = args.port if args.port is not None else integer("port", 0)
 
     try:
         server = SweepServer(
             host, port,
-            workers=int(config.get("workers", 2)),
+            workers=integer("workers", 2),
             store=config.get("store"),
             group_timeout=config.get("group_timeout"),
-            max_retries=int(config.get("max_retries", 2)),
-            max_cached_groups=int(config.get("max_cached_groups", 8)),
-            max_cached_payloads=int(config.get("max_cached_payloads", 64)),
+            max_retries=integer("max_retries", 2),
+            max_cached_groups=integer("max_cached_groups", 8),
+            max_cached_payloads=integer("max_cached_payloads", 64),
         )
         bound_host, bound_port = server.start()
     except FPPNError as exc:

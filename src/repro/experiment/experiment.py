@@ -133,7 +133,7 @@ class PipelineCache:
 
         Draws depend only on ``(seed, process, k, frame)``, so sharing a
         sampler is invisible in the rows: cells varying overheads,
-        processors, platforms or frames under one seed read its memo.
+        processors, platforms or frames under one seed read its draw rows.
         """
         if scenario.jitter_seed is None:
             return scenario.execution_model()

@@ -30,6 +30,7 @@ experiment layer depending on the apps layer.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
@@ -117,6 +118,12 @@ def resolve_workload(spec: WorkloadSpec) -> Callable[[], Network]:
 # ---------------------------------------------------------------------------
 # normalisation helpers
 # ---------------------------------------------------------------------------
+def _require_int(name: str, value: Any) -> None:
+    """Refuse a non-``int`` field value; ``bool`` counts as non-``int``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ModelError(f"{name} must be an int, got {value!r}")
+
+
 def _is_normalized_pairs(value: Any) -> bool:
     """True for the canonical tuple-of-(name, value)-pairs form.
 
@@ -256,8 +263,10 @@ class Scenario:
             # processors is a derived view of the platform: keep the two
             # in lock-step so every consumer of the count stays correct.
             set_(self, "processors", self.platform.processors)
+        _require_int("processors", self.processors)
         if self.processors < 1:
             raise ModelError("processors must be >= 1")
+        _require_int("n_frames", self.n_frames)
         if self.n_frames < 1:
             raise ModelError("n_frames must be >= 1")
         if self.execution_time is not None and self.jitter_seed is not None:
@@ -266,12 +275,13 @@ class Scenario:
                 "a scenario has exactly one execution-time model"
             )
         if self.jitter_seed is not None:
-            if (not isinstance(self.jitter_seed, int)
-                    or isinstance(self.jitter_seed, bool)):
-                raise ModelError(
-                    f"jitter_seed must be an int, got {self.jitter_seed!r}"
-                )
+            _require_int("jitter_seed", self.jitter_seed)
             set_(self, "jitter_seed", int(self.jitter_seed))
+        if (not isinstance(self.jitter_low, numbers.Real)
+                or isinstance(self.jitter_low, bool)):
+            raise ModelError(
+                f"jitter_low must be a real number, got {self.jitter_low!r}"
+            )
         if not 0 < self.jitter_low <= 1:
             raise ModelError("jitter_low must be in (0, 1]")
         if not isinstance(self.overheads, OverheadModel):

@@ -598,16 +598,26 @@ def scenario_from_dict(data: Mapping[str, Any]) -> Scenario:
 def _number(
     data: Mapping[str, Any], name: str, kind: type, default: Any = None
 ) -> Any:
-    """Field *name* of a scenario document as an int or float."""
+    """Field *name* of a scenario document as an int or float.
+
+    Only a JSON integer is an int, and an integer or a float a float: a
+    string, a boolean or a fractional frame count is refused, not coerced.
+    """
     value = (
         _field(data, name, "fppn-scenario") if default is None
         else data.get(name, default)
     )
+    accepted = (int,) if kind is int else (int, float)
+    if not isinstance(value, accepted) or isinstance(value, bool):
+        raise FormatError(
+            f"fppn-scenario field {name!r} must be "
+            f"{'an integer' if kind is int else 'a number'}, got {value!r}"
+        )
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except OverflowError:
         raise FormatError(
-            f"fppn-scenario field {name!r} must be a number, got {value!r}"
+            f"fppn-scenario field {name!r} must be a float, got {value!r}"
         ) from None
 
 

@@ -34,13 +34,14 @@ The executor is split into a **timing core** and pluggable **consumers**:
    sporadic arrival binding and its per-frame slot tables are memoised
    on the stimulus (:meth:`ArrivalBinding.of`), so every run of one
    schedule over one stimulus shares them.  A :class:`JitterSampler` is
-   sampled through its integer draws — one integer mix per instance,
-   memoised — each duration ``d * wcet / R`` exact in a domain fixed
-   before sampling.  Tick-fed observers (stock
-   :class:`~repro.runtime.observers.MetricsObserver` classes) get integer
-   aggregates once per run instead of one record per instance, so a
-   timing-only run with no other record consumer builds no
-   :class:`JobRecord` at all.  The data phase feeds them its kernel-span
+   sampled through its draw table: per frame, one row of integer draws
+   aligned to the job index, computed by packed splitmix64 passes and
+   kept on the sampler for every run of the graph — each duration
+   ``d * wcet / R`` exact in a domain fixed before sampling.  Tick-fed
+   observers (stock :class:`~repro.runtime.observers.MetricsObserver`
+   classes) get integer aggregates once per run instead of one record
+   per instance, so a timing-only run with no other record consumer
+   builds no :class:`JobRecord` at all.  The data phase feeds them its kernel-span
    and channel-write aggregates the same way, in ticks, once per run.
 2. **Data phase** (:meth:`MultiprocessorExecutor._data_phase`) — the
    kernels of all *true* jobs run in ``(start, frame, <J index)`` order
@@ -60,6 +61,7 @@ determinism matrix runs (it only compares data-phase observables).
 from __future__ import annotations
 
 import gc
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from hashlib import blake2b
@@ -95,6 +97,16 @@ _obj_setattr = object.__setattr__
 _M64 = (1 << 64) - 1
 _K_STEP = 0x9E3779B97F4A7C15
 _FRAME_STEP = 0xD1B54A32D192ED03
+#: Lanes of one packed splitmix64 pass.  A lane is 128 bits, so a pass
+#: works on integers of at most 32 KiB: drawing a long run in one pass
+#: would hold a few temporaries of its full size at once.
+_PASS_LANES = 2048
+#: A full pass's lane mask (the low 64 bits of every lane) and its ``1``
+#: in bit 64 of every lane; a pass of fewer lanes shifts off the rest.
+_PASS_MASK = int.from_bytes((b"\xff" * 8 + bytes(8)) * _PASS_LANES, "little")
+_PASS_HIGH_ONES = int.from_bytes(
+    (bytes(8) + b"\x01" + bytes(7)) * _PASS_LANES, "little"
+)
 
 ExecutionTimeSpec = Union[
     None,
@@ -108,6 +120,32 @@ def wcet_execution(job: Job, frame: int) -> Time:
     return job.wcet
 
 
+def _splitmix_lanes(x: int, lanes: int, lo: int, span: int) -> array:
+    """``lo + (splitmix64(v) * span) >> 64`` for every packed input ``v``.
+
+    *x* holds *lanes* (at most ``_PASS_LANES``) 128-bit lanes,
+    little-endian, each with an input ``v`` in its low 64 bits (bits above
+    64 are reduced away).  No lane carries into another: a product of two
+    64-bit values stays below 2**128, and a right shift moves a lane's
+    bits only into its neighbour's high half, which the mask clears before
+    the next product.  The draws (below 2**16) come back as an
+    ``array('H')``.
+    """
+    drop = 128 * (_PASS_LANES - lanes)
+    m = _PASS_MASK >> drop
+    x &= m
+    x = ((x ^ (x >> 30)) & m) * 0xBF58476D1CE4E5B9 & m
+    x = ((x ^ (x >> 27)) & m) * 0x94D049BB133111EB & m
+    # (z * span + lo * 2**64) >> 64 == lo + (z * span) >> 64.
+    x = ((x ^ (x >> 31)) & m) * span + (_PASS_HIGH_ONES >> drop) * lo
+    x = (x >> 64) & m
+    out = array("H")
+    out.frombytes(
+        memoryview(x.to_bytes(16 * lanes, "little")).cast("H")[::8].tobytes()
+    )
+    return out
+
+
 class JitterSampler:
     """The execution-time model behind :func:`jittered_execution`.
 
@@ -117,26 +155,38 @@ class JitterSampler:
     stateless integer mix of ``(seed, process, k, frame)`` — not of the
     WCET: a 64-bit base per ``(seed, process)``, the first 8 bytes of the
     BLAKE2b digest of ``f"{seed}/{process}"`` read little-endian, is
-    computed once per sampler; an instance then costs one splitmix64
-    finaliser ``x`` over ``base + k * _K_STEP + frame * _FRAME_STEP``
+    computed once per sampler; an instance then gets the splitmix64
+    finaliser ``x`` of ``base + k * _K_STEP + frame * _FRAME_STEP``
     (mod 2**64), mapped onto the span by ``lo + (x * (R - lo + 1)) >> 64``.
     Nothing depends on ``PYTHONHASHSEED`` or on the process, and no float
-    enters a draw.  Draws are memoised per instance, and the executor
-    reads them through the tick entry :meth:`draws` and charges
+    enters a draw.
+
+    Draws are computed in packed passes (:func:`_splitmix_lanes`).  The
+    executor reads a graph's draws through :meth:`_rows`: per frame, an
+    ``array('H')`` aligned to the run plan's ``keys`` column, false server
+    slots included.  The rows are kept on the sampler and grow on demand,
+    so the runs of one graph under one sampler — the cells of a jitter
+    seed in a sweep — draw each instance once; the executor charges
     ``d * wcet / R`` in integer ticks (its run domain is fixed before
-    sampling, from the WCETs and ``R``).  Calling the sampler as a
+    sampling, from the WCETs and ``R``).  :meth:`draws` serves any keys
+    through the same passes, and calling the sampler as a
     ``(job, frame) -> Time`` model returns the same duration as an exact
     rational.
     """
 
     #: Denominator of every draw: millisecond-ish resolution of a WCET.
+    #: Draws are unpacked as 16-bit words, so it must stay below 2**16.
     resolution = 10_000
 
-    __slots__ = ("seed", "low_fraction", "_lo", "_span", "_bases", "_memo")
+    __slots__ = ("seed", "low_fraction", "_lo", "_span", "_bases", "_tables")
 
     def __init__(self, seed: int, low_fraction: float = 0.5) -> None:
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise TypeError(f"jitter seed must be an int, got {seed!r}")
+        if isinstance(low_fraction, bool):
+            raise TypeError(
+                f"low_fraction must be a real number, got {low_fraction!r}"
+            )
         if not 0 < low_fraction <= 1:
             raise ValueError("low_fraction must be in (0, 1]")
         self.seed = seed
@@ -145,40 +195,71 @@ class JitterSampler:
         self._span = self.resolution - self._lo + 1
         #: process -> 64-bit base of its draws.
         self._bases: Dict[str, int] = {}
-        #: frame -> (process, k) -> draw.
-        self._memo: Dict[int, Dict[Tuple[str, int], int]] = {}
+        #: id(keys column) -> (that column, its packed frame-0 inputs, its
+        #: draw rows).  Holding the column keeps its id from being reused;
+        #: nothing here refers to a graph, schedule or network.
+        self._tables: Dict[int, Tuple[Any, bytes, List[array]]] = {}
+
+    def _words(self, keys: Sequence[Tuple[str, int]]) -> bytes:
+        """The frame-0 mix inputs of *keys*, one 128-bit lane each."""
+        bases = self._bases
+        parts = []
+        for process, k in keys:
+            base = bases.get(process)
+            if base is None:
+                base = bases[process] = int.from_bytes(blake2b(
+                    f"{self.seed}/{process}".encode(), digest_size=8
+                ).digest(), "little")
+            parts.append(((base + k * _K_STEP) & _M64).to_bytes(16, "little"))
+        return b"".join(parts)
+
+    def _draw_rows(self, words: bytes, frames: range) -> List[array]:
+        """One row of draws of the lanes *words* per frame of *frames*,
+        in passes of at most ``_PASS_LANES`` lanes."""
+        n = len(words) // 16
+        inputs = words * len(frames)
+        steps = b"".join(
+            ((f * _FRAME_STEP) & _M64).to_bytes(16, "little") * n
+            for f in frames
+        )
+        flat = array("H")
+        for s in range(0, len(inputs), 16 * _PASS_LANES):
+            chunk = inputs[s:s + 16 * _PASS_LANES]
+            x = int.from_bytes(chunk, "little") + int.from_bytes(
+                steps[s:s + 16 * _PASS_LANES], "little"
+            )
+            flat += _splitmix_lanes(x, len(chunk) // 16, self._lo, self._span)
+        return [flat[i * n:(i + 1) * n] for i in range(len(frames))]
+
+    def _rows(
+        self, keys: Sequence[Tuple[str, int]], n_frames: int
+    ) -> List[array]:
+        """The draw rows of frames ``0 .. n_frames - 1`` of the keys
+        column *keys*, aligned to it, kept on the sampler."""
+        table = self._tables.get(id(keys))
+        if table is None:
+            table = self._tables[id(keys)] = (keys, self._words(keys), [])
+        _, words, rows = table
+        # Whole frames per block, one pass each while a frame fits in one.
+        block = max(1, _PASS_LANES // max(1, len(keys)))
+        for f in range(len(rows), n_frames, block):
+            frames = range(f, min(f + block, n_frames))
+            rows.extend(self._draw_rows(words, frames))
+        return rows[:n_frames]
 
     def draws(self, frame: int, keys: Sequence[Tuple[str, int]]) -> List[int]:
         """The draws of the ``(process, k)`` instances *keys* in *frame*."""
-        memo = self._memo.get(frame)
-        if memo is None:
-            memo = self._memo[frame] = {}
-        get = memo.get
-        bases = self._bases
-        lo, span = self._lo, self._span
-        step = frame * _FRAME_STEP
-        out: List[int] = []
-        for key in keys:
-            d = get(key)
-            if d is None:
-                process, k = key
-                base = bases.get(process)
-                if base is None:
-                    base = bases[process] = int.from_bytes(blake2b(
-                        f"{self.seed}/{process}".encode(), digest_size=8
-                    ).digest(), "little")
-                x = (base + k * _K_STEP + step) & _M64
-                x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-                x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
-                d = memo[key] = lo + (((x ^ (x >> 31)) * span) >> 64)
-            out.append(d)
-        return out
+        rows = self._draw_rows(self._words(keys), range(frame, frame + 1))
+        return rows[0].tolist()
 
     def __call__(self, job: Job, frame: int) -> Time:
         d = self.draws(frame, ((job.process, job.k),))[0]
         return fraction_from_ratio(
             job.wcet.numerator * d, job.wcet.denominator * self.resolution
         )
+
+
+assert JitterSampler.resolution < 1 << 16
 
 
 def jittered_execution(seed: int, low_fraction: float = 0.5) -> JitterSampler:
@@ -190,10 +271,9 @@ def jittered_execution(seed: int, low_fraction: float = 0.5) -> JitterSampler:
     comparing *different schedules* under the *same* jitter.  *seed* must
     be an ``int`` (``TypeError`` otherwise, ``bool`` included).  The
     returned :class:`JitterSampler` is a ``(job, frame) -> Time``
-    callable; it draws each instance with one integer mix and memoises
-    the draw, so determinism sweeps that replay the same jitter against
-    many schedules draw each instance once, and the executor samples it
-    in ticks.
+    callable; the executor samples it in ticks from per-graph draw rows
+    that the sampler keeps, so determinism sweeps that replay the same
+    jitter against many schedules of one graph draw each instance once.
     """
     return JitterSampler(seed, low_fraction)
 
@@ -548,7 +628,7 @@ class MultiprocessorExecutor:
         run's tick domain — the graph's domain extended by the overheads,
         process deadlines, the binding's domain and what the
         execution-time model needs; (3) the integer
-        views of all of them, execution durations sampled only for true
+        views of all of them, a callable's durations sampled only for true
         jobs.  Default WCETs and :class:`JitterSampler` draws never leave
         ticks: a sampler's domain is fixed from the WCETs and its
         resolution before any draw.  Tables and other callables yield
@@ -607,8 +687,7 @@ class MultiprocessorExecutor:
             dur_t_const = [w * factor + pj_t for w in wcet_base]
         elif isinstance(spec, JitterSampler):
             dur_t_rows = self._tick_draws(
-                spec, plan, [w * factor for w in wcet_base], pj_t, slot_rows,
-                n_frames,
+                spec, plan, [w * factor for w in wcet_base], pj_t, n_frames
             )
         elif rows is None:
             dur_t_const = [to_ticks(d) for d in const]
@@ -637,13 +716,14 @@ class MultiprocessorExecutor:
         plan: RunPlan,
         wcet_t: List[int],
         pj_t: int,
-        slot_rows: List[Dict[int, Tuple[int, int]]],
         n_frames: int,
     ) -> List[List[int]]:
-        """Per-frame tick durations ``d * wcet / R + per_job`` of true jobs.
+        """Per-frame tick durations ``d * wcet / R + per_job`` of every job.
 
-        Draws are taken frame by frame in schedule-topological order, true
-        jobs only, like :meth:`_durations` samples a callable.  The run
+        The draws are the sampler's rows for the plan's ``keys`` column
+        (:meth:`JitterSampler._rows`), aligned to the job index and shared
+        by every run of the graph under the sampler.  False server slots
+        get a duration too, which the timing loop never charges.  The run
         domain makes every ``wcet / R`` whole (checked here, per job, as
         ``to_ticks`` would), so each duration is exact integer arithmetic.
         """
@@ -654,17 +734,10 @@ class MultiprocessorExecutor:
                 f"resolution {res} — the run's tick domain is too coarse"
             )
         unit = [w // res for w in wcet_t]
-        topo, keys, is_server = plan.order, plan.keys, plan.is_server
-        rows: List[List[int]] = []
-        for frame in range(n_frames):
-            brow = slot_rows[frame]
-            live = [i for i in topo if not is_server[i] or i in brow]
-            row = [0] * len(wcet_t)
-            draws = sampler.draws(frame, [keys[i] for i in live])
-            for i, d in zip(live, draws):
-                row[i] = unit[i] * d + pj_t
-            rows.append(row)
-        return rows
+        return [
+            [u * d + pj_t for u, d in zip(unit, drow)]
+            for drow in sampler._rows(plan.keys, n_frames)
+        ]
 
     # ------------------------------------------------------------------
     def _timing_phase(

@@ -277,6 +277,25 @@ class TestEntryPoint:
             main(["sweep", config])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("field", [
+        "workers", "port", "max_retries", "max_cached_groups",
+        "max_cached_payloads",
+    ])
+    @pytest.mark.parametrize("value", ["two", True, 2.0, None])
+    def test_serve_refuses_a_non_integer_field(
+        self, tmp_path, capsys, field, value
+    ):
+        # Refused before any server or worker starts, like "workers": 0.
+        config = write_json(tmp_path / "server.json", {
+            "format": "fppn-server", "version": 1, field: value,
+        })
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", config])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"field {field!r} must be an integer" in err
+
     def test_python_dash_m_entry(self, run_config):
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "run", run_config],

@@ -139,6 +139,30 @@ class TestScenario:
         with pytest.raises(ModelError):
             Scenario(workload="fig1", wcet=lambda job, k: 1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("processors", "two"), ("processors", True), ("processors", 2.0),
+        ("n_frames", 2.5), ("n_frames", True), ("n_frames", "3"),
+        ("jitter_low", "x"), ("jitter_low", True), ("jitter_low", None),
+    ])
+    def test_field_types_are_checked(self, field, value):
+        # A bool is an int to Python, and True == 1 would pass every range
+        # check; it is refused wherever an int or a real is meant.
+        base = Scenario(workload="fig1", wcet=25)
+        with pytest.raises(ModelError, match=f"^{field} must be "):
+            base.replace(**{field: value})
+
+    @pytest.mark.parametrize("field,literal", [
+        ("processors", '"two"'), ("processors", "true"),
+        ("processors", "2.0"), ("n_frames", "2.5"), ("n_frames", "true"),
+        ("n_frames", '"3"'), ("jitter_low", '"x"'), ("jitter_low", "true"),
+        ("jitter_low", "1" + "0" * 400),
+    ])
+    def test_document_field_types_are_checked(self, field, literal):
+        data = scenario_to_dict(Scenario(workload="fig1", wcet=25))
+        data[field] = json.loads(literal)
+        with pytest.raises(FormatError, match=f"field '{field}' must be"):
+            scenario_from_dict(data)
+
     def test_stage_keys_split_compile_and_runtime_fields(self):
         base = fig1_scenario()
         runtime_variant = base.replace(

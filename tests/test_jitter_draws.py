@@ -5,21 +5,27 @@ a BLAKE2b base per ``(seed, process)`` and a splitmix64 finaliser per
 instance, mapped onto ``[lo, R]``.  These tests pin the rule — a literal
 golden table, the bounds, uniformity, independence from the interpreter's
 hash seed — and the seed types it accepts, so that any change of the rule
-fails loudly here before it silently moves every jittered row.
+fails loudly here before it silently moves every jittered row.  The
+sampler computes draws in packed passes of up to ``_PASS_LANES`` lanes
+and keeps per-frame draw rows per keys column; both must equal the
+scalar rule of ``fraction_reference`` draw for draw.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from repro.runtime import JitterSampler, jittered_execution
+from repro.runtime.executor import _PASS_LANES
 
 from fraction_reference import _reference_jitter_draw
 
@@ -139,6 +145,79 @@ def test_sampler_rejects_non_int_seeds(seed):
         JitterSampler(seed)
     with pytest.raises(TypeError, match="jitter seed must be an int"):
         jittered_execution(seed)
+
+
+@pytest.mark.parametrize("low", [True, False])
+def test_sampler_rejects_bool_low_fractions(low):
+    # True == 1 would otherwise pass the range check as low_fraction 1.
+    with pytest.raises(TypeError, match="low_fraction must be a real"):
+        JitterSampler(1, low_fraction=low)
+
+
+def _random_keys(rng, n, processes):
+    """*n* keys over *processes* names, a quarter with ``k >= 2**64``."""
+    return [
+        (f"P{rng.randrange(processes)}",
+         rng.randrange(2 ** 64, 2 ** 66) if rng.random() < 0.25
+         else rng.randrange(1, 60))
+        for _ in range(n)
+    ]
+
+
+def _reference_row(seed, low, keys, frame):
+    return [_reference_jitter_draw(seed, low, p, k, frame) for p, k in keys]
+
+
+@pytest.mark.parametrize("lanes", [
+    1, _PASS_LANES - 1, _PASS_LANES, _PASS_LANES + 1, 3 * _PASS_LANES + 5,
+])
+def test_packed_passes_match_the_scalar_rule(lanes):
+    rng = random.Random(lanes)
+    for seed, low in (
+        (rng.randrange(-2 ** 70, 0), 0.5),
+        (rng.randrange(2 ** 64, 2 ** 70), 1.0),   # span 1: every draw is R
+        (rng.randrange(1000), 1e-9),               # lo = 1: the widest span
+        (rng.randrange(1000), rng.uniform(0.05, 0.95)),
+    ):
+        keys = _random_keys(rng, lanes, processes=300)
+        frame = rng.randrange(-5, 10 ** 6)
+        assert jittered_execution(seed, low).draws(frame, keys) == (
+            _reference_row(seed, low, keys, frame)
+        )
+
+
+@pytest.mark.parametrize("n", [
+    1, 7, _PASS_LANES // 3 + 1, _PASS_LANES, _PASS_LANES + 1,
+])
+def test_draw_rows_grow_aligned_to_their_keys_column(n):
+    # Rows are drawn in blocks of whole frames (one pass for up to
+    # _PASS_LANES lanes), or frame by frame in several passes when one
+    # frame is wider; a table drawn to 3 frames and grown to 25 keeps its
+    # first rows and equals the scalar rule on every row.
+    rng = random.Random(n)
+    seed, low = rng.randrange(-2 ** 65, 2 ** 65), 0.3
+    keys = _random_keys(rng, n, processes=50)
+    sampler = jittered_execution(seed, low)
+    first = sampler._rows(keys, 3)
+    grown = sampler._rows(keys, 25)
+    assert len(first) == 3 and len(grown) == 25
+    assert all(a is b for a, b in zip(first, grown))
+    assert all(type(row) is array and row.typecode == "H" for row in grown)
+    for frame, row in enumerate(grown):
+        assert row.tolist() == _reference_row(seed, low, keys, frame)
+    # A later run reads the same rows: nothing is drawn again.
+    assert all(a is b for a, b in zip(sampler._rows(keys, 25), grown))
+
+
+def test_draw_tables_are_filed_by_keys_column():
+    keys = _keys(3, 5)
+    sampler = jittered_execution(4)
+    rows = sampler._rows(keys, 2)
+    (column, _, kept), = sampler._tables.values()
+    assert column is keys and kept == rows
+    # An equal but distinct column gets its own table, with equal rows.
+    assert sampler._rows(list(keys), 2) == rows
+    assert len(sampler._tables) == 2
 
 
 _PROBE = (

@@ -6,8 +6,9 @@ only on the sporadic generators' ``(period, burst)``.  So a stimulus
 validates and binds once per network *structure*: later sweeps, which
 build their network afresh, reuse both; a network whose sporadic period
 or burst, user period or boundary rule differs gets its own.  The memo
-holds no network, and jitter samplers live only as long as the sweep
-that drew them.
+holds no network, and jitter samplers — with the draw tables they keep
+per keys column, which hold that column and no graph — live only as long
+as the sweep that drew them.
 """
 
 from __future__ import annotations
@@ -202,16 +203,36 @@ class TestLifetimes:
 
     def test_sweep_samplers_share_and_die_with_the_sweep(self, monkeypatch):
         made = _count_calls(monkeypatch, scenario_module, "jittered_execution")
+        tables, rows = set(), []
+        original = JitterSampler._rows
+
+        def spy(sampler, keys, n_frames):
+            drawn = original(sampler, keys, n_frames)
+            table = sampler._tables[id(keys)]
+            tables.add(id(table))
+            # The table holds its keys column, packed inputs and rows:
+            # nothing that would keep a graph or network alive.
+            column, words, kept = table
+            assert column is keys and type(words) is bytes
+            assert all(a is b for a, b in zip(kept, drawn))
+            assert all(type(key) is tuple for key in column)
+            rows.extend(weakref.ref(row) for row in drawn)
+            return drawn
+
+        monkeypatch.setattr(JitterSampler, "_rows", spy)
         seeds = [7_770_001, 7_770_002]
         result = run_sweep(ScenarioMatrix(
             example_fig1.scenario(n_frames=2),
             {"jitter_seed": seeds, "processors": [2, 3]},
         ), METRICS)
         assert not result.failed_rows
-        # One sampler per seed, shared by the seed's cells...
+        # One sampler per seed, shared by the seed's cells, with one table
+        # for the graph the cells share...
         assert sorted(args[0] for args in made) == seeds
-        # ...and none left once the sweep has returned.
+        assert len(tables) == 2 and len(rows) == 8
+        # ...and none of them left once the sweep has returned.
         assert not _live_samplers(seeds)
+        assert not [row for row in rows if row() is not None]
 
     def test_a_shared_cache_keeps_only_the_current_seeds(self, monkeypatch):
         made = _count_calls(monkeypatch, scenario_module, "jittered_execution")

@@ -254,7 +254,7 @@ def test_overhead_simulation_identical():
 
 
 def test_jitter_sampler_matches_seed_construction():
-    """The memoised sampler equals a fresh digest and mix per sample."""
+    """The sampler equals a fresh digest and mix per sample."""
     _, graph, _, _ = fms()
     ours = jittered_execution(7)
     ref = reference_jittered_execution(7)
@@ -262,7 +262,7 @@ def test_jitter_sampler_matches_seed_construction():
         for frame in (0, 1, 5):
             a, b = ours(job, frame), ref(job, frame)
             assert (a.numerator, a.denominator) == (b.numerator, b.denominator)
-    # memoised second pass returns identical values
+    # a second pass returns identical values
     for job in graph.jobs[:20]:
         assert ours(job, 0) == ref(job, 0)
 

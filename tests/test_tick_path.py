@@ -11,7 +11,9 @@ tick totals equal what ``on_record`` and the data hooks aggregate (live
 through an overriding subclass, and post hoc through :func:`replay`), and
 tick-sampled runs equal runs driven by the Fraction reference sampler —
 over seeded random workloads x jitter seeds x overheads x homogeneous and
-big/little platforms.
+big/little platforms.  Jittered 25-frame FMS runs on one to three
+processors and big/little equal the full Fraction reference simulation,
+record for record and in their tick totals.
 """
 
 from fractions import Fraction
@@ -19,6 +21,7 @@ from fractions import Fraction
 import pytest
 
 from repro.apps import random_network, random_wcets
+from repro.apps.fms import build_fms_network, fms_stimulus, fms_wcets
 from repro.core.channels import ChannelKind
 from repro.core.invocations import Stimulus, random_stimulus
 from repro.core.network import Network
@@ -33,12 +36,13 @@ from repro.runtime import (
     wcet_execution,
 )
 from repro.runtime.overheads import OverheadModel
-from repro.scheduling import list_schedule
+from repro.scheduling import find_feasible_schedule, list_schedule
 from repro.taskgraph import derive_task_graph
 
 from fraction_reference import (
     reference_jittered_execution,
     reference_memo_jittered_execution,
+    reference_run_static_order,
 )
 from test_data_phase_events import DataEventLog
 
@@ -384,8 +388,8 @@ def test_tick_sampled_run_matches_fraction_sampled_run(
 
 @pytest.mark.parametrize("platform", sorted(PLATFORMS))
 def test_one_sampler_serves_two_wcet_tables(platform):
-    # The draw memo is keyed by instance, not by WCET: a sampler warmed on
-    # one WCET table must scale its memoised draws by the other table's
+    # Draws depend on the instance, not on the WCET: a sampler that drew
+    # for one WCET table must scale the same draws by the other table's
     # WCETs, exactly as the WCET-checked Fraction memo redraws them.
     net, graph_a, stim = workload(23)
     _, graph_b, _ = workload(23, scale=Fraction(3, 2))
@@ -404,3 +408,36 @@ def test_one_sampler_serves_two_wcet_tables(platform):
         assert exact(shared(job_b, 1)) == exact(reference(job_b, 1))
         assert exact(shared(job_a, 1)) == exact(reference(job_a, 1))
         assert shared(job_b, 1) == shared(job_a, 1) * Fraction(3, 2)
+
+
+@pytest.fixture(scope="module")
+def fms_25_frames():
+    net = build_fms_network()
+    graph = derive_task_graph(net, fms_wcets())
+    return net, graph, fms_stimulus(net, graph.hyperperiod * 25)
+
+
+@pytest.mark.parametrize("platform", ["m1", "m2", "m3", "big_little"])
+def test_fms_jittered_runs_match_the_fraction_reference(
+    fms_25_frames, platform
+):
+    # The FMS case study at the sweep's scale: 812 jobs per frame, nearly
+    # half of them server slots no arrival fills, whose draws the
+    # sampler's rows hold but the timing loop must never charge.
+    net, graph, stim = fms_25_frames
+    schedule = find_feasible_schedule(
+        graph, PLATFORMS.get(platform) or int(platform[1:])
+    )
+    ticks = MetricsObserver()
+    ours = run_static_order(
+        net, schedule, 25, stim, jittered_execution(31), records_only=True,
+        observers=[ticks],
+    )
+    reference = reference_run_static_order(
+        net, schedule, 25, stim, reference_jittered_execution(31)
+    )
+    assert record_fields(ours) == record_fields(reference)
+    fed = RecordFed()
+    replay(reference, fed)
+    assert aggregates(ticks) == aggregates(fed)
+    assert 0.4 < ticks.false_jobs / ticks.total_jobs < 0.5
