@@ -27,12 +27,13 @@ test-pool:
 
 # Heterogeneous-platform lane: scheduling, search, feasibility and runs on
 # homogeneous, speed-scaled and big/little platforms against the
-# platform-aware Fraction oracles, plus JSON back-compat fixtures.
-# Also part of the tier-1 run.
+# platform-aware Fraction oracles, plus JSON back-compat fixtures and the
+# Scenario field table.  Also part of the tier-1 run.
 test-hetero:
 	$(PY) -m pytest tests/test_hetero_equivalence.py \
 		tests/test_hetero_oracles.py tests/test_hetero_differential.py \
-		tests/test_unsorted_arrivals.py tests/test_io_json.py -q
+		tests/test_unsorted_arrivals.py tests/test_io_json.py \
+		tests/test_field_table.py -q
 
 # Tick-path lane: the integer-tick runtime (records, data phase, tick-fed
 # metrics, packed jitter draws and their rule, tick-native schedules) against
@@ -105,7 +106,9 @@ bench-ab:
 		--rounds $(or $(ROUNDS),15)
 
 # CLI smoke: the demo configs through `python -m repro` (run + spans,
-# parallel sweep + sqlite resume), then `diff` of the two sweeps.
+# parallel sweep + sqlite resume), then `diff` of the two sweeps.  Last, a
+# server config with "group_timeout": "x" and a sweep with a processors
+# axis of ["two"] must each exit 2 with an `error:` line, no traceback.
 cli-smoke:
 	@rm -rf build/cli-smoke && mkdir -p build/cli-smoke
 	$(PY) -m repro run examples/fig1_run.json \
@@ -118,6 +121,23 @@ cli-smoke:
 		--store build/cli-smoke/sweep.db -o build/cli-smoke/sweep_b.json
 	$(PY) -m repro diff build/cli-smoke/sweep_a.json \
 		build/cli-smoke/sweep_b.json
+	@echo '{"format": "fppn-server", "version": 1, "group_timeout": "x"}' \
+		> build/cli-smoke/bad_server.json
+	@$(PY) -c 'import json, sys; c = json.load(open(sys.argv[1])); \
+		c["matrix"]["axes"]["processors"] = ["two"]; \
+		json.dump(c, open(sys.argv[2], "w"))' \
+		examples/fig1_sweep.json build/cli-smoke/bad_axis.json
+	@for run in "serve build/cli-smoke/bad_server.json" \
+		"sweep build/cli-smoke/bad_axis.json"; do \
+		status=0; timeout 120 env $(PY) -m repro $$run < /dev/null > /dev/null \
+			2> build/cli-smoke/refused.err || status=$$?; \
+		cat build/cli-smoke/refused.err; \
+		if [ $$status -ne 2 ] || ! grep -q '^error: ' build/cli-smoke/refused.err \
+			|| grep -q Traceback build/cli-smoke/refused.err; then \
+			echo "repro $$run was not refused cleanly (exit $$status)"; \
+			exit 1; \
+		fi; \
+	done
 
 # Served-sweep smoke: a real `python -m repro serve`, the demo sweep sent to
 # it with `sweep --server`, gated against the in-process sweep at zero

@@ -29,8 +29,8 @@ point).  Three subcommands:
     Start a sweep server (:class:`repro.service.SweepServer`): one
     shared warm pool plus an optional shared SQLite store, serving
     JSON-RPC sweep traffic until a client sends ``shutdown`` or
-    Ctrl-C.  The config is an ``fppn-server`` document (all fields
-    optional)::
+    Ctrl-C.  The config is an ``fppn-server`` document; every field
+    is optional, and an absent one takes the pool's default::
 
         {
           "format": "fppn-server", "version": 1,
@@ -40,6 +40,12 @@ point).  Three subcommands:
           "group_timeout": null, "max_retries": 2,
           "max_cached_groups": 8, "max_cached_payloads": 64
         }
+
+    ``host`` is a string, ``port`` an integer >= 0 (0: any free port),
+    ``store`` null or a SQLite path, ``workers``, ``max_cached_groups``
+    and ``max_cached_payloads`` integers >= 1, ``max_retries`` an integer
+    >= 0 and ``group_timeout`` null (no deadline) or seconds > 0; ``true``
+    is no integer.  A bad field exits 2 before any worker starts.
 
     ``--host``/``--port`` override the config; ``--ready-file PATH``
     writes ``host:port`` once the socket is bound (scripts and CI poll
@@ -75,7 +81,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, List, Mapping, NoReturn, Optional, Sequence
+from typing import Any, Dict, List, Mapping, NoReturn, Optional
 
 from .errors import FPPNError
 
@@ -103,8 +109,8 @@ def _load_json(path: str) -> Any:
 
 def _parse_config(data: Any, path: str) -> Dict[str, Any]:
     """Normalise any accepted config shape to the fppn-config fields."""
+    from .experiment.fields import Field, decode_fields, names
     from .io.json_io import (
-        FormatError,
         fault_plan_from_dict,
         matrix_from_dict,
         scenario_from_dict,
@@ -113,31 +119,22 @@ def _parse_config(data: Any, path: str) -> Dict[str, Any]:
     if not isinstance(data, Mapping):
         _fail(f"{path}: expected a JSON object, got {type(data).__name__}")
     fmt = data.get("format")
+    decoded = lambda value, what: value  # noqa: E731  (checked by its decoder)
     try:
         if fmt == "fppn-scenario":
             return {"scenario": scenario_from_dict(data)}
         if fmt == "fppn-matrix":
             return {"matrix": matrix_from_dict(data)}
         if fmt == "fppn-config":
-            out: Dict[str, Any] = {}
-            if "scenario" in data:
-                out["scenario"] = scenario_from_dict(data["scenario"])
-            if "matrix" in data:
-                out["matrix"] = matrix_from_dict(data["matrix"])
-            if not out:
+            out = decode_fields((
+                Field("scenario", decoded, decode=scenario_from_dict),
+                Field("matrix", decoded, decode=matrix_from_dict),
+                Field("metrics", names),
+                Field("faults", decoded, decode=fault_plan_from_dict),
+            ), data, "fppn-config")
+            if "scenario" not in out and "matrix" not in out:
                 _fail(f"{path}: fppn-config needs a 'scenario' or 'matrix'")
-            if "metrics" in data:
-                metrics = data["metrics"]
-                if not isinstance(metrics, Sequence) or isinstance(
-                    metrics, str
-                ):
-                    _fail(f"{path}: 'metrics' must be a list of names")
-                out["metrics"] = tuple(metrics)
-            if "faults" in data:
-                out["faults"] = fault_plan_from_dict(data["faults"])
             return out
-    except FormatError as exc:
-        _fail(f"{path}: {exc}")
     except FPPNError as exc:
         _fail(f"{path}: {exc}")
     _fail(
@@ -311,6 +308,10 @@ def _sweep_remote(
 
 
 def _parse_server_config(data: Any, path: str) -> Dict[str, Any]:
+    """The fields an fppn-server document holds, checked, by name."""
+    from .experiment.fields import Field, decode_fields, integer, optional, text
+    from .experiment.pool_core import POOL_OPTIONS
+
     if not isinstance(data, Mapping):
         _fail(f"{path}: expected a JSON object, got {type(data).__name__}")
     fmt = data.get("format")
@@ -319,46 +320,28 @@ def _parse_server_config(data: Any, path: str) -> Dict[str, Any]:
             f"{path}: unrecognised config format {fmt!r} — 'serve' "
             "expects an fppn-server document"
         )
-    known = {
-        "format", "version", "host", "port", "workers", "store",
-        "group_timeout", "max_retries", "max_cached_groups",
-        "max_cached_payloads",
-    }
-    unknown = sorted(set(data) - known)
-    if unknown:
-        _fail(f"{path}: unknown fppn-server field(s): {', '.join(unknown)}")
-    return dict(data)
+    fields = (
+        Field("host", text), Field("port", integer(0)),
+        Field("store", optional(text)),
+        *(f for f in POOL_OPTIONS if f.name != "retry_backoff"),
+    )
+    try:
+        return decode_fields(fields, data, "fppn-server", ("format", "version"))
+    except FPPNError as exc:
+        _fail(f"{path}: {exc}")
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import SweepServer
 
-    config = _parse_server_config(_load_json(args.config), args.config)
-    host = args.host if args.host is not None else config.get(
-        "host", "127.0.0.1"
-    )
-
-    def integer(name: str, default: int) -> int:
-        value = config.get(name, default)
-        if not isinstance(value, int) or isinstance(value, bool):
-            _fail(
-                f"{args.config}: fppn-server field {name!r} must be an "
-                f"integer, got {value!r}"
-            )
-        return value
-
-    port = args.port if args.port is not None else integer("port", 0)
-
+    # Only the fields the document holds are forwarded: the defaults are
+    # SweepServer's and SweepPool's.
+    options = _parse_server_config(_load_json(args.config), args.config)
+    for name in ("host", "port"):
+        if getattr(args, name) is not None:
+            options[name] = getattr(args, name)
     try:
-        server = SweepServer(
-            host, port,
-            workers=integer("workers", 2),
-            store=config.get("store"),
-            group_timeout=config.get("group_timeout"),
-            max_retries=integer("max_retries", 2),
-            max_cached_groups=integer("max_cached_groups", 8),
-            max_cached_payloads=integer("max_cached_payloads", 64),
-        )
+        server = SweepServer(**options)
         bound_host, bound_port = server.start()
     except FPPNError as exc:
         _fail(str(exc))

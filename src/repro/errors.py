@@ -21,6 +21,10 @@ class ModelError(FPPNError):
     """
 
 
+class FormatError(FPPNError):
+    """A serialized artifact is malformed or has an unsupported version."""
+
+
 class ChannelError(FPPNError):
     """Illegal channel access (unknown channel, wrong endpoint, type error)."""
 

@@ -44,9 +44,10 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Optional, Tuple
+from typing import Any, Iterable, List, Mapping, Optional, Tuple
 
 from ..errors import FPPNError, ModelError
+from .fields import Field, check_all, integer, real
 
 __all__ = ["FaultPlan", "InjectedFault", "apply_cell_faults"]
 
@@ -55,60 +56,70 @@ class InjectedFault(FPPNError):
     """The deterministic failure raised by an active :class:`FaultPlan` entry."""
 
 
-def _normalize_indices(value: Any, what: str) -> Tuple[int, ...]:
-    if value is None:
-        return ()
-    if isinstance(value, int):
+_index = integer(0)
+_times = integer(1)
+_seconds = real("> 0", lambda seconds: seconds > 0)
+
+
+def _entries(
+    value: Any, what: str, sizes: Tuple[int, ...] = ()
+) -> Tuple[Any, ...]:
+    """A list or tuple, or a mapping as ``(key, *value)`` rows."""
+    if isinstance(value, Mapping):
+        value = [
+            (key, *(v if isinstance(v, (list, tuple)) else (v,)))
+            for key, v in value.items()
+        ]
+    if not isinstance(value, (list, tuple)):
+        raise ModelError(f"{what} must be a list, got {value!r}")
+    for row in value if sizes else ():
+        if not isinstance(row, (list, tuple)) or len(row) not in sizes:
+            raise ModelError(
+                f"{what} entries must be lists of "
+                f"{' or '.join(map(str, sizes))} items, got {row!r}"
+            )
+    return tuple(value)
+
+
+def _indices(value: Any, what: str) -> Tuple[int, ...]:
+    if isinstance(value, int) and not isinstance(value, bool):
         value = (value,)
-    try:
-        indices = tuple(sorted(int(v) for v in value))
-    except (TypeError, ValueError) as exc:
-        raise ModelError(f"{what} must be cell indices, got {value!r}") from exc
-    if any(i < 0 for i in indices):
-        raise ModelError(f"{what} indices must be >= 0")
-    return indices
+    return tuple(sorted(
+        _index(index, f"{what} index") for index in _entries(value or (), what)
+    ))
 
 
-def _normalize_kills(value: Any) -> Tuple[Tuple[int, int], ...]:
-    if not value:
-        return ()
-    if isinstance(value, Mapping):
-        items: Iterable[Tuple[Any, Any]] = value.items()
-    else:
-        items = value
-    out = []
-    for index, times in items:
-        index, times = int(index), int(times)
-        if index < 0 or times < 1:
-            raise ModelError(
-                "kill_at takes {cell index: times >= 1} entries"
-            )
-        out.append((index, times))
-    return tuple(sorted(out))
+def _kills(value: Any, what: str) -> Tuple[Tuple[int, int], ...]:
+    return tuple(sorted(
+        (_index(index, f"{what} index"), _times(times, f"{what} times"))
+        for index, times in _entries(value or (), what, (2,))
+    ))
 
 
-def _normalize_delays(value: Any) -> Tuple[Tuple[int, float, int], ...]:
-    if not value:
-        return ()
-    if isinstance(value, Mapping):
-        items: Iterable[Tuple[Any, Any]] = value.items()
-    else:
-        # Already-normalised triples round-trip through replace/json.
-        items = [(t[0], t[1:] if len(t) > 2 else t[1]) for t in value]
-    out = []
-    for index, spec in items:
-        if isinstance(spec, (tuple, list)):
-            seconds, times = float(spec[0]), int(spec[1])
-        else:
-            seconds, times = float(spec), 1
-        index = int(index)
-        if index < 0 or seconds <= 0 or times < 1:
-            raise ModelError(
-                "delay_at takes {cell index: seconds} or "
-                "{cell index: (seconds, times)} entries"
-            )
-        out.append((index, seconds, times))
-    return tuple(sorted(out))
+def _delays(value: Any, what: str) -> Tuple[Tuple[int, float, int], ...]:
+    # [index, seconds(, times)] rows; a left-out count fires once.
+    return tuple(sorted(
+        (
+            _index(index, f"{what} index"),
+            _seconds(seconds, f"{what} seconds"),
+            _times(times[0] if times else 1, f"{what} times"),
+        )
+        for index, seconds, *times in _entries(value or (), what, (2, 3))
+    ))
+
+
+def _rows_out(rows: Tuple[Tuple[Any, ...], ...]) -> List[List[Any]]:
+    return [list(row) for row in rows]
+
+
+#: The plan's fields: the rules of ``__post_init__`` and the codecs of
+#: :func:`repro.io.json_io.fault_plan_to_dict`.
+_FIELDS: Tuple[Field, ...] = (
+    Field("raise_at", _indices, list),
+    Field("kill_at", _kills, _rows_out),
+    Field("delay_at", _delays, _rows_out),
+    Field("interrupt_at", _indices, list),
+)
 
 
 @dataclass(frozen=True)
@@ -128,12 +139,7 @@ class FaultPlan:
     interrupt_at: Tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        set_ = object.__setattr__
-        set_(self, "raise_at", _normalize_indices(self.raise_at, "raise_at"))
-        set_(self, "kill_at", _normalize_kills(self.kill_at))
-        set_(self, "delay_at", _normalize_delays(self.delay_at))
-        set_(self, "interrupt_at",
-             _normalize_indices(self.interrupt_at, "interrupt_at"))
+        check_all(_FIELDS, self)
 
     @property
     def is_empty(self) -> bool:

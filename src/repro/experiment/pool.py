@@ -47,7 +47,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..errors import ModelError, SweepError
 from .experiment import PipelineCache
 from .faults import FaultPlan
-from .pool_core import LRU, PoolCore, PoolEvent, Submission
+from .fields import check_values
+from .pool_core import POOL_OPTIONS, LRU, PoolCore, PoolEvent, Submission
 from .store import ScenarioKeys, SweepStore
 from .sweep import (
     DEFAULT_METRICS,
@@ -98,8 +99,7 @@ def _encode_service_group(
     pool order as the worker will touch its own: an entry whose hash it
     holds is sent as ``{"hash"}`` alone, without its data.
     """
-    from ..io.json_io import content_hash, scenario_to_dict
-    from ..io.json_io import fault_plan_to_dict
+    from ..io.json_io import _scenario_body, content_hash, fault_plan_to_dict
 
     keys = ScenarioKeys() if keys is None else keys
     pool: List[Dict[str, Any]] = []
@@ -107,8 +107,7 @@ def _encode_service_group(
     cells = []
     for cell in group:
         stimulus = cell.scenario.stimulus
-        data = scenario_to_dict(cell.scenario.replace(stimulus=None))
-        del data["stimulus"]
+        data = _scenario_body(cell.scenario)
         stim_ref = None
         if stimulus is not None:
             stim_ref = pool_index.get(id(stimulus))
@@ -460,14 +459,12 @@ class SweepPool:
         max_cached_groups: int = 8,
         max_cached_payloads: int = 64,
     ) -> None:
-        if workers < 1:
-            raise ModelError("SweepPool needs workers >= 1")
-        if max_retries < 0:
-            raise ModelError("max_retries must be >= 0")
-        if retry_backoff < 0:
-            raise ModelError("retry_backoff must be >= 0")
-        if max_cached_groups < 1 or max_cached_payloads < 1:
-            raise ModelError("worker cache bounds must be >= 1")
+        check_values(
+            POOL_OPTIONS, workers=workers, group_timeout=group_timeout,
+            max_retries=max_retries, retry_backoff=retry_backoff,
+            max_cached_groups=max_cached_groups,
+            max_cached_payloads=max_cached_payloads,
+        )
         self.workers = workers
         self.max_cached_groups = max_cached_groups
         self.max_cached_payloads = max_cached_payloads

@@ -38,7 +38,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
-from ..errors import SweepTimeoutError, WorkerBootError, WorkerCrashError
+from ..errors import ModelError, SweepTimeoutError, WorkerBootError, WorkerCrashError
+from .fields import Field, integer, optional, real, text
 
 __all__ = ["Group", "LRU", "PoolCore", "PoolEvent", "Slot", "Submission"]
 
@@ -46,6 +47,17 @@ __all__ = ["Group", "LRU", "PoolCore", "PoolEvent", "Slot", "Submission"]
 #: A boot takes well under a second, seconds on a loaded host: this
 #: bounds a hang, it is no performance budget.
 _BOOT_TIMEOUT = 120.0
+
+#: A pool's options, checked here for ``SweepPool``, ``run_sweep`` and the
+#: fppn-server document of ``repro serve``; the defaults are SweepPool's.
+POOL_OPTIONS: Tuple[Field, ...] = (
+    Field("workers", integer(1)),
+    Field("group_timeout", optional(real("> 0", lambda t: t > 0))),
+    Field("max_retries", integer(0)),
+    Field("retry_backoff", real(">= 0", lambda t: t >= 0)),
+    Field("max_cached_groups", integer(1)),
+    Field("max_cached_payloads", integer(1)),
+)
 
 
 @dataclass(frozen=True)
@@ -72,6 +84,22 @@ class PoolEvent:
     cells: int = 0
     groups: int = 0
     detail: str = ""
+
+
+def _kind(value: Any, what: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ModelError(f"{what} must be a non-empty string, got {value!r}")
+    return value
+
+
+#: PoolEvent's fields: the codec of :func:`repro.io.json_io.pool_event_to_dict`.
+EVENT_FIELDS: Tuple[Field, ...] = (
+    Field("kind", _kind, required=True),
+    Field("gid", optional(integer())),
+    Field("cells", integer()),
+    Field("groups", integer()),
+    Field("detail", text),
+)
 
 
 class LRU(OrderedDict):

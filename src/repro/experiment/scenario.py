@@ -30,18 +30,19 @@ experiment layer depending on the apps layer.
 from __future__ import annotations
 
 import dataclasses
-import numbers
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
 from ..core.invocations import Stimulus
 from ..core.network import Network
 from ..core.platform import PlatformLike, as_platform
-from ..core.timebase import Time, TimeLike, as_positive_time, as_time
-from ..errors import ModelError
+from ..core.timebase import Time, TimeLike, as_time
+from ..errors import FormatError, ModelError
 from ..runtime.executor import ExecutionTimeSpec, jittered_execution
 from ..runtime.overheads import OverheadModel
 from ..taskgraph.jobs import normalize_wcet_table
+from .fields import Field, boolean, check_all, instance, integer, names, optional, real, text
 
 __all__ = [
     "Scenario",
@@ -116,28 +117,23 @@ def resolve_workload(spec: WorkloadSpec) -> Callable[[], Network]:
 
 
 # ---------------------------------------------------------------------------
-# normalisation helpers
+# the field table: rules and JSON codecs
 # ---------------------------------------------------------------------------
-def _require_int(name: str, value: Any) -> None:
-    """Refuse a non-``int`` field value; ``bool`` counts as non-``int``."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ModelError(f"{name} must be an int, got {value!r}")
+def _workload(value: Any, what: str) -> WorkloadSpec:
+    if not (callable(value) or isinstance(value, str)):
+        raise ModelError(f"{what} must be a registered name or a network factory, got {value!r}")
+    return value
 
 
 def _is_normalized_pairs(value: Any) -> bool:
-    """True for the canonical tuple-of-(name, value)-pairs form.
-
-    Normalisers must be idempotent: :meth:`Scenario.replace` (and
-    ``dataclasses.replace`` generally) re-runs ``__post_init__`` on
-    already-normalised field values.
-    """
+    """True for the canonical tuple-of-(name, value)-pairs form."""
     return isinstance(value, tuple) and all(
         isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], str)
         for item in value
     )
 
 
-def _normalize_wcet_value(name: str, value: Any) -> Any:
+def _wcet_value(name: str, value: Any) -> Any:
     """One wcet-map entry: callable, per-class table, or Time scalar."""
     if callable(value):
         return value
@@ -146,33 +142,126 @@ def _normalize_wcet_value(name: str, value: Any) -> Any:
     return as_time(value)
 
 
-def _normalize_wcet(wcet: Any) -> Any:
+def _wcet(value: Any, what: str) -> Any:
     """Canonical immutable form: Time scalar, or sorted (name, value) pairs."""
-    if _is_normalized_pairs(wcet):
-        return wcet
-    if isinstance(wcet, Mapping):
-        return tuple(
-            sorted(
-                (name, _normalize_wcet_value(name, value))
-                for name, value in wcet.items()
-            )
-        )
-    if callable(wcet):
+    if _is_normalized_pairs(value):
+        return value
+    if isinstance(value, Mapping):
+        return tuple(sorted(
+            (name, _wcet_value(name, entry)) for name, entry in value.items()
+        ))
+    if callable(value):
         raise ModelError(
-            "a bare callable is not a valid wcet — use a mapping "
+            f"{what} must not be a bare callable — use a mapping "
             "{process: callable} for per-job WCET models"
         )
-    return as_time(wcet)
+    return as_time(value)
 
 
-def _normalize_table(
-    table: Optional[Mapping[str, TimeLike]], what: str
-) -> Optional[Tuple[Tuple[str, Time], ...]]:
-    if table is None or _is_normalized_pairs(table):
-        return table
-    if not isinstance(table, Mapping):
+def _positive_time(value: Any, what: str) -> Time:
+    t = as_time(value)
+    if t <= 0:
+        raise ModelError(f"{what} must be positive, got {value!r}")
+    return t
+
+
+def _heuristics(value: Any, what: str) -> Tuple[str, ...]:
+    value = names(value, what)
+    if not value:
+        raise ModelError(f"{what} must not be empty (None: default)")
+    return value
+
+
+def _time_table(value: Any, what: str) -> Tuple[Tuple[str, Time], ...]:
+    if _is_normalized_pairs(value):
+        return value
+    if not isinstance(value, Mapping):
         raise ModelError(f"{what} must be a mapping of process name -> time")
-    return tuple(sorted((name, as_time(v)) for name, v in table.items()))
+    return tuple(sorted((name, as_time(t)) for name, t in value.items()))
+
+
+def _time_text(t: Time) -> str:
+    return f"{t.numerator}/{t.denominator}"
+
+
+def _json_io(name: str) -> Callable[[Any], Any]:
+    """Codec *name* of :mod:`repro.io.json_io` (which imports this module)."""
+    def codec(value: Any) -> Any:
+        from ..io import json_io
+        return getattr(json_io, name)(value)
+    return codec
+
+
+def _workload_out(workload: WorkloadSpec) -> str:
+    if not isinstance(workload, str):
+        raise FormatError(
+            "only scenarios with a registered workload name serialise — "
+            "register the factory with repro.experiment.register_workload"
+        )
+    return workload
+
+
+def _wcet_out(wcet: Any) -> Any:
+    if not isinstance(wcet, tuple):
+        return _time_text(wcet)
+    for name, value in wcet:
+        if callable(value):
+            raise FormatError(
+                f"wcet of {name!r} is a callable — per-job WCET models "
+                "do not serialise"
+            )
+    # Per-class tables encode as [name, time] rows; scalars keep the plain
+    # "num/den" form so pre-platform documents stay byte-stable.
+    return {
+        name: [[n, _time_text(v)] for n, v in value]
+        if isinstance(value, tuple) else _time_text(value)
+        for name, value in wcet
+    }
+
+
+def _wcet_in(data: Any) -> Any:
+    if not isinstance(data, Mapping):
+        return data
+    return {
+        name: tuple(map(tuple, v)) if isinstance(v, list) else v
+        for name, v in data.items()
+    }
+
+
+#: Every Scenario field, in declaration order (which is the document's key
+#: order).  The rules run in ``__post_init__`` and on matrix axis values;
+#: the codecs are the ``fppn-scenario`` document's; the stages and the
+#: omit rule make the stage keys.
+_FIELDS: Tuple[Field, ...] = (
+    Field("workload", _workload, _workload_out, stage="derivation", required=True),
+    Field("wcet", _wcet, _wcet_out, _wcet_in, stage="derivation", required=True),
+    Field("processors", integer(1), stage="schedule", required=True),
+    Field("n_frames", integer(1), required=True),
+    Field("horizon", optional(_positive_time), _time_text, stage="derivation"),
+    Field("heuristics", optional(_heuristics), list, stage="schedule"),
+    Field("execution_time", optional(_time_table),
+          lambda table: {n: _time_text(t) for n, t in table}),
+    Field("jitter_seed", optional(integer())),
+    Field("jitter_low", real("in (0, 1]", lambda low: 0 < low <= 1)),
+    Field("overheads", instance(OverheadModel, "an OverheadModel"),
+          _json_io("value_to_jsonable"), _json_io("value_from_jsonable"), required=True),
+    Field("stimulus", optional(instance(Stimulus, "a Stimulus")),
+          _json_io("stimulus_to_dict"), _json_io("stimulus_from_dict")),
+    Field("records_only", boolean),
+    Field("collect_records", boolean),
+    Field("collect_trace", boolean),
+    Field("label", optional(text)),
+    # Omitted while unset: pre-platform documents, content hashes and
+    # schedule keys stay byte-identical.
+    Field("platform", optional(lambda value, what: as_platform(value)),
+          _json_io("platform_to_jsonable"), _json_io("platform_from_jsonable"),
+          stage="schedule", omit=True),
+)
+_BY_NAME = {field.name: field for field in _FIELDS}
+#: The stimulus is compared structurally but is unhashable (mutable maps).
+_HASHED = attrgetter(*(f.name for f in _FIELDS if f.name != "stimulus"))
+_DERIVATION = tuple(f for f in _FIELDS if f.stage == "derivation")
+_SCHEDULE = _DERIVATION + tuple(f for f in _FIELDS if f.stage == "schedule")
 
 
 # ---------------------------------------------------------------------------
@@ -182,54 +271,57 @@ def _normalize_table(
 class Scenario:
     """Frozen description of one full pipeline run.
 
+    Each field takes the values named below (``None`` only where named;
+    a ``bool`` is never an integer or a real); any other value raises
+    :class:`~repro.errors.ModelError` naming the field.
+
     Parameters
     ----------
     workload:
-        A registered workload name (serialisable — see
+        A registered workload name (``str``, serialisable — see
         :func:`register_workload`) or a zero-argument network factory.
     wcet:
-        Uniform WCET, or mapping ``process -> time | (process, k) -> time``
-        (exactly what :func:`~repro.taskgraph.derivation.derive_task_graph`
-        accepts).  Normalised to an immutable canonical form.
+        A time (``Fraction``, ``int``, ``float`` or ``"num/den"``), or a
+        mapping ``process -> time | per-class table | callable`` (what
+        :func:`~repro.taskgraph.derivation.derive_task_graph` accepts),
+        normalised to an immutable canonical form.
     processors:
-        Processor count handed to the list scheduler.  Derived from
+        ``int >= 1``: the list scheduler's processor count; set from
         *platform* when one is given (the two always agree).
     platform:
-        Optional heterogeneous :class:`~repro.core.platform.Platform`
-        (or anything :func:`~repro.core.platform.as_platform` accepts).
-        When set, scheduling and execution resolve per-class WCETs on it
-        and *processors* is forced to its total core count.  ``None``
-        (the default) keeps the classic homogeneous path.
+        ``None`` (the classic homogeneous path) or a
+        :class:`~repro.core.platform.Platform` (or what
+        :func:`~repro.core.platform.as_platform` accepts), on which
+        scheduling and execution resolve per-class WCETs.
     n_frames:
-        Number of hyperperiod frames the runtime simulates.
+        ``int >= 1``: hyperperiod frames the runtime simulates.
     horizon:
-        Optional explicit frame length for derivation (defaults to the
-        hyperperiod).
+        ``None`` (the hyperperiod) or a positive time: the frame length
+        for derivation.
     heuristics:
-        SP-heuristic portfolio for
-        :func:`~repro.scheduling.optimizer.find_feasible_schedule`;
-        ``None`` selects the default portfolio, and an empty one is
-        rejected.
+        ``None`` (the default portfolio) or a non-empty list of
+        SP-heuristic names for
+        :func:`~repro.scheduling.optimizer.find_feasible_schedule`.
     execution_time:
-        Optional per-process actual-execution-time table (exact rationals).
-        Mutually exclusive with *jitter_seed*.
+        ``None`` or a mapping ``process -> time`` of actual execution
+        times.  Mutually exclusive with *jitter_seed*.
     jitter_seed / jitter_low:
-        When *jitter_seed* is set, execution times are drawn from
+        ``None`` or an ``int``; a real in ``(0, 1]``, stored as a float.
+        With a seed, execution times are drawn by
         :func:`~repro.runtime.executor.jittered_execution` in
         ``[jitter_low * C, C]``: one integer mix of ``(jitter_seed,
         process, k, frame)`` per job instance, the same in every process.
-        *jitter_seed* must be an ``int`` (not a ``bool`` or a float,
-        which compare equal to an int but draw differently).
     overheads:
-        The Section V-A frame-arrival/per-job overhead model.
+        An :class:`~repro.runtime.overheads.OverheadModel` (Section V-A
+        frame-arrival/per-job overheads).
     stimulus:
-        External inputs (samples + sporadic arrivals); ``None`` means no
-        external data — sporadic processes never fire.
+        ``None`` (no external data: sporadic processes never fire) or a
+        :class:`~repro.core.invocations.Stimulus`.
     records_only / collect_records / collect_trace:
-        The executor's fast-mode flags, stored so a scenario pins its
-        observation level as part of the experiment description.
+        ``bool`` each: the executor's fast-mode flags, stored so a
+        scenario pins its observation level.
     label:
-        Free-form tag carried through results and sweep tables.
+        ``None`` or a ``str`` tag carried through results and sweep tables.
     """
 
     workload: WorkloadSpec
@@ -250,67 +342,21 @@ class Scenario:
     platform: Optional[PlatformLike] = None
 
     def __post_init__(self) -> None:
-        if not (callable(self.workload) or isinstance(self.workload, str)):
-            raise ModelError(
-                "workload must be a registered name or a network factory"
-            )
-        set_ = object.__setattr__  # frozen: normalise through the back door
+        check_all(_FIELDS, self)
+        # The cross-field rules.  processors is a derived view of the
+        # platform: keep the two in lock-step.
         if self.platform is not None:
-            try:
-                set_(self, "platform", as_platform(self.platform))
-            except (TypeError, ValueError) as exc:
-                raise ModelError(str(exc)) from None
-            # processors is a derived view of the platform: keep the two
-            # in lock-step so every consumer of the count stays correct.
-            set_(self, "processors", self.platform.processors)
-        _require_int("processors", self.processors)
-        if self.processors < 1:
-            raise ModelError("processors must be >= 1")
-        _require_int("n_frames", self.n_frames)
-        if self.n_frames < 1:
-            raise ModelError("n_frames must be >= 1")
+            object.__setattr__(self, "processors", self.platform.processors)
         if self.execution_time is not None and self.jitter_seed is not None:
             raise ModelError(
                 "execution_time and jitter_seed are mutually exclusive — "
                 "a scenario has exactly one execution-time model"
             )
-        if self.jitter_seed is not None:
-            _require_int("jitter_seed", self.jitter_seed)
-            set_(self, "jitter_seed", int(self.jitter_seed))
-        if (not isinstance(self.jitter_low, numbers.Real)
-                or isinstance(self.jitter_low, bool)):
-            raise ModelError(
-                f"jitter_low must be a real number, got {self.jitter_low!r}"
-            )
-        if not 0 < self.jitter_low <= 1:
-            raise ModelError("jitter_low must be in (0, 1]")
-        if not isinstance(self.overheads, OverheadModel):
-            raise ModelError("overheads must be an OverheadModel")
-        if self.stimulus is not None and not isinstance(self.stimulus, Stimulus):
-            raise ModelError("stimulus must be a Stimulus (or None)")
-        set_(self, "wcet", _normalize_wcet(self.wcet))
-        set_(self, "execution_time",
-             _normalize_table(self.execution_time, "execution_time"))
-        if self.heuristics is not None:
-            set_(self, "heuristics", tuple(self.heuristics))
-            if not self.heuristics:
-                raise ModelError("heuristics must not be empty (None: default)")
-        if self.horizon is not None:
-            set_(self, "horizon", as_positive_time(self.horizon, "horizon"))
-        set_(self, "jitter_low", float(self.jitter_low))
 
     def __hash__(self) -> int:
-        # The dataclass-generated hash would include the stimulus, which is
-        # structurally compared but unhashable (mutable sample maps).  Hash
-        # every other field: scenarios equal under __eq__ hash equal, and
-        # stimulus-only collisions are resolved by the equality check.
-        return hash((
-            self.workload, self.wcet, self.processors, self.n_frames,
-            self.horizon, self.heuristics, self.execution_time,
-            self.jitter_seed, self.jitter_low, self.overheads,
-            self.records_only, self.collect_records, self.collect_trace,
-            self.label, self.platform,
-        ))
+        # Every field but the stimulus: scenarios equal under __eq__ hash
+        # equal, and stimulus-only collisions are resolved by equality.
+        return hash(_HASHED(self))
 
     # -- derived views --------------------------------------------------
     def replace(self, **changes: Any) -> "Scenario":
@@ -390,7 +436,7 @@ class Scenario:
 
     def derivation_key(self) -> Tuple[Any, ...]:
         """Scenarios with equal keys share one task-graph derivation."""
-        return (self.workload_key(), self.wcet, self.horizon)
+        return self._stage_key(_DERIVATION)
 
     def schedule_key(self) -> Tuple[Any, ...]:
         """Scenarios with equal keys share one static schedule.
@@ -400,13 +446,13 @@ class Scenario:
         while cells of a platform axis schedule once per platform but
         share one derivation (WCET tables are class-*name* keyed).
         """
-        key = self.derivation_key() + (
-            self.processors,
-            self.heuristics,
+        return self._stage_key(_SCHEDULE)
+
+    def _stage_key(self, fields: Tuple[Field, ...]) -> Tuple[Any, ...]:
+        return tuple(
+            value for f in fields for value in (getattr(self, f.name),)
+            if not (f.omit and value is None)
         )
-        if self.platform is not None:
-            key += (self.platform,)
-        return key
 
     def scheduling_target(self) -> PlatformLike:
         """What the list scheduler should schedule onto."""

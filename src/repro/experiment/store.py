@@ -42,7 +42,7 @@ import sqlite3
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from ..core.invocations import Stimulus
-from ..errors import CheckpointError
+from ..errors import CheckpointError, FormatError
 from .scenario import Scenario
 
 __all__ = [
@@ -137,22 +137,14 @@ class ScenarioKeys:
 
     def scenario_hash(self, scenario: Scenario) -> str:
         """:func:`scenario_hash` of *scenario*, its stimulus encoded once."""
-        from ..io.json_io import (
-            content_hash,
-            scenario_content_hash,
-            scenario_to_dict,
-        )
+        from ..io.json_io import scenario_content_hash
 
-        if scenario.stimulus is None:
-            return content_hash(scenario_to_dict(scenario))
-        return scenario_content_hash(
-            scenario, self.stimulus(scenario.stimulus).canonical
-        )
+        stimulus = scenario.stimulus
+        return scenario_content_hash(scenario, b"null" if stimulus is None
+                                     else self.stimulus(stimulus).canonical)
 
     def store_key(self, scenario: Scenario) -> Optional[str]:
         """:func:`store_key` of *scenario*, its stimulus encoded once."""
-        from ..io.json_io import FormatError
-
         try:
             return self.scenario_hash(scenario)
         except FormatError:

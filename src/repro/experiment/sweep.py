@@ -61,7 +61,6 @@ deterministically testable via :class:`~repro.experiment.faults.FaultPlan`
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from itertools import product
 from typing import (
@@ -86,7 +85,9 @@ from ..runtime.overheads import OverheadModel
 from ..runtime.observers import ExecutionObserver, MetricsObserver
 from .experiment import Experiment, PipelineCache
 from .faults import FaultPlan, apply_cell_faults
-from .scenario import Scenario
+from .fields import Field, check, check_values, one_of
+from .pool_core import POOL_OPTIONS
+from .scenario import _BY_NAME as _SCENARIO_FIELDS, Scenario
 from .store import ScenarioKeys, SweepStore, metrics_key
 
 __all__ = [
@@ -122,8 +123,8 @@ DATA_METRICS: Tuple[str, ...] = ("kernel_busy", "channel_writes")
 
 DEFAULT_METRICS: Tuple[str, ...] = TIMING_METRICS + DATA_METRICS
 
-_SCENARIO_FIELDS = frozenset(f.name for f in dataclasses.fields(Scenario))
-
+#: How a sweep handles a failing cell (``run_sweep``'s ``on_error``).
+ON_ERROR = Field("on_error", one_of("capture", "raise"))
 
 #: How a row reads each metric off its cell's observer.
 _EXTRACTORS: Dict[str, Callable[[MetricsObserver], Any]] = {
@@ -161,7 +162,8 @@ class ScenarioMatrix:
 
     *axes* maps scenario field names to non-empty value sequences; cells
     enumerate the product in row-major order (last axis varies fastest),
-    with axis order as given.
+    with axis order as given.  Each value is checked here against its
+    field's rule (a :class:`~repro.errors.ModelError` names the axis).
 
     Axis values substitute field values **verbatim** — in particular, the
     base scenario's stimulus is *not* resized when ``n_frames`` is an
@@ -181,7 +183,8 @@ class ScenarioMatrix:
         self.base = base
         self.axes: Dict[str, Tuple[Any, ...]] = {}
         for name, values in axes.items():
-            if name not in _SCENARIO_FIELDS:
+            field = _SCENARIO_FIELDS.get(name)
+            if field is None:
                 raise ModelError(
                     f"unknown scenario field {name!r} — axes must name "
                     "Scenario fields"
@@ -189,6 +192,8 @@ class ScenarioMatrix:
             values = tuple(values)
             if not values:
                 raise ModelError(f"axis {name!r} has no values")
+            for value in values:  # checked, not replaced: cells keep them
+                check(field, value, f"axis {name!r}")
             self.axes[name] = values
 
     def __len__(self) -> int:
@@ -401,10 +406,7 @@ def _check_request(
                 f"unknown sweep metric {name!r} — known: "
                 f"{', '.join(DEFAULT_METRICS)}"
             )
-    if on_error not in ("capture", "raise"):
-        raise ModelError(
-            f"on_error must be 'capture' or 'raise', got {on_error!r}"
-        )
+    check(ON_ERROR, on_error, "on_error")
     return metrics, any(name in DATA_METRICS for name in metrics)
 
 
@@ -858,12 +860,10 @@ def run_sweep(
         (there are no groups or dispatches to report).
     """
     metrics, want_data = _check_request("run_sweep", metrics, on_error)
-    if workers < 1:
-        raise ModelError("workers must be >= 1")
-    if max_retries < 0:
-        raise ModelError("max_retries must be >= 0")
-    if retry_backoff < 0:
-        raise ModelError("retry_backoff must be >= 0")
+    check_values(
+        POOL_OPTIONS, workers=workers, group_timeout=group_timeout,
+        max_retries=max_retries, retry_backoff=retry_backoff,
+    )
 
     cells = list(matrix.cells())
     plan = None

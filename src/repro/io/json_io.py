@@ -40,13 +40,17 @@ from ..core.network import Network
 from ..core.platform import Platform, ProcessorClass
 from ..core.process import JobContext
 from ..core.timebase import Time, as_time
-from ..errors import FPPNError
+from ..errors import FormatError, ModelError
 from ..runtime.overheads import OverheadModel
 from ..taskgraph.graph import TaskGraph
 from ..taskgraph.jobs import Job
 from ..scheduling.schedule import ScheduledJob, StaticSchedule
-from ..experiment.faults import FaultPlan
-from ..experiment.scenario import Scenario
+from ..experiment.faults import FaultPlan, _FIELDS as _FAULT_FIELDS
+from ..experiment.fields import (
+    Field, boolean, decode_fields, encode_fields, integer, optional, text,
+)
+from ..experiment.pool_core import EVENT_FIELDS, PoolEvent
+from ..experiment.scenario import Scenario, _FIELDS as _SCENARIO_FIELDS
 from ..experiment.sweep import (
     ScenarioMatrix,
     SweepCellError,
@@ -57,9 +61,8 @@ from ..experiment.sweep import (
 
 FORMAT_VERSION = 1
 
-
-class FormatError(FPPNError):
-    """A serialized artifact is malformed or has an unsupported version."""
+#: A scenario's fields but its stimulus (callers encode that one once).
+_SCENARIO_BODY = tuple(f for f in _SCENARIO_FIELDS if f.name != "stimulus")
 
 
 def _time_out(t: Optional[Time]) -> Optional[str]:
@@ -116,39 +119,29 @@ def _default_platform(platform: Platform, processors: int) -> bool:
 # ---------------------------------------------------------------------------
 # task graphs
 # ---------------------------------------------------------------------------
-def task_graph_to_dict(graph: TaskGraph) -> Dict[str, Any]:
-    """Lossless dict form of a task graph.
+#: A task-graph document's job rows (Job's own checks still run).
+_JOB_FIELDS = (
+    Field("process", text, required=True),
+    Field("k", integer(), required=True),
+    *(Field(name, lambda t, what: as_time(t), _time_out, required=True)
+      for name in ("arrival", "deadline", "wcet")),
+    Field("is_server", boolean),
+    Field("subset_index", optional(integer())),
+    Field("slot", optional(integer())),
+    # Only on jobs with a per-class table: homogeneous graphs keep their bytes.
+    Field("wcet_by_class",
+          optional(lambda rows, what: tuple((n, as_time(t)) for n, t in rows)),
+          lambda rows: [[n, _time_out(t)] for n, t in rows], omit=True),
+)
 
-    Per-class WCET tables (``wcet_by_class``) are emitted only on jobs
-    that carry one, so homogeneous graphs keep their exact pre-platform
-    byte layout.
-    """
+
+def task_graph_to_dict(graph: TaskGraph) -> Dict[str, Any]:
+    """Lossless dict form of a task graph."""
     return {
         "format": "fppn-taskgraph",
         "version": FORMAT_VERSION,
         "hyperperiod": _time_out(graph.hyperperiod),
-        "jobs": [
-            {
-                "process": j.process,
-                "k": j.k,
-                "arrival": _time_out(j.arrival),
-                "deadline": _time_out(j.deadline),
-                "wcet": _time_out(j.wcet),
-                "is_server": j.is_server,
-                "subset_index": j.subset_index,
-                "slot": j.slot,
-                **(
-                    {
-                        "wcet_by_class": [
-                            [name, _time_out(v)] for name, v in j.wcet_by_class
-                        ]
-                    }
-                    if j.wcet_by_class is not None
-                    else {}
-                ),
-            }
-            for j in graph.jobs
-        ],
+        "jobs": [encode_fields(_JOB_FIELDS, job) for job in graph.jobs],
         "edges": [list(e) for e in graph.edges()],
     }
 
@@ -156,30 +149,10 @@ def task_graph_to_dict(graph: TaskGraph) -> Dict[str, Any]:
 def task_graph_from_dict(data: Mapping[str, Any]) -> TaskGraph:
     """Inverse of :func:`task_graph_to_dict`."""
     _check_header(data, "fppn-taskgraph")
-    jobs = []
-    for i, row in enumerate(data.get("jobs", [])):
-        table = row.get("wcet_by_class")
-        try:
-            jobs.append(
-                Job(
-                    process=row["process"],
-                    k=int(row["k"]),
-                    arrival=_time_in(row["arrival"], f"job {i} arrival"),
-                    deadline=_time_in(row["deadline"], f"job {i} deadline"),
-                    wcet=_time_in(row["wcet"], f"job {i} wcet"),
-                    is_server=bool(row.get("is_server", False)),
-                    subset_index=row.get("subset_index"),
-                    slot=row.get("slot"),
-                    wcet_by_class=(
-                        None if table is None else tuple(
-                            (name, _time_in(v, f"job {i} wcet of {name!r}"))
-                            for name, v in table
-                        )
-                    ),
-                )
-            )
-        except KeyError as exc:
-            raise FormatError(f"job {i} missing field {exc}") from exc
+    jobs = [
+        Job(**decode_fields(_JOB_FIELDS, row, f"job {i}"))
+        for i, row in enumerate(data.get("jobs", []))
+    ]
     hyper = data.get("hyperperiod")
     edges = data.get("edges", [])
     if not isinstance(edges, list):
@@ -468,157 +441,27 @@ def stimulus_from_dict(data: Mapping[str, Any]) -> Stimulus:
 # scenarios
 # ---------------------------------------------------------------------------
 def scenario_to_dict(scenario: Scenario) -> Dict[str, Any]:
-    """Lossless dict form of a scenario.
+    """Lossless dict form of a scenario: every field, by its table codec.
 
     Requires a *registered* workload name (bare factory callables are
     code, not data) and a callable-free WCET map.
     """
-    if not isinstance(scenario.workload, str):
-        raise FormatError(
-            "only scenarios with a registered workload name serialise — "
-            "register the factory with repro.experiment.register_workload"
-        )
-    wcet = scenario.wcet
-    if isinstance(wcet, tuple):
-        for name, value in wcet:
-            if callable(value):
-                raise FormatError(
-                    f"wcet of {name!r} is a callable — per-job WCET models "
-                    "do not serialise"
-                )
-        # Per-class tables encode as [name, time] rows; scalars keep the
-        # plain "num/den" form so pre-platform documents stay byte-stable.
-        wcet_out: Any = {
-            name: (
-                [[n, _time_out(v)] for n, v in value]
-                if isinstance(value, tuple) else _time_out(value)
-            )
-            for name, value in wcet
-        }
-    else:
-        wcet_out = _time_out(wcet)
-    return {
-        "format": "fppn-scenario",
-        "version": FORMAT_VERSION,
-        "workload": scenario.workload,
-        "wcet": wcet_out,
-        "processors": scenario.processors,
-        "n_frames": scenario.n_frames,
-        "horizon": _time_out(scenario.horizon),
-        "heuristics": (
-            None if scenario.heuristics is None else list(scenario.heuristics)
-        ),
-        "execution_time": (
-            None if scenario.execution_time is None
-            else {name: _time_out(v) for name, v in scenario.execution_time}
-        ),
-        "jitter_seed": scenario.jitter_seed,
-        "jitter_low": scenario.jitter_low,
-        "overheads": value_to_jsonable(scenario.overheads),
-        "stimulus": (
-            None if scenario.stimulus is None
-            else stimulus_to_dict(scenario.stimulus)
-        ),
-        "records_only": scenario.records_only,
-        "collect_records": scenario.collect_records,
-        "collect_trace": scenario.collect_trace,
-        "label": scenario.label,
-        # Omitted when unset: pre-platform scenario documents (and their
-        # content hashes) stay byte-identical.
-        **(
-            {"platform": platform_to_jsonable(scenario.platform)}
-            if scenario.platform is not None
-            else {}
-        ),
-    }
+    return _scenario_body(scenario, _SCENARIO_FIELDS)
 
 
 def scenario_from_dict(data: Mapping[str, Any]) -> Scenario:
-    """Inverse of :func:`scenario_to_dict`."""
+    """Inverse of :func:`scenario_to_dict`; a bad field names itself."""
     _check_header(data, "fppn-scenario")
-    try:
-        wcet = _field(data, "wcet", "fppn-scenario")
-        if isinstance(wcet, Mapping):
-            wcet = {
-                name: (
-                    tuple(
-                        (n, _time_in(t, f"wcet of {name!r} on {n!r}"))
-                        for n, t in v
-                    )
-                    if isinstance(v, list)
-                    else _time_in(v, f"wcet of {name!r}")
-                )
-                for name, v in wcet.items()
-            }
-        else:
-            wcet = _time_in(wcet, "wcet")
-        execution_time = data.get("execution_time")
-        if execution_time is not None:
-            execution_time = {
-                name: _time_in(v, f"execution time of {name!r}")
-                for name, v in _object(
-                    execution_time, "fppn-scenario execution_time"
-                ).items()
-            }
-        horizon = data.get("horizon")
-        stimulus = data.get("stimulus")
-        heuristics = data.get("heuristics")
-        platform = data.get("platform")
-        return Scenario(
-            workload=_field(data, "workload", "fppn-scenario"),
-            wcet=wcet,
-            processors=_number(data, "processors", int),
-            n_frames=_number(data, "n_frames", int),
-            horizon=None if horizon is None else _time_in(horizon, "horizon"),
-            heuristics=None if heuristics is None else tuple(
-                _list(heuristics, "fppn-scenario heuristics")
-            ),
-            execution_time=execution_time,
-            jitter_seed=data.get("jitter_seed"),
-            jitter_low=_number(data, "jitter_low", float, 0.5),
-            overheads=value_from_jsonable(
-                _field(data, "overheads", "fppn-scenario")
-            ),
-            stimulus=(
-                None if stimulus is None else stimulus_from_dict(stimulus)
-            ),
-            records_only=bool(data.get("records_only", False)),
-            collect_records=bool(data.get("collect_records", True)),
-            collect_trace=bool(data.get("collect_trace", True)),
-            label=data.get("label"),
-            platform=(
-                None if platform is None
-                else platform_from_jsonable(platform, "scenario platform")
-            ),
-        )
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"bad fppn-scenario field: {exc}") from exc
+    return Scenario(**decode_fields(_SCENARIO_FIELDS, data, "fppn-scenario"))
 
 
-def _number(
-    data: Mapping[str, Any], name: str, kind: type, default: Any = None
-) -> Any:
-    """Field *name* of a scenario document as an int or float.
-
-    Only a JSON integer is an int, and an integer or a float a float: a
-    string, a boolean or a fractional frame count is refused, not coerced.
-    """
-    value = (
-        _field(data, name, "fppn-scenario") if default is None
-        else data.get(name, default)
-    )
-    accepted = (int,) if kind is int else (int, float)
-    if not isinstance(value, accepted) or isinstance(value, bool):
-        raise FormatError(
-            f"fppn-scenario field {name!r} must be "
-            f"{'an integer' if kind is int else 'a number'}, got {value!r}"
-        )
-    try:
-        return kind(value)
-    except OverflowError:
-        raise FormatError(
-            f"fppn-scenario field {name!r} must be a float, got {value!r}"
-        ) from None
+def _scenario_body(scenario: Scenario, fields: Any = _SCENARIO_BODY) -> Dict[str, Any]:
+    """:func:`scenario_to_dict` without its ``"stimulus"`` key (by default)."""
+    return {
+        "format": "fppn-scenario",
+        "version": FORMAT_VERSION,
+        **encode_fields(fields, scenario),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -647,16 +490,20 @@ def matrix_from_dict(data: Mapping[str, Any]) -> "ScenarioMatrix":
     """Inverse of :func:`matrix_to_dict`."""
     _check_header(data, "fppn-matrix")
     axes = _object(data.get("axes", {}), "fppn-matrix axes")
-    return ScenarioMatrix(
-        scenario_from_dict(_field(data, "base", "fppn-matrix")),
-        {
-            name: [
-                value_from_jsonable(v)
-                for v in _list(values, f"fppn-matrix axis {name!r}")
-            ]
-            for name, values in axes.items()
-        },
-    )
+    if "base" not in data:
+        raise FormatError("fppn-matrix is missing field 'base'")
+    base = scenario_from_dict(data["base"])
+    axes = {
+        name: [
+            value_from_jsonable(v)
+            for v in _list(values, f"fppn-matrix axis {name!r}")
+        ]
+        for name, values in axes.items()
+    }
+    try:
+        return ScenarioMatrix(base, axes)
+    except ModelError as exc:
+        raise FormatError(f"fppn-matrix {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -664,22 +511,12 @@ def matrix_from_dict(data: Mapping[str, Any]) -> "ScenarioMatrix":
 # ---------------------------------------------------------------------------
 def fault_plan_to_dict(plan: "FaultPlan") -> Dict[str, Any]:
     """Dict form of a fault plan (normalised index tuples, as lists)."""
-    return {
-        "raise_at": list(plan.raise_at),
-        "kill_at": [list(item) for item in plan.kill_at],
-        "delay_at": [list(item) for item in plan.delay_at],
-        "interrupt_at": list(plan.interrupt_at),
-    }
+    return encode_fields(_FAULT_FIELDS, plan)
 
 
 def fault_plan_from_dict(data: Mapping[str, Any]) -> "FaultPlan":
     """Inverse of :func:`fault_plan_to_dict` (missing fields stay empty)."""
-    return FaultPlan(
-        raise_at=tuple(data.get("raise_at", ())),
-        kill_at=tuple(tuple(item) for item in data.get("kill_at", ())),
-        delay_at=tuple(tuple(item) for item in data.get("delay_at", ())),
-        interrupt_at=tuple(data.get("interrupt_at", ())),
-    )
+    return FaultPlan(**decode_fields(_FAULT_FIELDS, data, "fault plan", ()))
 
 
 # ---------------------------------------------------------------------------
@@ -758,15 +595,13 @@ def scenario_content_hash(scenario: Scenario, stimulus_json: bytes) -> str:
     hashes the same text incrementally: the stimulus-free fields before
     the ``"stimulus"`` key, the stimulus bytes, the fields after it.
     """
-    body = scenario_to_dict(scenario.replace(stimulus=None))
-    names = sorted(body)
-    at = names.index("stimulus")
-    head = canonical_json({name: body[name] for name in names[:at]})
-    tail = canonical_json({name: body[name] for name in names[at + 1:]})
+    doc = canonical_json({**_scenario_body(scenario), "stimulus": None})
+    # Only the top-level key reads so: no nested object of a scenario
+    # document holds a null, and quotes inside strings are escaped.
+    head, _, tail = doc.partition('"stimulus":null')
     return canonical_hash(
-        (head[:-1] + ("," if at else "") + '"stimulus":').encode("utf-8"),
-        stimulus_json,
-        (("," if at + 1 < len(names) else "") + tail[1:]).encode("utf-8"),
+        f'{head}"stimulus":'.encode("utf-8"), stimulus_json,
+        tail.encode("utf-8"),
     )
 
 
@@ -839,35 +674,24 @@ def sweep_row_from_dict(data: Mapping[str, Any]) -> SweepRow:
         raise FormatError(f"bad row error record {error!r}") from exc
 
 
-_STATS_FIELDS = dataclasses.fields(SweepStats)
+#: Every SweepStats field, coerced to the type of its default (an absent
+#: one takes the default, so payloads older than a counter still decode;
+#: ``parallel_fallback``, whose default is ``None``, passes through).
+_STATS_FIELDS = tuple(
+    Field(f.name, lambda value, what, kind=type(f.default):
+          value if kind is type(None) else kind(value))
+    for f in dataclasses.fields(SweepStats)
+)
 
 
 def sweep_stats_to_dict(stats: SweepStats) -> Dict[str, Any]:
     """Every :class:`SweepStats` field, in declaration order."""
-    return {f.name: getattr(stats, f.name) for f in _STATS_FIELDS}
+    return encode_fields(_STATS_FIELDS, stats)
 
 
 def sweep_stats_from_dict(data: Mapping[str, Any]) -> SweepStats:
-    """Inverse of :func:`sweep_stats_to_dict`.
-
-    A missing field takes its dataclass default, so payloads written
-    before a counter existed decode with the neutral value.  Each value
-    is coerced to the type of its default (``parallel_fallback``, whose
-    default is ``None``, passes through).
-    """
-    values = {}
-    for f in _STATS_FIELDS:
-        if f.name in data:
-            value = data[f.name]
-            try:
-                values[f.name] = (
-                    value if f.default is None else type(f.default)(value)
-                )
-            except (TypeError, ValueError) as exc:
-                raise FormatError(
-                    f"bad sweep stats field {f.name!r}: {value!r}"
-                ) from exc
-    return SweepStats(**values)
+    """Inverse of :func:`sweep_stats_to_dict`."""
+    return SweepStats(**decode_fields(_STATS_FIELDS, data, "sweep stats"))
 
 
 # ---------------------------------------------------------------------------
@@ -935,79 +759,30 @@ def sweep_result_from_dict(data: Mapping[str, Any]) -> SweepResult:
 # service wire payloads
 # ---------------------------------------------------------------------------
 def pool_event_to_dict(event: Any) -> Dict[str, Any]:
-    """Dict form of a :class:`repro.experiment.PoolEvent` milestone.
-
-    Duck-typed on the producer side (``kind`` / ``gid`` / ``cells`` /
-    ``groups`` / ``detail``) so this module stays import-light; the
-    fields are plain ints and strings, no tagged values needed.
-    """
-    return {
-        "kind": event.kind,
-        "gid": event.gid,
-        "cells": event.cells,
-        "groups": event.groups,
-        "detail": event.detail,
-    }
+    """Dict form of a :class:`repro.experiment.PoolEvent` milestone."""
+    return encode_fields(EVENT_FIELDS, event)
 
 
 def pool_event_from_dict(data: Mapping[str, Any]) -> Any:
     """Inverse of :func:`pool_event_to_dict`."""
-    from ..experiment.pool import PoolEvent
-
-    kind = data.get("kind")
-    if not isinstance(kind, str) or not kind:
-        raise FormatError(f"pool event needs a 'kind' string, got {kind!r}")
-    gid = data.get("gid")
-    if gid is not None and not isinstance(gid, int):
-        raise FormatError(f"pool event 'gid' must be an int or null: {gid!r}")
-    return PoolEvent(
-        kind=kind,
-        gid=gid,
-        cells=int(data.get("cells", 0)),
-        groups=int(data.get("groups", 0)),
-        detail=str(data.get("detail", "")),
-    )
+    return PoolEvent(**decode_fields(EVENT_FIELDS, data, "pool event"))
 
 
 def ticket_status_to_dict(status: Any) -> Dict[str, Any]:
-    """Dict form of a service ticket status snapshot.
+    """Dict form of a :class:`repro.service.TicketStatus` snapshot."""
+    from ..service.orchestrator import STATUS_FIELDS
 
-    Duck-typed (``ticket`` / ``client`` / ``state`` / ``cells`` /
-    ``rows_streamed`` / ``done`` — produced by
-    :class:`repro.service.TicketStatus`) so the io layer does not
-    import the service layer it serves.
-    """
-    return {
-        "ticket": status.ticket,
-        "client": status.client,
-        "state": status.state,
-        "cells": status.cells,
-        "rows_streamed": status.rows_streamed,
-        "done": status.done,
-    }
+    return encode_fields(STATUS_FIELDS, status)
 
 
 def ticket_status_from_dict(data: Mapping[str, Any]) -> Any:
     """Inverse of :func:`ticket_status_to_dict`."""
-    from ..service.orchestrator import TICKET_STATES, TicketStatus
+    from ..service.orchestrator import STATUS_FIELDS, TicketStatus
 
-    ticket = data.get("ticket")
-    if not isinstance(ticket, int):
-        raise FormatError(f"ticket status needs an int 'ticket': {ticket!r}")
-    state = data.get("state")
-    if state not in TICKET_STATES:
-        raise FormatError(f"unrecognised ticket state {state!r}")
-    client = data.get("client")
-    if client is not None and not isinstance(client, str):
-        raise FormatError(f"'client' must be a string or null: {client!r}")
-    return TicketStatus(
-        ticket=ticket,
-        client=client,
-        state=state,
-        cells=int(data.get("cells", 0)),
-        rows_streamed=int(data.get("rows_streamed", 0)),
-        done=bool(data.get("done", False)),
-    )
+    return TicketStatus(**{
+        "client": None, "cells": 0, "rows_streamed": 0, "done": False,
+        **decode_fields(STATUS_FIELDS, data, "ticket status"),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -1040,14 +815,6 @@ def _list(value: Any, what: str) -> List[Any]:
             f"{what} must be a JSON list, got {type(value).__name__}"
         )
     return value
-
-
-def _field(data: Mapping[str, Any], name: str, what: str) -> Any:
-    """Required field *name* of a *what* document."""
-    try:
-        return data[name]
-    except KeyError:
-        raise FormatError(f"{what} is missing field {name!r}") from None
 
 
 def _check_header(data: Mapping[str, Any], expected: str) -> None:

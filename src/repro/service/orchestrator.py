@@ -37,6 +37,7 @@ from typing import (
 
 from ..errors import ServiceError, UnknownTicketError
 from ..experiment.faults import FaultPlan
+from ..experiment.fields import Field, boolean, integer, one_of, optional, text
 from ..experiment.pool import SweepPool, SweepTicket
 from ..experiment.store import ScenarioKeys, SqliteSweepStore, SweepStore
 from ..experiment.sweep import DEFAULT_METRICS, ScenarioMatrix, SweepResult
@@ -66,6 +67,17 @@ class TicketStatus:
     cells: int
     rows_streamed: int
     done: bool
+
+
+#: TicketStatus's fields in wire order: the codec of ``ticket_status_to_dict``.
+STATUS_FIELDS: Tuple[Field, ...] = (
+    Field("ticket", integer(), required=True),
+    Field("client", optional(text)),
+    Field("state", one_of(*sorted(TICKET_STATES)), required=True),
+    Field("cells", integer()),
+    Field("rows_streamed", integer()),
+    Field("done", boolean),
+)
 
 
 class _Ticket:
@@ -143,8 +155,10 @@ class SweepOrchestrator:
     ----------
     pool:
         An existing :class:`~repro.experiment.SweepPool` to serve, or
-        ``None`` to create (and own) one from ``workers`` and
-        ``pool_options``.  An owned pool is closed by :meth:`close`.
+        ``None`` to create (and own) one from ``pool_options``
+        (``workers`` and the other :class:`~repro.experiment.SweepPool`
+        options, with its defaults).  An owned pool is closed by
+        :meth:`close`.
     store:
         The shared cache tier fronting the pool, attached to every
         submission: a :class:`~repro.experiment.SweepStore` instance,
@@ -167,7 +181,6 @@ class SweepOrchestrator:
         self,
         pool: Optional[SweepPool] = None,
         *,
-        workers: int = 2,
         store: Union[None, str, SweepStore] = None,
         max_finished_tickets: int = 256,
         **pool_options: Any,
@@ -177,10 +190,7 @@ class SweepOrchestrator:
         self._max_finished = max_finished_tickets
         self._finished: Deque[int] = deque()
         self._owns_pool = pool is None
-        self._pool = (
-            SweepPool(workers=workers, **pool_options)
-            if pool is None else pool
-        )
+        self._pool = SweepPool(**pool_options) if pool is None else pool
         self._store_spec = store
         self._store: Optional[SweepStore] = None
         self._owns_store = isinstance(store, str)

@@ -39,9 +39,10 @@ from ..errors import (
     SweepError,
     UnknownStimulusError,
 )
+from ..experiment.fields import Field, decode_fields, names, optional, text
 from ..experiment.pool_core import LRU
 from ..experiment.store import EncodedStimulus, ScenarioKeys
-from ..experiment.sweep import ScenarioMatrix
+from ..experiment.sweep import ON_ERROR, ScenarioMatrix
 from ..io.json_io import (
     FormatError,
     content_hash,
@@ -63,14 +64,24 @@ _log = logging.getLogger(__name__)
 _HELD_STIMULI = 8
 
 
+#: A submit's run options (its matrix is decoded apart, stimulus first).
+_SUBMIT_FIELDS = (
+    Field("metrics", optional(names)),
+    Field("faults", lambda value, what: value, decode=fault_plan_from_dict),
+    ON_ERROR,
+    Field("client", optional(text)),
+)
+
+
 class SweepServer:
     """Serve an orchestrator over TCP; lifecycle wraps a thread + loop.
 
     Parameters mirror :class:`SweepOrchestrator` (an existing
     ``orchestrator`` is served as-is and not closed on shutdown;
-    otherwise one is created from ``workers`` / ``store`` /
-    ``pool_options`` and owned).  ``port=0`` binds an ephemeral port —
-    read the real one from :attr:`address` after :meth:`start`.
+    otherwise one is created from ``store`` and the
+    :class:`~repro.experiment.SweepPool` options, and owned).  ``port=0``
+    binds an ephemeral port — read the real one from :attr:`address`
+    after :meth:`start`.
     """
 
     def __init__(
@@ -79,7 +90,6 @@ class SweepServer:
         port: int = 0,
         *,
         orchestrator: Optional[SweepOrchestrator] = None,
-        workers: int = 2,
         store: Any = None,
         **pool_options: Any,
     ) -> None:
@@ -87,7 +97,7 @@ class SweepServer:
         self._port = port
         self._owns_orchestrator = orchestrator is None
         self._orchestrator = (
-            SweepOrchestrator(workers=workers, store=store, **pool_options)
+            SweepOrchestrator(store=store, **pool_options)
             if orchestrator is None else orchestrator
         )
         self.address: Optional[Tuple[str, int]] = None
@@ -343,31 +353,10 @@ class SweepServer:
             matrix = ScenarioMatrix(
                 matrix.base.replace(stimulus=held.stimulus), matrix.axes
             )
-        metrics = params.get("metrics")
-        if metrics is not None and (
-            not isinstance(metrics, list)
-            or not all(isinstance(m, str) for m in metrics)
-        ):
-            raise ProtocolError("'metrics' must be a list of names")
-        faults_doc = params.get("faults")
-        faults = (
-            fault_plan_from_dict(faults_doc)
-            if faults_doc is not None else None
-        )
-        on_error = params.get("on_error", "capture")
-        if on_error not in ("capture", "raise"):
-            raise ProtocolError(
-                f"on_error must be 'capture' or 'raise', got {on_error!r}"
-            )
-        client = params.get("client")
-        if client is not None and not isinstance(client, str):
-            raise ProtocolError("'client' must be a string when present")
-        kwargs: Dict[str, Any] = {
-            "client": client, "faults": faults, "on_error": on_error,
-            "keys": None if held is None else ScenarioKeys(held),
-        }
-        if metrics is not None:
-            kwargs["metrics"] = tuple(metrics)
+        kwargs = decode_fields(_SUBMIT_FIELDS, params, "submit")
+        if kwargs.get("metrics") is None:
+            kwargs.pop("metrics", None)
+        kwargs["keys"] = None if held is None else ScenarioKeys(held)
         return await self._orchestrator.submit(matrix, **kwargs), digest
 
     def _held_stimulus(

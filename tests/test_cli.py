@@ -296,6 +296,19 @@ class TestEntryPoint:
         assert err.startswith("error: ")
         assert f"field {field!r} must be an integer" in err
 
+    @pytest.mark.parametrize("value", ["x", -1, 0, True])
+    def test_serve_refuses_a_bad_group_timeout(self, tmp_path, capsys, value):
+        # null or seconds > 0; refused before any server or worker starts.
+        config = write_json(tmp_path / "server.json", {
+            "format": "fppn-server", "version": 1, "group_timeout": value,
+        })
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", config])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "field 'group_timeout' must be" in err
+
     def test_python_dash_m_entry(self, run_config):
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "run", run_config],

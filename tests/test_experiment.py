@@ -80,7 +80,9 @@ class TestScenario:
         )
         assert data["format"] == "fppn-scenario"
         data["heuristics"] = []
-        with pytest.raises(ModelError, match="heuristics must not be empty"):
+        with pytest.raises(
+            FormatError, match="field 'heuristics' must not be empty"
+        ):
             scenario_from_dict(data)
         assert Scenario(workload="fig1", wcet=25).heuristics is None
 
@@ -96,7 +98,7 @@ class TestScenario:
             Scenario(workload="fig1", wcet=25, jitter_seed=1)
         )
         data["jitter_seed"] = seed
-        with pytest.raises(ModelError, match="jitter_seed must be an int"):
+        with pytest.raises(FormatError, match="field 'jitter_seed' must be an int"):
             scenario_from_dict(data)
 
     def test_jitter_seed_document_with_a_float_or_bool_fails_to_decode(self):
@@ -110,7 +112,9 @@ class TestScenario:
             data = json.loads(text.replace(
                 '"jitter_seed": 1', f'"jitter_seed": {literal}'
             ))
-            with pytest.raises(ModelError, match="jitter_seed must be an int"):
+            with pytest.raises(
+                FormatError, match="field 'jitter_seed' must be an int"
+            ):
                 scenario_from_dict(data)
         assert scenario_from_dict(json.loads(text)).jitter_seed == 1
 

@@ -314,10 +314,36 @@ class TestServedSweeps:
         document["axes"]["processors"] = ["two"]
         with SweepServer(workers=1) as server:
             with ServiceClient(*server.address) as client:
-                with pytest.raises(ServiceError, match="-32603"):
+                with pytest.raises(
+                    ServiceError, match="-32602.*axis 'processors'"
+                ):
                     client._call("submit", {"matrix": document})
                 after = client.run_sweep(small_matrix(), METRICS)
         assert after.rows == small_serial.rows
+
+    @pytest.mark.parametrize("spoil, field", [
+        (lambda p: p.update(faults={"kill_at": [1]}), "'kill_at'"),
+        (lambda p: p.update(faults={"raise_at": "12"}), "'raise_at'"),
+        (lambda p: p.update(faults={"raise_at": [0], "kill": 1}), "(s): kill"),
+        (lambda p: p["matrix"]["axes"].update(heuristics=["alap"]),
+         "axis 'heuristics'"),
+    ], ids=["kill-at-scalar", "raise-at-text", "unknown-key", "axis-text"])
+    def test_a_malformed_field_is_invalid_params_and_the_connection_lives(
+        self, spoil, field, small_serial, caplog
+    ):
+        params = {"matrix": matrix_to_dict(small_matrix()),
+                  "metrics": list(METRICS)}
+        spoil(params)
+        with SweepServer(workers=1) as server:
+            with ServiceClient(*server.address) as client:
+                pending = client.submit(small_matrix(), METRICS)["ticket"]
+                with pytest.raises(ServiceError, match="-32602") as info:
+                    client._call("submit", params)
+                assert field in str(info.value)
+                assert client.stream(pending).rows == small_serial.rows
+                after = client.run_sweep(small_matrix(), METRICS)
+        assert after.rows == small_serial.rows
+        assert not [r for r in caplog.records if r.exc_info]
 
     def test_shutdown_stops_the_server(self):
         server = SweepServer(workers=1)
