@@ -141,7 +141,8 @@ cli-smoke:
 
 # Served-sweep smoke: a real `python -m repro serve`, the demo sweep sent to
 # it with `sweep --server`, gated against the in-process sweep at zero
-# tolerance.
+# tolerance.  Then SIGINT must end the server and every process it spawned
+# within 10 s; the trap's kill only cleans up after an earlier failure.
 service-smoke:
 	@rm -rf build/service-smoke && mkdir -p build/service-smoke
 	@set -e; \
@@ -165,4 +166,19 @@ service-smoke:
 	$(PY) -m repro sweep examples/fig1_sweep.json \
 		-o build/service-smoke/local.json; \
 	$(PY) -m repro diff build/service-smoke/local.json \
-		build/service-smoke/remote.json --tolerance 0.0
+		build/service-smoke/remote.json --tolerance 0.0; \
+	children=$$(pgrep -P $$server_pid || true); \
+	[ -n "$$children" ] || { echo "the server spawned no worker"; exit 1; }; \
+	kill -INT $$server_pid; \
+	for i in $$(seq 1 100); do \
+		alive=$$(for pid in $$server_pid $$children; do \
+			kill -0 $$pid 2>/dev/null && ps -o pid=,stat= -p $$pid \
+				| grep -v ' Z' || true; done); \
+		[ -z "$$alive" ] && break; \
+		sleep 0.1; \
+	done; \
+	[ -z "$$alive" ] || { \
+		echo "still running 10 s after SIGINT: $$alive"; \
+		cat build/service-smoke/server.log; exit 1; }; \
+	trap - EXIT; \
+	wait $$server_pid

@@ -332,7 +332,12 @@ def _parse_server_config(data: Any, path: str) -> Dict[str, Any]:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import signal
+
     from .service import SweepServer
+
+    # A shell's background job ignores SIGINT: let it shut the server down.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
 
     # Only the fields the document holds are forwarded: the defaults are
     # SweepServer's and SweepPool's.

@@ -17,9 +17,15 @@ tags, schedule-key affinity with warm mirrors of each worker's LRU, the
 retry budget with backoff and fault-plan consumption, group deadlines,
 boot failures, cancel, interrupt and settlement.  This module is its
 adapter: it owns the processes (one inbox queue and one reply pipe per
-worker, so a crash is charged to exactly one group), the wake socket,
-the wire encoding of groups and the merge of replies, the user callbacks
-and the ``KeyboardInterrupt`` drain, and carries out the core's actions.
+worker, so a crash is charged to exactly one group), the wire encoding
+of groups and the merge of replies, the user callbacks and the
+``KeyboardInterrupt`` drain, and carries out the core's actions.
+
+Two drivers share one receive routine and one action runner: the
+synchronous :meth:`~SweepPool.pump_once`, which waits for a worker
+message or the core's next instant, and the sweep server's asyncio loop
+(reader callbacks on the worker pipes, one timer), on the loop's thread.
+``add_reader`` on pipes, like the workers' watchdog, is POSIX-only.
 
 :meth:`~SweepPool.submit` resolves checkpoint-store hits parent-side,
 enqueues the remaining schedule-key groups and returns a
@@ -66,11 +72,6 @@ from .sweep import (
 )
 
 __all__ = ["PoolEvent", "SweepPool", "SweepTicket"]
-
-#: Supervisor poll period [s]: how long a collect blocks for replies
-#: before re-checking dispatch, crashes and deadlines.
-_POLL_INTERVAL = 0.02
-
 
 # ---------------------------------------------------------------------------
 # wire format (parent <-> worker), all JSON text
@@ -475,11 +476,8 @@ class SweepPool:
         #: Worker processes, indexed like the core's slots.
         self._slots: List[_Worker] = []
         self._closed = False
-        import socket  # here: serial sweeps never pay for it
-
-        # `wake` writes here to end a blocked collect from another thread.
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_w.setblocking(False)
+        #: The event loop driving the pool, if one does (see _attach).
+        self._loop = self._on_failure = self._timer = None
 
     # -- lifecycle ------------------------------------------------------
     @property
@@ -510,15 +508,7 @@ class SweepPool:
             return
         self._closed = True
         self._teardown(graceful)
-        self._wake_r.close()
-        self._wake_w.close()
-
-    def wake(self) -> None:
-        """End a blocked :meth:`pump_once` wait early (thread-safe)."""
-        try:
-            self._wake_w.send(b"w")
-        except OSError:  # a wake is already pending, or the pool is closed
-            pass
+        self._detach()
 
     def _teardown(self, graceful: bool) -> None:
         """Cut every unfinished submission short and reap every worker."""
@@ -534,8 +524,7 @@ class SweepPool:
                 worker.process.terminate()
             # Replies are discarded: a worker mid-send sees a broken pipe
             # and exits instead of blocking on a full one.
-            if worker.outbox is not None:
-                worker.outbox.close()
+            self._close_outbox(worker)
         for worker in workers:
             worker.process.join(timeout=10.0)
             if worker.process.is_alive():
@@ -576,7 +565,8 @@ class SweepPool:
         through ``on_row`` at once and never reach a worker); the other
         cells are enqueued as schedule-key groups behind the pending
         ones.  Nothing executes until the pool is driven
-        (``ticket.result()`` or :meth:`pump_once`).
+        (``ticket.result()`` or :meth:`pump_once`, or the event loop of
+        the :class:`~repro.service.SweepOrchestrator` serving it).
 
         ``client`` tags the submission for the fair scheduler: the
         pending queue round-robins across client tags, FIFO within a
@@ -640,6 +630,7 @@ class SweepPool:
         )
         book.stats.workers = min(self.workers, sub.outstanding) or 1
         self._run()
+        self._arm(time.monotonic())  # a driving loop dispatches next turn
         return SweepTicket(self, sub, on_error)
 
     # -- carrying out the core's actions --------------------------------
@@ -718,47 +709,71 @@ class SweepPool:
         child_outbox.close()
         # Replaces the slot's worker, or appends a new slot.
         self._slots[index:index + 1] = [_Worker(process, inbox, outbox)]
+        if self._loop is not None:
+            self._loop.add_reader(outbox.fileno(), self._on_loop, index)
 
-    @staticmethod
-    def _reap(worker: _Worker) -> None:
+    def _reap(self, worker: _Worker) -> None:
         """Stop *worker*'s process; its pipe reports nothing more."""
         worker.process.terminate()
         worker.process.join()
+        self._close_outbox(worker)
+
+    def _close_outbox(self, worker: _Worker) -> None:
+        """Close *worker*'s reply pipe, and the loop's reader on it first."""
         if worker.outbox is not None:
+            if self._loop is not None:
+                self._loop.remove_reader(worker.outbox.fileno())
             worker.outbox.close()
             worker.outbox = None
 
     # -- driving --------------------------------------------------------
     def pump_once(self) -> bool:
-        """Run one dispatch/collect cycle; True if any reply merged.
+        """Run one dispatch/receive cycle; True if any reply merged.
 
-        The cooperative alternative to blocking on
-        :meth:`SweepTicket.result`, for an external driver (the
-        service's orchestrator thread).  Blocks at most ~`_POLL_INTERVAL`
-        waiting for worker replies, less when :meth:`wake` is called.
-        On ``KeyboardInterrupt`` — real or :class:`FaultPlan`-injected —
-        completed replies are drained into their submissions, every
-        worker is reaped (no orphans), and all active submissions become
-        partial results with ``stats.interrupted``.
+        The synchronous driver behind :meth:`SweepTicket.result`: ticks
+        the core, then waits for a worker message or the core's next
+        instant (:meth:`~repro.experiment.pool_core.PoolCore.next_wakeup`:
+        a group or boot deadline, the end of a backoff), whichever comes
+        first, and feeds every message that arrived to the core.  Nothing
+        polls: a busy pool with nothing timed waits for its workers, an
+        idle one returns at once.  On ``KeyboardInterrupt`` — real or
+        :class:`FaultPlan`-injected — completed replies are drained into
+        their submissions, every worker is reaped (no orphans), and all
+        active submissions become partial results with
+        ``stats.interrupted``.
         """
         try:
-            self._core.tick(time.monotonic())
-            self._run()
-            return self._collect(_POLL_INTERVAL)
+            wakeup = self._advance()
+            return self._receive_ready(0.0 if not self._core.busy else (
+                None if wakeup is None else max(0.0, wakeup - time.monotonic())
+            ))
         except KeyboardInterrupt:
-            self._core.interrupt()
-            try:
-                self._collect(0.0)
-            except Exception:
-                pass
-            # The service survives an interrupt: slots are gone (cold),
-            # the next submission respawns lazily.
-            self._teardown(graceful=False)
+            self._interrupted()
             return True
 
-    def _collect(self, timeout: float) -> bool:
-        """Feed every available worker message to the core; True if any
-        reply merged."""
+    def _advance(self) -> Optional[float]:
+        """Tick the core at now and carry out its actions; the next
+        instant it needs a tick, which a driving loop's timer is armed for."""
+        now = time.monotonic()
+        self._core.tick(now)
+        self._run()
+        wakeup = self._core.next_wakeup(now)
+        self._arm(wakeup)
+        return wakeup
+
+    def _interrupted(self) -> None:
+        """Drain the replies that arrived, then reap every worker: the
+        service survives an interrupt cold, and respawns lazily."""
+        self._core.interrupt()
+        try:
+            self._receive_ready(0.0)
+        except Exception:
+            pass
+        self._teardown(graceful=False)
+
+    def _receive_ready(self, timeout: Optional[float]) -> bool:
+        """Feed the core every worker message that arrives within
+        *timeout* (``None``: until one does); True if a reply merged."""
         # Imported here, like the spawn context: sweeps that never start
         # a worker do not pay for the multiprocessing machinery.
         from multiprocessing.connection import wait as wait_connections
@@ -770,37 +785,87 @@ class SweepPool:
                 for index, worker in enumerate(self._slots)
                 if worker.outbox is not None
             }
-            ready = wait_connections([self._wake_r, *slots], timeout)
+            if not slots and timeout is None:
+                return merged  # no worker could end the wait
+            ready = wait_connections(list(slots), timeout)
             if not ready:
                 return merged
             timeout = 0.0  # drain the rest without blocking
             for conn in ready:
-                if conn is self._wake_r:
-                    conn.recv(4096)
-                    continue
-                slot = self._core.slots[slots[conn]]
-                try:
-                    kind, body = conn.recv()
-                except (EOFError, OSError):
-                    # Only the worker held the write end: it is gone, and
-                    # everything it sent has been read.
-                    conn.close()
-                    self._slots[slot.index].outbox = None
-                    kind = "died"
-                now = time.monotonic()
-                if kind == "ready":
-                    self._core.ready(slot, now)
-                elif kind == "died":
-                    self._core.died(slot, now)
-                    self._run()
-                else:
-                    # Each pipe belongs to one worker incarnation running
-                    # at most one group: a reply is for the slot's group.
-                    # Its bookkeeping ends before a merge error surfaces.
-                    merged = True
-                    group = slot.group
-                    try:
-                        _merge_reply(group.sub.owner.book, group.cells, body)
-                    finally:
-                        self._core.reply(slot, now)
-                        self._run()
+                merged |= self._receive(slots[conn])
+
+    def _receive(self, index: int) -> bool:
+        """Feed one message of slot *index*'s worker to the core and carry
+        out its actions; True if it was a merged reply.  The one receive
+        path of both drivers (:meth:`pump_once` and a loop's readers)."""
+        worker, slot = self._slots[index], self._core.slots[index]
+        try:
+            kind, body = worker.outbox.recv()
+        except (EOFError, OSError):
+            # Only the worker held the write end: it is gone, and
+            # everything it sent has been read.
+            self._close_outbox(worker)
+            kind = "died"
+        now = time.monotonic()
+        if kind == "ready":
+            self._core.ready(slot, now)
+        elif kind == "died":
+            self._core.died(slot, now)
+            self._run()
+        else:
+            # Each pipe belongs to one worker incarnation running at most
+            # one group: a reply is for the slot's group.  Its
+            # bookkeeping ends before a merge error surfaces.
+            group = slot.group
+            try:
+                _merge_reply(group.sub.owner.book, group.cells, body)
+            finally:
+                self._core.reply(slot, now)
+                self._run()
+            return True
+        return False
+
+    # -- driven by an event loop (POSIX: readers on the worker pipes) ---
+    def _attach(
+        self, loop: Any, on_failure: Callable[[BaseException], None]
+    ) -> None:
+        """Let *loop* drive the pool on its thread: a reader on each
+        worker pipe feeds :meth:`_receive`, one timer the core's next
+        instant.  An error escaping either goes to *on_failure*, since
+        asyncio would only log it."""
+        self._loop, self._on_failure = loop, on_failure
+        for index, worker in enumerate(self._slots):
+            if worker.outbox is not None:
+                loop.add_reader(worker.outbox.fileno(), self._on_loop, index)
+        self._arm(time.monotonic())
+
+    def _detach(self) -> None:
+        """Remove the loop's readers and timer: back to :meth:`pump_once`."""
+        for worker in self._slots:
+            if self._loop is not None and worker.outbox is not None:
+                self._loop.remove_reader(worker.outbox.fileno())
+        self._arm(None)
+        self._loop = None
+
+    def _arm(self, instant: Optional[float]) -> None:
+        """Set a driving loop's one timer to tick the core at *instant*
+        (``time.monotonic``; ``None``: no tick is due).  Any tick does
+        what an earlier armed one would have."""
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer = None if instant is None or self._loop is None else (
+            self._loop.call_later(instant - time.monotonic(), self._on_loop)
+        )
+
+    def _on_loop(self, index: Optional[int] = None) -> None:
+        """The loop's callback: slot *index*'s pipe is readable, or
+        (``None``) the timer fired."""
+        try:
+            try:
+                if index is not None:
+                    self._receive(index)
+                self._advance()
+            except KeyboardInterrupt:
+                self._interrupted()
+        except Exception as exc:
+            self._on_failure(exc)

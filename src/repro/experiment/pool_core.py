@@ -18,6 +18,9 @@ queues in response (drained by :meth:`PoolCore.take`):
 * ``("interrupt",)`` — raise ``KeyboardInterrupt`` once the queued
   actions ran (an injected fault-plan interrupt fired).
 
+Between events the adapter waits for a worker message or
+:meth:`PoolCore.next_wakeup`, the one instant a ``tick`` can act on.
+
 A worker that dies after reporting ready, or overruns the group deadline
 that starts at dispatch or at ready (whichever is later), is respawned
 and its group requeued with exponential backoff until ``max_retries``
@@ -211,6 +214,17 @@ class PoolCore:
         return bool(self.pending) or any(
             slot.group is not None for slot in self.slots
         )
+
+    def next_wakeup(self, now: float) -> Optional[float]:
+        """The earliest instant a :meth:`tick` can act on: the first
+        group or boot deadline, or the end of a backoff not elapsed at
+        *now*; ``None`` when nothing waits on time."""
+        instants = [
+            t for slot in self.slots
+            for t in (slot.deadline, slot.boot_deadline) if t is not None
+        ]
+        instants += [g.not_before for g in self.pending if g.not_before > now]
+        return min(instants, default=None)
 
     # -- events ----------------------------------------------------------
     def submit(

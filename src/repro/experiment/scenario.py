@@ -135,17 +135,27 @@ def _is_normalized_pairs(value: Any) -> bool:
 
 def _wcet_value(name: str, value: Any) -> Any:
     """One wcet-map entry: callable, per-class table, or Time scalar."""
-    if callable(value):
+    if isinstance(value, Time) or callable(value):
         return value
     if isinstance(value, Mapping) or _is_normalized_pairs(value):
         return normalize_wcet_table(value, f"WCET of {name!r}")
     return as_time(value)
 
 
+def _as_mapping(value: Any, what: str) -> Any:
+    """A tuple of (name, value) pairs as the mapping it spells, so every
+    pair is checked like a mapping entry; anything else unchanged."""
+    if not _is_normalized_pairs(value):
+        return value
+    mapping = dict(value)
+    if len(mapping) != len(value):
+        raise ModelError(f"{what} names a process twice: {value!r}")
+    return mapping
+
+
 def _wcet(value: Any, what: str) -> Any:
     """Canonical immutable form: Time scalar, or sorted (name, value) pairs."""
-    if _is_normalized_pairs(value):
-        return value
+    value = _as_mapping(value, what)
     if isinstance(value, Mapping):
         return tuple(sorted(
             (name, _wcet_value(name, entry)) for name, entry in value.items()
@@ -173,8 +183,7 @@ def _heuristics(value: Any, what: str) -> Tuple[str, ...]:
 
 
 def _time_table(value: Any, what: str) -> Tuple[Tuple[str, Time], ...]:
-    if _is_normalized_pairs(value):
-        return value
+    value = _as_mapping(value, what)
     if not isinstance(value, Mapping):
         raise ModelError(f"{what} must be a mapping of process name -> time")
     return tuple(sorted((name, as_time(t)) for name, t in value.items()))
@@ -260,8 +269,31 @@ _FIELDS: Tuple[Field, ...] = (
 _BY_NAME = {field.name: field for field in _FIELDS}
 #: The stimulus is compared structurally but is unhashable (mutable maps).
 _HASHED = attrgetter(*(f.name for f in _FIELDS if f.name != "stimulus"))
+
+
+def _stage_key(fields: Tuple[Field, ...]) -> Callable[[Any], Tuple[Any, ...]]:
+    """A stage key as getters built once: its fields' values in table
+    order, an omitted-while-unset field (those come last) only when set."""
+    head = attrgetter(*(f.name for f in fields if not f.omit))
+    tail = [attrgetter(f.name) for f in fields if f.omit]
+    assert not tail or all(f.omit for f in fields[-len(tail):])
+    if not tail:
+        return head
+
+    def key(scenario: Any) -> Tuple[Any, ...]:
+        values = head(scenario)
+        for get in tail:
+            value = get(scenario)
+            if value is not None:
+                values += (value,)
+        return values
+    return key
+
+
 _DERIVATION = tuple(f for f in _FIELDS if f.stage == "derivation")
 _SCHEDULE = _DERIVATION + tuple(f for f in _FIELDS if f.stage == "schedule")
+_DERIVATION_KEY = _stage_key(_DERIVATION)
+_SCHEDULE_KEY = _stage_key(_SCHEDULE)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +468,7 @@ class Scenario:
 
     def derivation_key(self) -> Tuple[Any, ...]:
         """Scenarios with equal keys share one task-graph derivation."""
-        return self._stage_key(_DERIVATION)
+        return _DERIVATION_KEY(self)
 
     def schedule_key(self) -> Tuple[Any, ...]:
         """Scenarios with equal keys share one static schedule.
@@ -446,13 +478,7 @@ class Scenario:
         while cells of a platform axis schedule once per platform but
         share one derivation (WCET tables are class-*name* keyed).
         """
-        return self._stage_key(_SCHEDULE)
-
-    def _stage_key(self, fields: Tuple[Field, ...]) -> Tuple[Any, ...]:
-        return tuple(
-            value for f in fields for value in (getattr(self, f.name),)
-            if not (f.omit and value is None)
-        )
+        return _SCHEDULE_KEY(self)
 
     def scheduling_target(self) -> PlatformLike:
         """What the list scheduler should schedule onto."""

@@ -98,11 +98,12 @@ def platform_from_jsonable(data: Any, what: str = "platform") -> Platform:
         if not isinstance(row, (list, tuple)) or len(row) != 3:
             raise FormatError(f"bad {what} row {row!r}")
         name, speed, count = row
-        entries.append(
-            (
-                ProcessorClass(name, _time_in(speed, f"{what} speed")),
-                int(count),
+        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+            raise FormatError(
+                f"bad {what} row {row!r}: the core count must be an int >= 1"
             )
+        entries.append(
+            (ProcessorClass(name, _time_in(speed, f"{what} speed")), count)
         )
     return Platform(tuple(entries))
 

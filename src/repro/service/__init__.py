@@ -4,10 +4,11 @@ to many concurrent clients.
 Three layers, lowest to highest:
 
 * :mod:`repro.service.orchestrator` — an asyncio front over the pool.
-  One driver thread owns every pool and store interaction; coroutines
-  submit matrices, stream rows/milestones and cancel through ticket
-  handles.  Fair scheduling across client tags is the pool's own
-  round-robin (``SweepPool.submit(client=...)``).
+  The event loop that uses it drives the pool's core directly (reader
+  callbacks on the worker pipes, one timer for its deadlines) and owns
+  the store; coroutines submit matrices, stream rows/milestones and
+  cancel through ticket handles.  Fair scheduling across client tags is
+  the pool's own round-robin (``SweepPool.submit(client=...)``).
 * :mod:`repro.service.protocol` + :mod:`repro.service.server` — a
   stdlib-only newline-delimited JSON-RPC 2.0 wire protocol over TCP and
   the asyncio server speaking it.  All payloads travel through the
@@ -18,6 +19,9 @@ Three layers, lowest to highest:
   ``run_sweep`` mirrors the in-process signature (``on_row`` /
   ``on_progress`` callbacks included), plus the CLI verbs
   ``python -m repro serve`` and ``sweep --server HOST:PORT``.
+
+The served path runs on the server's loop thread; reading the worker
+pipes with ``add_reader`` makes it POSIX-only.
 """
 
 from .client import ServiceClient

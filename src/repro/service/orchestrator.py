@@ -1,35 +1,32 @@
 """Async orchestrator: many coroutine clients, one resident SweepPool.
 
-The pool and the SQLite store are single-threaded by design (store hits
-resolve inside ``submit``, rows persist as replies merge, and sqlite3
-connections refuse cross-thread use), so the orchestrator funnels
-**every** pool/store interaction through one dedicated *driver thread*:
-coroutines post commands to a queue, wake the pool
-(:meth:`SweepPool.wake`) and await their outcome; the driver alternates
-between handling commands and :meth:`SweepPool.pump_once` cycles that
-make progress on everything outstanding, and a wake ends a cycle's wait
-for worker replies so a command is read at once.  Rows and
-:class:`~repro.experiment.PoolEvent` milestones stream back through
-per-ticket item queues; a waiting coroutine is woken with
-``call_soon_threadsafe`` on whatever loop it awaited from, so the
-orchestrator serves any number of event loops (the JSON-RPC server's,
-a test's ``asyncio.run``, ...) concurrently.
+Everything runs on the one event loop that builds the orchestrator (the
+JSON-RPC server's, or a test's ``asyncio.run``): coroutines submit,
+stream and cancel, and the loop drives the pool's sans-I/O core
+directly — a reader callback on each worker's reply pipe feeds it
+``ready``, ``reply`` and ``died``, and one timer its next deadline or
+backoff (see :mod:`repro.experiment.pool`).  The SQLite store is opened
+and written on the same thread, so nothing crosses threads and nothing
+waits on a lock, a command queue or a poll.  Rows and
+:class:`~repro.experiment.PoolEvent` milestones go from the pool's
+callbacks straight to per-ticket item queues, and a waiting stream is a
+plain :class:`asyncio.Future`.  Reader callbacks on pipes make it
+POSIX-only.
 
 Fairness is the pool's own: each submission carries its client tag into
 :meth:`SweepPool.submit`, whose pending queue round-robins across tags
 — one client's huge matrix cannot starve another's small one.  A ticket
 ends in one place, when its pool submission settles, with one terminal
-item that every later stream sees again; once closed, or once the driver
-thread died, every command raises :class:`ServiceError` at once.
+item that every later stream sees again.  Once closed, or once driving
+the pool failed (an exception escaping a loop callback), every command
+raises :class:`ServiceError` at once, and a failure ends every live
+ticket with a :class:`ServiceError` chained to its cause.
 """
 
 from __future__ import annotations
 
 import asyncio
-import queue
-import threading
 from collections import deque
-from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import (
     Any, AsyncIterator, Deque, Dict, Optional, Sequence, Tuple, Union,
@@ -44,12 +41,12 @@ from ..experiment.sweep import DEFAULT_METRICS, ScenarioMatrix, SweepResult
 
 __all__ = ["SweepOrchestrator", "TicketStatus", "TICKET_STATES"]
 
-#: Ticket lifecycle: ``queued`` (accepted, not yet handed to the pool
-#: driver), ``running`` (groups pending/dispatched), then exactly one of
-#: ``done`` (result ready — possibly a partial after ``cancel``),
-#: ``failed`` (``on_error="raise"`` sweep raised, or the driver thread
-#: died) or ``cancelled`` (cancel withdrew groups, or the orchestrator
-#: closed; the partial result is still available).
+#: Ticket lifecycle: ``queued`` (accepted, not yet handed to the pool),
+#: ``running`` (groups pending/dispatched), then exactly one of ``done``
+#: (result ready — possibly a partial after ``cancel``), ``failed``
+#: (``on_error="raise"`` sweep raised, or driving the pool failed) or
+#: ``cancelled`` (cancel withdrew groups, or the orchestrator closed; the
+#: partial result is still available).
 TICKET_STATES = frozenset(
     {"queued", "running", "done", "failed", "cancelled"}
 )
@@ -84,8 +81,8 @@ class _Ticket:
     """Server-side record of one submission.
 
     ``items`` is the stream seen by :meth:`SweepOrchestrator.stream`:
-    ``("row", SweepRow)`` / ``("event", PoolEvent)`` entries pushed from
-    the driver thread.  Once the ticket is terminal, an empty queue
+    ``("row", SweepRow)`` / ``("event", PoolEvent)`` entries pushed by
+    the pool's callbacks.  Once the ticket is terminal, an empty queue
     yields its one terminal item, ``("done", SweepResult)`` or
     ``("error", Exception)`` — to every later consumer too.  At most one
     coroutine may wait on it at a time (one stream consumer per ticket).
@@ -100,36 +97,22 @@ class _Ticket:
         self.pool_ticket: Optional[SweepTicket] = None
         self.result: Optional[SweepResult] = None
         self.error: Optional[BaseException] = None
-        self.lock = threading.Lock()
         self.items: Deque[Tuple[str, Any]] = deque()
-        self.waiter: Optional[
-            Tuple[asyncio.AbstractEventLoop, asyncio.Future]
-        ] = None
+        self.waiter: Optional[asyncio.Future] = None
 
     def push(self, item: Optional[Tuple[str, Any]] = None) -> None:
-        """Append one stream item (if any) and wake the waiting consumer.
-
-        Driver-thread side.  The waiter's loop may already be closed (a
-        client that went away mid-stream) — that wake-up is dropped; the
-        item stays queued for a later consumer.
-        """
-        with self.lock:
-            if item is not None:
-                self.items.append(item)
-            waiter, self.waiter = self.waiter, None
-        if waiter is not None:
-            loop, future = waiter
-            try:
-                loop.call_soon_threadsafe(_wake, future)
-            except RuntimeError:
-                pass
+        """Append one stream item (if any) and wake the waiting consumer."""
+        if item is not None:
+            self.items.append(item)
+        waiter, self.waiter = self.waiter, None
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
 
     def finish(
         self, state: str, result: Any = None, error: Any = None
     ) -> None:
         """Make the ticket terminal and wake its consumer."""
-        with self.lock:
-            self.result, self.error, self.state = result, error, state
+        self.result, self.error, self.state = result, error, state
         self.push()
 
     def status(self) -> TicketStatus:
@@ -143,13 +126,11 @@ class _Ticket:
         )
 
 
-def _wake(future: asyncio.Future) -> None:
-    if not future.done():
-        future.set_result(None)
-
-
 class SweepOrchestrator:
     """Serve one shared pool (and optional store) to async clients.
+
+    Build it on the event loop that will use it (inside a coroutine);
+    ``async with`` closes it.
 
     Parameters
     ----------
@@ -158,13 +139,14 @@ class SweepOrchestrator:
         ``None`` to create (and own) one from ``pool_options``
         (``workers`` and the other :class:`~repro.experiment.SweepPool`
         options, with its defaults).  An owned pool is closed by
-        :meth:`close`.
+        :meth:`close`; a caller's pool is handed back to synchronous
+        driving.
     store:
         The shared cache tier fronting the pool, attached to every
         submission: a :class:`~repro.experiment.SweepStore` instance,
-        or a path string opened as a WAL-mode
-        :class:`~repro.experiment.SqliteSweepStore` **on the driver
-        thread** (sqlite3 connections are single-threaded; passing the
+        or a path string opened (and owned) as a WAL-mode
+        :class:`~repro.experiment.SqliteSweepStore` on the loop's
+        thread (sqlite3 connections are single-threaded; passing the
         path is the safe spelling).  Hit rows stream back without any
         dispatch; computed rows persist for every later client.
     max_finished_tickets:
@@ -187,34 +169,24 @@ class SweepOrchestrator:
     ) -> None:
         if max_finished_tickets < 1:
             raise ServiceError("max_finished_tickets must be >= 1")
+        try:
+            self._loop = asyncio.get_running_loop()
+        except RuntimeError:
+            raise ServiceError(
+                "build a SweepOrchestrator on the event loop that uses it"
+            ) from None
         self._max_finished = max_finished_tickets
         self._finished: Deque[int] = deque()
         self._owns_pool = pool is None
         self._pool = SweepPool(**pool_options) if pool is None else pool
-        self._store_spec = store
-        self._store: Optional[SweepStore] = None
         self._owns_store = isinstance(store, str)
-        self._commands: "queue.Queue[Tuple[Any, ...]]" = queue.Queue()
+        self._store = SqliteSweepStore(store) if self._owns_store else store
         self._tickets: Dict[int, _Ticket] = {}
         self._next_tid = 1
-        #: Set once no command is accepted (by ``close_sync`` or the
-        #: exiting driver); guarded by ``_tickets_lock`` like every post.
         self._closed = False
-        #: The exception the driver thread died of, if it did.
+        #: What driving the pool failed with, if it did.
         self._crash: Optional[BaseException] = None
-        self._shutting_down = False
-        self._tickets_lock = threading.Lock()
-        self._startup = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._driver = threading.Thread(
-            target=self._drive, name="sweep-orchestrator", daemon=True
-        )
-        self._driver.start()
-        self._startup.wait()
-        if self._startup_error is not None:
-            raise ServiceError(
-                f"orchestrator failed to start: {self._startup_error}"
-            ) from self._startup_error
+        self._pool._attach(self._loop, self._failed)
 
     # -- async client API ----------------------------------------------
     async def submit(
@@ -233,28 +205,30 @@ class SweepOrchestrator:
         scheduler and fronted by the shared store (hit rows appear on
         the ticket stream without touching a worker).  ``keys`` carries
         stimulus encodings the caller holds already to the pool (see
-        :meth:`SweepPool.submit`).  Returns as soon as the driver
-        accepted the submission — consume rows with :meth:`stream`, poll
-        with :meth:`status`.
+        :meth:`SweepPool.submit`).  Returns as soon as the pool accepted
+        the submission — consume rows with :meth:`stream`, poll with
+        :meth:`status`.
         """
-        with self._tickets_lock:
-            tid = self._next_tid
-            self._next_tid += 1
-            ticket = _Ticket(tid, client, len(matrix))
-            self._tickets[tid] = ticket
-        kwargs = dict(
-            metrics=metrics, faults=faults, on_error=on_error, client=client,
-            keys=keys,
+        self._check_open()
+        ticket = _Ticket(self._next_tid, client, len(matrix))
+
+        def on_row(row: Any) -> None:
+            ticket.rows_streamed += 1
+            ticket.push(("row", row))
+
+        def on_progress(event: Any) -> None:
+            ticket.push(("event", event))
+
+        ticket.state = "running"
+        ticket.pool_ticket = self._pool.submit(
+            matrix, metrics, store=self._store, on_row=on_row,
+            on_progress=on_progress, faults=faults, on_error=on_error,
+            client=client, keys=keys,
         )
-        try:
-            await asyncio.wrap_future(
-                self._post("submit", ticket, matrix, kwargs)
-            )
-        except BaseException:
-            with self._tickets_lock:
-                self._tickets.pop(tid, None)
-            raise
-        return tid
+        self._tickets[ticket.tid] = ticket
+        self._next_tid += 1
+        ticket.pool_ticket._when_settled(lambda: self._settle(ticket))
+        return ticket.tid
 
     async def stream(
         self, ticket: int
@@ -271,39 +245,27 @@ class SweepOrchestrator:
         """
         record = self._ticket(ticket)
         while True:
-            kind, payload = await self._next_item(record)
-            if kind == "error":
-                raise payload
-            yield kind, payload
-            if kind == "done":
+            if record.items:
+                yield record.items.popleft()
+            elif record.error is not None:  # terminal, again on a re-stream
+                raise record.error
+            elif record.state in _TERMINAL_STATES:
+                yield "done", record.result
                 return
-
-    async def _next_item(self, record: _Ticket) -> Tuple[str, Any]:
-        while True:
-            with record.lock:
-                if record.items:
-                    return record.items.popleft()
-                if record.state in _TERMINAL_STATES:  # again, for a re-stream
-                    if record.error is not None:
-                        return "error", record.error
-                    return "done", record.result
-                if record.waiter is not None:
-                    raise ServiceError(
-                        f"ticket {record.tid} already has a stream "
-                        "consumer"
-                    )
-                loop = asyncio.get_running_loop()
-                future: asyncio.Future = loop.create_future()
-                record.waiter = (loop, future)
-            try:
-                await future
-            finally:
-                with record.lock:
-                    if record.waiter == (loop, future):
+            elif record.waiter is not None:
+                raise ServiceError(
+                    f"ticket {record.tid} already has a stream consumer"
+                )
+            else:
+                future = record.waiter = self._loop.create_future()
+                try:
+                    await future
+                finally:
+                    if record.waiter is future:
                         record.waiter = None
 
     def status(self, ticket: int) -> TicketStatus:
-        """Snapshot a ticket's state (thread-safe, non-blocking)."""
+        """Snapshot a ticket's state (non-blocking)."""
         return self._ticket(ticket).status()
 
     async def cancel(self, ticket: int) -> bool:
@@ -314,60 +276,55 @@ class SweepOrchestrator:
         was withdrawn.  Cancelling a finished ticket is a no-op.
         """
         record = self._ticket(ticket)
-        return await asyncio.wrap_future(self._post("cancel", record))
+        self._check_open()
+        return record.pool_ticket is not None and record.pool_ticket.cancel()
 
     async def close(self) -> None:
-        """Async wrapper over :meth:`close_sync` (runs it off-loop)."""
-        await asyncio.get_running_loop().run_in_executor(
-            None, self.close_sync
-        )
+        """Stop serving; unfinished tickets become interrupted partials.
 
-    # -- sync lifecycle -------------------------------------------------
-    def close_sync(self) -> None:
-        """Stop the driver; unfinished tickets become interrupted partials.
-
-        Owned resources (pool created here, store opened from a path)
-        are closed on the driver thread on its way out.  Idempotent, and
-        a no-op once the driver thread has died.
+        Pending groups are withdrawn.  Dispatched groups are abandoned by
+        an owned pool's close, and run out on a caller's pool, driven
+        synchronously (which it stays).  Every live ticket settles, so
+        late consumers see a partial.  Owned resources (the pool created
+        here, a store opened from a path) are closed.  Idempotent, and a
+        no-op once driving the pool failed.
         """
-        try:
-            self._post("close", closing=True).result(timeout=60.0)
-        except ServiceError:
-            pass  # closed already, or the driver died
-        self._driver.join(timeout=60.0)
+        if self._closed:
+            return
+        self._closed = True
+        live = [
+            t.pool_ticket for t in self._tickets.values()
+            if t.pool_ticket is not None
+        ]
+        for pool_ticket in live:
+            pool_ticket.cancel()
+        self._pool._detach()
+        while not (self._owns_pool or all(t.done for t in live)):
+            self._pool.pump_once()
+        self._release()
 
-    def __enter__(self) -> "SweepOrchestrator":
+    async def __aenter__(self) -> "SweepOrchestrator":
         return self
 
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close_sync()
+    async def __aexit__(self, *exc_info: Any) -> None:
+        await self.close()
 
-    def _post(self, *command: Any, closing: bool = False) -> Future:
-        """Queue one driver command; the future of its outcome.
+    def _check_open(self) -> None:
+        """Refuse a command at once once closed or failed."""
+        if self._crash is not None:
+            raise self._failure_error()
+        if self._closed:
+            raise ServiceError("orchestrator is closed")
 
-        Raises :class:`ServiceError` at once when the orchestrator is
-        closed or its driver thread died: nobody would read the command.
-        """
-        outcome: Future = Future()
-        with self._tickets_lock:
-            if self._closed:
-                raise self._closed_error()
-            self._closed = closing  # a close is the last command read
-            self._commands.put((*command, outcome))
-        self._pool.wake()
-        return outcome
-
-    def _closed_error(self) -> ServiceError:
-        crash = self._crash
-        if crash is None:
-            return ServiceError("orchestrator is closed")
-        error = ServiceError(f"orchestrator driver thread died: {crash!r}")
-        error.__cause__ = crash
+    def _failure_error(self) -> ServiceError:
+        error = ServiceError(
+            f"orchestrator failed driving its pool: {self._crash!r}"
+        )
+        error.__cause__ = self._crash
         return error
 
     def _ticket(self, ticket: int) -> _Ticket:
-        with self._tickets_lock:
-            record = self._tickets.get(ticket)
+        record = self._tickets.get(ticket)
         if record is None:
             raise UnknownTicketError(
                 f"unknown ticket {ticket} (never issued, or finished and "
@@ -375,123 +332,28 @@ class SweepOrchestrator:
             )
         return record
 
-    # -- driver thread ---------------------------------------------------
-    def _drive(self) -> None:
-        try:
-            if isinstance(self._store_spec, str):
-                self._store = SqliteSweepStore(self._store_spec)
-            else:
-                self._store = self._store_spec
-        except BaseException as exc:
-            self._startup_error = exc
-            self._startup.set()
-            return
-        self._startup.set()
-        try:
-            # Idle, the driver waits on the command queue; busy, in the
-            # pump, which a posted command's wake ends early.
-            while not self._handle_commands(
-                None if self._pool.busy else 0.05
-            ):
-                if self._pool.busy:
-                    self._pool.pump_once()
-        except BaseException as exc:
-            self._crash = exc
-            raise
-        finally:
-            self._exit()
+    # -- pool callbacks ---------------------------------------------------
+    def _failed(self, exc: BaseException) -> None:
+        """Driving the pool raised *exc* in a loop callback: end every
+        live ticket and refuse every later command, chained to it."""
+        self._crash = exc
+        self._closed = True
+        for ticket in list(self._tickets.values()):
+            if ticket.state not in _TERMINAL_STATES:
+                ticket.finish("failed", error=self._failure_error())
+        self._release()
 
-    def _exit(self) -> None:
-        """Refuse every later command and fail every unread one.
-
-        After a crash, live tickets end with the same error, and an
-        owned pool is torn down; after ``close`` they already ended.
-        """
-        with self._tickets_lock:
-            self._closed = True
-            live = [
-                t for t in self._tickets.values()
-                if t.state not in _TERMINAL_STATES
-            ]
-        while True:
-            try:
-                command = self._commands.get_nowait()
-            except queue.Empty:
-                break
-            command[-1].set_exception(self._closed_error())
-        for ticket in live:
-            ticket.finish("failed", error=self._closed_error())
+    def _release(self) -> None:
+        """Take the loop off the pool and close what is owned."""
+        self._pool._detach()
         for resource, owned in (
             (self._pool, self._owns_pool), (self._store, self._owns_store)
         ):
-            if owned and resource is not None:
+            if owned:
                 try:
                     resource.close()
                 except Exception:
                     pass
-
-    def _handle_commands(self, timeout: Optional[float] = None) -> bool:
-        """Handle every posted command, waiting up to *timeout* for one.
-
-        True once a ``close`` was handled.  No command outlives its
-        handling here: a submit's matrix is released with its ticket.
-        """
-        while True:
-            try:
-                command = self._commands.get(timeout is not None, timeout)
-            except queue.Empty:
-                return False
-            timeout = None
-            kind, *args, outcome = command
-            try:
-                result = getattr(self, f"_do_{kind}")(*args)
-            except BaseException as exc:
-                outcome.set_exception(exc)
-            else:
-                outcome.set_result(result)
-            if kind == "close":
-                return True
-
-    def _do_submit(
-        self, ticket: _Ticket, matrix: ScenarioMatrix, kwargs: Dict[str, Any]
-    ) -> int:
-        def on_row(row: Any) -> None:
-            ticket.rows_streamed += 1
-            ticket.push(("row", row))
-
-        def on_progress(event: Any) -> None:
-            ticket.push(("event", event))
-
-        ticket.state = "running"
-        ticket.pool_ticket = self._pool.submit(
-            matrix, store=self._store, on_row=on_row,
-            on_progress=on_progress, **kwargs,
-        )
-        ticket.pool_ticket._when_settled(lambda: self._settle(ticket))
-        return ticket.tid
-
-    def _do_cancel(self, ticket: _Ticket) -> bool:
-        return ticket.pool_ticket is not None and ticket.pool_ticket.cancel()
-
-    def _do_close(self) -> None:
-        """Withdraw every pending group, then release the pool.
-
-        Dispatched groups are abandoned by an owned pool's close (their
-        submissions become interrupted partials) and run out on a shared
-        one.  Every live ticket settles: late consumers see a partial.
-        """
-        self._shutting_down = True
-        with self._tickets_lock:
-            live = [
-                t.pool_ticket for t in self._tickets.values()
-                if t.pool_ticket is not None
-            ]
-        for pool_ticket in live:
-            pool_ticket.cancel()
-        if self._owns_pool:
-            self._pool.close(graceful=True)
-        while not all(pool_ticket.done for pool_ticket in live):
-            self._pool.pump_once()
 
     def _settle(self, ticket: _Ticket) -> None:
         """Resolve a settled submission: the one place a ticket ends.
@@ -502,17 +364,16 @@ class SweepOrchestrator:
         """
         pool_ticket, ticket.pool_ticket = ticket.pool_ticket, None
         if ticket.state in _TERMINAL_STATES:
-            return  # failed by a dying driver before its pool closed
+            return  # failed by a driving failure before its pool closed
         result = error = None
         try:
             result = pool_ticket.result()
         except Exception as exc:
             state, error = "failed", exc
         else:
-            cut = pool_ticket.cancelled or self._shutting_down
+            cut = pool_ticket.cancelled or self._closed
             state = "cancelled" if cut else "done"
-        with self._tickets_lock:
-            self._finished.append(ticket.tid)
-            while len(self._finished) > self._max_finished:
-                self._tickets.pop(self._finished.popleft(), None)
+        self._finished.append(ticket.tid)
+        while len(self._finished) > self._max_finished:
+            self._tickets.pop(self._finished.popleft(), None)
         ticket.finish(state, result, error)  # wakes the consumer last

@@ -1,11 +1,14 @@
 """The sweep server: asyncio TCP front speaking the JSON-RPC protocol.
 
 One :class:`SweepServer` owns one :class:`SweepOrchestrator` (hence one
-shared pool and store) and serves any number of TCP connections.  The
-asyncio loop runs on a background thread, so the server embeds in
-synchronous programs (the CLI, tests) without ceding the main thread:
-``start()`` returns once the socket is bound, ``wait()`` blocks until a
-``shutdown`` request or :meth:`close`.
+shared pool and store) and serves any number of TCP connections.  One
+asyncio loop does all of it — connections, the orchestrator, the pool's
+worker pipes and timer, the store — on one background thread, so the
+server embeds in synchronous programs (the CLI, tests) without ceding
+the main thread: ``start()`` returns once the socket is bound,
+``wait()`` blocks until a ``shutdown`` request or :meth:`close`.  The
+orchestrator is built on that loop and closed on its way out.  POSIX
+only (the loop reads the worker pipes with ``add_reader``).
 
 Per connection, the read loop handles cheap requests inline and runs
 each ``stream`` as its own task — a ``cancel`` or ``status`` arriving
@@ -17,7 +20,7 @@ store for the next client — a vanished client never wedges the pool.
 A request that fails answers with an error line; the connection and
 its other tickets live on.
 
-A base stimulus is decoded once per server: the loop thread keeps the
+A base stimulus is decoded once per server: the loop keeps the
 last :data:`_HELD_STIMULI` decoded stimuli with their encodings
 (:class:`~repro.experiment.store.EncodedStimulus`), keyed by the content
 hash of their documents, so a resent document or a stimulus reference
@@ -76,12 +79,11 @@ _SUBMIT_FIELDS = (
 class SweepServer:
     """Serve an orchestrator over TCP; lifecycle wraps a thread + loop.
 
-    Parameters mirror :class:`SweepOrchestrator` (an existing
-    ``orchestrator`` is served as-is and not closed on shutdown;
-    otherwise one is created from ``store`` and the
-    :class:`~repro.experiment.SweepPool` options, and owned).  ``port=0``
-    binds an ephemeral port — read the real one from :attr:`address`
-    after :meth:`start`.
+    The orchestrator is built on the server's loop from ``store`` and
+    the :class:`~repro.experiment.SweepPool` options (see
+    :class:`SweepOrchestrator`); a bad option fails :meth:`start`.
+    ``port=0`` binds an ephemeral port — read the real one from
+    :attr:`address` after :meth:`start`.
     """
 
     def __init__(
@@ -89,17 +91,14 @@ class SweepServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        orchestrator: Optional[SweepOrchestrator] = None,
         store: Any = None,
         **pool_options: Any,
     ) -> None:
         self._host = host
         self._port = port
-        self._owns_orchestrator = orchestrator is None
-        self._orchestrator = (
-            SweepOrchestrator(store=store, **pool_options)
-            if orchestrator is None else orchestrator
-        )
+        self._store = store
+        self._pool_options = pool_options
+        self._orchestrator: Optional[SweepOrchestrator] = None
         self.address: Optional[Tuple[str, int]] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._shutdown: Optional[asyncio.Event] = None
@@ -107,8 +106,7 @@ class SweepServer:
         self._started = threading.Event()
         self._startup_error: Optional[BaseException] = None
         self._closed = False
-        #: Content hash of a stimulus document -> its decoding; touched
-        #: on the loop thread only.
+        #: Content hash of a stimulus document -> its decoding.
         self._stimuli = LRU(_HELD_STIMULI)
 
     # -- lifecycle ------------------------------------------------------
@@ -134,7 +132,7 @@ class SweepServer:
             self._thread.join()
 
     def close(self) -> None:
-        """Stop serving and (if owned) close the orchestrator. Idempotent."""
+        """Stop serving and close the orchestrator.  Idempotent."""
         if self._closed:
             return
         self._closed = True
@@ -146,8 +144,6 @@ class SweepServer:
                 pass
         if self._thread is not None:
             self._thread.join(timeout=60.0)
-        if self._owns_orchestrator:
-            self._orchestrator.close_sync()
 
     def __enter__(self) -> "SweepServer":
         self.start()
@@ -169,29 +165,28 @@ class SweepServer:
         self._shutdown = asyncio.Event()
         self._conn_writers: Set[asyncio.StreamWriter] = set()
         self._conn_tasks: Set[asyncio.Task] = set()
-        try:
+        # A failure before ``_started`` is set reaches ``start()``.
+        async with SweepOrchestrator(
+            store=self._store, **self._pool_options
+        ) as self._orchestrator:
             server = await asyncio.start_server(
                 self._serve_connection, self._host, self._port,
                 limit=protocol.MAX_LINE_BYTES,
             )
-        except BaseException as exc:
-            self._startup_error = exc
+            sockname = server.sockets[0].getsockname()
+            self.address = (sockname[0], sockname[1])
             self._started.set()
-            return
-        sockname = server.sockets[0].getsockname()
-        self.address = (sockname[0], sockname[1])
-        self._started.set()
-        async with server:
-            await self._shutdown.wait()
-            # Drain connections gracefully instead of letting the loop
-            # teardown hard-cancel their handlers mid-await: closing
-            # each transport EOFs its read loop, the handlers run their
-            # cleanup (cancel owned tickets) and exit on their own.
-            for writer in list(self._conn_writers):
-                writer.close()
-            pending = [t for t in self._conn_tasks if not t.done()]
-            if pending:
-                await asyncio.wait(pending, timeout=10.0)
+            async with server:
+                await self._shutdown.wait()
+                # Drain connections gracefully instead of letting the
+                # loop teardown hard-cancel their handlers mid-await:
+                # closing each transport EOFs its read loop, the handlers
+                # run their cleanup (cancel owned tickets) and exit.
+                for writer in list(self._conn_writers):
+                    writer.close()
+                pending = [t for t in self._conn_tasks if not t.done()]
+                if pending:
+                    await asyncio.wait(pending, timeout=10.0)
 
     # -- per-connection -------------------------------------------------
     async def _serve_connection(

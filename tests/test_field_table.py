@@ -139,6 +139,38 @@ def test_axis_values_stay_verbatim_in_the_cells():
     assert cell.scenario.wcet == Fraction(7)
 
 
+@pytest.mark.parametrize("name, pairs", [
+    ("wcet", (("A", "x"),)),
+    ("execution_time", (("A", "y"),)),
+    ("wcet", (("A", 1), ("A", 2))),
+    ("execution_time", (("A", 1), ("A", 2))),
+])
+def test_name_value_pairs_are_checked_like_a_mapping(name, pairs):
+    # Pairs used to pass unchecked; encoding such a scenario then
+    # raised a bare AttributeError.
+    with pytest.raises(ModelError, match=f"^{name}"):
+        BASE.replace(**{name: pairs})
+    with pytest.raises(ModelError, match=f"^{name}"):
+        fig1_scenario(n_frames=1).replace(**{name: pairs})
+    with pytest.raises(ModelError, match=f"axis '{name}'"):
+        ScenarioMatrix(BASE, {name: [pairs]})
+    document = matrix_to_dict(ScenarioMatrix(BASE, {name: [(("A", 1),)]}))
+    document["axes"][name] = [{"$tuple": [
+        {"$tuple": list(pair)} for pair in pairs
+    ]}]
+    with pytest.raises(FormatError, match=f"axis '{name}'"):
+        matrix_from_dict(document)
+
+
+def test_well_formed_pairs_equal_their_mapping():
+    for name, table in (("wcet", {"B": 2, "A": "1/3"}),
+                        ("execution_time", {"B": 2, "A": "1/3"})):
+        pairs = (("B", 2), ("A", "1/3"))
+        assert BASE.replace(**{name: pairs}) == BASE.replace(**{name: table})
+        scenario = BASE.replace(**{name: pairs})
+        assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+
+
 def test_cross_field_rules_stay():
     platform = Platform.of(("big", 1), ("little", 2))
     assert BASE.replace(platform=platform).processors == 3

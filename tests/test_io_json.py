@@ -1,6 +1,7 @@
 """Tests for JSON interchange: task graphs, schedules, networks."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -376,3 +377,15 @@ class TestHeteroEncoding:
             platform_from_jsonable([["big", "1/1"]])  # missing count
         with pytest.raises(FormatError):
             platform_from_jsonable("2xbig")
+
+    @pytest.mark.parametrize("count", ["1", 2.5, 2.0, True, 0, -1, None])
+    def test_a_platform_row_count_is_an_int_of_at_least_one(self, count):
+        from repro.io.json_io import platform_from_jsonable
+
+        # "1" used to decode as int("1") and 2.5 as a 2-core class.
+        row = ["big", "1", count]
+        with pytest.raises(
+            FormatError, match=re.escape(f"row {row!r}") + ".*core count"
+        ):
+            platform_from_jsonable([["little", "1/2", 1], row])
+        assert platform_from_jsonable([["big", "1", 2]]).processors == 2

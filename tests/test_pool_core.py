@@ -1,9 +1,10 @@
 """The pool's policy core driven in simulated time: affinity order, tag
 fairness, backoff doubling, the retry budget, deadlines armed at ready,
 boot failures (one spawn per slot, not per group) and hung boots, the
-payload mirror's resets, cancel, the interrupt drain, and a seeded
-random fuzz of event sequences against the core's invariants.  Nothing
-here starts a process or reads a clock."""
+payload mirror's resets, cancel, the interrupt drain, the next instant
+a driver waits for (``next_wakeup``), and a seeded random fuzz of event
+sequences against the core's invariants.  Nothing here starts a process
+or reads a clock."""
 
 import random
 from collections import Counter, namedtuple
@@ -331,6 +332,41 @@ class TestSupervision:
 # ---------------------------------------------------------------------------
 # cancel and interrupt
 # ---------------------------------------------------------------------------
+class TestNextWakeup:
+    def test_nothing_pending_or_dispatched_reports_none(self):
+        assert PoolCore(2, warm_bound=8).next_wakeup(0.0) is None
+        core = _core(2, ["a"], [], group_timeout=1.0)  # booted, idle
+        assert core.next_wakeup(0.0) is None
+        _submit(core, "a")
+        _dispatch(core, 0.0)
+        assert core.next_wakeup(0.0) == 1.0
+        core.reply(core.slots[0], 0.5)
+        core.take()
+        assert not core.busy and core.next_wakeup(0.5) is None
+
+    def test_a_pending_group_waiting_for_a_slot_is_not_timed(self):
+        core = _core(1, [])
+        _submit(core, "a", "b")
+        _dispatch(core, 0.0)
+        assert [g.key for g in core.pending] == ["b"]
+        assert core.next_wakeup(5.0) is None  # it waits for a reply
+
+    def test_the_earliest_deadline_boot_deadline_or_backoff(self):
+        core = PoolCore(2, warm_bound=8, group_timeout=30.0, retry_backoff=4.0)
+        _submit(core, "a", "b")
+        _dispatch(core, 0.0)  # two spawns: two boot clocks
+        first, second = core.slots
+        assert core.next_wakeup(0.0) == _BOOT_TIMEOUT
+        core.ready(first, 1.0)
+        core.ready(second, 2.0)
+        assert core.next_wakeup(2.0) == 31.0  # first's group deadline
+        core.died(first, 3.0)  # a crash: respawn, retry after 4 s
+        core.take()
+        assert first.boot_deadline == 3.0 + _BOOT_TIMEOUT
+        assert core.next_wakeup(3.0) == 7.0  # the backoff's end
+        assert core.next_wakeup(7.0) == 32.0  # elapsed: second's deadline
+
+
 class TestCancelAndInterrupt:
     def test_cancel_withdraws_only_pending_groups(self):
         core = _core(1, [])
@@ -408,6 +444,8 @@ class _Harness:
         self.running = {}  # slot index -> gid of the group it runs
         self.due = {}  # gid -> earliest allowed redispatch
         self.finished_events = set()
+        #: next_wakeup as reported after the last event, at its time.
+        self.wakeup, self.then = None, 0.0
 
     def apply(self, actions):
         for action in actions:
@@ -466,9 +504,31 @@ class _Harness:
         self.running.clear()
         self.apply(self.core.take())
 
+    def check_wakeup(self):
+        """Nothing timed is due before the instant last reported: no
+        deadline has expired and no backoff elapsed since."""
+        early = self.wakeup is None or self.now < self.wakeup
+        for slot in self.core.slots:
+            for deadline in (slot.deadline, slot.boot_deadline):
+                if deadline is not None:
+                    assert not (early and self.now > deadline), "expired"
+        for group in self.core.pending:
+            if group.not_before > self.then:
+                assert not (early and self.now >= group.not_before), "elapsed"
+
     def step(self):
         rng, core = self.rng, self.core
         self.now += rng.choice([0.0, 0.1, 0.5, 2.0])
+        self.check_wakeup()
+        self.step_event()
+        self.wakeup, self.then = core.next_wakeup(self.now), self.now
+        if not core.busy:
+            assert self.wakeup is None or any(
+                s.boot_deadline is not None for s in core.slots
+            )
+
+    def step_event(self):
+        rng, core = self.rng, self.core
         choice = rng.random()
         busy = [s for s in core.slots if s.group is not None and s.up]
         booting = [s for s in core.slots if s.up and not s.ready]

@@ -1,13 +1,13 @@
 """Every wait ends: a worker that cannot boot fails its group fast with
 ``WorkerBootError``; a finished ticket streams its terminal item again;
-no orchestrator command waits on a closed or dead driver thread.  Each
-case is bounded by a few seconds."""
+no orchestrator command waits on a closed orchestrator or on one whose
+loop callbacks failed driving the pool.  Each case is bounded by a few
+seconds."""
 
 import asyncio
 import os
 import subprocess
 import sys
-import threading
 import time
 
 import pytest
@@ -71,82 +71,81 @@ def test_a_worker_that_cannot_boot_fails_fast(tmp_path):
 
 class TestTerminalItem:
     def test_a_finished_ticket_streams_its_result_again(self):
-        async def scenario(orch):
-            tid = await orch.submit(fig1_matrix(), METRICS)
-            first = await asyncio.wait_for(_drain(orch, tid), 30)
-            again = await asyncio.wait_for(_drain(orch, tid), 3)
-            return first, again
+        async def scenario():
+            async with SweepOrchestrator(workers=1) as orch:
+                tid = await orch.submit(fig1_matrix(), METRICS)
+                first = await asyncio.wait_for(_drain(orch, tid), 30)
+                again = await asyncio.wait_for(_drain(orch, tid), 3)
+                return first, again
 
-        with SweepOrchestrator(workers=1) as orch:
-            first, again = asyncio.run(scenario(orch))
+        first, again = asyncio.run(scenario())
         assert first[-1][0] == "done"
         assert again == [first[-1]]
         assert first[-1][1].rows == run_sweep(fig1_matrix(), METRICS).rows
 
     def test_a_failed_ticket_raises_its_error_again(self):
-        async def scenario(orch):
-            tid = await orch.submit(
-                fig1_matrix(), METRICS, on_error="raise",
-                faults=FaultPlan(raise_at=(1,)),
-            )
-            errors = []
-            for bound in (30, 3):
-                with pytest.raises(SweepError) as info:
-                    await asyncio.wait_for(_drain(orch, tid), bound)
-                errors.append(info.value)
-            return errors
+        async def scenario():
+            async with SweepOrchestrator(workers=1) as orch:
+                tid = await orch.submit(
+                    fig1_matrix(), METRICS, on_error="raise",
+                    faults=FaultPlan(raise_at=(1,)),
+                )
+                errors = []
+                for bound in (30, 3):
+                    with pytest.raises(SweepError) as info:
+                        await asyncio.wait_for(_drain(orch, tid), bound)
+                    errors.append(info.value)
+                return errors
 
-        with SweepOrchestrator(workers=1) as orch:
-            first, again = asyncio.run(scenario(orch))
+        first, again = asyncio.run(scenario())
         assert again is first
 
 
 class TestDeadDriver:
     def test_cancel_after_close_raises_at_once(self):
-        orch = SweepOrchestrator(workers=1)
-        tid = asyncio.run(orch.submit(fig1_matrix(), METRICS))
-        orch.close_sync()
-        t0 = time.monotonic()
-        with pytest.raises(ServiceError, match="orchestrator is closed"):
-            asyncio.run(asyncio.wait_for(orch.cancel(tid), 3))
-        with pytest.raises(ServiceError, match="orchestrator is closed"):
-            asyncio.run(asyncio.wait_for(orch.submit(fig1_matrix()), 3))
-        assert time.monotonic() - t0 < 1.0
-        orch.close_sync()  # idempotent
-
-    @pytest.mark.filterwarnings(
-        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
-    )
-    def test_a_crashed_driver_fails_every_command(self, monkeypatch):
-        entered, release = threading.Event(), threading.Event()
-
-        def exploding_pump(pool):
-            entered.set()
-            release.wait(5)
-            raise RuntimeError("pump exploded")
-
-        monkeypatch.setattr(SweepPool, "pump_once", exploding_pump)
-
-        async def scenario(orch):
+        async def scenario():
+            orch = SweepOrchestrator(workers=1)
             tid = await orch.submit(fig1_matrix(), METRICS)
-            loop = asyncio.get_running_loop()
-            assert await loop.run_in_executor(None, entered.wait, 5)
-            # Posted while the driver is inside the pump, then it dies.
-            cancel = asyncio.ensure_future(orch.cancel(tid))
-            await asyncio.sleep(0)
-            release.set()
-            with pytest.raises(ServiceError) as pending:
-                await asyncio.wait_for(cancel, 3)
+            await orch.close()
             t0 = time.monotonic()
-            with pytest.raises(ServiceError) as later:
+            with pytest.raises(ServiceError, match="orchestrator is closed"):
+                await asyncio.wait_for(orch.cancel(tid), 3)
+            with pytest.raises(ServiceError, match="orchestrator is closed"):
                 await asyncio.wait_for(orch.submit(fig1_matrix()), 3)
-            with pytest.raises(ServiceError) as streamed:
-                await asyncio.wait_for(_drain(orch, tid), 3)
             assert time.monotonic() - t0 < 1.0
-            return pending.value, later.value, streamed.value
+            # The cut ticket re-streams its partial result.
+            kind, partial = (await asyncio.wait_for(_drain(orch, tid), 3))[-1]
+            assert kind == "done" and partial.stats.interrupted
+            assert orch.status(tid).state == "cancelled"
+            await orch.close()  # idempotent
 
-        with SweepOrchestrator(workers=1) as orch:
-            errors = asyncio.run(scenario(orch))
+        asyncio.run(scenario())
+
+    def test_a_crashed_driver_fails_every_command(self, monkeypatch):
+        def exploding_receive(pool, index):
+            raise RuntimeError("receive exploded")
+
+        # The first worker message (its ready) reaches the loop's reader
+        # callback, whose receive raises: the driving failed.
+        monkeypatch.setattr(SweepPool, "_receive", exploding_receive)
+
+        async def scenario():
+            async with SweepOrchestrator(workers=1) as orch:
+                tid = await orch.submit(fig1_matrix(), METRICS)
+                with pytest.raises(ServiceError) as streamed:
+                    await asyncio.wait_for(_drain(orch, tid), 30)
+                t0 = time.monotonic()
+                with pytest.raises(ServiceError) as cancelled:
+                    await asyncio.wait_for(orch.cancel(tid), 3)
+                with pytest.raises(ServiceError) as later:
+                    await asyncio.wait_for(orch.submit(fig1_matrix()), 3)
+                with pytest.raises(ServiceError) as again:
+                    await asyncio.wait_for(_drain(orch, tid), 3)
+                assert time.monotonic() - t0 < 1.0
+                assert orch.status(tid).state == "failed"
+                return streamed.value, cancelled.value, later.value, again.value
+
+        errors = asyncio.run(scenario())
         for error in errors:
-            assert "driver thread died" in str(error)
+            assert "failed driving its pool" in str(error)
             assert isinstance(error.__cause__, RuntimeError)

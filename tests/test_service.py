@@ -120,19 +120,18 @@ class TestOrchestrator:
     def test_submit_stream_matches_serial(self, fig1_serial):
         async def scenario():
             rows, events = [], []
-            tid = await orch.submit(fig1_matrix(), METRICS, client="t")
-            async for kind, payload in orch.stream(tid):
-                if kind == "row":
-                    rows.append(payload)
-                elif kind == "event":
-                    events.append(payload)
-                else:
-                    final = payload
-            return rows, events, final, tid
+            async with SweepOrchestrator(workers=1) as orch:
+                tid = await orch.submit(fig1_matrix(), METRICS, client="t")
+                async for kind, payload in orch.stream(tid):
+                    if kind == "row":
+                        rows.append(payload)
+                    elif kind == "event":
+                        events.append(payload)
+                    else:
+                        final = payload
+                return rows, events, final, orch.status(tid)
 
-        with SweepOrchestrator(workers=1) as orch:
-            rows, events, final, tid = asyncio.run(scenario())
-            status = orch.status(tid)
+        rows, events, final, status = asyncio.run(scenario())
         assert final.rows == fig1_serial.rows  # bit-identical
         assert sorted(
             rows, key=lambda r: tuple(map(str, r.cell.items()))
@@ -145,45 +144,57 @@ class TestOrchestrator:
         assert status.client == "t"
 
     def test_unknown_ticket_raises(self):
-        with SweepOrchestrator(workers=1) as orch:
-            with pytest.raises(UnknownTicketError, match="unknown ticket"):
-                orch.status(99)
+        async def scenario():
+            async with SweepOrchestrator(workers=1) as orch:
+                with pytest.raises(UnknownTicketError, match="unknown ticket"):
+                    orch.status(99)
+
+        asyncio.run(scenario())
 
     def test_finished_tickets_are_garbage_collected(self):
-        async def run_one(orch):
-            tid = await orch.submit(small_matrix(), METRICS, client="gc")
-            async for kind, _ in orch.stream(tid):
-                if kind == "done":
-                    break
-            return tid
+        async def scenario():
+            async with SweepOrchestrator(
+                workers=1, max_finished_tickets=2
+            ) as orch:
+                tids = []
+                for _ in range(3):
+                    tid = await orch.submit(small_matrix(), METRICS, client="gc")
+                    async for kind, _ in orch.stream(tid):
+                        if kind == "done":
+                            break
+                    tids.append(tid)
+                # The two newest finished tickets are retained ...
+                assert orch.status(tids[1]).state == "done"
+                assert orch.status(tids[2]).state == "done"
+                # ... the oldest was evicted: a typed ServiceError
+                # subclass, never a bare KeyError from the ticket table.
+                with pytest.raises(UnknownTicketError, match="unknown ticket"):
+                    orch.status(tids[0])
+                with pytest.raises(ServiceError):
+                    orch.status(tids[0])
 
-        with SweepOrchestrator(workers=1, max_finished_tickets=2) as orch:
-            tids = [asyncio.run(run_one(orch)) for _ in range(3)]
-            # The two newest finished tickets are retained ...
-            assert orch.status(tids[1]).state == "done"
-            assert orch.status(tids[2]).state == "done"
-            # ... the oldest was evicted: a typed ServiceError subclass,
-            # never a bare KeyError from the ticket table.
-            with pytest.raises(UnknownTicketError, match="unknown ticket"):
-                orch.status(tids[0])
-            with pytest.raises(ServiceError):
-                orch.status(tids[0])
+        asyncio.run(scenario())
 
     def test_bad_max_finished_tickets_rejected(self):
         with pytest.raises(ServiceError, match="max_finished_tickets"):
             SweepOrchestrator(workers=1, max_finished_tickets=0)
 
+    def test_needs_a_running_loop(self):
+        with pytest.raises(ServiceError, match="on the event loop"):
+            SweepOrchestrator(workers=1)
+
     def test_external_pool_is_not_closed(self, fig1_serial):
-        async def scenario(orch):
-            tid = await orch.submit(small_matrix(), METRICS)
-            async for kind, payload in orch.stream(tid):
-                if kind == "done":
-                    return payload
+        async def scenario(pool):
+            async with SweepOrchestrator(pool) as orch:
+                tid = await orch.submit(small_matrix(), METRICS)
+                async for kind, payload in orch.stream(tid):
+                    if kind == "done":
+                        return payload
 
         with SweepPool(workers=1) as pool:
-            with SweepOrchestrator(pool) as orch:
-                result = asyncio.run(scenario(orch))
-            # The orchestrator is gone; the caller's pool still serves.
+            result = asyncio.run(scenario(pool))
+            # The orchestrator is gone; the caller's pool still serves,
+            # driven synchronously again.
             assert not pool._closed
             again = pool.submit(small_matrix(), METRICS).result()
         assert result.rows == again.rows

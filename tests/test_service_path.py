@@ -3,15 +3,13 @@ stimulus encoding per submission (byte-identical to the one-shot hash),
 stimuli sent by content hash on all three hops — client to server,
 decoded once per server, server to a warm worker — finished tickets
 releasing their decoded inputs, a busy schedule key's group running on
-an idle slot, and ``SweepPool.wake`` ending a blocked pump so a driver
-reads its commands at once."""
+an idle slot, and a submit read at once while a group runs."""
 
 import asyncio
 import gc
 import hashlib
 import json
 import random
-import threading
 import time
 import weakref
 
@@ -404,31 +402,31 @@ class TestFinishedTicketRelease:
     def test_finished_ticket_drops_its_decoded_stimulus(self):
         serial = run_sweep(_decoded_matrix(), METRICS)
 
-        async def submit_and_wait(orch):
-            matrix = _decoded_matrix()
-            ref = weakref.ref(matrix.base.stimulus)
-            tid = await orch.submit(matrix, METRICS, client="gc")
-            del matrix
-            while not orch.status(tid).done:
-                await asyncio.sleep(0.01)
-            return tid, ref
+        async def scenario():
+            async with SweepOrchestrator(workers=1) as orch:
+                matrix = _decoded_matrix()
+                ref = weakref.ref(matrix.base.stimulus)
+                tid = await orch.submit(matrix, METRICS, client="gc")
+                del matrix
+                while not orch.status(tid).done:
+                    await asyncio.sleep(0.01)
+                gc.collect()
+                assert ref() is None
+                # The record still answers status, stream and cancel.
+                status = orch.status(tid)
+                items = await _drain(orch, tid)
+                assert await orch.cancel(tid) is False
+                return status, items, orch.status(tid)
 
-        with SweepOrchestrator(workers=1) as orch:
-            tid, ref = asyncio.run(submit_and_wait(orch))
-            gc.collect()
-            assert ref() is None
-            # The record still answers status, stream and cancel.
-            status = orch.status(tid)
-            assert status.state == "done" and status.done
-            assert status.rows_streamed == len(serial.rows)
-            items = asyncio.run(_drain(orch, tid))
-            kind, final = items[-1]
-            assert kind == "done"
-            assert final.rows == serial.rows  # bit-identical
-            rows = [payload for kind, payload in items if kind == "row"]
-            assert len(rows) == len(serial.rows)
-            assert asyncio.run(orch.cancel(tid)) is False
-            assert orch.status(tid).state == "done"
+        status, items, after = asyncio.run(scenario())
+        assert status.state == "done" and status.done
+        assert status.rows_streamed == len(serial.rows)
+        kind, final = items[-1]
+        assert kind == "done"
+        assert final.rows == serial.rows  # bit-identical
+        rows = [payload for kind, payload in items if kind == "row"]
+        assert len(rows) == len(serial.rows)
+        assert after.state == "done"
 
 
 # ---------------------------------------------------------------------------
@@ -464,52 +462,28 @@ class TestRouting:
 
 
 # ---------------------------------------------------------------------------
-# wake on commands
+# a command wakes the loop at once, whatever the pool is doing
 # ---------------------------------------------------------------------------
 class TestWake:
-    def test_wake_ends_a_blocked_pump(self, monkeypatch):
-        monkeypatch.setattr(pool_mod, "_POLL_INTERVAL", 30.0)
-        with SweepPool(workers=1) as pool:
-            timer = threading.Timer(0.2, pool.wake)
-            timer.start()
-            t0 = time.monotonic()
-            pool.pump_once()
-            elapsed = time.monotonic() - t0
-            timer.join()
-        assert elapsed < 2.0
-
-    def test_wakes_before_the_pump_are_kept_and_coalesce(self, monkeypatch):
-        monkeypatch.setattr(pool_mod, "_POLL_INTERVAL", 30.0)
-        with SweepPool(workers=1) as pool:
-            for _ in range(100_000):  # far beyond the socket buffer
-                pool.wake()
-            t0 = time.monotonic()
-            pool.pump_once()
-            assert time.monotonic() - t0 < 2.0
-        pool.wake()  # closed: a no-op
-
-    def test_orchestrator_reads_a_submit_while_a_group_runs(
-        self, monkeypatch
-    ):
-        monkeypatch.setattr(pool_mod, "_POLL_INTERVAL", 30.0)
+    def test_orchestrator_reads_a_submit_while_a_group_runs(self):
         slow = ScenarioMatrix(fig1_scenario(n_frames=1), {"jitter_seed": [0]})
         quick = ScenarioMatrix(fig1_scenario(n_frames=1), {"jitter_seed": [1]})
 
-        async def scenario(orch):
-            first = await orch.submit(
-                slow, METRICS, faults=FaultPlan(delay_at={0: (4.0, 1)})
-            )
-            await asyncio.sleep(1.5)  # the worker boots; the group sleeps
-            t0 = time.monotonic()
-            second = await orch.submit(quick, METRICS)
-            accepted = time.monotonic() - t0
-            results = [
-                (await _drain(orch, tid))[-1][1] for tid in (first, second)
-            ]
-            return accepted, results
+        async def scenario():
+            async with SweepOrchestrator(workers=1) as orch:
+                first = await orch.submit(
+                    slow, METRICS, faults=FaultPlan(delay_at={0: (4.0, 1)})
+                )
+                await asyncio.sleep(1.5)  # the worker boots; the group sleeps
+                t0 = time.monotonic()
+                second = await orch.submit(quick, METRICS)
+                accepted = time.monotonic() - t0
+                results = [
+                    (await _drain(orch, tid))[-1][1] for tid in (first, second)
+                ]
+                return accepted, results
 
-        with SweepOrchestrator(workers=1) as orch:
-            accepted, results = asyncio.run(scenario(orch))
+        accepted, results = asyncio.run(scenario())
         assert accepted < 2.0
         assert [r.rows for r in results] == [
             run_sweep(slow, METRICS).rows, run_sweep(quick, METRICS).rows,
