@@ -46,7 +46,7 @@ test-ticks:
 		tests/test_observers.py tests/test_data_phase_events.py \
 		tests/test_static_order_binding.py tests/test_stimulus_memo.py \
 		tests/test_perfbench_surface.py tests/test_jobs_graph.py \
-		tests/test_rank_memo.py -q
+		tests/test_rank_memo.py tests/test_data_sharing.py -q
 
 # Error-level lint (ruff.toml: syntax errors / undefined names only).
 # Skips gracefully when ruff is not in the environment; CI installs it.

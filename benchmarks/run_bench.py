@@ -405,8 +405,9 @@ def _case_fft_sweep_data(fast: bool):
     ``DEFAULT_METRICS`` ``run_sweep`` (four jitter seeds no earlier call
     drew x {no overheads, MPPA-like}) over one 50-frame FFT scenario on a
     warm pipeline cache — an ``fft`` ticket of perfbench's ``served_mix``
-    as a warm worker runs it.  ``kernel_busy`` and ``channel_writes``
-    keep the data phase in every cell."""
+    as a warm worker runs it.  The cache holds the data key's
+    channel-write counts from the untimed first call, so every cell
+    runs timing only (``fft_sweep_data_8`` times the data phase)."""
     frames = 5 if fast else 50
     base = fft.scenario(n_frames=frames)
     cache = PipelineCache()
@@ -425,6 +426,29 @@ def _case_fft_sweep_data(fast: bool):
     return sweep, {
         "experiment": "sweep", "frames": frames, "cells": 8,
         "mode": "DEFAULT_METRICS, fresh seeds, warm cache",
+    }
+
+
+def _case_fft_sweep_data_8(fast: bool):
+    """The data layer of an 8-cell sweep: each call is a fresh
+    ``DEFAULT_METRICS`` ``run_sweep`` (four jitter seeds x {no overheads,
+    MPPA-like}) over one 50-frame FFT scenario on a fresh cache, so it
+    pays the derivation, the schedule and the data phases of its data
+    key — one, where every cell ran its own before cells shared their
+    channel-write counts."""
+    frames = 5 if fast else 50
+    base = fft.scenario(n_frames=frames)
+    matrix = ScenarioMatrix(base, {
+        "jitter_seed": [1, 2, 3, 4],
+        "overheads": [OverheadModel.none(), OverheadModel.mppa_like()],
+    })
+
+    def sweep():
+        return _complete(run_sweep(matrix, metrics=DEFAULT_METRICS), 8)
+
+    return sweep, {
+        "experiment": "sweep", "frames": frames, "cells": 8,
+        "mode": "DEFAULT_METRICS, fresh cache",
     }
 
 
@@ -763,6 +787,7 @@ CASES: List[Case] = [
     ("fms_sweep_3x3_naive", _case_fms_sweep_3x3_naive),
     ("fms_resweep", _case_fms_resweep),
     ("fft_sweep_data", _case_fft_sweep_data),
+    ("fft_sweep_data_8", _case_fft_sweep_data_8),
     ("fms_sweep_resume", _case_fms_sweep_resume),
     ("store_keys_fms3", _case_store_keys_fms3),
     ("served_fms3_hits", _served_fms3_case(hits=True)),

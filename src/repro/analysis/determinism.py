@@ -22,9 +22,11 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..core.invocations import Stimulus
 from ..core.network import Network
+from ..core.platform import PlatformLike, as_platform
 from ..core.semantics import run_zero_delay
 from ..core.timebase import TimeLike, as_positive_time
 from ..taskgraph.derivation import WcetMap, derive_task_graph
+from ..taskgraph.graph import TaskGraph
 from ..scheduling.list_scheduler import list_schedule
 from ..runtime.executor import (
     MultiprocessorExecutor,
@@ -97,7 +99,7 @@ def check_determinism(
     wcet: WcetMap,
     n_frames: int,
     stimulus: Optional[Stimulus] = None,
-    processor_counts: Sequence[int] = (1, 2, 4),
+    processor_counts: Sequence[PlatformLike] = (1, 2, 4),
     heuristics: Sequence[str] = ("alap", "arrival"),
     jitter_seeds: Sequence[int] = (0, 7),
     overheads: Optional[OverheadModel] = None,
@@ -106,7 +108,11 @@ def check_determinism(
 
     All variants consume the *same* stimulus, so by Prop. 2.1 every
     observable must be identical to the zero-delay reference over the same
-    horizon ``n_frames * H``.
+    horizon ``n_frames * H``.  *processor_counts* lists the platforms the
+    variants schedule on: an ``int`` is ``M`` identical processors, a
+    :class:`~repro.core.platform.Platform` is scheduled and run as is
+    (labelled ``M=<count>`` when it is one speed-1 class, by its
+    description otherwise).
 
     Each variant runs through the executor's observer-based core with
     ``collect_records=False`` and ``collect_trace=False``: the matrix only
@@ -116,7 +122,27 @@ def check_determinism(
     integer ticks and the sweep skips every per-record and per-action
     allocation.
     """
-    graph = derive_task_graph(network, wcet)
+    return determinism_matrix(
+        network, derive_task_graph(network, wcet), n_frames, stimulus,
+        processor_counts=processor_counts, heuristics=heuristics,
+        jitter_seeds=jitter_seeds, overheads=overheads,
+    )
+
+
+def determinism_matrix(
+    network: Network,
+    graph: TaskGraph,
+    n_frames: int,
+    stimulus: Optional[Stimulus] = None,
+    *,
+    processor_counts: Sequence[PlatformLike] = (1, 2, 4),
+    heuristics: Sequence[str] = ("alap", "arrival"),
+    jitter_seeds: Sequence[int] = (0, 7),
+    overheads: Optional[OverheadModel] = None,
+) -> DeterminismReport:
+    """:func:`check_determinism` on an already derived task *graph*
+    (:meth:`~repro.experiment.Experiment.check_determinism` passes its
+    cached one)."""
     horizon = graph.hyperperiod * n_frames
     stimulus = stimulus or Stimulus()
     # Arrivals whose server window lies beyond the simulated frames would be
@@ -132,9 +158,13 @@ def check_determinism(
     ref_obs = reference.observable()
 
     report = DeterminismReport(reference_jobs=reference.job_count)
-    for m in processor_counts:
+    for platform in map(as_platform, processor_counts):
+        where = (
+            f"M={platform.processors}" if platform.is_unit
+            else platform.describe()
+        )
         for heuristic in heuristics:
-            schedule = list_schedule(graph, m, heuristic)
+            schedule = list_schedule(graph, platform, heuristic)
             executor = MultiprocessorExecutor(network, schedule, overheads)
             variants = [("wcet", None)] + [
                 (f"jitter#{seed}", jittered_execution(seed)) for seed in jitter_seeds
@@ -148,7 +178,7 @@ def check_determinism(
                 div = first_divergence(ref_obs, obs)
                 report.variants.append(
                     VariantOutcome(
-                        label=f"M={m} sp={heuristic} {label}",
+                        label=f"{where} sp={heuristic} {label}",
                         matches=div is None,
                         first_divergence=div,
                     )

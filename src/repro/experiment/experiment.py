@@ -29,7 +29,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
-from ..analysis.determinism import DeterminismReport, check_determinism
+from ..analysis.determinism import DeterminismReport, determinism_matrix
 from ..analysis.report import ExperimentReport
 from ..core.network import Network
 from ..core.semantics import ExecutionResult, run_zero_delay
@@ -78,8 +78,10 @@ class PipelineCache:
     :meth:`Scenario.schedule_key` respectively.  The ``*_computed``
     counters record how many times each stage actually ran — the sweep
     tests assert exactly one derivation and one scheduling pass per
-    distinct key, which is the whole point of sharing the cache.  Jitter
-    samplers die with the cache, or sooner (:meth:`retain_samplers`).
+    distinct key, which is the whole point of sharing the cache — and
+    ``data_phases`` how many runs executed kernels.  Jitter samplers and
+    the channel-write memo (:meth:`channel_writes`) die with the cache,
+    or sooner (:meth:`retain`).
     """
 
     def __init__(self) -> None:
@@ -87,9 +89,13 @@ class PipelineCache:
         self._graphs: Dict[Any, TaskGraph] = {}
         self._schedules: Dict[Any, StaticSchedule] = {}
         self._samplers: Dict[Tuple[int, float], ExecutionTimeSpec] = {}
+        #: Data key -> (the stimulus, per-channel write counts); see
+        #: :meth:`channel_writes`.
+        self._writes: Dict[Tuple[int, ...], Tuple[Any, Dict[str, int]]] = {}
         self.networks_built = 0
         self.derivations_computed = 0
         self.schedules_computed = 0
+        self.data_phases = 0
 
     def network(self, scenario: Scenario) -> Network:
         key = scenario.workload_key()
@@ -143,12 +149,47 @@ class PipelineCache:
             sampler = self._samplers[key] = scenario.execution_model()
         return sampler
 
-    def retain_samplers(self, scenarios: Iterable[Scenario]) -> None:
-        """Forget the jitter samplers no scenario of *scenarios* draws from."""
+    def _data_key(self, scenario: Scenario) -> Tuple[int, ...]:
+        # The network and graph live as long as the cache; the stimulus
+        # is held by the memo entry, so no id here is reused while keyed.
+        return (
+            id(self.network(scenario)), id(self.task_graph(scenario)),
+            id(scenario.stimulus), scenario.n_frames,
+        )
+
+    def channel_writes(self, scenario: Scenario) -> Optional[Dict[str, int]]:
+        """The per-channel write counts of *scenario*'s data key, if known.
+
+        By Prop. 2.1 the channel values of a run whose frames do not
+        overlap depend only on the network, its job set (the task graph)
+        and the stimulus's samples and time stamps over ``n_frames``
+        frames — not on the schedule, platform, execution times or
+        overheads.  So cells sharing those share one data phase; the
+        sweep engine fills the memo (:meth:`keep_channel_writes`) and
+        reads it only for runs that pass its frame-overlap guard.
+        """
+        entry = self._writes.get(self._data_key(scenario))
+        return None if entry is None else entry[1]
+
+    def keep_channel_writes(
+        self, scenario: Scenario, counts: Dict[str, int]
+    ) -> None:
+        """Memoise *counts* for *scenario*'s data key."""
+        self._writes[self._data_key(scenario)] = (scenario.stimulus, counts)
+
+    def retain(self, scenarios: Iterable[Scenario]) -> None:
+        """Forget the jitter samplers no scenario of *scenarios* draws
+        from, and the channel-write counts of stimuli none of them uses."""
+        scenarios = list(scenarios)
         keep = {(s.jitter_seed, s.jitter_low) for s in scenarios}
         self._samplers = {
             key: sampler for key, sampler in self._samplers.items()
             if key in keep
+        }
+        stimuli = {id(s.stimulus) for s in scenarios}
+        self._writes = {
+            key: entry for key, entry in self._writes.items()
+            if id(entry[0]) in stimuli
         }
 
 
@@ -224,6 +265,8 @@ class Experiment:
         # built metrics observer would keep reporting the discarded run:
         # invalidate it here (the only place the result is replaced).
         self._metrics = None
+        if not s.records_only:
+            self.cache.data_phases += 1
         self._result = run_static_order(
             self.network(),
             self.schedule(),
@@ -258,17 +301,19 @@ class Experiment:
     def check_determinism(self, **overrides: Any) -> DeterminismReport:
         """Run the Prop. 2.1 determinism matrix for this scenario.
 
-        The scenario supplies network, WCETs, frames, stimulus and
-        overheads; matrix parameters (``processor_counts``, ``heuristics``,
-        ``jitter_seeds``) default to the checker's own and can be overridden
-        by keyword.
+        The scenario supplies network, task graph (the cached derivation),
+        frames, stimulus and overheads; matrix parameters
+        (``processor_counts``, ``heuristics``, ``jitter_seeds``) default
+        to the checker's own and can be overridden by keyword.  A scenario
+        with a platform checks on that platform by default: its WCET
+        tables may name no class of the checker's homogeneous ``cpu``.
         """
-        overrides.setdefault("overheads", self.scenario.overheads)
-        return check_determinism(
-            self.network(),
-            self.scenario.wcet_spec(),
-            self.scenario.n_frames,
-            self.scenario.stimulus,
+        s = self.scenario
+        overrides.setdefault("overheads", s.overheads)
+        if s.platform is not None:
+            overrides.setdefault("processor_counts", (s.platform,))
+        return determinism_matrix(
+            self.network(), self.task_graph(), s.n_frames, s.stimulus,
             **overrides,
         )
 

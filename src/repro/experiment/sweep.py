@@ -23,9 +23,18 @@ Two properties make sweeps cheap at scenario scale:
   aggregates once per run — timing totals, and kernel spans and
   channel-write counts from the data phase — so no job record is built
   and no data event is sent; its hooks stay the rule and the path of
-  ``replay``), and when the requested metrics are timing derived only,
-  the data phase is skipped entirely (``records_only=True`` — no
-  kernels, no channel states).
+  ``replay``), and when ``channel_writes`` is not requested the data
+  phase is skipped entirely (``records_only=True`` — no kernels, no
+  channel states; ``kernel_busy`` is the timing loop's busy total).
+* **One data phase per data key** — by Prop. 2.1 the channel values
+  depend only on the network, its job set, the stimulus and the frame
+  count, never on timing.  Cells that share those (a jitter ×
+  overheads × processors matrix over one stimulus) share one data
+  phase through :meth:`~repro.experiment.experiment.PipelineCache.
+  channel_writes`; the others run timing only.  A cell whose frames
+  overlap (a frame's jobs ending past the next frame's start) neither
+  reads nor fills the shared counts and runs its own data phase.
+  Retained results and data-consuming extra observers always run it.
 
 Rows are deterministic: the same matrix produces bit-identical rows on
 every run (exact rational metrics; jitter models are seed-keyed), which is
@@ -118,7 +127,10 @@ TIMING_METRICS: Tuple[str, ...] = (
     "peak_utilization",
 )
 
-#: Metrics that need the data phase's kernel-span / channel-write events.
+#: Metrics of the data phase's kernel spans and channel writes.  Only
+#: ``channel_writes`` needs kernels: ``kernel_busy`` sums the same
+#: ``end - start`` of the same true instances as the per-process kernel
+#: spans, so it is read off the timing loop's per-processor busy totals.
 DATA_METRICS: Tuple[str, ...] = ("kernel_busy", "channel_writes")
 
 DEFAULT_METRICS: Tuple[str, ...] = TIMING_METRICS + DATA_METRICS
@@ -141,9 +153,7 @@ _EXTRACTORS: Dict[str, Callable[[MetricsObserver], Any]] = {
     "peak_utilization": lambda m: max(
         m.processor_utilization_exact(), default=ZERO
     ),
-    "kernel_busy": lambda m: sum(
-        (s.total_busy for s in m.kernel_span_stats().values()), ZERO
-    ),
+    "kernel_busy": lambda m: sum(m.busy_times(), ZERO),
     "channel_writes": lambda m: sum(m.channel_write_counts().values()),
 }
 
@@ -283,6 +293,13 @@ class SweepStats:
     networks_built: int = 0
     derivations_computed: int = 0
     schedules_computed: int = 0
+    #: Runs that executed kernels.  Cells of one data key — network,
+    #: task graph, stimulus and frame count — share one data phase on one
+    #: cache, so this sums per cache: once per data key on the serial
+    #: path, once per data key per worker group on a pool, and 0 for a
+    #: group whose warm cache already holds its key's counts.  A cell
+    #: whose frames overlap runs its own.
+    data_phases: int = 0
     workers: int = 1
     parallel_fallback: Optional[str] = None
     #: Cells whose failure was captured as an error row (``failed_rows``).
@@ -391,7 +408,8 @@ def _cell_str(value: Any) -> str:
 def _check_request(
     entry: str, metrics: Sequence[str], on_error: str = "capture"
 ) -> Tuple[Tuple[str, ...], bool]:
-    """Validated metric tuple plus whether any metric needs the data phase.
+    """Validated metric tuple plus whether a metric needs the data phase
+    (only ``channel_writes`` does).
 
     The one check of a sweep request's metrics and ``on_error`` mode,
     shared by :func:`run_sweep`, :meth:`SweepPool.submit` and the pool
@@ -407,7 +425,7 @@ def _check_request(
                 f"{', '.join(DEFAULT_METRICS)}"
             )
     check(ON_ERROR, on_error, "on_error")
-    return metrics, any(name in DATA_METRICS for name in metrics)
+    return metrics, "channel_writes" in metrics
 
 
 def _run_cell(
@@ -425,22 +443,60 @@ def _run_cell(
     unless *keep_results*).  Keeping this the only place a cell is
     configured and executed is what makes pooled rows bit-identical to
     serial rows by construction.
+
+    A *lean* cell — no retained result, no extra observer consuming data
+    events — shares its channel-write counts with the cells of its data
+    key (:meth:`PipelineCache.channel_writes`): on a hit it runs timing
+    only.  Sharing is sound only when the cell's own frames do not
+    overlap (:func:`_frames_fit`); a cell that overlaps neither reads
+    nor fills the memo, and runs its own data phase.
     """
-    scenario = cell.scenario
+    data_extras = any(ob.consumes_data for ob in extra_observers)
+    share = want_data and not keep_results and not data_extras
+    writes = cache.channel_writes(cell.scenario) if share else None
+    observer, result = _execute_cell(
+        cell.scenario, metrics, keep_results, cache, extra_observers,
+        run_data=(want_data and writes is None) or data_extras,
+        guard=share,
+    )
+    if share:
+        if not _frames_fit(observer):
+            if writes is not None:
+                writes = None
+                observer, result = _execute_cell(
+                    cell.scenario, metrics, keep_results, cache,
+                    extra_observers, run_data=True, guard=True,
+                )
+        elif writes is None:
+            cache.keep_channel_writes(
+                cell.scenario, observer.channel_write_counts()
+            )
+    row = {name: _EXTRACTORS[name](observer) for name in metrics}
+    if writes is not None:  # the data key's counts, shared
+        row["channel_writes"] = sum(writes.values())
+    return row, result if keep_results else None
+
+
+def _execute_cell(
+    scenario: Scenario,
+    metrics: Tuple[str, ...],
+    keep_results: bool,
+    cache: PipelineCache,
+    extra_observers: Sequence[ExecutionObserver],
+    *,
+    run_data: bool,
+    guard: bool,
+) -> Tuple[MetricsObserver, RuntimeResult]:
+    """One run of a cell's scenario, with or without its data phase."""
     # Per-record aggregates the table does not ask for are switched
     # off: on_record fires per job instance, and each aggregate is
     # exact-rational arithmetic.  (Responses are not a sweep metric.)
     observer = MetricsObserver(
         track_responses=False,
-        track_utilization="peak_utilization" in metrics,
-        track_frame_spans="frame_makespan_max" in metrics,
-    )
-    observers: List[ExecutionObserver] = [observer, *extra_observers]
-    # Extra observers that consume data-phase events keep the data
-    # phase alive even when the table's metrics alone would allow
-    # records_only — they attach live and must see their events.
-    cell_wants_data = want_data or any(
-        ob.consumes_data for ob in extra_observers
+        track_utilization=(
+            "peak_utilization" in metrics or "kernel_busy" in metrics
+        ),
+        track_frame_spans="frame_makespan_max" in metrics or guard,
     )
     if keep_results:
         # Retained rows must be usable post-hoc (replay, observables,
@@ -453,39 +509,54 @@ def _run_cell(
             else scenario.replace(collect_records=True)
         )
     else:
+        # Extra observers that consume data-phase events keep the data
+        # phase alive (*run_data*) even when the table's metrics alone
+        # would allow records_only — they attach live and must see their
+        # events.
         run_scenario = scenario.replace(
-            records_only=scenario.records_only or not cell_wants_data,
+            records_only=scenario.records_only or not run_data,
             collect_records=False,
             collect_trace=False,
         )
     experiment = Experiment(run_scenario, cache=cache)
-    result = experiment.run(observers=observers)
-    return (
-        {n: _EXTRACTORS[n](observer) for n in metrics},
-        result if keep_results else None,
-    )
+    result = experiment.run(observers=[observer, *extra_observers])
+    return observer, result
+
+
+def _frames_fit(observer: MetricsObserver) -> bool:
+    """Did every frame's true jobs end within a hyperperiod of its base?
+
+    Then every job of a frame ends before any job of the next frame
+    starts, so the data phase's ``(start, frame, <J index)`` order is
+    frame-major and, within a frame, a linear extension of the task
+    graph: the order under which Prop. 2.1 fixes the channel values.
+    """
+    spans = observer.frame_makespans()
+    return max(spans, default=ZERO) <= observer.meta.hyperperiod
 
 
 @dataclass
 class _CellOutcome:
     """What running one cell produced: metrics (+ result) or an error.
 
-    ``stages`` is the ``(networks, derivations, schedules)`` the cell's
-    run added to its cache — the cell's share of the stage counters.
+    ``stages`` is the ``(networks, derivations, schedules, data
+    phases)`` the cell's run added to its cache — the cell's share of the
+    stage counters.
     """
 
     cell: SweepCell
     metrics: Optional[Dict[str, Any]] = None
     result: Optional[RuntimeResult] = None
     error: Optional[SweepCellError] = None
-    stages: Tuple[int, int, int] = (0, 0, 0)
+    stages: Tuple[int, int, int, int] = (0, 0, 0, 0)
 
 
-def _stage_counts(cache: PipelineCache) -> Tuple[int, int, int]:
+def _stage_counts(cache: PipelineCache) -> Tuple[int, int, int, int]:
     return (
         cache.networks_built,
         cache.derivations_computed,
         cache.schedules_computed,
+        cache.data_phases,
     )
 
 
@@ -512,9 +583,10 @@ def _run_cells(
     *retries*) unless *raise_errors*, and the rest still run.
     ``KeyboardInterrupt`` is never captured.
     """
-    # A warm cache outlives its runs: keep only the jitter samplers these
-    # cells draw from, or a stream of fresh seeds grows it without bound.
-    cache.retain_samplers(cell.scenario for cell in cells)
+    # A warm cache outlives its runs: keep only the jitter samplers and
+    # channel-write counts these cells read, or a stream of fresh seeds
+    # or stimuli grows it without bound.
+    cache.retain(cell.scenario for cell in cells)
     for cell in cells:
         before = _stage_counts(cache)
         try:
@@ -568,9 +640,8 @@ class _SweepBook:
             if cell.scenario.records_only:
                 raise RuntimeModelError(
                     f"cell {dict(cell.coords)!r} is records_only but the "
-                    "sweep requests data metrics ("
-                    f"{', '.join(n for n in metrics if n in DATA_METRICS)}"
-                    ") — drop them or clear records_only"
+                    "sweep requests channel_writes, which needs the data "
+                    "phase — drop it or clear records_only"
                 )
         self.axes = axes
         self.cells = cells
@@ -625,10 +696,11 @@ class _SweepBook:
         caller without losing the row.
         """
         stats = self.stats
-        networks, derivations, schedules = outcome.stages
+        networks, derivations, schedules, data_phases = outcome.stages
         stats.networks_built += networks
         stats.derivations_computed += derivations
         stats.schedules_computed += schedules
+        stats.data_phases += data_phases
         index = outcome.cell.index
         if outcome.error is not None:
             self._errors[index] = outcome.error
@@ -783,9 +855,10 @@ def run_sweep(
         Row columns, drawn from :data:`TIMING_METRICS` and
         :data:`DATA_METRICS`.  Cells run with ``collect_records=False`` /
         ``collect_trace=False`` (observer-streaming only; nothing retained
-        per instance), and when no data metric is requested they run
-        ``records_only`` (the data phase — kernels, channel states — is
-        skipped entirely).
+        per instance), and when ``channel_writes`` is not requested they
+        run ``records_only`` (the data phase — kernels, channel states —
+        is skipped entirely).  Cells of one data key share one data
+        phase (see the module docstring).
     keep_results:
         Retain every cell's full :class:`RuntimeResult` on its row.
         Record collection is forced on for the retained runs (a base

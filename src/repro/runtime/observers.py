@@ -497,6 +497,14 @@ class MetricsObserver(ExecutionObserver):
         """Busy fraction per processor over the simulated horizon."""
         return [float(u) for u in self.processor_utilization_exact()]
 
+    def busy_times(self) -> List[Time]:
+        """Busy time per processor: the summed ``end - start`` of its true
+        job instances, the same spans the data phase's kernel spans
+        cover."""
+        self._require_run()
+        self._require_tracked(self._track_utilization, "track_utilization")
+        return list(self._busy)
+
     def processor_utilization_exact(self) -> List[Time]:
         """Busy fraction per processor as exact rationals.
 
@@ -506,10 +514,9 @@ class MetricsObserver(ExecutionObserver):
         (:mod:`repro.experiment.sweep`).  :meth:`processor_utilization`
         is the float convenience view of the same values.
         """
-        self._require_run()
-        self._require_tracked(self._track_utilization, "track_utilization")
+        busy = self.busy_times()
         horizon = self.meta.hyperperiod * self.meta.frames
-        return [b / horizon for b in self._busy]
+        return [b / horizon for b in busy]
 
     def frame_makespans(self) -> List[Time]:
         """Per-frame completion time relative to the frame start."""
