@@ -2,7 +2,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test test-faults test-pool test-hetero test-ticks bench bench-smoke bench-json bench-diff bench-ab cov lint cli-smoke service-smoke
+.PHONY: test test-faults test-pool test-hetero test-ticks test-semantics bench bench-smoke bench-json bench-diff bench-ab cov lint cli-smoke service-smoke
 
 # Tier-1 verification: the full unit/integration suite plus benchmarks-as-tests.
 test:
@@ -47,6 +47,15 @@ test-ticks:
 		tests/test_static_order_binding.py tests/test_stimulus_memo.py \
 		tests/test_perfbench_surface.py tests/test_jobs_graph.py \
 		tests/test_rank_memo.py tests/test_data_sharing.py -q
+
+# Reference-semantics lane: the zero-delay and fixed-priority functional
+# runs, traces and action recording, automata, the Prop. 2.1 checker and
+# the data phase against its fresh-context oracle.  Also part of tier-1.
+test-semantics:
+	$(PY) -m pytest tests/test_semantics.py tests/test_uniprocessor.py \
+		tests/test_trace.py tests/test_process_context.py \
+		tests/test_automaton.py tests/test_determinism_checker.py \
+		tests/test_data_phase_equivalence.py -q
 
 # Error-level lint (ruff.toml: syntax errors / undefined names only).
 # Skips gracefully when ruff is not in the environment; CI installs it.

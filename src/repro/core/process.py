@@ -36,24 +36,8 @@ from .channels import (
 )
 from .events import EventGenerator
 from .timebase import Time
-from .trace import (
-    Assign,
-    ChannelRead,
-    ChannelWrite,
-    ExternalRead,
-    ExternalWrite,
-    LazyTrace,
-    Trace,
-)
-from .trusted import check_trusted_constructor, check_trusted_rebind
-
-# Hot-path aliases: every traced channel/variable action allocates one frozen
-# dataclass, and the per-field ``object.__setattr__`` calls of the generated
-# ``__init__`` dominate that allocation.  The context methods below build the
-# actions by installing a complete ``__dict__`` in one step instead; the
-# field lists are cross-checked at import time (bottom of this module).
-_obj_new = object.__new__
-_obj_setattr = object.__setattr__
+from .trace import LazyTrace, Trace
+from .trusted import check_trusted_rebind
 
 
 class JobContext:
@@ -102,22 +86,16 @@ class JobContext:
         self._outputs = outputs
         self._external_inputs = external_inputs
         self._external_outputs = external_outputs
-        self._trace = trace
-        # Bind the action sink once.  A LazyTrace takes compact tuples
-        # (the simulator hot path — no Action allocation per read/write); a
-        # plain Trace gets eagerly-built actions through its underlying
-        # list append (one call frame less per action); other Trace
-        # subclasses keep their overridden ``append``.
-        self._compact_append = None
-        if trace is None:
-            self._trace_append = None
-        elif trace.__class__ is LazyTrace:
-            self._trace_append = None
-            self._compact_append = trace.raw.append
-        elif trace.__class__ is Trace:
-            self._trace_append = trace.actions.append
-        else:
-            self._trace_append = trace.append
+        # Bind the action recorder once.  Every action is recorded as its
+        # compact tuple (``core/trace.COMPACT_CODES``): a LazyTrace keeps the
+        # tuples as they are, any other Trace builds the action through
+        # ``Trace.record``.
+        self._record: Optional[Callable[[tuple], None]] = None
+        if trace is not None:
+            self._record = (
+                trace.raw.append if trace.__class__ is LazyTrace
+                else trace.record
+            )
         #: Optional data-phase hook ``hook(channel, value)`` invoked on every
         #: internal channel write.  Installed by the runtime executor when an
         #: observer consumes ``on_channel_write`` events; ``None`` (the
@@ -152,17 +130,8 @@ class JobContext:
                 f"process {self.process!r} has no input channel {channel!r}"
             )
         value = state.read()
-        ca = self._compact_append
-        if ca is not None:
-            ca(("R", self.process, channel, value))
-        else:
-            ta = self._trace_append
-            if ta is not None:
-                act = _obj_new(ChannelRead)
-                _obj_setattr(act, "__dict__", {
-                    "process": self.process, "channel": channel, "value": value,
-                })
-                ta(act)
+        if self._record is not None:
+            self._record(("R", self.process, channel, value))
         return value
 
     def peek(self, channel: str) -> Any:
@@ -182,17 +151,8 @@ class JobContext:
                 f"process {self.process!r} has no output channel {channel!r}"
             )
         state.write(value)
-        ca = self._compact_append
-        if ca is not None:
-            ca(("W", self.process, channel, value))
-        else:
-            ta = self._trace_append
-            if ta is not None:
-                act = _obj_new(ChannelWrite)
-                _obj_setattr(act, "__dict__", {
-                    "process": self.process, "channel": channel, "value": value,
-                })
-                ta(act)
+        if self._record is not None:
+            self._record(("W", self.process, channel, value))
         if self._on_write is not None:
             self._on_write(channel, value)
 
@@ -206,36 +166,16 @@ class JobContext:
         name = self._resolve_single(channel, self._external_inputs, "external input")
         samples = self._external_inputs[name]
         value = samples.get(self.k, NO_DATA)
-        ca = self._compact_append
-        if ca is not None:
-            ca(("r", self.process, name, self.k, value))
-        else:
-            ta = self._trace_append
-            if ta is not None:
-                act = _obj_new(ExternalRead)
-                _obj_setattr(act, "__dict__", {
-                    "process": self.process, "channel": name,
-                    "sample_index": self.k, "value": value,
-                })
-                ta(act)
+        if self._record is not None:
+            self._record(("r", self.process, name, self.k, value))
         return value
 
     def write_output(self, value: Any, channel: Optional[str] = None) -> None:
         """Write sample ``[k]`` to an external output (``x![k]Oe``)."""
         name = self._resolve_single(channel, self._external_outputs, "external output")
         self._external_outputs[name].write(self.k, value)
-        ca = self._compact_append
-        if ca is not None:
-            ca(("w", self.process, name, self.k, value))
-        else:
-            ta = self._trace_append
-            if ta is not None:
-                act = _obj_new(ExternalWrite)
-                _obj_setattr(act, "__dict__", {
-                    "process": self.process, "channel": name,
-                    "sample_index": self.k, "value": value,
-                })
-                ta(act)
+        if self._record is not None:
+            self._record(("w", self.process, name, self.k, value))
 
     def _resolve_single(
         self, channel: Optional[str], mapping: Mapping[str, Any], what: str
@@ -257,50 +197,17 @@ class JobContext:
     def assign(self, variable: str, value: Any) -> None:
         """Traced variable assignment (``x := value``)."""
         self.vars[variable] = value
-        ca = self._compact_append
-        if ca is not None:
-            ca(("A", self.process, variable, value))
-        else:
-            ta = self._trace_append
-            if ta is not None:
-                act = _obj_new(Assign)
-                _obj_setattr(act, "__dict__", {
-                    "process": self.process, "variable": variable, "value": value,
-                })
-                ta(act)
+        if self._record is not None:
+            self._record(("A", self.process, variable, value))
 
     def get(self, variable: str, default: Any = None) -> Any:
         """Read a process variable (untraced, like any expression evaluation)."""
         return self.vars.get(variable, default)
 
 
-# Import-time guards for the hot paths above.  The ``__dict__`` literals in
-# the context methods must track the action dataclasses field for field, and
-# ``_rebind`` must keep reproducing fresh construction — both fail loudly
-# here (at import, where a failure is cheap to diagnose) if they drift.
-def _dict_built_action(cls):
-    def make(**kwargs):
-        act = _obj_new(cls)
-        _obj_setattr(act, "__dict__", kwargs)
-        return act
-    make.__name__ = f"_dict_built_{cls.__name__}"
-    return make
-
-
-for _cls, _fields, _sample in (
-    (ChannelRead, ("process", "channel", "value"),
-     dict(process="p", channel="c", value=1)),
-    (ChannelWrite, ("process", "channel", "value"),
-     dict(process="p", channel="c", value=1)),
-    (ExternalRead, ("process", "channel", "sample_index", "value"),
-     dict(process="p", channel="c", sample_index=1, value=1)),
-    (ExternalWrite, ("process", "channel", "sample_index", "value"),
-     dict(process="p", channel="c", sample_index=1, value=1)),
-    (Assign, ("process", "variable", "value"),
-     dict(process="p", variable="x", value=1)),
-):
-    check_trusted_constructor(_cls, _fields, _dict_built_action(_cls), _sample)
-
+# Import-time guard for ``_rebind``: it must keep reproducing fresh
+# construction, or the import fails loudly (where a failure is cheap to
+# diagnose).
 check_trusted_rebind(
     JobContext,
     ("process", "k", "now", "variables", "inputs", "outputs",

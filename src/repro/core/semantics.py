@@ -20,6 +20,11 @@ affecting channel data (FP must cover channel-sharing pairs).  For trace
 reproducibility we fix the order deterministically: topological rank of the
 FP DAG, ties broken by process name; bursts of the same process execute in
 invocation-index order.
+
+The functional run of a fixed-priority uniprocessor
+(:meth:`repro.scheduling.uniprocessor.UniprocessorFixedPriority.functional_run`)
+is the same construction with the scheduling priorities in place of the FP
+rank; both go through one runner here.
 """
 
 from __future__ import annotations
@@ -84,99 +89,106 @@ class ZeroDelayExecutor:
         stimulus arrival traces.
         """
         h = as_positive_time(horizon, "horizon")
-        stimulus = stimulus or Stimulus()
-        stimulus.validate(self.network)
-        per_process: List[Tuple[str, List[Time]]] = []
-        for proc in self.network.processes.values():
-            if proc.is_sporadic:
-                times = [t for t in stimulus.arrivals_for(proc.name) if t < h]
-            else:
-                times = proc.generator.invocations(h)
-            per_process.append((proc.name, times))
-        return merge_invocations(per_process)
+        return _invocations(self.network, h, stimulus or Stimulus())
 
     def run(
         self, horizon: TimeLike, stimulus: Optional[Stimulus] = None
     ) -> ExecutionResult:
         """Construct and execute the zero-delay trace over ``[0, horizon)``."""
-        h = as_positive_time(horizon, "horizon")
-        stimulus = stimulus or Stimulus()
-        sequence = self.invocation_sequence(h, stimulus)
+        return _run_atomic(self.network, horizon, stimulus, self._rank)
 
-        # Compact recording: waits and job markers append ``(code, ...)``
-        # tuples, the contexts do the same for channel/variable actions, and
-        # Action objects materialise only if someone reads ``result.trace``
-        # — reference runs inside sweeps never do (see core/trace.LazyTrace).
-        trace = LazyTrace()
-        channel_states: Dict[str, ChannelState] = {
-            name: spec.new_state() for name, spec in self.network.channels.items()
-        }
-        variables: Dict[str, Dict[str, Any]] = {
-            name: proc.fresh_variables() for name, proc in self.network.processes.items()
-        }
-        ext_out: Dict[str, ExternalOutputState] = {
-            name: ExternalOutputState(spec)
-            for name, spec in self.network.external_outputs.items()
-        }
-        job_count = 0
 
-        raw_append = trace.raw.append
-        for t, invocations in sequence:
-            raw_append(("T", t))
-            for inv in self._order_jobs(invocations):
-                self._run_job(inv, t, channel_states, variables, ext_out, stimulus, trace)
-                job_count += 1
+def _invocations(
+    network: Network, h: Time, stimulus: Stimulus
+) -> List[Tuple[Time, List[Invocation]]]:
+    """The invocation sequence of *network* over ``[0, h)`` under *stimulus*."""
+    stimulus.validate(network)
+    per_process: List[Tuple[str, List[Time]]] = []
+    for proc in network.processes.values():
+        if proc.is_sporadic:
+            times = [t for t in stimulus.arrivals_for(proc.name) if t < h]
+        else:
+            times = proc.generator.invocations(h)
+        per_process.append((proc.name, times))
+    return merge_invocations(per_process)
 
-        return ExecutionResult(
-            network_name=self.network.name,
-            horizon=h,
-            trace=trace,
-            channel_logs={n: list(s.write_log) for n, s in channel_states.items()},
-            external_outputs={n: s.as_sequence() for n, s in ext_out.items()},
-            job_count=job_count,
-            final_variables=variables,
-        )
 
-    # ------------------------------------------------------------------
-    def _order_jobs(self, invocations: List[Invocation]) -> List[Invocation]:
-        """Order simultaneous invocations: FP rank, then name, then index."""
-        return sorted(
-            invocations, key=lambda inv: (self._rank[inv.process], inv.process, inv.index)
-        )
+def _run_atomic(
+    network: Network,
+    horizon: TimeLike,
+    stimulus: Optional[Stimulus],
+    rank: Mapping[str, int],
+) -> ExecutionResult:
+    """Run every job atomically at its invocation time stamp.
 
-    def _run_job(
-        self,
-        inv: Invocation,
-        now: Time,
-        channel_states: Mapping[str, ChannelState],
-        variables: Dict[str, Dict[str, Any]],
-        ext_out: Mapping[str, ExternalOutputState],
-        stimulus: Stimulus,
-        trace: LazyTrace,
-    ) -> None:
-        proc = self.network.processes[inv.process]
-        ctx = JobContext(
-            process=proc.name,
-            k=inv.index,
-            now=now,
-            variables=variables[proc.name],
-            inputs={n: channel_states[n] for n in proc.inputs},
-            outputs={n: channel_states[n] for n in proc.outputs},
-            external_inputs={n: stimulus.samples_view(n) for n in proc.external_inputs},
-            external_outputs={n: ext_out[n] for n in proc.external_outputs},
-            trace=trace,
-        )
-        raw_append = trace.raw.append
-        raw_append(("S", proc.name, inv.index))
-        try:
-            proc.behavior.run_job(ctx)
-        except SemanticsError:
-            raise
-        except Exception as exc:  # surface app bugs with job identity attached
-            raise SemanticsError(
-                f"job {proc.name}[{inv.index}] at t={now} raised {exc!r}"
-            ) from exc
-        raw_append(("E", proc.name, inv.index))
+    The jobs invoked at one time stamp run in ``(rank, process, k)``
+    order: the FP rank gives the zero-delay semantics, scheduling
+    priorities the functional run of a fixed-priority uniprocessor
+    (:mod:`repro.scheduling.uniprocessor`).  Each job gets a fresh
+    :class:`JobContext`.
+    """
+    h = as_positive_time(horizon, "horizon")
+    stimulus = stimulus or Stimulus()
+    sequence = _invocations(network, h, stimulus)
+
+    # Compact recording: waits and job markers append ``(code, ...)``
+    # tuples, the contexts do the same for channel/variable actions, and
+    # Action objects materialise only if someone reads ``result.trace``
+    # — reference runs inside sweeps never do (see core/trace.LazyTrace).
+    trace = LazyTrace()
+    raw_append = trace.raw.append
+    channel_states: Dict[str, ChannelState] = {
+        name: spec.new_state() for name, spec in network.channels.items()
+    }
+    variables: Dict[str, Dict[str, Any]] = {
+        name: proc.fresh_variables() for name, proc in network.processes.items()
+    }
+    ext_out: Dict[str, ExternalOutputState] = {
+        name: ExternalOutputState(spec)
+        for name, spec in network.external_outputs.items()
+    }
+    job_count = 0
+
+    for t, invocations in sequence:
+        raw_append(("T", t))
+        for inv in sorted(
+            invocations, key=lambda inv: (rank[inv.process], inv.process, inv.index)
+        ):
+            proc = network.processes[inv.process]
+            ctx = JobContext(
+                process=proc.name,
+                k=inv.index,
+                now=t,
+                variables=variables[proc.name],
+                inputs={n: channel_states[n] for n in proc.inputs},
+                outputs={n: channel_states[n] for n in proc.outputs},
+                external_inputs={
+                    n: stimulus.samples_view(n) for n in proc.external_inputs
+                },
+                external_outputs={n: ext_out[n] for n in proc.external_outputs},
+                trace=trace,
+            )
+            raw_append(("S", proc.name, inv.index))
+            try:
+                proc.behavior.run_job(ctx)
+            except SemanticsError:
+                raise
+            except Exception as exc:  # surface app bugs with job identity attached
+                raise SemanticsError(
+                    f"job {proc.name}[{inv.index}] at t={t} raised {exc!r}"
+                ) from exc
+            raw_append(("E", proc.name, inv.index))
+            job_count += 1
+
+    return ExecutionResult(
+        network_name=network.name,
+        horizon=h,
+        trace=trace,
+        channel_logs={n: list(s.write_log) for n, s in channel_states.items()},
+        external_outputs={n: s.as_sequence() for n, s in ext_out.items()},
+        job_count=job_count,
+        final_variables=variables,
+    )
 
 
 def run_zero_delay(

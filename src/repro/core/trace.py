@@ -133,6 +133,11 @@ class Trace:
     def append(self, action: Action) -> None:
         self.actions.append(action)
 
+    def record(self, compact: tuple) -> None:
+        """Append the action encoded by *compact* (see :data:`COMPACT_CODES`)."""
+        cls, _ = COMPACT_CODES[compact[0]]
+        self.append(cls(*compact[1:]))
+
     def extend(self, actions: Iterable[Action]) -> None:
         self.actions.extend(actions)
 

@@ -1,14 +1,15 @@
 """Import-time guard for ``__dict__``-based trusted constructors.
 
-The derivation and simulation hot loops build their frozen dataclasses
-(:class:`~repro.taskgraph.jobs.Job`, :class:`~repro.runtime.executor.
-JobRecord`) through explicit trusted constructors that bypass the frozen
-``__setattr__`` guards and any ``__post_init__`` validation.  Each such
+The derivation hot loop builds its frozen :class:`~repro.taskgraph.jobs.Job`
+dataclasses through an explicit trusted constructor that bypasses the
+frozen ``__setattr__`` guards and any ``__post_init__`` validation.  Such a
 constructor registers itself here at module import: the check fails the
 import **loudly** — never falls back to a slow path silently — if the
 dataclass's fields drift from the constructor's explicit field list, or if
 the ``__dict__`` construction path itself stops reproducing the public
-constructor (e.g. a future ``slots=True``).
+constructor (e.g. a future ``slots=True``).  The simulator's timing loop
+builds :class:`~repro.runtime.executor.JobRecord` through an inline
+``__dict__`` literal instead, whose keys a test pins against the fields.
 """
 
 from __future__ import annotations

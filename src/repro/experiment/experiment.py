@@ -149,6 +149,22 @@ class PipelineCache:
             sampler = self._samplers[key] = scenario.execution_model()
         return sampler
 
+    def run(
+        self, scenario: Scenario, observers: Sequence[ExecutionObserver],
+        *, records_only: bool, collect_records: bool, collect_trace: bool,
+    ) -> RuntimeResult:
+        """Run *scenario* on its cached stages under explicit run flags;
+        a run with a data phase counts in ``data_phases``."""
+        if not records_only:
+            self.data_phases += 1
+        return run_static_order(
+            self.network(scenario), self.schedule(scenario),
+            scenario.n_frames, scenario.stimulus,
+            self.execution_model(scenario), scenario.overheads,
+            observers=observers, records_only=records_only,
+            collect_records=collect_records, collect_trace=collect_trace,
+        )
+
     def _data_key(self, scenario: Scenario) -> Tuple[int, ...]:
         # The network and graph live as long as the cache; the stimulus
         # is held by the memo entry, so no id here is reused while keyed.
@@ -265,19 +281,9 @@ class Experiment:
         # built metrics observer would keep reporting the discarded run:
         # invalidate it here (the only place the result is replaced).
         self._metrics = None
-        if not s.records_only:
-            self.cache.data_phases += 1
-        self._result = run_static_order(
-            self.network(),
-            self.schedule(),
-            s.n_frames,
-            s.stimulus,
-            self.cache.execution_model(s),
-            s.overheads,
-            observers=observers,
-            records_only=s.records_only,
-            collect_records=s.collect_records,
-            collect_trace=s.collect_trace,
+        self._result = self.cache.run(
+            s, observers, records_only=s.records_only,
+            collect_records=s.collect_records, collect_trace=s.collect_trace,
         )
         return self._result
 

@@ -92,7 +92,7 @@ from ..errors import ModelError, RuntimeModelError
 from ..runtime.executor import RuntimeResult
 from ..runtime.overheads import OverheadModel
 from ..runtime.observers import ExecutionObserver, MetricsObserver
-from .experiment import Experiment, PipelineCache
+from .experiment import PipelineCache
 from .faults import FaultPlan, apply_cell_faults
 from .fields import Field, check, check_values, one_of
 from .pool_core import POOL_OPTIONS
@@ -498,28 +498,18 @@ def _execute_cell(
         ),
         track_frame_spans="frame_makespan_max" in metrics or guard,
     )
-    if keep_results:
-        # Retained rows must be usable post-hoc (replay, observables,
-        # record-derived metrics), so record collection is forced on even
-        # when the base scenario itself suppresses records — retaining a
-        # record-suppressed result would hand back rows whose result
-        # cannot report anything.
-        run_scenario = (
-            scenario if scenario.collect_records
-            else scenario.replace(collect_records=True)
-        )
-    else:
-        # Extra observers that consume data-phase events keep the data
-        # phase alive (*run_data*) even when the table's metrics alone
-        # would allow records_only — they attach live and must see their
-        # events.
-        run_scenario = scenario.replace(
-            records_only=scenario.records_only or not run_data,
-            collect_records=False,
-            collect_trace=False,
-        )
-    experiment = Experiment(run_scenario, cache=cache)
-    result = experiment.run(observers=[observer, *extra_observers])
+    # Retained rows must be usable post-hoc (replay, observables,
+    # record-derived metrics), so they always collect records, even when
+    # the scenario itself suppresses them.  Otherwise extra observers that
+    # consume data-phase events keep the data phase alive (*run_data*)
+    # even when the table's metrics alone would allow records_only — they
+    # attach live and must see their events.
+    result = cache.run(
+        scenario, [observer, *extra_observers],
+        records_only=scenario.records_only or not (keep_results or run_data),
+        collect_records=keep_results,
+        collect_trace=keep_results and scenario.collect_trace,
+    )
     return observer, result
 
 

@@ -77,7 +77,6 @@ from ..core.network import Network
 from ..core.process import JobContext, KernelBehavior
 from ..core.timebase import Time, TimeLike, as_positive_time, as_time
 from ..core.trace import LazyTrace, Trace
-from ..core.trusted import check_trusted_constructor
 from ..taskgraph.graph import TaskGraph
 from ..taskgraph.jobs import Job
 from ..scheduling.schedule import StaticSchedule
@@ -85,10 +84,8 @@ from .observers import ExecutionObserver, RunMeta, TickMetrics
 from .overheads import OverheadModel
 from .static_order import ArrivalBinding, RunPlan
 
-# Hot-loop aliases for the trusted ``__dict__``-installing constructions
-# (records in the timing phase, job markers in the data phase); the literal
-# field shapes are cross-checked at import time here and in
-# :mod:`repro.core.process`.
+# Hot-loop aliases for the timing phase's trusted record construction,
+# which installs a ``__dict__`` literal (see ``_timing_phase``).
 _obj_new = object.__new__
 _obj_setattr = object.__setattr__
 
@@ -297,48 +294,6 @@ class JobRecord:
     #: classic homogeneous schedules).
     processor_class: str = "cpu"
 
-    @classmethod
-    def _from_fields(
-        cls,
-        process: str,
-        frame: int,
-        k_frame: int,
-        global_k: int,
-        processor: int,
-        release: Time,
-        start: Time,
-        end: Time,
-        deadline: Time,
-        is_false: bool,
-        is_server: bool,
-        processor_class: str = "cpu",
-    ) -> "JobRecord":
-        """Hot-loop constructor bypassing the frozen ``__setattr__`` guards.
-
-        Building through ``__dict__`` skips the per-field frozen-dataclass
-        checks in the allocation-heavy timing loop (equality and hashing
-        are unaffected).  The field list is explicit and cross-checked
-        against the dataclass at import time (below): adding a field to
-        ``JobRecord`` fails loudly there instead of silently reverting to
-        a slow path or building incomplete records.
-        """
-        rec = _obj_new(cls)
-        _obj_setattr(rec, "__dict__", {
-            "process": process,
-            "frame": frame,
-            "k_frame": k_frame,
-            "global_k": global_k,
-            "processor": processor,
-            "release": release,
-            "start": start,
-            "end": end,
-            "deadline": deadline,
-            "is_false": is_false,
-            "is_server": is_server,
-            "processor_class": processor_class,
-        })
-        return rec
-
     @property
     def name(self) -> str:
         return f"{self.process}[{self.global_k}]"
@@ -351,19 +306,6 @@ class JobRecord:
     @property
     def response_time(self) -> Time:
         return self.end - self.release
-
-
-_JOB_RECORD_FIELDS = (
-    "process", "frame", "k_frame", "global_k", "processor",
-    "release", "start", "end", "deadline", "is_false", "is_server",
-    "processor_class",
-)
-check_trusted_constructor(
-    JobRecord, _JOB_RECORD_FIELDS, JobRecord._from_fields,
-    dict(process="p", frame=0, k_frame=1, global_k=1, processor=0,
-         release=Time(0), start=Time(0), end=Time(1), deadline=Time(2),
-         is_false=False, is_server=False, processor_class="cpu"),
-)
 
 
 @dataclass
@@ -901,11 +843,11 @@ class MultiprocessorExecutor:
                 if deadline_f is None:
                     deadline_f = frac_memo[deadline_t] = from_ticks(deadline_t)
 
-                # Inline trusted construction: the per-record call into
-                # _from_fields is itself measurable at 100-frame scale.
-                # The field *tuple* is guarded at import below; the literal
-                # keys here are pinned by the record-field drift test in
-                # tests/test_observers.py (TestJobRecordConstructor).
+                # Trusted construction inline: installing the whole
+                # ``__dict__`` skips the frozen dataclass's per-field
+                # ``__setattr__`` guards.  The literal's keys are pinned
+                # against the dataclass fields by the record-field drift
+                # test in tests/test_observers.py (TestJobRecordConstructor).
                 rec = new(record_cls)
                 set_dict(rec, "__dict__", {
                     "process": process_of[i],

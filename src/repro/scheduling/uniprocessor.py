@@ -15,10 +15,12 @@ This module provides that reference:
 
   - :meth:`functional_run` executes the *functional abstraction* of
     fixed-priority scheduling with zero task execution times: jobs run
-    atomically in ``(release time, priority, k)`` order.  When the FPPN's
-    functional priorities agree with the scheduling priorities, this is
-    functionally equivalent to the FPPN semantics — the property the paper
-    "verified by testing" (our tests do the same, mechanically).
+    atomically in ``(release time, priority, k)`` order.  That is the
+    zero-delay construction of :mod:`repro.core.semantics` (one runner)
+    under the scheduling priorities instead of the FP rank, so when the
+    two orders agree on simultaneous jobs the run is functionally
+    equivalent to the FPPN semantics — the property the paper "verified
+    by testing" (our tests do the same, mechanically).
   - :meth:`simulate_preemptive` is a cycle-accurate preemptive
     fixed-priority timing simulation producing response times and deadline
     misses (the schedulability side of the baseline).
@@ -28,16 +30,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..errors import RuntimeModelError, SchedulingError
-from ..core.channels import ChannelState, ExternalOutputState
 from ..core.invocations import Stimulus
 from ..core.network import Network
-from ..core.process import JobContext
-from ..core.semantics import ExecutionResult
+from ..core.semantics import ExecutionResult, _invocations, _run_atomic
 from ..core.timebase import Time, TimeLike, as_positive_time
-from ..core.trace import LazyTrace
 
 
 def rate_monotonic_priorities(network: Network) -> Dict[str, int]:
@@ -91,18 +90,12 @@ class UniprocessorFixedPriority:
     ) -> List[Tuple[Time, int, str, int]]:
         """All job releases in ``[0, horizon)`` as ``(time, prio, process, k)``."""
         h = as_positive_time(horizon, "horizon")
-        stimulus = stimulus or Stimulus()
-        stimulus.validate(self.network)
-        releases: List[Tuple[Time, int, str, int]] = []
-        for proc in self.network.processes.values():
-            if proc.is_sporadic:
-                times = [t for t in stimulus.arrivals_for(proc.name) if t < h]
-            else:
-                times = proc.generator.invocations(h)
-            for k, t in enumerate(times, start=1):
-                releases.append((t, self.priorities[proc.name], proc.name, k))
-        releases.sort()
-        return releases
+        prio = self.priorities
+        return sorted(
+            (inv.time, prio[inv.process], inv.process, inv.index)
+            for _, invocations in _invocations(self.network, h, stimulus or Stimulus())
+            for inv in invocations
+        )
 
     # ------------------------------------------------------------------
     def functional_run(
@@ -115,61 +108,7 @@ class UniprocessorFixedPriority:
         same :class:`ExecutionResult` structure as the FPPN executors so
         equivalence checks are one ``==`` on :meth:`observable`.
         """
-        h = as_positive_time(horizon, "horizon")
-        stimulus = stimulus or Stimulus()
-        releases = self.release_sequence(h, stimulus)
-
-        # Compact recording, exactly like the zero-delay reference: the
-        # trace stays a tuple log until someone reads ``result.trace`` —
-        # equivalence sweeps compare observables and never pay for Actions.
-        trace = LazyTrace()
-        raw_append = trace.raw.append
-        channel_states: Dict[str, ChannelState] = {
-            name: spec.new_state() for name, spec in self.network.channels.items()
-        }
-        variables: Dict[str, Dict[str, Any]] = {
-            name: proc.fresh_variables()
-            for name, proc in self.network.processes.items()
-        }
-        ext_out: Dict[str, ExternalOutputState] = {
-            name: ExternalOutputState(spec)
-            for name, spec in self.network.external_outputs.items()
-        }
-
-        job_count = 0
-        last_time: Optional[Time] = None
-        for t, _prio, pname, k in releases:
-            if last_time != t:
-                raw_append(("T", t))
-                last_time = t
-            proc = self.network.processes[pname]
-            ctx = JobContext(
-                process=pname,
-                k=k,
-                now=t,
-                variables=variables[pname],
-                inputs={n: channel_states[n] for n in proc.inputs},
-                outputs={n: channel_states[n] for n in proc.outputs},
-                external_inputs={
-                    n: stimulus.samples_view(n) for n in proc.external_inputs
-                },
-                external_outputs={n: ext_out[n] for n in proc.external_outputs},
-                trace=trace,
-            )
-            raw_append(("S", pname, k))
-            proc.behavior.run_job(ctx)
-            raw_append(("E", pname, k))
-            job_count += 1
-
-        return ExecutionResult(
-            network_name=self.network.name,
-            horizon=h,
-            trace=trace,
-            channel_logs={n: list(s.write_log) for n, s in channel_states.items()},
-            external_outputs={n: s.as_sequence() for n, s in ext_out.items()},
-            job_count=job_count,
-            final_variables=variables,
-        )
+        return _run_atomic(self.network, horizon, stimulus, self.priorities)
 
     # ------------------------------------------------------------------
     def simulate_preemptive(

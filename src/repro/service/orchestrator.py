@@ -32,7 +32,7 @@ from typing import (
     Any, AsyncIterator, Deque, Dict, Optional, Sequence, Tuple, Union,
 )
 
-from ..errors import ServiceError, UnknownTicketError
+from ..errors import ModelError, ServiceError, UnknownTicketError
 from ..experiment.faults import FaultPlan
 from ..experiment.fields import Field, boolean, integer, one_of, optional, text
 from ..experiment.pool import SweepPool, SweepTicket
@@ -167,8 +167,10 @@ class SweepOrchestrator:
         max_finished_tickets: int = 256,
         **pool_options: Any,
     ) -> None:
-        if max_finished_tickets < 1:
-            raise ServiceError("max_finished_tickets must be >= 1")
+        try:
+            integer(1)(max_finished_tickets, "max_finished_tickets")
+        except ModelError as exc:
+            raise ServiceError(str(exc)) from None
         try:
             self._loop = asyncio.get_running_loop()
         except RuntimeError:

@@ -23,7 +23,6 @@ from repro.apps import (
     fms_stimulus,
     fms_wcets,
 )
-from repro.core.timebase import Time
 from repro.errors import RuntimeModelError
 from repro.io import trace_to_vcd, runtime_result_to_vcd
 from repro.runtime import (
@@ -465,25 +464,11 @@ class TestObserverReuse:
 
 
 class TestJobRecordConstructor:
-    def test_from_fields_equals_public_constructor(self):
-        kw = dict(
-            process="p", frame=1, k_frame=2, global_k=12, processor=0,
-            release=Time(5), start=Time(6), end=Time(7), deadline=Time(9),
-            is_false=False, is_server=True,
-        )
-        assert JobRecord._from_fields(**kw) == JobRecord(**kw)
-
-    def test_field_guard_is_in_sync(self):
-        from dataclasses import fields
-        from repro.runtime.executor import _JOB_RECORD_FIELDS
-
-        assert tuple(f.name for f in fields(JobRecord)) == _JOB_RECORD_FIELDS
-
     def test_hot_loop_records_carry_exact_field_set(self):
         """The timing loop builds records through an inline ``__dict__``
-        literal; if ``JobRecord`` gains a field, the import-time guard only
-        covers ``_from_fields`` — this pins the inline literal too, by
-        checking a record built by a real run attribute for attribute."""
+        literal; if ``JobRecord`` gains a field, this catches a literal
+        that was not updated, by checking a record built by a real run
+        attribute for attribute."""
         from dataclasses import fields
 
         net, schedule, stim = _records_only_case("fft")

@@ -147,6 +147,32 @@ class TestTracing:
         ctx, _, _, _ = make_ctx(trace=None)
         ctx.write("out_c", 1)  # must not raise
 
+    def test_trace_subclass_append_sees_every_action(self):
+        """A Trace subclass that overrides ``append`` receives every
+        recorded action as an ``Action`` object."""
+        seen = []
+
+        class Spy(Trace):
+            def append(self, action):
+                seen.append(action)
+                super().append(action)
+
+        trace = Spy()
+        ctx, fifo, _, _ = make_ctx(trace=trace)
+        fifo.write("v")
+        ctx.read("in_c")
+        ctx.write("out_c", 1)
+        ctx.read_input("i")
+        ctx.write_output("done")
+        ctx.assign("x", 3)
+        assert seen == trace.actions == [
+            ChannelRead("p", "in_c", "v"),
+            ChannelWrite("p", "out_c", 1),
+            ExternalRead("p", "i", 1, "sample-1"),
+            ExternalWrite("p", "o", 1, "done"),
+            Assign("p", "x", 3),
+        ]
+
 
 class TestProcessAndBehavior:
     def test_process_generator_shortcuts(self):

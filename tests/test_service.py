@@ -179,6 +179,14 @@ class TestOrchestrator:
         with pytest.raises(ServiceError, match="max_finished_tickets"):
             SweepOrchestrator(workers=1, max_finished_tickets=0)
 
+    @pytest.mark.parametrize("bad", [True, 1.5, "8", None])
+    def test_max_finished_tickets_must_be_an_int(self, bad):
+        async def scenario():
+            with pytest.raises(ServiceError, match="max_finished_tickets"):
+                SweepOrchestrator(workers=1, max_finished_tickets=bad)
+
+        asyncio.run(scenario())
+
     def test_needs_a_running_loop(self):
         with pytest.raises(ServiceError, match="on the event loop"):
             SweepOrchestrator(workers=1)

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from repro.core.trace import (
+    COMPACT_CODES,
     Assign,
     ChannelRead,
     ChannelWrite,
@@ -10,6 +11,7 @@ from repro.core.trace import (
     ExternalWrite,
     JobEnd,
     JobStart,
+    LazyTrace,
     Trace,
     Wait,
 )
@@ -42,6 +44,49 @@ class TestContainer:
         t = Trace()
         t.extend([Wait(Fraction(0)), Wait(Fraction(1))])
         assert len(t) == 2
+
+
+class TestRecord:
+    """``Trace.record`` builds each compact action with its public
+    constructor, equal to a ``LazyTrace``'s materialisation of it."""
+
+    FIELD_VALUES = {
+        "process": "p", "channel": "c", "variable": "x", "value": (1, "v"),
+        "sample_index": 3, "k": 2, "time": Fraction(7, 3),
+    }
+
+    def compact(self, code):
+        _, names = COMPACT_CODES[code]
+        return (code, *(self.FIELD_VALUES[n] for n in names))
+
+    def test_every_code_matches_the_public_constructor(self):
+        for code, (cls, names) in COMPACT_CODES.items():
+            trace = Trace()
+            trace.record(self.compact(code))
+            expected = cls(**{n: self.FIELD_VALUES[n] for n in names})
+            assert trace.actions == [expected]
+            assert type(trace.actions[0]) is cls
+
+    def test_every_code_matches_lazy_materialisation(self):
+        compacts = [self.compact(code) for code in COMPACT_CODES]
+        eager = Trace()
+        for rec in compacts:
+            eager.record(rec)
+        lazy = LazyTrace(list(compacts))
+        assert lazy.actions == eager.actions
+        assert lazy == eager
+
+    def test_record_goes_through_append(self):
+        seen = []
+
+        class Spy(Trace):
+            def append(self, action):
+                seen.append(action)
+                super().append(action)
+
+        trace = Spy()
+        trace.record(self.compact("W"))
+        assert seen == [ChannelWrite("p", "c", (1, "v"))] == trace.actions
 
 
 class TestProjections:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from repro.core import ChannelKind, Network, Stimulus, run_zero_delay
-from repro.errors import RuntimeModelError, SchedulingError
+from repro.errors import RuntimeModelError, SchedulingError, SemanticsError
 from repro.scheduling import UniprocessorFixedPriority, rate_monotonic_priorities
 
 
@@ -47,6 +47,37 @@ class TestFunctionalRun:
         )
         ref = run_zero_delay(pair_network, 300)
         assert inverted.functional_run(300).observable() != ref.observable()
+
+    def test_simultaneous_jobs_follow_the_scheduling_priorities(
+        self, pair_network
+    ):
+        """Where the priorities and the FP rank disagree, the functional
+        run orders simultaneous jobs by the priorities."""
+        inverted = UniprocessorFixedPriority(
+            pair_network, {"producer": 1, "consumer": 0}
+        )
+        order = inverted.functional_run(300).trace.job_order()
+        assert order == [
+            ("consumer", 1), ("producer", 1),
+            ("consumer", 2), ("producer", 2),
+            ("consumer", 3), ("producer", 3),
+        ]
+        assert run_zero_delay(pair_network, 300).trace.job_order() == [
+            ("producer", 1), ("consumer", 1),
+            ("producer", 2), ("consumer", 2),
+            ("producer", 3), ("consumer", 3),
+        ]
+
+    def test_raising_kernel_names_the_job(self):
+        def boom(ctx):
+            if ctx.k == 2:
+                raise ValueError("boom")
+
+        net = Network("raise")
+        net.add_periodic("p", period=100, kernel=boom)
+        up = UniprocessorFixedPriority(net)
+        with pytest.raises(SemanticsError, match=r"job p\[2\] at t=100 raised"):
+            up.functional_run(300)
 
     def test_sporadic_releases_from_stimulus(self, sporadic_network):
         up = UniprocessorFixedPriority(
