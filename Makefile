@@ -49,13 +49,16 @@ test-ticks:
 		tests/test_rank_memo.py tests/test_data_sharing.py -q
 
 # Reference-semantics lane: the zero-delay and fixed-priority functional
-# runs, traces and action recording, automata, the Prop. 2.1 checker and
-# the data phase against its fresh-context oracle.  Also part of tier-1.
+# runs, traces and action recording, automata, the Prop. 2.1 checker, the
+# data phase against its fresh-context oracle, and the replay consumers
+# (data events, VCD, spans, Gantt and metrics).  Also part of tier-1.
 test-semantics:
 	$(PY) -m pytest tests/test_semantics.py tests/test_uniprocessor.py \
 		tests/test_trace.py tests/test_process_context.py \
 		tests/test_automaton.py tests/test_determinism_checker.py \
-		tests/test_data_phase_equivalence.py -q
+		tests/test_data_phase_equivalence.py tests/test_data_phase_events.py \
+		tests/test_io_vcd.py tests/test_telemetry.py \
+		tests/test_gantt_metrics.py -q
 
 # Error-level lint (ruff.toml: syntax errors / undefined names only).
 # Skips gracefully when ruff is not in the environment; CI installs it.

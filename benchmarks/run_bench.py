@@ -69,7 +69,13 @@ from repro.experiment import (
     ScenarioMatrix,
     run_sweep,
 )
-from repro.runtime import OverheadModel, jittered_execution, run_static_order
+from repro.io import runtime_result_to_vcd
+from repro.runtime import (
+    OverheadModel,
+    jittered_execution,
+    kernel_span_stats,
+    run_static_order,
+)
 from repro.scheduling import (
     find_feasible_schedule,
     list_schedule,
@@ -315,6 +321,25 @@ def _case_fms_data_phase_100(fast: bool):
         {"experiment": "E4/E9", "frames": frames, "jobs": len(graph),
          "mode": "collect_records=False collect_trace=False"},
     )
+
+
+def _case_replay_fms10(fast: bool):
+    """Post-hoc consumers of one stored run: ``kernel_span_stats`` and
+    the VCD dump of a 10-frame FMS result, both replaying its records
+    and its action trace's data events.  The result is built once, so
+    every call after the first replays an already-read trace."""
+    net = build_fms_network()
+    graph = derive_task_graph(net, fms_wcets())
+    schedule = find_feasible_schedule(graph, 1)
+    frames = 2 if fast else 10
+    result = run_static_order(net, schedule, frames)
+
+    def consume():
+        kernel_span_stats(result)
+        runtime_result_to_vcd(result)
+
+    return consume, {"experiment": "E4/E9", "frames": frames,
+                     "jobs": len(graph), "actions": len(result.trace)}
 
 
 #: The 3x3 runtime-only FMS sweep: jitter seeds x overhead models.  The
@@ -783,6 +808,7 @@ CASES: List[Case] = [
     ("jitter_draws_cold", _case_jitter_draws_cold),
     ("fms_sim_timing_100", _case_fms_sim_timing_100),
     ("fms_data_phase_100", _case_fms_data_phase_100),
+    ("replay_fms10", _case_replay_fms10),
     ("fms_sweep_3x3", _case_fms_sweep_3x3),
     ("fms_sweep_3x3_naive", _case_fms_sweep_3x3_naive),
     ("fms_resweep", _case_fms_resweep),

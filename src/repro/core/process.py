@@ -36,7 +36,7 @@ from .channels import (
 )
 from .events import EventGenerator
 from .timebase import Time
-from .trace import LazyTrace, Trace
+from .trace import Trace
 from .trusted import check_trusted_rebind
 
 
@@ -86,16 +86,11 @@ class JobContext:
         self._outputs = outputs
         self._external_inputs = external_inputs
         self._external_outputs = external_outputs
-        # Bind the action recorder once.  Every action is recorded as its
-        # compact tuple (``core/trace.COMPACT_CODES``): a LazyTrace keeps the
-        # tuples as they are, any other Trace builds the action through
-        # ``Trace.record``.
-        self._record: Optional[Callable[[tuple], None]] = None
-        if trace is not None:
-            self._record = (
-                trace.raw.append if trace.__class__ is LazyTrace
-                else trace.record
-            )
+        # Bind the action recorder once: every action is appended to the
+        # trace's ``raw`` list as its compact tuple (``core/trace.COMPACT_CODES``).
+        self._record: Optional[Callable[[tuple], None]] = (
+            trace.raw.append if trace is not None else None
+        )
         #: Optional data-phase hook ``hook(channel, value)`` invoked on every
         #: internal channel write.  Installed by the runtime executor when an
         #: observer consumes ``on_channel_write`` events; ``None`` (the

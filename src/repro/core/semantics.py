@@ -39,7 +39,7 @@ from .invocations import Stimulus
 from .network import Network
 from .process import JobContext
 from .timebase import Time, TimeLike, as_positive_time
-from .trace import LazyTrace, Trace
+from .trace import Trace
 
 
 @dataclass
@@ -131,11 +131,7 @@ def _run_atomic(
     stimulus = stimulus or Stimulus()
     sequence = _invocations(network, h, stimulus)
 
-    # Compact recording: waits and job markers append ``(code, ...)``
-    # tuples, the contexts do the same for channel/variable actions, and
-    # Action objects materialise only if someone reads ``result.trace``
-    # — reference runs inside sweeps never do (see core/trace.LazyTrace).
-    trace = LazyTrace()
+    trace = Trace()
     raw_append = trace.raw.append
     channel_states: Dict[str, ChannelState] = {
         name: spec.new_state() for name, spec in network.channels.items()

@@ -8,8 +8,10 @@ trace (Section II-B):
 
     Trace(PN) = w(t1) ∘ α1 ∘ w(t2) ∘ α2 ...
 
-This module provides immutable action records and the :class:`Trace`
-container.  Traces serve three purposes in this library:
+This module provides immutable action records, their compact tuple
+encoding (:data:`COMPACT_CODES`) and the one :class:`Trace` container,
+which stores the tuples and builds action objects only when read.
+Traces serve three purposes in this library:
 
 1. they are the *definition* of the reference behaviour (zero-delay run);
 2. the determinism checker compares channel-projections of traces produced
@@ -19,7 +21,7 @@ container.  Traces serve three purposes in this library:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from .timebase import Time, time_str
@@ -124,80 +126,12 @@ class JobEnd(Action):
         return f"end {self.process}[{self.k}]"
 
 
-@dataclass
-class Trace:
-    """An execution trace ``α ∈ Act*`` with convenience projections."""
-
-    actions: List[Action] = field(default_factory=list)
-
-    def append(self, action: Action) -> None:
-        self.actions.append(action)
-
-    def record(self, compact: tuple) -> None:
-        """Append the action encoded by *compact* (see :data:`COMPACT_CODES`)."""
-        cls, _ = COMPACT_CODES[compact[0]]
-        self.append(cls(*compact[1:]))
-
-    def extend(self, actions: Iterable[Action]) -> None:
-        self.actions.extend(actions)
-
-    def __iter__(self) -> Iterator[Action]:
-        return iter(self.actions)
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-    def __getitem__(self, i):
-        return self.actions[i]
-
-    # -- projections -----------------------------------------------------
-    def channel_writes(self, channel: Optional[str] = None) -> List[Tuple[str, Any]]:
-        """Sequence of ``(channel, value)`` internal writes, optionally filtered.
-
-        This is the observable the determinism proposition quantifies over
-        ("the sequences of values written at all external and internal
-        channels").
-        """
-        out = []
-        for a in self.actions:
-            if isinstance(a, ChannelWrite) and (channel is None or a.channel == channel):
-                out.append((a.channel, a.value))
-        return out
-
-    def external_writes(self, channel: Optional[str] = None) -> List[Tuple[str, int, Any]]:
-        """Sequence of ``(channel, k, value)`` external output samples."""
-        out = []
-        for a in self.actions:
-            if isinstance(a, ExternalWrite) and (channel is None or a.channel == channel):
-                out.append((a.channel, a.sample_index, a.value))
-        return out
-
-    def job_order(self) -> List[Tuple[str, int]]:
-        """The sequence of completed jobs ``(process, k)`` in start order."""
-        return [(a.process, a.k) for a in self.actions if isinstance(a, JobStart)]
-
-    def waits(self) -> List[Time]:
-        """The time stamps of all ``w(τ)`` actions, in order."""
-        return [a.time for a in self.actions if isinstance(a, Wait)]
-
-    def pretty(self, limit: Optional[int] = None) -> str:
-        """Multi-line human-readable rendering (truncated at *limit* actions)."""
-        items = self.actions if limit is None else self.actions[:limit]
-        lines = [str(a) for a in items]
-        if limit is not None and len(self.actions) > limit:
-            lines.append(f"... ({len(self.actions) - limit} more actions)")
-        return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Lazy traces: record compactly on the hot path, materialise on demand.
-# ----------------------------------------------------------------------
-
-#: Compact encoding of the hot-path actions: one single-character code per
-#: action class, followed by the dataclass fields in declaration order.
-#: The field tuples are cross-checked against the dataclasses at import
-#: time (below), so the encoders in :mod:`repro.core.process` and the
-#: runtime executor cannot silently drift from the action definitions.
+#: Compact encoding of every action: one single-character code per action
+#: class, followed by the dataclass fields in declaration order.  A
+#: :class:`Trace` stores exactly these tuples.  The field tuples are
+#: cross-checked against the dataclasses at import time (below), so the
+#: encoders in :mod:`repro.core.process`, the runtime executor and
+#: :meth:`Trace.append` cannot silently drift from the action definitions.
 COMPACT_CODES = {
     "R": (ChannelRead, ("process", "channel", "value")),
     "W": (ChannelWrite, ("process", "channel", "value")),
@@ -217,49 +151,90 @@ for _cls, _names in COMPACT_CODES.values():
             "update COMPACT_CODES and every compact encoder before shipping"
         )
 
+_ENCODING = {cls: (code, names) for code, (cls, names) in COMPACT_CODES.items()}
 
-class LazyTrace(Trace):
-    """A trace recorded as compact tuples, materialised on first access.
 
-    The simulator's data phase emits on the order of tens of actions per
-    job instance; allocating one frozen dataclass per action dominates the
-    phase even though most callers never read ``result.trace``.  A lazy
-    trace lets producers append ``(code, *fields)`` tuples to :attr:`raw`
-    (see :data:`COMPACT_CODES`) and builds the real :class:`Action`
-    objects only when a consumer first touches :attr:`actions` — exact
-    same sequence, paid for only when someone looks.
+class Trace:
+    """An execution trace ``α ∈ Act*``, recorded as compact tuples.
 
-    Equality works across the eager/lazy divide: a materialised
-    ``LazyTrace`` compares equal to a plain :class:`Trace` holding the
-    same actions, which is what the differential test oracles assert.
+    :attr:`raw` is the one record: a list of ``(code, *fields)`` tuples
+    (:data:`COMPACT_CODES`).  Hot paths (``JobContext``, the zero-delay
+    runner, the executor's data phase) append tuples to it directly;
+    :meth:`append` encodes an :class:`Action`.  :attr:`actions` is a view
+    built with each dataclass's public constructor, extended by the tail
+    of :attr:`raw` it has not built yet, so it always holds every recorded
+    action.  Length and equality are those of :attr:`raw`, and the
+    projections read the tuples without building any action.
     """
 
-    def __init__(self, raw: Optional[list] = None) -> None:
-        self.raw: List[tuple] = raw if raw is not None else []
-        self._actions: Optional[List[Action]] = None
+    def __init__(self, actions: Iterable[Action] = ()) -> None:
+        self.raw: List[tuple] = []
+        self._actions: List[Action] = []
+        self.extend(actions)
+
+    def append(self, action: Action) -> None:
+        code, names = _ENCODING[action.__class__]
+        self.raw.append((code, *(getattr(action, n) for n in names)))
+
+    def extend(self, actions: Iterable[Action]) -> None:
+        for action in actions:
+            self.append(action)
 
     @property
-    def actions(self) -> List[Action]:  # type: ignore[override]
+    def actions(self) -> List[Action]:
         acts = self._actions
-        if acts is None:
-            codes = COMPACT_CODES
-            new = object.__new__
-            oset = object.__setattr__
-            acts = []
-            append = acts.append
-            for rec in self.raw:
-                cls, names = codes[rec[0]]
-                act = new(cls)
-                oset(act, "__dict__", dict(zip(names, rec[1:])))
-                append(act)
-            self._actions = acts
+        acts.extend(COMPACT_CODES[r[0]][0](*r[1:]) for r in self.raw[len(acts):])
         return acts
 
+    def __iter__(self) -> Iterator[Action]:
+        return iter(self.actions)
+
     def __len__(self) -> int:
-        # Cheap even before materialisation (used by guards and tests).
-        return len(self.raw) if self._actions is None else len(self._actions)
+        return len(self.raw)
+
+    def __getitem__(self, i):
+        return self.actions[i]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Trace):
-            return self.actions == other.actions
+            return self.raw == other.raw
         return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Trace({self.actions!r})"
+
+    # -- projections -----------------------------------------------------
+    def channel_writes(self, channel: Optional[str] = None) -> List[Tuple[str, Any]]:
+        """Sequence of ``(channel, value)`` internal writes, optionally filtered.
+
+        This is the observable the determinism proposition quantifies over
+        ("the sequences of values written at all external and internal
+        channels").
+        """
+        return [
+            (r[2], r[3]) for r in self.raw
+            if r[0] == "W" and (channel is None or r[2] == channel)
+        ]
+
+    def external_writes(self, channel: Optional[str] = None) -> List[Tuple[str, int, Any]]:
+        """Sequence of ``(channel, k, value)`` external output samples."""
+        return [
+            (r[2], r[3], r[4]) for r in self.raw
+            if r[0] == "w" and (channel is None or r[2] == channel)
+        ]
+
+    def job_order(self) -> List[Tuple[str, int]]:
+        """The sequence of completed jobs ``(process, k)`` in start order."""
+        return [(r[1], r[2]) for r in self.raw if r[0] == "S"]
+
+    def waits(self) -> List[Time]:
+        """The time stamps of all ``w(τ)`` actions, in order."""
+        return [r[1] for r in self.raw if r[0] == "T"]
+
+    def pretty(self, limit: Optional[int] = None) -> str:
+        """Multi-line human-readable rendering (truncated at *limit* actions)."""
+        items = self.actions if limit is None else self.actions[:limit]
+        lines = [str(a) for a in items]
+        if limit is not None and len(self) > limit:
+            lines.append(f"... ({len(self) - limit} more actions)")
+        return "\n".join(lines)

@@ -247,33 +247,19 @@ class Experiment:
         The first call executes the scenario and caches the result; later
         calls return the cache.  *observers* attach live on the first (or a
         ``force=True``) execution; on a cached result they are fed through
-        :func:`~repro.runtime.observers.replay` instead — falling back to a
-        fresh execution when the stored result cannot be replayed (records
-        or trace suppressed by the scenario's fast-mode flags).
+        :func:`~repro.runtime.observers.replay` instead.  When ``replay``
+        refuses the stored result for these observers (records suppressed,
+        or a data consumer on a trace-suppressed result), it does so before
+        any hook fires, and the scenario is executed afresh with them.
         """
         if self._result is not None and not force:
             if observers:
-                if not self._replayable_for(observers):
-                    return self._execute(observers)
                 try:
                     replay(self._result, *observers)
                 except RuntimeModelError:
                     return self._execute(observers)
             return self._result
         return self._execute(observers)
-
-    def _replayable_for(self, observers: Sequence[ExecutionObserver]) -> bool:
-        """Can the cached result feed *observers* everything they consume?
-
-        ``replay`` raises for record-suppressed results but silently skips
-        data-phase events when the trace was suppressed — a data-consuming
-        observer would then aggregate nothing; such observers get a fresh
-        execution instead.
-        """
-        result = self._result
-        if result.trace_collected or not result.data_collected:
-            return True
-        return not any(ob.consumes_data for ob in observers)
 
     def _execute(self, observers: Sequence[ExecutionObserver]) -> RuntimeResult:
         s = self.scenario

@@ -9,7 +9,8 @@ simulated run as an IEEE-1364 VCD file with:
 * a ``runtime_overhead`` wire covering the frame-arrival overhead windows;
 * one wire per internal channel (``c_<name>``), pulsing one tick at each
   write — fed by the executor's data-phase ``on_channel_write`` events, so
-  the wires appear whenever the observed run executed its data phase.
+  the wires appear whenever the observed run executed its data phase
+  (live, or replayed from a result that retained its action trace).
 
 The serialiser consumes a :class:`~repro.runtime.observers.TraceObserver` —
 the waveform-shaped event sink of the executor's observer protocol — so a
@@ -161,12 +162,14 @@ def runtime_result_to_vcd(
     module: str = "fppn",
 ) -> str:
     """Serialise a finished run as VCD text (replays it through a
-    :class:`~repro.runtime.observers.TraceObserver`)."""
-    if not result.records_collected:
-        raise VcdError(
-            "cannot dump a result produced with collect_records=False — "
-            "attach a TraceObserver to run() and use trace_to_vcd instead"
-        )
+    :class:`~repro.runtime.observers.TraceObserver`).
+
+    :func:`~repro.runtime.observers.replay` refuses a result produced with
+    ``collect_records=False`` or, when its data phase ran, with
+    ``collect_trace=False``: the ``c_<name>`` wires need a live run or a
+    retained trace.  Attach a ``TraceObserver`` to ``run()`` and use
+    :func:`trace_to_vcd` for such runs.
+    """
     trace = TraceObserver()
     replay(result, trace)
     return trace_to_vcd(trace, timescale_ms, module)

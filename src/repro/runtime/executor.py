@@ -76,7 +76,7 @@ from ..core.invocations import Stimulus
 from ..core.network import Network
 from ..core.process import JobContext, KernelBehavior
 from ..core.timebase import Time, TimeLike, as_positive_time, as_time
-from ..core.trace import LazyTrace, Trace
+from ..core.trace import Trace
 from ..taskgraph.graph import TaskGraph
 from ..taskgraph.jobs import Job
 from ..scheduling.schedule import StaticSchedule
@@ -331,9 +331,10 @@ class RuntimeResult:
     data_collected: bool = True
     #: False when the run was made with ``collect_trace=False`` (or
     #: ``records_only=True``, where no data phase produced actions): the
-    #: empty ``trace`` then means "not retained", not "no actions", and
-    #: :func:`~repro.runtime.observers.replay` refuses to re-emit
-    #: data-phase events from it.
+    #: empty ``trace`` then means "not retained", not "no actions".  When
+    #: the data phase ran, :func:`~repro.runtime.observers.replay` then
+    #: refuses any observer that consumes data events, before any hook
+    #: fires; timing-only observers still replay the result.
     trace_collected: bool = True
 
     def _require_records(self) -> None:
@@ -991,11 +992,7 @@ class MultiprocessorExecutor:
             name: ExternalOutputState(spec)
             for name, spec in network.external_outputs.items()
         }
-        # The trace is recorded compactly and materialised only if a
-        # consumer reads ``result.trace`` — most sweeps never do, and the
-        # per-action dataclass allocation would otherwise dominate the
-        # phase (see core/trace.LazyTrace).
-        trace = LazyTrace() if collect_trace else None
+        trace = Trace() if collect_trace else None
         trace_append = trace.raw.append if trace is not None else None
         from_ticks = dom.from_ticks
         memo_get = frac_memo.get

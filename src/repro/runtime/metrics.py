@@ -25,8 +25,9 @@ class _TimingMetricsObserver(MetricsObserver):
 
     The record-derived metrics below need only the timing event stream;
     presenting un-overridden data hooks lets :func:`replay` skip the trace
-    materialisation and per-action walk entirely (and keeps these helpers
-    working on results whose trace was suppressed).
+    walk entirely.  It is also the timing path for results produced with
+    ``collect_trace=False``: ``replay`` refuses those to any observer that
+    consumes data events, but not to this one.
     """
 
     on_job_data_start = ExecutionObserver.on_job_data_start
@@ -70,9 +71,9 @@ def kernel_span_stats(result: RuntimeResult) -> Dict[str, KernelSpanStats]:
     """Per-process kernel-span statistics of a finished run.
 
     Replays the stored run through a
-    :class:`~repro.runtime.observers.MetricsObserver`; requires the run to
-    have collected both records and the action trace (the replay source of
-    the data-phase events).
+    :class:`~repro.runtime.observers.MetricsObserver`; ``replay`` refuses
+    a run that kept no records, or whose data phase ran without keeping
+    the action trace (the replay source of the data-phase events).
     """
     return _data_metrics_of(result).kernel_span_stats()
 

@@ -54,8 +54,11 @@ without the result accumulating per-instance data, and with no observers
 attached records are never even built — the determinism matrix's
 observable-only fast path.  ``run(collect_trace=False)`` suppresses the
 :class:`~repro.core.trace.Trace` action log (``result.trace`` stays
-empty); live data-phase events still fire, but such a result cannot
-re-emit them through :func:`replay`.
+empty); live data-phase events still fire, but :func:`replay` refuses
+to feed such a result to an observer that consumes data events.
+:func:`replay` is the one place that decides what a stored result can
+re-emit: it refuses up front, before any hook fires, whatever it
+cannot re-emit in full.
 """
 
 from __future__ import annotations
@@ -64,7 +67,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
 from ..core.timebase import Time, ZERO
-from ..core.trace import ChannelWrite, JobEnd, JobStart
 from ..errors import RuntimeModelError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -185,23 +187,23 @@ def replay(result: "RuntimeResult", *observers: ExecutionObserver) -> None:
     """Re-emit a finished run's events through *observers*.
 
     Lets every event consumer work identically live (``run(observers=...)``)
-    and post-hoc (on a stored :class:`RuntimeResult`).  Results produced
-    with ``collect_records=False`` cannot be replayed — their empty record
-    list would misreport every count as zero — so they are rejected here;
-    attach the observers during the run instead.
+    and post-hoc (on a stored :class:`RuntimeResult`).  Data-phase events
+    (``on_job_data_start/end``, ``on_channel_write``) are reconstructed
+    from the stored trace's compact ``S``/``W``/``E`` tuples, which carry
+    the exact live emission order, joined with the records for the span
+    timestamps.  A ``records_only`` result replays no data events (the
+    data phase never ran, so none were emitted live either).
 
-    Data-phase events (``on_job_data_start/end``, ``on_channel_write``) are
-    reconstructed from the stored :class:`~repro.core.trace.Trace` — its
-    ``JobStart``/``ChannelWrite``/``JobEnd`` actions carry the exact live
-    emission order — joined with the records for the span timestamps.  A
-    ``records_only`` result replays no data events (the data phase never
-    ran, so none were emitted live either).  A result whose trace was
-    *suppressed* (``collect_trace=False``) also replays none — the
-    timing-event stream (and every record-derived metric) stays fully
-    usable, while data-derived aggregates refuse to report from the
-    eventless replay (see
-    :meth:`MetricsObserver.kernel_span_stats`); attach data consumers to
-    ``run()`` to aggregate such runs live.
+    What a stored result cannot re-emit in full is refused with
+    :class:`~repro.errors.RuntimeModelError` before any hook fires:
+
+    * any replay of a ``collect_records=False`` result, whose empty record
+      list would misreport every count as zero;
+    * a replay into an observer whose class consumes data events, of a
+      ``collect_trace=False`` result whose data phase ran: its data events
+      were not retained.  Timing-only observers still replay it.
+
+    Attach such observers to ``run()`` instead.
     """
     if not result.records_collected:
         raise RuntimeModelError(
@@ -209,6 +211,12 @@ def replay(result: "RuntimeResult", *observers: ExecutionObserver) -> None:
             "job records were not retained; attach observers to run() instead"
         )
     data_observers = [ob for ob in observers if ob.consumes_data]
+    if data_observers and result.data_collected and not result.trace_collected:
+        raise RuntimeModelError(
+            "cannot replay data-phase events of a result produced with "
+            "collect_trace=False — the action trace was not retained; "
+            "attach data-consuming observers to run() instead"
+        )
     meta = RunMeta(
         network=result.network_name,
         processors=result.processors,
@@ -223,23 +231,23 @@ def replay(result: "RuntimeResult", *observers: ExecutionObserver) -> None:
     for rec in result.records:
         for ob in observers:
             ob.on_record(rec)
-    if data_observers and result.data_collected and result.trace_collected:
+    if data_observers and result.data_collected:
         record_of = {
             (r.process, r.global_k): r for r in result.records if not r.is_false
         }
         rec = None
-        for act in result.trace:
-            cls = act.__class__
-            if cls is JobStart:
-                rec = record_of[(act.process, act.k)]
+        for act in result.trace.raw:
+            code = act[0]
+            if code == "S":
+                rec = record_of[(act[1], act[2])]
                 for ob in data_observers:
-                    ob.on_job_data_start(act.process, act.k, rec.frame, rec.start)
-            elif cls is ChannelWrite:
+                    ob.on_job_data_start(act[1], act[2], rec.frame, rec.start)
+            elif code == "W":
                 for ob in data_observers:
-                    ob.on_channel_write(act.process, act.channel, act.value, rec.start)
-            elif cls is JobEnd:
+                    ob.on_channel_write(act[1], act[2], act[3], rec.start)
+            elif code == "E":
                 for ob in data_observers:
-                    ob.on_job_data_end(act.process, act.k, rec.frame, rec.end)
+                    ob.on_job_data_end(act[1], act[2], rec.frame, rec.end)
     for ob in observers:
         ob.on_run_end(result)
 
@@ -313,7 +321,6 @@ class MetricsObserver(ExecutionObserver):
         self._span_total: Dict[str, Time] = {}
         self._span_max: Dict[str, Time] = {}
         self._channel_writes: Dict[str, int] = {}
-        self._data_events_unavailable = False
 
     def on_run_start(self, meta: RunMeta) -> None:
         # Full reset: one observer instance can be reused across runs
@@ -340,7 +347,6 @@ class MetricsObserver(ExecutionObserver):
         self._span_total = {}
         self._span_max = {}
         self._channel_writes = {}
-        self._data_events_unavailable = False
 
     def on_record(self, record: "JobRecord") -> None:
         self.total_jobs += 1
@@ -442,20 +448,6 @@ class MetricsObserver(ExecutionObserver):
         }
         self._channel_writes = dict(writes)
 
-    def on_run_end(self, result: "RuntimeResult") -> None:
-        # A replay of a trace-suppressed result emits no data events even
-        # though the data phase ran; flag it so the data-derived accessors
-        # refuse to misreport every span/write count as absent.  (A live
-        # run with collect_trace=False still streams all data events, and
-        # either way the flag is only raised when none arrived.)
-        if (
-            result.data_collected
-            and not result.trace_collected
-            and not self._span_count
-            and not self._channel_writes
-        ):
-            self._data_events_unavailable = True
-
     # -- consumers ------------------------------------------------------
     def _require_run(self) -> None:
         if self.meta is None:
@@ -524,26 +516,17 @@ class MetricsObserver(ExecutionObserver):
         self._require_tracked(self._track_frame_spans, "track_frame_spans")
         return list(self._frame_spans)
 
-    def _require_data_events(self) -> None:
-        if self._data_events_unavailable:
-            raise RuntimeModelError(
-                "this observer replayed a result produced with "
-                "collect_trace=False — the data-phase events were not "
-                "retained, so span/write aggregates would misreport as "
-                "empty; attach the observer to run() instead"
-            )
-
     def kernel_span_stats(self) -> Dict[str, "KernelSpanStats"]:
         """Per-process kernel-span statistics from the data-phase events.
 
         Empty when the run emitted no data events (``records_only=True``
-        runs have no data phase).  Raises when this observer replayed a
-        trace-suppressed result, whose data events cannot be reconstructed.
+        runs have no data phase).  :func:`replay` refuses to feed this
+        observer a trace-suppressed result, so the spans are never
+        silently missing.
         """
         from .metrics import KernelSpanStats
 
         self._require_run()
-        self._require_data_events()
         return {
             name: KernelSpanStats(
                 jobs=count,
@@ -558,7 +541,6 @@ class MetricsObserver(ExecutionObserver):
         """Number of internal channel writes observed, per written
         channel, sorted by channel name."""
         self._require_run()
-        self._require_data_events()
         return dict(sorted(self._channel_writes.items()))
 
 

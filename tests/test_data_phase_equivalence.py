@@ -35,7 +35,7 @@ from repro.apps import (
 from repro.core import Network
 from repro.core.channels import is_no_data
 from repro.core.invocations import Stimulus
-from repro.core.trace import LazyTrace, Trace
+from repro.core.trace import Trace
 from repro.runtime import (
     OverheadModel,
     jittered_execution,
@@ -128,7 +128,7 @@ def assert_same_observables(ours, ref):
     assert ours.channel_logs == channel_logs
     assert ours.external_outputs == external_outputs
     assert list(ours.trace) == list(trace)
-    assert ours.trace == trace  # LazyTrace == eager Trace cross-check
+    assert ours.trace == trace  # compact tuples == the oracle's trace
 
 
 # ----------------------------------------------------------------------
@@ -235,7 +235,7 @@ def test_lazy_trace_materialises_identically():
     net, graph, m, stim = fig1()
     schedule = list_schedule(graph, m, "alap")
     result = run_static_order(net, schedule, 2, stim)
-    assert isinstance(result.trace, LazyTrace)
+    assert isinstance(result.trace, Trace)
     eager = Trace(list(result.trace))
     # Equality across the eager/lazy divide, both orientations.
     assert result.trace == eager

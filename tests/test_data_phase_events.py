@@ -177,25 +177,20 @@ class TestReplayRoundTrip:
         )
 
         result = run_with([], collect_trace=False)
-        # Data events cannot be reconstructed: custom data consumers see
-        # nothing rather than a partial stream.
-        log = DataEventLog()
-        replay(result, log)
-        assert log.events == []
         # Every record-derived metric keeps working post hoc...
         full = run_with([])
         assert miss_summary(result) == miss_summary(full)
         assert response_times(result) == response_times(full)
         assert processor_utilization(result) == processor_utilization(full)
         assert frame_makespans(result) == frame_makespans(full)
-        # ...but the data-derived aggregates refuse to misreport as empty.
-        m = MetricsObserver()
-        replay(result, m)
-        assert m.miss_summary() == miss_summary(full)
+        # ...but data events cannot be reconstructed, so replay refuses
+        # every data consumer up front rather than feed it nothing.
+        log, m = DataEventLog(), MetricsObserver()
         with pytest.raises(RuntimeModelError, match="collect_trace=False"):
-            m.kernel_span_stats()
+            replay(result, log)
         with pytest.raises(RuntimeModelError, match="collect_trace=False"):
-            m.channel_write_counts()
+            replay(result, m)
+        assert log.events == [] and m.meta is None
         with pytest.raises(RuntimeModelError, match="collect_trace=False"):
             kernel_span_stats(result)
 
@@ -204,6 +199,60 @@ class TestReplayRoundTrip:
         log = DataEventLog()
         replay(result, log)
         assert log.events == []
+
+
+class CountingDataObserver(DataEventLog):
+    """A custom data consumer that also counts run starts."""
+
+    def __init__(self):
+        super().__init__()
+        self.run_starts = 0
+
+    def on_run_start(self, meta):
+        self.run_starts += 1
+
+
+class TestSuppressedTraceReplay:
+    """A ``collect_trace=False`` result whose data phase ran cannot
+    re-emit data events: replay refuses every data consumer before any
+    hook fires, and timing-only consumers still match the full run."""
+
+    def test_trace_observer_is_refused_before_any_hook(self):
+        result = run_with([], collect_trace=False)
+        obs = TraceObserver()
+        with pytest.raises(RuntimeModelError, match="collect_trace=False"):
+            replay(result, obs)
+        assert obs.meta is None and obs.channel_write_times == {}
+
+    def test_span_observer_is_refused_before_any_hook(self):
+        from repro.runtime.telemetry import SpanObserver
+
+        result = run_with([], collect_trace=False)
+        obs = SpanObserver()
+        with pytest.raises(RuntimeModelError, match="collect_trace=False"):
+            replay(result, obs)
+        assert obs.spans == []
+
+    def test_custom_data_observer_sees_no_run_start(self):
+        result = run_with([], collect_trace=False)
+        timing, data = MetricsObserver(), CountingDataObserver()
+        with pytest.raises(RuntimeModelError, match="collect_trace=False"):
+            replay(result, timing, data)
+        assert data.run_starts == 0 and data.events == []
+        assert timing.meta is None
+
+    def test_vcd_is_refused(self):
+        result = run_with([], collect_trace=False)
+        with pytest.raises(RuntimeModelError, match="collect_trace=False"):
+            runtime_result_to_vcd(result)
+
+    def test_timing_consumers_match_the_full_run(self):
+        from repro.runtime import miss_summary, runtime_gantt
+
+        result = run_with([], collect_trace=False)
+        full = run_with([])
+        assert runtime_gantt(result) == runtime_gantt(full)
+        assert miss_summary(result) == miss_summary(full)
 
 
 class TestGuardedAccessors:

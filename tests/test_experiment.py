@@ -376,6 +376,29 @@ class TestExperimentCaching:
         assert exp.run(observers=[timing]) is exp._result
         assert timing.total_jobs == 10
 
+    def test_data_observer_on_trace_suppressed_cache_runs_once(self):
+        from repro.runtime import ExecutionObserver
+
+        class Writes(ExecutionObserver):
+            def __init__(self):
+                self.run_starts = 0
+                self.writes = 0
+
+            def on_run_start(self, meta):
+                self.run_starts += 1
+
+            def on_channel_write(self, process, channel, value, time):
+                self.writes += 1
+
+        exp = Experiment(fig1_scenario(n_frames=2, collect_trace=False))
+        first = exp.run()
+        obs = Writes()
+        second = exp.run(observers=[obs])
+        assert second is not first
+        assert obs.run_starts == 1
+        assert obs.writes == sum(len(v) for v in second.channel_logs.values())
+        assert obs.writes > 0
+
     def test_metrics_accessor(self):
         exp = Experiment(fig1_scenario(n_frames=2))
         m = exp.metrics()

@@ -427,7 +427,7 @@ class TestObserverRule:
         assert not _TimingMetricsObserver.consumes_data
         assert not _TimingMetricsObserver.data_tick_fed
         result = fig1_run()
-        result.trace = Unwalkable()
+        result.trace.raw = Unwalkable(result.trace.raw)
         timing = _TimingMetricsObserver()
         replay(result, timing)
         assert timing.total_jobs == len(result.records)

@@ -147,17 +147,25 @@ class TestTracing:
         ctx, _, _, _ = make_ctx(trace=None)
         ctx.write("out_c", 1)  # must not raise
 
-    def test_trace_subclass_append_sees_every_action(self):
-        """A Trace subclass that overrides ``append`` receives every
-        recorded action as an ``Action`` object."""
-        seen = []
+    @pytest.mark.parametrize("first_read", ["actions", "channel_writes"])
+    def test_write_after_a_read_is_recorded(self, first_read):
+        trace = Trace()
+        ctx, _, _, _ = make_ctx(trace=trace)
+        ctx.write("out_c", 1)
+        if first_read == "actions":
+            assert trace.actions == [ChannelWrite("p", "out_c", 1)]
+        else:
+            assert trace.channel_writes() == [("out_c", 1)]
+        ctx.write("out_c", 2)
+        assert len(trace) == 2
+        assert trace.raw == [("W", "p", "out_c", 1), ("W", "p", "out_c", 2)]
+        assert trace.channel_writes() == [("out_c", 1), ("out_c", 2)]
+        assert trace.actions == [
+            ChannelWrite("p", "out_c", 1), ChannelWrite("p", "out_c", 2)
+        ]
 
-        class Spy(Trace):
-            def append(self, action):
-                seen.append(action)
-                super().append(action)
-
-        trace = Spy()
+    def test_every_action_is_recorded_as_its_compact_tuple(self):
+        trace = Trace()
         ctx, fifo, _, _ = make_ctx(trace=trace)
         fifo.write("v")
         ctx.read("in_c")
@@ -165,7 +173,14 @@ class TestTracing:
         ctx.read_input("i")
         ctx.write_output("done")
         ctx.assign("x", 3)
-        assert seen == trace.actions == [
+        assert trace.raw == [
+            ("R", "p", "in_c", "v"),
+            ("W", "p", "out_c", 1),
+            ("r", "p", "i", 1, "sample-1"),
+            ("w", "p", "o", 1, "done"),
+            ("A", "p", "x", 3),
+        ]
+        assert trace.actions == [
             ChannelRead("p", "in_c", "v"),
             ChannelWrite("p", "out_c", 1),
             ExternalRead("p", "i", 1, "sample-1"),

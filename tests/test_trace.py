@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from repro.core.trace import (
     COMPACT_CODES,
     Assign,
@@ -11,7 +13,6 @@ from repro.core.trace import (
     ExternalWrite,
     JobEnd,
     JobStart,
-    LazyTrace,
     Trace,
     Wait,
 )
@@ -47,8 +48,9 @@ class TestContainer:
 
 
 class TestRecord:
-    """``Trace.record`` builds each compact action with its public
-    constructor, equal to a ``LazyTrace``'s materialisation of it."""
+    """Every compact code both ways: ``append`` of the public constructor
+    encodes to the tuple, and materialising the tuple equals the public
+    constructor."""
 
     FIELD_VALUES = {
         "process": "p", "channel": "c", "variable": "x", "value": (1, "v"),
@@ -59,34 +61,64 @@ class TestRecord:
         _, names = COMPACT_CODES[code]
         return (code, *(self.FIELD_VALUES[n] for n in names))
 
+    def public(self, code):
+        cls, names = COMPACT_CODES[code]
+        return cls(**{n: self.FIELD_VALUES[n] for n in names})
+
     def test_every_code_matches_the_public_constructor(self):
-        for code, (cls, names) in COMPACT_CODES.items():
+        for code, (cls, _) in COMPACT_CODES.items():
             trace = Trace()
-            trace.record(self.compact(code))
-            expected = cls(**{n: self.FIELD_VALUES[n] for n in names})
-            assert trace.actions == [expected]
+            trace.append(self.public(code))
+            assert trace.raw == [self.compact(code)]
+            assert trace.actions == [self.public(code)]
             assert type(trace.actions[0]) is cls
 
     def test_every_code_matches_lazy_materialisation(self):
-        compacts = [self.compact(code) for code in COMPACT_CODES]
-        eager = Trace()
-        for rec in compacts:
-            eager.record(rec)
-        lazy = LazyTrace(list(compacts))
-        assert lazy.actions == eager.actions
-        assert lazy == eager
+        trace = Trace()
+        trace.raw.extend(self.compact(code) for code in COMPACT_CODES)
+        expected = [self.public(code) for code in COMPACT_CODES]
+        assert trace.actions == expected
+        assert [type(a) for a in trace] == [type(a) for a in expected]
+        assert trace == Trace(expected)
 
-    def test_record_goes_through_append(self):
-        seen = []
+    def test_constructor_and_extend_encode_like_append(self):
+        actions = [self.public(code) for code in COMPACT_CODES]
+        appended = Trace()
+        for action in actions:
+            appended.append(action)
+        extended = Trace()
+        extended.extend(actions)
+        assert Trace(actions).raw == extended.raw == appended.raw
+        assert Trace(actions) == extended == appended
+        assert Trace(actions) != Trace(actions[:-1])
 
-        class Spy(Trace):
-            def append(self, action):
-                seen.append(action)
-                super().append(action)
 
-        trace = Spy()
-        trace.record(self.compact("W"))
-        assert seen == [ChannelWrite("p", "c", (1, "v"))] == trace.actions
+class TestIncrementalView:
+    """``actions`` always holds every recorded action, however reads and
+    writes interleave."""
+
+    WRITERS = {
+        "raw": lambda trace, v: trace.raw.append(("W", "p", "c", v)),
+        "append": lambda trace, v: trace.append(ChannelWrite("p", "c", v)),
+    }
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    @pytest.mark.parametrize("first_read", ["actions", "channel_writes"])
+    def test_a_write_after_a_read_is_seen(self, writer, first_read):
+        write, trace = self.WRITERS[writer], Trace()
+        write(trace, 1)
+        if first_read == "actions":
+            assert trace.actions == [ChannelWrite("p", "c", 1)]
+        else:
+            assert trace.channel_writes() == [("c", 1)]
+        write(trace, 2)
+        assert len(trace) == 2
+        assert trace.raw == [("W", "p", "c", 1), ("W", "p", "c", 2)]
+        assert trace.channel_writes() == [("c", 1), ("c", 2)]
+        assert trace.actions == [
+            ChannelWrite("p", "c", 1), ChannelWrite("p", "c", 2)
+        ]
+        assert trace.actions is trace.actions
 
 
 class TestProjections:
