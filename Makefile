@@ -16,14 +16,14 @@ test-faults:
 		tests/test_sweep_store.py -q
 
 # Sweep-engine lane: the pool's policy core in simulated time, the resident
-# pool and its liveness, the serial/workers/pool backends against each other,
-# the sweep-row codec at every boundary, and the served path's parent side.
+# pool and its liveness, the serial/workers/pool backends, the sweep-row
+# codec, the served path's parent side, the orchestrator and served sweeps.
 # Spawns real worker processes; also part of the tier-1 run.
 test-pool:
 	$(PY) -m pytest tests/test_pool_core.py tests/test_sweep_pool.py \
 		tests/test_sweep_parallel.py tests/test_sweep_backends.py \
 		tests/test_sweep_wire.py tests/test_service_path.py \
-		tests/test_pool_liveness.py -q
+		tests/test_pool_liveness.py tests/test_service.py -q
 
 # Heterogeneous-platform lane: scheduling, search, feasibility and runs on
 # homogeneous, speed-scaled and big/little platforms against the

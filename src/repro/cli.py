@@ -322,8 +322,7 @@ def _parse_server_config(data: Any, path: str) -> Dict[str, Any]:
         )
     fields = (
         Field("host", text), Field("port", integer(0)),
-        Field("store", optional(text)),
-        *(f for f in POOL_OPTIONS if f.name != "retry_backoff"),
+        Field("store", optional(text)), *POOL_OPTIONS,
     )
     try:
         return decode_fields(fields, data, "fppn-server", ("format", "version"))

@@ -126,5 +126,5 @@ class UnknownTicketError(ServiceError):
     Raised for ids that never existed *and* for finished tickets whose
     records were garbage-collected by the orchestrator's bounded ticket
     history — callers distinguishing the two must poll before the record
-    ages out of the ``max_finished_tickets`` window.
+    ages out of the newest 256 finished tickets the orchestrator keeps.
     """

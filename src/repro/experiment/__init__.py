@@ -11,10 +11,10 @@ This package is the scenario-scale entry point to the paper's pipeline:
   :meth:`~Experiment.report`) with observers attachable at any stage;
 * :class:`ScenarioMatrix` + :func:`run_sweep` — STOMP-style cartesian
   sweeps over scenario fields with stage-aware derivation/schedule reuse
-  and observer-streaming execution; ``run_sweep(workers=N)`` fans
-  the cells out across spawned worker processes, one task per
-  schedule-key group (:func:`schedule_key_groups`), with rows
-  bit-identical to a serial run;
+  and observer-streaming execution (rows hold metrics, not runs);
+  ``run_sweep(workers=N)`` fans the cells out across spawned worker
+  processes, one task per schedule-key group, with rows bit-identical
+  to a serial run;
 * :class:`SweepPool` — the resident sweep service
   (:mod:`repro.experiment.pool`): spawn the workers once, keep their
   per-schedule-key caches warm across many :meth:`~SweepPool.submit`
@@ -64,8 +64,6 @@ from .sweep import (
     SweepStats,
     TIMING_METRICS,
     run_sweep,
-    schedule_key_groups,
-    serial_fallback_reason,
 )
 
 __all__ = [
@@ -94,6 +92,4 @@ __all__ = [
     "TIMING_METRICS",
     "run_sweep",
     "scenario_hash",
-    "schedule_key_groups",
-    "serial_fallback_reason",
 ]

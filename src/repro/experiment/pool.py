@@ -53,6 +53,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..errors import ModelError, SweepError
 from .experiment import PipelineCache
 from .faults import FaultPlan
+from . import pool_core
 from .fields import check_values
 from .pool_core import POOL_OPTIONS, LRU, PoolCore, PoolEvent, Submission
 from .store import ScenarioKeys, SweepStore
@@ -439,7 +440,7 @@ class SweepPool:
         Maximum resident worker processes.  Slots are spawned lazily as
         groups demand them (a submission fully served by its checkpoint
         store spawns nothing) and then stay alive until :meth:`close`.
-    group_timeout, max_retries, retry_backoff:
+    group_timeout, max_retries:
         The supervision policy of every submission; semantics identical
         to :func:`~repro.experiment.sweep.run_sweep`.
     max_cached_groups, max_cached_payloads:
@@ -456,14 +457,12 @@ class SweepPool:
         *,
         group_timeout: Optional[float] = None,
         max_retries: int = 2,
-        retry_backoff: float = 0.25,
         max_cached_groups: int = 8,
         max_cached_payloads: int = 64,
     ) -> None:
         check_values(
             POOL_OPTIONS, workers=workers, group_timeout=group_timeout,
-            max_retries=max_retries, retry_backoff=retry_backoff,
-            max_cached_groups=max_cached_groups,
+            max_retries=max_retries, max_cached_groups=max_cached_groups,
             max_cached_payloads=max_cached_payloads,
         )
         self.workers = workers
@@ -471,7 +470,7 @@ class SweepPool:
         self.max_cached_payloads = max_cached_payloads
         self._core = PoolCore(
             workers, max_cached_groups, group_timeout, max_retries,
-            retry_backoff, payload_bound=max_cached_payloads,
+            pool_core._RETRY_BACKOFF, payload_bound=max_cached_payloads,
         )
         #: Worker processes, indexed like the core's slots.
         self._slots: List[_Worker] = []
@@ -550,7 +549,6 @@ class SweepPool:
         matrix: ScenarioMatrix,
         metrics: Sequence[str] = DEFAULT_METRICS,
         *,
-        cells: Optional[Sequence[SweepCell]] = None,
         store: Optional[SweepStore] = None,
         faults: Optional[FaultPlan] = None,
         on_error: str = "capture",
@@ -588,12 +586,7 @@ class SweepPool:
         metrics, want_data = _check_request(
             "SweepPool.submit", metrics, on_error
         )
-        cells = list(matrix.cells() if cells is None else cells)
-        # Count the cells actually submitted: an explicit ``cells=``
-        # subset (a resubmission of failed/missing cells, say) must not
-        # report the full matrix size — ``table()``'s "interrupted:
-        # N/M cells" line and any hit-rate computed from ``stats.cells``
-        # would misreport the subset run.
+        cells = list(matrix.cells())
         book = _SweepBook(
             dict(matrix.axes), cells, metrics, want_data,
             SweepStats(cells=len(cells)),

@@ -51,13 +51,16 @@ __all__ = ["Group", "LRU", "PoolCore", "PoolEvent", "Slot", "Submission"]
 #: bounds a hang, it is no performance budget.
 _BOOT_TIMEOUT = 120.0
 
+#: Base seconds of the exponential backoff before a group's redispatch
+#: (``_RETRY_BACKOFF * 2**retries_so_far``) in a ``SweepPool``.
+_RETRY_BACKOFF = 0.25
+
 #: A pool's options, checked here for ``SweepPool``, ``run_sweep`` and the
 #: fppn-server document of ``repro serve``; the defaults are SweepPool's.
 POOL_OPTIONS: Tuple[Field, ...] = (
     Field("workers", integer(1)),
     Field("group_timeout", optional(real("> 0", lambda t: t > 0))),
     Field("max_retries", integer(0)),
-    Field("retry_backoff", real(">= 0", lambda t: t >= 0)),
     Field("max_cached_groups", integer(1)),
     Field("max_cached_payloads", integer(1)),
 )
@@ -184,7 +187,7 @@ class PoolCore:
 
     def __init__(
         self, workers: int, warm_bound: int, group_timeout: Optional[float] = None,
-        max_retries: int = 2, retry_backoff: float = 0.25,
+        max_retries: int = 2, retry_backoff: float = _RETRY_BACKOFF,
         payload_bound: int = 0,
     ) -> None:
         self.workers = workers

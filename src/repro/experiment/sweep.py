@@ -34,7 +34,7 @@ Two properties make sweeps cheap at scenario scale:
   channel_writes`; the others run timing only.  A cell whose frames
   overlap (a frame's jobs ending past the next frame's start) neither
   reads nor fills the shared counts and runs its own data phase.
-  Retained results and data-consuming extra observers always run it.
+  Data-consuming extra observers always run it.
 
 Rows are deterministic: the same matrix produces bit-identical rows on
 every run (exact rational metrics; jitter models are seed-keyed), which is
@@ -89,7 +89,6 @@ from typing import (
 from ..core.platform import Platform
 from ..core.timebase import ZERO
 from ..errors import ModelError, RuntimeModelError
-from ..runtime.executor import RuntimeResult
 from ..runtime.overheads import OverheadModel
 from ..runtime.observers import ExecutionObserver, MetricsObserver
 from .experiment import PipelineCache
@@ -110,8 +109,6 @@ __all__ = [
     "SweepStats",
     "TIMING_METRICS",
     "run_sweep",
-    "schedule_key_groups",
-    "serial_fallback_reason",
 ]
 
 #: Metrics computable from timing events alone (``on_record`` stream) —
@@ -266,9 +263,6 @@ class SweepRow:
 
     cell: Dict[str, Any]
     metrics: Dict[str, Any]
-    #: Retained only with ``run_sweep(..., keep_results=True)``; excluded
-    #: from equality so streaming and retaining sweeps compare by content.
-    result: Optional[RuntimeResult] = field(default=None, compare=False)
     #: Set only on failed rows (``SweepResult.failed_rows``); healthy rows
     #: carry ``None``, so equality against pre-fault-capture rows holds.
     error: Optional[SweepCellError] = None
@@ -310,8 +304,8 @@ class SweepStats:
     retries: int = 0
     #: Checkpoint-store traffic (``run_sweep(store=...)``): cells served
     #: from the store vs. cells that had to execute.  Both stay 0 when no
-    #: store is passed or the store is read-bypassed (``keep_results`` /
-    #: ``observer_factory`` sweeps need live runs).
+    #: store is passed or the store is read-bypassed (``observer_factory``
+    #: sweeps need live runs).
     store_hits: int = 0
     store_misses: int = 0
     #: True when a ``KeyboardInterrupt`` cut the sweep short — the result
@@ -433,29 +427,27 @@ def _run_cell(
     metrics: Tuple[str, ...],
     want_data: bool,
     *,
-    keep_results: bool,
     cache: PipelineCache,
     extra_observers: Sequence[ExecutionObserver] = (),
-) -> Tuple[Dict[str, Any], Optional[RuntimeResult]]:
+) -> Dict[str, Any]:
     """Execute one cell; called only by :func:`_run_cells`.
 
-    Returns the row's metric values plus the retained result (``None``
-    unless *keep_results*).  Keeping this the only place a cell is
-    configured and executed is what makes pooled rows bit-identical to
-    serial rows by construction.
+    Returns the row's metric values.  Keeping this the only place a cell
+    is configured and executed is what makes pooled rows bit-identical
+    to serial rows by construction.
 
-    A *lean* cell — no retained result, no extra observer consuming data
-    events — shares its channel-write counts with the cells of its data
-    key (:meth:`PipelineCache.channel_writes`): on a hit it runs timing
+    A *lean* cell — no extra observer consuming data events — shares
+    its channel-write counts with the cells of its data key
+    (:meth:`PipelineCache.channel_writes`): on a hit it runs timing
     only.  Sharing is sound only when the cell's own frames do not
     overlap (:func:`_frames_fit`); a cell that overlaps neither reads
     nor fills the memo, and runs its own data phase.
     """
     data_extras = any(ob.consumes_data for ob in extra_observers)
-    share = want_data and not keep_results and not data_extras
+    share = want_data and not data_extras
     writes = cache.channel_writes(cell.scenario) if share else None
-    observer, result = _execute_cell(
-        cell.scenario, metrics, keep_results, cache, extra_observers,
+    observer = _execute_cell(
+        cell.scenario, metrics, cache, extra_observers,
         run_data=(want_data and writes is None) or data_extras,
         guard=share,
     )
@@ -463,9 +455,9 @@ def _run_cell(
         if not _frames_fit(observer):
             if writes is not None:
                 writes = None
-                observer, result = _execute_cell(
-                    cell.scenario, metrics, keep_results, cache,
-                    extra_observers, run_data=True, guard=True,
+                observer = _execute_cell(
+                    cell.scenario, metrics, cache, extra_observers,
+                    run_data=True, guard=True,
                 )
         elif writes is None:
             cache.keep_channel_writes(
@@ -474,19 +466,18 @@ def _run_cell(
     row = {name: _EXTRACTORS[name](observer) for name in metrics}
     if writes is not None:  # the data key's counts, shared
         row["channel_writes"] = sum(writes.values())
-    return row, result if keep_results else None
+    return row
 
 
 def _execute_cell(
     scenario: Scenario,
     metrics: Tuple[str, ...],
-    keep_results: bool,
     cache: PipelineCache,
     extra_observers: Sequence[ExecutionObserver],
     *,
     run_data: bool,
     guard: bool,
-) -> Tuple[MetricsObserver, RuntimeResult]:
+) -> MetricsObserver:
     """One run of a cell's scenario, with or without its data phase."""
     # Per-record aggregates the table does not ask for are switched
     # off: on_record fires per job instance, and each aggregate is
@@ -498,19 +489,15 @@ def _execute_cell(
         ),
         track_frame_spans="frame_makespan_max" in metrics or guard,
     )
-    # Retained rows must be usable post-hoc (replay, observables,
-    # record-derived metrics), so they always collect records, even when
-    # the scenario itself suppresses them.  Otherwise extra observers that
-    # consume data-phase events keep the data phase alive (*run_data*)
-    # even when the table's metrics alone would allow records_only — they
-    # attach live and must see their events.
-    result = cache.run(
+    # Extra observers that consume data-phase events keep the data phase
+    # alive (*run_data*) even when the table's metrics alone would allow
+    # records_only — they attach live and must see their events.
+    cache.run(
         scenario, [observer, *extra_observers],
-        records_only=scenario.records_only or not (keep_results or run_data),
-        collect_records=keep_results,
-        collect_trace=keep_results and scenario.collect_trace,
+        records_only=scenario.records_only or not run_data,
+        collect_records=False, collect_trace=False,
     )
-    return observer, result
+    return observer
 
 
 def _frames_fit(observer: MetricsObserver) -> bool:
@@ -527,7 +514,7 @@ def _frames_fit(observer: MetricsObserver) -> bool:
 
 @dataclass
 class _CellOutcome:
-    """What running one cell produced: metrics (+ result) or an error.
+    """What running one cell produced: metrics or an error.
 
     ``stages`` is the ``(networks, derivations, schedules, data
     phases)`` the cell's run added to its cache — the cell's share of the
@@ -536,7 +523,6 @@ class _CellOutcome:
 
     cell: SweepCell
     metrics: Optional[Dict[str, Any]] = None
-    result: Optional[RuntimeResult] = None
     error: Optional[SweepCellError] = None
     stages: Tuple[int, int, int, int] = (0, 0, 0, 0)
 
@@ -556,7 +542,6 @@ def _run_cells(
     want_data: bool,
     *,
     cache: PipelineCache,
-    keep_results: bool = False,
     observer_factory: Optional[
         Callable[[SweepCell], Sequence[ExecutionObserver]]
     ] = None,
@@ -584,17 +569,15 @@ def _run_cells(
             extra = (
                 observer_factory(cell) if observer_factory is not None else ()
             )
-            cell_metrics, result = _run_cell(
-                cell, metrics, want_data,
-                keep_results=keep_results, cache=cache,
-                extra_observers=extra,
+            cell_metrics = _run_cell(
+                cell, metrics, want_data, cache=cache, extra_observers=extra,
             )
         except Exception as exc:
             if raise_errors:
                 raise
             outcome = _CellOutcome(cell, error=_cell_error(exc, retries))
         else:
-            outcome = _CellOutcome(cell, cell_metrics, result)
+            outcome = _CellOutcome(cell, cell_metrics)
         outcome.stages = tuple(
             now - then for now, then in zip(_stage_counts(cache), before)
         )
@@ -697,16 +680,13 @@ class _SweepBook:
             stats.failed_cells += 1
             return
         stats.runs += 1
-        self._add_row(
-            outcome.cell, outcome.metrics, outcome.result,
-            self._skeys.get(index),
-        )
+        self._add_row(outcome.cell, outcome.metrics, self._skeys.get(index))
 
     def _add_row(
         self, cell: SweepCell, metrics: Dict[str, Any],
-        result: Optional[RuntimeResult] = None, skey: Optional[str] = None,
+        skey: Optional[str] = None,
     ) -> None:
-        row = SweepRow(cell=dict(cell.coords), metrics=metrics, result=result)
+        row = SweepRow(cell=dict(cell.coords), metrics=metrics)
         self._rows[cell.index] = row
         if skey is not None:
             self.store.put(skey, self._mkey, metrics)
@@ -742,7 +722,6 @@ def _group_cells(cells: Iterable[SweepCell]) -> Dict[Any, List[SweepCell]]:
 def _dispatch_plan(
     cells: Sequence[SweepCell],
     *,
-    keep_results: bool = False,
     observer_factory: Optional[
         Callable[[SweepCell], Sequence[ExecutionObserver]]
     ] = None,
@@ -754,20 +733,15 @@ def _dispatch_plan(
     Returns the serial-fallback reason, or the cells grouped by schedule
     key in first-seen order.  One group is the unit of dispatch *and* of
     stage reuse: its cells share one derivation and one schedule.
-    Sweeps attaching live observers or retaining results need in-process
-    objects; a caller-shared cache cannot cross processes; scenarios
-    embedding code a fresh worker could not reconstruct are refused per
-    cell; and fewer than *min_groups* groups have nothing to fan out.
+    Sweeps attaching live observers need in-process objects; a
+    caller-shared cache cannot cross processes; scenarios embedding code
+    a fresh worker could not reconstruct are refused per cell; and fewer
+    than *min_groups* groups have nothing to fan out.
     """
     if observer_factory is not None:
         return (
             "observer_factory attaches live in-process observers, which "
             "cannot be shipped to worker processes"
-        )
-    if keep_results:
-        return (
-            "keep_results retains full RuntimeResult objects, which are "
-            "not serialised across the process boundary"
         )
     if cache is not None:
         return (
@@ -789,40 +763,10 @@ def _dispatch_plan(
     return groups
 
 
-def schedule_key_groups(matrix: ScenarioMatrix) -> List[List[SweepCell]]:
-    """The matrix's cells grouped by schedule key, in first-seen order."""
-    return list(_group_cells(matrix.cells()).values())
-
-
-def serial_fallback_reason(
-    matrix: ScenarioMatrix,
-    *,
-    keep_results: bool = False,
-    observer_factory: Optional[
-        Callable[[SweepCell], Sequence[ExecutionObserver]]
-    ] = None,
-    cache: Optional[PipelineCache] = None,
-) -> Optional[str]:
-    """Why this sweep must run serially, or ``None`` if it can fan out.
-
-    The returned string is stored verbatim in
-    ``SweepStats.parallel_fallback`` so a ``workers > 1`` caller can see
-    which rule demoted the sweep.
-    """
-    plan = _dispatch_plan(
-        list(matrix.cells()),
-        keep_results=keep_results,
-        observer_factory=observer_factory,
-        cache=cache,
-    )
-    return plan if isinstance(plan, str) else None
-
-
 def run_sweep(
     matrix: ScenarioMatrix,
     metrics: Sequence[str] = DEFAULT_METRICS,
     *,
-    keep_results: bool = False,
     observer_factory: Optional[
         Callable[[SweepCell], Sequence[ExecutionObserver]]
     ] = None,
@@ -833,11 +777,12 @@ def run_sweep(
     on_error: str = "capture",
     group_timeout: Optional[float] = None,
     max_retries: int = 2,
-    retry_backoff: float = 0.25,
     on_row: Optional[Callable[[SweepRow], None]] = None,
     on_progress: Optional[Callable[[Any], None]] = None,
 ) -> SweepResult:
     """Execute every cell of *matrix* and tabulate the requested *metrics*.
+
+    Rows hold metrics; ``Experiment(cell.scenario).run()`` is a cell's run.
 
     Parameters
     ----------
@@ -849,12 +794,6 @@ def run_sweep(
         run ``records_only`` (the data phase — kernels, channel states —
         is skipped entirely).  Cells of one data key share one data
         phase (see the module docstring).
-    keep_results:
-        Retain every cell's full :class:`RuntimeResult` on its row.
-        Record collection is forced on for the retained runs (a base
-        scenario with ``collect_records=False`` would otherwise retain
-        record-suppressed, unusable results); the other executor flags
-        stay as the scenario says.
     observer_factory:
         Optional per-cell extra observers, attached live to that cell's
         run (e.g. exporters or dashboards fed by the same event streams).
@@ -865,13 +804,11 @@ def run_sweep(
         Maximum number of worker processes; the default 1 runs serially
         in-process.  ``workers > 1`` partitions the cells into
         schedule-key groups and dispatches them to the spawned workers
-        of a transient :class:`~repro.experiment.pool.SweepPool`
-        (see :func:`serial_fallback_reason`), falling back to the serial
-        path — with the reason recorded in
+        of a transient :class:`~repro.experiment.pool.SweepPool`,
+        falling back to the serial path — with the reason recorded in
         :attr:`SweepStats.parallel_fallback` — when the sweep cannot be
-        dispatched (an ``observer_factory`` or ``keep_results`` sweep,
-        non-serialisable scenarios, a shared ``cache``, or a single
-        schedule-key group).
+        dispatched (an ``observer_factory`` sweep, non-serialisable
+        scenarios, a shared ``cache``, or a single schedule-key group).
     store:
         Optional checkpoint store (:mod:`repro.experiment.store`).  Cells
         whose ``(scenario_hash, metrics)`` key the store already holds are
@@ -880,9 +817,9 @@ def run_sweep(
         once, before any cell runs, with the same rule on every backend:
         a cell repeated within one matrix is a miss on each copy (both
         run; ``store_misses`` counts both).  Store *reads* are
-        bypassed for ``keep_results`` / ``observer_factory`` sweeps, which
-        need live runs (writes still happen), and for scenarios without a
-        content key (code-bearing workloads/WCETs).
+        bypassed for ``observer_factory`` sweeps, which need live runs
+        (writes still happen), and for scenarios without a content key
+        (code-bearing workloads/WCETs).
     faults:
         Optional deterministic :class:`~repro.experiment.faults.FaultPlan`
         for testing the recovery paths; fires only for cells that actually
@@ -903,9 +840,7 @@ def run_sweep(
     max_retries:
         How many times the parallel supervisor redispatches a group after
         a worker crash or timeout before degrading it to error rows.
-    retry_backoff:
-        Base seconds of the exponential backoff between a group's
-        redispatches (``retry_backoff * 2**retries_so_far``).
+        Redispatches back off exponentially (0.25 s, doubling).
     on_row:
         Optional per-cell row stream: called with each *healthy*
         :class:`SweepRow` as it completes (store hits included), before
@@ -923,30 +858,25 @@ def run_sweep(
         (there are no groups or dispatches to report).
     """
     metrics, want_data = _check_request("run_sweep", metrics, on_error)
-    check_values(
-        POOL_OPTIONS, workers=workers, group_timeout=group_timeout,
-        max_retries=max_retries, retry_backoff=retry_backoff,
-    )
+    check_values(POOL_OPTIONS, workers=workers, group_timeout=group_timeout,
+                 max_retries=max_retries)
 
     cells = list(matrix.cells())
     plan = None
     fallback: Optional[str] = None
     if workers > 1:
         plan = _dispatch_plan(
-            cells,
-            keep_results=keep_results,
-            observer_factory=observer_factory,
-            cache=cache,
+            cells, observer_factory=observer_factory, cache=cache
         )
         if isinstance(plan, str):
             fallback, plan = plan, None
-    # Store reads are bypassed when the caller needs live runs (retained
-    # results, live observers); freshly-computed rows are still persisted.
+    # Store reads are bypassed when the caller needs live runs (live
+    # observers); freshly-computed rows are still persisted.
     book = _SweepBook(
         dict(matrix.axes), cells, metrics, want_data,
         SweepStats(cells=len(cells), parallel_fallback=fallback),
         store=store,
-        read_store=not keep_results and observer_factory is None,
+        read_store=observer_factory is None,
         on_row=on_row,
     )
     if plan is not None:
@@ -956,7 +886,6 @@ def run_sweep(
             workers=workers,
             group_timeout=group_timeout,
             max_retries=max_retries,
-            retry_backoff=retry_backoff,
         ) as pool:
             return pool._enqueue(
                 book, plan, on_error, on_progress, faults=faults
@@ -965,7 +894,6 @@ def run_sweep(
     runner = _run_cells(
         book.resolve_hits(), metrics, want_data,
         cache=cache if cache is not None else PipelineCache(),
-        keep_results=keep_results,
         observer_factory=observer_factory,
         faults=faults,
         raise_errors=on_error == "raise",

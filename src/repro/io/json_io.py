@@ -32,7 +32,7 @@ import dataclasses
 import hashlib
 import json
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..core.channels import ChannelKind
 from ..core.invocations import Stimulus
@@ -47,7 +47,8 @@ from ..taskgraph.jobs import Job
 from ..scheduling.schedule import ScheduledJob, StaticSchedule
 from ..experiment.faults import FaultPlan, _FIELDS as _FAULT_FIELDS
 from ..experiment.fields import (
-    Field, boolean, decode_fields, encode_fields, integer, optional, text,
+    Field, boolean, decode_fields, encode_fields, integer, names, optional,
+    text,
 )
 from ..experiment.pool_core import EVENT_FIELDS, PoolEvent
 from ..experiment.scenario import Scenario, _FIELDS as _SCENARIO_FIELDS
@@ -76,6 +77,30 @@ def _time_in(value: Any, what: str) -> Time:
         return as_time(value)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad time value for {what}: {value!r}") from exc
+
+
+def _object(value: Any, what: str) -> Mapping[str, Any]:
+    """*value*, refused unless it is a JSON object."""
+    if not isinstance(value, Mapping):
+        raise FormatError(
+            f"{what} must be a JSON object, got {type(value).__name__}"
+        )
+    return value
+
+
+def _list(value: Any, what: str) -> List[Any]:
+    """*value*, refused unless it is a JSON list (or a tuple)."""
+    if not isinstance(value, (list, tuple)):
+        raise FormatError(
+            f"{what} must be a JSON list, got {type(value).__name__}"
+        )
+    return value
+
+
+def _rows(data: Mapping[str, Any], key: str, table: Any, what: str) -> List[Any]:
+    """The rows listed under *key*, each decoded through *table*."""
+    rows = _list(data.get(key, []), f"{what} rows")
+    return [decode_fields(table, row, f"{what} {i}") for i, row in enumerate(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +175,7 @@ def task_graph_to_dict(graph: TaskGraph) -> Dict[str, Any]:
 def task_graph_from_dict(data: Mapping[str, Any]) -> TaskGraph:
     """Inverse of :func:`task_graph_to_dict`."""
     _check_header(data, "fppn-taskgraph")
-    jobs = [
-        Job(**decode_fields(_JOB_FIELDS, row, f"job {i}"))
-        for i, row in enumerate(data.get("jobs", []))
-    ]
+    jobs = [Job(**row) for row in _rows(data, "jobs", _JOB_FIELDS, "job")]
     hyper = data.get("hyperperiod")
     edges = data.get("edges", [])
     if not isinstance(edges, list):
@@ -203,22 +225,29 @@ def schedule_to_dict(schedule: StaticSchedule) -> Dict[str, Any]:
     }
 
 
+#: A schedule document's processor count (read when it has no platform).
+_SCHEDULE_FIELDS = (Field("processors", integer(1), required=True),)
+
+#: A schedule document's entry rows.
+_ENTRY_FIELDS = (
+    Field("job", text, required=True),
+    Field("processor", integer(0), required=True),
+    Field("start", _time_in, required=True),
+)
+
+
 def schedule_from_dict(data: Mapping[str, Any]) -> StaticSchedule:
     """Inverse of :func:`schedule_to_dict`."""
     _check_header(data, "fppn-schedule")
     graph = task_graph_from_dict(data["graph"])
-    entries = []
-    for row in data.get("entries", []):
-        entries.append(
-            ScheduledJob(
-                graph.index_of(row["job"]),
-                int(row["processor"]),
-                _time_in(row["start"], f"start of {row['job']}"),
-            )
-        )
+    entries = [
+        ScheduledJob(graph.index_of(row["job"]), row["processor"], row["start"])
+        for row in _rows(data, "entries", _ENTRY_FIELDS, "schedule entry")
+    ]
     platform = data.get("platform")
     target = (
-        int(data["processors"]) if platform is None
+        decode_fields(_SCHEDULE_FIELDS, data, "fppn-schedule")["processors"]
+        if platform is None
         else platform_from_jsonable(platform, "schedule platform")
     )
     return StaticSchedule(graph, target, entries)
@@ -269,6 +298,25 @@ def network_to_dict(network: Network) -> Dict[str, Any]:
 
 KernelRegistry = Mapping[str, Callable[[JobContext], None]]
 
+#: A network document's process rows (``period`` is a sporadic
+#: process's minimum inter-arrival time).
+_PROCESS_FIELDS = (
+    Field("name", text, required=True),
+    Field("sporadic", boolean),
+    Field("period", _time_in, required=True),
+    Field("deadline", _time_in, required=True),
+    Field("burst", integer(1)),
+    Field("offset", optional(_time_in)),
+)
+
+#: A network document's channel rows.
+_CHANNEL_FIELDS = (
+    Field("name", text, required=True),
+    Field("kind", lambda value, what: ChannelKind(value), required=True),
+    Field("writer", text, required=True),
+    Field("reader", text, required=True),
+)
+
 
 def network_from_dict(
     data: Mapping[str, Any],
@@ -283,31 +331,21 @@ def network_from_dict(
     _check_header(data, "fppn-network")
     kernels = kernels or {}
     net = Network(data.get("name", "network"))
-    for row in data.get("processes", []):
-        name = row["name"]
+    for row in _rows(data, "processes", _PROCESS_FIELDS, "process"):
+        name, burst = row["name"], row.get("burst", 1)
         kernel = kernels.get(name)
         if row.get("sporadic"):
             net.add_sporadic(
-                name,
-                min_period=_time_in(row["period"], f"{name} period"),
-                deadline=_time_in(row["deadline"], f"{name} deadline"),
-                burst=int(row.get("burst", 1)),
-                kernel=kernel,
+                name, min_period=row["period"], deadline=row["deadline"],
+                burst=burst, kernel=kernel,
             )
         else:
             net.add_periodic(
-                name,
-                period=_time_in(row["period"], f"{name} period"),
-                deadline=_time_in(row["deadline"], f"{name} deadline"),
-                burst=int(row.get("burst", 1)),
-                offset=_time_in(row.get("offset") or 0, f"{name} offset"),
-                kernel=kernel,
+                name, period=row["period"], deadline=row["deadline"],
+                burst=burst, offset=row.get("offset") or 0, kernel=kernel,
             )
-    for row in data.get("channels", []):
-        net.connect(
-            row["writer"], row["reader"], row["name"],
-            kind=ChannelKind(row["kind"]),
-        )
+    for row in _rows(data, "channels", _CHANNEL_FIELDS, "channel"):
+        net.connect(row["writer"], row["reader"], row["name"], kind=row["kind"])
     for hi, lo in data.get("priorities", []):
         net.add_priority(hi, lo)
     for row in data.get("external_inputs", []):
@@ -619,11 +657,7 @@ def value_map_from_jsonable(data: Any, what: str) -> Dict[str, Any]:
 
 
 def sweep_row_to_dict(row: SweepRow) -> Dict[str, Any]:
-    """Encode one row: its cell plus either its metrics or its error.
-
-    ``result`` (retained runs) never travels — rows carry data, not
-    simulations.
-    """
+    """Encode one row: its cell plus either its metrics or its error."""
     out: Dict[str, Any] = {"cell": value_map_to_jsonable(row.cell)}
     error = row.error
     if error is not None:
@@ -638,14 +672,21 @@ def sweep_row_to_dict(row: SweepRow) -> Dict[str, Any]:
     return out
 
 
+#: A failed row's error record; ``stage`` and ``retries`` default as in
+#: :class:`SweepCellError`.
+_ERROR_FIELDS = (
+    Field("type", text, required=True), Field("message", text, required=True),
+    Field("stage", text), Field("retries", integer(0)),
+)
+
+
 def sweep_row_from_dict(data: Mapping[str, Any]) -> SweepRow:
     """Inverse of :func:`sweep_row_to_dict`.
 
     Rows come from outside the process (a server reply, a file), so an
-    error record without its ``type`` or ``message`` is refused with a
-    :class:`FormatError` naming the key, as is a non-integer
-    ``retries``; ``stage`` and ``retries`` default as in
-    :class:`SweepCellError`.
+    error record is decoded through its field table: a missing ``type``
+    or ``message``, or a field of the wrong type, is a
+    :class:`FormatError` naming the field.
     """
     cell = value_map_from_jsonable(data.get("cell", {}), "row cell")
     error = data.get("error")
@@ -656,31 +697,28 @@ def sweep_row_from_dict(data: Mapping[str, Any]) -> SweepRow:
                 data.get("metrics", {}), "row metrics"
             ),
         )
-    if not isinstance(error, Mapping):
-        raise FormatError(f"row error record must be an object: {error!r}")
     try:
-        return SweepRow(
-            cell=cell,
-            metrics={},
-            error=SweepCellError(
-                error_type=error["type"],
-                message=error["message"],
-                stage=error.get("stage", "run"),
-                retries=int(error.get("retries", 0)),
-            ),
-        )
-    except KeyError as exc:
-        raise FormatError(f"row error record is missing {exc}: {error!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"bad row error record {error!r}") from exc
+        fields = decode_fields(_ERROR_FIELDS, error, "row error record")
+    except FormatError as exc:
+        raise FormatError(f"bad row error record {error!r}: {exc}") from None
+    return SweepRow(cell=cell, metrics={}, error=SweepCellError(
+        error_type=fields["type"], message=fields["message"],
+        stage=fields.get("stage", "run"), retries=fields.get("retries", 0),
+    ))
 
 
-#: Every SweepStats field, coerced to the type of its default (an absent
-#: one takes the default, so payloads older than a counter still decode;
-#: ``parallel_fallback``, whose default is ``None``, passes through).
+def _count(value: Any, what: str) -> int:
+    """A counter: an int >= 0, or (as older documents hold) its digits."""
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        value = int(value)
+    return integer(0)(value, what)
+
+
+#: Every SweepStats field, its rule read off its default; an absent one
+#: takes the default, so payloads older than a counter still decode.
 _STATS_FIELDS = tuple(
-    Field(f.name, lambda value, what, kind=type(f.default):
-          value if kind is type(None) else kind(value))
+    Field(f.name, boolean if isinstance(f.default, bool)
+          else _count if isinstance(f.default, int) else optional(text))
     for f in dataclasses.fields(SweepStats)
 )
 
@@ -702,9 +740,7 @@ def sweep_result_to_dict(result: SweepResult) -> Dict[str, Any]:
     """Dict form of a sweep table (axes, rows, stage-reuse stats).
 
     Cell axis values and metric values use the tagged value encoding, so
-    rational metrics (makespans, latenesses) survive losslessly.  Retained
-    :class:`RuntimeResult` objects (``keep_results=True`` sweeps) are not
-    serialised — rows carry data, not simulations.
+    rational metrics (makespans, latenesses) survive losslessly.
     """
     return {
         "format": "fppn-sweep",
@@ -728,6 +764,18 @@ def sweep_result_to_dict(result: SweepResult) -> Dict[str, Any]:
     }
 
 
+def _axes(value: Any, what: str) -> Dict[str, Tuple[Any, ...]]:
+    """A sweep document's axes: each name's list of tagged values."""
+    return {
+        name: tuple(map(value_from_jsonable, _list(values, f"{what} {name!r}")))
+        for name, values in _object(value, what).items()
+    }
+
+
+#: A sweep document's table fields (its rows and stats decode apart).
+_SWEEP_FIELDS = (Field("axes", _axes), Field("metrics", names))
+
+
 def sweep_result_from_dict(data: Mapping[str, Any]) -> SweepResult:
     """Inverse of :func:`sweep_result_to_dict`.
 
@@ -736,6 +784,7 @@ def sweep_result_from_dict(data: Mapping[str, Any]) -> SweepResult:
     counters, not interrupted).
     """
     _check_header(data, "fppn-sweep")
+    head = decode_fields(_SWEEP_FIELDS, data, "fppn-sweep")
     rows = [sweep_row_from_dict(row) for row in data.get("rows", [])]
     failed_rows = [
         sweep_row_from_dict(row) for row in data.get("failed_rows", [])
@@ -745,11 +794,8 @@ def sweep_result_from_dict(data: Mapping[str, Any]) -> SweepResult:
     if any(row.error is None for row in failed_rows):
         raise FormatError("a failed sweep row has no error record")
     return SweepResult(
-        axes={
-            name: tuple(value_from_jsonable(v) for v in values)
-            for name, values in data.get("axes", {}).items()
-        },
-        metrics=tuple(data.get("metrics", [])),
+        axes=head.get("axes", {}),
+        metrics=head.get("metrics", ()),
         rows=rows,
         stats=sweep_stats_from_dict(data.get("stats", {})),
         failed_rows=failed_rows,
@@ -798,24 +844,6 @@ def save_json(data: Mapping[str, Any], path: str) -> None:
 def load_json(path: str) -> Dict[str, Any]:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _object(value: Any, what: str) -> Mapping[str, Any]:
-    """*value*, refused unless it is a JSON object."""
-    if not isinstance(value, Mapping):
-        raise FormatError(
-            f"{what} must be a JSON object, got {type(value).__name__}"
-        )
-    return value
-
-
-def _list(value: Any, what: str) -> List[Any]:
-    """*value*, refused unless it is a JSON list (or a tuple)."""
-    if not isinstance(value, (list, tuple)):
-        raise FormatError(
-            f"{what} must be a JSON list, got {type(value).__name__}"
-        )
-    return value
 
 
 def _check_header(data: Mapping[str, Any], expected: str) -> None:

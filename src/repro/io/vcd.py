@@ -50,13 +50,16 @@ def _ident(index: int) -> str:
 
 
 def _ticks(t: Time, unit: Fraction) -> int:
-    q = t / unit
-    if q.denominator != 1:
+    # One integer division: Fraction division would normalise by a gcd.
+    ticks, rest = divmod(
+        t.numerator * unit.denominator, t.denominator * unit.numerator
+    )
+    if rest:
         raise VcdError(
             f"timestamp {t} is not a multiple of the VCD timescale {unit}; "
             "choose a finer timescale"
         )
-    return int(q)
+    return ticks
 
 
 def _merge_intervals(intervals: List[Tuple[int, int]]) -> List[Tuple[int, int]]:

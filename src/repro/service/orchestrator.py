@@ -32,7 +32,7 @@ from typing import (
     Any, AsyncIterator, Deque, Dict, Optional, Sequence, Tuple, Union,
 )
 
-from ..errors import ModelError, ServiceError, UnknownTicketError
+from ..errors import ServiceError, UnknownTicketError
 from ..experiment.faults import FaultPlan
 from ..experiment.fields import Field, boolean, integer, one_of, optional, text
 from ..experiment.pool import SweepPool, SweepTicket
@@ -41,17 +41,19 @@ from ..experiment.sweep import DEFAULT_METRICS, ScenarioMatrix, SweepResult
 
 __all__ = ["SweepOrchestrator", "TicketStatus", "TICKET_STATES"]
 
-#: Ticket lifecycle: ``queued`` (accepted, not yet handed to the pool),
-#: ``running`` (groups pending/dispatched), then exactly one of ``done``
-#: (result ready — possibly a partial after ``cancel``), ``failed``
-#: (``on_error="raise"`` sweep raised, or driving the pool failed) or
-#: ``cancelled`` (cancel withdrew groups, or the orchestrator closed; the
-#: partial result is still available).
-TICKET_STATES = frozenset(
-    {"queued", "running", "done", "failed", "cancelled"}
-)
+#: Ticket lifecycle: ``running`` (groups pending/dispatched), then
+#: exactly one of ``done`` (result ready — possibly a partial after
+#: ``cancel``), ``failed`` (``on_error="raise"`` sweep raised, or driving
+#: the pool failed) or ``cancelled`` (cancel withdrew groups, or the
+#: orchestrator closed; the partial result is still available).
+TICKET_STATES = frozenset({"running", "done", "failed", "cancelled"})
 
 _TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
+
+#: Finished ticket records an orchestrator keeps, oldest dropped first
+#: (live tickets never are); a dropped ticket's lookups raise
+#: :class:`UnknownTicketError`.
+_MAX_FINISHED_TICKETS = 256
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,7 @@ class _Ticket:
         self.tid = tid
         self.client = client
         self.cells = cells
-        self.state = "queued"
+        self.state = "running"
         self.rows_streamed = 0
         self.pool_ticket: Optional[SweepTicket] = None
         self.result: Optional[SweepResult] = None
@@ -130,17 +132,12 @@ class SweepOrchestrator:
     """Serve one shared pool (and optional store) to async clients.
 
     Build it on the event loop that will use it (inside a coroutine);
-    ``async with`` closes it.
+    ``async with`` closes it, and the pool it builds from
+    ``pool_options`` (``workers`` and the other
+    :class:`~repro.experiment.SweepPool` options, with its defaults).
 
     Parameters
     ----------
-    pool:
-        An existing :class:`~repro.experiment.SweepPool` to serve, or
-        ``None`` to create (and own) one from ``pool_options``
-        (``workers`` and the other :class:`~repro.experiment.SweepPool`
-        options, with its defaults).  An owned pool is closed by
-        :meth:`close`; a caller's pool is handed back to synchronous
-        driving.
     store:
         The shared cache tier fronting the pool, attached to every
         submission: a :class:`~repro.experiment.SweepStore` instance,
@@ -149,38 +146,22 @@ class SweepOrchestrator:
         thread (sqlite3 connections are single-threaded; passing the
         path is the safe spelling).  Hit rows stream back without any
         dispatch; computed rows persist for every later client.
-    max_finished_tickets:
-        Bound on retained *finished* ticket records.  A long-lived
-        service would otherwise grow its ticket table forever (every
-        submission leaves a record); once a terminal ticket ages past
-        the newest ``max_finished_tickets`` finished ones, its record is
-        dropped and later :meth:`status`/:meth:`stream` lookups raise
-        :class:`~repro.errors.UnknownTicketError`.  Live (queued or
-        running) tickets are never evicted.
     """
 
     def __init__(
         self,
-        pool: Optional[SweepPool] = None,
         *,
         store: Union[None, str, SweepStore] = None,
-        max_finished_tickets: int = 256,
         **pool_options: Any,
     ) -> None:
-        try:
-            integer(1)(max_finished_tickets, "max_finished_tickets")
-        except ModelError as exc:
-            raise ServiceError(str(exc)) from None
         try:
             self._loop = asyncio.get_running_loop()
         except RuntimeError:
             raise ServiceError(
                 "build a SweepOrchestrator on the event loop that uses it"
             ) from None
-        self._max_finished = max_finished_tickets
         self._finished: Deque[int] = deque()
-        self._owns_pool = pool is None
-        self._pool = SweepPool(**pool_options) if pool is None else pool
+        self._pool = SweepPool(**pool_options)
         self._owns_store = isinstance(store, str)
         self._store = SqliteSweepStore(store) if self._owns_store else store
         self._tickets: Dict[int, _Ticket] = {}
@@ -221,7 +202,6 @@ class SweepOrchestrator:
         def on_progress(event: Any) -> None:
             ticket.push(("event", event))
 
-        ticket.state = "running"
         ticket.pool_ticket = self._pool.submit(
             matrix, metrics, store=self._store, on_row=on_row,
             on_progress=on_progress, faults=faults, on_error=on_error,
@@ -284,25 +264,17 @@ class SweepOrchestrator:
     async def close(self) -> None:
         """Stop serving; unfinished tickets become interrupted partials.
 
-        Pending groups are withdrawn.  Dispatched groups are abandoned by
-        an owned pool's close, and run out on a caller's pool, driven
-        synchronously (which it stays).  Every live ticket settles, so
-        late consumers see a partial.  Owned resources (the pool created
-        here, a store opened from a path) are closed.  Idempotent, and a
-        no-op once driving the pool failed.
+        Pending groups are withdrawn and dispatched ones abandoned by the
+        pool's close.  Every live ticket settles, so late consumers see a
+        partial.  The pool and a store opened from a path are closed.
+        Idempotent, and a no-op once driving the pool failed.
         """
         if self._closed:
             return
         self._closed = True
-        live = [
-            t.pool_ticket for t in self._tickets.values()
-            if t.pool_ticket is not None
-        ]
-        for pool_ticket in live:
-            pool_ticket.cancel()
-        self._pool._detach()
-        while not (self._owns_pool or all(t.done for t in live)):
-            self._pool.pump_once()
+        for ticket in list(self._tickets.values()):
+            if ticket.pool_ticket is not None:
+                ticket.pool_ticket.cancel()
         self._release()
 
     async def __aenter__(self) -> "SweepOrchestrator":
@@ -346,12 +318,9 @@ class SweepOrchestrator:
         self._release()
 
     def _release(self) -> None:
-        """Take the loop off the pool and close what is owned."""
-        self._pool._detach()
-        for resource, owned in (
-            (self._pool, self._owns_pool), (self._store, self._owns_store)
-        ):
-            if owned:
+        """Close the pool and any store opened from a path."""
+        for resource in (self._pool, self._store if self._owns_store else None):
+            if resource is not None:
                 try:
                     resource.close()
                 except Exception:
@@ -362,7 +331,7 @@ class SweepOrchestrator:
 
         The record keeps only its result, state and error (dropping the
         pool ticket releases the decoded scenarios and stimuli), and the
-        oldest finished records beyond ``max_finished_tickets`` go.
+        oldest finished records beyond :data:`_MAX_FINISHED_TICKETS` go.
         """
         pool_ticket, ticket.pool_ticket = ticket.pool_ticket, None
         if ticket.state in _TERMINAL_STATES:
@@ -376,6 +345,6 @@ class SweepOrchestrator:
             cut = pool_ticket.cancelled or self._closed
             state = "cancelled" if cut else "done"
         self._finished.append(ticket.tid)
-        while len(self._finished) > self._max_finished:
+        while len(self._finished) > _MAX_FINISHED_TICKETS:
             self._tickets.pop(self._finished.popleft(), None)
         ticket.finish(state, result, error)  # wakes the consumer last

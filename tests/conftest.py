@@ -86,3 +86,11 @@ def low_priority_sporadic_network() -> Network:
     net.add_external_output("sink", "sink_out")
     net.validate_taskgraph_subclass()
     return net
+
+
+@pytest.fixture
+def no_backoff(monkeypatch):
+    """Pools built under this fixture redispatch a group at once."""
+    from repro.experiment import pool_core
+
+    monkeypatch.setattr(pool_core, "_RETRY_BACKOFF", 0.0)

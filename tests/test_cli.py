@@ -309,6 +309,17 @@ class TestEntryPoint:
         assert err.startswith("error: ")
         assert "field 'group_timeout' must be" in err
 
+    def test_serve_refuses_retry_backoff(self, tmp_path, capsys):
+        # The retry backoff is a pool constant, not a server option.
+        config = write_json(tmp_path / "server.json", {
+            "format": "fppn-server", "version": 1, "retry_backoff": 0.1,
+        })
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", config])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "retry_backoff" in err
+
     def test_python_dash_m_entry(self, run_config):
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "run", run_config],

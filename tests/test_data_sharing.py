@@ -2,13 +2,14 @@
 
 By Prop. 2.1 the channel values of a run depend only on the network, its
 job set, the stimulus and the frame count, so lean sweep cells (no
-retained result, no data-consuming extra observer) that share those read
-one data phase's write counts and run timing only.  ``keep_results=True``
-is the full per-cell path and never shares, so every default sweep here
-is checked against it row for row — over random workloads, fig1 and fft
-under jitter x overheads x processors and a big/little platform, an
-overloaded matrix whose frames overlap (the guard then makes every cell
-run its own data phase), ``workers=2`` and a warm pool resubmission.
+data-consuming extra observer) that share those read one data phase's
+write counts and run timing only.  A sweep whose every cell carries a
+data-consuming extra observer never shares, so every default sweep here
+is checked against that twin row for row — over random workloads, fig1
+and fft under jitter x overheads x processors and a big/little platform,
+an overloaded matrix whose frames overlap (the guard then makes every
+cell run its own data phase), ``workers=2`` and a warm pool
+resubmission.
 """
 
 import functools
@@ -31,7 +32,7 @@ from repro.experiment import (
 )
 from repro.experiment import pool as pool_mod
 from repro.experiment.sweep import _frames_fit
-from repro.runtime.observers import MetricsObserver
+from repro.runtime.observers import ExecutionObserver, MetricsObserver
 from repro.runtime.overheads import OverheadModel
 from repro.taskgraph import derive_task_graph
 
@@ -41,10 +42,22 @@ OVERLOAD = OverheadModel.create(100, 100, 30)
 BIG_LITTLE = Platform.of(("big", 2), ("little", 1, Fraction(1, 2)))
 
 
+class Own(ExecutionObserver):
+    """Consumes data events: a cell it observes runs its own data phase."""
+
+    def on_channel_write(self, *args):
+        pass
+
+
+def full_sweep(matrix, metrics=DEFAULT_METRICS):
+    """*matrix* swept with no data phase shared between cells."""
+    return run_sweep(matrix, metrics, observer_factory=lambda cell: [Own()])
+
+
 def assert_rows_match_full(matrix, metrics=DEFAULT_METRICS, **kwargs):
-    """The default sweep of *matrix* against its ``keep_results`` twin."""
+    """The default sweep of *matrix* against its :func:`full_sweep` twin."""
     lean = run_sweep(matrix, metrics, **kwargs)
-    full = run_sweep(matrix, metrics, keep_results=True)
+    full = full_sweep(matrix, metrics)
     assert lean.rows == full.rows
     assert [(r.cell, r.error.error_type) for r in lean.failed_rows] == [
         (r.cell, r.error.error_type) for r in full.failed_rows
@@ -153,7 +166,7 @@ def test_overlapping_cells_neither_read_nor_fill_the_memo():
     matrix = overloaded(fig1_scenario)
     scenarios = matrix.scenarios()
     assert not any(map(cell_frames_fit, scenarios))
-    full = run_sweep(matrix, ("channel_writes",), keep_results=True)
+    full = full_sweep(matrix, ("channel_writes",))
 
     cache = PipelineCache()
     assert run_sweep(matrix, ("channel_writes",), cache=cache).rows == full.rows
@@ -191,7 +204,7 @@ def test_kernel_busy_needs_no_data_phase():
     matrix = fig1_8cell()
     result = run_sweep(matrix, ("kernel_busy",))
     assert result.stats.data_phases == 0
-    full = run_sweep(matrix, ("kernel_busy",), keep_results=True)
+    full = full_sweep(matrix, ("kernel_busy",))
     assert result.rows == full.rows
     assert full.stats.data_phases == 8
 
@@ -201,9 +214,9 @@ def test_records_only_cells_may_ask_for_kernel_busy():
         fig1_scenario(n_frames=2, records_only=True), {"jitter_seed": [0]}
     )
     (row,) = run_sweep(matrix, ("kernel_busy",)).rows
-    (full,) = run_sweep(
+    (full,) = full_sweep(
         ScenarioMatrix(fig1_scenario(n_frames=2), {"jitter_seed": [0]}),
-        ("kernel_busy",), keep_results=True,
+        ("kernel_busy",),
     ).rows
     assert row.metrics == full.metrics
 
@@ -253,7 +266,7 @@ def test_workers2_rows_and_data_phases():
 
 def test_warm_pool_resubmission_runs_no_data_phase():
     matrix = fig1_8cell()
-    serial = run_sweep(matrix, DEFAULT_METRICS, keep_results=True)
+    serial = full_sweep(matrix)
     with SweepPool(workers=1) as pool:
         cold = pool.submit(matrix, DEFAULT_METRICS).result()
         warm = pool.submit(matrix, DEFAULT_METRICS).result()

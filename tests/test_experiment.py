@@ -364,9 +364,9 @@ class TestExperimentCaching:
         assert m.total_jobs == 10
 
     def test_late_data_consumers_rerun_on_trace_suppressed_results(self):
-        # replay() silently drops data observers for collect_trace=False
-        # results; the facade must detect that and re-execute instead of
-        # handing the observer an event-less replay.
+        # replay() refuses data observers on collect_trace=False results
+        # before any hook fires; the facade catches the refusal and
+        # re-executes the scenario with them attached.
         exp = Experiment(fig1_scenario(n_frames=1, collect_trace=False))
         exp.run()
         spans = exp.metrics().kernel_span_stats()

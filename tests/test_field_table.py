@@ -225,7 +225,7 @@ def test_fault_plans_are_checked_in_process():
 @pytest.mark.parametrize("options", [
     {"group_timeout": "x"}, {"group_timeout": -1.0}, {"group_timeout": 0},
     {"workers": True}, {"workers": 2.5}, {"workers": "2"},
-    {"max_retries": 1.5}, {"retry_backoff": -0.1},
+    {"max_retries": 1.5}, {"max_retries": -1},
     {"max_cached_groups": 0}, {"max_cached_payloads": True},
 ])
 def test_pool_options_are_checked(options):
@@ -236,7 +236,7 @@ def test_pool_options_are_checked(options):
 
 @pytest.mark.parametrize("options", [
     {"group_timeout": "x"}, {"workers": True}, {"max_retries": 1.5},
-    {"retry_backoff": "slow"},
+    {"max_retries": -1},
 ])
 def test_run_sweep_checks_the_same_options(options):
     (name,) = options

@@ -389,3 +389,98 @@ class TestHeteroEncoding:
         ):
             platform_from_jsonable([["little", "1/2", 1], row])
         assert platform_from_jsonable([["big", "1", 2]]).processors == 2
+
+
+# ---------------------------------------------------------------------------
+# decoders refuse what they used to coerce, naming the field
+# ---------------------------------------------------------------------------
+def _sweep_document():
+    from repro.experiment import SweepCellError, SweepResult, SweepRow, SweepStats
+    from repro.io import sweep_result_to_dict
+
+    return json.loads(json.dumps(sweep_result_to_dict(SweepResult(
+        axes={"processors": (2,)},
+        metrics=("makespan",),
+        rows=[SweepRow(cell={"processors": 2}, metrics={"makespan": 5})],
+        stats=SweepStats(cells=2, runs=1, failed_cells=1),
+        failed_rows=[SweepRow(
+            cell={"processors": 2}, metrics={},
+            error=SweepCellError("ModelError", "boom", "run", 1),
+        )],
+    ))))
+
+
+class TestSweepDocumentsRefuseCoercion:
+    @pytest.mark.parametrize("field, value", [
+        ("interrupted", "false"), ("runs", 2.9), ("cells", True),
+    ], ids=["bool-string", "float-count", "bool-count"])
+    def test_stats_field(self, field, value):
+        from repro.io import sweep_result_from_dict
+
+        data = _sweep_document()
+        data["stats"][field] = value
+        with pytest.raises(FormatError, match=f"field {field!r}"):
+            sweep_result_from_dict(data)
+
+    @pytest.mark.parametrize("field, value", [
+        ("retries", 2.9), ("retries", "3"), ("type", 1), ("message", ["m"]),
+        ("stage", 5),
+    ], ids=["float-retries", "string-retries", "type", "message", "stage"])
+    def test_error_record_field(self, field, value):
+        from repro.io import sweep_result_from_dict
+
+        data = _sweep_document()
+        data["failed_rows"][0]["error"][field] = value
+        with pytest.raises(FormatError, match=f"field {field!r}"):
+            sweep_result_from_dict(data)
+
+    @pytest.mark.parametrize("field, value", [
+        ("axes", [1]), ("metrics", "abc"),
+    ])
+    def test_table_field(self, field, value):
+        from repro.io import sweep_result_from_dict
+
+        data = _sweep_document()
+        data[field] = value
+        with pytest.raises(FormatError, match=f"field {field!r}"):
+            sweep_result_from_dict(data)
+
+
+class TestScheduleAndNetworkDocumentsRefuseCoercion:
+    @pytest.fixture
+    def schedule_doc(self, fig1_graph):
+        return schedule_to_dict(find_feasible_schedule(fig1_graph, 2))
+
+    def test_fractional_processor_count(self, schedule_doc):
+        schedule_doc["processors"] = 2.7
+        with pytest.raises(FormatError, match="'processors'"):
+            schedule_from_dict(schedule_doc)
+
+    @pytest.mark.parametrize("value", [True, "1"])
+    def test_entry_processor_not_an_int(self, schedule_doc, value):
+        schedule_doc["entries"][0]["processor"] = value
+        with pytest.raises(FormatError, match="entry 0 field 'processor'"):
+            schedule_from_dict(schedule_doc)
+
+    def test_entry_without_start(self, schedule_doc):
+        del schedule_doc["entries"][3]["start"]
+        with pytest.raises(FormatError, match="entry 3 is missing field 'start'"):
+            schedule_from_dict(schedule_doc)
+
+    def test_fractional_burst(self):
+        data = network_to_dict(build_fig1_network())
+        data["processes"][0]["burst"] = 2.9
+        with pytest.raises(FormatError, match="process 0 field 'burst'"):
+            network_from_dict(data)
+
+    def test_nameless_process(self):
+        data = network_to_dict(build_fig1_network())
+        del data["processes"][1]["name"]
+        with pytest.raises(FormatError, match="process 1 is missing field 'name'"):
+            network_from_dict(data)
+
+    def test_bad_channel_kind(self):
+        data = network_to_dict(build_fig1_network())
+        data["channels"][0]["kind"] = "pipe"
+        with pytest.raises(FormatError, match="channel 0 field 'kind'"):
+            network_from_dict(data)

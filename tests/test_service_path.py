@@ -353,12 +353,14 @@ class TestPayloadMirror:
         entries = [has_data for sent in payloads.sent for has_data in sent]
         assert not all(entries)  # warm hits went out without data
 
-    def test_a_killed_worker_and_evict_caches_resend_data(self, monkeypatch):
+    def test_a_killed_worker_and_evict_caches_resend_data(
+        self, monkeypatch, no_backoff
+    ):
         payloads = _Payloads(monkeypatch)
         matrix = ScenarioMatrix(
             fig1_scenario(n_frames=1), {"jitter_seed": [0, 1]}
         )
-        with SweepPool(workers=1, retry_backoff=0.0) as pool:
+        with SweepPool(workers=1) as pool:
             pool.submit(matrix, METRICS).result()
             pool.submit(matrix, METRICS).result()
             assert payloads.sent == [[True], [False]]

@@ -217,29 +217,6 @@ class TestLeanExecution:
         result = run_sweep(matrix, metrics=("executed_jobs",))
         assert result.rows[0].metrics["executed_jobs"] == 16
 
-    def test_keep_results_retains_full_runs(self):
-        result = run_sweep(
-            fig1_matrix({"jitter_seed": [0]}), keep_results=True
-        )
-        (row,) = result.rows
-        assert row.result is not None
-        assert row.result.records_collected
-        assert row.result.observable()["outputs"]
-
-    def test_keep_results_forces_records_on_lean_base_scenarios(self):
-        # Regression: a base scenario that itself runs lean
-        # (collect_records=False) used to be retained verbatim, handing
-        # back rows whose result had no records and could not be
-        # replayed or post-processed.
-        result = run_sweep(
-            fig1_matrix({"jitter_seed": [0]}, collect_records=False),
-            keep_results=True,
-        )
-        (row,) = result.rows
-        assert row.result.records_collected
-        assert row.result.records
-        assert row.result.makespan() == row.metrics["makespan"]
-
     def test_peak_utilization_is_an_exact_rational(self):
         # The module docstring promises bit-identical rows with exact
         # rational metrics; peak_utilization is computed as a Fraction

@@ -176,8 +176,6 @@ class TestSerialCapture:
             run_sweep(matrix, metrics=METRICS, on_error="ignore")
         with pytest.raises(ModelError):
             run_sweep(matrix, metrics=METRICS, max_retries=-1)
-        with pytest.raises(ModelError):
-            run_sweep(matrix, metrics=METRICS, retry_backoff=-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +212,14 @@ class TestSharedFailureSemantics:
 # ---------------------------------------------------------------------------
 # worker supervision: crash, timeout, interrupt
 # ---------------------------------------------------------------------------
+@pytest.mark.usefixtures("no_backoff")
 class TestWorkerSupervision:
     def test_transient_worker_crash_recovers(self, clean):
         # The worker holding cells 2,3 hard-exits once; the supervisor
         # respawns the pool, requeues, and the retry completes the table.
         result = run_sweep(
             fig1_matrix(), metrics=METRICS, workers=2,
-            faults=FaultPlan(kill_at={2: 1}), retry_backoff=0.01,
+            faults=FaultPlan(kill_at={2: 1}),
         )
         assert result.rows == clean.rows
         assert result.stats.failed_cells == 0
@@ -231,7 +230,7 @@ class TestWorkerSupervision:
         result = run_sweep(
             fig1_matrix(), metrics=METRICS, workers=2,
             faults=FaultPlan(kill_at={2: 9}),
-            max_retries=1, retry_backoff=0.01,
+            max_retries=1,
         )
         # The crashing group degrades to error rows; the other group's
         # rows are still the fault-free rows.
@@ -250,7 +249,7 @@ class TestWorkerSupervision:
         result = run_sweep(
             fig1_matrix(), metrics=METRICS, workers=2,
             faults=FaultPlan(delay_at={2: (5.0, 1)}),
-            group_timeout=1.5, retry_backoff=0.01,
+            group_timeout=1.5,
         )
         assert result.rows == clean.rows
         assert result.stats.failed_cells == 0
@@ -260,7 +259,7 @@ class TestWorkerSupervision:
         result = run_sweep(
             fig1_matrix(), metrics=METRICS, workers=2,
             faults=FaultPlan(delay_at={2: (30.0, 5)}),
-            group_timeout=1.5, max_retries=0, retry_backoff=0.01,
+            group_timeout=1.5, max_retries=0,
         )
         assert result.rows == clean.rows[:2]
         assert len(result.failed_rows) == 2

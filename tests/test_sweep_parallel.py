@@ -10,12 +10,8 @@ import pytest
 from repro import ScenarioMatrix, run_sweep
 from repro.apps import fft_scenario, fig1_scenario, fms_scenario
 from repro.errors import ModelError, RuntimeModelError
-from repro.experiment import (
-    PipelineCache,
-    SweepStats,
-    schedule_key_groups,
-    serial_fallback_reason,
-)
+from repro.experiment import PipelineCache, SweepStats
+from repro.experiment.sweep import _dispatch_plan, _group_cells
 from repro.io import sweep_result_from_dict, sweep_result_to_dict
 from repro.runtime import ExecutionObserver, OverheadModel
 
@@ -42,6 +38,24 @@ def fms_matrix():
             "processors": [1, 2],
         },
     )
+
+
+def schedule_key_groups(matrix):
+    """The matrix's cells grouped by schedule key, in first-seen order."""
+    return list(_group_cells(matrix.cells()).values())
+
+
+def fans_out(matrix):
+    """Would ``run_sweep(matrix, workers=2)`` dispatch (decided without
+    spawning anything)?"""
+    return not isinstance(_dispatch_plan(list(matrix.cells())), str)
+
+
+def fallback_reason(matrix, **options):
+    """The serial-fallback reason a ``workers=2`` sweep records."""
+    result = run_sweep(matrix, ("executed_jobs",), workers=2, **options)
+    assert result.stats.workers == 1
+    return result.stats.parallel_fallback
 
 
 @pytest.fixture(scope="module")
@@ -158,17 +172,6 @@ class TestSerialFallback:
         assert result.stats.workers == 1
         assert "observer_factory" in result.stats.parallel_fallback
 
-    def test_keep_results_falls_back(self):
-        result = run_sweep(
-            self.multi_group_matrix(),
-            metrics=("executed_jobs",),
-            keep_results=True,
-            workers=2,
-        )
-        assert result.stats.workers == 1
-        assert "keep_results" in result.stats.parallel_fallback
-        assert all(row.result is not None for row in result.rows)
-
     def test_shared_cache_falls_back(self):
         result = run_sweep(
             self.multi_group_matrix(),
@@ -223,7 +226,7 @@ class TestSerialFallback:
 
         try:
             register_workload("fig1", fig1_scenario(n_frames=1).build_network)
-            reason = serial_fallback_reason(
+            reason = fallback_reason(
                 ScenarioMatrix(
                     fig1_scenario(n_frames=1), {"processors": [2, 3]}
                 )
@@ -232,9 +235,9 @@ class TestSerialFallback:
             assert "registered only in this process" in reason
         finally:
             register_workload("fig1", BUILTIN_WORKLOADS["fig1"])
-        assert serial_fallback_reason(
+        assert fans_out(
             ScenarioMatrix(fig1_scenario(n_frames=1), {"processors": [2, 3]})
-        ) is None
+        )
 
     def test_workload_axis_over_builtin_names_is_dispatchable(self):
         # The cells are the dispatch authority: a code-bearing base whose
@@ -245,12 +248,12 @@ class TestSerialFallback:
             base.replace(workload=base.build_network),
             {"workload": ["fig1"], "processors": [2, 3]},
         )
-        assert serial_fallback_reason(matrix) is None
+        assert fans_out(matrix)
 
     def test_callable_wcet_axis_falls_back(self):
         base = fig1_scenario(n_frames=1)
         wcet_model = {"InputA": lambda job, k: Fraction(1)}
-        reason = serial_fallback_reason(
+        reason = fallback_reason(
             ScenarioMatrix(base, {"wcet": [base.wcet, wcet_model]})
         )
         assert reason is not None and "wcet" in reason
@@ -264,7 +267,7 @@ class TestSerialFallback:
         assert "single schedule-key group" in result.stats.parallel_fallback
 
     def test_dispatchable_sweep_has_no_reason(self):
-        assert serial_fallback_reason(self.multi_group_matrix()) is None
+        assert fans_out(self.multi_group_matrix())
 
     def test_serial_sweep_records_no_fallback(self):
         result = run_sweep(
@@ -304,11 +307,6 @@ class TestFallbackReasonStrings:
             "cannot be shipped to worker processes",
         ),
         (
-            "keep_results",
-            "keep_results retains full RuntimeResult objects, which are "
-            "not serialised across the process boundary",
-        ),
-        (
             "shared_cache",
             "a caller-shared PipelineCache cannot be shared with worker "
             "processes — drop it to fan out",
@@ -334,8 +332,6 @@ class TestFallbackReasonStrings:
         matrix = multi
         if rule == "observer_factory":
             kwargs["observer_factory"] = lambda cell: []
-        elif rule == "keep_results":
-            kwargs["keep_results"] = True
         elif rule == "shared_cache":
             kwargs["cache"] = PipelineCache()
         elif rule == "dispatch_blocker":
@@ -345,12 +341,12 @@ class TestFallbackReasonStrings:
             )
         elif rule == "single_group":
             matrix = ScenarioMatrix(base, {"jitter_seed": [0, 1]})
-        assert serial_fallback_reason(matrix, **kwargs) == expected
+        assert fallback_reason(matrix, **kwargs) == expected
 
     def test_dispatchable_matrix_has_no_reason(self):
-        assert serial_fallback_reason(
+        assert fans_out(
             ScenarioMatrix(fig1_scenario(n_frames=1), {"processors": [2, 3]})
-        ) is None
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +372,9 @@ class TestStatsFormat:
         result = run_sweep(
             ScenarioMatrix(fig1_scenario(n_frames=1), {"jitter_seed": [0]}),
             metrics=("executed_jobs",),
-            keep_results=True,
             workers=2,
         )
+        assert result.stats.parallel_fallback is not None
         restored = sweep_result_from_dict(
             json.loads(json.dumps(sweep_result_to_dict(result)))
         )

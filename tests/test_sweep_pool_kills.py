@@ -25,11 +25,11 @@ def matrix():
     )
 
 
-def test_killed_workers_never_wedge_the_pool():
+def test_killed_workers_never_wedge_the_pool(no_backoff):
     clean = run_sweep(matrix(), METRICS)
     # The first cell of each group kills its worker once.
     kills = FaultPlan(kill_at={0: 1, 2: 1, 4: 1})
-    with SweepPool(workers=3, retry_backoff=0.01) as pool:
+    with SweepPool(workers=3) as pool:
         for _ in range(ROUNDS):
             ticket = pool.submit(matrix(), METRICS, faults=kills)
             deadline = time.monotonic() + ROUND_DEADLINE_S

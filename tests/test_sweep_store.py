@@ -289,18 +289,19 @@ class TestStoreBackedSweeps:
         assert result.stats.store_misses == 0
         assert len(store) == 0
 
-    def test_keep_results_bypasses_reads_not_writes(self, clean):
+    def test_observer_factory_bypasses_reads_not_writes(self, clean):
         store = MemorySweepStore()
         run_sweep(fig1_matrix(), metrics=METRICS, store=store)
-        kept = run_sweep(
-            fig1_matrix(), metrics=METRICS, store=store, keep_results=True
+        seen = []
+        live = run_sweep(
+            fig1_matrix(), metrics=METRICS, store=store,
+            observer_factory=lambda cell: seen.append(cell) or [],
         )
-        # Retained sweeps need live runs: no hits, but rows match and the
+        # Live observers need live runs: no hits, but rows match and the
         # fresh rows were (re)persisted.
-        assert kept.stats.store_hits == 0
-        assert kept.stats.runs == 4
-        assert all(row.result is not None for row in kept.rows)
-        assert [r.metrics for r in kept.rows] == [r.metrics for r in clean.rows]
+        assert live.stats.store_hits == 0
+        assert live.stats.runs == 4 == len(seen)
+        assert [r.metrics for r in live.rows] == [r.metrics for r in clean.rows]
         assert len(store) == 4
 
     def test_store_stats_round_trip(self):
