@@ -50,14 +50,14 @@ test-ticks:
 
 # Reference-semantics lane: the zero-delay and fixed-priority functional
 # runs, traces and action recording, automata, the Prop. 2.1 checker, the
-# data phase against its fresh-context oracle, and the replay consumers
-# (data events, VCD, spans, Gantt and metrics).  Also part of tier-1.
+# data phase against its oracle, and replay, the one event emitter, with
+# its consumers (observers, data events, VCD, spans, Gantt, metrics).
 test-semantics:
 	$(PY) -m pytest tests/test_semantics.py tests/test_uniprocessor.py \
 		tests/test_trace.py tests/test_process_context.py \
 		tests/test_automaton.py tests/test_determinism_checker.py \
 		tests/test_data_phase_equivalence.py tests/test_data_phase_events.py \
-		tests/test_io_vcd.py tests/test_telemetry.py \
+		tests/test_observers.py tests/test_io_vcd.py tests/test_telemetry.py \
 		tests/test_gantt_metrics.py -q
 
 # Error-level lint (ruff.toml: syntax errors / undefined names only).

@@ -71,7 +71,11 @@ from repro.experiment import (
 )
 from repro.io import runtime_result_to_vcd
 from repro.runtime import (
+    GanttObserver,
+    MetricsObserver,
     OverheadModel,
+    SpanObserver,
+    TraceObserver,
     jittered_execution,
     kernel_span_stats,
     run_static_order,
@@ -340,6 +344,33 @@ def _case_replay_fms10(fast: bool):
 
     return consume, {"experiment": "E4/E9", "frames": frames,
                      "jobs": len(graph), "actions": len(result.trace)}
+
+
+def _fms10_observed_case(observers, collect: bool):
+    """A jittered 10-frame FMS run on 2 processors (jitter seed 7, its
+    draw rows warm) with fresh ``observers()`` attached; with *collect*
+    off it keeps neither records nor the action trace."""
+    def build(fast: bool):
+        net = build_fms_network()
+        graph = derive_task_graph(net, fms_wcets())
+        schedule = find_feasible_schedule(graph, 2)
+        frames = 2 if fast else 10
+        stim = fms_stimulus(net, graph.hyperperiod * frames)
+        sampler = jittered_execution(7)
+        return (
+            lambda: run_static_order(
+                net, schedule, frames, stim, sampler, observers=observers(),
+                collect_records=collect, collect_trace=collect,
+            ),
+            {"experiment": "E4/E9", "frames": frames, "jobs": len(graph),
+             "collect": collect},
+        )
+    return build
+
+
+def _event_observers():
+    """The live event consumers: VCD, span and Gantt views of one run."""
+    return [TraceObserver(), SpanObserver(), GanttObserver()]
 
 
 #: The 3x3 runtime-only FMS sweep: jitter seeds x overhead models.  The
@@ -809,6 +840,12 @@ CASES: List[Case] = [
     ("fms_sim_timing_100", _case_fms_sim_timing_100),
     ("fms_data_phase_100", _case_fms_data_phase_100),
     ("replay_fms10", _case_replay_fms10),
+    # A sweep cell's shape: one stock MetricsObserver, nothing retained.
+    ("lean_metrics_fms10",
+     _fms10_observed_case(lambda: [MetricsObserver()], collect=False)),
+    ("live_events_fms10", _fms10_observed_case(_event_observers, collect=False)),
+    ("live_events_full_fms10",
+     _fms10_observed_case(_event_observers, collect=True)),
     ("fms_sweep_3x3", _case_fms_sweep_3x3),
     ("fms_sweep_3x3_naive", _case_fms_sweep_3x3_naive),
     ("fms_resweep", _case_fms_resweep),

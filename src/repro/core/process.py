@@ -91,11 +91,6 @@ class JobContext:
         self._record: Optional[Callable[[tuple], None]] = (
             trace.raw.append if trace is not None else None
         )
-        #: Optional data-phase hook ``hook(channel, value)`` invoked on every
-        #: internal channel write.  Installed by the runtime executor when an
-        #: observer consumes ``on_channel_write`` events; ``None`` (the
-        #: default) costs one identity check per write.
-        self._on_write: Optional[Callable[[str, Any], None]] = None
 
     def _rebind(self, k: int, now: Time) -> "JobContext":
         """Trusted hot-loop rebinding: reuse this context for the next job.
@@ -148,8 +143,6 @@ class JobContext:
         state.write(value)
         if self._record is not None:
             self._record(("W", self.process, channel, value))
-        if self._on_write is not None:
-            self._on_write(channel, value)
 
     # -- external channels --------------------------------------------------
     def read_input(self, channel: Optional[str] = None) -> Any:

@@ -97,9 +97,20 @@ def _list(value: Any, what: str) -> List[Any]:
     return value
 
 
-def _rows(data: Mapping[str, Any], key: str, table: Any, what: str) -> List[Any]:
-    """The rows listed under *key*, each decoded through *table*."""
+def _rows(
+    data: Mapping[str, Any], key: str, table: Any, what: str, positional: bool = False
+) -> List[Any]:
+    """The rows listed under *key*, each decoded through *table*; a
+    *positional* row lists the table's fields in order."""
     rows = _list(data.get(key, []), f"{what} rows")
+    if positional:
+        keys = [field.name for field in table]
+        for i, row in enumerate(rows):
+            if not isinstance(row, (list, tuple)) or len(row) != len(keys):
+                raise FormatError(
+                    f"{what} {i} must be a list [{', '.join(keys)}], got {row!r}"
+                )
+        rows = [dict(zip(keys, row)) for row in rows]
     return [decode_fields(table, row, f"{what} {i}") for i, row in enumerate(rows)]
 
 
@@ -127,10 +138,11 @@ def platform_from_jsonable(data: Any, what: str = "platform") -> Platform:
             raise FormatError(
                 f"bad {what} row {row!r}: the core count must be an int >= 1"
             )
-        entries.append(
-            (ProcessorClass(name, _time_in(speed, f"{what} speed")), count)
-        )
-    return Platform(tuple(entries))
+        entries.append((name, _time_in(speed, f"{what} speed"), count))
+    try:
+        return Platform(tuple((ProcessorClass(n, s), c) for n, s, c in entries))
+    except ValueError as exc:  # a bad class name or speed, a duplicate class
+        raise FormatError(f"bad {what}: {exc}") from None
 
 
 def _default_platform(platform: Platform, processors: int) -> bool:
@@ -317,6 +329,11 @@ _CHANNEL_FIELDS = (
     Field("reader", text, required=True),
 )
 
+#: A network document's priority pairs ``[higher, lower]``, and its
+#: external input and output rows.
+_PRIORITY_FIELDS = tuple(Field(n, text, required=True) for n in ("higher", "lower"))
+_EXTERNAL_FIELDS = tuple(Field(n, text, required=True) for n in ("name", "owner"))
+
 
 def network_from_dict(
     data: Mapping[str, Any],
@@ -346,11 +363,11 @@ def network_from_dict(
             )
     for row in _rows(data, "channels", _CHANNEL_FIELDS, "channel"):
         net.connect(row["writer"], row["reader"], row["name"], kind=row["kind"])
-    for hi, lo in data.get("priorities", []):
-        net.add_priority(hi, lo)
-    for row in data.get("external_inputs", []):
+    for row in _rows(data, "priorities", _PRIORITY_FIELDS, "priority", True):
+        net.add_priority(row["higher"], row["lower"])
+    for row in _rows(data, "external_inputs", _EXTERNAL_FIELDS, "external input"):
         net.add_external_input(row["owner"], row["name"])
-    for row in data.get("external_outputs", []):
+    for row in _rows(data, "external_outputs", _EXTERNAL_FIELDS, "external output"):
         net.add_external_output(row["owner"], row["name"])
     return net
 

@@ -13,7 +13,9 @@ executing the frame-periodic static-order policy of Section IV, including:
   the policy must stay correct because it synchronises instead of trusting
   the static start times (Prop. 4.1).
 
-The executor is split into a **timing core** and pluggable **consumers**:
+The executor is split into a **timing core** and pluggable **consumers**,
+fed the assembled :class:`RuntimeResult` by
+:func:`~repro.runtime.observers.replay`, the one event emitter:
 
 1. **Timing phase** (:meth:`MultiprocessorExecutor._timing_phase`) — per
    frame, job starts/ends are resolved in a topological pass over the
@@ -26,8 +28,7 @@ The executor is split into a **timing core** and pluggable **consumers**:
    mapped once per run to exact integer ticks, so the ``max``/``+``
    recurrence per job instance costs machine-integer operations.  The
    resulting :class:`JobRecord` timestamps are converted back to exact
-   rationals (bit-identical to a pure-Fraction simulation) and **emitted
-   as events** to the observers of :mod:`repro.runtime.observers`.
+   rationals (bit-identical to a pure-Fraction simulation).
 
    A sweep cell stays in ticks end to end.  What the policy reads of the
    schedule is one :class:`RunPlan`, memoised on the schedule, and the
@@ -39,9 +40,9 @@ The executor is split into a **timing core** and pluggable **consumers**:
    kept on the sampler for every run of the graph — each duration
    ``d * wcet / R`` exact in a domain fixed before sampling.  Tick-fed
    observers (stock :class:`~repro.runtime.observers.MetricsObserver`
-   classes) get integer aggregates once per run instead of one record
-   per instance, so a timing-only run with no other record consumer
-   builds no :class:`JobRecord` at all.  The data phase feeds them its kernel-span
+   classes) get integer aggregates once per run instead of a replay,
+   so a timing-only run with no other record consumer builds no
+   :class:`JobRecord` at all.  The data phase feeds them its kernel-span
    and channel-write aggregates the same way, in ticks, once per run.
 2. **Data phase** (:meth:`MultiprocessorExecutor._data_phase`) — the
    kernels of all *true* jobs run in ``(start, frame, <J index)`` order
@@ -50,12 +51,11 @@ The executor is split into a **timing core** and pluggable **consumers**:
    atomic-at-start execution reproduces the real interleaving; the
    resulting channel write sequences are the Prop. 2.1 observable.
 
-Two fast modes drop work a caller does not need: ``records_only=True``
-skips the data phase entirely (no ``JobContext``, no kernel dispatch —
-timing-only runs with identical :class:`JobRecord` streams), and
-``collect_records=False`` skips record retention — and record
-construction altogether when no observer listens, which is how the
-determinism matrix runs (it only compares data-phase observables).
+Fast modes drop work a caller does not need: ``records_only=True`` skips
+the data phase entirely (no ``JobContext``, no kernel dispatch — timing-only
+runs with identical :class:`JobRecord` streams), and ``collect_records=False``
+and ``collect_trace=False`` skip building records and the action trace when
+no observer consumes them, as the determinism matrix and sweep cells run.
 """
 
 from __future__ import annotations
@@ -80,7 +80,9 @@ from ..core.trace import Trace
 from ..taskgraph.graph import TaskGraph
 from ..taskgraph.jobs import Job
 from ..scheduling.schedule import StaticSchedule
-from .observers import ExecutionObserver, RunMeta, TickMetrics
+from .observers import (
+    ExecutionObserver, RunMeta, TickMetrics, _finish_tick_fed, replay,
+)
 from .overheads import OverheadModel
 from .static_order import ArrivalBinding, RunPlan
 
@@ -408,8 +410,8 @@ class RuntimeResult:
 #: Sorting these tuples orders instances by ``(start, frame, <J index)`` —
 #: the execution order of the policy — because ``(frame, job_index)`` is
 #: unique; the trailing fields never influence the order.  ``end_tick``
-#: rides along so data-phase observers get the kernel span without the
-#: data phase re-deriving it.
+#: rides along so tick-fed observers get the kernel span without the data
+#: phase re-deriving it.
 _Instance = Tuple[int, int, int, int, int, int]
 
 
@@ -469,59 +471,65 @@ class MultiprocessorExecutor:
         Parameters
         ----------
         observers:
-            :class:`~repro.runtime.observers.ExecutionObserver` instances
-            receiving run/overhead/record events as they are resolved, and —
-            when the data phase runs — the per-kernel span and channel
-            write events.  Stock ``MetricsObserver`` classes get the same
-            aggregates in integer ticks, once per run, instead.
+            :class:`~repro.runtime.observers.ExecutionObserver` instances,
+            fed the result by :func:`~repro.runtime.observers.replay`
+            after the phases.  Stock ``MetricsObserver`` classes get
+            ``on_run_start`` before the phases and the same aggregates in
+            integer ticks, once per run, instead.
         records_only:
             Skip the data phase (no kernels, no channel states): the result
             carries identical :class:`JobRecord` timing but empty
             observables.  For timing-only consumers (sweeps, waveforms).
         collect_records:
             When ``False``, ``result.records`` stays empty: records are
-            not retained, and are not even built unless observers are
-            listening (``on_record`` always fires when they are).  The
-            data phase still runs.  For observable-only consumers like
-            the determinism matrix, and for streaming observers over
-            long runs that must not accumulate per-instance data.
+            built only for observers that consume records or data events,
+            and dropped once they have seen them.  For observable-only
+            consumers like the determinism matrix.
         collect_trace:
-            When ``False``, the data phase suppresses the per-action
-            :class:`~repro.core.trace.Trace` (``result.trace`` stays
-            empty; channel logs, external outputs and live observer events
-            are unaffected).  For observable-only and streaming consumers
-            that never read the action log — it is the single largest
-            allocation stream of a full run.
+            When ``False``, ``result.trace`` stays empty (channel logs and
+            external outputs are unaffected): the per-action
+            :class:`~repro.core.trace.Trace`, the largest allocation stream
+            of a full run, is recorded only for observers that consume data
+            events, and dropped once they have seen them.
         """
         if n_frames < 1:
             raise RuntimeModelError("n_frames must be >= 1")
         stimulus = stimulus or Stimulus()
         plan, setup = self._prepare(n_frames, stimulus, execution_time)
 
-        if observers:
-            meta = RunMeta(
-                network=self.network.name,
-                processors=self.schedule.processors,
-                frames=n_frames,
-                hyperperiod=self.hyperperiod,
-            )
-            for ob in observers:
-                ob.on_run_start(meta)
+        # Tick-fed observers (stock MetricsObservers) are handed integer
+        # aggregates by the phases, every other observer a replay of the
+        # result; records and the trace are built for whoever consumes them.
+        fed = [ob for ob in observers if ob.tick_fed]
+        events = [ob for ob in observers if not ob.tick_fed]
+        want_data = any(
+            ob.consumes_data and not (ob.tick_fed and ob.data_tick_fed)
+            for ob in observers
+        )
+        build_records = want_data or collect_records or any(
+            ob.consumes_records for ob in events
+        )
+        record_trace = want_data or collect_trace
+        meta = RunMeta(
+            self.network.name, self.schedule.processors, n_frames, self.hyperperiod
+        )
+        for ob in fed:
+            ob.on_run_start(meta)
 
-        # Nearly everything the phases allocate (records, trace actions,
-        # channel logs, memoised Fractions) is retained until the result is
-        # assembled, so generational GC passes during the phases only
-        # re-scan live objects — at 100-frame scale they cost more than a
-        # third of the run.  Suspend collection for the duration (restored
-        # even on error; left untouched when the caller already disabled
-        # GC); cyclic garbage from user kernels is reclaimed at the next
-        # post-run collection.
+        # Nearly everything the phases and the observers allocate (records,
+        # trace actions, channel logs, memoised Fractions, observer views)
+        # is retained until the run returns, so generational GC passes
+        # meanwhile only re-scan live objects — at 100-frame scale they
+        # cost more than a third of the run.  Suspend collection for the
+        # duration (restored even on error; left untouched when the caller
+        # already disabled GC); cyclic garbage from user kernels is
+        # reclaimed at the next post-run collection.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
             records, instances, overhead_intervals, frac_memo = self._timing_phase(
-                plan, setup, observers, collect_records,
+                plan, setup, fed, build_records,
                 collect_instances=not records_only
             )
 
@@ -532,28 +540,35 @@ class MultiprocessorExecutor:
             else:
                 channel_logs, external_outputs, trace = self._data_phase(
                     sorted(instances), stimulus, plan, setup.dom, frac_memo,
-                    observers, collect_trace,
+                    [ob for ob in fed if ob.data_tick_fed], record_trace,
                 )
+
+            result = RuntimeResult(
+                network_name=self.network.name,
+                frames=n_frames,
+                hyperperiod=self.hyperperiod,
+                processors=self.schedule.processors,
+                records=records,
+                channel_logs=channel_logs,
+                external_outputs=external_outputs,
+                trace=trace,
+                overhead_intervals=overhead_intervals,
+                records_collected=build_records,
+                data_collected=not records_only,
+                trace_collected=record_trace and not records_only,
+            )
+            _finish_tick_fed(result, fed)
+            if events:
+                replay(result, *events)
         finally:
             if gc_was_enabled:
                 gc.enable()
 
-        result = RuntimeResult(
-            network_name=self.network.name,
-            frames=n_frames,
-            hyperperiod=self.hyperperiod,
-            processors=self.schedule.processors,
-            records=records,
-            channel_logs=channel_logs,
-            external_outputs=external_outputs,
-            trace=trace,
-            overhead_intervals=overhead_intervals,
-            records_collected=collect_records,
-            data_collected=not records_only,
-            trace_collected=collect_trace and not records_only,
-        )
-        for ob in observers:
-            ob.on_run_end(result)
+        # Drop what the caller did not ask for, once every hook has run.
+        if not collect_records:
+            result.records, result.records_collected = [], False
+        if not collect_trace:
+            result.trace, result.trace_collected = Trace(), False
         return result
 
     # ------------------------------------------------------------------
@@ -687,8 +702,8 @@ class MultiprocessorExecutor:
         self,
         plan: RunPlan,
         rs: _RunSetup,
-        observers: Sequence[ExecutionObserver],
-        collect_records: bool,
+        tick_fed: Sequence[ExecutionObserver],
+        build_records: bool,
         collect_instances: bool = True,
     ) -> Tuple[
         List[JobRecord],
@@ -698,11 +713,11 @@ class MultiprocessorExecutor:
     ]:
         """The per-frame timing recurrence, in pure integer ticks.
 
-        Emits overhead windows and (when *collect_records*) one
-        :class:`JobRecord` per instance to *observers* as they resolve.
-        Returns the record list, the true-instance hand-off for the data
-        phase, the overhead intervals and the tick→Fraction memo (shared
-        with the data phase so release conversions are not repeated).
+        Builds one :class:`JobRecord` per instance when *build_records*
+        and hands *tick_fed* observers their aggregates after the last
+        frame.  Returns the record list, the true-instance hand-off for the
+        data phase, the overhead intervals and the tick→Fraction memo
+        (shared with the data phase so release conversions are not repeated).
         """
         n = len(plan.order)
         topo = plan.order
@@ -727,7 +742,7 @@ class MultiprocessorExecutor:
         # deadlines within a frame, end==next-start chains on busy
         # processors), so memoise them for the duration of the run.
         frac_memo: Dict[int, Time] = {}
-        rec_append = records.append if collect_records else None
+        rec_append = records.append
         # The instance hand-off only feeds the data phase; skip it when the
         # caller will not run one (records_only), keeping long timing-only
         # sweeps O(1) in per-instance memory beyond the records they asked for.
@@ -736,21 +751,8 @@ class MultiprocessorExecutor:
         set_dict = _obj_setattr
         record_cls = JobRecord
         memo_get = frac_memo.get
-        notify_overhead = [ob.on_overhead for ob in observers]
-        # Tick-fed observers (stock MetricsObservers) get their aggregates
-        # from inline integer accumulators, handed over once after the
-        # last frame.  Every other observer whose class overrides
-        # on_record consumes records — the inherited no-op must not force
-        # record construction in the collect_records=False fast path.
-        tick_fed = [ob for ob in observers if ob.tick_fed]
-        notify_record = [
-            ob.on_record for ob in observers
-            if ob.consumes_records and not ob.tick_fed
-        ]
-        # Records are *built* whenever someone consumes them (the result
-        # list or an observer) but *retained* only when collect_records —
-        # so observers can stream a long run without the result growing.
-        build_records = collect_records or bool(notify_record)
+        # Tick-fed observers get their aggregates from inline integer
+        # accumulators, handed over once after the last frame.
         aggregate = bool(tick_fed)
         track_responses = any(ob._track_responses for ob in tick_fed)
         n_false = n_missed = worst = makespan = 0
@@ -762,10 +764,9 @@ class MultiprocessorExecutor:
             base = H_t * frame
             ov = rs.ov_first_t if frame == 0 else rs.ov_steady_t
             if ov > 0:
-                o_start, o_end = from_ticks(base), from_ticks(base + ov)
-                overhead_intervals.append((frame, o_start, o_end))
-                for emit in notify_overhead:
-                    emit(frame, o_start, o_end)
+                overhead_intervals.append(
+                    (frame, from_ticks(base), from_ticks(base + ov))
+                )
             floor = base + ov
             frame_end = base
             end_row = [0] * n
@@ -864,11 +865,7 @@ class MultiprocessorExecutor:
                     "is_server": is_server_of[i],
                     "processor_class": class_name_of[proc],
                 })
-                if rec_append is not None:
-                    rec_append(rec)
-                if notify_record:
-                    for emit in notify_record:
-                        emit(rec)
+                rec_append(rec)
             frame_spans.append(frame_end - base)
 
         if tick_fed:
@@ -948,8 +945,8 @@ class MultiprocessorExecutor:
         plan: RunPlan,
         dom: TickDomain,
         frac_memo: Dict[int, Time],
-        observers: Sequence[ExecutionObserver] = (),
-        collect_trace: bool = True,
+        tick_fed: Sequence[ExecutionObserver] = (),
+        record_trace: bool = True,
     ) -> Tuple[Dict[str, List[Any]], Dict[str, List[Tuple[int, Any]]], Trace]:
         """Run the kernels of all true instances in policy order.
 
@@ -966,16 +963,10 @@ class MultiprocessorExecutor:
           frames of one process pay a single lookup;
         * the action trace (``JobStart``/``JobEnd`` markers; the per-action
           log inside :class:`JobContext`) is built only when
-          *collect_trace*;
-        * data-phase observer events (kernel spans, channel writes) are
-          emitted only to observers whose class consumes them as events
-          (:attr:`ExecutionObserver.consumes_data`, not
-          :attr:`ExecutionObserver.data_tick_fed`) — with none attached
-          the loop converts no start or end tick to a Fraction and
-          installs no write hook;
-        * tick-fed observers (stock
+          *record_trace* — the source of replayed data events;
+        * *tick_fed* observers (stock
           :class:`~repro.runtime.observers.MetricsObserver` classes) get
-          the same aggregates once, before ``on_run_end``: per-process
+          the data aggregates once, before ``on_run_end``: per-process
           kernel-span count, total and maximum accumulated as ints where
           the loop switches process, and per-channel write counts read
           off the run's channel write logs, so nothing runs per write.
@@ -992,37 +983,17 @@ class MultiprocessorExecutor:
             name: ExternalOutputState(spec)
             for name, spec in network.external_outputs.items()
         }
-        trace = Trace() if collect_trace else None
+        trace = Trace() if record_trace else None
         trace_append = trace.raw.append if trace is not None else None
         from_ticks = dom.from_ticks
         memo_get = frac_memo.get
         process_of = plan.process
 
-        tick_fed = [ob for ob in observers if ob.data_tick_fed]
-        consumers = [
-            ob for ob in observers if ob.consumes_data and not ob.data_tick_fed
-        ]
-        notify_start = [ob.on_job_data_start for ob in consumers]
-        notify_end = [ob.on_job_data_end for ob in consumers]
-        notify_write = [ob.on_channel_write for ob in consumers]
-        emit_spans = bool(consumers)
         # Per-process kernel spans in ticks, (count, total, max): the
         # running process's triple lives in locals and is swapped in and
         # out where the loop switches process.
         spans: Dict[str, Tuple[int, int, int]] = {}
         count = total = top = 0
-        # Channel writes are observed through the JobContext write hook; the
-        # executing job's identity and start instant are threaded through a
-        # mutable cell shared by all contexts, so the hot path installs no
-        # per-instance closures.
-        current: List[Any] = [None, None]  # [process name, start Fraction]
-        if notify_write:
-            def _write_hook(channel: str, value: Any) -> None:
-                name, at = current
-                for emit in notify_write:
-                    emit(name, channel, value, at)
-        else:
-            _write_hook = None
 
         # One reusable context and one resolved kernel entry point per
         # process.  Dispatching straight to KernelBehavior's kernel callable
@@ -1043,7 +1014,6 @@ class MultiprocessorExecutor:
                 external_outputs={n: ext_out[n] for n in proc.external_outputs},
                 trace=trace,
             )
-            ctx._on_write = _write_hook
             behavior = proc.behavior
             dispatch = (
                 behavior._kernel
@@ -1054,7 +1024,7 @@ class MultiprocessorExecutor:
 
         prev_name = None
         ctx = dispatch = rebind = None
-        for start_t, frame, job_idx, global_k, release_t, end_t in order:
+        for start_t, _frame, job_idx, global_k, release_t, end_t in order:
             name = process_of[job_idx]
             if name != prev_name:
                 if tick_fed:
@@ -1074,25 +1044,11 @@ class MultiprocessorExecutor:
             if release is None:
                 release = frac_memo[release_t] = from_ticks(release_t)
             rebind(global_k, release)
-            if emit_spans:
-                start_f = memo_get(start_t)
-                if start_f is None:
-                    start_f = frac_memo[start_t] = from_ticks(start_t)
-                current[0] = name
-                current[1] = start_f
-                for emit in notify_start:
-                    emit(name, global_k, frame, start_f)
             if trace_append is not None:
                 trace_append(("S", name, global_k))
             dispatch(ctx)
             if trace_append is not None:
                 trace_append(("E", name, global_k))
-            if notify_end:
-                end_f = memo_get(end_t)
-                if end_f is None:
-                    end_f = frac_memo[end_t] = from_ticks(end_t)
-                for emit in notify_end:
-                    emit(name, global_k, frame, end_f)
         if tick_fed:
             if prev_name is not None:
                 spans[prev_name] = (count, total, top)

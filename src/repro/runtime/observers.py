@@ -1,64 +1,50 @@
 """Observer/sink protocol for the runtime executor.
 
 The :class:`~repro.runtime.executor.MultiprocessorExecutor` separates the
-paper's deterministic timing core from its growing set of output consumers:
-the timing phase (pure integer-tick recurrence) *emits events* — run
-milestones, frame-arrival overhead windows, one :class:`~repro.runtime.
-executor.JobRecord` per resolved job instance — and observers passed to
-``run(observers=...)`` consume them as they happen.  VCD export
-(:mod:`repro.io.vcd`), Gantt rendering (:mod:`repro.runtime.gantt`),
-metrics (:mod:`repro.runtime.metrics`) and determinism sweeps
-(:mod:`repro.analysis.determinism`) are all such consumers; new backends
-plug in by subclassing :class:`ExecutionObserver` without touching the
-executor core.
+paper's deterministic timing core from its growing set of output consumers.
+Its phases emit nothing: they assemble a :class:`~repro.runtime.executor.
+RuntimeResult`, and :func:`replay`, the one event emitter, feeds it to the
+observers passed to ``run(observers=...)`` — the stream a stored result
+replays too.  VCD export (:mod:`repro.io.vcd`), Gantt rendering
+(:mod:`repro.runtime.gantt`), metrics (:mod:`repro.runtime.metrics`) and
+determinism sweeps (:mod:`repro.analysis.determinism`) are all such
+consumers; new backends plug in by subclassing :class:`ExecutionObserver`
+without touching the executor core.
 
 Event order and domain:
 
-* ``on_run_start`` once, then per live frame the frame's overhead window
-  (if any) followed by that frame's records in timing-resolution order
-  (schedule-topological within the frame), then ``on_run_end`` once.
-  :func:`replay` re-emits a finished run in the same shape except that all
-  overhead windows precede all records — observers must not rely on the
-  interleaving, only on the per-stream order.
-* **Data-phase events** follow all timing events: per executed job
-  instance, in the deterministic ``(start, frame, <J index)`` execution
-  order of the data phase, ``on_job_data_start`` then one
-  ``on_channel_write`` per internal channel write the kernel makes (in
-  write order) then ``on_job_data_end``.  False jobs and external output
-  samples emit no data events.  :func:`replay` reconstructs the identical
-  stream from the stored trace, so live and post-hoc consumers see the
-  same sequence.
-* Every time stamp an observer sees is an **exact rational**
-  (:class:`fractions.Fraction`): events are emitted at the tick→Fraction
-  conversion boundary of the executor, so observers never handle raw ticks
-  and never see rounded values.  Kernel spans carry the instance's resolved
-  ``[start, end)`` interval; channel writes carry the writing job's start
-  instant (kernels execute atomically at their start, Section IV).
+* ``on_run_start`` once, then per frame the frame's overhead window (if
+  any) followed by that frame's records in timing-resolution order
+  (schedule-topological within the frame), then the data events, then
+  ``on_run_end`` once.
+* **Data-phase events**: per executed job instance, in the deterministic
+  ``(start, frame, <J index)`` execution order of the data phase,
+  ``on_job_data_start`` then one ``on_channel_write`` per internal channel
+  write the kernel makes (in write order) then ``on_job_data_end``, read
+  off the stored trace.  False jobs and external output samples emit none.
+* Every time stamp is the result's own **exact rational**
+  (:class:`fractions.Fraction`), never a raw tick or a rounded value.
+  Kernel spans carry the instance's ``[start, end)`` interval; channel
+  writes carry the writing job's start instant (kernels execute atomically
+  at their start, Section IV).
 
-An observer class consumes the streams whose hooks it overrides,
-decided once when the class is created (:class:`ExecutionObserver`).
-Stock :class:`MetricsObserver` classes are *tick-fed*: a live run sends
-them neither ``on_record`` (while they keep its ``on_record``) nor data
-events (while they keep its three data hooks), but aggregates the same
-metrics in integer ticks and hands them over once per run, before
-``on_run_end`` — the timing aggregates as :class:`TickMetrics`, the
-kernel spans and channel-write counts from the data phase.  The hooks
-stay their rule and the path :func:`replay` drives.
+An observer class consumes the streams whose hooks it overrides, decided
+once when the class is created (:class:`ExecutionObserver`); overhead
+windows and run milestones go to every observer.  Stock
+:class:`MetricsObserver` classes are *tick-fed*: a live run hands them the
+same metrics aggregated in integer ticks, once per run — the timing
+aggregates as :class:`TickMetrics`, the kernel spans and channel-write
+counts from the data phase — and sends them only their run milestones,
+overhead windows and, to a subclass that overrides a data hook, the data
+events.  The hooks stay their rule and the path :func:`replay` drives.
 
-``run(records_only=True)`` skips the data phase (no ``JobContext``, no
-kernel dispatch, empty channel observables, no data events) for
-timing-only consumers.  ``run(collect_records=False)`` keeps
-``result.records`` empty: observers still receive every ``on_record``
-event, so streaming consumers (metrics over a very long run) aggregate
-without the result accumulating per-instance data, and with no observers
-attached records are never even built — the determinism matrix's
-observable-only fast path.  ``run(collect_trace=False)`` suppresses the
-:class:`~repro.core.trace.Trace` action log (``result.trace`` stays
-empty); live data-phase events still fire, but :func:`replay` refuses
-to feed such a result to an observer that consumes data events.
-:func:`replay` is the one place that decides what a stored result can
-re-emit: it refuses up front, before any hook fires, whatever it
-cannot re-emit in full.
+``run(records_only=True)`` skips the data phase (no data events).
+``run(collect_records=False)`` and ``run(collect_trace=False)`` keep
+``result.records`` and ``result.trace`` empty: a live run builds them only
+for observers that consume them and drops them after the hooks, so with no
+such observer no record is built — the determinism matrix's
+observable-only fast path.  :func:`replay` refuses up front, before any
+hook fires, whatever a stored result cannot re-emit in full.
 """
 
 from __future__ import annotations
@@ -184,33 +170,29 @@ class TickMetrics:
 
 
 def replay(result: "RuntimeResult", *observers: ExecutionObserver) -> None:
-    """Re-emit a finished run's events through *observers*.
+    """Emit *result*'s events through *observers*, in the module's order.
 
-    Lets every event consumer work identically live (``run(observers=...)``)
-    and post-hoc (on a stored :class:`RuntimeResult`).  Data-phase events
-    (``on_job_data_start/end``, ``on_channel_write``) are reconstructed
-    from the stored trace's compact ``S``/``W``/``E`` tuples, which carry
-    the exact live emission order, joined with the records for the span
-    timestamps.  A ``records_only`` result replays no data events (the
-    data phase never ran, so none were emitted live either).
+    The one emitter: ``run(observers=...)`` feeds its observers that are
+    not tick-fed through it, and a stored :class:`RuntimeResult` replays
+    the same stream.  Records go only to observers whose class
+    :attr:`~ExecutionObserver.consumes_records`, data events only to those
+    whose class :attr:`~ExecutionObserver.consumes_data`.
 
-    What a stored result cannot re-emit in full is refused with
-    :class:`~repro.errors.RuntimeModelError` before any hook fires:
-
-    * any replay of a ``collect_records=False`` result, whose empty record
-      list would misreport every count as zero;
-    * a replay into an observer whose class consumes data events, of a
-      ``collect_trace=False`` result whose data phase ran: its data events
-      were not retained.  Timing-only observers still replay it.
-
+    What the result cannot re-emit in full is refused with
+    :class:`~repro.errors.RuntimeModelError` before any hook fires: the
+    records or data events of a ``collect_records=False`` result, whose
+    empty record list would misreport every count as zero, and the data
+    events of a ``collect_trace=False`` result whose data phase ran.
     Attach such observers to ``run()`` instead.
     """
-    if not result.records_collected:
-        raise RuntimeModelError(
-            "cannot replay a result produced with collect_records=False — "
-            "job records were not retained; attach observers to run() instead"
-        )
+    record_observers = [ob for ob in observers if ob.consumes_records]
     data_observers = [ob for ob in observers if ob.consumes_data]
+    if not result.records_collected and (record_observers or data_observers):
+        raise RuntimeModelError(
+            "cannot replay job records of a result produced with "
+            "collect_records=False — they were not retained; attach "
+            "record or data consumers to run() instead"
+        )
     if data_observers and result.data_collected and not result.trace_collected:
         raise RuntimeModelError(
             "cannot replay data-phase events of a result produced with "
@@ -218,45 +200,65 @@ def replay(result: "RuntimeResult", *observers: ExecutionObserver) -> None:
             "attach data-consuming observers to run() instead"
         )
     meta = RunMeta(
-        network=result.network_name,
-        processors=result.processors,
-        frames=result.frames,
-        hyperperiod=result.hyperperiod,
+        result.network_name, result.processors, result.frames, result.hyperperiod
     )
     for ob in observers:
         ob.on_run_start(meta)
-    for frame, start, end in result.overhead_intervals:
-        for ob in observers:
-            ob.on_overhead(frame, start, end)
-    for rec in result.records:
-        for ob in observers:
+    # Each frame's overhead window goes out before that frame's records.
+    windows = {window[0]: window for window in result.overhead_intervals}
+    for rec in result.records if record_observers else ():
+        if rec.frame in windows:
+            window = windows.pop(rec.frame)
+            for ob in observers:
+                ob.on_overhead(*window)
+        for ob in record_observers:
             ob.on_record(rec)
-    if data_observers and result.data_collected:
-        record_of = {
-            (r.process, r.global_k): r for r in result.records if not r.is_false
-        }
-        rec = None
-        for act in result.trace.raw:
-            code = act[0]
-            if code == "S":
-                rec = record_of[(act[1], act[2])]
-                for ob in data_observers:
-                    ob.on_job_data_start(act[1], act[2], rec.frame, rec.start)
-            elif code == "W":
-                for ob in data_observers:
-                    ob.on_channel_write(act[1], act[2], act[3], rec.start)
-            elif code == "E":
-                for ob in data_observers:
-                    ob.on_job_data_end(act[1], act[2], rec.frame, rec.end)
+    for window in windows.values():
+        for ob in observers:
+            ob.on_overhead(*window)
+    _replay_data(result, data_observers)
     for ob in observers:
+        ob.on_run_end(result)
+
+
+def _replay_data(result: "RuntimeResult", observers: List[ExecutionObserver]) -> None:
+    """Emit *result*'s data-phase events through *observers*."""
+    if not observers or not result.data_collected:
+        return
+    record_of = {
+        (r.process, r.global_k): r for r in result.records if not r.is_false
+    }
+    rec = None
+    for act in result.trace.raw:
+        code = act[0]
+        if code == "S":
+            rec = record_of[(act[1], act[2])]
+            for ob in observers:
+                ob.on_job_data_start(act[1], act[2], rec.frame, rec.start)
+        elif code == "W":
+            for ob in observers:
+                ob.on_channel_write(act[1], act[2], act[3], rec.start)
+        elif code == "E":
+            for ob in observers:
+                ob.on_job_data_end(act[1], act[2], rec.frame, rec.end)
+
+
+def _finish_tick_fed(result: "RuntimeResult", fed: List[ExecutionObserver]) -> None:
+    """What a live run owes tick-fed observers after their hand-overs:
+    overhead windows, data events to those not fed data ticks, the end."""
+    for window in result.overhead_intervals:
+        for ob in fed:
+            ob.on_overhead(*window)
+    hybrids = [ob for ob in fed if ob.consumes_data and not ob.data_tick_fed]
+    _replay_data(result, hybrids)
+    for ob in fed:
         ob.on_run_end(result)
 
 
 class RecordsObserver(ExecutionObserver):
     """Accumulates the raw event streams (records, overheads, meta).
 
-    The executor assembles its :class:`RuntimeResult` from exactly these
-    streams; external users get the same accumulation for live runs.
+    :func:`replay` emits them from a result's own lists, which these equal.
     """
 
     def __init__(self) -> None:
@@ -580,13 +582,15 @@ class TraceObserver(ExecutionObserver):
         # False jobs still declare their process (a silent wire), exactly
         # like the record-list post-processing did.
         self.processes.add(record.process)
-        if record.is_false or record.end == record.start:
+        if record.is_false:
             return
+        if record.end > record.deadline:
+            self.miss_times.append(record.deadline)
+        if record.end == record.start:
+            return  # a zero-length job has no busy interval
         span = (record.start, record.end)
         self.processor_intervals.setdefault(record.processor, []).append(span)
         self.process_intervals.setdefault(record.process, []).append(span)
-        if record.end > record.deadline:
-            self.miss_times.append(record.deadline)
 
     def on_channel_write(
         self, process: str, channel: str, value: Any, time: Time

@@ -74,20 +74,18 @@ class SpanObserver(ExecutionObserver):
     frame (interval = the frame's record envelope, built from the
     ``on_record`` stream), and each frame span parents the *kernel
     spans* of the jobs it contains.  Attach to
-    ``Experiment.run(observers=[...])`` or ``replay(result, ...)``;
-    live and replayed runs produce identical span lists: kernel spans
-    follow the trace's data-event order in both, and the frame level is
-    assembled from the completed record stream at ``on_run_end`` —
-    records arrive interleaved live but up-front in replay, so frames
-    cannot be allocated ids in arrival order.  Because this observer
-    overrides the data hooks, attaching it to a live run keeps the data
-    phase on — a ``records_only`` scenario emits no kernel spans and
-    yields the run span plus its frame envelopes.
+    ``Experiment.run(observers=[...])`` or ``replay(result, ...)``, which
+    feeds live runs too, so both produce identical span lists.  Kernel
+    spans take ids in the trace's data-event order; the frame level is
+    assembled from the completed record stream at ``on_run_end``, so its
+    ids follow the kernel spans' although records arrive first.  Because
+    this observer overrides the data hooks, attaching it to a live run
+    keeps the data phase on — a ``records_only`` scenario emits no kernel
+    spans and yields the run span plus its frame envelopes.
 
     The run span closes at the latest record end time, tracked from the
-    ``on_record`` stream rather than ``result.makespan()`` so the
-    observer also works on lean runs that suppress record collection
-    (those also see no frame spans — no records, no envelopes).
+    ``on_record`` stream rather than ``result.makespan()``: a live run
+    that keeps no records still feeds them to this observer.
     """
 
     def __init__(self) -> None:
@@ -159,11 +157,9 @@ class SpanObserver(ExecutionObserver):
         if self._run_span is None:
             return
         self._run_span.end = self._run_end
-        # The frame level is assembled here, not as records arrive:
-        # record order differs between live runs (interleaved with data
-        # events) and replay (records first), and span ids must not.
-        # Ids continue past the kernel spans, in frame order; the spans
-        # sit between the run span and the kernels in the list.
+        # The frame level is assembled here, not as records arrive: its
+        # ids continue past the kernel spans, in frame order, and its
+        # spans sit between the run span and the kernels in the list.
         frame_ids: Dict[int, int] = {}
         frame_spans: List[Span] = []
         for frame in sorted(self._frame_bounds):

@@ -12,7 +12,12 @@ Covers the satellite contract of the data-phase PR:
 * ``records_only=True`` continues to skip the whole data phase (no kernel
   dispatch, no data events);
 * ``MetricsObserver`` kernel-span statistics and the per-channel VCD wires
-  agree between live runs and replays.
+  agree between live runs and replays;
+* a live run feeds its observers through ``replay`` of its own result:
+  over the tick-path suite's random workloads and every combination of
+  ``collect_records``, ``collect_trace`` and ``records_only``, each live
+  stream equals a replay of a default-flag run, and the returned result
+  keeps exactly what the flags asked for.
 """
 
 import pytest
@@ -26,12 +31,15 @@ from repro.errors import RuntimeModelError
 from repro.io.vcd import runtime_result_to_vcd, trace_to_vcd
 from repro.runtime import (
     ExecutionObserver,
+    GanttObserver,
     MetricsObserver,
     TraceObserver,
+    jittered_execution,
     kernel_span_stats,
     replay,
     run_static_order,
 )
+from repro.runtime.telemetry import SpanObserver
 from repro.scheduling import list_schedule
 from repro.taskgraph import derive_task_graph
 
@@ -295,3 +303,83 @@ class TestGuardedAccessors:
             assert s.total_busy == sum((r.end - r.start) for r in recs)
             assert s.max_span == max(r.end - r.start for r in recs)
             assert s.mean_span == s.total_busy / s.jobs
+
+
+class HookLog(DataEventLog):
+    """Records every hook verbatim, overheads and records included."""
+
+    def on_run_start(self, meta):
+        self.events.append(("run", meta))
+
+    def on_overhead(self, frame, start, end):
+        self.events.append(("overhead", frame, start, end))
+
+    def on_record(self, record):
+        self.events.append(("record", record))
+
+    def on_run_end(self, result):
+        self.events.append(("run_end",))
+
+
+class TestOneEmitter:
+    """Every live stream is a replay of the run's own result."""
+
+    @staticmethod
+    def observers(tick_path):
+        return [HookLog(), TraceObserver(), SpanObserver(), GanttObserver(),
+                tick_path.SpanEventFed()]
+
+    @staticmethod
+    def views(observers, tick_path):
+        log, trace, spans, gantt, hybrid = observers
+        return [
+            log.events,
+            (trace.meta, trace.processes, trace.processor_intervals,
+             trace.process_intervals, trace.miss_times, trace.overheads,
+             trace.channel_write_times),
+            spans.spans,
+            (gantt.meta, gantt.processor_bars, gantt.runtime_bars),
+            (tick_path.aggregates(hybrid), tick_path.data_aggregates(hybrid)),
+        ]
+
+    @pytest.mark.parametrize("records_only", [False, True])
+    @pytest.mark.parametrize("collect_trace", [True, False])
+    @pytest.mark.parametrize("collect_records", [True, False])
+    def test_live_streams_equal_a_replay(
+        self, collect_records, collect_trace, records_only
+    ):
+        # Imported here: test_tick_path imports DataEventLog from this module.
+        import test_tick_path as tick_path
+
+        for seed in tick_path.SEEDS:
+            net, graph, stim = tick_path.workload(seed)
+            for platform in ("m2", "big_little"):
+                schedule = list_schedule(
+                    graph, tick_path.PLATFORMS[platform], "alap")
+
+                def run(observers=(), **flags):
+                    return run_static_order(
+                        net, schedule, tick_path.FRAMES, stim,
+                        jittered_execution(seed),
+                        tick_path.OVERHEADS["fractional"],
+                        observers=observers, records_only=records_only,
+                        **flags,
+                    )
+
+                full = run()
+                expected = self.observers(tick_path)
+                replay(full, *expected)
+                live = self.observers(tick_path)
+                result = run(live, collect_records=collect_records,
+                             collect_trace=collect_trace)
+                assert self.views(live, tick_path) == self.views(
+                    expected, tick_path)
+                assert live[0].events[-1] == ("run_end",)
+                assert result.records_collected is collect_records
+                assert result.records == (full.records if collect_records else [])
+                kept = collect_trace and not records_only
+                assert result.trace_collected is kept
+                assert result.trace.raw == (full.trace.raw if kept else [])
+                assert result.data_collected is not records_only
+                assert result.overhead_intervals == full.overhead_intervals
+                assert result.channel_logs == full.channel_logs

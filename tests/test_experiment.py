@@ -399,6 +399,25 @@ class TestExperimentCaching:
         assert obs.writes == sum(len(v) for v in second.channel_logs.values())
         assert obs.writes > 0
 
+    def test_overhead_only_observer_replays_an_uncollected_cache(self):
+        from repro.runtime import ExecutionObserver
+
+        class Windows(ExecutionObserver):
+            def __init__(self):
+                self.frames = []
+
+            def on_overhead(self, frame, start, end):
+                self.frames.append(frame)
+
+        exp = Experiment(fig1_scenario(
+            n_frames=2, collect_records=False,
+            overheads=OverheadModel.mppa_like(),
+        ))
+        first = exp.run()
+        windows = Windows()
+        assert exp.run(observers=[windows]) is first  # replayed, not re-run
+        assert windows.frames == [0, 1]
+
     def test_metrics_accessor(self):
         exp = Experiment(fig1_scenario(n_frames=2))
         m = exp.metrics()

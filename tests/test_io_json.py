@@ -484,3 +484,44 @@ class TestScheduleAndNetworkDocumentsRefuseCoercion:
         data["channels"][0]["kind"] = "pipe"
         with pytest.raises(FormatError, match="channel 0 field 'kind'"):
             network_from_dict(data)
+
+    def test_external_input_without_owner(self):
+        data = network_to_dict(build_fig1_network())
+        del data["external_inputs"][0]["owner"]
+        with pytest.raises(
+            FormatError, match="external input 0 is missing field 'owner'"
+        ):
+            network_from_dict(data)
+
+    def test_one_element_priority_pair(self):
+        data = network_to_dict(build_fig1_network())
+        data["priorities"][1] = data["priorities"][1][:1]
+        with pytest.raises(
+            FormatError, match=re.escape("priority 1 must be a list [higher, lower]")
+        ):
+            network_from_dict(data)
+
+    def test_priorities_not_a_list(self):
+        data = network_to_dict(build_fig1_network())
+        data["priorities"] = 5
+        with pytest.raises(FormatError, match="priority rows must be a JSON list"):
+            network_from_dict(data)
+
+    def test_external_outputs_not_a_list(self):
+        data = network_to_dict(build_fig1_network())
+        data["external_outputs"] = "abc"
+        with pytest.raises(
+            FormatError, match="external output rows must be a JSON list"
+        ):
+            network_from_dict(data)
+
+    @pytest.mark.parametrize("rows, match", [
+        ([[1, "1", 2]], "class name"),
+        ([["big", "0", 1]], "must be positive"),
+        ([["big", "1", 1], ["big", "1/2", 2]], "duplicate processor class"),
+    ], ids=["name-not-a-string", "zero-speed", "duplicate-class"])
+    def test_bad_platform_classes(self, rows, match):
+        from repro.io.json_io import platform_from_jsonable
+
+        with pytest.raises(FormatError, match=match):
+            platform_from_jsonable(rows)

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.apps import build_fig1_network, fig1_stimulus, fig1_wcets
-from repro.io import VcdError, runtime_result_to_vcd, write_vcd
+from repro.io import VcdError, runtime_result_to_vcd, trace_to_vcd, write_vcd
 from repro.io.vcd import _ident, _merge_intervals
-from repro.runtime import OverheadModel, run_static_order
+from repro.runtime import OverheadModel, TraceObserver, run_static_order
 from repro.scheduling import find_feasible_schedule, list_schedule
 from repro.taskgraph import derive_task_graph
 
@@ -100,6 +100,26 @@ class TestSemantics:
         miss_ident = _find_ident(dirty_text, "deadline_miss")
         assert f"1{miss_ident}" in dirty_text
 
+    def test_zero_length_late_jobs_pulse_the_miss_wire(self):
+        # Jobs that run in no time after a frame-arrival overhead past
+        # their deadline: late, with no busy interval to draw.
+        net = build_fig1_network()
+        s = list_schedule(derive_task_graph(net, fig1_wcets()), 2, "alap")
+        live = TraceObserver()
+        res = run_static_order(
+            net, s, 2, fig1_stimulus(2), lambda job, frame: 0,
+            OverheadModel.create(
+                first_frame_arrival=150, steady_frame_arrival=150),
+            observers=[live],
+        )
+        missed = sorted(r.deadline for r in res.misses())
+        assert missed and all(r.end == r.start for r in res.misses())
+        assert sorted(live.miss_times) == missed
+        text = runtime_result_to_vcd(res, timescale_ms=1)
+        assert text == trace_to_vcd(live, timescale_ms=1)
+        ident = _find_ident(text, "deadline_miss")
+        assert _high_ticks(text, ident) == {int(d) for d in missed}
+
     def test_overhead_signal(self):
         net = build_fig1_network()
         g = derive_task_graph(net, fig1_wcets())
@@ -122,3 +142,17 @@ def _find_ident(text: str, name: str) -> str:
         if line.startswith("$var") and line.split()[4] == name:
             return line.split()[3]
     raise AssertionError(f"signal {name} not declared")
+
+
+def _high_ticks(text: str, ident: str) -> set:
+    """The ticks at which wire *ident* is 1 in the VCD *text*."""
+    high, now, rise = set(), 0, None
+    for line in text.splitlines():
+        if line.startswith("#"):
+            now = int(line[1:])
+        elif line == f"1{ident}":
+            rise = now
+        elif line == f"0{ident}" and rise is not None:
+            high.update(range(rise, now))
+            rise = None
+    return high

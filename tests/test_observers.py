@@ -109,6 +109,59 @@ class TestEventStreams:
             assert of_frame[0] == "ov"
 
 
+    def test_replay_is_frame_coherent(self):
+        def order_of(run):
+            events = []
+
+            class OrderObserver(ExecutionObserver):
+                def on_overhead(self, frame, start, end):
+                    events.append(("ov", frame))
+
+                def on_record(self, record):
+                    events.append(("rec", record.frame))
+
+            run(OrderObserver())
+            return events
+
+        overheads = OverheadModel.create(
+            first_frame_arrival=10, steady_frame_arrival=10)
+        result = fig1_run(overheads=overheads)
+        replayed = order_of(lambda ob: replay(result, ob))
+        assert replayed == order_of(lambda ob: fig1_run([ob], overheads))
+        for frame in range(result.frames):
+            of_frame = [kind for kind, f in replayed if f == frame]
+            assert of_frame[0] == "ov" and of_frame.count("ov") == 1
+
+    def test_replay_ignores_hooks_set_on_the_instance(self):
+        # Only a class's hooks subscribe it, in replay as in a live run.
+        seen = []
+        observer = ExecutionObserver()
+        observer.on_record = seen.append
+        observer.on_channel_write = lambda *event: seen.append(event)
+        replay(fig1_run(), observer)
+        assert seen == []
+
+    def test_overhead_only_observer_replays_an_uncollected_result(self):
+        class Windows(ExecutionObserver):
+            def __init__(self):
+                self.windows = []
+
+            def on_overhead(self, frame, start, end):
+                self.windows.append((frame, start, end))
+
+        lean = fig1_run(overheads=OverheadModel.mppa_like(),
+                        collect_records=False)
+        windows = Windows()
+        replay(lean, windows)
+        assert windows.windows == lean.overhead_intervals
+        assert len(windows.windows) == lean.frames
+        # A record consumer is still refused, before any hook fires.
+        records = RecordsObserver()
+        with pytest.raises(RuntimeModelError, match="collect_records=False"):
+            replay(lean, records)
+        assert records.meta is None
+
+
 class TestMetricsObserver:
     def test_matches_metrics_functions(self):
         obs = MetricsObserver()
@@ -415,6 +468,23 @@ class TestObserverRule:
         assert writes.kernel_span_stats() == stock.kernel_span_stats()
         assert writes.channel_write_counts() == stock.channel_write_counts()
         assert writes.miss_summary() == stock.miss_summary()
+
+    def test_tick_fed_subclass_keeps_its_overhead_windows(self):
+        class Windows(MetricsObserver):
+            def __init__(self):
+                super().__init__()
+                self.windows = []
+
+            def on_overhead(self, frame, start, end):
+                self.windows.append((frame, start, end))
+
+        assert Windows.tick_fed and Windows.data_tick_fed
+        overheads = OverheadModel.mppa_like()
+        windows = Windows()
+        lean = fig1_run([windows], overheads, collect_records=False)
+        assert windows.windows == lean.overhead_intervals
+        assert len(windows.windows) == lean.frames
+        assert windows.miss_summary() == miss_summary(fig1_run(overheads=overheads))
 
     def test_timing_metrics_observer_lets_replay_skip_the_trace_walk(self):
         from repro.runtime.metrics import _TimingMetricsObserver
